@@ -3,9 +3,9 @@ video diffusion models across multiple frozen base models.
 
 The package trains a small per-frame diffusion model per synthetic style,
 composes each with one shared temporal motion module, and distills the
-shared module down to few-step sampling against all bases at once on
-simulated data-parallel ranks, with a flow-conditional discriminator for
-the adversarial stages.
+shared module down to few-step sampling against all bases at once, as a
+data-parallel step over a table of ranks, with a flow-conditional
+discriminator for the adversarial stages.
 """
 
 from .autodiff import Var, backward, gradcheck
@@ -64,14 +64,7 @@ from .distill import (
     run_progressive,
     run_stage,
 )
-from .ranks import (
-    GradAccumulator,
-    RankAssignment,
-    ReductionSpec,
-    accumulate_and_update,
-    all_reduce_shared,
-    build_assignment,
-)
+from .ranks import RankAssignment, build_assignment
 from .evalmetrics import (
     EvalReport,
     energy_distance,

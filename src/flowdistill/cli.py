@@ -14,9 +14,11 @@ import sys
 
 import numpy as np
 
-from .config import config_hash, dims_from_config, load_config, schedule_from_config
+from .config import dims_from_config, load_config, schedule_from_config
 from .datagen import style_by_name
+from .distill import DistillDivergence
 from .gradchecks import REL_TOL, gradcheck_battery
+from .nets import StudentBundle
 from .runner import STEP_TO_STAGE, Workspace
 from .solvers import sample as sample_one
 
@@ -82,17 +84,6 @@ def _write_report(report, csv_path: str, plot_path: str) -> None:
         json.dump({"series": series, "metadata": report.metadata}, fh, indent=2)
 
 
-def _require_checkpoints(ws: Workspace, arm: str, cfg) -> None:
-    from .distill import default_plan  # stage names only
-    for steps in cfg["eval"]["step_counts"]:
-        stage = STEP_TO_STAGE[steps]
-        path = ws.ckpt_path(f"motion_{stage}", arm=arm)
-        if not os.path.exists(path):
-            raise FileNotFoundError(
-                f"missing distilled checkpoint {path}; run `flowdistill "
-                f"distill` first")
-
-
 def cmd_pretrain(args) -> int:
     cfg, ws = _resolve(args)
     bundles = ws.pretrained_bundles(progress=_progress)
@@ -126,15 +117,14 @@ def cmd_sample(args) -> int:
     stage = STEP_TO_STAGE.get(args.steps)
     bundles = ws.pretrained_bundles(styles=[args.style, "default"],
                                     progress=_progress)
-    if stage is not None and os.path.exists(ws.ckpt_path(f"motion_{stage}", arm="cross")):
-        from .checkpoint import checkpoint_load
-        from .nets import MOTION_KEYS, MotionParams, StudentBundle
-
-        arrays, meta = checkpoint_load(ws.ckpt_path(f"motion_{stage}", arm="cross"),
-                                       expect=MOTION_KEYS)
-        ws._check_hash(meta, ws.ckpt_path(f"motion_{stage}", arm="cross"))
-        bundle = StudentBundle(bundles[args.style].base,
-                               MotionParams(ws.dims, arrays))
+    motion = None
+    if stage is not None:
+        try:
+            motion = ws.load_arm("cross").get(stage)
+        except FileNotFoundError:
+            pass
+    if motion is not None:
+        bundle = StudentBundle(bundles[args.style].base, motion)
         w = 0.0
         _progress(f"sampling with the {args.steps}-step distilled student")
     else:
@@ -155,11 +145,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, ws = _resolve(args)
-    _require_checkpoints(ws, "cross", cfg)
+    _, ws = _resolve(args)
+    per_stage = ws.load_arm("cross")
     bundles = ws.pretrained_bundles(progress=_progress)
-    datasets = ws.build_datasets(bundles, progress=_progress)
-    per_stage = ws.distill_arm("cross", bundles, datasets, progress=_progress)
     report = ws.evaluate_main(bundles, per_stage)
     _write_report(report, ws.report_path("main.csv"), ws.report_path("main_plot.json"))
     for row in report.rows:
@@ -225,6 +213,9 @@ def cli(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except DistillDivergence as exc:
+        print(f"error: {exc}; diagnostics in {exc.dump_path}", file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,7 @@ Sections:
   learning rates, and whether to append the experimental 2 -> 1 stage.
 * ``ranks``: the worker table (rank, style, dataset rows).
 * ``eval``: evaluated styles, step counts, conditions per arm.
-* ``seed``, ``workers``: global seed and worker execution mode.
+* ``seed``: global seed.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ _BETA_END = 0.068487
 def default_config() -> dict:
     return {
         "seed": 0,
-        "workers": "sequential",
         "schedule": {
             "T": _DESK_T,
             "beta_start": _BETA_START,
@@ -165,5 +164,3 @@ def validate_config(cfg: dict, n_ranks: int | None = None) -> None:
                      known_datasets={"real", "gen_realistic", "gen_anime"})
     for name in cfg["eval"]["styles"]:
         style_by_name(name)
-    if cfg["workers"] not in ("sequential", "threads"):
-        raise ValueError(f"unknown worker mode {cfg['workers']!r}")

@@ -26,8 +26,6 @@ from . import autodiff as ad
 from .checkpoint import checkpoint_save
 from .nets import (
     Adam,
-    BASE_KEYS,
-    MOTION_KEYS,
     DiscriminatorParams,
     MotionParams,
     StudentBundle,
@@ -37,14 +35,7 @@ from .nets import (
     reset_single_head,
     student_eps,
 )
-from .ranks import (
-    GradAccumulator,
-    RankAssignment,
-    ReductionSpec,
-    accumulate_and_update,
-    all_reduce_shared,
-    run_ranks,
-)
+from .ranks import RankAssignment, table_digest
 from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
 from .solvers import euler_solve
 
@@ -55,6 +46,9 @@ __all__ = [
     "RankWorker",
     "DistillContext",
     "DistillDivergence",
+    "teacher_stride",
+    "mse_loss",
+    "adversarial_losses",
     "mse_distill_step",
     "adversarial_step",
     "run_stage",
@@ -204,7 +198,6 @@ class DistillContext:
     workers: list
     pretrained: StudentBundle  # discriminator backbone initialiser
     seed: int
-    worker_mode: str = "sequential"
     workdir: str | None = None
 
     @property
@@ -218,38 +211,39 @@ def _predictor(base_data, motion_arrays, T, dims):
     return f
 
 
-def _prepare_inputs(batch, stage: StageConfig, sched: NoiseSchedule):
+def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
+                   sched: NoiseSchedule, dims) -> dict:
+    """Inputs of the stride losses for one drawn micro-batch.
+
+    Returns ``x_t``, ``t``, ``tokens``, the strides ``n`` and ``s``, and
+    ``target``: the guided teacher's endpoint after ``n`` strides, computed
+    without a tape, so it is a detached constant.
+    """
     n, s = stage_strides(stage, sched.T)
     t = np.asarray(batch["t"])
-    allowed = stage_timesteps(stage, sched.T)
-    if not np.all(np.isin(t, allowed)):
+    if not np.all(np.isin(t, stage_timesteps(stage, sched.T))):
         raise ValueError(f"timesteps misaligned with stage {stage.name} grid")
     x_t = add_noise(batch["x0"], batch["eps"], t, sched)
     x_t = substitute_terminal_noise(x_t, batch["eps"], t, sched)
-    return x_t, t, n, s
-
-
-def mse_distill_step(base, teacher_motion, motion, batch, stage: StageConfig,
-                     sched: NoiseSchedule, dims) -> tuple:
-    """Trajectory-matching loss and motion gradients for one micro-batch.
-
-    The teacher target is computed without a tape, so it is a detached
-    constant; gradients exist only for the motion parameters.
-    """
-    x_t, t, n, s = _prepare_inputs(batch, stage, sched)
-    tokens = batch["tokens"]
-    teacher_f = _predictor(base.data, teacher_motion.data, sched.T, dims)
-    target = euler_solve(teacher_f, x_t, t, tokens, n, s, sched,
+    teacher_f = _predictor(base_arrays, teacher_arrays, sched.T, dims)
+    target = euler_solve(teacher_f, x_t, t, batch["tokens"], n, s, sched,
                          w=stage.cfg_scale, null_token=dims.null_token,
                          x0_clip=TEACHER_X0_CLIP)
-    mvars = {k: ad.Var(motion.data[k]) for k in MOTION_KEYS}
-    student_f = _predictor(base.data, mvars, sched.T, dims)
-    pred = euler_solve(student_f, x_t, t, tokens, 1, n * s, sched, w=0.0,
-                       x0_clip=TEACHER_X0_CLIP)
-    loss = ad.mean_all(ad.square(pred - target))
-    ad.backward(loss)
-    grads = {k: mvars[k].grad for k in MOTION_KEYS}
-    return float(loss.value), grads
+    return {"x_t": x_t, "t": t, "tokens": batch["tokens"], "n": n, "s": s,
+            "target": target}
+
+
+def _student_stride(base_arrays, motion, b, sched: NoiseSchedule, dims):
+    student_f = _predictor(base_arrays, motion, sched.T, dims)
+    return euler_solve(student_f, b["x_t"], b["t"], b["tokens"], 1,
+                       b["n"] * b["s"], sched, w=0.0, x0_clip=TEACHER_X0_CLIP)
+
+
+def mse_loss(base_arrays, motion, b: dict, sched: NoiseSchedule, dims):
+    """Mean squared gap between the student's single stride and the
+    teacher's ``target``. ``motion`` holds Vars (taped) or plain arrays."""
+    pred = _student_stride(base_arrays, motion, b, sched, dims)
+    return ad.mean_all(ad.square(pred - b["target"]))
 
 
 def _nonsat_losses(p_real, p_fake):
@@ -258,6 +252,50 @@ def _nonsat_losses(p_real, p_fake):
         - ad.mean_all(ad.log(1.0 - ad.clamp(p_fake, lo, hi)))
     l_g = -ad.mean_all(ad.log(ad.clamp(p_fake, lo, hi)))
     return l_d, l_g
+
+
+def adversarial_losses(base_arrays, motion, disc_arrays, b: dict, phase: str,
+                       flow_idx: int, sched: NoiseSchedule, dims,
+                       num_flows: int) -> tuple:
+    """Non-saturating (l_d, l_g) with the teacher's ``target`` as the real
+    sample and the student's stride as the fake one.
+
+    ``motion`` and ``disc_arrays`` each hold Vars or plain arrays; the side
+    given as arrays is a constant of the returned losses.
+    """
+    t_next = b["t"] - b["n"] * b["s"]
+
+    def prob(x_next):
+        if phase == "trajectory_conditional":
+            return disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
+                                  b["tokens"], flow_idx, sched.T, dims, num_flows)
+        return disc_single_prob(disc_arrays, x_next, t_next, b["tokens"],
+                                flow_idx, sched.T, dims, num_flows)
+
+    fake_next = _student_stride(base_arrays, motion, b, sched, dims)
+    return _nonsat_losses(prob(b["target"]), prob(fake_next))
+
+
+def _taped(arrays: dict) -> dict:
+    return {k: ad.Var(v) for k, v in arrays.items()}
+
+
+def _grads(pvars: dict) -> dict:
+    return {k: (v.grad if v.grad is not None else np.zeros_like(v.value))
+            for k, v in pvars.items()}
+
+
+def mse_distill_step(base, teacher_motion, motion, batch, stage: StageConfig,
+                     sched: NoiseSchedule, dims) -> tuple:
+    """Trajectory-matching loss and motion gradients for one micro-batch.
+
+    Gradients exist only for the motion parameters.
+    """
+    b = teacher_stride(base.data, teacher_motion.data, batch, stage, sched, dims)
+    mvars = _taped(motion.data)
+    loss = mse_loss(base.data, mvars, b, sched, dims)
+    ad.backward(loss)
+    return float(loss.value), _grads(mvars)
 
 
 def adversarial_step(base, teacher_motion, motion, disc: DiscriminatorParams,
@@ -272,49 +310,16 @@ def adversarial_step(base, teacher_motion, motion, disc: DiscriminatorParams,
     """
     if phase not in PHASES:
         raise ValueError(f"unknown phase {phase!r}")
-    x_t, t, n, s = _prepare_inputs(batch, stage, sched)
-    tokens = batch["tokens"]
-    t_next = t - n * s
-
-    teacher_f = _predictor(base.data, teacher_motion.data, sched.T, dims)
-    real_next = euler_solve(teacher_f, x_t, t, tokens, n, s, sched,
-                            w=stage.cfg_scale, null_token=dims.null_token,
-                            x0_clip=TEACHER_X0_CLIP)
-
-    def pair_prob(disc_arrays, x_next):
-        if phase == "trajectory_conditional":
-            return disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens,
-                                  flow_idx, sched.T, dims, disc.num_flows)
-        return disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
-                                sched.T, dims, disc.num_flows)
-
-    if side == "disc":
-        student_f = _predictor(base.data, motion.data, sched.T, dims)
-        fake_next = euler_solve(student_f, x_t, t, tokens, 1, n * s, sched,
-                                w=0.0, x0_clip=TEACHER_X0_CLIP)
-        dvars = {k: ad.Var(disc.data[k]) for k in disc.data}
-        p_real = pair_prob(dvars, real_next)
-        p_fake = pair_prob(dvars, fake_next)
-        l_d, l_g = _nonsat_losses(p_real, p_fake)
-        ad.backward(l_d)
-        grads = {k: (dvars[k].grad if dvars[k].grad is not None
-                     else np.zeros_like(disc.data[k], dtype=np.float64))
-                 for k in dvars}
-        return float(l_d.value), float(ad.value_of(l_g)), grads
-
-    if side == "student":
-        mvars = {k: ad.Var(motion.data[k]) for k in MOTION_KEYS}
-        student_f = _predictor(base.data, mvars, sched.T, dims)
-        fake_next = euler_solve(student_f, x_t, t, tokens, 1, n * s, sched,
-                                w=0.0, x0_clip=TEACHER_X0_CLIP)
-        p_fake = pair_prob(disc.data, fake_next)
-        p_real = pair_prob(disc.data, real_next)
-        l_d, l_g = _nonsat_losses(p_real, p_fake)
-        ad.backward(l_g)
-        grads = {k: mvars[k].grad for k in MOTION_KEYS}
-        return float(ad.value_of(l_d)), float(l_g.value), grads
-
-    raise ValueError(f"unknown side {side!r}")
+    if side not in ("disc", "student"):
+        raise ValueError(f"unknown side {side!r}")
+    b = teacher_stride(base.data, teacher_motion.data, batch, stage, sched, dims)
+    pvars = _taped(disc.data if side == "disc" else motion.data)
+    l_d, l_g = adversarial_losses(
+        base.data, pvars if side == "student" else motion.data,
+        pvars if side == "disc" else disc.data, b, phase, flow_idx, sched,
+        dims, disc.num_flows)
+    ad.backward(l_d if side == "disc" else l_g)
+    return float(ad.value_of(l_d)), float(ad.value_of(l_g)), _grads(pvars)
 
 
 def rank_micro_step(worker: RankWorker, motion, teacher_motion, disc,
@@ -363,16 +368,15 @@ def _stage_rng(seed: int, stage: StageConfig, phase_idx: int, *tail) -> np.rando
         [seed, stage.from_steps, stage.to_steps, phase_idx, *tail])
 
 
-def _motion_spec(ctx: DistillContext) -> ReductionSpec:
-    order = tuple(w.assignment.rank for w in ctx.workers)
-    return ReductionSpec(MOTION_KEYS, BASE_KEYS, order)
-
-
-def _disc_spec(ctx: DistillContext, disc: DiscriminatorParams) -> ReductionSpec:
-    # Every discriminator parameter syncs across ranks; flow embedding rows
-    # simply receive zero gradient from ranks assigned to other flows.
-    order = tuple(w.assignment.rank for w in ctx.workers)
-    return ReductionSpec(tuple(disc.data.keys()), (), order)
+def _mean(grads: list) -> dict:
+    """Elementwise mean of gradient dicts, summed in list order."""
+    out = {}
+    for name in grads[0]:
+        acc = np.array(grads[0][name], dtype=np.float64, copy=True)
+        for g in grads[1:]:
+            acc += g[name]
+        out[name] = acc / len(grads)
+    return out
 
 
 def _run_phase(stage: StageConfig, phase, ctx: DistillContext,
@@ -384,27 +388,26 @@ def _run_phase(stage: StageConfig, phase, ctx: DistillContext,
     t_grid = stage_timesteps(stage, ctx.sched.T)
     opt_student = Adam(stage.lr_student)
     opt_disc = Adam(stage.lr_disc) if disc is not None else None
-    motion_spec = _motion_spec(ctx)
-    disc_spec = _disc_spec(ctx, disc) if disc is not None else None
+    workers = sorted(ctx.workers, key=lambda w: w.assignment.rank)
 
     for it in range(stage.iterations):
         if stage.loss_kind == "mse_cfg":
             side = "student"
         else:
             side = "disc" if it % 2 == 0 else "student"
-        accum = GradAccumulator(stage.grad_accum)
+        # Data-parallel step: mean over ranks in rank order, then mean over
+        # the accumulated micro-steps, then one optimizer update.
+        micro_grads: list = []
         step_losses: list = []
         for _ in range(stage.grad_accum):
-            results = run_ranks(
-                lambda w: rank_micro_step(w, motion, teacher_motion, disc,
-                                          stage, phase, side, ctx.sched,
-                                          ctx.dims, t_grid),
-                ctx.workers, ctx.worker_mode)
-            reduced = all_reduce_shared(
-                [grads for grads, _ in results],
-                motion_spec if side == "student" else disc_spec)
-            accum.add(reduced)
-            step_losses.extend(loss for _, loss in results)
+            rank_grads = []
+            for w in workers:
+                grads, losses = rank_micro_step(w, motion, teacher_motion, disc,
+                                                stage, phase, side, ctx.sched,
+                                                ctx.dims, t_grid)
+                rank_grads.append(grads)
+                step_losses.append(losses)
+            micro_grads.append(_mean(rank_grads))
         mean_losses = {k: float(np.mean([d[k] for d in step_losses]))
                        for k in step_losses[0]}
         if not all(np.isfinite(v) for v in mean_losses.values()):
@@ -412,9 +415,9 @@ def _run_phase(stage: StageConfig, phase, ctx: DistillContext,
             raise DistillDivergence(
                 f"non-finite loss at stage {stage.name} iteration {it}", dump)
         if side == "student":
-            accumulate_and_update(opt_student, motion.data, accum)
+            opt_student.step(motion.data, _mean(micro_grads))
         else:
-            accumulate_and_update(opt_disc, disc.data, accum)
+            opt_disc.step(disc.data, _mean(micro_grads))
         history.append({"stage": stage.name, "phase": phase or "mse",
                         "iteration": it, "side": side, **mean_losses})
 
@@ -462,6 +465,7 @@ def run_progressive(plan: DistillPlan, ctx: DistillContext,
                 dict(motion.data),
                 os.path.join(ctx.workdir, f"motion_{stage.name}.ckpt"),
                 meta={"stage": stage.name, "seed": ctx.seed,
-                      "config_hash": config_hash or "unset"})
+                      "config_hash": config_hash or "unset",
+                      "ranks": table_digest(w.assignment for w in ctx.workers)})
         teacher = motion
     return teacher, per_stage, history

@@ -1,29 +1,25 @@
 """Finite-difference verification of every trainable gradient path.
 
-Each check rebuilds one of the training losses on a small random batch and
-compares the taped gradients against central differences (h = 1e-5) in
-float64 for every parameter coordinate. Head and motion parameters are
-randomised so all paths carry signal.
+Each check evaluates one of the training losses (the functions the
+training loops call) on a small random batch and compares the taped
+gradients against central differences (h = 1e-5) in float64 for every
+parameter coordinate. Head and motion parameters are randomised so all
+paths carry signal.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import autodiff as ad
-from .distill import PROB_CLAMP, _nonsat_losses
+from .distill import adversarial_losses, mse_loss
 from .nets import (
-    BASE_KEYS,
-    MOTION_KEYS,
     NetDims,
-    disc_pair_prob,
-    disc_single_prob,
+    denoise_loss,
     init_base,
     init_discriminator,
     init_motion,
-    student_eps,
 )
 from .schedule import NoiseSchedule, add_noise
-from .solvers import euler_solve
 
 __all__ = ["gradcheck_battery", "REL_TOL"]
 
@@ -48,89 +44,44 @@ def _setup(sched: NoiseSchedule, dims: NetDims, seed: int = 7):
     eps = rng.standard_normal(x0.shape)
     tokens = rng.integers(0, dims.vocab, batch)
     t = np.asarray([sched.T // 2, sched.T // 3])
-    x_t = add_noise(x0, eps, t, sched)
-    n, s = 4, sched.T // 16
-    t_next = t - n * s
-    target = rng.normal(0.0, 0.7, x0.shape)
-    return base, motion, disc, dict(x0=x0, eps=eps, tokens=tokens, t=t,
-                                    x_t=x_t, n=n, s=s, t_next=t_next,
-                                    target=target)
+    noise = dict(x0=x0, tokens=tokens, t=t, eps=eps)
+    # A stride batch as ``teacher_stride`` returns it, with a random target.
+    stride = dict(x_t=add_noise(x0, eps, t, sched), t=t, tokens=tokens,
+                  n=4, s=sched.T // 16,
+                  target=rng.normal(0.0, 0.7, x0.shape))
+    return base, motion, disc, noise, stride
 
 
 def gradcheck_battery(sched: NoiseSchedule, dims: NetDims, seed: int = 7) -> list:
     """Returns one record per checked loss: name, worst error, pass flag."""
-    base, motion, disc, b = _setup(sched, dims, seed)
-    T = sched.T
-    checks = []
+    base, motion, disc, noise, b = _setup(sched, dims, seed)
 
-    def pretrain_loss(pvars):
-        pred = student_eps(pvars, None, b["x_t"], b["t"], b["tokens"], T, dims)
-        return ad.mean_all(ad.square(pred - b["eps"]))
+    def denoise(base_arrays, motion_arrays):
+        return denoise_loss(base_arrays, motion_arrays, noise["x0"], noise["tokens"],
+                            noise["t"], noise["eps"], sched, dims)
 
-    checks.append(("pretrain_eps_mse/base", pretrain_loss, dict(base.data)))
+    def adversarial(motion_arrays, disc_arrays, phase):
+        return adversarial_losses(base.data, motion_arrays, disc_arrays, b, phase,
+                                  1, sched, dims, disc.num_flows)
 
-    def motion_pretrain_loss(pvars):
-        pred = student_eps(base.data, pvars, b["x_t"], b["t"], b["tokens"], T, dims)
-        return ad.mean_all(ad.square(pred - b["eps"]))
-
-    checks.append(("pretrain_eps_mse/motion", motion_pretrain_loss, dict(motion.data)))
-
-    def distill_mse_loss(pvars):
-        f = lambda x, t, tok: student_eps(base.data, pvars, x, t, tok, T, dims)
-        pred = euler_solve(f, b["x_t"], b["t"], b["tokens"], 1,
-                           b["n"] * b["s"], sched, w=0.0)
-        return ad.mean_all(ad.square(pred - b["target"]))
-
-    checks.append(("distill_mse/motion", distill_mse_loss, dict(motion.data)))
-
-    def student_stride(motion_arrays):
-        f = lambda x, t, tok: student_eps(base.data, motion_arrays, x, t, tok, T, dims)
-        return euler_solve(f, b["x_t"], b["t"], b["tokens"], 1,
-                           b["n"] * b["s"], sched, w=0.0)
-
-    fake_next = ad.value_of(student_stride(motion.data))
-
-    def disc_cond_loss(pvars):
-        p_real = disc_pair_prob(pvars, b["x_t"], b["target"], b["t"], b["t_next"],
-                                b["tokens"], 1, T, dims, disc.num_flows)
-        p_fake = disc_pair_prob(pvars, b["x_t"], fake_next, b["t"], b["t_next"],
-                                b["tokens"], 1, T, dims, disc.num_flows)
-        l_d, _ = _nonsat_losses(p_real, p_fake)
-        return l_d
-
-    checks.append(("disc_conditional/disc", disc_cond_loss, dict(disc.data)))
-
-    def disc_relaxed_loss(pvars):
-        p_real = disc_single_prob(pvars, b["target"], b["t_next"], b["tokens"],
-                                  1, T, dims, disc.num_flows)
-        p_fake = disc_single_prob(pvars, fake_next, b["t_next"], b["tokens"],
-                                  1, T, dims, disc.num_flows)
-        l_d, _ = _nonsat_losses(p_real, p_fake)
-        return l_d
-
-    checks.append(("disc_relaxed/disc", disc_relaxed_loss, dict(disc.data)))
-
-    def gen_cond_loss(pvars):
-        pred = student_stride(pvars)
-        p_fake = disc_pair_prob(disc.data, b["x_t"], pred, b["t"], b["t_next"],
-                                b["tokens"], 1, T, dims, disc.num_flows)
-        lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-        return -ad.mean_all(ad.log(ad.clamp(p_fake, lo, hi)))
-
-    checks.append(("generator_conditional/motion", gen_cond_loss, dict(motion.data)))
-
-    def gen_relaxed_loss(pvars):
-        pred = student_stride(pvars)
-        p_fake = disc_single_prob(disc.data, pred, b["t_next"], b["tokens"],
-                                  1, T, dims, disc.num_flows)
-        lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-        return -ad.mean_all(ad.log(ad.clamp(p_fake, lo, hi)))
-
-    checks.append(("generator_relaxed/motion", gen_relaxed_loss, dict(motion.data)))
+    checks = [
+        ("pretrain_eps_mse/base", lambda p: denoise(p, None), base.data),
+        ("pretrain_eps_mse/motion", lambda p: denoise(base.data, p), motion.data),
+        ("distill_mse/motion", lambda p: mse_loss(base.data, p, b, sched, dims),
+         motion.data),
+        ("disc_conditional/disc",
+         lambda p: adversarial(motion.data, p, "trajectory_conditional")[0], disc.data),
+        ("disc_relaxed/disc", lambda p: adversarial(motion.data, p, "relaxed")[0],
+         disc.data),
+        ("generator_conditional/motion",
+         lambda p: adversarial(p, disc.data, "trajectory_conditional")[1], motion.data),
+        ("generator_relaxed/motion", lambda p: adversarial(p, disc.data, "relaxed")[1],
+         motion.data),
+    ]
 
     results = []
     for name, loss_fn, params in checks:
-        report = ad.gradcheck(loss_fn, params)
+        report = ad.gradcheck(loss_fn, dict(params))
         results.append({
             "name": name,
             "max_rel_err": report["max_rel_err"],

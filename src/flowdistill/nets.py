@@ -46,6 +46,7 @@ __all__ = [
     "disc_pair_prob",
     "disc_single_prob",
     "Adam",
+    "denoise_loss",
     "pretrain_base",
     "pretrain_motion",
 ]
@@ -394,7 +395,8 @@ class Adam:
 # -- pretraining ---------------------------------------------------------
 
 
-def _denoise_loss(base_arrays, motion_arrays, x0, tokens, t, eps, sched, dims):
+def denoise_loss(base_arrays, motion_arrays, x0, tokens, t, eps, sched, dims):
+    """Pretraining loss: mean squared error of the predicted noise."""
     x_t = add_noise(x0, eps, t, sched)
     x_t = substitute_terminal_noise(x_t, eps, t, sched)
     pred = student_eps(base_arrays, motion_arrays, x_t, t, tokens, sched.T, dims)
@@ -435,7 +437,7 @@ def pretrain_base(dataset, sched: NoiseSchedule, dims: NetDims, style_id: int,
     for step in range(steps):
         x0, tokens, t, eps = _draw_batch(dataset, batch, rng, dims, sched, cond_dropout)
         pvars = {k: ad.Var(base.data[k]) for k in BASE_KEYS}
-        loss = _denoise_loss(pvars, None, x0, tokens, t, eps, sched, dims)
+        loss = denoise_loss(pvars, None, x0, tokens, t, eps, sched, dims)
         ad.backward(loss)
         opt.lr = _decayed(lr, step, steps)
         opt.step(base.data, {k: pvars[k].grad for k in BASE_KEYS})
@@ -460,7 +462,7 @@ def pretrain_motion(base: BaseParams, dataset, sched: NoiseSchedule,
     for step in range(steps):
         x0, tokens, t, eps = _draw_batch(dataset, batch, rng, dims, sched, cond_dropout)
         mvars = {k: ad.Var(motion.data[k]) for k in MOTION_KEYS}
-        loss = _denoise_loss(base.data, mvars, x0, tokens, t, eps, sched, dims)
+        loss = denoise_loss(base.data, mvars, x0, tokens, t, eps, sched, dims)
         ad.backward(loss)
         opt.lr = _decayed(lr, step, steps)
         opt.step(motion.data, {k: mvars[k].grad for k in MOTION_KEYS})

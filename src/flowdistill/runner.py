@@ -10,13 +10,13 @@ Layout of a workspace::
       reports/*.csv, *.json              evaluation outputs
 
 Every checkpoint records the config hash; loading under a different
-configuration is an error.
+configuration is an error. Distilled checkpoints also record the seed and
+the resolved rank table, so a run with another seed or ``--ranks`` value
+does not reuse them.
 """
 from __future__ import annotations
 
 import os
-
-import numpy as np
 
 from .checkpoint import checkpoint_load, checkpoint_save
 from .config import config_hash, dims_from_config, plan_from_config, schedule_from_config
@@ -41,7 +41,7 @@ from .nets import (
     pretrain_base,
     pretrain_motion,
 )
-from .ranks import build_assignment
+from .ranks import build_assignment, table_digest
 from .evalmetrics import EvalReport, run_cross_ablation, run_main_comparison
 
 __all__ = [
@@ -190,12 +190,16 @@ class Workspace:
 
     # -- distillation -------------------------------------------------------
 
-    def _context(self, bundles: dict, datasets: dict, arm: str,
-                 n_ranks: int | None, seed: int) -> DistillContext:
+    def _assignment(self, arm: str, n_ranks: int | None,
+                    known_datasets=None) -> list:
         rows = self.cfg["ranks"] if arm == "cross" else [
             {"rank": 0, "style": "default", "dataset": "real"}]
-        assignment = build_assignment(rows, n_ranks=n_ranks,
-                                      known_datasets=set(datasets))
+        return build_assignment(rows, n_ranks=n_ranks,
+                                known_datasets=known_datasets)
+
+    def _context(self, bundles: dict, datasets: dict, arm: str,
+                 n_ranks: int | None, seed: int) -> DistillContext:
+        assignment = self._assignment(arm, n_ranks, set(datasets))
         flow_styles = sorted({a.style for a in assignment},
                              key=lambda s: style_by_name(s).style_id)
         flow_idx = {s: i for i, s in enumerate(flow_styles)}
@@ -207,37 +211,51 @@ class Workspace:
         return DistillContext(
             sched=self.sched, dims=self.dims, workers=workers,
             pretrained=bundles["default"], seed=seed,
-            worker_mode=self.cfg["workers"],
             workdir=os.path.join(self.root, "checkpoints", arm))
+
+    def load_arm(self, arm: str, n_ranks: int | None = None,
+                 seed: int | None = None) -> dict:
+        """Distilled motion by stage name for every stage of the plan.
+
+        Raises ``FileNotFoundError`` when a stage is missing or was
+        distilled with another seed or rank table, and ``ValueError`` when
+        it was produced under another config.
+        """
+        seed = self.cfg["seed"] if seed is None else seed
+        ranks = table_digest(self._assignment(arm, n_ranks))
+        out = {}
+        for stage in plan_from_config(self.cfg).stages:
+            path = self.ckpt_path(f"motion_{stage.name}", arm=arm)
+            if not os.path.exists(path):
+                raise FileNotFoundError(
+                    f"missing distilled checkpoint {path}; run `flowdistill "
+                    f"distill` first")
+            arrays, meta = checkpoint_load(path, expect=MOTION_KEYS)
+            self._check_hash(meta, path)
+            if int(meta.get("seed", seed)) != seed or meta.get("ranks") != ranks:
+                raise FileNotFoundError(
+                    f"{path} was distilled with seed {meta.get('seed')} and "
+                    f"rank table {meta.get('ranks')}, not seed {seed} and "
+                    f"rank table {ranks}; run `flowdistill distill` again")
+            out[stage.name] = MotionParams(self.dims, arrays)
+        return out
 
     def distill_arm(self, arm: str, bundles: dict, datasets: dict,
                     n_ranks: int | None = None, seed: int | None = None,
                     progress=None) -> dict:
-        """Run the progressive plan for one arm; returns motion by stage name."""
-        plan = plan_from_config(self.cfg)
+        """Run the progressive plan for one arm, unless ``load_arm`` finds
+        it; returns motion by stage name."""
         seed = self.cfg["seed"] if seed is None else seed
-        cached = {}
-        complete = True
-        for stage in plan.stages:
-            path = self.ckpt_path(f"motion_{stage.name}", arm=arm)
-            if os.path.exists(path):
-                arrays, meta = checkpoint_load(path, expect=MOTION_KEYS)
-                self._check_hash(meta, path)
-                if int(meta.get("seed", seed)) != seed:
-                    complete = False
-                    break
-                cached[stage.name] = MotionParams(self.dims, arrays)
-            else:
-                complete = False
-                break
-        if complete:
-            return cached
+        try:
+            return self.load_arm(arm, n_ranks, seed)
+        except FileNotFoundError:
+            pass
         if progress:
             progress(f"distilling arm {arm!r} (seed {seed})")
         ctx = self._context(bundles, datasets, arm, n_ranks, seed)
         motion0 = bundles["default"].motion
-        _, per_stage, _ = run_progressive(plan, ctx, motion0,
-                                          config_hash=self.hash)
+        _, per_stage, _ = run_progressive(plan_from_config(self.cfg), ctx,
+                                          motion0, config_hash=self.hash)
         return per_stage
 
     def motions_by_steps(self, per_stage: dict) -> dict:

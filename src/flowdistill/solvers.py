@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, _coef
 
 __all__ = [
     "cfg_combine",
@@ -33,13 +33,6 @@ def cfg_combine(eps_cond, eps_uncond, w: float):
     if ad.value_of(eps_cond).shape != ad.value_of(eps_uncond).shape:
         raise ValueError("conditional/unconditional shapes differ")
     return eps_uncond + w * (eps_cond - eps_uncond)
-
-
-def _coef(values, ndim: int):
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        return arr
-    return arr.reshape(arr.shape + (1,) * (ndim - arr.ndim))
 
 
 def _predict(f, x, t, tokens, w: float, null_token):

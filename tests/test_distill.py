@@ -8,14 +8,15 @@ from flowdistill.distill import (
     PROB_CLAMP,
     RankWorker,
     StageConfig,
+    _stage_rng,
     adversarial_step,
     mse_distill_step,
     run_stage,
     stage_strides,
     stage_timesteps,
 )
-from flowdistill.nets import init_discriminator
-from flowdistill.ranks import build_assignment
+from flowdistill.nets import Adam, init_discriminator
+from flowdistill.ranks import RankAssignment, build_assignment
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +184,7 @@ def test_adversarial_probabilities_clamped(sched, dims, setup):
     assert np.isfinite(np.log(PROB_CLAMP))
 
 
-def _tiny_ctx(sched, dims, seed=0, workers_mode="sequential", tmpdir=None):
+def _tiny_ctx(sched, dims, seed=0, tmpdir=None):
     rng = np.random.default_rng(100)
     bases = {}
     datasets = {}
@@ -205,8 +206,7 @@ def _tiny_ctx(sched, dims, seed=0, workers_mode="sequential", tmpdir=None):
     ]
     ctx = DistillContext(sched=sched, dims=dims, workers=workers,
                          pretrained=fd.StudentBundle(bases["default"], motion),
-                         seed=seed, worker_mode=workers_mode,
-                         workdir=str(tmpdir) if tmpdir else None)
+                         seed=seed, workdir=str(tmpdir) if tmpdir else None)
     return ctx, motion
 
 
@@ -235,15 +235,87 @@ def test_run_stage_freezes_bases_and_produces_finite_history(sched, dims):
     assert not np.array_equal(out.data["mix_out"], motion.data["mix_out"])
 
 
-def test_run_stage_deterministic_and_thread_equivalent(sched, dims):
-    st = StageConfig(32, 8, "adversarial", 4, micro_batch=4, grad_accum=2)
-    outs = []
-    for mode in ("sequential", "sequential", "threads"):
-        ctx, motion = _tiny_ctx(sched, dims, workers_mode=mode)
-        out, _ = run_stage(st, ctx, motion)
-        outs.append(out.data["mix_out"].copy())
-    assert np.array_equal(outs[0], outs[1])
-    assert np.array_equal(outs[0], outs[2])
+def _mean_in_order(grads):
+    return {k: sum(g[k] for g in grads) / len(grads) for k in grads[0]}
+
+
+def _reference_stage(stage, ctx, teacher, phase=None):
+    """Per-rank reference for ``run_stage`` on a single-phase stage: every
+    iteration averages the ranks' gradients in rank order, then the
+    micro-steps, then makes one Adam step."""
+    motion = teacher.copy()
+    disc = None
+    if stage.loss_kind == "adversarial":
+        disc = init_discriminator(ctx.dims, ctx.num_flows,
+                                  _stage_rng(ctx.seed, stage, 0, 104729),
+                                  backbone_from=ctx.pretrained)
+    for w in ctx.workers:
+        w.rng = _stage_rng(ctx.seed, stage, 0, w.assignment.rank)
+    grid = stage_timesteps(stage, ctx.sched.T)
+    opt_student, opt_disc = Adam(stage.lr_student), Adam(stage.lr_disc)
+    for it in range(stage.iterations):
+        side = "disc" if disc is not None and it % 2 == 0 else "student"
+        micro = []
+        for _ in range(stage.grad_accum):
+            per_rank = []
+            for w in sorted(ctx.workers, key=lambda w: w.assignment.rank):
+                batch = w.draw_batch(stage, grid)
+                if disc is None:
+                    _, grads = mse_distill_step(w.base, teacher, motion, batch,
+                                                stage, ctx.sched, ctx.dims)
+                else:
+                    _, _, grads = adversarial_step(
+                        w.base, teacher, motion, disc, batch, stage, phase,
+                        w.flow_idx, ctx.sched, ctx.dims, side=side)
+                per_rank.append(grads)
+            micro.append(_mean_in_order(per_rank))
+        if side == "student":
+            opt_student.step(motion.data, _mean_in_order(micro))
+        else:
+            opt_disc.step(disc.data, _mean_in_order(micro))
+    return motion
+
+
+@pytest.mark.parametrize("stage,phase", [
+    (StageConfig(128, 32, "mse_cfg", 1, micro_batch=4, grad_accum=3,
+                 cfg_scale=7.5), None),
+    (StageConfig(32, 8, "adversarial", 2, micro_batch=4, grad_accum=2,
+                 phase="trajectory_conditional"), "trajectory_conditional"),
+], ids=["mse", "adversarial"])
+def test_run_stage_matches_per_rank_reference(sched, dims, stage, phase, monkeypatch):
+    def three_rank_ctx():
+        # A third rank sharing rank 0's base, listed first: the step must
+        # still reduce in rank order, and three terms make the order show.
+        ctx, motion = _tiny_ctx(sched, dims)
+        w0 = ctx.workers[0]
+        ctx.workers.insert(0, RankWorker(RankAssignment(2, "default", "real"),
+                                         w0.base, w0.dataset, w0.flow_idx))
+        return ctx, motion
+
+    # Compare the float64 gradients each update receives: an early Adam step
+    # is close to sign(g), so the float32 parameters alone would hide a
+    # change of summation order.
+    updates = []
+    adam_step = Adam.step
+
+    def recording_step(self, params, grads):
+        updates.append({k: np.array(v, copy=True) for k, v in grads.items()})
+        adam_step(self, params, grads)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    ctx, motion = three_rank_ctx()
+    out, _ = run_stage(stage, ctx, motion)
+    got = updates[:]
+    updates.clear()
+    ref = _reference_stage(stage, *three_rank_ctx(), phase)
+    assert len(got) == len(updates) == stage.iterations
+    for g, r in zip(got, updates):
+        assert g.keys() == r.keys()
+        for key in g:
+            assert np.array_equal(g[key], r[key]), key
+    for key in out.data:
+        assert np.array_equal(out.data[key], ref.data[key]), key
+    assert not np.array_equal(out.data["mix_out"], motion.data["mix_out"])
 
 
 def test_progressive_promotes_teacher_and_checkpoints(sched, dims, tmp_path):
