@@ -68,9 +68,7 @@ from .ranks import RankAssignment, build_assignment
 from .evalmetrics import (
     EvalReport,
     energy_distance,
-    energy_distance_per_frame,
-    run_cross_ablation,
-    run_main_comparison,
+    score_arms,
 )
 from .checkpoint import checkpoint_load, checkpoint_save
 from .config import config_hash, default_config, load_config

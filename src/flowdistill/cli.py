@@ -15,11 +15,11 @@ import sys
 import numpy as np
 
 from .config import dims_from_config, load_config, schedule_from_config
-from .datagen import style_by_name
+from .datagen import STYLES, style_by_name
 from .distill import DistillDivergence
 from .gradchecks import REL_TOL, gradcheck_battery
 from .nets import StudentBundle
-from .runner import STEP_TO_STAGE, Workspace
+from .runner import Workspace
 from .solvers import sample as sample_one
 
 
@@ -71,17 +71,32 @@ def _progress(msg: str) -> None:
     print(f"[flowdistill] {msg}", flush=True)
 
 
-def _write_report(report, csv_path: str, plot_path: str) -> None:
-    tmp = csv_path + ".tmp"
-    report.to_csv(tmp)
-    os.replace(tmp, csv_path)
+def _replace(path: str, write) -> None:
+    """``write(tmp)`` then rename over ``path``; a failed write leaves
+    ``path`` as it was and removes the temp file."""
+    tmp = path + ".tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_report(ws, name: str, report) -> None:
+    """``reports/<name>.csv`` and the plot series ``<name>_plot.json``."""
     series: dict = {}
     for row in report.rows:
         series.setdefault(row["style"], {"steps": [], "metric": []})
         series[row["style"]]["steps"].append(row["steps"])
         series[row["style"]]["metric"].append(row["metric"])
-    with open(plot_path, "w") as fh:
-        json.dump({"series": series, "metadata": report.metadata}, fh, indent=2)
+
+    def write_plot(path):
+        with open(path, "w") as fh:
+            json.dump({"series": series, "metadata": report.metadata}, fh, indent=2)
+
+    _replace(ws.report_path(f"{name}.csv"), report.to_csv)
+    _replace(ws.report_path(f"{name}_plot.json"), write_plot)
 
 
 def cmd_pretrain(args) -> int:
@@ -104,9 +119,9 @@ def cmd_distill(args) -> int:
     cfg, ws = _resolve(args)
     bundles = ws.pretrained_bundles(progress=_progress)
     datasets = ws.build_datasets(bundles, progress=_progress)
-    per_stage = ws.distill_arm(args.arm, bundles, datasets,
-                               n_ranks=args.ranks, progress=_progress)
-    _progress(f"distilled stages: {', '.join(per_stage)}")
+    motion = ws.distill_arm(args.arm, bundles, datasets,
+                            n_ranks=args.ranks, progress=_progress)
+    _progress(f"distilled step counts: {', '.join(map(str, motion))}")
     return 0
 
 
@@ -114,15 +129,12 @@ def cmd_sample(args) -> int:
     cfg, ws = _resolve(args)
     style = style_by_name(args.style)
     sched = schedule_from_config(cfg)
-    stage = STEP_TO_STAGE.get(args.steps)
     bundles = ws.pretrained_bundles(styles=[args.style, "default"],
                                     progress=_progress)
-    motion = None
-    if stage is not None:
-        try:
-            motion = ws.load_arm("cross").get(stage)
-        except FileNotFoundError:
-            pass
+    try:
+        motion = ws.load_arm("cross").get(args.steps)
+    except FileNotFoundError:
+        motion = None
     if motion is not None:
         bundle = StudentBundle(bundles[args.style].base, motion)
         w = 0.0
@@ -145,11 +157,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, ws = _resolve(args)
-    per_stage = ws.load_arm("cross")
-    bundles = ws.pretrained_bundles(progress=_progress)
-    report = ws.evaluate_main(bundles, per_stage)
-    _write_report(report, ws.report_path("main.csv"), ws.report_path("main_plot.json"))
+    cfg, ws = _resolve(args)
+    ev = cfg["eval"]
+    cross = ws.load_arm("cross")
+    bundles = ws.load_bundles(ev["styles"])
+    report = ws.evaluate(bundles, {"cross": cross}, ev["styles"],
+                         ev["step_counts"])["cross"]
+    _write_report(ws, "main", report)
     for row in report.rows:
         _progress(f"{row['style']:>12} {row['steps']:>2} steps: "
                   f"energy distance {row['metric']:.4f}")
@@ -163,12 +177,10 @@ def cmd_ablate(args) -> int:
     datasets = ws.build_datasets(bundles, progress=_progress)
     cross = ws.distill_arm("cross", bundles, datasets, progress=_progress)
     single = ws.distill_arm("single", bundles, datasets, progress=_progress)
-    styles = [s for s in ("default", "real_a", "real_b", "anime_a", "anime_b",
-                          "anime_c", "unseen_near", "unseen_far")]
-    reports = ws.evaluate_ablation(bundles, cross, single, styles)
+    styles = [s.name for s in STYLES]
+    reports = ws.evaluate(bundles, {"cross": cross, "single": single}, styles, [4])
     for arm, report in reports.items():
-        _write_report(report, ws.report_path(f"ablation_{arm}.csv"),
-                      ws.report_path(f"ablation_{arm}_plot.json"))
+        _write_report(ws, f"ablation_{arm}", report)
     for style in styles:
         c = reports["cross"].cell(style, 4)
         s = reports["single"].cell(style, 4)

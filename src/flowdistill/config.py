@@ -152,15 +152,21 @@ def plan_from_config(cfg: dict) -> DistillPlan:
                         mse_iterations=d.get("mse_iterations"))
 
 
-def validate_config(cfg: dict, n_ranks: int | None = None) -> None:
-    """Reject unknown styles, unseen styles in training, and broken plans."""
+def validate_config(cfg: dict) -> None:
+    """Reject unknown styles, unseen styles in training, broken plans, and
+    eval step counts that no plan stage distills."""
     schedule_from_config(cfg)
     dims_from_config(cfg)
     plan = plan_from_config(cfg)
     if cfg["schedule"]["T"] % plan.stages[0].from_steps != 0:
         raise ValueError("schedule length must be divisible by the first "
                          "stage's step count")
-    build_assignment(cfg["ranks"], n_ranks=n_ranks,
+    build_assignment(cfg["ranks"],
                      known_datasets={"real", "gen_realistic", "gen_anime"})
     for name in cfg["eval"]["styles"]:
         style_by_name(name)
+    plan_steps = [stage.to_steps for stage in plan.stages]
+    for steps in cfg["eval"]["step_counts"]:
+        if steps not in plan_steps:
+            raise ValueError(f"eval step count {steps} is not distilled by "
+                             f"any plan stage (to_steps {plan_steps})")

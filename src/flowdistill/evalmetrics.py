@@ -21,14 +21,12 @@ from .solvers import sample_batch
 
 __all__ = [
     "energy_distance",
-    "energy_distance_per_frame",
     "EvalReport",
     "eval_seeds",
     "eval_tokens",
     "reference_set",
     "arm_set",
-    "run_main_comparison",
-    "run_cross_ablation",
+    "score_arms",
 ]
 
 
@@ -68,15 +66,6 @@ def energy_distance(a, b, matched_pairs: bool = False) -> float:
     within_a = _pair_sum(xa, xa, skip_diagonal=True) / (n * (n - 1))
     within_b = _pair_sum(xb, xb, skip_diagonal=True) / (m * (m - 1))
     return 2.0 * cross - (within_a + within_b)
-
-
-def energy_distance_per_frame(a, b) -> float:
-    """Mean over frames of the per-frame marginal energy distance."""
-    aa = np.asarray(a, dtype=np.float64)
-    bb = np.asarray(b, dtype=np.float64)
-    frames = aa.shape[1]
-    vals = [energy_distance(aa[:, f, :], bb[:, f, :]) for f in range(frames)]
-    return float(np.mean(vals))
 
 
 # -- experiment harness ---------------------------------------------------
@@ -136,58 +125,30 @@ def arm_set(bundle, sched, steps: int, tokens, seeds):
     return sample_batch(bundle, sched, steps, tokens, seeds, w=0.0, solver="euler")
 
 
-def run_main_comparison(bundles_by_style: dict, motion_by_steps: dict,
-                        sched, styles: list, step_counts: list,
-                        seed: int, n_conditions: int,
-                        ref_steps: int = 32, ref_cfg: float = 7.5) -> EvalReport:
-    """Distilled students at each step count versus the guided teacher.
+def score_arms(bundles_by_style: dict, arms: dict, sched, styles: list,
+               step_counts: list, seed: int, n_conditions: int,
+               ref_steps: int = 32, ref_cfg: float = 7.5) -> dict:
+    """Each arm's distilled students at each step count versus the guided
+    teacher; returns {arm: EvalReport}.
 
     ``bundles_by_style`` maps style name to the pretrained (undistilled)
-    bundle; ``motion_by_steps`` maps a step count to the motion parameters
-    distilled for it. Every arm of one style reuses the same per-condition
-    seeds, including the reference arm.
+    bundle; ``arms`` maps an arm name to its motion parameters by step
+    count. Each style's tokens, seeds and reference set are drawn once and
+    shared by every arm and step count. Rows come out style-major, in
+    ``step_counts`` order.
     """
     from .nets import StudentBundle
 
-    report = EvalReport(metadata={"seed": seed, "n_conditions": n_conditions,
-                                  "ref_steps": ref_steps, "ref_cfg": ref_cfg})
+    reports = {arm: EvalReport() for arm in arms}
     for style in styles:
         pre = bundles_by_style[style]
         tokens = eval_tokens(seed, n_conditions, pre.dims.vocab)
         seeds = eval_seeds(seed, n_conditions)
         ref = reference_set(pre, sched, tokens, seeds, steps=ref_steps, w=ref_cfg)
-        for steps in step_counts:
-            if steps not in motion_by_steps:
-                raise KeyError(f"missing distilled checkpoint for {steps} steps")
-            bundle = StudentBundle(pre.base, motion_by_steps[steps])
-            got = arm_set(bundle, sched, steps, tokens, seeds)
-            report.add(style, steps, energy_distance(got, ref),
-                       n_conditions, seed)
-    return report
-
-
-def run_cross_ablation(bundles_by_style: dict, cross_motion_by_steps: dict,
-                       single_motion_by_steps: dict, sched, styles: list,
-                       seed: int, n_conditions: int, steps: int = 4,
-                       ref_steps: int = 32, ref_cfg: float = 7.5) -> dict:
-    """Cross-model versus single-model distillation at one step count.
-
-    Returns {"cross": EvalReport, "single": EvalReport}; both arms share
-    seeds and reference sets per style.
-    """
-    from .nets import StudentBundle
-
-    reports = {"cross": EvalReport(metadata={"arm": "cross", "seed": seed}),
-               "single": EvalReport(metadata={"arm": "single", "seed": seed})}
-    for style in styles:
-        pre = bundles_by_style[style]
-        tokens = eval_tokens(seed, n_conditions, pre.dims.vocab)
-        seeds = eval_seeds(seed, n_conditions)
-        ref = reference_set(pre, sched, tokens, seeds, steps=ref_steps, w=ref_cfg)
-        for arm, motions in (("cross", cross_motion_by_steps),
-                             ("single", single_motion_by_steps)):
-            bundle = StudentBundle(pre.base, motions[steps])
-            got = arm_set(bundle, sched, steps, tokens, seeds)
-            reports[arm].add(style, steps, energy_distance(got, ref),
-                             n_conditions, seed)
+        for arm, motion_by_steps in arms.items():
+            for steps in step_counts:
+                bundle = StudentBundle(pre.base, motion_by_steps[steps])
+                got = arm_set(bundle, sched, steps, tokens, seeds)
+                reports[arm].add(style, steps, energy_distance(got, ref),
+                                 n_conditions, seed)
     return reports

@@ -421,6 +421,27 @@ def _decayed(lr: float, step: int, steps: int) -> float:
     return lr * 0.1 ** (step / max(steps - 1, 1))
 
 
+def _pretrain(params: dict, keys, loss_of, dataset, sched: NoiseSchedule,
+              dims: NetDims, steps: int, rng: np.random.Generator, lr: float,
+              batch: int, cond_dropout: float) -> list:
+    """Adam on the arrays ``params[k]`` for ``k`` in ``keys``, in place;
+    ``loss_of(vars, x0, tokens, t, eps)`` is the loss with those arrays
+    taped. Returns the loss history."""
+    if len(dataset.clips) == 0:
+        raise ValueError("empty dataset")
+    opt = Adam(lr)
+    history = []
+    for step in range(steps):
+        x0, tokens, t, eps = _draw_batch(dataset, batch, rng, dims, sched, cond_dropout)
+        pvars = {k: ad.Var(params[k]) for k in keys}
+        loss = loss_of(pvars, x0, tokens, t, eps)
+        ad.backward(loss)
+        opt.lr = _decayed(lr, step, steps)
+        opt.step(params, {k: pvars[k].grad for k in keys})
+        history.append(float(loss.value))
+    return history
+
+
 def pretrain_base(dataset, sched: NoiseSchedule, dims: NetDims, style_id: int,
                   steps: int, seed, lr: float = 3e-3, batch: int = 128,
                   cond_dropout: float = 0.15):
@@ -428,20 +449,12 @@ def pretrain_base(dataset, sched: NoiseSchedule, dims: NetDims, style_id: int,
 
     Returns (params, loss_history).
     """
-    if len(dataset.clips) == 0:
-        raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)
     base = init_base(style_id, dims, rng)
-    opt = Adam(lr)
-    history = []
-    for step in range(steps):
-        x0, tokens, t, eps = _draw_batch(dataset, batch, rng, dims, sched, cond_dropout)
-        pvars = {k: ad.Var(base.data[k]) for k in BASE_KEYS}
-        loss = denoise_loss(pvars, None, x0, tokens, t, eps, sched, dims)
-        ad.backward(loss)
-        opt.lr = _decayed(lr, step, steps)
-        opt.step(base.data, {k: pvars[k].grad for k in BASE_KEYS})
-        history.append(float(loss.value))
+    history = _pretrain(
+        base.data, BASE_KEYS,
+        lambda pvars, *b: denoise_loss(pvars, None, *b, sched, dims),
+        dataset, sched, dims, steps, rng, lr, batch, cond_dropout)
     return base, history
 
 
@@ -452,19 +465,11 @@ def pretrain_motion(base: BaseParams, dataset, sched: NoiseSchedule,
 
     Returns (motion, loss_history).
     """
-    if len(dataset.clips) == 0:
-        raise ValueError("empty dataset")
     dims = base.dims
     rng = np.random.default_rng(seed)
     motion = init_motion(dims, rng)
-    opt = Adam(lr)
-    history = []
-    for step in range(steps):
-        x0, tokens, t, eps = _draw_batch(dataset, batch, rng, dims, sched, cond_dropout)
-        mvars = {k: ad.Var(motion.data[k]) for k in MOTION_KEYS}
-        loss = denoise_loss(base.data, mvars, x0, tokens, t, eps, sched, dims)
-        ad.backward(loss)
-        opt.lr = _decayed(lr, step, steps)
-        opt.step(motion.data, {k: mvars[k].grad for k in MOTION_KEYS})
-        history.append(float(loss.value))
+    history = _pretrain(
+        motion.data, MOTION_KEYS,
+        lambda mvars, *b: denoise_loss(base.data, mvars, *b, sched, dims),
+        dataset, sched, dims, steps, rng, lr, batch, cond_dropout)
     return motion, history

@@ -39,7 +39,7 @@ class RankAssignment:
 
 
 def build_assignment(rows=None, n_ranks: int | None = None,
-                     known_styles=None, known_datasets=None) -> list:
+                     known_datasets=None) -> list:
     """Validated rank -> (base style, dataset) table.
 
     ``n_ranks`` replicates the row pattern cyclically (or truncates it), so

@@ -13,6 +13,14 @@ Every checkpoint records the config hash; loading under a different
 configuration is an error. Distilled checkpoints also record the seed and
 the resolved rank table, so a run with another seed or ``--ranks`` value
 does not reuse them.
+
+Each cached artifact has a load-only path beside the path that builds it
+when it is missing: ``load_bundles`` beside ``pretrained_bundles`` for the
+pretrained models, ``load_arm`` beside ``distill_arm`` for a distilled
+arm. An arm's motion is keyed by step count, the ``to_steps`` of the plan
+stage that produced it. ``evaluate`` scores any set of arms over styles
+and step counts in one loop (``evalmetrics.score_arms``) and stamps each
+report's provenance.
 """
 from __future__ import annotations
 
@@ -42,15 +50,11 @@ from .nets import (
     pretrain_motion,
 )
 from .ranks import build_assignment, table_digest
-from .evalmetrics import EvalReport, run_cross_ablation, run_main_comparison
+from .evalmetrics import score_arms
 
 __all__ = [
     "Workspace",
-    "STEP_TO_STAGE",
 ]
-
-# Which stage output serves each inference step count.
-STEP_TO_STAGE = {32: "128to32", 8: "32to8", 4: "8to4", 2: "4to2", 1: "2to1"}
 
 _DATASET_BUILDS = {
     "real": ("default",),
@@ -110,6 +114,35 @@ class Workspace:
         tags = {"gt": 11, "gen": 13, "base": 17, "motion": 19, "distill": 23}
         return [self.cfg["seed"], tags[tag], *extra]
 
+    def _load_pretrained(self, name: str, keys) -> dict:
+        path = self.ckpt_path(name)
+        if not os.path.exists(path):
+            raise FileNotFoundError(
+                f"missing pretrained checkpoint {path}; run `flowdistill "
+                f"pretrain` first")
+        arrays, meta = checkpoint_load(path, expect=keys)
+        self._check_hash(meta, path)
+        return arrays
+
+    def _load_base(self, style: str) -> BaseParams:
+        return BaseParams(style_by_name(style).style_id, self.dims,
+                          self._load_pretrained(f"base_{style}", BASE_KEYS))
+
+    def _load_motion(self) -> MotionParams:
+        return MotionParams(self.dims,
+                            self._load_pretrained("motion_pretrained", MOTION_KEYS))
+
+    def load_bundles(self, styles: list) -> dict:
+        """Pretrained bundles by style, read from their checkpoints only.
+
+        Raises ``FileNotFoundError`` when a base or the shared motion
+        checkpoint is missing, and ``ValueError`` when one was produced
+        under another config.
+        """
+        motion = self._load_motion()
+        return {style: StudentBundle(self._load_base(style), motion)
+                for style in styles}
+
     def pretrain_bases(self, styles=None, progress=None) -> dict:
         """Pretrain (or load cached) base models for the given styles."""
         pt = self.cfg["pretrain"]
@@ -118,9 +151,7 @@ class Workspace:
             spec = style_by_name(style)
             path = self.ckpt_path(f"base_{style}")
             if os.path.exists(path):
-                arrays, meta = checkpoint_load(path, expect=BASE_KEYS)
-                self._check_hash(meta, path)
-                out[style] = BaseParams(spec.style_id, self.dims, arrays)
+                out[style] = self._load_base(style)
                 continue
             if progress:
                 progress(f"pretraining base model for style {style}")
@@ -137,9 +168,7 @@ class Workspace:
     def pretrain_shared_motion(self, default_base: BaseParams, progress=None) -> MotionParams:
         path = self.ckpt_path("motion_pretrained")
         if os.path.exists(path):
-            arrays, meta = checkpoint_load(path, expect=MOTION_KEYS)
-            self._check_hash(meta, path)
-            return MotionParams(self.dims, arrays)
+            return self._load_motion()
         if progress:
             progress("pretraining shared motion module")
         pt = self.cfg["pretrain"]
@@ -215,7 +244,7 @@ class Workspace:
 
     def load_arm(self, arm: str, n_ranks: int | None = None,
                  seed: int | None = None) -> dict:
-        """Distilled motion by stage name for every stage of the plan.
+        """Distilled motion by step count (each plan stage's ``to_steps``).
 
         Raises ``FileNotFoundError`` when a stage is missing or was
         distilled with another seed or rank table, and ``ValueError`` when
@@ -237,14 +266,14 @@ class Workspace:
                     f"{path} was distilled with seed {meta.get('seed')} and "
                     f"rank table {meta.get('ranks')}, not seed {seed} and "
                     f"rank table {ranks}; run `flowdistill distill` again")
-            out[stage.name] = MotionParams(self.dims, arrays)
+            out[stage.to_steps] = MotionParams(self.dims, arrays)
         return out
 
     def distill_arm(self, arm: str, bundles: dict, datasets: dict,
                     n_ranks: int | None = None, seed: int | None = None,
                     progress=None) -> dict:
         """Run the progressive plan for one arm, unless ``load_arm`` finds
-        it; returns motion by stage name."""
+        it; returns motion by step count, as ``load_arm`` does."""
         seed = self.cfg["seed"] if seed is None else seed
         try:
             return self.load_arm(arm, n_ranks, seed)
@@ -253,41 +282,25 @@ class Workspace:
         if progress:
             progress(f"distilling arm {arm!r} (seed {seed})")
         ctx = self._context(bundles, datasets, arm, n_ranks, seed)
-        motion0 = bundles["default"].motion
-        _, per_stage, _ = run_progressive(plan_from_config(self.cfg), ctx,
-                                          motion0, config_hash=self.hash)
-        return per_stage
-
-    def motions_by_steps(self, per_stage: dict) -> dict:
-        out = {}
-        for steps, stage_name in STEP_TO_STAGE.items():
-            if stage_name in per_stage:
-                out[steps] = per_stage[stage_name]
-        return out
+        plan = plan_from_config(self.cfg)
+        _, per_stage, _ = run_progressive(plan, ctx, bundles["default"].motion,
+                                          config_hash=self.hash)
+        return {stage.to_steps: per_stage[stage.name] for stage in plan.stages}
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate_main(self, bundles: dict, per_stage: dict,
-                      seed: int | None = None) -> EvalReport:
+    def evaluate(self, bundles: dict, arms: dict, styles: list,
+                 step_counts: list) -> dict:
+        """Score each arm's motion by step count (see ``score_arms``);
+        returns {arm: EvalReport} with each report's provenance."""
         ev = self.cfg["eval"]
-        seed = self.cfg["seed"] if seed is None else seed
-        report = run_main_comparison(
-            bundles, self.motions_by_steps(per_stage), self.sched,
-            ev["styles"], ev["step_counts"], seed, ev["n_conditions"],
-            ref_steps=ev["ref_steps"], ref_cfg=ev["ref_cfg"])
-        report.metadata["config_hash"] = self.hash
-        return report
-
-    def evaluate_ablation(self, bundles: dict, cross_stages: dict,
-                          single_stages: dict, styles: list,
-                          seed: int | None = None, steps: int = 4) -> dict:
-        ev = self.cfg["eval"]
-        seed = self.cfg["seed"] if seed is None else seed
-        reports = run_cross_ablation(
-            bundles, self.motions_by_steps(cross_stages),
-            self.motions_by_steps(single_stages), self.sched, styles,
-            seed, ev["n_conditions"], steps=steps,
-            ref_steps=ev["ref_steps"], ref_cfg=ev["ref_cfg"])
-        for rep in reports.values():
-            rep.metadata["config_hash"] = self.hash
+        seed = self.cfg["seed"]
+        reports = score_arms(bundles, arms, self.sched, styles, step_counts,
+                             seed, ev["n_conditions"], ref_steps=ev["ref_steps"],
+                             ref_cfg=ev["ref_cfg"])
+        for arm, report in reports.items():
+            report.metadata.update(
+                arm=arm, seed=seed, n_conditions=ev["n_conditions"],
+                ref_steps=ev["ref_steps"], ref_cfg=ev["ref_cfg"],
+                config_hash=self.hash)
         return reports

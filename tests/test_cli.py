@@ -52,6 +52,10 @@ def test_config_validation_rejects_bad_styles():
     cfg["eval"]["styles"] = ["wat"]
     with pytest.raises(KeyError):
         validate_config(cfg)
+    cfg = default_config()
+    cfg["distill"]["include_one_step"] = False  # the plan stops at 2 steps
+    with pytest.raises(ValueError, match="eval step count 1 "):
+        validate_config(cfg)
 
 
 def test_unknown_subcommand_and_flag_exit_nonzero(capsys):
@@ -113,6 +117,58 @@ def test_ablate_writes_paired_reports(tiny_config, workdir):
     for arm in ("cross", "single"):
         path = os.path.join(workdir, "reports", f"ablation_{arm}.csv")
         assert os.path.exists(path)
+    # The cross arm at 4 steps is scored exactly as `eval` scores it.
+    main = open(os.path.join(workdir, "reports", "main.csv")).read().splitlines()
+    cross = open(os.path.join(workdir, "reports", "ablation_cross.csv")).read().splitlines()
+    for style in load_config(tiny_config)["eval"]["styles"]:
+        rows = [line for line in main if line.startswith(f"{style},4,")]
+        assert len(rows) == 1 and rows[0] in cross
+
+
+def _snapshot(root) -> dict:
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            out[os.path.relpath(path, root)] = open(path, "rb").read()
+    return out
+
+
+@pytest.mark.parametrize("missing", ["base_real_b", "motion_pretrained"])
+def test_eval_with_missing_pretrained_checkpoint_fails_without_training(
+        tiny_config, workdir, tmp_path, capsys, missing):
+    wd = str(tmp_path / "unpretrained")
+    shutil.copytree(workdir, wd)
+    path = os.path.join(wd, "checkpoints", f"{missing}.ckpt")
+    os.remove(path)
+    os.remove(os.path.join(wd, "reports", "main.csv"))
+    before = _snapshot(wd)
+    capsys.readouterr()
+    assert cli(["eval", "--config", tiny_config, "--workdir", wd]) == 1
+    out, err = capsys.readouterr()
+    assert path in err
+    assert "pretraining" not in out
+    assert _snapshot(wd) == before
+
+
+def test_failed_plot_write_keeps_previous_plot(tiny_config, workdir, tmp_path,
+                                               monkeypatch):
+    wd = str(tmp_path / "plot")
+    shutil.copytree(workdir, wd)
+    reports = os.path.join(wd, "reports")
+    plot = os.path.join(reports, "main_plot.json")
+    before = open(plot, "rb").read()
+    names = sorted(os.listdir(reports))
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"series": {')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        cli(["eval", "--config", tiny_config, "--workdir", wd])
+    assert open(plot, "rb").read() == before
+    assert sorted(os.listdir(reports)) == names
 
 
 def test_checkpoint_config_hash_mismatch_rejected(tiny_config, workdir, tmp_path, capsys):

@@ -7,7 +7,6 @@ import flowdistill as fd
 from flowdistill.evalmetrics import (
     EvalReport,
     energy_distance,
-    energy_distance_per_frame,
     eval_seeds,
     eval_tokens,
 )
@@ -83,15 +82,6 @@ def test_energy_distance_detects_shift_not_noise():
     assert shifted > 10 * abs(near_zero)
 
 
-def test_per_frame_variant_nonnegative_and_sensitive():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((80, 4, 2))
-    b = a.copy()
-    b[:, 2, :] += 2.0  # shift one frame only
-    val = energy_distance_per_frame(a, b)
-    assert val > 0.1
-
-
 def test_eval_report_cells_and_csv(tmp_path):
     report = EvalReport(metadata={"seed": 0})
     report.add("real_b", 4, 1.2345, 100, 0)
@@ -112,3 +102,22 @@ def test_eval_seed_and_token_streams_deterministic():
     assert not np.array_equal(eval_seeds(7, 32), eval_seeds(8, 32))
     toks = eval_tokens(7, 64, 8)
     assert toks.min() >= 0 and toks.max() < 8
+
+
+def test_score_arms_same_motion_same_report_rows_style_major():
+    dims = fd.NetDims(frames=3, hidden=4, time_dim=4, head_hidden=4, vocab=3)
+    sched = fd.build_schedule(128, 0.002, 0.0985703125)
+    rng = np.random.default_rng(6)
+    bundles = {name: fd.StudentBundle(fd.init_base(fd.style_by_name(name).style_id, dims, rng),
+                                      fd.init_motion(dims, rng, 0.05))
+               for name in ("real_b", "anime_a")}
+    motion = {steps: fd.init_motion(dims, rng, 0.05) for steps in (2, 4)}
+    other = {steps: fd.init_motion(dims, rng, 0.5) for steps in (2, 4)}
+    reports = fd.score_arms(bundles, {"a": motion, "b": dict(motion), "c": other},
+                            sched, ["anime_a", "real_b"], [4, 2], seed=3,
+                            n_conditions=4, ref_steps=8)
+    assert list(reports) == ["a", "b", "c"]
+    assert reports["a"].rows == reports["b"].rows
+    assert [(r["style"], r["steps"]) for r in reports["a"].rows] == [
+        ("anime_a", 4), ("anime_a", 2), ("real_b", 4), ("real_b", 2)]
+    assert [r["metric"] for r in reports["c"].rows] != [r["metric"] for r in reports["a"].rows]
