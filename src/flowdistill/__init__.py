@@ -61,7 +61,6 @@ from .distill import (
     adversarial_step,
     default_plan,
     mse_distill_step,
-    run_progressive,
     run_stage,
 )
 from .ranks import RankAssignment, build_assignment

@@ -1,29 +1,55 @@
-"""Checkpoint files: a human-readable manifest followed by a raw blob of
-little-endian float32 values in manifest order.
+"""Run artifact files: a human-readable manifest followed by a raw blob of
+little-endian values in manifest order. Checkpoints and datasets share the
+format.
 
 Layout::
 
     ckpt-v1 <n_entries>
     meta <key> <value>          (zero or more)
     entry <name> <dim0xdim1x...> <element_count> <byte_offset>
+    entry <name> <dim0xdim1x...> <element_count> <byte_offset> i4
     ...
     ---
-    <raw little-endian float32 blob>
+    <raw little-endian blob>
 
-Byte offsets are relative to the start of the blob. Round trips are
-bit-exact because parameters are stored as float32 in memory.
+An entry is float32 unless its line ends in ``i4`` (int32); integer arrays
+are stored as int32, every other array as float32. Byte offsets are
+relative to the start of the blob. Round trips are bit-exact because
+parameters are float32 and condition tokens int32 in memory.
+
+Every file is written through ``atomic_write``: to a temp file beside the
+target, then renamed over it, so a reader sees the old file or the new one,
+never a part of one.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-__all__ = ["checkpoint_save", "checkpoint_load"]
+__all__ = ["atomic_write", "checkpoint_save", "checkpoint_load"]
 
 _SEP = b"---\n"
+_INT = "i4"
+
+
+def atomic_write(path, write) -> None:
+    """``write(tmp)`` then rename over ``path``, creating its directory; a
+    failed write leaves ``path`` as it was and removes the temp file."""
+    parent = os.path.dirname(os.fspath(path))
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
-    """Write named float32 arrays; entry order is the dict order."""
+    """Write named arrays; entry order is the dict order."""
     lines = [f"ckpt-v1 {len(arrays)}"]
     for key, value in (meta or {}).items():
         if any(ch.isspace() for ch in str(key)):
@@ -34,18 +60,24 @@ def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
     for name, arr in arrays.items():
         if any(ch.isspace() for ch in name):
             raise ValueError(f"entry name {name!r} must not contain whitespace")
-        arr = np.asarray(arr, dtype="<f4")  # keeps 0-d entries 0-d
+        is_int = np.issubdtype(np.asarray(arr).dtype, np.integer)
+        arr = np.asarray(arr, dtype="<i4" if is_int else "<f4")  # keeps 0-d entries 0-d
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         shape = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
-        lines.append(f"entry {name} {shape} {arr.size} {offset}")
+        lines.append(f"entry {name} {shape} {arr.size} {offset}"
+                     + (f" {_INT}" if is_int else ""))
         blobs.append(arr.tobytes())
         offset += arr.size * 4
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        fh.write(_SEP)
-        for blob in blobs:
-            fh.write(blob)
+
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+            fh.write(_SEP)
+            for blob in blobs:
+                fh.write(blob)
+
+    atomic_write(path, write)
 
 
 def checkpoint_load(path, expect: tuple = ()) -> tuple:
@@ -88,6 +120,10 @@ def checkpoint_load(path, expect: tuple = ()) -> tuple:
 
     for rest in entry_lines:
         parts = rest.split()
+        dtype = "<f4"
+        if len(parts) == 5 and parts[4] == _INT:
+            dtype = "<i4"
+            parts.pop()
         if len(parts) != 4:
             raise ValueError(f"{path}: malformed entry line {rest!r}")
         name, shape_s, count_s, offset_s = parts
@@ -98,7 +134,7 @@ def checkpoint_load(path, expect: tuple = ()) -> tuple:
         end = offset + count * 4
         if end > len(blob):
             raise ValueError(f"{path}: blob truncated for entry {name!r}")
-        arrays[name] = np.frombuffer(blob, dtype="<f4", count=count,
+        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count,
                                      offset=offset).reshape(shape).copy()
     for name in expect:
         if name not in arrays:

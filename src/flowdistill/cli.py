@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
-from .config import dims_from_config, load_config, schedule_from_config
-from .datagen import STYLES, style_by_name
+from .checkpoint import atomic_write
+from .config import load_config
+from .datagen import STYLES
 from .distill import DistillDivergence
 from .gradchecks import REL_TOL, gradcheck_battery
 from .nets import StudentBundle
@@ -71,18 +71,6 @@ def _progress(msg: str) -> None:
     print(f"[flowdistill] {msg}", flush=True)
 
 
-def _replace(path: str, write) -> None:
-    """``write(tmp)`` then rename over ``path``; a failed write leaves
-    ``path`` as it was and removes the temp file."""
-    tmp = path + ".tmp"
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def _write_report(ws, name: str, report) -> None:
     """``reports/<name>.csv`` and the plot series ``<name>_plot.json``."""
     series: dict = {}
@@ -95,8 +83,8 @@ def _write_report(ws, name: str, report) -> None:
         with open(path, "w") as fh:
             json.dump({"series": series, "metadata": report.metadata}, fh, indent=2)
 
-    _replace(ws.report_path(f"{name}.csv"), report.to_csv)
-    _replace(ws.report_path(f"{name}_plot.json"), write_plot)
+    atomic_write(ws.report_path(f"{name}.csv"), report.to_csv)
+    atomic_write(ws.report_path(f"{name}_plot.json"), write_plot)
 
 
 def cmd_pretrain(args) -> int:
@@ -127,8 +115,6 @@ def cmd_distill(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg, ws = _resolve(args)
-    style = style_by_name(args.style)
-    sched = schedule_from_config(cfg)
     bundles = ws.pretrained_bundles(styles=[args.style, "default"],
                                     progress=_progress)
     try:
@@ -147,11 +133,15 @@ def cmd_sample(args) -> int:
     clips = []
     for i in range(args.count):
         token = int(rng.integers(0, ws.dims.vocab))
-        clip = sample_one(bundle, sched, args.steps, token,
+        clip = sample_one(bundle, ws.sched, args.steps, token,
                           int(rng.integers(0, 2 ** 63 - 1)), w=w)
         clips.append({"token": token, "frames": clip.tolist()})
-    with open(args.out, "w") as fh:
-        json.dump({"style": args.style, "steps": args.steps, "clips": clips}, fh)
+
+    def write(path):
+        with open(path, "w") as fh:
+            json.dump({"style": args.style, "steps": args.steps, "clips": clips}, fh)
+
+    atomic_write(args.out, write)
     _progress(f"wrote {args.count} clip(s) to {args.out}")
     return 0
 
@@ -190,10 +180,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg, _ = _resolve(args)
-    sched = schedule_from_config(cfg)
-    dims = dims_from_config(cfg)
-    results = gradcheck_battery(sched, dims, seed=cfg["seed"] + 7)
+    cfg, ws = _resolve(args)
+    results = gradcheck_battery(ws.sched, ws.dims, seed=cfg["seed"] + 7)
     ok = True
     for res in results:
         status = "ok" if res["passed"] else "FAIL"

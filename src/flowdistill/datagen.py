@@ -16,14 +16,18 @@ closed form for oracle tests:
 Unit variance puts that style's noisy marginals at N(0, I) for every
 timestep, so solver fidelity can be measured without start-distribution
 bias.
+
+A dataset file is a checkpoint file (see ``checkpoint``): float32
+``clips``, int32 ``conditions``, and the provenance and style id as
+metadata, beside whatever metadata the writer adds (a run's config hash).
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import checkpoint_load, checkpoint_save
 from .schedule import NoiseSchedule
 from .solvers import sample_batch
 
@@ -158,6 +162,7 @@ class ClipDataset:
     provenance: str  # ground_truth | teacher_generated
     group: str
     style_id: int  # negative pseudo ids mark pooled datasets
+    meta: dict = field(default_factory=dict, repr=False)  # from the file read
 
     def __post_init__(self):
         self.clips = np.ascontiguousarray(self.clips, dtype=np.float32)
@@ -280,44 +285,17 @@ def pool_by_group(datasets: list) -> ClipDataset:
 
 # -- dataset files -------------------------------------------------------
 
-_MAGIC = b"FDST"
-_VERSION = 1
-_PROV_CODE = {"ground_truth": 0, "teacher_generated": 1}
-_PROV_NAME = {v: k for k, v in _PROV_CODE.items()}
-_HEADER = struct.Struct("<4sIIIIbi")  # magic, version, n, F, D, provenance, style_id
-
-
-def save_dataset(ds: ClipDataset, path) -> None:
-    """Header, float32 clip payload in frame-major order, then int32 tokens."""
-    n, frames, frame_dim = ds.clips.shape
-    header = _HEADER.pack(_MAGIC, _VERSION, n, frames, frame_dim,
-                          _PROV_CODE[ds.provenance], ds.style_id)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(ds.clips, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(ds.conditions, dtype="<i4").tobytes())
+def save_dataset(ds: ClipDataset, path, meta: dict | None = None) -> None:
+    """Write ``ds`` atomically; ``meta`` adds metadata entries."""
+    checkpoint_save({"clips": ds.clips, "conditions": ds.conditions}, path,
+                    meta={"provenance": ds.provenance, "style_id": ds.style_id,
+                          **(meta or {})})
 
 
 def load_dataset(path) -> ClipDataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, version, n, frames, frame_dim, prov, style_id = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: not a clip dataset file")
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    clip_bytes = n * frames * frame_dim * 4
-    expected = _HEADER.size + clip_bytes + n * 4
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    clips = np.frombuffer(raw, dtype="<f4", count=n * frames * frame_dim,
-                          offset=_HEADER.size).reshape(n, frames, frame_dim)
-    conds = np.frombuffer(raw, dtype="<i4", count=n,
-                          offset=_HEADER.size + clip_bytes)
-    if style_id in _POOL_GROUPS:
-        group = _POOL_GROUPS[style_id]
-    else:
-        group = style_by_id(style_id).group
-    return ClipDataset(clips.copy(), conds.copy(), _PROV_NAME[prov], group, style_id)
+    """Read a ``save_dataset`` file; its metadata lands in ``meta``."""
+    arrays, meta = checkpoint_load(path, expect=("clips", "conditions"))
+    style_id = int(meta["style_id"])
+    group = _POOL_GROUPS.get(style_id) or style_by_id(style_id).group
+    return ClipDataset(arrays["clips"], arrays["conditions"], meta["provenance"],
+                       group, style_id, meta)

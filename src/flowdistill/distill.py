@@ -6,8 +6,9 @@ the teacher traverses ``n = from_steps / to_steps`` strides of
 ``n * s``. The first stage matches trajectories under mean squared error
 with the teacher guided at scale 7.5; later stages train adversarially,
 first with the trajectory-conditional discriminator head and then with the
-relaxed single-pass head (fresh head, same backbone). After every stage the
-student is promoted to teacher.
+relaxed single-pass head (fresh head, same backbone). A stage's student is
+the next stage's teacher; ``Workspace.distill_arm`` chains the stages and
+caches each one.
 
 Training timesteps are drawn from the stage's source grid (the
 ``from_steps`` discretisation), restricted to points whose full student
@@ -35,7 +36,7 @@ from .nets import (
     reset_single_head,
     student_eps,
 )
-from .ranks import RankAssignment, table_digest
+from .ranks import RankAssignment
 from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
 from .solvers import euler_solve
 
@@ -52,7 +53,6 @@ __all__ = [
     "mse_distill_step",
     "adversarial_step",
     "run_stage",
-    "run_progressive",
     "stage_strides",
     "stage_timesteps",
 ]
@@ -443,29 +443,3 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
             reset_single_head(disc, _stage_rng(ctx.seed, stage, 1, 104729))
         _run_phase(stage, phase, ctx, motion, teacher_motion, disc, history)
     return motion, history
-
-
-def run_progressive(plan: DistillPlan, ctx: DistillContext,
-                    init_motion: MotionParams, config_hash: str = "") -> tuple:
-    """Run all stages, promoting each student to teacher.
-
-    Returns (final motion, {stage name: motion}, history). When the context
-    has a workdir, per-stage checkpoints are written there.
-    """
-    teacher = init_motion
-    per_stage: dict = {}
-    history: list = []
-    for stage in plan.stages:
-        motion, stage_hist = run_stage(stage, ctx, teacher)
-        history.extend(stage_hist)
-        per_stage[stage.name] = motion
-        if ctx.workdir is not None:
-            os.makedirs(ctx.workdir, exist_ok=True)
-            checkpoint_save(
-                dict(motion.data),
-                os.path.join(ctx.workdir, f"motion_{stage.name}.ckpt"),
-                meta={"stage": stage.name, "seed": ctx.seed,
-                      "config_hash": config_hash or "unset",
-                      "ranks": table_digest(w.assignment for w in ctx.workers)})
-        teacher = motion
-    return teacher, per_stage, history

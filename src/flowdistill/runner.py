@@ -9,22 +9,32 @@ Layout of a workspace::
       data/<name>.ds                     training datasets
       reports/*.csv, *.json              evaluation outputs
 
-Every checkpoint records the config hash; loading under a different
-configuration is an error. Distilled checkpoints also record the seed and
-the resolved rank table, so a run with another seed or ``--ranks`` value
-does not reuse them.
+Every artifact is one file in the checkpoint format (``checkpoint``), and
+a directory is made only when a file is written into it.
+
+One cache rule serves every artifact (``Workspace._cached``): a file that
+exists is loaded and its metadata checked. Each file records the config
+hash, and one produced under another config, or with no hash, is refused.
+A distilled stage also records the digest of the resolved rank table, and
+one distilled with another table (another ``--ranks`` value) is rebuilt.
+A missing file is built and written atomically, so an interrupted command
+leaves every file whole or absent.
 
 Each cached artifact has a load-only path beside the path that builds it
 when it is missing: ``load_bundles`` beside ``pretrained_bundles`` for the
 pretrained models, ``load_arm`` beside ``distill_arm`` for a distilled
-arm. An arm's motion is keyed by step count, the ``to_steps`` of the plan
-stage that produced it. ``evaluate`` scores any set of arms over styles
-and step counts in one loop (``evalmetrics.score_arms``) and stamps each
-report's provenance.
+arm. ``distill_arm`` caches each plan stage on its own and trains a stage
+from the one before it, so an interrupted plan resumes from its last
+finished stage; training is deterministic per stage, so the result equals
+an uninterrupted run. An arm's motion is keyed by step count, the
+``to_steps`` of the plan stage that produced it. ``evaluate`` scores any
+set of arms over styles and step counts in one loop
+(``evalmetrics.score_arms``) and stamps each report's provenance.
 """
 from __future__ import annotations
 
 import os
+from functools import partial
 
 from .checkpoint import checkpoint_load, checkpoint_save
 from .config import config_hash, dims_from_config, plan_from_config, schedule_from_config
@@ -39,7 +49,7 @@ from .datagen import (
     save_dataset,
     style_by_name,
 )
-from .distill import DistillContext, RankWorker, run_progressive
+from .distill import DistillContext, RankWorker, run_stage
 from .nets import (
     BASE_KEYS,
     BaseParams,
@@ -63,6 +73,11 @@ _DATASET_BUILDS = {
 }
 
 
+def _read_dataset(path) -> tuple:
+    ds = load_dataset(path)
+    return ds, ds.meta
+
+
 class Workspace:
     """Caches pretrained models, datasets, and distilled checkpoints."""
 
@@ -72,9 +87,6 @@ class Workspace:
         self.hash = config_hash(cfg)
         self.sched = schedule_from_config(cfg)
         self.dims = dims_from_config(cfg)
-        os.makedirs(os.path.join(root, "checkpoints"), exist_ok=True)
-        os.makedirs(os.path.join(root, "data"), exist_ok=True)
-        os.makedirs(os.path.join(root, "reports"), exist_ok=True)
 
     # -- paths ----------------------------------------------------------
 
@@ -90,15 +102,41 @@ class Workspace:
     def report_path(self, name: str) -> str:
         return os.path.join(self.root, "reports", name)
 
-    def _check_hash(self, meta: dict, path: str) -> None:
-        if meta.get("config_hash") not in (None, "unset", self.hash):
-            raise ValueError(
-                f"{path}: checkpoint was produced under config "
-                f"{meta.get('config_hash')}, current config is {self.hash}")
+    # -- the cache --------------------------------------------------------
 
-    def _save_params(self, data: dict, path: str, **meta) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        checkpoint_save(dict(data), path, meta={"config_hash": self.hash, **meta})
+    def _cached(self, path: str, load, save, build=None, **key):
+        """The artifact at ``path``: loaded if it exists, else built.
+
+        ``load(path)`` returns (value, metadata). A file from another
+        config raises ``ValueError``; one whose ``key`` metadata differs is
+        treated as missing. A missing file is ``build()``-ed and written by
+        ``save(value, path, meta)`` with the config hash and ``key`` as
+        metadata. With no ``build``, a missing file raises
+        ``FileNotFoundError``.
+        """
+        if os.path.exists(path):
+            value, meta = load(path)
+            if meta.get("config_hash") != self.hash:
+                raise ValueError(
+                    f"{path}: produced under config {meta.get('config_hash')}, "
+                    f"current config is {self.hash}")
+            found = {k: meta.get(k) for k in key}
+            if found == key:
+                return value
+            if build is None:
+                raise FileNotFoundError(
+                    f"{path} was produced with {found}, not {key}; build it again")
+        elif build is None:
+            raise FileNotFoundError(f"missing {path}")
+        value = build()
+        save(value, path, {"config_hash": self.hash, **key})
+        return value
+
+    def _params(self, path: str, keys, build=None, **key) -> dict:
+        """Parameter arrays of one checkpoint, through ``_cached``;
+        ``build()`` returns the arrays."""
+        return self._cached(path, partial(checkpoint_load, expect=keys),
+                            checkpoint_save, build, **key)
 
     # -- pretraining ------------------------------------------------------
 
@@ -114,23 +152,13 @@ class Workspace:
         tags = {"gt": 11, "gen": 13, "base": 17, "motion": 19, "distill": 23}
         return [self.cfg["seed"], tags[tag], *extra]
 
-    def _load_pretrained(self, name: str, keys) -> dict:
-        path = self.ckpt_path(name)
-        if not os.path.exists(path):
-            raise FileNotFoundError(
-                f"missing pretrained checkpoint {path}; run `flowdistill "
-                f"pretrain` first")
-        arrays, meta = checkpoint_load(path, expect=keys)
-        self._check_hash(meta, path)
-        return arrays
-
-    def _load_base(self, style: str) -> BaseParams:
+    def _base(self, style: str, build=None) -> BaseParams:
         return BaseParams(style_by_name(style).style_id, self.dims,
-                          self._load_pretrained(f"base_{style}", BASE_KEYS))
+                          self._params(self.ckpt_path(f"base_{style}"), BASE_KEYS, build))
 
-    def _load_motion(self) -> MotionParams:
-        return MotionParams(self.dims,
-                            self._load_pretrained("motion_pretrained", MOTION_KEYS))
+    def _motion(self, build=None) -> MotionParams:
+        return MotionParams(self.dims, self._params(
+            self.ckpt_path("motion_pretrained"), MOTION_KEYS, build))
 
     def load_bundles(self, styles: list) -> dict:
         """Pretrained bundles by style, read from their checkpoints only.
@@ -139,46 +167,41 @@ class Workspace:
         checkpoint is missing, and ``ValueError`` when one was produced
         under another config.
         """
-        motion = self._load_motion()
-        return {style: StudentBundle(self._load_base(style), motion)
+        motion = self._motion()
+        return {style: StudentBundle(self._base(style), motion)
                 for style in styles}
 
     def pretrain_bases(self, styles=None, progress=None) -> dict:
         """Pretrain (or load cached) base models for the given styles."""
         pt = self.cfg["pretrain"]
-        out = {}
-        for style in styles or [s.name for s in STYLES]:
-            spec = style_by_name(style)
-            path = self.ckpt_path(f"base_{style}")
-            if os.path.exists(path):
-                out[style] = self._load_base(style)
-                continue
+
+        def build(style):
+            style_id = style_by_name(style).style_id
             if progress:
                 progress(f"pretraining base model for style {style}")
-            ds = self.ground_truth(style)
-            base, _ = pretrain_base(ds, self.sched, self.dims, spec.style_id,
-                                    pt["base_steps"],
-                                    self._seed("base", spec.style_id),
+            base, _ = pretrain_base(self.ground_truth(style), self.sched, self.dims,
+                                    style_id, pt["base_steps"],
+                                    self._seed("base", style_id),
                                     lr=pt["lr"], batch=pt["batch"],
                                     cond_dropout=pt["cond_dropout"])
-            self._save_params(base.data, path, style=style)
-            out[style] = base
-        return out
+            return base.data
+
+        return {style: self._base(style, partial(build, style))
+                for style in styles or [s.name for s in STYLES]}
 
     def pretrain_shared_motion(self, default_base: BaseParams, progress=None) -> MotionParams:
-        path = self.ckpt_path("motion_pretrained")
-        if os.path.exists(path):
-            return self._load_motion()
-        if progress:
-            progress("pretraining shared motion module")
-        pt = self.cfg["pretrain"]
-        ds = self.ground_truth("default")
-        motion, _ = pretrain_motion(default_base, ds, self.sched,
-                                    pt["motion_steps"], self._seed("motion"),
-                                    lr=pt["lr"], batch=pt["batch"],
-                                    cond_dropout=pt["cond_dropout"])
-        self._save_params(motion.data, path)
-        return motion
+        def build():
+            if progress:
+                progress("pretraining shared motion module")
+            pt = self.cfg["pretrain"]
+            motion, _ = pretrain_motion(default_base, self.ground_truth("default"),
+                                        self.sched, pt["motion_steps"],
+                                        self._seed("motion"), lr=pt["lr"],
+                                        batch=pt["batch"],
+                                        cond_dropout=pt["cond_dropout"])
+            return motion.data
+
+        return self._motion(build)
 
     def pretrained_bundles(self, styles=None, progress=None) -> dict:
         bases = self.pretrain_bases(styles, progress=progress)
@@ -192,30 +215,25 @@ class Workspace:
     def build_datasets(self, bundles: dict, progress=None) -> dict:
         """Training datasets keyed by the rank table's dataset ids."""
         data_cfg = self.cfg["data"]
-        out = {}
-        for name, style_names in _DATASET_BUILDS.items():
-            path = self.data_path(name)
-            if os.path.exists(path):
-                out[name] = load_dataset(path)
-                continue
+
+        def build(name, style_names):
             if progress:
                 progress(f"building dataset {name}")
             if name == "real":
-                ds = self.ground_truth("default")
-            else:
-                parts = []
-                for style_name in style_names:
-                    spec = style_by_name(style_name)
-                    parts.append(generate_distill_dataset(
-                        bundles[style_name], self.sched, spec,
-                        data_cfg["generated_clips"],
-                        self._seed("gen", spec.style_id),
-                        steps=data_cfg["gen_steps"], w=data_cfg["gen_cfg"]))
-                ds = pool_by_group(parts)
-            ds = flip_augment(ds)
-            save_dataset(ds, path)
-            out[name] = ds
-        return out
+                return flip_augment(self.ground_truth("default"))
+            parts = []
+            for style_name in style_names:
+                spec = style_by_name(style_name)
+                parts.append(generate_distill_dataset(
+                    bundles[style_name], self.sched, spec,
+                    data_cfg["generated_clips"],
+                    self._seed("gen", spec.style_id),
+                    steps=data_cfg["gen_steps"], w=data_cfg["gen_cfg"]))
+            return flip_augment(pool_by_group(parts))
+
+        return {name: self._cached(self.data_path(name), _read_dataset, save_dataset,
+                                   partial(build, name, style_names))
+                for name, style_names in _DATASET_BUILDS.items()}
 
     # -- distillation -------------------------------------------------------
 
@@ -227,7 +245,7 @@ class Workspace:
                                 known_datasets=known_datasets)
 
     def _context(self, bundles: dict, datasets: dict, arm: str,
-                 n_ranks: int | None, seed: int) -> DistillContext:
+                 n_ranks: int | None) -> DistillContext:
         assignment = self._assignment(arm, n_ranks, set(datasets))
         flow_styles = sorted({a.style for a in assignment},
                              key=lambda s: style_by_name(s).style_id)
@@ -239,53 +257,45 @@ class Workspace:
         ]
         return DistillContext(
             sched=self.sched, dims=self.dims, workers=workers,
-            pretrained=bundles["default"], seed=seed,
+            pretrained=bundles["default"], seed=self.cfg["seed"],
             workdir=os.path.join(self.root, "checkpoints", arm))
 
-    def load_arm(self, arm: str, n_ranks: int | None = None,
-                 seed: int | None = None) -> dict:
+    def _stages(self, arm: str, assignment, train=None, teacher=None) -> dict:
+        """Motion by step count of each plan stage, through ``_cached``
+        keyed on the rank table; ``train(stage, teacher)`` builds a stage
+        from the one before it, the first from ``teacher``."""
+        ranks = table_digest(assignment)
+        out = {}
+        for stage in plan_from_config(self.cfg).stages:
+            build = partial(train, stage, teacher) if train else None
+            teacher = MotionParams(self.dims, self._params(
+                self.ckpt_path(f"motion_{stage.name}", arm=arm), MOTION_KEYS,
+                build, ranks=ranks))
+            out[stage.to_steps] = teacher
+        return out
+
+    def load_arm(self, arm: str, n_ranks: int | None = None) -> dict:
         """Distilled motion by step count (each plan stage's ``to_steps``).
 
         Raises ``FileNotFoundError`` when a stage is missing or was
-        distilled with another seed or rank table, and ``ValueError`` when
-        it was produced under another config.
+        distilled with another rank table, and ``ValueError`` when it was
+        produced under another config.
         """
-        seed = self.cfg["seed"] if seed is None else seed
-        ranks = table_digest(self._assignment(arm, n_ranks))
-        out = {}
-        for stage in plan_from_config(self.cfg).stages:
-            path = self.ckpt_path(f"motion_{stage.name}", arm=arm)
-            if not os.path.exists(path):
-                raise FileNotFoundError(
-                    f"missing distilled checkpoint {path}; run `flowdistill "
-                    f"distill` first")
-            arrays, meta = checkpoint_load(path, expect=MOTION_KEYS)
-            self._check_hash(meta, path)
-            if int(meta.get("seed", seed)) != seed or meta.get("ranks") != ranks:
-                raise FileNotFoundError(
-                    f"{path} was distilled with seed {meta.get('seed')} and "
-                    f"rank table {meta.get('ranks')}, not seed {seed} and "
-                    f"rank table {ranks}; run `flowdistill distill` again")
-            out[stage.to_steps] = MotionParams(self.dims, arrays)
-        return out
+        return self._stages(arm, self._assignment(arm, n_ranks))
 
     def distill_arm(self, arm: str, bundles: dict, datasets: dict,
-                    n_ranks: int | None = None, seed: int | None = None,
-                    progress=None) -> dict:
-        """Run the progressive plan for one arm, unless ``load_arm`` finds
-        it; returns motion by step count, as ``load_arm`` does."""
-        seed = self.cfg["seed"] if seed is None else seed
-        try:
-            return self.load_arm(arm, n_ranks, seed)
-        except FileNotFoundError:
-            pass
-        if progress:
-            progress(f"distilling arm {arm!r} (seed {seed})")
-        ctx = self._context(bundles, datasets, arm, n_ranks, seed)
-        plan = plan_from_config(self.cfg)
-        _, per_stage, _ = run_progressive(plan, ctx, bundles["default"].motion,
-                                          config_hash=self.hash)
-        return {stage.to_steps: per_stage[stage.name] for stage in plan.stages}
+                    n_ranks: int | None = None, progress=None) -> dict:
+        """Motion by step count, as ``load_arm`` returns it, distilling
+        each stage that is missing or stale from the stage before it."""
+        ctx = self._context(bundles, datasets, arm, n_ranks)
+
+        def train(stage, teacher):
+            if progress:
+                progress(f"distilling arm {arm!r}: stage {stage.name}")
+            return run_stage(stage, ctx, teacher)[0].data
+
+        return self._stages(arm, [w.assignment for w in ctx.workers], train,
+                            bundles["default"].motion)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import flowdistill.checkpoint as ckpt
 from flowdistill.checkpoint import checkpoint_load, checkpoint_save
 
 
@@ -84,3 +87,54 @@ def test_float64_inputs_are_stored_as_float32(tmp_path):
     back, _ = checkpoint_load(path)
     assert back["w"].dtype == np.float32
     assert np.array_equal(back["w"], values["w"].astype(np.float32))
+
+
+def test_int32_entries_round_trip_exactly(tmp_path):
+    tokens = np.array([[0, -1], [2 ** 31 - 1, -2 ** 31]], dtype=np.int32)
+    params = _params(4)
+    path = tmp_path / "mixed.ckpt"
+    checkpoint_save({"tokens": tokens, **params}, path)
+    back, _ = checkpoint_load(path)
+    assert back["tokens"].dtype == np.int32
+    assert np.array_equal(back["tokens"], tokens)
+    for key in params:
+        assert back[key].dtype == np.float32
+        assert np.array_equal(back[key], params[key]), key
+    head = path.read_bytes().split(b"---\n")[0].decode().splitlines()
+    assert "entry tokens 2x2 4 0 i4" in head
+    assert "entry w1 3x5 15 16" in head  # float32 lines carry no dtype
+
+
+def test_save_creates_the_parent_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "model.ckpt"
+    checkpoint_save(_params(5), path)
+    assert checkpoint_load(path)[0].keys() == _params(5).keys()
+
+
+class _DiskFull:
+    """A file whose first write stores half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    checkpoint_save(_params(6), path)
+    before = path.read_bytes()
+    monkeypatch.setattr(ckpt, "open", lambda file, mode="r": _DiskFull(open(file, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint_save(_params(7), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]

@@ -1,15 +1,22 @@
 import json
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 import flowdistill.distill as dist
+import flowdistill.runner as runner
 from flowdistill.checkpoint import checkpoint_load
 from flowdistill.cli import cli
 from flowdistill.config import config_hash, default_config, load_config, validate_config
+from flowdistill.datagen import load_dataset
+from flowdistill.nets import MOTION_KEYS
 from flowdistill.ranks import build_assignment, table_digest
+from flowdistill.runner import Workspace
+
+STAGES = ("128to32", "32to8", "8to4", "4to2", "2to1")
 
 
 TINY = {
@@ -76,13 +83,31 @@ def test_eval_without_checkpoints_fails_cleanly(tiny_config, workdir, capsys):
     assert not os.path.exists(os.path.join(workdir, "reports", "main.csv"))
 
 
+def test_failed_eval_on_a_fresh_workdir_creates_nothing(tiny_config, tmp_path):
+    wd = tmp_path / "fresh"
+    assert cli(["eval", "--config", tiny_config, "--workdir", str(wd)]) == 1
+    assert not wd.exists()
+
+
 def test_pipeline_subcommands_end_to_end(tiny_config, workdir, capsys):
+    cfg = load_config(tiny_config)
     assert cli(["pretrain", "--config", tiny_config, "--workdir", workdir]) == 0
     assert cli(["gen-data", "--config", tiny_config, "--workdir", workdir]) == 0
+    for name in ("real", "gen_realistic", "gen_anime"):
+        ds = load_dataset(os.path.join(workdir, "data", f"{name}.ds"))
+        assert ds.meta["config_hash"] == config_hash(cfg)
     assert cli(["distill", "--config", tiny_config, "--workdir", workdir]) == 0
-    for stage in ("128to32", "32to8", "8to4", "4to2", "2to1"):
-        assert os.path.exists(os.path.join(workdir, "checkpoints", "cross",
-                                           f"motion_{stage}.ckpt"))
+    # Every stage records the config hash and the rank table, and changes
+    # the motion it started from.
+    before = checkpoint_load(os.path.join(workdir, "checkpoints",
+                                          "motion_pretrained.ckpt"))[0]
+    for stage in STAGES:
+        arrays, meta = checkpoint_load(os.path.join(
+            workdir, "checkpoints", "cross", f"motion_{stage}.ckpt"), expect=MOTION_KEYS)
+        assert meta == {"config_hash": config_hash(cfg),
+                        "ranks": table_digest(build_assignment(cfg["ranks"]))}
+        assert not np.array_equal(arrays["mix_out"], before["mix_out"]), stage
+        before = arrays
     assert cli(["eval", "--config", tiny_config, "--workdir", workdir]) == 0
     report = os.path.join(workdir, "reports", "main.csv")
     assert os.path.exists(report)
@@ -180,6 +205,64 @@ def test_checkpoint_config_hash_mismatch_rejected(tiny_config, workdir, tmp_path
     code = cli(["eval", "--config", str(path), "--workdir", workdir])
     assert code == 1
     assert "config" in capsys.readouterr().err
+
+
+def test_dataset_from_another_config_is_refused(tiny_config, workdir, tmp_path):
+    other = json.loads(json.dumps(TINY))
+    other["data"]["generated_clips"] = 48
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(other))
+    ws = Workspace(load_config(str(path)), workdir)
+    with pytest.raises(ValueError, match=re.escape(ws.data_path("real"))):
+        ws.build_datasets({})
+
+
+def test_checkpoint_without_config_hash_is_refused(tiny_config, workdir, tmp_path,
+                                                   capsys):
+    wd = str(tmp_path / "unhashed")
+    shutil.copytree(workdir, wd)
+    path = os.path.join(wd, "checkpoints", "cross", "motion_8to4.ckpt")
+    raw = open(path, "rb").read()
+    stripped = re.sub(rb"meta config_hash \S+\n", b"", raw)
+    assert stripped != raw
+    with open(path, "wb") as fh:
+        fh.write(stripped)
+    assert cli(["eval", "--config", tiny_config, "--workdir", wd]) == 1
+    assert path in capsys.readouterr().err
+
+
+def test_interrupted_distill_resumes_from_last_finished_stage(
+        tiny_config, workdir, tmp_path, monkeypatch):
+    wd = str(tmp_path / "resume")
+    shutil.copytree(workdir, wd)
+
+    def stage_path(root, stage):
+        return os.path.join(root, "checkpoints", "cross", f"motion_{stage}.ckpt")
+
+    for stage in ("4to2", "2to1"):
+        os.remove(stage_path(wd, stage))
+    kept = {stage: os.stat(stage_path(wd, stage)) for stage in STAGES[:3]}
+    trained = []
+    run_stage = runner.run_stage
+
+    def recording_run_stage(stage, ctx, teacher):
+        trained.append((stage.name, {k: v.copy() for k, v in teacher.data.items()}))
+        return run_stage(stage, ctx, teacher)
+
+    monkeypatch.setattr(runner, "run_stage", recording_run_stage)
+    assert cli(["distill", "--config", tiny_config, "--workdir", wd]) == 0
+    assert [name for name, _ in trained] == ["4to2", "2to1"]
+    # Each trained stage's teacher is the stage before it, as written.
+    for (name, teacher), source in zip(trained, ("8to4", "4to2")):
+        written = checkpoint_load(stage_path(wd, source))[0]
+        for key in MOTION_KEYS:
+            assert np.array_equal(teacher[key], written[key]), (name, key)
+    for stage, st in kept.items():
+        now = os.stat(stage_path(wd, stage))
+        assert (now.st_ino, now.st_mtime_ns) == (st.st_ino, st.st_mtime_ns), stage
+    for stage in STAGES:
+        assert (open(stage_path(wd, stage), "rb").read()
+                == open(stage_path(workdir, stage), "rb").read()), stage
 
 
 def test_distill_single_rank_override(tiny_config, tmp_path):

@@ -318,31 +318,6 @@ def test_run_stage_matches_per_rank_reference(sched, dims, stage, phase, monkeyp
     assert not np.array_equal(out.data["mix_out"], motion.data["mix_out"])
 
 
-def test_progressive_promotes_teacher_and_checkpoints(sched, dims, tmp_path):
-    ctx, motion = _tiny_ctx(sched, dims, tmpdir=tmp_path)
-    plan = fd.DistillPlan((
-        StageConfig(32, 8, "mse_cfg", 2, micro_batch=4, grad_accum=1, cfg_scale=7.5),
-        StageConfig(8, 4, "adversarial", 2, micro_batch=4, grad_accum=1),
-    ))
-    final, per_stage, history = fd.run_progressive(plan, ctx, motion, config_hash="h")
-    assert list(per_stage) == ["32to8", "8to4"]
-    assert final is per_stage["8to4"]
-    from flowdistill.checkpoint import checkpoint_load
-    from flowdistill.nets import MOTION_KEYS as MK
-    arrays, meta = checkpoint_load(tmp_path / "motion_32to8.ckpt", expect=MK)
-    assert np.array_equal(arrays["mix"], per_stage["32to8"].data["mix"])
-    assert meta["config_hash"] == "h"
-
-
-def test_single_stage_plan_equals_run_stage(sched, dims):
-    st = StageConfig(32, 8, "adversarial", 3, micro_batch=4, grad_accum=1)
-    ctx1, motion1 = _tiny_ctx(sched, dims)
-    direct, _ = run_stage(st, ctx1, motion1)
-    ctx2, motion2 = _tiny_ctx(sched, dims)
-    final, _, _ = fd.run_progressive(fd.DistillPlan((st,)), ctx2, motion2)
-    assert np.array_equal(direct.data["mix"], final.data["mix"])
-
-
 def test_nan_loss_aborts_with_dump(sched, dims, tmp_path, monkeypatch):
     ctx, motion = _tiny_ctx(sched, dims, tmpdir=tmp_path)
     st = StageConfig(32, 8, "mse_cfg", 3, micro_batch=4, grad_accum=1)
