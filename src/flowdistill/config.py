@@ -153,8 +153,9 @@ def plan_from_config(cfg: dict) -> DistillPlan:
 
 
 def validate_config(cfg: dict) -> None:
-    """Reject unknown styles, unseen styles in training, broken plans, and
-    eval step counts that no plan stage distills."""
+    """Reject unknown styles, unseen styles in training, broken plans, eval
+    step counts that no plan stage distills, and fewer than two eval
+    conditions."""
     schedule_from_config(cfg)
     dims_from_config(cfg)
     plan = plan_from_config(cfg)
@@ -165,6 +166,9 @@ def validate_config(cfg: dict) -> None:
                      known_datasets={"real", "gen_realistic", "gen_anime"})
     for name in cfg["eval"]["styles"]:
         style_by_name(name)
+    if cfg["eval"]["n_conditions"] < 2:
+        raise ValueError("eval.n_conditions must be at least 2: the energy "
+                         "distance needs two samples per set")
     plan_steps = [stage.to_steps for stage in plan.stages]
     for steps in cfg["eval"]["step_counts"]:
         if steps not in plan_steps:

@@ -5,10 +5,29 @@ clips,
 
     d(A, B) = 2 E||a - b|| - E||a - a'|| - E||b - b'||,
 
-estimated pairwise. Per-pair norms and the pairwise sums use exact
-(correctly rounded) summation via ``math.fsum``, which makes the estimate
-independent of summation order: the metric is exactly symmetric and an
-independent brute-force reimplementation reproduces it bit for bit.
+estimated pairwise. Each pairwise norm is ``math.sqrt(math.fsum(row))`` of
+the pair's squared coordinate differences, and each of the three pairwise
+sums is one ``math.fsum`` over its norms. Correctly rounded summation makes
+the estimate independent of summation order: the metric is exactly
+symmetric and an independent brute-force reimplementation reproduces it bit
+for bit.
+
+The norms are computed in numpy, over blocks of pairs laid out as
+(coordinates, pairs), with the same result bit for bit:
+
+* an error-free TwoSum cascade over the coordinates gives a running sum
+  plus rounding errors whose exact total is the exact row sum;
+* rounding the running sum plus the summed errors is certified correctly
+  rounded when its leftover, plus a rigorous bound on the error of the
+  error sum, lies strictly inside half the gap to the neighbouring
+  doubles;
+* any pair the certificate does not cover (exact ties, zero rows,
+  non-finite values) is recomputed with ``math.fsum``;
+* ``np.sqrt`` is correctly rounded, like ``math.sqrt``.
+
+A within-set norm is computed once per unordered pair and counted twice:
+``x_i - x_j`` is the exact negation of ``x_j - x_i``, so both orders give
+the same norm bit for bit.
 """
 from __future__ import annotations
 
@@ -35,17 +54,87 @@ def _flatten(clips) -> np.ndarray:
     return arr.reshape(arr.shape[0], -1)
 
 
-def _pair_sum(xs: np.ndarray, ys: np.ndarray, skip_diagonal: bool) -> float:
-    """Exact sum of pairwise Euclidean distances between two sample matrices."""
+# Bytes of squared differences held per block of pairs.
+_BLOCK_BYTES = 1 << 20
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _two_sum(a, b):
+    """Knuth's error-free sum: s + e == a + b exactly, s = fl(a + b)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _sqrt_fsum(sq: np.ndarray) -> np.ndarray:
+    """``math.sqrt(math.fsum(sq[:, k]))`` for every column k, bit for bit.
+
+    ``sq`` is (D, pairs) and holds squares, so every entry is nonnegative
+    or NaN.
+    """
+    d = sq.shape[0]
+    # Inf and NaN make this arithmetic warn; their pairs fail the
+    # certificate and take the fsum path.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = sq[0].copy()
+        c = np.zeros_like(s)
+        for x in sq[1:]:
+            s, e = _two_sum(s, x)
+            c += e
+        # The exact sum is s + sum(e). Partial sums of nonnegative terms
+        # never decrease, so each |e| <= u s and |sum(e) - c| is below
+        # (d - 1)^2 u^2 s, and d^2 u^2 s still is after rounding: the margin
+        # covers a normal result, and a subnormal one rounds to a multiple
+        # of the smallest subnormal, as the error is.
+        bound = s * (d * d * _U * _U)
+        r, t = _two_sum(s, c)
+        # The exact sum lies within bound of r + t. It rounds to r when that
+        # interval sits strictly inside half the gap to r's lower neighbour,
+        # the double whose bit pattern is one less (r >= 0); the gap above
+        # is never smaller. Zero, inf and NaN fail the test.
+        below = (r.view(np.int64) - 1).view(np.float64)
+        ok = (np.abs(t) + bound) * 2.0 < r - below
+    norms = np.sqrt(r)
+    redo = np.flatnonzero(~ok)
+    norms[redo] = [math.sqrt(math.fsum(row)) for row in sq[:, redo].T.tolist()]
+    return norms
+
+
+def _offset_norms(xt: np.ndarray, yt: np.ndarray, offsets: range) -> list:
+    """Norms of ``x_i - y_((i + k) mod m)`` for each offset k, then each i.
+
+    ``xt`` is (D, n) and ``yt`` is (D, m). Offsets 0..m-1 reach every pair
+    once; for n == m, offsets 1..m-1 reach every pair but i == j. Each block
+    of offsets is one numpy op with its squared differences under
+    ``_BLOCK_BYTES``.
+    """
+    d, n = xt.shape
+    m = yt.shape[1]
+    # windows[:, k] is yt rolled left by k, as a view.
+    wrapped = yt[:, np.arange(n + m - 1) % m]
+    windows = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
+    step = max(1, _BLOCK_BYTES // (8 * d * n))
     norms = []
-    for i in range(xs.shape[0]):
-        diff = xs[i] - ys
-        sq = (diff * diff).tolist()
-        for j, row in enumerate(sq):
-            if skip_diagonal and i == j:
-                continue
-            norms.append(math.sqrt(math.fsum(row)))
-    return math.fsum(norms)
+    for k in range(offsets.start, offsets.stop, step):
+        sq = xt[:, None, :] - windows[:, k:min(k + step, offsets.stop)]
+        sq *= sq
+        norms += _sqrt_fsum(sq.reshape(d, -1)).tolist()
+    return norms
+
+
+def _within_sum(xt: np.ndarray) -> float:
+    """Exact sum of ||x_i - x_j|| over ordered pairs i != j.
+
+    Offsets 1..n//2 reach each unordered pair once, except that for even n
+    the last offset reaches each of its pairs twice (from i and i + n/2);
+    that second half is dropped. ``x_i - x_j`` is the exact negation of
+    ``x_j - x_i``, so each norm stands for both orders and is summed twice.
+    """
+    n = xt.shape[1]
+    norms = _offset_norms(xt, xt, range(1, n // 2 + 1))
+    if n % 2 == 0:
+        del norms[len(norms) - n // 2:]
+    return math.fsum(norms + norms)
 
 
 def energy_distance(a, b, matched_pairs: bool = False) -> float:
@@ -62,9 +151,11 @@ def energy_distance(a, b, matched_pairs: bool = False) -> float:
     if matched_pairs and n != m:
         raise ValueError("matched_pairs requires equal set sizes")
     cross_pairs = n * m - (n if matched_pairs else 0)
-    cross = _pair_sum(xa, xb, skip_diagonal=matched_pairs) / cross_pairs
-    within_a = _pair_sum(xa, xa, skip_diagonal=True) / (n * (n - 1))
-    within_b = _pair_sum(xb, xb, skip_diagonal=True) / (m * (m - 1))
+    xa, xb = xa.T, xb.T
+    cross_offsets = range(1 if matched_pairs else 0, m)
+    cross = math.fsum(_offset_norms(xa, xb, cross_offsets)) / cross_pairs
+    within_a = _within_sum(xa) / (n * (n - 1))
+    within_b = _within_sum(xb) / (m * (m - 1))
     return 2.0 * cross - (within_a + within_b)
 
 
@@ -79,6 +170,11 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def add(self, style: str, steps: int, metric: float, n: int, seed: int) -> None:
+        # A diverged arm gives a NaN or infinite metric; it is an error, not
+        # a cell (clamping NaN would record the best score possible).
+        if not math.isfinite(metric):
+            raise ValueError(f"style {style!r}, step count {steps}: metric "
+                             f"{metric} is not finite")
         # The unbiased estimator can dip below zero for near-identical sets;
         # report cells are clamped to keep the table nonnegative.
         self.rows.append({"style": style, "steps": int(steps),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import flowdistill.distill as dist
+import flowdistill.evalmetrics as evalmetrics
 import flowdistill.runner as runner
 from flowdistill.checkpoint import checkpoint_load
 from flowdistill.cli import cli
@@ -62,6 +63,10 @@ def test_config_validation_rejects_bad_styles():
     cfg = default_config()
     cfg["distill"]["include_one_step"] = False  # the plan stops at 2 steps
     with pytest.raises(ValueError, match="eval step count 1 "):
+        validate_config(cfg)
+    cfg = default_config()
+    cfg["eval"]["n_conditions"] = 1  # no pair to score
+    with pytest.raises(ValueError, match="n_conditions"):
         validate_config(cfg)
 
 
@@ -148,6 +153,28 @@ def test_ablate_writes_paired_reports(tiny_config, workdir):
     for style in load_config(tiny_config)["eval"]["styles"]:
         rows = [line for line in main if line.startswith(f"{style},4,")]
         assert len(rows) == 1 and rows[0] in cross
+
+
+@pytest.mark.parametrize("command, report", [("eval", "main"),
+                                             ("ablate", "ablation_cross")])
+def test_nan_samples_fail_the_report_instead_of_scoring_zero(
+        tiny_config, workdir, tmp_path, capsys, monkeypatch, command, report):
+    wd = str(tmp_path / "diverged")
+    shutil.copytree(workdir, wd)
+    shutil.rmtree(os.path.join(wd, "reports"))
+
+    def diverged_arm_set(bundle, sched, steps, tokens, seeds):
+        return np.full((len(tokens), 8, 2), np.nan)
+
+    monkeypatch.setattr(evalmetrics, "arm_set", diverged_arm_set)
+    capsys.readouterr()
+    assert cli([command, "--config", tiny_config, "--workdir", wd]) == 1
+    out, err = capsys.readouterr()
+    first_style = "real_b" if command == "eval" else "default"
+    first_steps = 1 if command == "eval" else 4
+    assert f"'{first_style}', step count {first_steps}: metric nan" in err
+    assert "single<cross" not in out
+    assert not os.path.exists(os.path.join(wd, "reports", f"{report}.csv"))
 
 
 def _snapshot(root) -> dict:

@@ -1,9 +1,13 @@
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowdistill as fd
+from flowdistill import evalmetrics
 from flowdistill.evalmetrics import (
     EvalReport,
     energy_distance,
@@ -12,18 +16,20 @@ from flowdistill.evalmetrics import (
 )
 
 
-def brute_force_energy_distance(a, b):
+def norm(u, v):
+    """One pair's norm by definition: sqrt of the exact sum of squares."""
+    return math.sqrt(math.fsum(((u - v) * (u - v)).tolist()))
+
+
+def brute_force_energy_distance(a, b, matched_pairs=False):
     """Independent O(n^2) oracle with exact summation per pair and total."""
     xa = np.asarray(a, np.float64).reshape(len(a), -1)
     xb = np.asarray(b, np.float64).reshape(len(b), -1)
-
-    def norm(u, v):
-        return math.sqrt(math.fsum(((u - v) * (u - v)).tolist()))
-
-    cross = math.fsum(norm(xa[i], xb[j]) for i in range(len(xa)) for j in range(len(xb)))
+    cross = math.fsum(norm(xa[i], xb[j]) for i in range(len(xa)) for j in range(len(xb))
+                      if not (matched_pairs and i == j))
     wa = math.fsum(norm(xa[i], xa[j]) for i in range(len(xa)) for j in range(len(xa)) if i != j)
     wb = math.fsum(norm(xb[i], xb[j]) for i in range(len(xb)) for j in range(len(xb)) if i != j)
-    cross /= len(xa) * len(xb)
+    cross /= len(xa) * len(xb) - (len(xa) if matched_pairs else 0)
     wa /= len(xa) * (len(xa) - 1)
     wb /= len(xb) * (len(xb) - 1)
     return 2.0 * cross - (wa + wb)
@@ -82,6 +88,124 @@ def test_energy_distance_detects_shift_not_noise():
     assert shifted > 10 * abs(near_zero)
 
 
+# -- the blocked summation behind energy_distance ---------------------------
+
+
+def _all_pair_norms(xs):
+    """Every ordered pair's norm through the blocked path, and by definition,
+    in the blocked path's order: offset k, then i, pairing i with (i+k) mod n."""
+    n = len(xs)
+    got = evalmetrics._offset_norms(xs.T, xs.T, range(n))
+    want = [norm(xs[i], xs[(i + k) % n]) for k in range(n) for i in range(n)]
+    return got, want
+
+
+def _bits(values):
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
+def _coordinate(draw, kind):
+    if kind == "ints":  # small integers: their squares' sums tie often
+        return float(draw(st.integers(-7, 7)))
+    # 2^-560 squares to a subnormal or to zero; 2^500 squares to 2^1000.
+    return math.ldexp(draw(st.floats(-1.0, 1.0)), draw(st.integers(-560, 500)))
+
+
+@st.composite
+def point_sets(draw):
+    """Points with wide exponent spreads or small integers, drawn with
+    repeats from a pool, so that some pairs are zero rows."""
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["spread", "ints"]))
+    scale = math.ldexp(1.0, draw(st.integers(-540, 480))) if kind == "ints" else 1.0
+    pool = [[_coordinate(draw, kind) * scale for _ in range(d)]
+            for _ in range(draw(st.integers(1, 6)))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=9))
+    return np.array([pool[i] for i in picks], dtype=np.float64)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(point_sets())
+def test_pair_norms_equal_sqrt_of_fsum_bit_for_bit(xs):
+    got, want = _all_pair_norms(xs)
+    assert _bits(got) == _bits(want)
+
+
+def test_fsum_fallback_runs_on_ties_and_zero_rows(monkeypatch):
+    # (2^27, 1, 1) squares to (2^54, 1, 1): the exact sum 2^54 + 2 is a tie
+    # between two doubles. Repeated points give zero rows.
+    xs = np.array([[0.0, 0.0, 0.0], [2.0 ** 27, 1.0, 1.0], [0.0, 0.0, 0.0],
+                   [3.0, 4.0, 12.0], [0.5, 0.25, 0.125]])
+    rows = []
+    real_fsum = math.fsum
+
+    def counting_fsum(values):
+        rows.append(list(values))
+        return real_fsum(rows[-1])
+
+    monkeypatch.setattr(evalmetrics, "math",
+                        types.SimpleNamespace(fsum=counting_fsum, sqrt=math.sqrt))
+    got, want = _all_pair_norms(xs)
+    assert _bits(got) == _bits(want)
+    assert [2.0 ** 54, 1.0, 1.0] in rows
+    assert [0.0, 0.0, 0.0] in rows
+    assert len(rows) < len(got)  # the rest are certified without fsum
+
+
+def test_certificate_allows_for_rounding_in_the_error_sum():
+    # In both rows the cascade keeps s = 1 + 2^-52 and the errors are the
+    # later terms, whose float sum rounds across the tie at s + 2^-53 (row
+    # a: up onto it, where round-half-even then goes up; row b: down below
+    # it), while the exact sum lies just on the other side.
+    a = [1.0 + 2.0 ** -52, 2.0 ** -54, 2.0 ** -54 - 2.0 ** -107, 0.0, 0.0]
+    b = [1.0 + 2.0 ** -52, 2.0 ** -53 - 2.0 ** -106] + [3 * 2.0 ** -109] * 3
+    got = evalmetrics._sqrt_fsum(np.array([a, b]).T)
+    assert _bits(got) == _bits([math.sqrt(math.fsum(a)), math.sqrt(math.fsum(b))])
+
+
+def _clips(rng, n):
+    """Clip-shaped float32 samples, like the pipeline's, in float64."""
+    return rng.standard_normal((n, 8, 2)).astype(np.float32).astype(np.float64)
+
+
+# The largest n whose n x n cross term is one block of offsets, at 16
+# coordinates per clip.
+BLOCK = math.isqrt(evalmetrics._BLOCK_BYTES // (8 * 16))
+
+
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_energy_distance_matches_brute_force_around_the_block_size(n):
+    rng = np.random.default_rng(n)
+    a, b = _clips(rng, n), 0.2 + _clips(rng, n)
+    assert energy_distance(a, b) == brute_force_energy_distance(a, b)
+    assert (energy_distance(a, b, matched_pairs=True)
+            == brute_force_energy_distance(a, b, matched_pairs=True))
+    c = _clips(rng, n + 3)
+    assert energy_distance(a, c) == brute_force_energy_distance(a, c)
+    assert energy_distance(c, a) == brute_force_energy_distance(c, a)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 16 * 7 * 3, 8 * 16 * 7 * 4])
+def test_energy_distance_matches_brute_force_across_many_blocks(monkeypatch, block_bytes):
+    # One, three or four offsets per block for the 7-clip set.
+    monkeypatch.setattr(evalmetrics, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(11)
+    for n, m in ((7, 7), (7, 10), (10, 7), (8, 8)):
+        a, b = _clips(rng, n), _clips(rng, m)
+        assert energy_distance(a, b) == brute_force_energy_distance(a, b)
+        if n == m:
+            assert (energy_distance(a, b, matched_pairs=True)
+                    == brute_force_energy_distance(a, b, matched_pairs=True))
+
+
+def test_energy_distance_of_a_nan_sample_is_nan():
+    rng = np.random.default_rng(12)
+    a, b = _clips(rng, 6), _clips(rng, 5)
+    a[3, 2, 1] = np.nan
+    assert math.isnan(energy_distance(a, b))
+    assert math.isnan(energy_distance(b, a))
+
+
 def test_eval_report_cells_and_csv(tmp_path):
     report = EvalReport(metadata={"seed": 0})
     report.add("real_b", 4, 1.2345, 100, 0)
@@ -95,6 +219,15 @@ def test_eval_report_cells_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "style,steps,metric,n,seed"
     assert lines[1].startswith("real_b,4,1.2345,100,0")
+
+
+def test_eval_report_rejects_a_nan_metric():
+    report = EvalReport()
+    with pytest.raises(ValueError, match=r"'real_b', step count 4: metric nan"):
+        report.add("real_b", 4, float("nan"), 10, 0)
+    with pytest.raises(ValueError, match="step count 2"):
+        report.add("anime_a", 2, float("inf"), 10, 0)
+    assert report.rows == []
 
 
 def test_eval_seed_and_token_streams_deterministic():
