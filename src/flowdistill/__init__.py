@@ -23,8 +23,6 @@ from .nets import (
     MotionParams,
     NetDims,
     StudentBundle,
-    forward_disc_conditional,
-    forward_disc_relaxed,
     forward_student,
     init_base,
     init_discriminator,

@@ -3,8 +3,8 @@
 Every network in this package is a small dense model, so the primitive set
 is fixed and deliberately tiny: elementwise arithmetic, matrix products
 against 2-D weight matrices, embedding-row lookup, per-channel frame
-mixing, concatenation, reshaping, a few pointwise nonlinearities, and full
-reductions.
+mixing, concatenation along any axis, reshaping, a few pointwise
+nonlinearities, and full reductions.
 
 Constants are plain numpy arrays; anything wrapped in :class:`Var` receives
 a gradient after :func:`backward` runs on a scalar loss. All graph values
@@ -23,7 +23,7 @@ __all__ = [
     "matmul",
     "take_rows",
     "temporal_mix",
-    "concat_last",
+    "concat",
     "reshape",
     "sigmoid",
     "silu",
@@ -255,42 +255,50 @@ def take_rows(table, idx):
 
 
 def temporal_mix(mix, h):
-    """Per-channel frame mixing: out[b,f,c] = sum_g mix[c,f,g] * h[b,g,c]."""
+    """Per-channel frame mixing: out[b,f,c] = sum_g mix[c,f,g] * h[b,g,c].
+
+    One batched matmul over channels, ``mix (C,F,G) @ hᵀ (C,G,B)``, and the
+    same for both gradients: at desk-scale batches it costs a fraction of
+    the equivalent einsum. The result is a (B,F,C) view of the (C,F,B)
+    product.
+    """
     mv, hv = value_of(mix), value_of(h)
+    hT = hv.transpose(2, 1, 0)
     if not isinstance(mix, Var) and not isinstance(h, Var):
-        return np.einsum("cfg,bgc->bfc", mv, hv)
+        return (mv @ hT).transpose(2, 1, 0)
     out = Var(
-        np.einsum("cfg,bgc->bfc", mv, hv),
+        (mv @ hT).transpose(2, 1, 0),
         _parents=tuple(x for x in (mix, h) if isinstance(x, Var)),
     )
 
     def bwd(g):
+        gT = g.transpose(2, 1, 0)
         if isinstance(mix, Var):
-            _accum(mix, np.einsum("bfc,bgc->cfg", g, hv))
+            _accum(mix, gT @ hv.transpose(2, 0, 1))
         if isinstance(h, Var):
-            _accum(h, np.einsum("cfg,bfc->bgc", mv, g))
+            _accum(h, (mv.transpose(0, 2, 1) @ gT).transpose(2, 1, 0))
 
     out._bwd = bwd
     return out
 
 
-def concat_last(parts):
-    """Concatenate along the last axis."""
+def concat(parts, axis: int):
+    """Concatenate along ``axis``; a Var may appear in several parts."""
     vals = [value_of(p) for p in parts]
     if not any(isinstance(p, Var) for p in parts):
-        return np.concatenate(vals, axis=-1)
+        return np.concatenate(vals, axis=axis)
     out = Var(
-        np.concatenate(vals, axis=-1),
+        np.concatenate(vals, axis=axis),
         _parents=tuple(p for p in parts if isinstance(p, Var)),
     )
-    sizes = [v.shape[-1] for v in vals]
+    bounds = np.cumsum([0] + [v.shape[axis] for v in vals])
 
     def bwd(g):
-        start = 0
-        for p, size in zip(parts, sizes):
+        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
             if isinstance(p, Var):
-                _accum(p, g[..., start : start + size])
-            start += size
+                index = [slice(None)] * g.ndim
+                index[axis] = slice(lo, hi)
+                _accum(p, g[tuple(index)])
 
     out._bwd = bwd
     return out

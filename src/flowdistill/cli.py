@@ -115,26 +115,19 @@ def cmd_distill(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg, ws = _resolve(args)
-    bundles = ws.pretrained_bundles(styles=[args.style, "default"],
-                                    progress=_progress)
-    try:
-        motion = ws.load_arm("cross").get(args.steps)
-    except FileNotFoundError:
-        motion = None
-    if motion is not None:
-        bundle = StudentBundle(bundles[args.style].base, motion)
-        w = 0.0
-        _progress(f"sampling with the {args.steps}-step distilled student")
-    else:
-        bundle = bundles[args.style]
-        w = cfg["eval"]["ref_cfg"]
-        _progress("no distilled checkpoint found; sampling the guided teacher")
+    arm = ws.load_arm("cross")
+    if args.steps not in arm:
+        raise ValueError(f"no distilled stage samples in {args.steps} steps; "
+                         f"step counts: {', '.join(map(str, arm))}")
+    base = ws.load_bundles([args.style])[args.style].base
+    bundle = StudentBundle(base, arm[args.steps])
+    _progress(f"sampling with the {args.steps}-step distilled student")
     rng = np.random.default_rng(cfg["seed"])
     clips = []
     for i in range(args.count):
         token = int(rng.integers(0, ws.dims.vocab))
         clip = sample_one(bundle, ws.sched, args.steps, token,
-                          int(rng.integers(0, 2 ** 63 - 1)), w=w)
+                          int(rng.integers(0, 2 ** 63 - 1)))
         clips.append({"token": token, "frames": clip.tolist()})
 
     def write(path):

@@ -14,6 +14,17 @@ Training timesteps are drawn from the stage's source grid (the
 ``from_steps`` discretisation), restricted to points whose full student
 stride stays inside the schedule, so every student jump is realisable by
 the teacher.
+
+One iteration is a data-parallel step. Each rank draws its ``grad_accum``
+micro-batches, the frozen teacher traverses all of them in one untaped
+call (``teacher_stride``; every op is row-independent, so each row gets
+the bits a call per micro-batch would give), and the result is sliced
+back into micro-batches. Then, per micro-step, each rank tapes its
+student stride and loss (``mse_distill_step`` or ``adversarial_step``),
+the gradients are averaged over ranks in rank order and then over the
+micro-steps, and one optimizer step follows. An adversarial loss scores
+the teacher's and the student's next state in one discriminator call on
+the two stacked on the row axis.
 """
 from __future__ import annotations
 
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import checkpoint_save
+from .checkpoint import atomic_write, checkpoint_save
 from .nets import (
     Adam,
     DiscriminatorParams,
@@ -213,11 +224,12 @@ def _predictor(base_data, motion_arrays, T, dims):
 
 def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
                    sched: NoiseSchedule, dims) -> dict:
-    """Inputs of the stride losses for one drawn micro-batch.
+    """Inputs of the stride losses for a drawn batch of any number of rows.
 
     Returns ``x_t``, ``t``, ``tokens``, the strides ``n`` and ``s``, and
     ``target``: the guided teacher's endpoint after ``n`` strides, computed
-    without a tape, so it is a detached constant.
+    without a tape, so it is a detached constant. Rows never interact, so
+    a call on concatenated micro-batches equals one call per micro-batch.
     """
     n, s = stage_strides(stage, sched.T)
     t = np.asarray(batch["t"])
@@ -231,6 +243,23 @@ def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
                          x0_clip=TEACHER_X0_CLIP)
     return {"x_t": x_t, "t": t, "tokens": batch["tokens"], "n": n, "s": s,
             "target": target}
+
+
+_ROW_KEYS = ("x_t", "t", "tokens", "target")
+
+
+def _rank_strides(worker: RankWorker, teacher_motion, stage: StageConfig,
+                  sched: NoiseSchedule, dims, t_grid) -> list:
+    """One rank's ``grad_accum`` stride batches for an iteration: the
+    micro-batches are drawn in order, traversed by the teacher in one call
+    and sliced back into ``micro_batch`` rows each."""
+    draws = [worker.draw_batch(stage, t_grid) for _ in range(stage.grad_accum)]
+    batch = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
+    b = teacher_stride(worker.base.data, teacher_motion.data, batch, stage,
+                       sched, dims)
+    m = stage.micro_batch
+    return [{**b, **{k: b[k][i * m:(i + 1) * m] for k in _ROW_KEYS}}
+            for i in range(stage.grad_accum)]
 
 
 def _student_stride(base_arrays, motion, b, sched: NoiseSchedule, dims):
@@ -260,20 +289,23 @@ def adversarial_losses(base_arrays, motion, disc_arrays, b: dict, phase: str,
     """Non-saturating (l_d, l_g) with the teacher's ``target`` as the real
     sample and the student's stride as the fake one.
 
-    ``motion`` and ``disc_arrays`` each hold Vars or plain arrays; the side
-    given as arrays is a constant of the returned losses.
+    Real and fake are stacked on the row axis and scored by one
+    discriminator call, whose probabilities are split back into the real
+    and the fake rows. ``motion`` and ``disc_arrays`` each hold Vars or
+    plain arrays; the side given as arrays is a constant of the returned
+    losses.
     """
     t_next = b["t"] - b["n"] * b["s"]
-
-    def prob(x_next):
-        if phase == "trajectory_conditional":
-            return disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
-                                  b["tokens"], flow_idx, sched.T, dims, num_flows)
-        return disc_single_prob(disc_arrays, x_next, t_next, b["tokens"],
-                                flow_idx, sched.T, dims, num_flows)
-
     fake_next = _student_stride(base_arrays, motion, b, sched, dims)
-    return _nonsat_losses(prob(b["target"]), prob(fake_next))
+    x_next = ad.concat([b["target"], fake_next], axis=0)
+    if phase == "trajectory_conditional":
+        p = disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
+                           b["tokens"], flow_idx, sched.T, dims, num_flows)
+    else:
+        p = disc_single_prob(disc_arrays, x_next, t_next, b["tokens"],
+                             flow_idx, sched.T, dims, num_flows)
+    real = np.arange(len(b["tokens"]))
+    return _nonsat_losses(ad.take_rows(p, real), ad.take_rows(p, real + len(real)))
 
 
 def _taped(arrays: dict) -> dict:
@@ -285,23 +317,24 @@ def _grads(pvars: dict) -> dict:
             for k, v in pvars.items()}
 
 
-def mse_distill_step(base, teacher_motion, motion, batch, stage: StageConfig,
-                     sched: NoiseSchedule, dims) -> tuple:
-    """Trajectory-matching loss and motion gradients for one micro-batch.
+def mse_distill_step(base, motion, b: dict, sched: NoiseSchedule,
+                     dims) -> tuple:
+    """Trajectory-matching loss and motion gradients for one stride batch
+    ``b`` (as ``teacher_stride`` returns it).
 
     Gradients exist only for the motion parameters.
     """
-    b = teacher_stride(base.data, teacher_motion.data, batch, stage, sched, dims)
     mvars = _taped(motion.data)
     loss = mse_loss(base.data, mvars, b, sched, dims)
     ad.backward(loss)
     return float(loss.value), _grads(mvars)
 
 
-def adversarial_step(base, teacher_motion, motion, disc: DiscriminatorParams,
-                     batch, stage: StageConfig, phase: str, flow_idx: int,
-                     sched: NoiseSchedule, dims, side: str) -> tuple:
-    """Non-saturating adversarial losses for one micro-batch.
+def adversarial_step(base, motion, disc: DiscriminatorParams, b: dict,
+                     phase: str, flow_idx: int, sched: NoiseSchedule, dims,
+                     side: str) -> tuple:
+    """Non-saturating adversarial losses for one stride batch ``b`` (as
+    ``teacher_stride`` returns it).
 
     ``side`` selects which parameters receive gradients this iteration:
     the discriminator sees the student's stride as a detached sample, the
@@ -312,7 +345,6 @@ def adversarial_step(base, teacher_motion, motion, disc: DiscriminatorParams,
         raise ValueError(f"unknown phase {phase!r}")
     if side not in ("disc", "student"):
         raise ValueError(f"unknown side {side!r}")
-    b = teacher_stride(base.data, teacher_motion.data, batch, stage, sched, dims)
     pvars = _taped(disc.data if side == "disc" else motion.data)
     l_d, l_g = adversarial_losses(
         base.data, pvars if side == "student" else motion.data,
@@ -322,21 +354,19 @@ def adversarial_step(base, teacher_motion, motion, disc: DiscriminatorParams,
     return float(ad.value_of(l_d)), float(ad.value_of(l_g)), _grads(pvars)
 
 
-def rank_micro_step(worker: RankWorker, motion, teacher_motion, disc,
+def rank_micro_step(worker: RankWorker, b: dict, motion, disc,
                     stage: StageConfig, phase, side: str,
-                    sched: NoiseSchedule, dims, t_grid) -> tuple:
-    """One rank's gradient contribution plus its local losses.
+                    sched: NoiseSchedule, dims) -> tuple:
+    """One rank's gradient contribution on its stride batch ``b``, plus its
+    local losses.
 
     Gradients are emitted only for the side being updated; base parameters
     never receive an entry.
     """
-    batch = worker.draw_batch(stage, t_grid)
     if stage.loss_kind == "mse_cfg":
-        loss, grads = mse_distill_step(worker.base, teacher_motion, motion,
-                                       batch, stage, sched, dims)
+        loss, grads = mse_distill_step(worker.base, motion, b, sched, dims)
         return grads, {"mse": loss}
-    l_d, l_g, grads = adversarial_step(worker.base, teacher_motion, motion,
-                                       disc, batch, stage, phase,
+    l_d, l_g, grads = adversarial_step(worker.base, motion, disc, b, phase,
                                        worker.flow_idx, sched, dims, side)
     return grads, {"l_d": l_d, "l_g": l_g}
 
@@ -345,7 +375,6 @@ def _dump_diagnostics(ctx: DistillContext, stage: StageConfig, phase, iteration,
                       motion, disc, losses) -> str | None:
     if ctx.workdir is None:
         return None
-    os.makedirs(ctx.workdir, exist_ok=True)
     path = os.path.join(ctx.workdir, f"diverged_{stage.name}.json")
     state = {
         "stage": stage.name,
@@ -353,8 +382,12 @@ def _dump_diagnostics(ctx: DistillContext, stage: StageConfig, phase, iteration,
         "iteration": iteration,
         "losses": losses,
     }
-    with open(path, "w") as fh:
-        json.dump(state, fh, indent=2)
+
+    def write(tmp):
+        with open(tmp, "w") as fh:
+            json.dump(state, fh, indent=2)
+
+    atomic_write(path, write)
     checkpoint_save(dict(motion.data),
                     os.path.join(ctx.workdir, f"diverged_{stage.name}_motion.ckpt"))
     if disc is not None:
@@ -395,16 +428,18 @@ def _run_phase(stage: StageConfig, phase, ctx: DistillContext,
             side = "student"
         else:
             side = "disc" if it % 2 == 0 else "student"
-        # Data-parallel step: mean over ranks in rank order, then mean over
-        # the accumulated micro-steps, then one optimizer update.
+        # Data-parallel step: one teacher traversal per rank, then mean over
+        # ranks in rank order, then mean over the accumulated micro-steps,
+        # then one optimizer update.
+        strides = [_rank_strides(w, teacher_motion, stage, ctx.sched, ctx.dims,
+                                 t_grid) for w in workers]
         micro_grads: list = []
         step_losses: list = []
-        for _ in range(stage.grad_accum):
+        for i in range(stage.grad_accum):
             rank_grads = []
-            for w in workers:
-                grads, losses = rank_micro_step(w, motion, teacher_motion, disc,
-                                                stage, phase, side, ctx.sched,
-                                                ctx.dims, t_grid)
+            for w, bs in zip(workers, strides):
+                grads, losses = rank_micro_step(w, bs[i], motion, disc, stage,
+                                                phase, side, ctx.sched, ctx.dims)
                 rank_grads.append(grads)
                 step_losses.append(losses)
             micro_grads.append(_mean(rank_grads))

@@ -17,8 +17,11 @@ Architecture at desk scale:
 * Discriminator: the same encoder shape as the student (through the second
   hidden layer), made flow-conditional by adding a learned per-flow
   embedding to the time embedding, plus two fully connected heads. The
-  pair head consumes the channel-concatenated features of two independent
-  backbone passes; the single head consumes one pass.
+  pair head consumes the channel-concatenated features of x_t and of a
+  next state; the single head consumes a next state's features alone.
+  Both heads score a stack of candidate next states (the teacher's and the
+  student's) with one backbone pass over the stack, and the pair head
+  encodes x_t once and tiles its features to every candidate.
 
 Parameters are stored as float32 arrays (the checkpoint element type) and
 upcast to float64 inside every forward pass.
@@ -40,8 +43,6 @@ __all__ = [
     "StudentBundle",
     "DiscriminatorParams",
     "forward_student",
-    "forward_disc_conditional",
-    "forward_disc_relaxed",
     "student_eps",
     "disc_pair_prob",
     "disc_single_prob",
@@ -302,60 +303,64 @@ def _head(arrays, feats, w1, b1, w2, b2):
     return ad.reshape(score, (ad.value_of(score).shape[0],))
 
 
+def _candidates(x_next, tokens) -> int:
+    """How many candidate next states ``x_next`` stacks per condition row."""
+    k, rem = divmod(ad.value_of(x_next).shape[0], len(tokens))
+    if k < 1 or rem:
+        raise ValueError(f"x_next rows are not a multiple of the {len(tokens)} "
+                         "condition rows")
+    return k
+
+
+def _tiled(a, k: int):
+    """``a`` repeated ``k`` times along the row axis; a scalar is kept."""
+    a = np.asarray(a)
+    return a if a.ndim == 0 or k == 1 else np.concatenate([a] * k)
+
+
 def disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens, flow_idx,
                    T: int, dims: NetDims, num_flows: int):
-    """Probability that (x_t -> x_next) is a teacher transition.
+    """Probability that each (x_t -> x_next) is a teacher transition.
 
-    Two independent backbone passes share parameters; their features are
-    concatenated along the channel axis before the pair head.
+    ``x_next`` stacks ``k`` candidate next states for the same ``B`` rows
+    of ``x_t``, ``t``, ``t_next`` and ``tokens`` (``k * B`` rows, candidate
+    major). One backbone pass encodes every candidate and one encodes
+    ``x_t``; the ``x_t`` features are tiled to each candidate and
+    concatenated with its features along the channel axis before the pair
+    head. Returns ``k * B`` probabilities.
     """
     if not (0 <= flow_idx < num_flows):
         raise ValueError(f"unregistered flow index {flow_idx}")
+    if not np.all(np.asarray(t_next) < np.asarray(t)):
+        raise ValueError("t_next must precede t")
     tokens = _check_tokens(tokens, dims)
-    f_next = _disc_features(disc_arrays, x_next, t_next, tokens, flow_idx, T, dims)
+    k = _candidates(x_next, tokens)
+    f_next = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
+                            _tiled(tokens, k), flow_idx, T, dims)
     f_cur = _disc_features(disc_arrays, x_t, t, tokens, flow_idx, T, dims)
-    feats = ad.concat_last([f_next, f_cur])
+    if k > 1:
+        f_cur = ad.concat([f_cur] * k, axis=0)
+    feats = ad.concat([f_next, f_cur], axis=-1)
     score = _head(disc_arrays, feats, "hp1_w", "hp1_b", "hp2_w", "hp2_b")
     return ad.sigmoid(score)
 
 
 def disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
                      T: int, dims: NetDims, num_flows: int):
-    """Probability from the relaxed (single-pass) head."""
+    """Probability from the relaxed (single-pass) head.
+
+    ``x_next`` stacks ``k`` candidates for the ``B`` rows of ``t_next`` and
+    ``tokens``, as in :func:`disc_pair_prob`; one backbone pass encodes
+    them all. Returns ``k * B`` probabilities.
+    """
     if not (0 <= flow_idx < num_flows):
         raise ValueError(f"unregistered flow index {flow_idx}")
     tokens = _check_tokens(tokens, dims)
-    feats = _disc_features(disc_arrays, x_next, t_next, tokens, flow_idx, T, dims)
+    k = _candidates(x_next, tokens)
+    feats = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
+                           _tiled(tokens, k), flow_idx, T, dims)
     score = _head(disc_arrays, feats, "hs1_w", "hs1_b", "hs2_w", "hs2_b")
     return ad.sigmoid(score)
-
-
-def _as_batch(x):
-    x = np.asarray(x, dtype=np.float64)
-    return (x[None], True) if x.ndim == 2 else (x, False)
-
-
-def forward_disc_conditional(disc: DiscriminatorParams, x_t, x_next, t, t_next,
-                             tokens, flow_idx: int, sched: NoiseSchedule):
-    """Inference-mode trajectory-conditional discriminator probability."""
-    if not np.all(np.asarray(t_next) < np.asarray(t)):
-        raise ValueError("t_next must precede t")
-    x_t, squeeze = _as_batch(x_t)
-    x_next, _ = _as_batch(x_next)
-    tokens = np.atleast_1d(np.asarray(tokens))
-    p = disc_pair_prob(disc.data, x_t, x_next, t, t_next, tokens, flow_idx,
-                       sched.T, disc.dims, disc.num_flows)
-    return float(p[0]) if squeeze else p
-
-
-def forward_disc_relaxed(disc: DiscriminatorParams, x_next, t_next, tokens,
-                         flow_idx: int, sched: NoiseSchedule):
-    """Inference-mode relaxed discriminator probability."""
-    x_next, squeeze = _as_batch(x_next)
-    tokens = np.atleast_1d(np.asarray(tokens))
-    p = disc_single_prob(disc.data, x_next, t_next, tokens, flow_idx,
-                         sched.T, disc.dims, disc.num_flows)
-    return float(p[0]) if squeeze else p
 
 
 # -- optimisation --------------------------------------------------------

@@ -114,13 +114,54 @@ def test_temporal_mix_zero_weights_identity():
     assert np.array_equal(out, h)
 
 
+def _einsum_mix(mix, h):
+    # The einsum form of temporal_mix, kept as the reference.
+    return np.einsum("cfg,bgc->bfc", mix, h)
+
+
+@pytest.mark.parametrize("mix_taped,h_taped", [
+    (False, False), (True, False), (False, True), (True, True)])
+def test_temporal_mix_matches_einsum_reference(mix_taped, h_taped):
+    rng = np.random.default_rng(9)
+    mix = rng.standard_normal((5, 6, 6))
+    h = rng.standard_normal((16, 6, 5))
+    up = rng.standard_normal((16, 6, 5))  # upstream gradient
+    m_in = ad.Var(mix) if mix_taped else mix
+    h_in = ad.Var(h) if h_taped else h
+    out = ad.temporal_mix(m_in, h_in)
+    np.testing.assert_allclose(ad.value_of(out), _einsum_mix(mix, h), rtol=1e-12)
+    if not (mix_taped or h_taped):
+        assert not isinstance(out, ad.Var)
+        return
+    ad.backward(ad.sum_all(out * up))
+    if mix_taped:
+        np.testing.assert_allclose(m_in.grad, np.einsum("bfc,bgc->cfg", up, h),
+                                   rtol=1e-12)
+    if h_taped:
+        np.testing.assert_allclose(h_in.grad, np.einsum("cfg,bfc->bgc", mix, up),
+                                   rtol=1e-12)
+
+
+def test_gradcheck_concat_rows_with_a_repeated_part():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((2, 3))
+    params = {"u": rng.standard_normal((2, 3))}
+    w = rng.standard_normal((6, 3))
+
+    def loss(p):
+        cat = ad.concat([p["u"], a, p["u"]], axis=0)
+        return ad.sum_all(ad.square(cat) * w)
+
+    _fd_check(loss, params)
+
+
 def test_gradcheck_concat_sigmoid_log_clamp():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((3, 4))
     params = {"u": rng.standard_normal((3, 4)), "v": rng.standard_normal((3, 2))}
 
     def loss(p):
-        cat = ad.concat_last([p["u"], a, p["v"]])
+        cat = ad.concat([p["u"], a, p["v"]], axis=-1)
         score = ad.sum_all(cat * 0.1)
         prob = ad.clamp(ad.sigmoid(score), 1e-6, 1 - 1e-6)
         return -ad.log(prob)

@@ -142,6 +142,27 @@ def test_sample_uses_distilled_checkpoint(tiny_config, workdir, tmp_path):
     assert frames.shape == (8, 2) and np.all(np.isfinite(frames))
 
 
+def test_sample_of_an_unplanned_step_count_fails(tiny_config, workdir, tmp_path,
+                                                capsys):
+    out = tmp_path / "clips.json"
+    code = cli(["sample", "--config", tiny_config, "--workdir", workdir,
+                "--steps", "3", "--style", "anime_a", "--out", str(out)])
+    assert code == 1
+    assert "step counts: 32, 8, 4, 2, 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_on_a_fresh_workdir_fails_without_training(tiny_config, tmp_path,
+                                                         capsys):
+    wd, out = tmp_path / "fresh", tmp_path / "clips.json"
+    code = cli(["sample", "--config", tiny_config, "--workdir", str(wd),
+                "--steps", "4", "--style", "anime_a", "--out", str(out)])
+    assert code == 1
+    assert "motion_128to32.ckpt" in capsys.readouterr().err
+    assert not out.exists()
+    assert not wd.exists()
+
+
 def test_ablate_writes_paired_reports(tiny_config, workdir):
     assert cli(["ablate", "--config", tiny_config, "--workdir", workdir]) == 0
     for arm in ("cross", "single"):
@@ -346,7 +367,7 @@ def test_distill_divergence_exits_with_dump_path(tiny_config, workdir, tmp_path,
                                                  monkeypatch, capsys):
     wd = _copy_undistilled(workdir, tmp_path / "diverge")
 
-    def poisoned(base, teacher_motion, motion, *args, **kwargs):
+    def poisoned(base, motion, *args, **kwargs):
         return float("nan"), {k: np.zeros_like(v, dtype=np.float64)
                                for k, v in motion.data.items()}
 

@@ -3,19 +3,31 @@ import pytest
 
 import flowdistill as fd
 from flowdistill.datagen import style_by_name
+from flowdistill import autodiff as ad
 from flowdistill.distill import (
     DistillContext,
     PROB_CLAMP,
     RankWorker,
     StageConfig,
+    _nonsat_losses,
+    _rank_strides,
     _stage_rng,
+    _student_stride,
+    adversarial_losses,
     adversarial_step,
     mse_distill_step,
     run_stage,
     stage_strides,
     stage_timesteps,
+    teacher_stride,
 )
-from flowdistill.nets import Adam, init_discriminator
+from flowdistill.nets import (
+    MOTION_KEYS,
+    Adam,
+    disc_pair_prob,
+    disc_single_prob,
+    init_discriminator,
+)
 from flowdistill.ranks import RankAssignment, build_assignment
 
 
@@ -49,6 +61,18 @@ def _batch(ds, stage, sched, rng, n=8):
         "t": grid[rng.integers(0, len(grid), n)],
         "eps": rng.standard_normal((n, ds.clips.shape[1], ds.clips.shape[2])),
     }
+
+
+def _mse_step(base, teacher, motion, batch, stage, sched, dims):
+    b = teacher_stride(base.data, teacher.data, batch, stage, sched, dims)
+    return mse_distill_step(base, motion, b, sched, dims)
+
+
+def _adversarial_step(base, teacher, motion, disc, batch, stage, phase, flow_idx,
+                      sched, dims, side):
+    b = teacher_stride(base.data, teacher.data, batch, stage, sched, dims)
+    return adversarial_step(base, motion, disc, b, phase, flow_idx, sched, dims,
+                            side=side)
 
 
 def test_stage_config_validation():
@@ -94,7 +118,7 @@ def test_mse_loss_zero_when_student_is_teacher_single_stride(sched, dims, setup)
     base, motion, ds = setup
     st = _DegenerateStage(32, 32, "mse_cfg", 1, cfg_scale=0.0)
     batch = _batch(ds, st, sched, np.random.default_rng(2))
-    loss, grads = mse_distill_step(base, motion, motion, batch, st, sched, dims)
+    loss, grads = _mse_step(base, motion, motion, batch, st, sched, dims)
     assert loss == 0.0
     for key in grads:
         np.testing.assert_array_equal(grads[key], 0.0)
@@ -104,9 +128,8 @@ def test_mse_loss_nonnegative_generic(sched, dims, setup):
     base, motion, ds = setup
     st = StageConfig(32, 8, "mse_cfg", 1, cfg_scale=0.0)
     batch = _batch(ds, st, sched, np.random.default_rng(2))
-    loss, grads = mse_distill_step(base, motion, motion, batch, st, sched, dims)
+    loss, grads = _mse_step(base, motion, motion, batch, st, sched, dims)
     assert loss > 0.0
-    from flowdistill.nets import MOTION_KEYS
     assert set(grads) == set(MOTION_KEYS)
 
 
@@ -116,9 +139,8 @@ def test_mse_gradients_only_for_motion_and_base_untouched(sched, dims, setup):
     st = StageConfig(32, 8, "mse_cfg", 1, cfg_scale=7.5)
     before = {k: v.copy() for k, v in base.data.items()}
     batch = _batch(ds, st, sched, rng)
-    loss, grads = mse_distill_step(base, motion, motion, batch, st, sched, dims)
+    loss, grads = _mse_step(base, motion, motion, batch, st, sched, dims)
     assert np.isfinite(loss) and loss >= 0.0
-    from flowdistill.nets import MOTION_KEYS
     assert set(grads) == set(MOTION_KEYS)
     for key, val in base.data.items():
         assert np.array_equal(val, before[key])
@@ -131,8 +153,8 @@ def test_mse_target_detached_from_student(sched, dims, setup):
     rng = np.random.default_rng(4)
     st = StageConfig(32, 8, "mse_cfg", 1, cfg_scale=0.0)
     batch = _batch(ds, st, sched, rng)
-    loss_a, grads_a = mse_distill_step(base, motion, motion, batch, st, sched, dims)
-    loss_b, grads_b = mse_distill_step(base, motion.copy(), motion, batch, st, sched, dims)
+    loss_a, grads_a = _mse_step(base, motion, motion, batch, st, sched, dims)
+    loss_b, grads_b = _mse_step(base, motion.copy(), motion, batch, st, sched, dims)
     assert loss_a == loss_b
     for key in grads_a:
         assert np.array_equal(grads_a[key], grads_b[key]), key
@@ -144,7 +166,7 @@ def test_misaligned_timestep_rejected(sched, dims, setup):
     batch = _batch(ds, st, sched, np.random.default_rng(5), n=4)
     batch["t"] = np.array([126, 127, 127, 127])  # 126 not on the 32-step grid
     with pytest.raises(ValueError, match="misaligned"):
-        mse_distill_step(base, motion, motion, batch, st, sched, dims)
+        teacher_stride(base.data, motion.data, batch, st, sched, dims)
 
 
 def test_adversarial_losses_at_fresh_heads(sched, dims, setup):
@@ -154,15 +176,14 @@ def test_adversarial_losses_at_fresh_heads(sched, dims, setup):
                               backbone_from=fd.StudentBundle(base, motion))
     st = StageConfig(32, 8, "adversarial", 1, cfg_scale=0.0)
     batch = _batch(ds, st, sched, np.random.default_rng(7), n=16)
-    from flowdistill.nets import MOTION_KEYS
-    l_d, l_g, grads = adversarial_step(base, motion, motion, disc, batch, st,
-                                       "trajectory_conditional", 0, sched, dims,
-                                       side="disc")
+    l_d, l_g, grads = _adversarial_step(base, motion, motion, disc, batch, st,
+                                        "trajectory_conditional", 0, sched, dims,
+                                        side="disc")
     assert abs(l_d - 2 * np.log(2.0)) < 1e-3
     assert abs(l_g - np.log(2.0)) < 0.02
     assert set(grads) == set(disc.data)
-    l_d2, l_g2, grads2 = adversarial_step(base, motion, motion, disc, batch, st,
-                                          "relaxed", 0, sched, dims, side="student")
+    l_d2, l_g2, grads2 = _adversarial_step(base, motion, motion, disc, batch, st,
+                                           "relaxed", 0, sched, dims, side="student")
     assert abs(l_d2 - 2 * np.log(2.0)) < 1e-3
     assert set(grads2) == set(MOTION_KEYS)
 
@@ -178,8 +199,8 @@ def test_adversarial_probabilities_clamped(sched, dims, setup):
     batch = _batch(ds, st, sched, np.random.default_rng(9), n=4)
     for phase in ("trajectory_conditional", "relaxed"):
         for side in ("disc", "student"):
-            l_d, l_g, _ = adversarial_step(base, motion, motion, disc, batch, st,
-                                           phase, 0, sched, dims, side=side)
+            l_d, l_g, _ = _adversarial_step(base, motion, motion, disc, batch, st,
+                                            phase, 0, sched, dims, side=side)
             assert np.isfinite(l_d) and np.isfinite(l_g)
     assert np.isfinite(np.log(PROB_CLAMP))
 
@@ -241,8 +262,9 @@ def _mean_in_order(grads):
 
 def _reference_stage(stage, ctx, teacher, phase=None):
     """Per-rank reference for ``run_stage`` on a single-phase stage: every
-    iteration averages the ranks' gradients in rank order, then the
-    micro-steps, then makes one Adam step."""
+    iteration runs the teacher once per micro-batch per rank, averages the
+    ranks' gradients in rank order, then the micro-steps, then makes one
+    Adam step."""
     motion = teacher.copy()
     disc = None
     if stage.loss_kind == "adversarial":
@@ -261,10 +283,10 @@ def _reference_stage(stage, ctx, teacher, phase=None):
             for w in sorted(ctx.workers, key=lambda w: w.assignment.rank):
                 batch = w.draw_batch(stage, grid)
                 if disc is None:
-                    _, grads = mse_distill_step(w.base, teacher, motion, batch,
-                                                stage, ctx.sched, ctx.dims)
+                    _, grads = _mse_step(w.base, teacher, motion, batch,
+                                         stage, ctx.sched, ctx.dims)
                 else:
-                    _, _, grads = adversarial_step(
+                    _, _, grads = _adversarial_step(
                         w.base, teacher, motion, disc, batch, stage, phase,
                         w.flow_idx, ctx.sched, ctx.dims, side=side)
                 per_rank.append(grads)
@@ -334,3 +356,98 @@ def test_nan_loss_aborts_with_dump(sched, dims, tmp_path, monkeypatch):
     assert err.value.dump_path is not None
     assert (tmp_path / "diverged_32to8.json").exists()
     assert (tmp_path / "diverged_32to8_motion.ckpt").exists()
+
+
+def test_divergence_dump_that_fails_partway_leaves_no_json(sched, dims, tmp_path,
+                                                          monkeypatch):
+    ctx, motion = _tiny_ctx(sched, dims, tmpdir=tmp_path)
+    st = StageConfig(32, 8, "mse_cfg", 3, micro_batch=4, grad_accum=1)
+
+    import flowdistill.distill as dist
+
+    def poisoned(*args, **kwargs):
+        return float("nan"), {k: np.zeros_like(v, dtype=np.float64)
+                               for k, v in motion.data.items()}
+
+    def dump_partway(obj, fh, **kwargs):
+        fh.write('{"stage": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dist, "mse_distill_step", poisoned)
+    monkeypatch.setattr(dist.json, "dump", dump_partway)
+    with pytest.raises(OSError, match="disk full"):
+        run_stage(st, ctx, motion)
+    assert not list(tmp_path.glob("diverged_*.json*"))
+
+
+@pytest.mark.parametrize("stage", [
+    StageConfig(128, 32, "mse_cfg", 1, micro_batch=16, grad_accum=4, cfg_scale=7.5),
+    StageConfig(8, 4, "adversarial", 1, micro_batch=16, grad_accum=4),
+], ids=["mse_cfg", "adversarial"])
+def test_one_teacher_call_per_rank_equals_one_per_micro_batch(sched, dims, setup,
+                                                              stage):
+    base, motion, ds = setup
+    grid = stage_timesteps(stage, sched.T)
+
+    def worker():
+        return RankWorker(RankAssignment(0, "default", "real"), base, ds, 0,
+                          rng=np.random.default_rng(11))
+
+    got = _rank_strides(worker(), motion, stage, sched, dims, grid)
+    w = worker()
+    want = [teacher_stride(base.data, motion.data, w.draw_batch(stage, grid),
+                           stage, sched, dims) for _ in range(stage.grad_accum)]
+    assert len(got) == len(want) == stage.grad_accum
+    for g, r in zip(got, want):
+        assert g.keys() == r.keys()
+        for key in g:
+            assert np.array_equal(g[key], r[key]), key
+
+
+def _two_call_losses(base_arrays, motion, disc_arrays, b, phase, flow_idx, sched,
+                     dims, num_flows):
+    # Reference: the real and the fake next state in separate calls.
+    t_next = b["t"] - b["n"] * b["s"]
+
+    def prob(x_next):
+        if phase == "trajectory_conditional":
+            return disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
+                                  b["tokens"], flow_idx, sched.T, dims, num_flows)
+        return disc_single_prob(disc_arrays, x_next, t_next, b["tokens"],
+                                flow_idx, sched.T, dims, num_flows)
+
+    fake_next = _student_stride(base_arrays, motion, b, sched, dims)
+    return _nonsat_losses(prob(b["target"]), prob(fake_next))
+
+
+@pytest.mark.parametrize("side", ["disc", "student"])
+@pytest.mark.parametrize("phase", ["trajectory_conditional", "relaxed"])
+def test_stacked_discriminator_matches_two_call_reference(sched, dims, setup,
+                                                          phase, side):
+    base, motion, ds = setup
+    rng = np.random.default_rng(12)
+    disc = init_discriminator(dims, 2, rng, backbone_from=fd.StudentBundle(base, motion))
+    for key in ("hp2_w", "hs2_w", "flow_emb"):
+        disc.data[key] = rng.normal(0, 0.5, disc.data[key].shape).astype(np.float32)
+    st = StageConfig(32, 8, "adversarial", 1)
+    b = teacher_stride(base.data, motion.data, _batch(ds, st, sched, rng, n=16),
+                       st, sched, dims)
+    results = []
+    for losses_of in (adversarial_losses, _two_call_losses):
+        pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).data.items()}
+        l_d, l_g = losses_of(base.data, pvars if side == "student" else motion.data,
+                             pvars if side == "disc" else disc.data, b, phase, 1,
+                             sched, dims, disc.num_flows)
+        ad.backward(l_d if side == "disc" else l_g)
+        results.append((float(ad.value_of(l_d)), float(ad.value_of(l_g)),
+                        {k: v.grad for k, v in pvars.items()}))
+    (l_d, l_g, grads), (r_d, r_g, r_grads) = results
+    assert l_d == pytest.approx(r_d, rel=1e-12)
+    assert l_g == pytest.approx(r_g, rel=1e-12)
+    assert grads.keys() == r_grads.keys()
+    for key, ref in r_grads.items():
+        if ref is None:
+            assert grads[key] is None, key
+            continue
+        np.testing.assert_allclose(grads[key], ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max(), err_msg=key)

@@ -7,6 +7,8 @@ from flowdistill.datagen import ANALYTIC_STYLE, ANALYTIC_VAR, analytic_eps_star,
 from flowdistill.nets import (
     BASE_KEYS,
     MOTION_KEYS,
+    disc_pair_prob,
+    disc_single_prob,
     init_discriminator,
     reset_single_head,
     time_features,
@@ -62,6 +64,16 @@ def test_time_features_cover_clean_boundary(dims):
     assert np.all(np.isfinite(feats))
 
 
+def _pair(disc, x_t, x_next, t, t_next, tokens, flow_idx, sched):
+    return disc_pair_prob(disc.data, x_t, x_next, t, t_next, tokens, flow_idx,
+                          sched.T, disc.dims, disc.num_flows)
+
+
+def _single(disc, x_next, t_next, tokens, flow_idx, sched):
+    return disc_single_prob(disc.data, x_next, t_next, tokens, flow_idx,
+                            sched.T, disc.dims, disc.num_flows)
+
+
 def test_discriminator_probability_range_and_determinism(sched, dims, bundle):
     rng = np.random.default_rng(3)
     disc = init_discriminator(dims, 3, rng, backbone_from=bundle)
@@ -71,13 +83,13 @@ def test_discriminator_probability_range_and_determinism(sched, dims, bundle):
     x_t = rng.standard_normal((5, dims.frames, dims.frame_dim))
     x_n = rng.standard_normal((5, dims.frames, dims.frame_dim))
     tokens = rng.integers(0, dims.vocab, 5)
-    p = fd.forward_disc_conditional(disc, x_t, x_n, 60, 28, tokens, 1, sched)
-    q = fd.forward_disc_relaxed(disc, x_n, 28, tokens, 1, sched)
+    p = _pair(disc, x_t, x_n, 60, 28, tokens, 1, sched)
+    q = _single(disc, x_n, 28, tokens, 1, sched)
     for probs in (p, q):
         vals = np.asarray(ad.value_of(probs))
         assert np.all((vals > 0) & (vals < 1))
     assert np.array_equal(
-        ad.value_of(fd.forward_disc_conditional(disc, x_t, x_n, 60, 28, tokens, 1, sched)),
+        ad.value_of(_pair(disc, x_t, x_n, 60, 28, tokens, 1, sched)),
         ad.value_of(p))
 
 
@@ -88,9 +100,9 @@ def test_fresh_heads_output_near_half(sched, dims, bundle):
     disc = init_discriminator(dims, 2, rng, backbone_from=bundle)
     x = rng.standard_normal((4, dims.frames, dims.frame_dim))
     tokens = np.zeros(4, dtype=int)
-    p = fd.forward_disc_conditional(disc, x, x + 0.1, 40, 8, tokens, 0, sched)
+    p = _pair(disc, x, x + 0.1, 40, 8, tokens, 0, sched)
     assert np.all(np.abs(np.asarray(p) - 0.5) < 0.02)
-    q = fd.forward_disc_relaxed(disc, x, 8, tokens, 0, sched)
+    q = _single(disc, x, 8, tokens, 0, sched)
     assert np.all(np.abs(np.asarray(q) - 0.5) < 0.02)
 
 
@@ -102,8 +114,8 @@ def test_flow_index_changes_score_when_embeddings_differ(sched, dims, bundle):
     x_t = rng.standard_normal((2, dims.frames, dims.frame_dim))
     x_n = rng.standard_normal((2, dims.frames, dims.frame_dim))
     tokens = np.zeros(2, dtype=int)
-    p0 = np.asarray(fd.forward_disc_conditional(disc, x_t, x_n, 70, 38, tokens, 0, sched))
-    p1 = np.asarray(fd.forward_disc_conditional(disc, x_t, x_n, 70, 38, tokens, 1, sched))
+    p0 = np.asarray(_pair(disc, x_t, x_n, 70, 38, tokens, 0, sched))
+    p1 = np.asarray(_pair(disc, x_t, x_n, 70, 38, tokens, 1, sched))
     assert not np.array_equal(p0, p1)
 
 
@@ -111,16 +123,38 @@ def test_unregistered_flow_index_rejected(sched, dims, bundle):
     disc = init_discriminator(dims, 2, np.random.default_rng(6), backbone_from=bundle)
     x = np.zeros((1, dims.frames, dims.frame_dim))
     with pytest.raises(ValueError):
-        fd.forward_disc_conditional(disc, x, x, 50, 10, np.zeros(1, dtype=int), 2, sched)
+        _pair(disc, x, x, 50, 10, np.zeros(1, dtype=int), 2, sched)
     with pytest.raises(ValueError):
-        fd.forward_disc_relaxed(disc, x, 10, np.zeros(1, dtype=int), -1, sched)
+        _single(disc, x, 10, np.zeros(1, dtype=int), -1, sched)
 
 
 def test_conditional_disc_requires_ordered_timesteps(sched, dims, bundle):
     disc = init_discriminator(dims, 2, np.random.default_rng(7), backbone_from=bundle)
     x = np.zeros((1, dims.frames, dims.frame_dim))
     with pytest.raises(ValueError):
-        fd.forward_disc_conditional(disc, x, x, 10, 50, np.zeros(1, dtype=int), 0, sched)
+        _pair(disc, x, x, 10, 50, np.zeros(1, dtype=int), 0, sched)
+
+
+def test_stacked_candidates_score_as_separate_calls(sched, dims, bundle):
+    rng = np.random.default_rng(9)
+    disc = init_discriminator(dims, 2, rng, backbone_from=bundle)
+    disc.data["hp2_w"] = rng.normal(0, 0.5, disc.data["hp2_w"].shape).astype(np.float32)
+    disc.data["hs2_w"] = rng.normal(0, 0.5, disc.data["hs2_w"].shape).astype(np.float32)
+    x_t = rng.standard_normal((3, dims.frames, dims.frame_dim))
+    a, b = rng.standard_normal((2, 3, dims.frames, dims.frame_dim))
+    t, t_next = np.array([70, 40, 90]), np.array([38, 8, 58])
+    tokens = rng.integers(0, dims.vocab, 3)
+    stacked = np.concatenate([a, b])
+    np.testing.assert_allclose(
+        _pair(disc, x_t, stacked, t, t_next, tokens, 1, sched),
+        np.concatenate([_pair(disc, x_t, x, t, t_next, tokens, 1, sched) for x in (a, b)]),
+        rtol=1e-12)
+    np.testing.assert_allclose(
+        _single(disc, stacked, t_next, tokens, 1, sched),
+        np.concatenate([_single(disc, x, t_next, tokens, 1, sched) for x in (a, b)]),
+        rtol=1e-12)
+    with pytest.raises(ValueError, match="multiple"):
+        _single(disc, stacked[:5], t_next, tokens, 1, sched)
 
 
 def test_relaxed_backbone_gradients_nonzero(sched, dims, bundle):
