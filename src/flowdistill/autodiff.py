@@ -11,6 +11,16 @@ a gradient after :func:`backward` runs on a scalar loss. All graph values
 are float64. The free functions (``matmul``, ``silu``, ...) accept either
 ``Var`` or ``ndarray`` operands, so the same forward code serves both
 training (taped) and inference (plain numpy) callers.
+
+A pointwise chain (``sigmoid``, ``silu`` and their gradients) runs its
+ufuncs one by one with ``out=``, in the order and on the operands of the
+written expression, so it returns the same bits while allocating the
+fewest new arrays: one, or two where two partial results must coexist. At
+batch 512 a fresh (B, F, hidden) temporary is large enough that the
+allocator returns it to the kernel when freed, and faulting its pages back
+in cost more than the arithmetic. The in-place rule: an op writes only
+into a buffer it has just allocated itself, never into an input, a node's
+``value`` or an incoming gradient.
 """
 from __future__ import annotations
 
@@ -41,10 +51,14 @@ def _as_f64(x) -> np.ndarray:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` in one new buffer, ufunc by ufunc."""
+    y = np.negative(x, out=np.empty_like(x))
     # exp overflow for very negative x saturates to inf and the quotient
     # correctly rounds to 0, so only the warning needs suppressing.
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(y, out=y)
+    np.add(1.0, y, out=y)
+    return np.divide(1.0, y, out=y)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -130,7 +144,8 @@ def value_of(x) -> np.ndarray:
 
 
 def _accum(node: Var, g: np.ndarray) -> None:
-    # Grads are never mutated in place, so storing views is safe.
+    # No op writes into an incoming gradient (nor into an input or a node's
+    # value), so storing a view here is safe.
     node.grad = g if node.grad is None else node.grad + g
 
 
@@ -313,22 +328,38 @@ def reshape(x, shape):
     return out
 
 
+def _sigmoid_grad(g, y):
+    """``g * y * (1 - y)``: two new buffers, the least that keeps its bits."""
+    d = np.multiply(g, y, out=np.empty_like(y))
+    return np.multiply(d, np.subtract(1.0, y, out=np.empty_like(y)), out=d)
+
+
+def _silu_grad(g, x, s):
+    """``g * s * (1 + x * (1 - s))``: two new buffers, as above."""
+    d = np.multiply(g, s, out=np.empty_like(s))
+    u = np.subtract(1.0, s, out=np.empty_like(s))
+    np.multiply(x, u, out=u)
+    np.add(1.0, u, out=u)
+    return np.multiply(d, u, out=d)
+
+
 def sigmoid(x):
     if not isinstance(x, Var):
         return _sigmoid_np(_as_f64(x))
     y = _sigmoid_np(x.value)
     out = Var(y, _parents=(x,))
-    out._bwd = lambda g: _accum(x, g * y * (1.0 - y))
+    out._bwd = lambda g: _accum(x, _sigmoid_grad(g, y))
     return out
 
 
 def silu(x):
     if not isinstance(x, Var):
         xv = _as_f64(x)
-        return xv * _sigmoid_np(xv)
+        s = _sigmoid_np(xv)
+        return np.multiply(xv, s, out=s)
     s = _sigmoid_np(x.value)
     out = Var(x.value * s, _parents=(x,))
-    out._bwd = lambda g: _accum(x, g * s * (1.0 + x.value * (1.0 - s)))
+    out._bwd = lambda g: _accum(x, _silu_grad(g, x.value, s))
     return out
 
 

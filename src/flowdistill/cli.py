@@ -119,8 +119,7 @@ def cmd_sample(args) -> int:
     if args.steps not in arm:
         raise ValueError(f"no distilled stage samples in {args.steps} steps; "
                          f"step counts: {', '.join(map(str, arm))}")
-    base = ws.load_bundles([args.style])[args.style].base
-    bundle = StudentBundle(base, arm[args.steps])
+    bundle = StudentBundle(ws.load_base(args.style), arm[args.steps])
     _progress(f"sampling with the {args.steps}-step distilled student")
     rng = np.random.default_rng(cfg["seed"])
     clips = []

@@ -197,27 +197,24 @@ def sample_ground_truth(style: StyleSpec, n: int, seed, frames: int = 8,
     """Draw ``n`` clips from a style's condition-indexed Gaussian mixture.
 
     Each clip uses its own seed-derived generator, so the result is
-    independent of any batching or parallel execution order.
+    independent of any batching or parallel execution order. The
+    generators draw clip by clip; the arithmetic runs once over the stack.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    means = component_means(vocab)
-    chol = ar1_cholesky(style.rho, frames)
-    scale = np.asarray(style.scale)
-    offset = np.asarray(style.offset)
-    clips = np.empty((n, frames, frame_dim), dtype=np.float32)
     conds = np.empty(n, dtype=np.int32)
+    z = np.empty((n, frames, frame_dim))
     for i in range(n):
         rng = _clip_rng(seed, style.style_id, i)
-        c = int(rng.integers(0, vocab))
-        z = rng.standard_normal((frames, frame_dim))
-        if style.single_component:
-            clip = offset + ANALYTIC_SIGMA * z
-        else:
-            dev = SIGMA_BASE * (chol @ z)
-            clip = (means[c] + dev) * scale + offset
-        clips[i] = clip
-        conds[i] = c
+        conds[i] = rng.integers(0, vocab)
+        z[i] = rng.standard_normal((frames, frame_dim))
+    scale = np.asarray(style.scale)
+    offset = np.asarray(style.offset)
+    if style.single_component:
+        clips = offset + ANALYTIC_SIGMA * z
+    else:
+        dev = SIGMA_BASE * (ar1_cholesky(style.rho, frames) @ z)
+        clips = (component_means(vocab)[conds, None] + dev) * scale + offset
     return ClipDataset(clips, conds, "ground_truth", style.group, style.style_id)
 
 

@@ -253,11 +253,23 @@ def _encode(params, x, tfeat, tokens, motion):
     h = ad.matmul(x, params["w1"]) + params["b1"] + temb + cemb
     h = ad.silu(h)
     if motion is not None:
-        z = ad.temporal_mix(motion["mix"], h)
-        z = z + _expand_frame_axis(ad.matmul(tfeat, motion["tproj"]))
-        z = ad.silu(z + _expand_frame_axis(ad.take_rows(motion["cproj"], tokens)))
-        h = h + ad.temporal_mix(motion["mix_out"], z)
+        h = h + _motion_branch(motion, h, tfeat, tokens)
     return ad.silu(ad.matmul(h, params["w2"]) + params["b2"])
+
+
+def _motion_branch(motion, h, tfeat, tokens):
+    """The motion block's residual branch.
+
+    Untaped, at most three (B, F, hidden) arrays are live at once, ``h``
+    included: ``z`` is rebound after each op, so no superseded state
+    outlives the next one, and it is freed on return, before the residual
+    add.
+    """
+    z = ad.temporal_mix(motion["mix"], h)
+    z = z + _expand_frame_axis(ad.matmul(tfeat, motion["tproj"]))
+    z = z + _expand_frame_axis(ad.take_rows(motion["cproj"], tokens))
+    z = ad.silu(z)
+    return ad.temporal_mix(motion["mix_out"], z)
 
 
 def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims):

@@ -21,15 +21,16 @@ A missing file is built and written atomically, so an interrupted command
 leaves every file whole or absent.
 
 Each cached artifact has a load-only path beside the path that builds it
-when it is missing: ``load_bundles`` beside ``pretrained_bundles`` for the
-pretrained models, ``load_arm`` beside ``distill_arm`` for a distilled
-arm. ``distill_arm`` caches each plan stage on its own and trains a stage
-from the one before it, so an interrupted plan resumes from its last
-finished stage; training is deterministic per stage, so the result equals
-an uninterrupted run. An arm's motion is keyed by step count, the
-``to_steps`` of the plan stage that produced it. ``evaluate`` scores any
-set of arms over styles and step counts in one loop
-(``evalmetrics.score_arms``) and stamps each report's provenance.
+when it is missing: ``load_bundles`` (or ``load_base`` for one base model)
+beside ``pretrained_bundles`` for the pretrained models, ``load_arm``
+beside ``distill_arm`` for a distilled arm. ``distill_arm`` caches each
+plan stage on its own and trains a stage from the one before it, so an
+interrupted plan resumes from its last finished stage; training is
+deterministic per stage, so the result equals an uninterrupted run. An
+arm's motion is keyed by step count, the ``to_steps`` of the plan stage
+that produced it. ``evaluate`` scores any set of arms over styles and step
+counts in one loop (``evalmetrics.score_arms``) and stamps each report's
+provenance.
 """
 from __future__ import annotations
 
@@ -87,6 +88,7 @@ class Workspace:
         self.hash = config_hash(cfg)
         self.sched = schedule_from_config(cfg)
         self.dims = dims_from_config(cfg)
+        self._ground_truth: dict = {}
 
     # -- paths ----------------------------------------------------------
 
@@ -140,13 +142,15 @@ class Workspace:
 
     # -- pretraining ------------------------------------------------------
 
-    def ground_truth(self, style_name: str, n: int | None = None) -> ClipDataset:
-        style = style_by_name(style_name)
-        n = n or self.cfg["data"]["ground_truth_clips"]
-        return sample_ground_truth(style, n, self._seed("gt", style.style_id),
-                                   frames=self.dims.frames,
-                                   frame_dim=self.dims.frame_dim,
-                                   vocab=self.dims.vocab)
+    def ground_truth(self, style_name: str) -> ClipDataset:
+        """A style's ground-truth clips, drawn once per workspace."""
+        if style_name not in self._ground_truth:
+            style = style_by_name(style_name)
+            self._ground_truth[style_name] = sample_ground_truth(
+                style, self.cfg["data"]["ground_truth_clips"],
+                self._seed("gt", style.style_id), frames=self.dims.frames,
+                frame_dim=self.dims.frame_dim, vocab=self.dims.vocab)
+        return self._ground_truth[style_name]
 
     def _seed(self, tag: str, *extra) -> list:
         tags = {"gt": 11, "gen": 13, "base": 17, "motion": 19, "distill": 23}
@@ -159,6 +163,10 @@ class Workspace:
     def _motion(self, build=None) -> MotionParams:
         return MotionParams(self.dims, self._params(
             self.ckpt_path("motion_pretrained"), MOTION_KEYS, build))
+
+    def load_base(self, style: str) -> BaseParams:
+        """A pretrained base model, read from its checkpoint only."""
+        return self._base(style)
 
     def load_bundles(self, styles: list) -> dict:
         """Pretrained bundles by style, read from their checkpoints only.

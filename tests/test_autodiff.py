@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,3 +212,63 @@ def test_determinism_of_backward():
         return p.grad.copy()
 
     assert np.array_equal(run(), run())
+
+
+# The expression forms the in-place pointwise chains must reproduce bit for
+# bit: the same ufuncs, in the same order, on the same operands.
+def _sigmoid_ref(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _pointwise_inputs():
+    rng = np.random.default_rng(7)
+    x3 = rng.normal(0.0, 4.0, (6, 5, 4))
+    x3[0, 0, :2] = [800.0, -800.0]
+    return {
+        "0-d": np.array(-1.3),
+        "0-d +800": np.array(800.0),
+        "0-d -800": np.array(-800.0),
+        "contiguous": x3,
+        "transposed": x3.transpose(2, 1, 0),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_pointwise_inputs()))
+def test_pointwise_chains_match_expression_reference_bitwise(kind):
+    x = _pointwise_inputs()[kind]
+    g = np.random.default_rng(8).normal(size=x.shape)
+    x_before, g_before = x.copy(), g.copy()
+    s = _sigmoid_ref(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(ad._sigmoid_np(x), s, strict=True)
+        np.testing.assert_array_equal(ad.sigmoid(x), s, strict=True)
+        np.testing.assert_array_equal(ad.silu(x), x * s)
+
+        v = ad.Var(x)
+        y = ad.sigmoid(v)
+        np.testing.assert_array_equal(y.value, s, strict=True)
+        y_before = y.value.copy()
+        y._bwd(g)
+        np.testing.assert_array_equal(v.grad, g * s * (1.0 - s))
+        np.testing.assert_array_equal(y.value, y_before, strict=True)
+
+        v = ad.Var(x)
+        y = ad.silu(v)
+        np.testing.assert_array_equal(y.value, x * s)
+        y._bwd(g)
+        np.testing.assert_array_equal(v.grad, g * s * (1.0 + x * (1.0 - s)))
+    np.testing.assert_array_equal(x, x_before, strict=True)
+    np.testing.assert_array_equal(g, g_before, strict=True)
+
+
+def test_pointwise_backward_leaves_a_broadcast_gradient_alone():
+    # mean_all hands its input a read-only broadcast view as the gradient.
+    x = np.random.default_rng(9).normal(size=(3, 4))
+    s = _sigmoid_ref(x)
+    for op, ref in ((ad.sigmoid, lambda g: g * s * (1.0 - s)),
+                    (ad.silu, lambda g: g * s * (1.0 + x * (1.0 - s)))):
+        v = ad.Var(x)
+        ad.backward(ad.mean_all(op(v)))
+        np.testing.assert_array_equal(v.grad, ref(np.broadcast_to(1.0 / x.size, x.shape)))

@@ -142,6 +142,35 @@ def test_sample_uses_distilled_checkpoint(tiny_config, workdir, tmp_path):
     assert frames.shape == (8, 2) and np.all(np.isfinite(frames))
 
 
+def test_pretraining_draws_the_default_ground_truth_once(tiny_config, tmp_path,
+                                                        monkeypatch):
+    drawn = []
+    draw = runner.sample_ground_truth
+    monkeypatch.setattr(runner, "sample_ground_truth",
+                        lambda style, *a, **k: drawn.append(style.name) or draw(style, *a, **k))
+    cfg = load_config(tiny_config)
+    cfg["pretrain"].update(base_steps=1, motion_steps=1)
+    ws = Workspace(cfg, str(tmp_path / "run"))
+    ws.pretrained_bundles(["default"])
+    assert ws.ground_truth("default") is ws.ground_truth("default")
+    assert drawn == ["default"]
+
+
+def test_sample_does_not_need_the_pretrained_motion(tiny_config, workdir, tmp_path):
+    wd = str(tmp_path / "distilled")
+    shutil.copytree(workdir, wd)
+    os.remove(os.path.join(wd, "checkpoints", "motion_pretrained.ckpt"))
+    before = _snapshot(wd)
+    clips = []
+    for root in (workdir, wd):
+        out = tmp_path / "clips.json"
+        assert cli(["sample", "--config", tiny_config, "--workdir", root,
+                    "--steps", "4", "--style", "anime_a", "--out", str(out)]) == 0
+        clips.append(json.load(open(out)))
+    assert clips[0] == clips[1]
+    assert _snapshot(wd) == before
+
+
 def test_sample_of_an_unplanned_step_count_fails(tiny_config, workdir, tmp_path,
                                                 capsys):
     out = tmp_path / "clips.json"

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import flowdistill as fd
 from flowdistill.datagen import (
+    ANALYTIC_SIGMA,
     ANALYTIC_STYLE,
     ANALYTIC_VAR,
     SIGMA_BASE,
@@ -81,6 +82,36 @@ def test_ground_truth_seed_determinism():
     c = fd.sample_ground_truth(ANALYTIC_STYLE, 64, 12)
     assert np.array_equal(a.clips, b.clips) and np.array_equal(a.conditions, b.conditions)
     assert not np.array_equal(a.clips, c.clips)
+
+
+def _ground_truth_per_clip(style, n, seed, frames=8, frame_dim=2, vocab=8):
+    """Reference: each clip's arithmetic done on its own, clip by clip."""
+    means = component_means(vocab)
+    chol = ar1_cholesky(style.rho, frames)
+    scale, offset = np.asarray(style.scale), np.asarray(style.offset)
+    clips = np.empty((n, frames, frame_dim), dtype=np.float32)
+    conds = np.empty(n, dtype=np.int32)
+    for i in range(n):
+        rng = np.random.default_rng([int(v) for v in np.atleast_1d(seed)]
+                                    + [style.style_id, i])
+        c = int(rng.integers(0, vocab))
+        z = rng.standard_normal((frames, frame_dim))
+        if style.single_component:
+            clips[i] = offset + ANALYTIC_SIGMA * z
+        else:
+            clips[i] = (means[c] + SIGMA_BASE * (chol @ z)) * scale + offset
+        conds[i] = c
+    return clips, conds
+
+
+@pytest.mark.parametrize("style", fd.STYLES, ids=lambda s: s.name)
+def test_ground_truth_equals_per_clip_reference_bitwise(style):
+    for n, seed, shape in ((1, 4, {}), (300, [0, 11, 2], {}),
+                           (17, 9, {"frames": 5, "vocab": 3})):
+        ds = fd.sample_ground_truth(style, n, seed, **shape)
+        clips, conds = _ground_truth_per_clip(style, n, seed, **shape)
+        assert ds.clips.tobytes() == clips.tobytes()
+        assert ds.conditions.tobytes() == conds.tobytes()
 
 
 def test_ar1_cholesky_reproduces_kernel():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,26 @@ def test_forward_student_deterministic(sched, bundle, dims):
     a = fd.forward_student(bundle, x, 17, tokens, sched)
     b = fd.forward_student(bundle, x, 17, tokens, sched)
     assert np.array_equal(a, b)
+
+
+def test_untaped_student_forward_peak_memory_at_batch_512(sched, bundle, dims):
+    # Measured in (B, F, hidden) float64 arrays: 5.26 when every pointwise
+    # op made a fresh temporary, 4.38 with one buffer per sigmoid chain,
+    # 3.63 once the motion branch also frees its state before the residual.
+    from flowdistill.nets import student_eps
+    B = 512
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((B, dims.frames, dims.frame_dim))
+    tokens = rng.integers(0, dims.vocab, B)
+    args = (bundle.base.data, bundle.motion.data, x, 60, tokens, sched.T, dims)
+    student_eps(*args)  # fill the time-feature cache first
+    tracemalloc.start()
+    try:
+        student_eps(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * B * dims.frames * dims.hidden * 8
 
 
 def test_forward_student_rejects_unknown_token(sched, bundle, dims):
