@@ -7,10 +7,12 @@ mixing, concatenation along any axis, reshaping, a few pointwise
 nonlinearities, and full reductions.
 
 Constants are plain numpy arrays; anything wrapped in :class:`Var` receives
-a gradient after :func:`backward` runs on a scalar loss. All graph values
-are float64. The free functions (``matmul``, ``silu``, ...) accept either
-``Var`` or ``ndarray`` operands, so the same forward code serves both
-training (taped) and inference (plain numpy) callers.
+a gradient after :func:`backward` runs on a scalar loss. ``backward`` frees
+the tape as it walks it: each node's closure and every interior gradient
+are dropped once used, so a graph can be back-propagated once. All graph
+values are float64. The free functions (``matmul``, ``silu``, ...) accept
+either ``Var`` or ``ndarray`` operands, so the same forward code serves
+both training (taped) and inference (plain numpy) callers.
 
 A pointwise chain (``sigmoid``, ``silu`` and their gradients) runs its
 ufuncs one by one with ``out=``, in the order and on the operands of the
@@ -78,7 +80,8 @@ class Var:
     """One node of the computation graph.
 
     ``value`` is always a float64 ndarray (scalars become 0-d arrays).
-    ``grad`` is populated by :func:`backward`.
+    ``grad`` is populated by :func:`backward` on leaves (nodes without
+    parents); an interior node's ``grad`` is freed once it has been used.
     """
 
     __slots__ = ("value", "grad", "_parents", "_bwd")
@@ -128,15 +131,6 @@ class Var:
             raise TypeError("Var/Var division is not a supported primitive")
         return _div_const(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def backward(self):
-        backward(self)
-
 
 def value_of(x) -> np.ndarray:
     """Underlying ndarray of a Var, or the array itself."""
@@ -150,7 +144,13 @@ def _accum(node: Var, g: np.ndarray) -> None:
 
 
 def backward(loss: Var) -> None:
-    """Run reverse-mode accumulation from a scalar loss node."""
+    """Run reverse-mode accumulation from a scalar loss node.
+
+    The tape is freed as it is walked: once a node's closure has run, the
+    closure is dropped, and so is the gradient of an interior node. Leaves
+    keep ``grad``; every node keeps ``value`` and ``_parents``. A graph can
+    therefore be back-propagated once.
+    """
     if not isinstance(loss, Var):
         raise TypeError("backward expects a Var")
     if loss.value.shape != ():
@@ -177,6 +177,9 @@ def backward(loss: Var) -> None:
     for node in reversed(topo):
         if node._bwd is not None and node.grad is not None:
             node._bwd(node.grad)
+        node._bwd = None
+        if node._parents:
+            node.grad = None
 
 
 # -- primitives --------------------------------------------------------

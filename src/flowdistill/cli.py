@@ -114,6 +114,8 @@ def cmd_distill(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     cfg, ws = _resolve(args)
     arm = ws.load_arm("cross")
     if args.steps not in arm:

@@ -16,15 +16,16 @@ stride stays inside the schedule, so every student jump is realisable by
 the teacher.
 
 One iteration is a data-parallel step. Each rank draws its ``grad_accum``
-micro-batches, the frozen teacher traverses all of them in one untaped
-call (``teacher_stride``; every op is row-independent, so each row gets
-the bits a call per micro-batch would give), and the result is sliced
-back into micro-batches. Then, per micro-step, each rank tapes its
-student stride and loss (``mse_distill_step`` or ``adversarial_step``),
-the gradients are averaged over ranks in rank order and then over the
-micro-steps, and one optimizer step follows. An adversarial loss scores
-the teacher's and the student's next state in one discriminator call on
-the two stacked on the row axis.
+micro-batches of ``micro_batch`` rows in order and concatenates them; the
+frozen teacher traverses all of them in one untaped call
+(``teacher_stride``). Each rank then tapes its student stride and loss
+(``mse_distill_step`` or ``adversarial_step``) once over its
+``micro_batch * grad_accum`` rows and runs one ``backward``. Every loss is
+a mean over rows and the micro-batches are the same size, so this is the
+mean of the micro-batch gradients up to summation order. The ranks'
+gradients are averaged in rank order and one optimizer step follows. An
+adversarial loss scores the teacher's and the student's next state in one
+discriminator call on the two stacked on the row axis.
 """
 from __future__ import annotations
 
@@ -83,7 +84,12 @@ PHASES = ("trajectory_conditional", "relaxed")
 
 @dataclass(frozen=True)
 class StageConfig:
-    """One progressive stage (steps ``from_steps`` down to ``to_steps``)."""
+    """One progressive stage (steps ``from_steps`` down to ``to_steps``).
+
+    Each rank draws ``grad_accum`` micro-batches of ``micro_batch`` rows per
+    iteration and takes one step over all ``micro_batch * grad_accum`` of
+    them.
+    """
 
     from_steps: int
     to_steps: int
@@ -245,21 +251,15 @@ def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
             "target": target}
 
 
-_ROW_KEYS = ("x_t", "t", "tokens", "target")
-
-
 def _rank_strides(worker: RankWorker, teacher_motion, stage: StageConfig,
-                  sched: NoiseSchedule, dims, t_grid) -> list:
-    """One rank's ``grad_accum`` stride batches for an iteration: the
-    micro-batches are drawn in order, traversed by the teacher in one call
-    and sliced back into ``micro_batch`` rows each."""
+                  sched: NoiseSchedule, dims, t_grid) -> dict:
+    """One rank's stride batch for an iteration: its ``grad_accum``
+    micro-batches, drawn in order, concatenated and traversed by the
+    teacher in one call."""
     draws = [worker.draw_batch(stage, t_grid) for _ in range(stage.grad_accum)]
     batch = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
-    b = teacher_stride(worker.base.data, teacher_motion.data, batch, stage,
-                       sched, dims)
-    m = stage.micro_batch
-    return [{**b, **{k: b[k][i * m:(i + 1) * m] for k in _ROW_KEYS}}
-            for i in range(stage.grad_accum)]
+    return teacher_stride(worker.base.data, teacher_motion.data, batch, stage,
+                          sched, dims)
 
 
 def _student_stride(base_arrays, motion, b, sched: NoiseSchedule, dims):
@@ -354,9 +354,8 @@ def adversarial_step(base, motion, disc: DiscriminatorParams, b: dict,
     return float(ad.value_of(l_d)), float(ad.value_of(l_g)), _grads(pvars)
 
 
-def rank_micro_step(worker: RankWorker, b: dict, motion, disc,
-                    stage: StageConfig, phase, side: str,
-                    sched: NoiseSchedule, dims) -> tuple:
+def rank_step(worker: RankWorker, b: dict, motion, disc, stage: StageConfig,
+              phase, side: str, sched: NoiseSchedule, dims) -> tuple:
     """One rank's gradient contribution on its stride batch ``b``, plus its
     local losses.
 
@@ -428,21 +427,18 @@ def _run_phase(stage: StageConfig, phase, ctx: DistillContext,
             side = "student"
         else:
             side = "disc" if it % 2 == 0 else "student"
-        # Data-parallel step: one teacher traversal per rank, then mean over
-        # ranks in rank order, then mean over the accumulated micro-steps,
+        # Data-parallel step: one teacher traversal and one taped step per
+        # rank over all its rows, then the mean over ranks in rank order,
         # then one optimizer update.
-        strides = [_rank_strides(w, teacher_motion, stage, ctx.sched, ctx.dims,
-                                 t_grid) for w in workers]
-        micro_grads: list = []
+        rank_grads: list = []
         step_losses: list = []
-        for i in range(stage.grad_accum):
-            rank_grads = []
-            for w, bs in zip(workers, strides):
-                grads, losses = rank_micro_step(w, bs[i], motion, disc, stage,
-                                                phase, side, ctx.sched, ctx.dims)
-                rank_grads.append(grads)
-                step_losses.append(losses)
-            micro_grads.append(_mean(rank_grads))
+        for w in workers:
+            b = _rank_strides(w, teacher_motion, stage, ctx.sched, ctx.dims,
+                              t_grid)
+            grads, losses = rank_step(w, b, motion, disc, stage, phase, side,
+                                      ctx.sched, ctx.dims)
+            rank_grads.append(grads)
+            step_losses.append(losses)
         mean_losses = {k: float(np.mean([d[k] for d in step_losses]))
                        for k in step_losses[0]}
         if not all(np.isfinite(v) for v in mean_losses.values()):
@@ -450,9 +446,9 @@ def _run_phase(stage: StageConfig, phase, ctx: DistillContext,
             raise DistillDivergence(
                 f"non-finite loss at stage {stage.name} iteration {it}", dump)
         if side == "student":
-            opt_student.step(motion.data, _mean(micro_grads))
+            opt_student.step(motion.data, _mean(rank_grads))
         else:
-            opt_disc.step(disc.data, _mean(micro_grads))
+            opt_disc.step(disc.data, _mean(rank_grads))
         history.append({"stage": stage.name, "phase": phase or "mse",
                         "iteration": it, "side": side, **mean_losses})
 

@@ -53,6 +53,47 @@ def test_reused_node_accumulates():
     assert float(p.grad) == pytest.approx(2 * 3.0 + 1.0)
 
 
+def _tape(loss):
+    """Every node reachable from ``loss`` through ``_parents``."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def _small_graph():
+    rng = np.random.default_rng(3)
+    w = ad.Var(rng.standard_normal((4, 3)))
+    b = ad.Var(rng.standard_normal(3))
+    h = ad.silu(ad.matmul(rng.standard_normal((5, 4)), w) + b)
+    loss = ad.mean_all(ad.square(ad.concat([h, h * b], axis=0)))
+    return loss, (w, b)
+
+
+def test_backward_frees_interior_grads_and_closures():
+    loss, leaves = _small_graph()
+    ad.backward(loss)
+    nodes = _tape(loss)
+    interior = [n for n in nodes if n._parents]
+    assert interior and len(nodes) == len(interior) + len(leaves)
+    for node in interior:
+        assert node.grad is None and node._bwd is None
+    for leaf in leaves:
+        assert leaf.grad is not None and leaf.grad.shape == leaf.value.shape
+
+
+def test_backward_keeps_the_parents_walk_and_the_loss_value():
+    loss, _ = _small_graph()
+    before = len(_tape(loss))
+    value = float(loss.value)
+    ad.backward(loss)
+    assert len(_tape(loss)) == before
+    assert float(loss.value) == value
+
+
 def _fd_check(loss_fn, params, tol=1e-4):
     report = ad.gradcheck(loss_fn, params)
     assert report["max_rel_err"] < tol, report

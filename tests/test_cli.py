@@ -181,6 +181,18 @@ def test_sample_of_an_unplanned_step_count_fails(tiny_config, workdir, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sample_of_no_clips_fails_and_writes_nothing(tiny_config, workdir,
+                                                     tmp_path, capsys, count):
+    out = tmp_path / "clips.json"
+    code = cli(["sample", "--config", tiny_config, "--workdir", workdir,
+                "--steps", "4", "--style", "anime_a", "--out", str(out),
+                "--count", count])
+    assert code == 1
+    assert "--count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_on_a_fresh_workdir_fails_without_training(tiny_config, tmp_path,
                                                          capsys):
     wd, out = tmp_path / "fresh", tmp_path / "clips.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,29 @@ def test_adversarial_probabilities_clamped(sched, dims, setup):
     assert np.isfinite(np.log(PROB_CLAMP))
 
 
+def test_discriminator_step_peak_memory_per_row(sched, dims, setup):
+    # One trajectory-conditional discriminator step over one rank's rows at
+    # the default micro_batch * grad_accum. Freeing each interior gradient
+    # as backward uses it keeps the peak well under what the whole tape's
+    # gradients would add (about 95 KB/row when they are all kept).
+    base, motion, ds = setup
+    rng = np.random.default_rng(13)
+    disc = init_discriminator(dims, 2, rng,
+                              backbone_from=fd.StudentBundle(base, motion))
+    st = StageConfig(32, 8, "adversarial", 1)
+    rows = st.micro_batch * st.grad_accum
+    b = teacher_stride(base.data, motion.data, _batch(ds, st, sched, rng, n=rows),
+                       st, sched, dims)
+    tracemalloc.start()
+    try:
+        adversarial_step(base, motion, disc, b, "trajectory_conditional", 1,
+                         sched, dims, side="disc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < 85e3
+
+
 def _tiny_ctx(sched, dims, seed=0, tmpdir=None):
     rng = np.random.default_rng(100)
     bases = {}
@@ -260,11 +285,33 @@ def _mean_in_order(grads):
     return {k: sum(g[k] for g in grads) / len(grads) for k in grads[0]}
 
 
-def _reference_stage(stage, ctx, teacher, phase=None):
-    """Per-rank reference for ``run_stage`` on a single-phase stage: every
-    iteration runs the teacher once per micro-batch per rank, averages the
-    ranks' gradients in rank order, then the micro-steps, then makes one
-    Adam step."""
+_ROW_KEYS = ("x_t", "t", "tokens", "target")
+
+
+def _folded_grads(stage, workers, draw_stride, step_grads):
+    """Per rank in rank order: the teacher once per micro-batch, the
+    strides concatenated, one step over all rows; then the mean over
+    ranks."""
+    per_rank = []
+    for w in workers:
+        bs = [draw_stride(w) for _ in range(stage.grad_accum)]
+        b = {**bs[0], **{k: np.concatenate([x[k] for x in bs]) for k in _ROW_KEYS}}
+        per_rank.append(step_grads(w, b))
+    return _mean_in_order(per_rank)
+
+
+def _accumulated_grads(stage, workers, draw_stride, step_grads):
+    """One step per micro-batch per rank: the mean over ranks in rank order,
+    then the mean over the micro-steps."""
+    micro = [_mean_in_order([step_grads(w, draw_stride(w)) for w in workers])
+             for _ in range(stage.grad_accum)]
+    return _mean_in_order(micro)
+
+
+def _reference_stage(stage, ctx, teacher, phase, iteration_grads):
+    """Reference loop for ``run_stage`` on a single-phase stage: every
+    iteration takes ``iteration_grads`` of the ranks and makes one Adam
+    step."""
     motion = teacher.copy()
     disc = None
     if stage.loss_kind == "adversarial":
@@ -274,37 +321,43 @@ def _reference_stage(stage, ctx, teacher, phase=None):
     for w in ctx.workers:
         w.rng = _stage_rng(ctx.seed, stage, 0, w.assignment.rank)
     grid = stage_timesteps(stage, ctx.sched.T)
+    workers = sorted(ctx.workers, key=lambda w: w.assignment.rank)
     opt_student, opt_disc = Adam(stage.lr_student), Adam(stage.lr_disc)
     for it in range(stage.iterations):
         side = "disc" if disc is not None and it % 2 == 0 else "student"
-        micro = []
-        for _ in range(stage.grad_accum):
-            per_rank = []
-            for w in sorted(ctx.workers, key=lambda w: w.assignment.rank):
-                batch = w.draw_batch(stage, grid)
-                if disc is None:
-                    _, grads = _mse_step(w.base, teacher, motion, batch,
-                                         stage, ctx.sched, ctx.dims)
-                else:
-                    _, _, grads = _adversarial_step(
-                        w.base, teacher, motion, disc, batch, stage, phase,
-                        w.flow_idx, ctx.sched, ctx.dims, side=side)
-                per_rank.append(grads)
-            micro.append(_mean_in_order(per_rank))
+
+        def draw_stride(w):
+            return teacher_stride(w.base.data, teacher.data,
+                                  w.draw_batch(stage, grid), stage, ctx.sched,
+                                  ctx.dims)
+
+        def step_grads(w, b):
+            if disc is None:
+                return mse_distill_step(w.base, motion, b, ctx.sched, ctx.dims)[1]
+            return adversarial_step(w.base, motion, disc, b, phase, w.flow_idx,
+                                    ctx.sched, ctx.dims, side=side)[2]
+
+        grads = iteration_grads(stage, workers, draw_stride, step_grads)
         if side == "student":
-            opt_student.step(motion.data, _mean_in_order(micro))
+            opt_student.step(motion.data, grads)
         else:
-            opt_disc.step(disc.data, _mean_in_order(micro))
+            opt_disc.step(disc.data, grads)
     return motion
 
 
-@pytest.mark.parametrize("stage,phase", [
+_REFERENCE_STAGES = pytest.mark.parametrize("stage,phase", [
     (StageConfig(128, 32, "mse_cfg", 1, micro_batch=4, grad_accum=3,
                  cfg_scale=7.5), None),
     (StageConfig(32, 8, "adversarial", 2, micro_batch=4, grad_accum=2,
                  phase="trajectory_conditional"), "trajectory_conditional"),
 ], ids=["mse", "adversarial"])
-def test_run_stage_matches_per_rank_reference(sched, dims, stage, phase, monkeypatch):
+
+
+def _stage_and_reference(sched, dims, stage, phase, iteration_grads,
+                         monkeypatch):
+    """Run ``run_stage`` and the reference loop on a three-rank context;
+    returns the float64 gradients each Adam step received and the trained
+    motion, for ``run_stage`` and for the reference."""
     def three_rank_ctx():
         # A third rank sharing rank 0's base, listed first: the step must
         # still reduce in rank order, and three terms make the order show.
@@ -329,15 +382,38 @@ def test_run_stage_matches_per_rank_reference(sched, dims, stage, phase, monkeyp
     out, _ = run_stage(stage, ctx, motion)
     got = updates[:]
     updates.clear()
-    ref = _reference_stage(stage, *three_rank_ctx(), phase)
+    ref = _reference_stage(stage, *three_rank_ctx(), phase, iteration_grads)
     assert len(got) == len(updates) == stage.iterations
     for g, r in zip(got, updates):
         assert g.keys() == r.keys()
+    assert not np.array_equal(out.data["mix_out"], motion.data["mix_out"])
+    return got, updates, out, ref
+
+
+@_REFERENCE_STAGES
+def test_run_stage_matches_per_rank_reference(sched, dims, stage, phase,
+                                              monkeypatch):
+    got, want, out, ref = _stage_and_reference(sched, dims, stage, phase,
+                                               _folded_grads, monkeypatch)
+    for g, r in zip(got, want):
         for key in g:
             assert np.array_equal(g[key], r[key]), key
     for key in out.data:
         assert np.array_equal(out.data[key], ref.data[key]), key
-    assert not np.array_equal(out.data["mix_out"], motion.data["mix_out"])
+
+
+@_REFERENCE_STAGES
+def test_run_stage_gradients_match_micro_step_accumulation(sched, dims, stage,
+                                                           phase, monkeypatch):
+    # Every loss is a mean over rows and the micro-batches are the same
+    # size, so one step over a rank's rows equals the mean of its micro-step
+    # gradients up to summation order.
+    got, want, _, _ = _stage_and_reference(sched, dims, stage, phase,
+                                           _accumulated_grads, monkeypatch)
+    for g, r in zip(got, want):
+        for key in g:
+            gap = np.linalg.norm(g[key] - r[key])
+            assert gap <= 1e-12 * np.linalg.norm(r[key]), key
 
 
 def test_nan_loss_aborts_with_dump(sched, dims, tmp_path, monkeypatch):
@@ -395,13 +471,14 @@ def test_one_teacher_call_per_rank_equals_one_per_micro_batch(sched, dims, setup
 
     got = _rank_strides(worker(), motion, stage, sched, dims, grid)
     w = worker()
-    want = [teacher_stride(base.data, motion.data, w.draw_batch(stage, grid),
-                           stage, sched, dims) for _ in range(stage.grad_accum)]
-    assert len(got) == len(want) == stage.grad_accum
-    for g, r in zip(got, want):
-        assert g.keys() == r.keys()
-        for key in g:
-            assert np.array_equal(g[key], r[key]), key
+    parts = [teacher_stride(base.data, motion.data, w.draw_batch(stage, grid),
+                            stage, sched, dims) for _ in range(stage.grad_accum)]
+    want = {**parts[0], **{k: np.concatenate([p[k] for p in parts])
+                           for k in _ROW_KEYS}}
+    assert got.keys() == want.keys()
+    assert len(got["t"]) == stage.micro_batch * stage.grad_accum
+    for key in got:
+        assert np.array_equal(got[key], want[key]), key
 
 
 def _two_call_losses(base_arrays, motion, disc_arrays, b, phase, flow_idx, sched,
