@@ -13,7 +13,6 @@ from .schedule import (
     NoiseSchedule,
     add_noise,
     build_schedule,
-    eps_to_x0,
     substitute_terminal_noise,
 )
 from .nets import (
@@ -23,7 +22,6 @@ from .nets import (
     MotionParams,
     NetDims,
     StudentBundle,
-    forward_student,
     init_base,
     init_discriminator,
     init_motion,

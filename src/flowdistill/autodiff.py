@@ -42,7 +42,6 @@ __all__ = [
     "log",
     "square",
     "clamp",
-    "sum_all",
     "mean_all",
     "gradcheck",
 ]
@@ -390,14 +389,6 @@ def clamp(x, lo: float, hi: float):
     inside = (x.value >= lo) & (x.value <= hi)
     out = Var(np.clip(x.value, lo, hi), _parents=(x,))
     out._bwd = lambda g: _accum(x, g * inside)
-    return out
-
-
-def sum_all(x):
-    if not isinstance(x, Var):
-        return np.sum(_as_f64(x))
-    out = Var(np.sum(x.value), _parents=(x,))
-    out._bwd = lambda g: _accum(x, np.broadcast_to(g, x.value.shape))
     return out
 
 

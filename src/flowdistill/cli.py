@@ -43,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distill", help="run the progressive distillation plan")
     common(p)
-    p.add_argument("--ranks", type=int, default=None,
-                   help="override worker count (replicates the rank table)")
     p.add_argument("--arm", choices=["cross", "single"], default="cross")
 
     p = sub.add_parser("sample", help="sample clips from a distilled student")
@@ -107,8 +105,7 @@ def cmd_distill(args) -> int:
     cfg, ws = _resolve(args)
     bundles = ws.pretrained_bundles(progress=_progress)
     datasets = ws.build_datasets(bundles, progress=_progress)
-    motion = ws.distill_arm(args.arm, bundles, datasets,
-                            n_ranks=args.ranks, progress=_progress)
+    motion = ws.distill_arm(args.arm, bundles, datasets, progress=_progress)
     _progress(f"distilled step counts: {', '.join(map(str, motion))}")
     return 0
 

@@ -10,7 +10,8 @@ Sections:
 * ``pretrain``: step counts and optimiser settings for base/motion training.
 * ``distill``: per-stage iteration budget, micro-batch, accumulation,
   learning rates, and whether to append the experimental 2 -> 1 stage.
-* ``ranks``: the worker table (rank, style, dataset rows).
+* ``ranks``: the worker table (rank, style, dataset rows). It is the only
+  rank table: the cross-model arm distills against exactly these rows.
 * ``eval``: evaluated styles, step counts, conditions per arm.
 * ``seed``: global seed.
 """
@@ -102,11 +103,13 @@ def default_config() -> dict:
     }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if key not in base:
+            raise ValueError(f"unknown config key {prefix + key!r}")
+        if isinstance(value, dict) and isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, f"{prefix}{key}.")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -115,7 +118,9 @@ def _merge(base: dict, override: dict) -> dict:
 def load_config(path_or_default: str) -> dict:
     """Read a JSON config file; the literal ``"default"`` loads defaults.
 
-    Files may specify any subset of keys; the rest fall back to defaults.
+    Files may specify any subset of the keys of ``default_config()``; the
+    rest fall back to defaults. Any other key, at any depth of a section,
+    raises ``ValueError`` naming its dotted path.
     """
     if path_or_default == "default":
         cfg = default_config()
@@ -149,7 +154,7 @@ def plan_from_config(cfg: dict) -> DistillPlan:
                         grad_accum=d["grad_accum"], lr_student=d["lr_student"],
                         lr_disc=d["lr_disc"],
                         include_one_step=d["include_one_step"],
-                        mse_iterations=d.get("mse_iterations"))
+                        mse_iterations=d["mse_iterations"])
 
 
 def validate_config(cfg: dict) -> None:

@@ -35,7 +35,6 @@ __all__ = [
     "StyleSpec",
     "STYLES",
     "style_by_name",
-    "training_styles",
     "ClipDataset",
     "sample_ground_truth",
     "generate_distill_dataset",
@@ -117,10 +116,6 @@ def style_by_id(style_id: int) -> StyleSpec:
     if style_id not in _BY_ID:
         raise KeyError(f"unknown style id {style_id}")
     return _BY_ID[style_id]
-
-
-def training_styles() -> list:
-    return [s for s in STYLES if s.group != "unseen"]
 
 
 def component_means(vocab: int) -> np.ndarray:

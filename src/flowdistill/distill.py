@@ -100,7 +100,6 @@ class StageConfig:
     lr_student: float = 1e-3
     lr_disc: float = 2e-3
     cfg_scale: float = 0.0
-    phase: str | None = None  # restricts an adversarial stage to one phase
 
     def __post_init__(self):
         if self.from_steps <= self.to_steps:
@@ -113,17 +112,13 @@ class StageConfig:
             raise ValueError("iterations must be >= 0")
         if self.micro_batch < 1 or self.grad_accum < 1:
             raise ValueError("micro_batch and grad_accum must be >= 1")
-        if self.phase is not None and self.phase not in PHASES:
-            raise ValueError(f"unknown phase {self.phase!r}")
 
     @property
     def name(self) -> str:
         return f"{self.from_steps}to{self.to_steps}"
 
     def phases(self) -> tuple:
-        if self.loss_kind != "adversarial":
-            return (None,)
-        return (self.phase,) if self.phase is not None else PHASES
+        return PHASES if self.loss_kind == "adversarial" else (None,)
 
 
 @dataclass(frozen=True)
@@ -146,11 +141,16 @@ def default_plan(iterations: int, micro_batch: int = 16, grad_accum: int = 4,
                  include_one_step: bool = False,
                  mse_iterations: int | None = None) -> DistillPlan:
     """128 -> 32 -> 8 -> 4 -> 2 (optionally -> 1, which is experimental:
-    the one-step epsilon formulation is known to be noisy)."""
+    the one-step epsilon formulation is known to be noisy).
+
+    The MSE stage runs ``mse_iterations``, or ``iterations`` when that is
+    None; the adversarial stages run ``iterations`` per phase."""
     common = dict(micro_batch=micro_batch, grad_accum=grad_accum,
                   lr_student=lr_student, lr_disc=lr_disc)
+    if mse_iterations is None:
+        mse_iterations = iterations
     stages = [
-        StageConfig(128, 32, "mse_cfg", mse_iterations or iterations,
+        StageConfig(128, 32, "mse_cfg", mse_iterations,
                     cfg_scale=7.5, **common),
         StageConfig(32, 8, "adversarial", iterations, **common),
         StageConfig(8, 4, "adversarial", iterations, **common),

@@ -42,7 +42,6 @@ __all__ = [
     "MotionParams",
     "StudentBundle",
     "DiscriminatorParams",
-    "forward_student",
     "student_eps",
     "disc_pair_prob",
     "disc_single_prob",
@@ -87,9 +86,6 @@ class BaseParams:
     dims: NetDims
     data: dict = field(repr=False)
 
-    def copy(self) -> "BaseParams":
-        return BaseParams(self.style_id, self.dims, {k: v.copy() for k, v in self.data.items()})
-
 
 @dataclass
 class MotionParams:
@@ -121,10 +117,6 @@ class DiscriminatorParams:
     dims: NetDims
     num_flows: int
     data: dict = field(repr=False)
-
-    def copy(self) -> "DiscriminatorParams":
-        return DiscriminatorParams(self.dims, self.num_flows,
-                                   {k: v.copy() for k, v in self.data.items()})
 
 
 def init_base(style_id: int, dims: NetDims, rng: np.random.Generator) -> BaseParams:
@@ -283,18 +275,6 @@ def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims)
         tfeat = np.broadcast_to(tfeat, (ad.value_of(x).shape[0], dims.time_dim))
     h = _encode(base_arrays, x, tfeat, tokens, motion_arrays)
     return ad.matmul(h, base_arrays["w3"]) + base_arrays["b3"]
-
-
-def forward_student(bundle: StudentBundle, x_t, t, tokens, sched: NoiseSchedule):
-    """Inference-mode noise prediction as a plain float64 array."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    squeeze = x_t.ndim == 2
-    if squeeze:
-        x_t = x_t[None]
-    tokens = np.atleast_1d(np.asarray(tokens))
-    out = student_eps(bundle.base.data, bundle.motion.data, x_t, t, tokens,
-                      sched.T, bundle.dims)
-    return out[0] if squeeze else out
 
 
 def _disc_features(disc_arrays, x, t, tokens, flow_idx, T: int, dims: NetDims):

@@ -3,17 +3,16 @@
 Each logical rank owns one frozen base model and one dataset; the motion
 module (and the discriminator) are shared. A distillation step averages the
 ranks' gradients in ascending rank order (see ``distill._run_phase``).
+The config's ``ranks`` section is the one table the cross-model arm trains
+on, so ``config_hash`` covers it.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 __all__ = [
     "RankAssignment",
     "build_assignment",
-    "table_digest",
 ]
 
 # Mirrors the 8-worker roster: two default-base workers on real data, two
@@ -38,26 +37,17 @@ class RankAssignment:
     dataset: str
 
 
-def build_assignment(rows=None, n_ranks: int | None = None,
-                     known_datasets=None) -> list:
-    """Validated rank -> (base style, dataset) table.
+def build_assignment(rows=None, known_datasets=None) -> list:
+    """Validated rank -> (base style, dataset) table of ``rows``, sorted by
+    rank (the default table when ``rows`` is None).
 
-    ``n_ranks`` replicates the row pattern cyclically (or truncates it), so
-    a single-rank table degenerates to single-model distillation on the
-    default base. Styles must be registered and not in the unseen group.
+    There must be at least one rank. Rank ids must be unique, styles
+    registered and not in the unseen group, and datasets in
+    ``known_datasets`` when it is given.
     """
     from .datagen import style_by_name
 
     rows = list(rows) if rows is not None else list(DEFAULT_RANK_TABLE)
-    if n_ranks is not None:
-        if n_ranks < 1:
-            raise ValueError("need at least one rank")
-        pattern = rows
-        rows = [
-            {"rank": i, "style": pattern[i % len(pattern)]["style"],
-             "dataset": pattern[i % len(pattern)]["dataset"]}
-            for i in range(n_ranks)
-        ]
     seen = set()
     out = []
     for row in rows:
@@ -71,10 +61,7 @@ def build_assignment(rows=None, n_ranks: int | None = None,
         if known_datasets is not None and ra.dataset not in known_datasets:
             raise ValueError(f"unknown dataset {ra.dataset!r}")
         out.append(ra)
+    if not out:
+        raise ValueError("need at least one rank")
     return sorted(out, key=lambda r: r.rank)
 
-
-def table_digest(assignment) -> str:
-    """Short digest of a resolved rank table; checkpoints record it."""
-    rows = sorted([a.rank, a.style, a.dataset] for a in assignment)
-    return hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()[:16]

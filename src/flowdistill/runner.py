@@ -15,10 +15,10 @@ a directory is made only when a file is written into it.
 One cache rule serves every artifact (``Workspace._cached``): a file that
 exists is loaded and its metadata checked. Each file records the config
 hash, and one produced under another config, or with no hash, is refused.
-A distilled stage also records the digest of the resolved rank table, and
-one distilled with another table (another ``--ranks`` value) is rebuilt.
 A missing file is built and written atomically, so an interrupted command
-leaves every file whole or absent.
+leaves every file whole or absent. The config's ``ranks`` section is the
+only rank table, so the config hash also names the table that each
+distilled stage was trained on.
 
 Each cached artifact has a load-only path beside the path that builds it
 when it is missing: ``load_bundles`` (or ``load_base`` for one base model)
@@ -60,7 +60,7 @@ from .nets import (
     pretrain_base,
     pretrain_motion,
 )
-from .ranks import build_assignment, table_digest
+from .ranks import build_assignment
 from .evalmetrics import score_arms
 
 __all__ = [
@@ -106,15 +106,14 @@ class Workspace:
 
     # -- the cache --------------------------------------------------------
 
-    def _cached(self, path: str, load, save, build=None, **key):
+    def _cached(self, path: str, load, save, build=None):
         """The artifact at ``path``: loaded if it exists, else built.
 
         ``load(path)`` returns (value, metadata). A file from another
-        config raises ``ValueError``; one whose ``key`` metadata differs is
-        treated as missing. A missing file is ``build()``-ed and written by
-        ``save(value, path, meta)`` with the config hash and ``key`` as
-        metadata. With no ``build``, a missing file raises
-        ``FileNotFoundError``.
+        config, or with no config hash, raises ``ValueError``. A missing
+        file is ``build()``-ed and written by ``save(value, path, meta)``
+        with the config hash as its only metadata. With no ``build``, a
+        missing file raises ``FileNotFoundError``.
         """
         if os.path.exists(path):
             value, meta = load(path)
@@ -122,23 +121,18 @@ class Workspace:
                 raise ValueError(
                     f"{path}: produced under config {meta.get('config_hash')}, "
                     f"current config is {self.hash}")
-            found = {k: meta.get(k) for k in key}
-            if found == key:
-                return value
-            if build is None:
-                raise FileNotFoundError(
-                    f"{path} was produced with {found}, not {key}; build it again")
-        elif build is None:
+            return value
+        if build is None:
             raise FileNotFoundError(f"missing {path}")
         value = build()
-        save(value, path, {"config_hash": self.hash, **key})
+        save(value, path, {"config_hash": self.hash})
         return value
 
-    def _params(self, path: str, keys, build=None, **key) -> dict:
+    def _params(self, path: str, keys, build=None) -> dict:
         """Parameter arrays of one checkpoint, through ``_cached``;
         ``build()`` returns the arrays."""
         return self._cached(path, partial(checkpoint_load, expect=keys),
-                            checkpoint_save, build, **key)
+                            checkpoint_save, build)
 
     # -- pretraining ------------------------------------------------------
 
@@ -179,8 +173,8 @@ class Workspace:
         return {style: StudentBundle(self._base(style), motion)
                 for style in styles}
 
-    def pretrain_bases(self, styles=None, progress=None) -> dict:
-        """Pretrain (or load cached) base models for the given styles."""
+    def pretrain_bases(self, progress=None) -> dict:
+        """Pretrain (or load cached) the base model of every style."""
         pt = self.cfg["pretrain"]
 
         def build(style):
@@ -194,8 +188,8 @@ class Workspace:
                                     cond_dropout=pt["cond_dropout"])
             return base.data
 
-        return {style: self._base(style, partial(build, style))
-                for style in styles or [s.name for s in STYLES]}
+        return {s.name: self._base(s.name, partial(build, s.name))
+                for s in STYLES}
 
     def pretrain_shared_motion(self, default_base: BaseParams, progress=None) -> MotionParams:
         def build():
@@ -211,11 +205,9 @@ class Workspace:
 
         return self._motion(build)
 
-    def pretrained_bundles(self, styles=None, progress=None) -> dict:
-        bases = self.pretrain_bases(styles, progress=progress)
-        motion = self.pretrain_shared_motion(
-            bases.get("default") or self.pretrain_bases(["default"])["default"],
-            progress=progress)
+    def pretrained_bundles(self, progress=None) -> dict:
+        bases = self.pretrain_bases(progress=progress)
+        motion = self.pretrain_shared_motion(bases["default"], progress=progress)
         return {name: StudentBundle(base, motion) for name, base in bases.items()}
 
     # -- datasets ---------------------------------------------------------
@@ -245,16 +237,10 @@ class Workspace:
 
     # -- distillation -------------------------------------------------------
 
-    def _assignment(self, arm: str, n_ranks: int | None,
-                    known_datasets=None) -> list:
+    def _context(self, bundles: dict, datasets: dict, arm: str) -> DistillContext:
         rows = self.cfg["ranks"] if arm == "cross" else [
             {"rank": 0, "style": "default", "dataset": "real"}]
-        return build_assignment(rows, n_ranks=n_ranks,
-                                known_datasets=known_datasets)
-
-    def _context(self, bundles: dict, datasets: dict, arm: str,
-                 n_ranks: int | None) -> DistillContext:
-        assignment = self._assignment(arm, n_ranks, set(datasets))
+        assignment = build_assignment(rows, known_datasets=set(datasets))
         flow_styles = sorted({a.style for a in assignment},
                              key=lambda s: style_by_name(s).style_id)
         flow_idx = {s: i for i, s in enumerate(flow_styles)}
@@ -268,42 +254,39 @@ class Workspace:
             pretrained=bundles["default"], seed=self.cfg["seed"],
             workdir=os.path.join(self.root, "checkpoints", arm))
 
-    def _stages(self, arm: str, assignment, train=None, teacher=None) -> dict:
-        """Motion by step count of each plan stage, through ``_cached``
-        keyed on the rank table; ``train(stage, teacher)`` builds a stage
-        from the one before it, the first from ``teacher``."""
-        ranks = table_digest(assignment)
+    def _stages(self, arm: str, train=None, teacher=None) -> dict:
+        """Motion by step count of each plan stage, through ``_cached``;
+        ``train(stage, teacher)`` builds a stage from the one before it,
+        the first from ``teacher``."""
         out = {}
         for stage in plan_from_config(self.cfg).stages:
             build = partial(train, stage, teacher) if train else None
             teacher = MotionParams(self.dims, self._params(
                 self.ckpt_path(f"motion_{stage.name}", arm=arm), MOTION_KEYS,
-                build, ranks=ranks))
+                build))
             out[stage.to_steps] = teacher
         return out
 
-    def load_arm(self, arm: str, n_ranks: int | None = None) -> dict:
+    def load_arm(self, arm: str) -> dict:
         """Distilled motion by step count (each plan stage's ``to_steps``).
 
-        Raises ``FileNotFoundError`` when a stage is missing or was
-        distilled with another rank table, and ``ValueError`` when it was
-        produced under another config.
+        Raises ``FileNotFoundError`` when a stage is missing, and
+        ``ValueError`` when it was produced under another config.
         """
-        return self._stages(arm, self._assignment(arm, n_ranks))
+        return self._stages(arm)
 
     def distill_arm(self, arm: str, bundles: dict, datasets: dict,
-                    n_ranks: int | None = None, progress=None) -> dict:
+                    progress=None) -> dict:
         """Motion by step count, as ``load_arm`` returns it, distilling
-        each stage that is missing or stale from the stage before it."""
-        ctx = self._context(bundles, datasets, arm, n_ranks)
+        each stage that is missing from the stage before it."""
+        ctx = self._context(bundles, datasets, arm)
 
         def train(stage, teacher):
             if progress:
                 progress(f"distilling arm {arm!r}: stage {stage.name}")
             return run_stage(stage, ctx, teacher)[0].data
 
-        return self._stages(arm, [w.assignment for w in ctx.workers], train,
-                            bundles["default"].motion)
+        return self._stages(arm, train, bundles["default"].motion)
 
     # -- evaluation ---------------------------------------------------------
 

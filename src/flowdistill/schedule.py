@@ -13,7 +13,6 @@ __all__ = [
     "NoiseSchedule",
     "build_schedule",
     "add_noise",
-    "eps_to_x0",
     "substitute_terminal_noise",
 ]
 
@@ -106,20 +105,6 @@ def add_noise(x0, eps, t, sched: NoiseSchedule):
     a = _coef(sched.sqrt_alpha_bar(t), x0.ndim)
     b = _coef(sched.sqrt_one_minus_alpha_bar(t), x0.ndim)
     return a * x0 + b * eps
-
-
-def eps_to_x0(x_t, eps_hat, t, sched: NoiseSchedule):
-    """Invert the forward process: (x_t - sqrt(1 - ab_t) * eps) / sqrt(ab_t)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if x_t.shape != eps_hat.shape:
-        raise ValueError(f"shape mismatch: {x_t.shape} vs {eps_hat.shape}")
-    ab = sched.alpha_bar(t)
-    if np.any(ab <= 0.0):
-        raise ValueError("alpha_bar is zero: conversion to x0 is singular")
-    a = _coef(sched.sqrt_alpha_bar(t), x_t.ndim)
-    b = _coef(sched.sqrt_one_minus_alpha_bar(t), x_t.ndim)
-    return (x_t - b * eps_hat) / a
 
 
 def substitute_terminal_noise(x_t, eps, t, sched: NoiseSchedule):

@@ -12,9 +12,8 @@ import flowdistill.runner as runner
 from flowdistill.checkpoint import checkpoint_load
 from flowdistill.cli import cli
 from flowdistill.config import config_hash, default_config, load_config, validate_config
-from flowdistill.datagen import load_dataset
+from flowdistill.datagen import STYLES, load_dataset
 from flowdistill.nets import MOTION_KEYS
-from flowdistill.ranks import build_assignment, table_digest
 from flowdistill.runner import Workspace
 
 STAGES = ("128to32", "32to8", "8to4", "4to2", "2to1")
@@ -81,6 +80,28 @@ def test_missing_required_sample_flags(capsys):
     assert cli(["sample", "--steps", "4"]) != 0
 
 
+def test_distill_ranks_flag_is_a_usage_error(tiny_config, tmp_path, capsys):
+    wd = tmp_path / "run"
+    assert cli(["distill", "--ranks", "2", "--config", tiny_config,
+                "--workdir", str(wd)]) == 2
+    assert "unrecognized arguments: --ranks 2" in capsys.readouterr().err
+    assert not wd.exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"distill": {"iteraions": 7}}, "distill.iteraions"),
+    ({"workers": 4}, "workers"),
+    ({"eval": {"styles": ["real_b"], "n_condition": 9}}, "eval.n_condition"),
+])
+def test_unknown_config_key_fails_and_writes_nothing(tmp_path, capsys,
+                                                     override, key):
+    path, wd = tmp_path / "typo.json", tmp_path / "run"
+    path.write_text(json.dumps(override))
+    assert cli(["eval", "--config", str(path), "--workdir", str(wd)]) == 1
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert not wd.exists()
+
+
 def test_eval_without_checkpoints_fails_cleanly(tiny_config, workdir, capsys):
     code = cli(["eval", "--config", tiny_config, "--workdir", workdir])
     assert code == 1
@@ -102,15 +123,14 @@ def test_pipeline_subcommands_end_to_end(tiny_config, workdir, capsys):
         ds = load_dataset(os.path.join(workdir, "data", f"{name}.ds"))
         assert ds.meta["config_hash"] == config_hash(cfg)
     assert cli(["distill", "--config", tiny_config, "--workdir", workdir]) == 0
-    # Every stage records the config hash and the rank table, and changes
-    # the motion it started from.
+    # Every stage records the config hash, which covers the rank table, as
+    # its only metadata, and changes the motion it started from.
     before = checkpoint_load(os.path.join(workdir, "checkpoints",
                                           "motion_pretrained.ckpt"))[0]
     for stage in STAGES:
         arrays, meta = checkpoint_load(os.path.join(
             workdir, "checkpoints", "cross", f"motion_{stage}.ckpt"), expect=MOTION_KEYS)
-        assert meta == {"config_hash": config_hash(cfg),
-                        "ranks": table_digest(build_assignment(cfg["ranks"]))}
+        assert meta == {"config_hash": config_hash(cfg)}
         assert not np.array_equal(arrays["mix_out"], before["mix_out"]), stage
         before = arrays
     assert cli(["eval", "--config", tiny_config, "--workdir", workdir]) == 0
@@ -151,9 +171,9 @@ def test_pretraining_draws_the_default_ground_truth_once(tiny_config, tmp_path,
     cfg = load_config(tiny_config)
     cfg["pretrain"].update(base_steps=1, motion_steps=1)
     ws = Workspace(cfg, str(tmp_path / "run"))
-    ws.pretrained_bundles(["default"])
+    ws.pretrained_bundles()
     assert ws.ground_truth("default") is ws.ground_truth("default")
-    assert drawn == ["default"]
+    assert drawn == [s.name for s in STYLES]
 
 
 def test_sample_does_not_need_the_pretrained_motion(tiny_config, workdir, tmp_path):
@@ -368,27 +388,6 @@ def _copy_undistilled(workdir, dst) -> str:
     for arm in ("cross", "single"):
         shutil.rmtree(os.path.join(dst, "checkpoints", arm), ignore_errors=True)
     return str(dst)
-
-
-def test_distill_ranks_override_is_not_reused(tiny_config, workdir, tmp_path, capsys):
-    wd = _copy_undistilled(workdir, tmp_path / "ranks")
-    ckpt = os.path.join(wd, "checkpoints", "cross", "motion_4to2.ckpt")
-    args = ["distill", "--config", tiny_config, "--workdir", wd]
-    rows = load_config(tiny_config)["ranks"]
-
-    assert cli(args + ["--ranks", "2"]) == 0
-    assert "distilling arm" in capsys.readouterr().out
-    two = checkpoint_load(ckpt)[0]
-    assert checkpoint_load(ckpt)[1]["ranks"] == table_digest(build_assignment(rows, n_ranks=2))
-
-    assert cli(args) == 0  # the 2-rank checkpoints must not be reused
-    assert "distilling arm" in capsys.readouterr().out
-    eight, meta = checkpoint_load(ckpt)
-    assert meta["ranks"] == table_digest(build_assignment(rows))
-    assert not np.array_equal(two["mix_out"], eight["mix_out"])
-
-    assert cli(args) == 0  # a matching arm is reused
-    assert "distilling arm" not in capsys.readouterr().out
 
 
 def test_eval_with_missing_first_stage_fails_without_training(tiny_config, workdir,

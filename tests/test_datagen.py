@@ -15,7 +15,6 @@ from flowdistill.datagen import (
     load_dataset,
     save_dataset,
     style_by_name,
-    training_styles,
 )
 
 
@@ -24,7 +23,13 @@ def test_style_registry_structure():
     assert groups == {"default", "realistic_analog", "anime_analog", "unseen"}
     unseen = [s for s in fd.STYLES if s.group == "unseen"]
     assert len(unseen) >= 2
-    assert all(s.group != "unseen" for s in training_styles())
+    for s in fd.STYLES:  # a rank may train on exactly the seen styles
+        row = [{"rank": 0, "style": s.name, "dataset": "real"}]
+        if s.group == "unseen":
+            with pytest.raises(ValueError, match="unseen"):
+                fd.build_assignment(row)
+        else:
+            assert fd.build_assignment(row)[0].style == s.name
     with pytest.raises(KeyError):
         style_by_name("nope")
 

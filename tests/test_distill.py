@@ -8,6 +8,7 @@ from flowdistill.datagen import style_by_name
 from flowdistill import autodiff as ad
 from flowdistill.distill import (
     DistillContext,
+    PHASES,
     PROB_CLAMP,
     RankWorker,
     StageConfig,
@@ -29,7 +30,9 @@ from flowdistill.nets import (
     disc_pair_prob,
     disc_single_prob,
     init_discriminator,
+    reset_single_head,
 )
+from flowdistill.config import default_config, plan_from_config
 from flowdistill.ranks import RankAssignment, build_assignment
 
 
@@ -84,8 +87,8 @@ def test_stage_config_validation():
         StageConfig(8, 3, "mse_cfg", 1)
     with pytest.raises(ValueError):
         StageConfig(8, 4, "nope", 1)
-    with pytest.raises(ValueError):
-        StageConfig(8, 4, "adversarial", 1, phase="sideways")
+    assert StageConfig(8, 4, "adversarial", 1).phases() == PHASES
+    assert StageConfig(8, 4, "mse_cfg", 1).phases() == (None,)
 
 
 def test_plan_chaining_validation():
@@ -94,6 +97,15 @@ def test_plan_chaining_validation():
     with pytest.raises(ValueError, match="chain"):
         fd.DistillPlan((StageConfig(128, 32, "mse_cfg", 1),
                         StageConfig(16, 8, "adversarial", 1)))
+
+
+def test_zero_mse_iterations_is_not_unset():
+    assert [s.iterations for s in fd.default_plan(5).stages] == [5] * 4
+    plan = fd.default_plan(5, mse_iterations=0)
+    assert [s.iterations for s in plan.stages] == [0, 5, 5, 5]
+    cfg = default_config()
+    cfg["distill"].update(iterations=5, mse_iterations=0)
+    assert plan_from_config(cfg).stages[0].iterations == 0
 
 
 def test_stage_grids(sched):
@@ -188,6 +200,9 @@ def test_adversarial_losses_at_fresh_heads(sched, dims, setup):
                                            "relaxed", 0, sched, dims, side="student")
     assert abs(l_d2 - 2 * np.log(2.0)) < 1e-3
     assert set(grads2) == set(MOTION_KEYS)
+    with pytest.raises(ValueError, match="unknown phase"):
+        _adversarial_step(base, motion, motion, disc, batch, st, "sideways", 0,
+                          sched, dims, side="disc")
 
 
 def test_adversarial_probabilities_clamped(sched, dims, setup):
@@ -308,53 +323,57 @@ def _accumulated_grads(stage, workers, draw_stride, step_grads):
     return _mean_in_order(micro)
 
 
-def _reference_stage(stage, ctx, teacher, phase, iteration_grads):
-    """Reference loop for ``run_stage`` on a single-phase stage: every
-    iteration takes ``iteration_grads`` of the ranks and makes one Adam
-    step."""
+def _reference_stage(stage, ctx, teacher, iteration_grads):
+    """Reference loop for ``run_stage``: each phase reseeds the ranks and
+    starts fresh optimizers, the relaxed phase on a reset relaxed head, and
+    every iteration takes ``iteration_grads`` of the ranks and makes one
+    Adam step."""
     motion = teacher.copy()
     disc = None
     if stage.loss_kind == "adversarial":
         disc = init_discriminator(ctx.dims, ctx.num_flows,
                                   _stage_rng(ctx.seed, stage, 0, 104729),
                                   backbone_from=ctx.pretrained)
-    for w in ctx.workers:
-        w.rng = _stage_rng(ctx.seed, stage, 0, w.assignment.rank)
     grid = stage_timesteps(stage, ctx.sched.T)
     workers = sorted(ctx.workers, key=lambda w: w.assignment.rank)
-    opt_student, opt_disc = Adam(stage.lr_student), Adam(stage.lr_disc)
-    for it in range(stage.iterations):
-        side = "disc" if disc is not None and it % 2 == 0 else "student"
+    for phase_idx, phase in enumerate(stage.phases()):
+        if phase == "relaxed":
+            reset_single_head(disc, _stage_rng(ctx.seed, stage, 1, 104729))
+        for w in ctx.workers:
+            w.rng = _stage_rng(ctx.seed, stage, phase_idx, w.assignment.rank)
+        opt_student, opt_disc = Adam(stage.lr_student), Adam(stage.lr_disc)
+        for it in range(stage.iterations):
+            side = "disc" if disc is not None and it % 2 == 0 else "student"
 
-        def draw_stride(w):
-            return teacher_stride(w.base.data, teacher.data,
-                                  w.draw_batch(stage, grid), stage, ctx.sched,
-                                  ctx.dims)
+            def draw_stride(w):
+                return teacher_stride(w.base.data, teacher.data,
+                                      w.draw_batch(stage, grid), stage,
+                                      ctx.sched, ctx.dims)
 
-        def step_grads(w, b):
-            if disc is None:
-                return mse_distill_step(w.base, motion, b, ctx.sched, ctx.dims)[1]
-            return adversarial_step(w.base, motion, disc, b, phase, w.flow_idx,
-                                    ctx.sched, ctx.dims, side=side)[2]
+            def step_grads(w, b):
+                if disc is None:
+                    return mse_distill_step(w.base, motion, b, ctx.sched,
+                                            ctx.dims)[1]
+                return adversarial_step(w.base, motion, disc, b, phase,
+                                        w.flow_idx, ctx.sched, ctx.dims,
+                                        side=side)[2]
 
-        grads = iteration_grads(stage, workers, draw_stride, step_grads)
-        if side == "student":
-            opt_student.step(motion.data, grads)
-        else:
-            opt_disc.step(disc.data, grads)
+            grads = iteration_grads(stage, workers, draw_stride, step_grads)
+            if side == "student":
+                opt_student.step(motion.data, grads)
+            else:
+                opt_disc.step(disc.data, grads)
     return motion
 
 
-_REFERENCE_STAGES = pytest.mark.parametrize("stage,phase", [
-    (StageConfig(128, 32, "mse_cfg", 1, micro_batch=4, grad_accum=3,
-                 cfg_scale=7.5), None),
-    (StageConfig(32, 8, "adversarial", 2, micro_batch=4, grad_accum=2,
-                 phase="trajectory_conditional"), "trajectory_conditional"),
+_REFERENCE_STAGES = pytest.mark.parametrize("stage", [
+    StageConfig(128, 32, "mse_cfg", 1, micro_batch=4, grad_accum=3,
+                cfg_scale=7.5),
+    StageConfig(32, 8, "adversarial", 2, micro_batch=4, grad_accum=2),
 ], ids=["mse", "adversarial"])
 
 
-def _stage_and_reference(sched, dims, stage, phase, iteration_grads,
-                         monkeypatch):
+def _stage_and_reference(sched, dims, stage, iteration_grads, monkeypatch):
     """Run ``run_stage`` and the reference loop on a three-rank context;
     returns the float64 gradients each Adam step received and the trained
     motion, for ``run_stage`` and for the reference."""
@@ -382,8 +401,8 @@ def _stage_and_reference(sched, dims, stage, phase, iteration_grads,
     out, _ = run_stage(stage, ctx, motion)
     got = updates[:]
     updates.clear()
-    ref = _reference_stage(stage, *three_rank_ctx(), phase, iteration_grads)
-    assert len(got) == len(updates) == stage.iterations
+    ref = _reference_stage(stage, *three_rank_ctx(), iteration_grads)
+    assert len(got) == len(updates) == stage.iterations * len(stage.phases())
     for g, r in zip(got, updates):
         assert g.keys() == r.keys()
     assert not np.array_equal(out.data["mix_out"], motion.data["mix_out"])
@@ -391,9 +410,8 @@ def _stage_and_reference(sched, dims, stage, phase, iteration_grads,
 
 
 @_REFERENCE_STAGES
-def test_run_stage_matches_per_rank_reference(sched, dims, stage, phase,
-                                              monkeypatch):
-    got, want, out, ref = _stage_and_reference(sched, dims, stage, phase,
+def test_run_stage_matches_per_rank_reference(sched, dims, stage, monkeypatch):
+    got, want, out, ref = _stage_and_reference(sched, dims, stage,
                                                _folded_grads, monkeypatch)
     for g, r in zip(got, want):
         for key in g:
@@ -404,11 +422,11 @@ def test_run_stage_matches_per_rank_reference(sched, dims, stage, phase,
 
 @_REFERENCE_STAGES
 def test_run_stage_gradients_match_micro_step_accumulation(sched, dims, stage,
-                                                           phase, monkeypatch):
+                                                           monkeypatch):
     # Every loss is a mean over rows and the micro-batches are the same
     # size, so one step over a rank's rows equals the mean of its micro-step
     # gradients up to summation order.
-    got, want, _, _ = _stage_and_reference(sched, dims, stage, phase,
+    got, want, _, _ = _stage_and_reference(sched, dims, stage,
                                            _accumulated_grads, monkeypatch)
     for g, r in zip(got, want):
         for key in g:

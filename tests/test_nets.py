@@ -13,6 +13,7 @@ from flowdistill.nets import (
     disc_single_prob,
     init_discriminator,
     reset_single_head,
+    student_eps,
     time_features,
 )
 
@@ -39,8 +40,8 @@ def test_zero_motion_matches_base_bitwise(sched, dims):
     zero = fd.StudentBundle(base, fd.init_motion(dims))
     x = rng.standard_normal((6, dims.frames, dims.frame_dim))
     tokens = rng.integers(0, dims.vocab, 6)
-    with_motion = fd.forward_student(zero, x, 50, tokens, sched)
-    from flowdistill.nets import student_eps
+    with_motion = student_eps(base.data, zero.motion.data, x, 50, tokens,
+                              sched.T, dims)
     base_only = student_eps(base.data, None, x, 50, tokens, sched.T, dims)
     assert np.array_equal(with_motion, base_only)
 
@@ -49,8 +50,8 @@ def test_forward_student_deterministic(sched, bundle, dims):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, dims.frames, dims.frame_dim))
     tokens = np.array([0, 1, dims.null_token])
-    a = fd.forward_student(bundle, x, 17, tokens, sched)
-    b = fd.forward_student(bundle, x, 17, tokens, sched)
+    args = (bundle.base.data, bundle.motion.data, x, 17, tokens, sched.T, dims)
+    a, b = student_eps(*args), student_eps(*args)
     assert np.array_equal(a, b)
 
 
@@ -58,7 +59,6 @@ def test_untaped_student_forward_peak_memory_at_batch_512(sched, bundle, dims):
     # Measured in (B, F, hidden) float64 arrays: 5.26 when every pointwise
     # op made a fresh temporary, 4.38 with one buffer per sigmoid chain,
     # 3.63 once the motion branch also frees its state before the residual.
-    from flowdistill.nets import student_eps
     B = 512
     rng = np.random.default_rng(3)
     x = rng.standard_normal((B, dims.frames, dims.frame_dim))
@@ -77,7 +77,8 @@ def test_untaped_student_forward_peak_memory_at_batch_512(sched, bundle, dims):
 def test_forward_student_rejects_unknown_token(sched, bundle, dims):
     x = np.zeros((1, dims.frames, dims.frame_dim))
     with pytest.raises(ValueError):
-        fd.forward_student(bundle, x, 5, np.array([dims.vocab + 1]), sched)
+        student_eps(bundle.base.data, bundle.motion.data, x, 5,
+                    np.array([dims.vocab + 1]), sched.T, dims)
 
 
 def test_time_features_cover_clean_boundary(dims):
@@ -220,7 +221,8 @@ def test_pretrain_base_learns_analytic_predictor(sched, dims):
         x0 = np.sqrt(ANALYTIC_VAR) * rng.standard_normal((512, dims.frames, dims.frame_dim))
         eps = rng.standard_normal(x0.shape)
         x_t = fd.add_noise(x0, eps, t, sched)
-        pred = fd.forward_student(bundle, x_t, t, rng.integers(0, dims.vocab, 512), sched)
+        pred = student_eps(bundle.base.data, bundle.motion.data, x_t, t,
+                           rng.integers(0, dims.vocab, 512), sched.T, dims)
         star = analytic_eps_star(x_t, t, sched)
         rms = float(np.sqrt(np.mean((pred - star) ** 2)))
         assert rms < 5e-2, (t, rms)

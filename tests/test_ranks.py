@@ -1,7 +1,7 @@
 import pytest
 
 import flowdistill as fd
-from flowdistill.ranks import DEFAULT_RANK_TABLE, table_digest
+from flowdistill.ranks import DEFAULT_RANK_TABLE
 
 
 def test_default_assignment_mirrors_table():
@@ -16,23 +16,15 @@ def test_default_assignment_mirrors_table():
     assert {r.dataset for r in table[4:]} == {"gen_anime"}
 
 
-def test_single_rank_degenerates_to_default_base():
-    table = fd.build_assignment(n_ranks=1)
-    assert len(table) == 1
-    assert table[0].style == "default" and table[0].dataset == "real"
-
-
-def test_replication_rule_extends_table():
-    table = fd.build_assignment(n_ranks=16)
-    assert len(table) == 16
-    for i in range(8):
-        assert table[i + 8].style == table[i].style
-
-
 def test_duplicate_rank_ids_rejected():
     rows = [dict(DEFAULT_RANK_TABLE[0]), dict(DEFAULT_RANK_TABLE[0])]
     with pytest.raises(ValueError, match="duplicate"):
         fd.build_assignment(rows)
+
+
+def test_empty_table_rejected():
+    with pytest.raises(ValueError, match="at least one rank"):
+        fd.build_assignment([])
 
 
 def test_unknown_and_unseen_styles_rejected():
@@ -45,16 +37,8 @@ def test_unknown_and_unseen_styles_rejected():
                             known_datasets={"real"})
 
 
-def test_table_digest_tells_resolved_tables_apart():
-    default = fd.build_assignment()
-    assert table_digest(default) == table_digest(fd.build_assignment(n_ranks=8))
-    assert table_digest(default) == table_digest(reversed(default))
-    assert table_digest(default) != table_digest(fd.build_assignment(n_ranks=2))
-    assert table_digest(default) != table_digest(fd.build_assignment(n_ranks=16))
-
-
 def test_effective_batch_arithmetic():
     # ranks x micro_batch x accumulation = samples per update
-    table = fd.build_assignment(n_ranks=4)
+    table = fd.build_assignment(DEFAULT_RANK_TABLE[:4])
     micro_batch, accum = 16, 4
     assert len(table) * micro_batch * accum == 256

@@ -6,9 +6,15 @@ from hypothesis import given, settings, strategies as st
 from flowdistill.schedule import (
     add_noise,
     build_schedule,
-    eps_to_x0,
     substitute_terminal_noise,
 )
+from flowdistill.solvers import euler_step
+
+
+def eps_to_x0(x_t, eps, t, sched):
+    """The clean sample that the Euler stride to the clean boundary (t = -1)
+    recovers from ``x_t`` with ``eps`` as the noise prediction."""
+    return euler_step(lambda x, t, tokens: eps, x_t, t, -1, None, sched)
 
 
 def test_classic_linear_endpoints():
