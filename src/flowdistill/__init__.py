@@ -33,8 +33,8 @@ from .solvers import (
     euler_solve,
     euler_step,
     multistep_solve,
-    sample,
     sample_batch,
+    start_noise,
 )
 from .datagen import (
     ClipDataset,

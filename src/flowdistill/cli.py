@@ -20,7 +20,10 @@ from .distill import DistillDivergence
 from .gradchecks import REL_TOL, gradcheck_battery
 from .nets import StudentBundle
 from .runner import Workspace
-from .solvers import sample as sample_one
+from .solvers import sample_batch, start_noise
+
+# Rows per sample_batch call of ``sample``, as in generate_distill_dataset.
+SAMPLE_BATCH = 512
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,12 +124,17 @@ def cmd_sample(args) -> int:
     bundle = StudentBundle(ws.load_base(args.style), arm[args.steps])
     _progress(f"sampling with the {args.steps}-step distilled student")
     rng = np.random.default_rng(cfg["seed"])
+    tokens, seeds = [], []
+    for _ in range(args.count):
+        tokens.append(int(rng.integers(0, ws.dims.vocab)))
+        seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
     clips = []
-    for i in range(args.count):
-        token = int(rng.integers(0, ws.dims.vocab))
-        clip = sample_one(bundle, ws.sched, args.steps, token,
-                          int(rng.integers(0, 2 ** 63 - 1)))
-        clips.append({"token": token, "frames": clip.tolist()})
+    for lo in range(0, args.count, SAMPLE_BATCH):
+        batch = slice(lo, lo + SAMPLE_BATCH)
+        out = sample_batch(bundle, ws.sched, args.steps, tokens[batch],
+                           start_noise(seeds[batch], ws.dims))
+        clips += [{"token": token, "frames": clip.tolist()}
+                  for token, clip in zip(tokens[batch], out)]
 
     def write(path):
         with open(path, "w") as fh:

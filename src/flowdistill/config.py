@@ -106,10 +106,15 @@ def default_config() -> dict:
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
+        path = prefix + key
         if key not in base:
-            raise ValueError(f"unknown config key {prefix + key!r}")
-        if isinstance(value, dict) and isinstance(base[key], dict):
-            out[key] = _merge(base[key], value, f"{prefix}{key}.")
+            raise ValueError(f"unknown config key {path!r}")
+        for kind, name in ((dict, "an object"), (list, "a list")):
+            if isinstance(base[key], kind) and not isinstance(value, kind):
+                raise ValueError(f"config key {path!r} must be {name}, "
+                                 f"not {type(value).__name__}")
+        if isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, f"{path}.")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -120,13 +125,19 @@ def load_config(path_or_default: str) -> dict:
 
     Files may specify any subset of the keys of ``default_config()``; the
     rest fall back to defaults. Any other key, at any depth of a section,
-    raises ``ValueError`` naming its dotted path.
+    raises ``ValueError`` naming its dotted path, and so does a value that
+    is not a JSON object where the defaults have a section, or not a list
+    where they have a list. The document itself must be an object.
     """
     if path_or_default == "default":
         cfg = default_config()
     else:
         with open(path_or_default) as fh:
-            cfg = _merge(default_config(), json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, "
+                             f"not {type(doc).__name__}")
+        cfg = _merge(default_config(), doc)
     validate_config(cfg)
     return cfg
 
@@ -159,8 +170,9 @@ def plan_from_config(cfg: dict) -> DistillPlan:
 
 def validate_config(cfg: dict) -> None:
     """Reject unknown styles, unseen styles in training, broken plans, eval
-    step counts that no plan stage distills, and fewer than two eval
-    conditions."""
+    step counts that no plan stage distills, a style or step count listed
+    twice in ``eval`` (its cells would be scored and written twice), and
+    fewer than two eval conditions."""
     schedule_from_config(cfg)
     dims_from_config(cfg)
     plan = plan_from_config(cfg)
@@ -179,3 +191,7 @@ def validate_config(cfg: dict) -> None:
         if steps not in plan_steps:
             raise ValueError(f"eval step count {steps} is not distilled by "
                              f"any plan stage (to_steps {plan_steps})")
+    for key in ("styles", "step_counts"):
+        values = cfg["eval"][key]
+        if len(set(values)) != len(values):
+            raise ValueError(f"eval.{key} lists a value twice: {values}")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .checkpoint import checkpoint_load, checkpoint_save
 from .schedule import NoiseSchedule
-from .solvers import sample_batch
+from .solvers import sample_batch, start_noise
 
 __all__ = [
     "StyleSpec",
@@ -236,7 +236,8 @@ def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
     clips = np.empty((n, bundle.dims.frames, bundle.dims.frame_dim), dtype=np.float32)
     for lo in range(0, n, batch):
         hi = min(lo + batch, n)
-        out = sample_batch(bundle, sched, steps, conds[lo:hi], seeds[lo:hi],
+        out = sample_batch(bundle, sched, steps, conds[lo:hi],
+                           start_noise(seeds[lo:hi], bundle.dims),
                            w=w, solver="multistep", x0_clip=x0_clip)
         clips[lo:hi] = out.astype(np.float32)
     return ClipDataset(clips, conds, "teacher_generated", style.group, style.style_id)

@@ -27,16 +27,23 @@ The norms are computed in numpy, over blocks of pairs laid out as
 
 A within-set norm is computed once per unordered pair and counted twice:
 ``x_i - x_j`` is the exact negation of ``x_j - x_i``, so both orders give
-the same norm bit for bit.
+the same norm bit for bit. Each set's within-set sum is cached by content
+(its shape and float64 bytes): an evaluation scores every cell of a style
+against one reference set, so that set's sum is computed once and reused,
+the same bits as computing it again.
+
+The harness scores every arm and step count on the same condition tokens
+and start noise, drawn once per :func:`score_arms` call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .solvers import sample_batch
+from .solvers import sample_batch, start_noise
 
 __all__ = [
     "energy_distance",
@@ -122,14 +129,17 @@ def _offset_norms(xt: np.ndarray, yt: np.ndarray, offsets: range) -> list:
     return norms
 
 
-def _within_sum(xt: np.ndarray) -> float:
-    """Exact sum of ||x_i - x_j|| over ordered pairs i != j.
+@lru_cache(maxsize=8)
+def _within_sum(shape: tuple, data: bytes) -> float:
+    """Exact sum of ||x_i - x_j|| over ordered pairs i != j of the (n, D)
+    float64 set whose C-order bytes are ``data``.
 
     Offsets 1..n//2 reach each unordered pair once, except that for even n
     the last offset reaches each of its pairs twice (from i and i + n/2);
     that second half is dropped. ``x_i - x_j`` is the exact negation of
     ``x_j - x_i``, so each norm stands for both orders and is summed twice.
     """
+    xt = np.frombuffer(data).reshape(shape).T
     n = xt.shape[1]
     norms = _offset_norms(xt, xt, range(1, n // 2 + 1))
     if n % 2 == 0:
@@ -151,11 +161,10 @@ def energy_distance(a, b, matched_pairs: bool = False) -> float:
     if matched_pairs and n != m:
         raise ValueError("matched_pairs requires equal set sizes")
     cross_pairs = n * m - (n if matched_pairs else 0)
-    xa, xb = xa.T, xb.T
     cross_offsets = range(1 if matched_pairs else 0, m)
-    cross = math.fsum(_offset_norms(xa, xb, cross_offsets)) / cross_pairs
-    within_a = _within_sum(xa) / (n * (n - 1))
-    within_b = _within_sum(xb) / (m * (m - 1))
+    cross = math.fsum(_offset_norms(xa.T, xb.T, cross_offsets)) / cross_pairs
+    within_a = _within_sum(xa.shape, xa.tobytes()) / (n * (n - 1))
+    within_b = _within_sum(xb.shape, xb.tobytes()) / (m * (m - 1))
     return 2.0 * cross - (within_a + within_b)
 
 
@@ -204,21 +213,22 @@ def eval_tokens(seed: int, n: int, vocab: int) -> np.ndarray:
     return np.random.default_rng([seed, 6101]).integers(0, vocab, size=n)
 
 
-def reference_set(bundle, sched, tokens, seeds, steps: int = 32, w: float = 7.5,
-                  x0_clip: float = 4.0):
+def reference_set(bundle, sched, tokens, x_start, steps: int = 32,
+                  w: float = 7.5, x0_clip: float = 4.0):
     """Teacher reference samples: guided Euler traversal at full step count.
 
     The predicted clean sample is clamped well outside the data range, as
     in the teacher's data-generation settings, so strongly guided
     trajectories stay bounded.
     """
-    return sample_batch(bundle, sched, steps, tokens, seeds, w=w,
+    return sample_batch(bundle, sched, steps, tokens, x_start, w=w,
                         solver="euler", x0_clip=x0_clip)
 
 
-def arm_set(bundle, sched, steps: int, tokens, seeds):
+def arm_set(bundle, sched, steps: int, tokens, x_start):
     """Distilled-arm samples: unguided Euler traversal at few steps."""
-    return sample_batch(bundle, sched, steps, tokens, seeds, w=0.0, solver="euler")
+    return sample_batch(bundle, sched, steps, tokens, x_start, w=0.0,
+                        solver="euler")
 
 
 def score_arms(bundles_by_style: dict, arms: dict, sched, styles: list,
@@ -229,22 +239,28 @@ def score_arms(bundles_by_style: dict, arms: dict, sched, styles: list,
 
     ``bundles_by_style`` maps style name to the pretrained (undistilled)
     bundle; ``arms`` maps an arm name to its motion parameters by step
-    count. Each style's tokens, seeds and reference set are drawn once and
-    shared by every arm and step count. Rows come out style-major, in
-    ``step_counts`` order.
+    count. The condition tokens and start noise are drawn once and shared
+    by every style, arm and step count; each style's reference set is
+    sampled once and scored against every cell of that style. Every bundle
+    shares one ``NetDims``. Rows come out style-major, in ``step_counts``
+    order.
     """
     from .nets import StudentBundle
 
     reports = {arm: EvalReport() for arm in arms}
+    if not styles:
+        return reports
+    dims = bundles_by_style[styles[0]].dims
+    tokens = eval_tokens(seed, n_conditions, dims.vocab)
+    x_start = start_noise(eval_seeds(seed, n_conditions), dims)
     for style in styles:
         pre = bundles_by_style[style]
-        tokens = eval_tokens(seed, n_conditions, pre.dims.vocab)
-        seeds = eval_seeds(seed, n_conditions)
-        ref = reference_set(pre, sched, tokens, seeds, steps=ref_steps, w=ref_cfg)
+        ref = reference_set(pre, sched, tokens, x_start, steps=ref_steps,
+                            w=ref_cfg)
         for arm, motion_by_steps in arms.items():
             for steps in step_counts:
                 bundle = StudentBundle(pre.base, motion_by_steps[steps])
-                got = arm_set(bundle, sched, steps, tokens, seeds)
+                got = arm_set(bundle, sched, steps, tokens, x_start)
                 reports[arm].add(style, steps, energy_distance(got, ref),
                                  n_conditions, seed)
     return reports

@@ -4,6 +4,9 @@ The schedule is a linearly spaced sequence of per-step variance increments
 ``betas`` with cumulative signal fractions ``alpha_bars``. Timestep ``-1``
 is the clean-data boundary (``alpha_bar == 1``) so that a full solver
 traversal may end one stride past ``t = 0``.
+
+Every ``alpha_bar`` is positive: a schedule whose cumulative product
+underflows to 0 is rejected when it is built, so no lookup has to check.
 """
 from __future__ import annotations
 
@@ -39,6 +42,9 @@ class NoiseSchedule:
         self.T = int(betas.size)
         self.betas = betas
         self.alpha_bars = np.cumprod(1.0 - betas)
+        if self.alpha_bars[-1] <= 0.0:
+            raise ValueError("alpha_bar underflows to 0; shorten the schedule "
+                             "or lower the betas")
         # Lookup tables indexed by t + 1 so that t = -1 maps to the clean
         # boundary alpha_bar = 1.
         self._ab_ext = np.concatenate([[1.0], self.alpha_bars])
@@ -49,6 +55,11 @@ class NoiseSchedule:
             arr.setflags(write=False)
 
     def _check_t(self, t, lo: int = -1):
+        # Solver grids are Python ints: one comparison checks them.
+        if type(t) is int:
+            if not lo <= t < self.T:
+                raise ValueError(f"timestep out of range [{lo}, {self.T})")
+            return t
         t = np.asarray(t)
         if not np.issubdtype(t.dtype, np.integer):
             raise TypeError("timesteps must be integers")

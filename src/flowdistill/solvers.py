@@ -9,6 +9,16 @@ Predictors are callables ``f(x, t, tokens) -> eps_hat``. The one-step
 arithmetic is written against the generic autodiff ops, so a predictor that
 returns a taped :class:`~flowdistill.autodiff.Var` yields a differentiable
 update (this is how the student's single stride is trained).
+
+Sampling starts from per-clip noise: :func:`start_noise` is the one place
+that draws it, one generator per clip seed, and :func:`sample_batch` takes
+the drawn states. A caller that samples the same seeds many times (every
+arm and step count of an evaluation) draws them once.
+
+Timesteps are checked where they enter: ``NoiseSchedule`` rejects a
+schedule whose ``alpha_bar`` underflows when it is built, and
+:func:`solve_grid` makes every grid of Python ints, strictly decreasing,
+from ``T - 1`` to ``-1``.
 """
 from __future__ import annotations
 
@@ -23,7 +33,7 @@ __all__ = [
     "euler_solve",
     "multistep_solve",
     "solve_grid",
-    "sample",
+    "start_noise",
     "sample_batch",
 ]
 
@@ -68,8 +78,6 @@ def euler_step(f, x_t, t, t_next, tokens, sched: NoiseSchedule,
     t_a, tn_a = np.asarray(t), np.asarray(t_next)
     if not np.all(tn_a < t_a):
         raise ValueError("t_next must precede t")
-    if np.any(sched.alpha_bar(t) <= 0.0):
-        raise ValueError("alpha_bar(t) must be positive")
     eps = _predict(f, x_t, t, tokens, w, null_token)
     return _ddim_update(x_t, eps, t, t_next, sched, x0_clip=x0_clip)
 
@@ -153,25 +161,35 @@ def multistep_solve(f, x_start, steps: int, tokens, sched: NoiseSchedule,
     return x
 
 
-def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, seeds,
-                 w: float = 0.0, solver: str = "euler", x0_clip=None):
-    """Deterministic batch sampling from per-clip noise streams.
+def start_noise(seeds, dims) -> np.ndarray:
+    """(len(seeds), frames, frame_dim) starting noise, one generator per seed.
 
-    Each clip's starting noise comes from its own generator seeded by the
-    corresponding entry of ``seeds``, so results do not depend on how the
-    batch is partitioned for execution.
+    Each clip's noise comes from its own generator, so a clip's start state
+    does not depend on which other clips are drawn with it.
     """
-    from .nets import student_eps  # local import to avoid a cycle
-
-    tokens = np.asarray(tokens)
-    seeds = list(seeds)
-    if tokens.shape[0] != len(seeds):
-        raise ValueError("one seed per clip required")
-    dims = bundle.dims
-    x = np.stack([
+    return np.stack([
         np.random.default_rng(s).standard_normal((dims.frames, dims.frame_dim))
         for s in seeds
     ])
+
+
+def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,
+                 w: float = 0.0, solver: str = "euler", x0_clip=None):
+    """Deterministic batch sampling from start states drawn by
+    :func:`start_noise`, one row per entry of ``tokens``.
+
+    Rows never interact, so the result does not depend on how the clips are
+    partitioned into batches, up to the last bits that BLAS rounding of
+    different batch sizes can move.
+    """
+    from .nets import _check_tokens, student_eps  # local import to avoid a cycle
+
+    dims = bundle.dims
+    tokens = _check_tokens(tokens, dims)
+    x = np.asarray(x_start, dtype=np.float64)
+    if tokens.ndim != 1 or x.shape[:1] != tokens.shape:
+        raise ValueError(f"start states {x.shape} for tokens {tokens.shape}; "
+                         "need one per clip")
 
     def f(xv, t, tok):
         return student_eps(bundle.base.data, bundle.motion.data, xv, t, tok,
@@ -187,11 +205,3 @@ def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, seeds,
         return multistep_solve(f, x, steps, tokens, sched,
                                w=w, null_token=dims.null_token, x0_clip=x0_clip)
     raise ValueError(f"unknown solver {solver!r}")
-
-
-def sample(bundle, sched: NoiseSchedule, steps: int, token: int, seed,
-           w: float = 0.0, solver: str = "euler", x0_clip=None):
-    """Draw one clip: noise at t = T-1 traversed by the chosen solver."""
-    out = sample_batch(bundle, sched, steps, np.asarray([token]), [seed],
-                       w=w, solver=solver, x0_clip=x0_clip)
-    return out[0]

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+import flowdistill.cli as cli_module
 import flowdistill.distill as dist
 import flowdistill.evalmetrics as evalmetrics
 import flowdistill.runner as runner
@@ -13,8 +14,9 @@ from flowdistill.checkpoint import checkpoint_load
 from flowdistill.cli import cli
 from flowdistill.config import config_hash, default_config, load_config, validate_config
 from flowdistill.datagen import STYLES, load_dataset
-from flowdistill.nets import MOTION_KEYS
+from flowdistill.nets import MOTION_KEYS, StudentBundle
 from flowdistill.runner import Workspace
+from flowdistill.solvers import sample_batch
 
 STAGES = ("128to32", "32to8", "8to4", "4to2", "2to1")
 
@@ -67,6 +69,11 @@ def test_config_validation_rejects_bad_styles():
     cfg["eval"]["n_conditions"] = 1  # no pair to score
     with pytest.raises(ValueError, match="n_conditions"):
         validate_config(cfg)
+    for key, twice in (("step_counts", [4, 2, 4]), ("styles", ["real_b", "real_b"])):
+        cfg = default_config()
+        cfg["eval"][key] = twice  # the same cell scored and written twice
+        with pytest.raises(ValueError, match=f"eval.{key} lists a value twice"):
+            validate_config(cfg)
 
 
 def test_unknown_subcommand_and_flag_exit_nonzero(capsys):
@@ -88,17 +95,32 @@ def test_distill_ranks_flag_is_a_usage_error(tiny_config, tmp_path, capsys):
     assert not wd.exists()
 
 
+# A wrong JSON type where the defaults have a section or a list names what
+# was expected instead of an unknown key.
+WRONG_TYPES = {
+    "distill": "config key 'distill' must be an object, not int",
+    "eval.styles": "config key 'eval.styles' must be a list, not str",
+    "ranks": "config key 'ranks' must be a list, not dict",
+    "": "config must be a JSON object, not list",
+}
+
+
 @pytest.mark.parametrize("override, key", [
     ({"distill": {"iteraions": 7}}, "distill.iteraions"),
     ({"workers": 4}, "workers"),
     ({"eval": {"styles": ["real_b"], "n_condition": 9}}, "eval.n_condition"),
+    ({"distill": 5}, "distill"),
+    ({"eval": {"styles": "real_b"}}, "eval.styles"),
+    ({"ranks": {"rank": 0}}, "ranks"),
+    ([1], ""),
 ])
 def test_unknown_config_key_fails_and_writes_nothing(tmp_path, capsys,
                                                      override, key):
     path, wd = tmp_path / "typo.json", tmp_path / "run"
     path.write_text(json.dumps(override))
     assert cli(["eval", "--config", str(path), "--workdir", str(wd)]) == 1
-    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    message = WRONG_TYPES.get(key, f"unknown config key '{key}'")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not wd.exists()
 
 
@@ -160,6 +182,44 @@ def test_sample_uses_distilled_checkpoint(tiny_config, workdir, tmp_path):
     assert payload["steps"] == 4 and len(payload["clips"]) == 2
     frames = np.asarray(payload["clips"][0]["frames"])
     assert frames.shape == (8, 2) and np.all(np.isfinite(frames))
+
+
+def _sample_per_clip(cfg, workdir, style, steps, count) -> str:
+    """The sample command's --out JSON, sampled one clip per call."""
+    ws = Workspace(cfg, workdir)
+    bundle = StudentBundle(ws.load_base(style), ws.load_arm("cross")[steps])
+    rng = np.random.default_rng(cfg["seed"])
+    clips = []
+    for _ in range(count):
+        token = int(rng.integers(0, ws.dims.vocab))
+        seed = int(rng.integers(0, 2 ** 63 - 1))
+        x = np.random.default_rng(seed).standard_normal((1, ws.dims.frames,
+                                                         ws.dims.frame_dim))
+        clip = sample_batch(bundle, ws.sched, steps, [token], x)[0]
+        clips.append({"token": token, "frames": clip.tolist()})
+    return json.dumps({"style": style, "steps": steps, "clips": clips})
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_sample_in_batches_matches_the_per_clip_reference(tiny_config, workdir,
+                                                          tmp_path, monkeypatch,
+                                                          batch):
+    # Seven clips in batches of 3 cover a full batch and a remainder. Rows
+    # never interact, but BLAS rounds a product of another batch size
+    # differently, so batches match the one-clip calls to the last bits;
+    # batches of one match them byte for byte.
+    monkeypatch.setattr(cli_module, "SAMPLE_BATCH", batch)
+    out = tmp_path / "clips.json"
+    assert cli(["sample", "--config", tiny_config, "--workdir", workdir,
+                "--steps", "4", "--style", "real_b", "--out", str(out),
+                "--count", "7"]) == 0
+    want = _sample_per_clip(load_config(tiny_config), workdir, "real_b", 4, 7)
+    if batch == 1:
+        assert out.read_text() == want
+    got, want = json.loads(out.read_text()), json.loads(want)
+    assert [c["token"] for c in got["clips"]] == [c["token"] for c in want["clips"]]
+    np.testing.assert_allclose([c["frames"] for c in got["clips"]],
+                               [c["frames"] for c in want["clips"]], rtol=0, atol=1e-12)
 
 
 def test_pretraining_draws_the_default_ground_truth_once(tiny_config, tmp_path,

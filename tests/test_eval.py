@@ -254,3 +254,60 @@ def test_score_arms_same_motion_same_report_rows_style_major():
     assert [(r["style"], r["steps"]) for r in reports["a"].rows] == [
         ("anime_a", 4), ("anime_a", 2), ("real_b", 4), ("real_b", 2)]
     assert [r["metric"] for r in reports["c"].rows] != [r["metric"] for r in reports["a"].rows]
+
+
+def _score_arms_reference(bundles_by_style, arms, sched, styles, step_counts,
+                          seed, n_conditions, ref_steps, ref_cfg):
+    """score_arms with every set sampled from freshly drawn noise and every
+    sum of the energy distance computed by the brute-force oracle."""
+    def sample(bundle, steps, tokens, seeds, **kw):
+        dims = bundle.dims
+        x = np.stack([np.random.default_rng(s).standard_normal((dims.frames, dims.frame_dim))
+                      for s in seeds])
+        return fd.sample_batch(bundle, sched, steps, tokens, x, solver="euler", **kw)
+
+    reports = {arm: EvalReport() for arm in arms}
+    for style in styles:
+        pre = bundles_by_style[style]
+        tokens = eval_tokens(seed, n_conditions, pre.dims.vocab)
+        seeds = eval_seeds(seed, n_conditions)
+        ref = sample(pre, ref_steps, tokens, seeds, w=ref_cfg, x0_clip=4.0)
+        for arm, motion_by_steps in arms.items():
+            for steps in step_counts:
+                bundle = fd.StudentBundle(pre.base, motion_by_steps[steps])
+                got = sample(bundle, steps, tokens, seeds, w=0.0)
+                reports[arm].add(style, steps, brute_force_energy_distance(got, ref),
+                                 n_conditions, seed)
+    return reports
+
+
+def test_score_arms_matches_the_per_cell_reference_bit_for_bit(monkeypatch):
+    dims = fd.NetDims(frames=3, hidden=4, time_dim=4, head_hidden=4, vocab=3)
+    sched = fd.build_schedule(128, 0.002, 0.0985703125)
+    rng = np.random.default_rng(8)
+    styles = ["anime_a", "real_b", "unseen_far"]
+    bundles = {name: fd.StudentBundle(fd.init_base(fd.style_by_name(name).style_id, dims, rng),
+                                      fd.init_motion(dims, rng, 0.05))
+               for name in styles}
+    arms = {arm: {steps: fd.init_motion(dims, rng, scale) for steps in (1, 2, 4)}
+            for arm, scale in (("cross", 0.05), ("single", 0.5))}
+    args = (bundles, arms, sched, styles, [4, 1, 2])
+    kw = dict(seed=5, n_conditions=6, ref_steps=8, ref_cfg=7.5)
+    want = _score_arms_reference(*args, **kw)
+
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: made.append(seed) or default_rng(seed))
+    evalmetrics._within_sum.cache_clear()
+    got = fd.score_arms(*args, **kw)
+
+    assert list(got) == list(want)
+    for arm in want:
+        assert got[arm].rows == want[arm].rows
+    # One generator per condition: the per-clip noise is drawn once per call.
+    assert sum(np.ndim(seed) == 0 for seed in made) == kw["n_conditions"]
+    # Each arm set's within-set sum once, each reference's once per style.
+    cells = len(styles) * len(arms) * 3
+    info = evalmetrics._within_sum.cache_info()
+    assert (info.misses, info.hits) == (cells + len(styles), cells - len(styles))

@@ -84,6 +84,27 @@ def test_build_schedule_rejects_bad_inputs(bad):
         build_schedule(**bad)
 
 
+def test_build_schedule_rejects_an_alpha_bar_that_underflows():
+    # prod(1 - beta) over 2000 steps of beta in [0.5, 0.9] is below 1e-1000.
+    with pytest.raises(ValueError, match="underflows"):
+        build_schedule(2000, 0.5, 0.9)
+    # At 560 steps the last alpha_bar is a subnormal, still positive.
+    sched = build_schedule(560, 0.5, 0.9)
+    assert 0.0 < sched.alpha_bar(sched.T - 1) < 1e-300
+
+
+def test_integer_timesteps_are_range_checked_like_arrays():
+    sched = build_schedule(16, 0.01, 0.2)
+    for t in (16, -2):
+        for form in (t, np.int64(t), np.array([0, t])):
+            with pytest.raises(ValueError, match="out of range"):
+                sched.alpha_bar(form)
+    assert sched.alpha_bar(-1) == sched.alpha_bar(np.int64(-1)) == 1.0
+    assert sched.sqrt_alpha_bar(7) == sched.sqrt_alpha_bar(np.array(7))
+    with pytest.raises(TypeError):
+        sched.alpha_bar(3.0)
+
+
 @pytest.fixture(scope="module")
 def sched():
     return build_schedule(128, 0.002, 0.0985703125)

@@ -185,34 +185,69 @@ def test_multistep_terminal_statistics_match_target(sched):
     assert z_var.max() < 3.0
 
 
-def test_sampling_determinism(sched):
+def _bundle(seed):
     dims = fd.NetDims()
-    rng = np.random.default_rng(11)
-    bundle = fd.StudentBundle(fd.init_base(0, dims, rng), fd.init_motion(dims, rng, 0.05))
-    a = fd.sample(bundle, sched, 4, 3, 1234)
-    b = fd.sample(bundle, sched, 4, 3, 1234)
+    rng = np.random.default_rng(seed)
+    return fd.StudentBundle(fd.init_base(0, dims, rng), fd.init_motion(dims, rng, 0.05))
+
+
+def _sample_one(bundle, sched, steps, token, seed, **kw):
+    """One clip: a one-row sample_batch from the clip's own noise stream."""
+    x = fd.start_noise([seed], bundle.dims)
+    return fd.sample_batch(bundle, sched, steps, [token], x, **kw)[0]
+
+
+def test_sampling_determinism(sched):
+    bundle = _bundle(11)
+    a = _sample_one(bundle, sched, 4, 3, 1234)
+    b = _sample_one(bundle, sched, 4, 3, 1234)
     assert np.array_equal(a, b)
-    c = fd.sample(bundle, sched, 4, 3, 1235)
+    c = _sample_one(bundle, sched, 4, 3, 1235)
     assert not np.array_equal(a, c)
 
 
 def test_sample_batch_independent_of_batch_partition(sched):
-    dims = fd.NetDims()
-    rng = np.random.default_rng(12)
-    bundle = fd.StudentBundle(fd.init_base(0, dims, rng), fd.init_motion(dims, rng, 0.05))
+    bundle = _bundle(12)
     tokens = np.array([0, 1, 2, 3])
     seeds = [10, 11, 12, 13]
-    full = fd.sample_batch(bundle, sched, 4, tokens, seeds)
+    full = fd.sample_batch(bundle, sched, 4, tokens, fd.start_noise(seeds, bundle.dims))
     singles = np.stack([
-        fd.sample(bundle, sched, 4, int(tok), s) for tok, s in zip(tokens, seeds)
+        _sample_one(bundle, sched, 4, int(tok), s) for tok, s in zip(tokens, seeds)
     ])
     np.testing.assert_allclose(full, singles, rtol=0, atol=1e-12)
 
 
 def test_sample_unconditional_null_token_path(sched):
-    dims = fd.NetDims()
-    rng = np.random.default_rng(13)
-    bundle = fd.StudentBundle(fd.init_base(0, dims, rng), fd.init_motion(dims, rng, 0.05))
-    clip = fd.sample(bundle, sched, 2, dims.null_token, 7, w=0.0)
+    bundle = _bundle(13)
+    dims = bundle.dims
+    clip = _sample_one(bundle, sched, 2, dims.null_token, 7, w=0.0)
     assert clip.shape == (dims.frames, dims.frame_dim)
     assert np.all(np.isfinite(clip))
+
+
+def test_start_noise_is_one_stream_per_seed():
+    dims = fd.NetDims()
+    x = fd.start_noise([5, 9, 5], dims)
+    assert x.shape == (3, dims.frames, dims.frame_dim)
+    assert np.array_equal(x[0], x[2]) and not np.array_equal(x[0], x[1])
+    assert np.array_equal(
+        x[1], np.random.default_rng(9).standard_normal((dims.frames, dims.frame_dim)))
+
+
+@pytest.mark.parametrize("tokens, rows", [
+    ([0, 8 + 1], 2),   # past the null token of the default vocab of 8
+    ([0, -1], 2),
+    ([0, 1, 2], 2),    # one start state short
+    ([0, 1], 3),
+])
+def test_sample_batch_rejects_bad_rows_before_any_forward(sched, monkeypatch,
+                                                          tokens, rows):
+    import flowdistill.nets as nets
+
+    calls = []
+    monkeypatch.setattr(nets, "student_eps", lambda *a: calls.append(a))
+    bundle = _bundle(14)
+    x = fd.start_noise(range(rows), bundle.dims)
+    with pytest.raises(ValueError):
+        fd.sample_batch(bundle, sched, 4, np.array(tokens), x)
+    assert calls == []
