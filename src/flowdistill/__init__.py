@@ -3,9 +3,11 @@ video diffusion models across multiple frozen base models.
 
 The package trains a small per-frame diffusion model per synthetic style,
 composes each with one shared temporal motion module, and distills the
-shared module down to few-step sampling against all bases at once, as a
-data-parallel step over a table of ranks, with a flow-conditional
-discriminator for the adversarial stages.
+shared module down to few-step sampling against all bases at once, with a
+flow-conditional discriminator for the adversarial stages. Each
+distillation iteration is a data-parallel step over the config's rank
+table: a rank (``Rank``) is one frozen base and one dataset, and
+``rank_step`` is its share of the step.
 """
 
 from .autodiff import Var, backward, gradcheck
@@ -53,13 +55,11 @@ from .distill import (
     DistillContext,
     DistillDivergence,
     DistillPlan,
+    Rank,
     StageConfig,
-    adversarial_step,
-    default_plan,
-    mse_distill_step,
+    rank_step,
     run_stage,
 )
-from .ranks import RankAssignment, build_assignment
 from .evalmetrics import (
     EvalReport,
     energy_distance,

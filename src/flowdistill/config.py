@@ -10,10 +10,16 @@ Sections:
 * ``pretrain``: step counts and optimiser settings for base/motion training.
 * ``distill``: per-stage iteration budget, micro-batch, accumulation,
   learning rates, and whether to append the experimental 2 -> 1 stage.
-* ``ranks``: the worker table (rank, style, dataset rows). It is the only
-  rank table: the cross-model arm distills against exactly these rows.
+* ``ranks``: the worker table, rows of ``rank`` (a non-negative id),
+  ``style`` (a seen style) and ``dataset`` (a ``datagen.DATASET_STYLES``
+  id). It is the only rank table: the cross-model arm distills against
+  exactly these rows.
 * ``eval``: evaluated styles, step counts, conditions per arm.
 * ``seed``: global seed.
+
+A config is checked once, where it enters (``load_config`` calls
+``validate_config``): every key and the JSON type of every value against
+``default_config()``, then what the values must mean together.
 """
 from __future__ import annotations
 
@@ -21,10 +27,9 @@ import copy
 import hashlib
 import json
 
-from .datagen import style_by_name
-from .distill import DistillPlan, default_plan
+from .datagen import DATASET_STYLES, style_by_name
+from .distill import DistillPlan, StageConfig
 from .nets import NetDims
-from .ranks import DEFAULT_RANK_TABLE, build_assignment
 from .schedule import build_schedule
 
 __all__ = [
@@ -86,7 +91,19 @@ def default_config() -> dict:
             "lr_disc": 2e-3,
             "include_one_step": True,
         },
-        "ranks": [dict(row) for row in DEFAULT_RANK_TABLE],
+        # Mirrors the 8-worker roster: two default-base workers on real
+        # data, two realistic-analog workers on the pooled realistic set,
+        # four anime-analog workers on the pooled anime set.
+        "ranks": [
+            {"rank": 0, "style": "default", "dataset": "real"},
+            {"rank": 1, "style": "default", "dataset": "real"},
+            {"rank": 2, "style": "real_a", "dataset": "gen_realistic"},
+            {"rank": 3, "style": "real_b", "dataset": "gen_realistic"},
+            {"rank": 4, "style": "anime_a", "dataset": "gen_anime"},
+            {"rank": 5, "style": "anime_a", "dataset": "gen_anime"},
+            {"rank": 6, "style": "anime_b", "dataset": "gen_anime"},
+            {"rank": 7, "style": "anime_c", "dataset": "gen_anime"},
+        ],
         # Two seen styles (one realistic-analog, one anime-analog) and two
         # unseen styles. The analytic single-Gaussian style is deliberately
         # not scored here: guidance is a no-op on a single component, so its
@@ -103,31 +120,51 @@ def default_config() -> dict:
     }
 
 
-def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
-        path = prefix + key
-        if key not in base:
-            raise ValueError(f"unknown config key {path!r}")
-        for kind, name in ((dict, "an object"), (list, "a list")):
-            if isinstance(base[key], kind) and not isinstance(value, kind):
-                raise ValueError(f"config key {path!r} must be {name}, "
-                                 f"not {type(value).__name__}")
-        if isinstance(base[key], dict):
-            out[key] = _merge(base[key], value, f"{path}.")
+        if isinstance(base.get(key), dict) and isinstance(value, dict):
+            out[key] = _merge(base[key], value)
         else:
             out[key] = copy.deepcopy(value)
     return out
+
+
+_KINDS = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
+          (str, "a string"), (list, "a list"), (dict, "an object"))
+
+
+def _check_types(value, default, path: str = "") -> None:
+    """Raise ``ValueError`` naming the dotted key where ``value`` departs
+    from the shape of ``default``: an object must have exactly the
+    default's keys, each list item the type of the default's first item,
+    and each scalar the default's type. An int counts as a float; a bool
+    is not an int."""
+    kind, name = next(k for k in _KINDS if isinstance(default, k[0]))
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"config key {path!r} must be {name}, "
+                         f"not {type(value).__name__}")
+    prefix = f"{path}." if path else ""
+    if kind is dict:
+        for key in value:
+            if key not in default:
+                raise ValueError(f"unknown config key {prefix + key!r}")
+        for key in default:
+            if key not in value:
+                raise ValueError(f"missing config key {prefix + key!r}")
+            _check_types(value[key], default[key], prefix + key)
+    elif kind is list:
+        for i, item in enumerate(value):
+            _check_types(item, default[0], f"{prefix}{i}")
 
 
 def load_config(path_or_default: str) -> dict:
     """Read a JSON config file; the literal ``"default"`` loads defaults.
 
     Files may specify any subset of the keys of ``default_config()``; the
-    rest fall back to defaults. Any other key, at any depth of a section,
-    raises ``ValueError`` naming its dotted path, and so does a value that
-    is not a JSON object where the defaults have a section, or not a list
-    where they have a list. The document itself must be an object.
+    rest fall back to defaults. The document must be an object; any other
+    fault is one of ``validate_config``.
     """
     if path_or_default == "default":
         cfg = default_config()
@@ -160,27 +197,53 @@ def schedule_from_config(cfg: dict):
 
 
 def plan_from_config(cfg: dict) -> DistillPlan:
+    """128 -> 32 -> 8 -> 4 -> 2, then -> 1 when ``distill.include_one_step``
+    (experimental: the one-step epsilon formulation is known to be noisy).
+
+    The MSE stage runs ``distill.mse_iterations``; the adversarial stages
+    run ``distill.iterations`` per phase."""
     d = cfg["distill"]
-    return default_plan(d["iterations"], micro_batch=d["micro_batch"],
-                        grad_accum=d["grad_accum"], lr_student=d["lr_student"],
-                        lr_disc=d["lr_disc"],
-                        include_one_step=d["include_one_step"],
-                        mse_iterations=d["mse_iterations"])
+    common = dict(micro_batch=d["micro_batch"], grad_accum=d["grad_accum"],
+                  lr_student=d["lr_student"], lr_disc=d["lr_disc"])
+    steps = [32, 8, 4, 2] + ([1] if d["include_one_step"] else [])
+    stages = [StageConfig(128, 32, "mse_cfg", d["mse_iterations"],
+                          cfg_scale=7.5, **common)]
+    stages += [StageConfig(a, b, "adversarial", d["iterations"], **common)
+               for a, b in zip(steps, steps[1:])]
+    return DistillPlan(tuple(stages))
+
+
+def _validate_ranks(rows: list) -> None:
+    if not rows:
+        raise ValueError("need at least one rank")
+    seen = set()
+    for row in rows:
+        if row["rank"] in seen:
+            raise ValueError(f"duplicate rank id {row['rank']}")
+        if row["rank"] < 0:  # a generator seed cannot hold it
+            raise ValueError(f"negative rank id {row['rank']}")
+        seen.add(row["rank"])
+        if style_by_name(row["style"]).group == "unseen":  # raises on unknown
+            raise ValueError(f"unseen style {row['style']!r} cannot be trained on")
+        if row["dataset"] not in DATASET_STYLES:
+            raise ValueError(f"unknown dataset {row['dataset']!r}")
 
 
 def validate_config(cfg: dict) -> None:
-    """Reject unknown styles, unseen styles in training, broken plans, eval
-    step counts that no plan stage distills, a style or step count listed
-    twice in ``eval`` (its cells would be scored and written twice), and
-    fewer than two eval conditions."""
+    """Reject keys and JSON types that ``default_config()`` does not have,
+    unknown styles, rank tables that are empty, list a rank id twice or a
+    negative one, train on an unseen style or name an unknown dataset,
+    broken plans, eval step counts that no plan stage distills, a style or
+    step count listed twice in ``eval`` (its cells would be scored and
+    written twice), and fewer than two eval conditions."""
+    _check_types(cfg, default_config())
     schedule_from_config(cfg)
     dims_from_config(cfg)
     plan = plan_from_config(cfg)
     if cfg["schedule"]["T"] % plan.stages[0].from_steps != 0:
         raise ValueError("schedule length must be divisible by the first "
                          "stage's step count")
-    build_assignment(cfg["ranks"],
-                     known_datasets={"real", "gen_realistic", "gen_anime"})
+    _validate_ranks(cfg["ranks"])
     for name in cfg["eval"]["styles"]:
         style_by_name(name)
     if cfg["eval"]["n_conditions"] < 2:

@@ -35,6 +35,7 @@ __all__ = [
     "StyleSpec",
     "STYLES",
     "style_by_name",
+    "DATASET_STYLES",
     "ClipDataset",
     "sample_ground_truth",
     "generate_distill_dataset",
@@ -101,6 +102,15 @@ STYLES = (
 
 _BY_NAME = {s.name: s for s in STYLES}
 _BY_ID = {s.style_id: s for s in STYLES}
+
+# Training datasets by id, each with the styles whose clips it pools:
+# ``real`` is the default style's ground truth, the others are generated by
+# the styles' teachers. A rank trains on one of these.
+DATASET_STYLES = {
+    "real": ("default",),
+    "gen_realistic": ("real_a", "real_b"),
+    "gen_anime": ("anime_a", "anime_b", "anime_c"),
+}
 
 ANALYTIC_STYLE = _BY_NAME["real_a"]
 ANALYTIC_VAR = ANALYTIC_SIGMA * ANALYTIC_SIGMA

@@ -15,23 +15,27 @@ Training timesteps are drawn from the stage's source grid (the
 stride stays inside the schedule, so every student jump is realisable by
 the teacher.
 
-One iteration is a data-parallel step. Each rank draws its ``grad_accum``
-micro-batches of ``micro_batch`` rows in order and concatenates them; the
-frozen teacher traverses all of them in one untaped call
-(``teacher_stride``). Each rank then tapes its student stride and loss
-(``mse_distill_step`` or ``adversarial_step``) once over its
-``micro_batch * grad_accum`` rows and runs one ``backward``. Every loss is
-a mean over rows and the micro-batches are the same size, so this is the
-mean of the micro-batch gradients up to summation order. The ranks'
-gradients are averaged in rank order and one optimizer step follows. An
-adversarial loss scores the teacher's and the student's next state in one
-discriminator call on the two stacked on the row axis.
+A rank is plain data (``Rank``): its id, its frozen base model, its
+dataset and its flow index. One iteration is a data-parallel step over
+the ranks in ascending id. Each rank draws its ``grad_accum``
+micro-batches of ``micro_batch`` rows in order from its own generator and
+concatenates them; the frozen teacher traverses all of them in one untaped
+call (``teacher_stride``). ``rank_step`` then tapes the side being updated
+and the rank's loss (``mse_loss``, or ``adversarial_losses`` in an
+adversarial phase) once over its ``micro_batch * grad_accum`` rows and
+runs one ``backward``. Every loss is a mean over rows and the
+micro-batches are the same size, so this is the mean of the micro-batch
+gradients up to summation order. The ranks' gradients are averaged in rank
+order and one optimizer step follows. An adversarial loss scores the
+teacher's and the student's next state in one discriminator call on the
+two stacked on the row axis.
 """
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,31 +43,28 @@ from . import autodiff as ad
 from .checkpoint import atomic_write, checkpoint_save
 from .nets import (
     Adam,
-    DiscriminatorParams,
     MotionParams,
     StudentBundle,
     disc_pair_prob,
     disc_single_prob,
+    draw_rows,
     init_discriminator,
     reset_single_head,
     student_eps,
 )
-from .ranks import RankAssignment
 from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
 from .solvers import euler_solve
 
 __all__ = [
     "StageConfig",
     "DistillPlan",
-    "default_plan",
-    "RankWorker",
+    "Rank",
     "DistillContext",
     "DistillDivergence",
     "teacher_stride",
     "mse_loss",
     "adversarial_losses",
-    "mse_distill_step",
-    "adversarial_step",
+    "rank_step",
     "run_stage",
     "stage_strides",
     "stage_timesteps",
@@ -136,31 +137,6 @@ class DistillPlan:
                     f"broken chain: stage {a.name} feeds {b.name}")
 
 
-def default_plan(iterations: int, micro_batch: int = 16, grad_accum: int = 4,
-                 lr_student: float = 1e-3, lr_disc: float = 2e-3,
-                 include_one_step: bool = False,
-                 mse_iterations: int | None = None) -> DistillPlan:
-    """128 -> 32 -> 8 -> 4 -> 2 (optionally -> 1, which is experimental:
-    the one-step epsilon formulation is known to be noisy).
-
-    The MSE stage runs ``mse_iterations``, or ``iterations`` when that is
-    None; the adversarial stages run ``iterations`` per phase."""
-    common = dict(micro_batch=micro_batch, grad_accum=grad_accum,
-                  lr_student=lr_student, lr_disc=lr_disc)
-    if mse_iterations is None:
-        mse_iterations = iterations
-    stages = [
-        StageConfig(128, 32, "mse_cfg", mse_iterations,
-                    cfg_scale=7.5, **common),
-        StageConfig(32, 8, "adversarial", iterations, **common),
-        StageConfig(8, 4, "adversarial", iterations, **common),
-        StageConfig(4, 2, "adversarial", iterations, **common),
-    ]
-    if include_one_step:
-        stages.append(StageConfig(2, 1, "adversarial", iterations, **common))
-    return DistillPlan(tuple(stages))
-
-
 def stage_strides(stage: StageConfig, T: int) -> tuple:
     """(n, s): teacher takes n strides of s timesteps; student takes n*s."""
     if T % stage.from_steps != 0:
@@ -186,24 +162,14 @@ class DistillDivergence(RuntimeError):
         self.dump_path = dump_path
 
 
-@dataclass
-class RankWorker:
-    """One logical data-parallel worker: frozen base + dataset + flow index."""
+class Rank(NamedTuple):
+    """One data-parallel rank: its id, frozen base model, training dataset
+    and flow index (the discriminator's per-base conditioning)."""
 
-    assignment: RankAssignment
+    rank: int
     base: "BaseParams"
     dataset: "ClipDataset"
     flow_idx: int
-    rng: np.random.Generator | None = None
-
-    def draw_batch(self, stage: StageConfig, t_grid: np.ndarray) -> dict:
-        rng = self.rng
-        idx = rng.integers(0, len(self.dataset.clips), size=stage.micro_batch)
-        x0 = self.dataset.clips[idx].astype(np.float64)
-        tokens = self.dataset.conditions[idx].astype(np.intp)
-        t = t_grid[rng.integers(0, len(t_grid), size=stage.micro_batch)]
-        eps = rng.standard_normal(x0.shape)
-        return {"x0": x0, "tokens": tokens, "t": t, "eps": eps}
 
 
 @dataclass
@@ -212,14 +178,14 @@ class DistillContext:
 
     sched: NoiseSchedule
     dims: "NetDims"
-    workers: list
+    ranks: list  # of Rank, in any order
     pretrained: StudentBundle  # discriminator backbone initialiser
     seed: int
     workdir: str | None = None
 
     @property
     def num_flows(self) -> int:
-        return max(w.flow_idx for w in self.workers) + 1
+        return max(r.flow_idx for r in self.ranks) + 1
 
 
 def _predictor(base_data, motion_arrays, T, dims):
@@ -249,17 +215,6 @@ def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
                          x0_clip=TEACHER_X0_CLIP)
     return {"x_t": x_t, "t": t, "tokens": batch["tokens"], "n": n, "s": s,
             "target": target}
-
-
-def _rank_strides(worker: RankWorker, teacher_motion, stage: StageConfig,
-                  sched: NoiseSchedule, dims, t_grid) -> dict:
-    """One rank's stride batch for an iteration: its ``grad_accum``
-    micro-batches, drawn in order, concatenated and traversed by the
-    teacher in one call."""
-    draws = [worker.draw_batch(stage, t_grid) for _ in range(stage.grad_accum)]
-    batch = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
-    return teacher_stride(worker.base.data, teacher_motion.data, batch, stage,
-                          sched, dims)
 
 
 def _student_stride(base_arrays, motion, b, sched: NoiseSchedule, dims):
@@ -317,57 +272,34 @@ def _grads(pvars: dict) -> dict:
             for k, v in pvars.items()}
 
 
-def mse_distill_step(base, motion, b: dict, sched: NoiseSchedule,
-                     dims) -> tuple:
-    """Trajectory-matching loss and motion gradients for one stride batch
-    ``b`` (as ``teacher_stride`` returns it).
+def rank_step(base, motion, disc, b: dict, phase, flow_idx: int, side: str,
+              sched: NoiseSchedule, dims) -> tuple:
+    """One rank's local losses and gradients on its stride batch ``b`` (as
+    ``teacher_stride`` returns it): (losses, grads).
 
-    Gradients exist only for the motion parameters.
-    """
-    mvars = _taped(motion.data)
-    loss = mse_loss(base.data, mvars, b, sched, dims)
-    ad.backward(loss)
-    return float(loss.value), _grads(mvars)
-
-
-def adversarial_step(base, motion, disc: DiscriminatorParams, b: dict,
-                     phase: str, flow_idx: int, sched: NoiseSchedule, dims,
-                     side: str) -> tuple:
-    """Non-saturating adversarial losses for one stride batch ``b`` (as
-    ``teacher_stride`` returns it).
-
-    ``side`` selects which parameters receive gradients this iteration:
+    ``phase`` None is the MSE stage, which updates the student. In an
+    adversarial phase, ``side`` selects which parameters receive gradients:
     the discriminator sees the student's stride as a detached sample, the
     student differentiates through the (frozen this iteration)
-    discriminator. Returns (l_d, l_g, grads).
+    discriminator. Only the side being updated is taped; base parameters
+    never receive an entry.
     """
-    if phase not in PHASES:
+    if phase is not None and phase not in PHASES:
         raise ValueError(f"unknown phase {phase!r}")
-    if side not in ("disc", "student"):
-        raise ValueError(f"unknown side {side!r}")
+    if side not in (("student",) if phase is None else ("disc", "student")):
+        raise ValueError(f"unknown side {side!r} for phase {phase!r}")
     pvars = _taped(disc.data if side == "disc" else motion.data)
+    if phase is None:
+        loss = mse_loss(base.data, pvars, b, sched, dims)
+        ad.backward(loss)
+        return {"mse": float(loss.value)}, _grads(pvars)
     l_d, l_g = adversarial_losses(
         base.data, pvars if side == "student" else motion.data,
         pvars if side == "disc" else disc.data, b, phase, flow_idx, sched,
         dims, disc.num_flows)
     ad.backward(l_d if side == "disc" else l_g)
-    return float(ad.value_of(l_d)), float(ad.value_of(l_g)), _grads(pvars)
-
-
-def rank_step(worker: RankWorker, b: dict, motion, disc, stage: StageConfig,
-              phase, side: str, sched: NoiseSchedule, dims) -> tuple:
-    """One rank's gradient contribution on its stride batch ``b``, plus its
-    local losses.
-
-    Gradients are emitted only for the side being updated; base parameters
-    never receive an entry.
-    """
-    if stage.loss_kind == "mse_cfg":
-        loss, grads = mse_distill_step(worker.base, motion, b, sched, dims)
-        return grads, {"mse": loss}
-    l_d, l_g, grads = adversarial_step(worker.base, motion, disc, b, phase,
-                                       worker.flow_idx, sched, dims, side)
-    return grads, {"l_d": l_d, "l_g": l_g}
+    return ({"l_d": float(ad.value_of(l_d)), "l_g": float(ad.value_of(l_g))},
+            _grads(pvars))
 
 
 def _dump_diagnostics(ctx: DistillContext, stage: StageConfig, phase, iteration,
@@ -411,66 +343,56 @@ def _mean(grads: list) -> dict:
     return out
 
 
-def _run_phase(stage: StageConfig, phase, ctx: DistillContext,
-               motion: MotionParams, teacher_motion: MotionParams,
-               disc, history: list) -> None:
-    phase_idx = 0 if phase in (None, PHASES[0]) else 1
-    for w in ctx.workers:
-        w.rng = _stage_rng(ctx.seed, stage, phase_idx, w.assignment.rank)
-    t_grid = stage_timesteps(stage, ctx.sched.T)
-    opt_student = Adam(stage.lr_student)
-    opt_disc = Adam(stage.lr_disc) if disc is not None else None
-    workers = sorted(ctx.workers, key=lambda w: w.assignment.rank)
-
-    for it in range(stage.iterations):
-        if stage.loss_kind == "mse_cfg":
-            side = "student"
-        else:
-            side = "disc" if it % 2 == 0 else "student"
-        # Data-parallel step: one teacher traversal and one taped step per
-        # rank over all its rows, then the mean over ranks in rank order,
-        # then one optimizer update.
-        rank_grads: list = []
-        step_losses: list = []
-        for w in workers:
-            b = _rank_strides(w, teacher_motion, stage, ctx.sched, ctx.dims,
-                              t_grid)
-            grads, losses = rank_step(w, b, motion, disc, stage, phase, side,
-                                      ctx.sched, ctx.dims)
-            rank_grads.append(grads)
-            step_losses.append(losses)
-        mean_losses = {k: float(np.mean([d[k] for d in step_losses]))
-                       for k in step_losses[0]}
-        if not all(np.isfinite(v) for v in mean_losses.values()):
-            dump = _dump_diagnostics(ctx, stage, phase, it, motion, disc, mean_losses)
-            raise DistillDivergence(
-                f"non-finite loss at stage {stage.name} iteration {it}", dump)
-        if side == "student":
-            opt_student.step(motion.data, _mean(rank_grads))
-        else:
-            opt_disc.step(disc.data, _mean(rank_grads))
-        history.append({"stage": stage.name, "phase": phase or "mse",
-                        "iteration": it, "side": side, **mean_losses})
-
-
 def run_stage(stage: StageConfig, ctx: DistillContext,
               teacher_motion: MotionParams) -> tuple:
     """Train one stage; returns (distilled motion, per-iteration history).
 
-    Adversarial stages run the trajectory-conditional phase and then the
-    relaxed phase with a fresh relaxed head on the trained backbone.
+    Each phase of the stage (``stage.phases()``) draws from fresh per-rank
+    generators and starts fresh optimizers. Adversarial stages run the
+    trajectory-conditional phase and then the relaxed phase with a fresh
+    relaxed head on the trained backbone, alternating discriminator and
+    student iterations.
     """
     motion = teacher_motion.copy()
+    disc = None
+    if stage.loss_kind == "adversarial":
+        disc = init_discriminator(ctx.dims, ctx.num_flows,
+                                  _stage_rng(ctx.seed, stage, 0, 104729),
+                                  backbone_from=ctx.pretrained)
+    t_grid = stage_timesteps(stage, ctx.sched.T)
+    ranks = sorted(ctx.ranks, key=lambda r: r.rank)
     history: list = []
-    if stage.loss_kind == "mse_cfg":
-        _run_phase(stage, None, ctx, motion, teacher_motion, None, history)
-        return motion, history
-
-    disc = init_discriminator(ctx.dims, ctx.num_flows,
-                              _stage_rng(ctx.seed, stage, 0, 104729),
-                              backbone_from=ctx.pretrained)
-    for phase in stage.phases():
+    for phase_idx, phase in enumerate(stage.phases()):
         if phase == "relaxed":
             reset_single_head(disc, _stage_rng(ctx.seed, stage, 1, 104729))
-        _run_phase(stage, phase, ctx, motion, teacher_motion, disc, history)
+        rngs = [_stage_rng(ctx.seed, stage, phase_idx, r.rank) for r in ranks]
+        opt = {"student": Adam(stage.lr_student), "disc": Adam(stage.lr_disc)}
+        for it in range(stage.iterations):
+            side = "disc" if disc is not None and it % 2 == 0 else "student"
+            # Data-parallel step: one teacher traversal and one taped step
+            # per rank over all its rows, then the mean over ranks in rank
+            # order, then one optimizer update.
+            rank_grads: list = []
+            step_losses: list = []
+            for r, rng in zip(ranks, rngs):
+                draws = [draw_rows(r.dataset, stage.micro_batch, rng, t_grid)
+                         for _ in range(stage.grad_accum)]
+                batch = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
+                b = teacher_stride(r.base.data, teacher_motion.data, batch,
+                                   stage, ctx.sched, ctx.dims)
+                losses, grads = rank_step(r.base, motion, disc, b, phase,
+                                          r.flow_idx, side, ctx.sched, ctx.dims)
+                rank_grads.append(grads)
+                step_losses.append(losses)
+            mean_losses = {k: float(np.mean([d[k] for d in step_losses]))
+                           for k in step_losses[0]}
+            if not all(np.isfinite(v) for v in mean_losses.values()):
+                dump = _dump_diagnostics(ctx, stage, phase, it, motion, disc,
+                                         mean_losses)
+                raise DistillDivergence(
+                    f"non-finite loss at stage {stage.name} iteration {it}", dump)
+            opt[side].step(disc.data if side == "disc" else motion.data,
+                           _mean(rank_grads))
+            history.append({"stage": stage.name, "phase": phase or "mse",
+                            "iteration": it, "side": side, **mean_losses})
     return motion, history

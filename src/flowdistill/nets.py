@@ -47,6 +47,7 @@ __all__ = [
     "disc_single_prob",
     "Adam",
     "denoise_loss",
+    "draw_rows",
     "pretrain_base",
     "pretrain_motion",
 ]
@@ -400,17 +401,25 @@ def denoise_loss(base_arrays, motion_arrays, x0, tokens, t, eps, sched, dims):
     return ad.mean_all(ad.square(pred - eps))
 
 
-def _draw_batch(dataset, batch: int, rng: np.random.Generator, dims: NetDims,
-                sched: NoiseSchedule, cond_dropout: float):
-    idx = rng.integers(0, len(dataset.clips), size=batch)
+def draw_rows(dataset, n: int, rng: np.random.Generator, t_grid,
+              cond_dropout: float = 0.0, null_token: int | None = None) -> dict:
+    """``n`` training rows of ``dataset``: clip ``x0``, condition
+    ``tokens``, timestep ``t`` from ``t_grid`` and noise ``eps``.
+
+    Draws in the order clip index, dropout (only when ``cond_dropout`` is
+    positive: a dropped row's token becomes ``null_token``), timestep index,
+    noise. With ``t_grid = np.arange(T)`` the timesteps are those of
+    ``rng.integers(0, T, n)``.
+    """
+    idx = rng.integers(0, len(dataset.clips), size=n)
     x0 = dataset.clips[idx].astype(np.float64)
     tokens = dataset.conditions[idx].astype(np.intp)
     if cond_dropout > 0.0:
-        drop = rng.random(batch) < cond_dropout
-        tokens = np.where(drop, dims.null_token, tokens)
-    t = rng.integers(0, sched.T, size=batch)
+        drop = rng.random(n) < cond_dropout
+        tokens = np.where(drop, null_token, tokens)
+    t = t_grid[rng.integers(0, len(t_grid), size=n)]
     eps = rng.standard_normal(x0.shape)
-    return x0, tokens, t, eps
+    return {"x0": x0, "tokens": tokens, "t": t, "eps": eps}
 
 
 def _decayed(lr: float, step: int, steps: int) -> float:
@@ -428,10 +437,11 @@ def _pretrain(params: dict, keys, loss_of, dataset, sched: NoiseSchedule,
         raise ValueError("empty dataset")
     opt = Adam(lr)
     history = []
+    t_grid = np.arange(sched.T)
     for step in range(steps):
-        x0, tokens, t, eps = _draw_batch(dataset, batch, rng, dims, sched, cond_dropout)
+        b = draw_rows(dataset, batch, rng, t_grid, cond_dropout, dims.null_token)
         pvars = {k: ad.Var(params[k]) for k in keys}
-        loss = loss_of(pvars, x0, tokens, t, eps)
+        loss = loss_of(pvars, b["x0"], b["tokens"], b["t"], b["eps"])
         ad.backward(loss)
         opt.lr = _decayed(lr, step, steps)
         opt.step(params, {k: pvars[k].grad for k in keys})

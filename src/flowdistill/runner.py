@@ -18,7 +18,11 @@ hash, and one produced under another config, or with no hash, is refused.
 A missing file is built and written atomically, so an interrupted command
 leaves every file whole or absent. The config's ``ranks`` section is the
 only rank table, so the config hash also names the table that each
-distilled stage was trained on.
+distilled stage was trained on. The table was validated when the config
+was loaded; the cross-model arm turns its rows into ``distill.Rank``
+tuples as they stand, and the single-model arm trains one rank on the
+default base and the real dataset. Every training dataset of
+``datagen.DATASET_STYLES`` is built for both.
 
 Each cached artifact has a load-only path beside the path that builds it
 when it is missing: ``load_bundles`` (or ``load_base`` for one base model)
@@ -40,6 +44,7 @@ from functools import partial
 from .checkpoint import checkpoint_load, checkpoint_save
 from .config import config_hash, dims_from_config, plan_from_config, schedule_from_config
 from .datagen import (
+    DATASET_STYLES,
     ClipDataset,
     STYLES,
     flip_augment,
@@ -50,7 +55,7 @@ from .datagen import (
     save_dataset,
     style_by_name,
 )
-from .distill import DistillContext, RankWorker, run_stage
+from .distill import DistillContext, Rank, run_stage
 from .nets import (
     BASE_KEYS,
     BaseParams,
@@ -60,18 +65,11 @@ from .nets import (
     pretrain_base,
     pretrain_motion,
 )
-from .ranks import build_assignment
 from .evalmetrics import score_arms
 
 __all__ = [
     "Workspace",
 ]
-
-_DATASET_BUILDS = {
-    "real": ("default",),
-    "gen_realistic": ("real_a", "real_b"),
-    "gen_anime": ("anime_a", "anime_b", "anime_c"),
-}
 
 
 def _read_dataset(path) -> tuple:
@@ -147,7 +145,7 @@ class Workspace:
         return self._ground_truth[style_name]
 
     def _seed(self, tag: str, *extra) -> list:
-        tags = {"gt": 11, "gen": 13, "base": 17, "motion": 19, "distill": 23}
+        tags = {"gt": 11, "gen": 13, "base": 17, "motion": 19}
         return [self.cfg["seed"], tags[tag], *extra]
 
     def _base(self, style: str, build=None) -> BaseParams:
@@ -233,24 +231,21 @@ class Workspace:
 
         return {name: self._cached(self.data_path(name), _read_dataset, save_dataset,
                                    partial(build, name, style_names))
-                for name, style_names in _DATASET_BUILDS.items()}
+                for name, style_names in DATASET_STYLES.items()}
 
     # -- distillation -------------------------------------------------------
 
     def _context(self, bundles: dict, datasets: dict, arm: str) -> DistillContext:
         rows = self.cfg["ranks"] if arm == "cross" else [
             {"rank": 0, "style": "default", "dataset": "real"}]
-        assignment = build_assignment(rows, known_datasets=set(datasets))
-        flow_styles = sorted({a.style for a in assignment},
+        flow_styles = sorted({row["style"] for row in rows},
                              key=lambda s: style_by_name(s).style_id)
         flow_idx = {s: i for i, s in enumerate(flow_styles)}
-        workers = [
-            RankWorker(a, bundles[a.style].base, datasets[a.dataset],
-                       flow_idx[a.style])
-            for a in assignment
-        ]
+        ranks = [Rank(row["rank"], bundles[row["style"]].base,
+                      datasets[row["dataset"]], flow_idx[row["style"]])
+                 for row in rows]
         return DistillContext(
-            sched=self.sched, dims=self.dims, workers=workers,
+            sched=self.sched, dims=self.dims, ranks=ranks,
             pretrained=bundles["default"], seed=self.cfg["seed"],
             workdir=os.path.join(self.root, "checkpoints", arm))
 

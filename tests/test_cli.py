@@ -76,6 +76,66 @@ def test_config_validation_rejects_bad_styles():
             validate_config(cfg)
 
 
+def test_config_accepts_an_int_where_a_float_is_expected(tmp_path):
+    path = tmp_path / "lr.json"
+    path.write_text(json.dumps({"pretrain": {"lr": 1}, "data": {"gen_cfg": 7}}))
+    cfg = load_config(str(path))
+    assert cfg["pretrain"]["lr"] == 1 and cfg["data"]["gen_cfg"] == 7
+
+
+def _with_ranks(rows) -> dict:
+    cfg = default_config()
+    cfg["ranks"] = rows
+    return cfg
+
+
+def test_default_rank_table_mirrors_roster():
+    table = default_config()["ranks"]
+    assert [r["rank"] for r in table] == list(range(8))
+    assert [r["style"] for r in table] == [
+        "default", "default", "real_a", "real_b",
+        "anime_a", "anime_a", "anime_b", "anime_c",
+    ]
+    assert [r["dataset"] for r in table][:2] == ["real", "real"]
+    assert {r["dataset"] for r in table[2:4]} == {"gen_realistic"}
+    assert {r["dataset"] for r in table[4:]} == {"gen_anime"}
+
+
+def test_duplicate_rank_ids_rejected():
+    row = {"rank": 3, "style": "default", "dataset": "real"}
+    with pytest.raises(ValueError, match="duplicate rank id 3"):
+        validate_config(_with_ranks([row, dict(row)]))
+    with pytest.raises(ValueError, match="negative rank id -1"):
+        validate_config(_with_ranks([dict(row, rank=-1)]))
+
+
+def test_empty_rank_table_rejected():
+    with pytest.raises(ValueError, match="at least one rank"):
+        validate_config(_with_ranks([]))
+
+
+def test_unknown_and_unseen_rank_styles_rejected():
+    with pytest.raises(KeyError):
+        validate_config(_with_ranks([{"rank": 0, "style": "mystery",
+                                      "dataset": "real"}]))
+    with pytest.raises(ValueError, match="unseen style 'unseen_far'"):
+        validate_config(_with_ranks([{"rank": 0, "style": "unseen_far",
+                                      "dataset": "real"}]))
+    with pytest.raises(ValueError, match="unknown dataset 'wat'"):
+        validate_config(_with_ranks([{"rank": 0, "style": "default",
+                                      "dataset": "wat"}]))
+
+
+def test_ranks_train_on_exactly_the_seen_styles():
+    for style in STYLES:
+        cfg = _with_ranks([{"rank": 0, "style": style.name, "dataset": "real"}])
+        if style.group == "unseen":
+            with pytest.raises(ValueError, match="unseen"):
+                validate_config(cfg)
+        else:
+            validate_config(cfg)
+
+
 def test_unknown_subcommand_and_flag_exit_nonzero(capsys):
     assert cli(["frobnicate"]) != 0
     assert cli(["sample", "--bogus"]) != 0
@@ -95,14 +155,25 @@ def test_distill_ranks_flag_is_a_usage_error(tiny_config, tmp_path, capsys):
     assert not wd.exists()
 
 
-# A wrong JSON type where the defaults have a section or a list names what
-# was expected instead of an unknown key.
+# A wrong JSON type names what was expected instead of an unknown key, and
+# so does a rank row without one of its keys.
 WRONG_TYPES = {
     "distill": "config key 'distill' must be an object, not int",
     "eval.styles": "config key 'eval.styles' must be a list, not str",
     "ranks": "config key 'ranks' must be a list, not dict",
     "": "config must be a JSON object, not list",
+    "eval.n_conditions": "config key 'eval.n_conditions' must be an integer, not str",
+    "eval.styles.0": "config key 'eval.styles.0' must be a string, not list",
+    "ranks.0": "config key 'ranks.0' must be an object, not int",
+    "ranks.1.dataset": "missing config key 'ranks.1.dataset'",
+    "ranks.0.rank": "config key 'ranks.0.rank' must be an integer, not float",
+    "seed": "config key 'seed' must be an integer, not bool",
+    "distill.include_one_step": ("config key 'distill.include_one_step' must "
+                                 "be a boolean, not int"),
+    "pretrain.lr": "config key 'pretrain.lr' must be a number, not str",
 }
+
+_ROW = {"rank": 0, "style": "default", "dataset": "real"}
 
 
 @pytest.mark.parametrize("override, key", [
@@ -113,6 +184,15 @@ WRONG_TYPES = {
     ({"eval": {"styles": "real_b"}}, "eval.styles"),
     ({"ranks": {"rank": 0}}, "ranks"),
     ([1], ""),
+    ({"eval": {"n_conditions": "8"}}, "eval.n_conditions"),
+    ({"eval": {"styles": [["real_b"]]}}, "eval.styles.0"),
+    ({"ranks": [5]}, "ranks.0"),
+    ({"ranks": [_ROW, {"rank": 1, "style": "default"}]}, "ranks.1.dataset"),
+    ({"ranks": [dict(_ROW, rank=0.5)]}, "ranks.0.rank"),
+    ({"ranks": [dict(_ROW, weight=2)]}, "ranks.0.weight"),
+    ({"seed": True}, "seed"),
+    ({"distill": {"include_one_step": 1}}, "distill.include_one_step"),
+    ({"pretrain": {"lr": "0.1"}}, "pretrain.lr"),
 ])
 def test_unknown_config_key_fails_and_writes_nothing(tmp_path, capsys,
                                                      override, key):
@@ -468,10 +548,10 @@ def test_distill_divergence_exits_with_dump_path(tiny_config, workdir, tmp_path,
     wd = _copy_undistilled(workdir, tmp_path / "diverge")
 
     def poisoned(base, motion, *args, **kwargs):
-        return float("nan"), {k: np.zeros_like(v, dtype=np.float64)
-                               for k, v in motion.data.items()}
+        return {"mse": float("nan")}, {k: np.zeros_like(v, dtype=np.float64)
+                                       for k, v in motion.data.items()}
 
-    monkeypatch.setattr(dist, "mse_distill_step", poisoned)
+    monkeypatch.setattr(dist, "rank_step", poisoned)
     assert cli(["distill", "--config", tiny_config, "--workdir", wd]) == 1
     err = capsys.readouterr().err
     dump = os.path.join(wd, "checkpoints", "cross", "diverged_128to32.json")

@@ -10,15 +10,14 @@ from flowdistill.distill import (
     DistillContext,
     PHASES,
     PROB_CLAMP,
-    RankWorker,
+    Rank,
     StageConfig,
     _nonsat_losses,
-    _rank_strides,
     _stage_rng,
     _student_stride,
     adversarial_losses,
-    adversarial_step,
-    mse_distill_step,
+    mse_loss,
+    rank_step,
     run_stage,
     stage_strides,
     stage_timesteps,
@@ -29,11 +28,11 @@ from flowdistill.nets import (
     Adam,
     disc_pair_prob,
     disc_single_prob,
+    draw_rows,
     init_discriminator,
     reset_single_head,
 )
 from flowdistill.config import default_config, plan_from_config
-from flowdistill.ranks import RankAssignment, build_assignment
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +69,17 @@ def _batch(ds, stage, sched, rng, n=8):
 
 def _mse_step(base, teacher, motion, batch, stage, sched, dims):
     b = teacher_stride(base.data, teacher.data, batch, stage, sched, dims)
-    return mse_distill_step(base, motion, b, sched, dims)
+    losses, grads = rank_step(base, motion, None, b, None, 0, "student", sched,
+                              dims)
+    return losses["mse"], grads
 
 
 def _adversarial_step(base, teacher, motion, disc, batch, stage, phase, flow_idx,
                       sched, dims, side):
     b = teacher_stride(base.data, teacher.data, batch, stage, sched, dims)
-    return adversarial_step(base, motion, disc, b, phase, flow_idx, sched, dims,
-                            side=side)
+    losses, grads = rank_step(base, motion, disc, b, phase, flow_idx, side,
+                              sched, dims)
+    return losses["l_d"], losses["l_g"], grads
 
 
 def test_stage_config_validation():
@@ -91,21 +93,24 @@ def test_stage_config_validation():
     assert StageConfig(8, 4, "mse_cfg", 1).phases() == (None,)
 
 
+def _plan(**distill):
+    cfg = default_config()
+    cfg["distill"].update(distill)
+    return plan_from_config(cfg)
+
+
 def test_plan_chaining_validation():
-    good = fd.default_plan(5)
+    good = _plan(include_one_step=False)
     assert [s.name for s in good.stages] == ["128to32", "32to8", "8to4", "4to2"]
+    assert [s.name for s in _plan().stages][-1] == "2to1"
     with pytest.raises(ValueError, match="chain"):
         fd.DistillPlan((StageConfig(128, 32, "mse_cfg", 1),
                         StageConfig(16, 8, "adversarial", 1)))
 
 
 def test_zero_mse_iterations_is_not_unset():
-    assert [s.iterations for s in fd.default_plan(5).stages] == [5] * 4
-    plan = fd.default_plan(5, mse_iterations=0)
-    assert [s.iterations for s in plan.stages] == [0, 5, 5, 5]
-    cfg = default_config()
-    cfg["distill"].update(iterations=5, mse_iterations=0)
-    assert plan_from_config(cfg).stages[0].iterations == 0
+    plan = _plan(iterations=5, mse_iterations=0)
+    assert [s.iterations for s in plan.stages] == [0, 5, 5, 5, 5]
 
 
 def test_stage_grids(sched):
@@ -203,6 +208,9 @@ def test_adversarial_losses_at_fresh_heads(sched, dims, setup):
     with pytest.raises(ValueError, match="unknown phase"):
         _adversarial_step(base, motion, motion, disc, batch, st, "sideways", 0,
                           sched, dims, side="disc")
+    with pytest.raises(ValueError, match="unknown side 'disc' for phase None"):
+        _adversarial_step(base, motion, motion, disc, batch, st, None, 0,
+                          sched, dims, side="disc")
 
 
 def test_adversarial_probabilities_clamped(sched, dims, setup):
@@ -237,8 +245,8 @@ def test_discriminator_step_peak_memory_per_row(sched, dims, setup):
                        st, sched, dims)
     tracemalloc.start()
     try:
-        adversarial_step(base, motion, disc, b, "trajectory_conditional", 1,
-                         sched, dims, side="disc")
+        rank_step(base, motion, disc, b, "trajectory_conditional", 1, "disc",
+                  sched, dims)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -257,15 +265,9 @@ def _tiny_ctx(sched, dims, seed=0, tmpdir=None):
                                                 frame_dim=dims.frame_dim,
                                                 vocab=dims.vocab)
     motion = fd.init_motion(dims, rng, out_scale=0.05)
-    assignment = build_assignment([
-        {"rank": 0, "style": "default", "dataset": "real"},
-        {"rank": 1, "style": "real_a", "dataset": "real"},
-    ], known_datasets={"real"})
-    workers = [
-        RankWorker(assignment[0], bases["default"], datasets["default"], 0),
-        RankWorker(assignment[1], bases["real_a"], datasets["real_a"], 1),
-    ]
-    ctx = DistillContext(sched=sched, dims=dims, workers=workers,
+    ranks = [Rank(0, bases["default"], datasets["default"], 0),
+             Rank(1, bases["real_a"], datasets["real_a"], 1)]
+    ctx = DistillContext(sched=sched, dims=dims, ranks=ranks,
                          pretrained=fd.StudentBundle(bases["default"], motion),
                          seed=seed, workdir=str(tmpdir) if tmpdir else None)
     return ctx, motion
@@ -282,7 +284,7 @@ def test_zero_iteration_stage_returns_input_unchanged(sched, dims):
 
 def test_run_stage_freezes_bases_and_produces_finite_history(sched, dims):
     ctx, motion = _tiny_ctx(sched, dims)
-    before = [{k: v.copy() for k, v in w.base.data.items()} for w in ctx.workers]
+    before = [{k: v.copy() for k, v in r.base.data.items()} for r in ctx.ranks]
     st = StageConfig(32, 8, "adversarial", 6, micro_batch=4, grad_accum=2)
     out, history = run_stage(st, ctx, motion)
     assert len(history) == 12  # two phases
@@ -290,9 +292,9 @@ def test_run_stage_freezes_bases_and_produces_finite_history(sched, dims):
         assert np.isfinite(rec["l_d"]) and np.isfinite(rec["l_g"])
     sides = [rec["side"] for rec in history[:6]]
     assert sides == ["disc", "student"] * 3
-    for w, saved in zip(ctx.workers, before):
+    for r, saved in zip(ctx.ranks, before):
         for key, val in saved.items():
-            assert np.array_equal(w.base.data[key], val)
+            assert np.array_equal(r.base.data[key], val)
     assert not np.array_equal(out.data["mix_out"], motion.data["mix_out"])
 
 
@@ -303,24 +305,41 @@ def _mean_in_order(grads):
 _ROW_KEYS = ("x_t", "t", "tokens", "target")
 
 
-def _folded_grads(stage, workers, draw_stride, step_grads):
+def _folded_grads(stage, ranks, draw_stride, step_grads):
     """Per rank in rank order: the teacher once per micro-batch, the
     strides concatenated, one step over all rows; then the mean over
     ranks."""
     per_rank = []
-    for w in workers:
-        bs = [draw_stride(w) for _ in range(stage.grad_accum)]
+    for r in ranks:
+        bs = [draw_stride(r) for _ in range(stage.grad_accum)]
         b = {**bs[0], **{k: np.concatenate([x[k] for x in bs]) for k in _ROW_KEYS}}
-        per_rank.append(step_grads(w, b))
+        per_rank.append(step_grads(r, b))
     return _mean_in_order(per_rank)
 
 
-def _accumulated_grads(stage, workers, draw_stride, step_grads):
+def _accumulated_grads(stage, ranks, draw_stride, step_grads):
     """One step per micro-batch per rank: the mean over ranks in rank order,
     then the mean over the micro-steps."""
-    micro = [_mean_in_order([step_grads(w, draw_stride(w)) for w in workers])
+    micro = [_mean_in_order([step_grads(r, draw_stride(r)) for r in ranks])
              for _ in range(stage.grad_accum)]
     return _mean_in_order(micro)
+
+
+def _reference_grads(base, motion, disc, b, phase, flow_idx, side, sched, dims):
+    """The gradients of one rank's loss on ``b``, taped and differentiated
+    here, with a zero array for each taped parameter the loss misses."""
+    pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).data.items()}
+    if phase is None:
+        loss = mse_loss(base.data, pvars, b, sched, dims)
+    else:
+        l_d, l_g = adversarial_losses(
+            base.data, pvars if side == "student" else motion.data,
+            pvars if side == "disc" else disc.data, b, phase, flow_idx, sched,
+            dims, disc.num_flows)
+        loss = l_d if side == "disc" else l_g
+    ad.backward(loss)
+    return {k: v.grad if v.grad is not None else np.zeros_like(v.value)
+            for k, v in pvars.items()}
 
 
 def _reference_stage(stage, ctx, teacher, iteration_grads):
@@ -334,31 +353,27 @@ def _reference_stage(stage, ctx, teacher, iteration_grads):
         disc = init_discriminator(ctx.dims, ctx.num_flows,
                                   _stage_rng(ctx.seed, stage, 0, 104729),
                                   backbone_from=ctx.pretrained)
-    grid = stage_timesteps(stage, ctx.sched.T)
-    workers = sorted(ctx.workers, key=lambda w: w.assignment.rank)
+    ranks = sorted(ctx.ranks, key=lambda r: r.rank)
     for phase_idx, phase in enumerate(stage.phases()):
         if phase == "relaxed":
             reset_single_head(disc, _stage_rng(ctx.seed, stage, 1, 104729))
-        for w in ctx.workers:
-            w.rng = _stage_rng(ctx.seed, stage, phase_idx, w.assignment.rank)
+        rngs = {r.rank: _stage_rng(ctx.seed, stage, phase_idx, r.rank)
+                for r in ranks}
         opt_student, opt_disc = Adam(stage.lr_student), Adam(stage.lr_disc)
         for it in range(stage.iterations):
             side = "disc" if disc is not None and it % 2 == 0 else "student"
 
-            def draw_stride(w):
-                return teacher_stride(w.base.data, teacher.data,
-                                      w.draw_batch(stage, grid), stage,
+            def draw_stride(r):
+                batch = _batch(r.dataset, stage, ctx.sched, rngs[r.rank],
+                               n=stage.micro_batch)
+                return teacher_stride(r.base.data, teacher.data, batch, stage,
                                       ctx.sched, ctx.dims)
 
-            def step_grads(w, b):
-                if disc is None:
-                    return mse_distill_step(w.base, motion, b, ctx.sched,
-                                            ctx.dims)[1]
-                return adversarial_step(w.base, motion, disc, b, phase,
-                                        w.flow_idx, ctx.sched, ctx.dims,
-                                        side=side)[2]
+            def step_grads(r, b):
+                return _reference_grads(r.base, motion, disc, b, phase,
+                                        r.flow_idx, side, ctx.sched, ctx.dims)
 
-            grads = iteration_grads(stage, workers, draw_stride, step_grads)
+            grads = iteration_grads(stage, ranks, draw_stride, step_grads)
             if side == "student":
                 opt_student.step(motion.data, grads)
             else:
@@ -381,9 +396,7 @@ def _stage_and_reference(sched, dims, stage, iteration_grads, monkeypatch):
         # A third rank sharing rank 0's base, listed first: the step must
         # still reduce in rank order, and three terms make the order show.
         ctx, motion = _tiny_ctx(sched, dims)
-        w0 = ctx.workers[0]
-        ctx.workers.insert(0, RankWorker(RankAssignment(2, "default", "real"),
-                                         w0.base, w0.dataset, w0.flow_idx))
+        ctx.ranks.insert(0, ctx.ranks[0]._replace(rank=2))
         return ctx, motion
 
     # Compare the float64 gradients each update receives: an early Adam step
@@ -441,10 +454,10 @@ def test_nan_loss_aborts_with_dump(sched, dims, tmp_path, monkeypatch):
     import flowdistill.distill as dist
 
     def poisoned(*args, **kwargs):
-        return float("nan"), {k: np.zeros_like(v, dtype=np.float64)
-                               for k, v in motion.data.items()}
+        return {"mse": float("nan")}, {k: np.zeros_like(v, dtype=np.float64)
+                                       for k, v in motion.data.items()}
 
-    monkeypatch.setattr(dist, "mse_distill_step", poisoned)
+    monkeypatch.setattr(dist, "rank_step", poisoned)
     with pytest.raises(fd.DistillDivergence) as err:
         run_stage(st, ctx, motion)
     assert err.value.dump_path is not None
@@ -460,14 +473,14 @@ def test_divergence_dump_that_fails_partway_leaves_no_json(sched, dims, tmp_path
     import flowdistill.distill as dist
 
     def poisoned(*args, **kwargs):
-        return float("nan"), {k: np.zeros_like(v, dtype=np.float64)
-                               for k, v in motion.data.items()}
+        return {"mse": float("nan")}, {k: np.zeros_like(v, dtype=np.float64)
+                                       for k, v in motion.data.items()}
 
     def dump_partway(obj, fh, **kwargs):
         fh.write('{"stage": ')
         raise OSError("disk full")
 
-    monkeypatch.setattr(dist, "mse_distill_step", poisoned)
+    monkeypatch.setattr(dist, "rank_step", poisoned)
     monkeypatch.setattr(dist.json, "dump", dump_partway)
     with pytest.raises(OSError, match="disk full"):
         run_stage(st, ctx, motion)
@@ -480,16 +493,19 @@ def test_divergence_dump_that_fails_partway_leaves_no_json(sched, dims, tmp_path
 ], ids=["mse_cfg", "adversarial"])
 def test_one_teacher_call_per_rank_equals_one_per_micro_batch(sched, dims, setup,
                                                               stage):
+    # run_stage draws a rank's micro-batches in order, concatenates them and
+    # traverses them in one teacher call.
     base, motion, ds = setup
     grid = stage_timesteps(stage, sched.T)
-
-    def worker():
-        return RankWorker(RankAssignment(0, "default", "real"), base, ds, 0,
-                          rng=np.random.default_rng(11))
-
-    got = _rank_strides(worker(), motion, stage, sched, dims, grid)
-    w = worker()
-    parts = [teacher_stride(base.data, motion.data, w.draw_batch(stage, grid),
+    rng = np.random.default_rng(11)
+    draws = [draw_rows(ds, stage.micro_batch, rng, grid)
+             for _ in range(stage.grad_accum)]
+    got = teacher_stride(base.data, motion.data,
+                         {k: np.concatenate([d[k] for d in draws]) for k in draws[0]},
+                         stage, sched, dims)
+    rng = np.random.default_rng(11)
+    parts = [teacher_stride(base.data, motion.data,
+                            _batch(ds, stage, sched, rng, n=stage.micro_batch),
                             stage, sched, dims) for _ in range(stage.grad_accum)]
     want = {**parts[0], **{k: np.concatenate([p[k] for p in parts])
                            for k in _ROW_KEYS}}

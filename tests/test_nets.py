@@ -11,6 +11,7 @@ from flowdistill.nets import (
     MOTION_KEYS,
     disc_pair_prob,
     disc_single_prob,
+    draw_rows,
     init_discriminator,
     reset_single_head,
     student_eps,
@@ -250,6 +251,27 @@ def test_pretrain_motion_trains_only_motion(sched, dims):
     for key in BASE_KEYS:
         assert np.array_equal(base.data[key], frozen[key]), key
     assert np.any(motion.data["mix_out"] != 0)
+
+
+def test_draw_rows_on_the_full_grid_draws_integer_timesteps(sched, dims):
+    # Pretraining draws over np.arange(T): the same draws as timesteps from
+    # rng.integers(0, T), in the order index, dropout, timestep, noise.
+    ds = sample_ground_truth(ANALYTIC_STYLE, 64, [96, 1], frames=dims.frames,
+                             frame_dim=dims.frame_dim, vocab=dims.vocab)
+    got = draw_rows(ds, 32, np.random.default_rng(5), np.arange(sched.T),
+                    cond_dropout=0.5, null_token=dims.null_token)
+    rng = np.random.default_rng(5)
+    idx = rng.integers(0, len(ds.clips), size=32)
+    drop = rng.random(32) < 0.5
+    want = {"x0": ds.clips[idx].astype(np.float64),
+            "tokens": np.where(drop, dims.null_token, ds.conditions[idx]),
+            "t": rng.integers(0, sched.T, size=32),
+            "eps": rng.standard_normal((32, dims.frames, dims.frame_dim))}
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(got[key], value), key
+    assert got["t"].dtype == want["t"].dtype
+    assert np.any(got["tokens"] == dims.null_token)
 
 
 def test_pretrain_empty_dataset_rejected(sched, dims):
