@@ -8,14 +8,17 @@ Layout::
     meta <key> <value>          (zero or more)
     entry <name> <dim0xdim1x...> <element_count> <byte_offset>
     entry <name> <dim0xdim1x...> <element_count> <byte_offset> i4
+    entry <name> <dim0xdim1x...> <element_count> <byte_offset> f8
     ...
     ---
     <raw little-endian blob>
 
-An entry is float32 unless its line ends in ``i4`` (int32); integer arrays
-are stored as int32, every other array as float32. Byte offsets are
-relative to the start of the blob. Round trips are bit-exact because
-parameters are float32 and condition tokens int32 in memory.
+An entry is float32 unless its line ends in ``i4`` (int32) or ``f8``
+(float64); integer arrays are stored as int32, float64 arrays as float64
+and every other array as float32. Byte offsets are relative to the start
+of the blob. Round trips are bit-exact because parameters and dataset
+clips are float32, condition tokens int32 and evaluation reference sets
+float64 in memory.
 
 Every file is written through ``atomic_write``: to a temp file beside the
 target, then renamed over it, so a reader sees the old file or the new one,
@@ -30,7 +33,8 @@ import numpy as np
 __all__ = ["atomic_write", "checkpoint_save", "checkpoint_load"]
 
 _SEP = b"---\n"
-_INT = "i4"
+# Entry kind suffix -> stored dtype; an entry line without one is float32.
+_KINDS = {"i4": "<i4", "f8": "<f8"}
 
 
 def atomic_write(path, write) -> None:
@@ -60,15 +64,17 @@ def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
     for name, arr in arrays.items():
         if any(ch.isspace() for ch in name):
             raise ValueError(f"entry name {name!r} must not contain whitespace")
-        is_int = np.issubdtype(np.asarray(arr).dtype, np.integer)
-        arr = np.asarray(arr, dtype="<i4" if is_int else "<f4")  # keeps 0-d entries 0-d
+        dtype = np.asarray(arr).dtype
+        kind = ("i4" if np.issubdtype(dtype, np.integer)
+                else "f8" if dtype == np.float64 else None)
+        arr = np.asarray(arr, dtype=_KINDS.get(kind, "<f4"))  # keeps 0-d entries 0-d
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         shape = "x".join(str(d) for d in arr.shape) if arr.ndim else "scalar"
         lines.append(f"entry {name} {shape} {arr.size} {offset}"
-                     + (f" {_INT}" if is_int else ""))
+                     + (f" {kind}" if kind else ""))
         blobs.append(arr.tobytes())
-        offset += arr.size * 4
+        offset += arr.nbytes
 
     def write(tmp):
         with open(tmp, "wb") as fh:
@@ -121,9 +127,8 @@ def checkpoint_load(path, expect: tuple = ()) -> tuple:
     for rest in entry_lines:
         parts = rest.split()
         dtype = "<f4"
-        if len(parts) == 5 and parts[4] == _INT:
-            dtype = "<i4"
-            parts.pop()
+        if len(parts) == 5 and parts[4] in _KINDS:
+            dtype = _KINDS[parts.pop()]
         if len(parts) != 4:
             raise ValueError(f"{path}: malformed entry line {rest!r}")
         name, shape_s, count_s, offset_s = parts
@@ -131,7 +136,7 @@ def checkpoint_load(path, expect: tuple = ()) -> tuple:
         shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split("x"))
         if int(np.prod(shape, dtype=np.int64)) != count:
             raise ValueError(f"{path}: entry {name!r} shape/count mismatch")
-        end = offset + count * 4
+        end = offset + count * np.dtype(dtype).itemsize
         if end > len(blob):
             raise ValueError(f"{path}: blob truncated for entry {name!r}")
         arrays[name] = np.frombuffer(blob, dtype=dtype, count=count,

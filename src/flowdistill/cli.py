@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .checkpoint import atomic_write
-from .config import load_config
+from .config import load_config, validate_config
 from .datagen import STYLES
 from .distill import DistillDivergence
 from .gradchecks import REL_TOL, gradcheck_battery
@@ -65,6 +65,7 @@ def _resolve(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
+        validate_config(cfg)
     return cfg, Workspace(cfg, args.workdir)
 
 

@@ -231,13 +231,25 @@ def _validate_ranks(rows: list) -> None:
 
 def validate_config(cfg: dict) -> None:
     """Reject keys and JSON types that ``default_config()`` does not have,
-    unknown styles, rank tables that are empty, list a rank id twice or a
-    negative one, train on an unseen style or name an unknown dataset,
-    broken plans, eval step counts that no plan stage distills, a style or
-    step count listed twice in ``eval`` (its cells would be scored and
-    written twice), and fewer than two eval conditions."""
+    a negative seed, unknown styles, rank tables that are empty, list a
+    rank id twice or a negative one, train on an unseen style or name an
+    unknown dataset, broken plans, eval step counts that no plan stage
+    distills, a style or step count listed twice in ``eval`` (its cells
+    would be scored and written twice), fewer than two eval conditions,
+    and teacher sampler settings (``data.gen_*``, ``eval.ref_*``) with a
+    step count outside [1, T] or a negative guidance scale."""
     _check_types(cfg, default_config())
+    if cfg["seed"] < 0:  # a generator seed cannot hold it
+        raise ValueError(f"seed must be non-negative, got {cfg['seed']}")
     schedule_from_config(cfg)
+    T = cfg["schedule"]["T"]
+    for section, prefix in (("data", "gen"), ("eval", "ref")):
+        steps, w = cfg[section][f"{prefix}_steps"], cfg[section][f"{prefix}_cfg"]
+        if not 1 <= steps <= T:
+            raise ValueError(f"{section}.{prefix}_steps must be in [1, {T}], "
+                             f"got {steps}")
+        if w < 0:  # the sampler guides only when w > 0
+            raise ValueError(f"{section}.{prefix}_cfg must be >= 0, got {w}")
     dims_from_config(cfg)
     plan = plan_from_config(cfg)
     if cfg["schedule"]["T"] % plan.stages[0].from_steps != 0:

@@ -33,7 +33,12 @@ against one reference set, so that set's sum is computed once and reused,
 the same bits as computing it again.
 
 The harness scores every arm and step count on the same condition tokens
-and start noise, drawn once per :func:`score_arms` call.
+and start noise, drawn once per evaluation by :func:`eval_inputs`.
+:func:`score_arms` samples no reference: its caller hands it each style's
+reference set, sampled by :func:`reference_set` from those same inputs. A
+run caches each reference set as an artifact (``runner.Workspace.evaluate``),
+so it is sampled once per run and every later evaluation, ``eval`` or
+``ablate``, reads it back bit for bit.
 """
 from __future__ import annotations
 
@@ -50,6 +55,7 @@ __all__ = [
     "EvalReport",
     "eval_seeds",
     "eval_tokens",
+    "eval_inputs",
     "reference_set",
     "arm_set",
     "score_arms",
@@ -213,6 +219,13 @@ def eval_tokens(seed: int, n: int, vocab: int) -> np.ndarray:
     return np.random.default_rng([seed, 6101]).integers(0, vocab, size=n)
 
 
+def eval_inputs(seed: int, n_conditions: int, dims) -> tuple:
+    """(tokens, x_start): the condition tokens and start noise that every
+    reference and arm set of one evaluation shares."""
+    return (eval_tokens(seed, n_conditions, dims.vocab),
+            start_noise(eval_seeds(seed, n_conditions), dims))
+
+
 def reference_set(bundle, sched, tokens, x_start, steps: int = 32,
                   w: float = 7.5, x0_clip: float = 4.0):
     """Teacher reference samples: guided Euler traversal at full step count.
@@ -231,36 +244,29 @@ def arm_set(bundle, sched, steps: int, tokens, x_start):
                         solver="euler")
 
 
-def score_arms(bundles_by_style: dict, arms: dict, sched, styles: list,
-               step_counts: list, seed: int, n_conditions: int,
-               ref_steps: int = 32, ref_cfg: float = 7.5) -> dict:
+def score_arms(bundles_by_style: dict, arms: dict, sched, references: dict,
+               step_counts: list, tokens, x_start, seed: int) -> dict:
     """Each arm's distilled students at each step count versus the guided
     teacher; returns {arm: EvalReport}.
 
     ``bundles_by_style`` maps style name to the pretrained (undistilled)
     bundle; ``arms`` maps an arm name to its motion parameters by step
-    count. The condition tokens and start noise are drawn once and shared
-    by every style, arm and step count; each style's reference set is
-    sampled once and scored against every cell of that style. Every bundle
-    shares one ``NetDims``. Rows come out style-major, in ``step_counts``
-    order.
+    count. ``references`` maps each scored style to its reference set,
+    sampled by :func:`reference_set` from ``tokens`` and ``x_start`` (see
+    :func:`eval_inputs`), which every arm and step count shares too. Every
+    bundle shares one ``NetDims``. Rows come out style-major, in
+    ``references`` order, then in ``step_counts`` order; ``seed`` is the
+    seed the inputs were drawn from, recorded in each row.
     """
     from .nets import StudentBundle
 
     reports = {arm: EvalReport() for arm in arms}
-    if not styles:
-        return reports
-    dims = bundles_by_style[styles[0]].dims
-    tokens = eval_tokens(seed, n_conditions, dims.vocab)
-    x_start = start_noise(eval_seeds(seed, n_conditions), dims)
-    for style in styles:
+    for style, ref in references.items():
         pre = bundles_by_style[style]
-        ref = reference_set(pre, sched, tokens, x_start, steps=ref_steps,
-                            w=ref_cfg)
         for arm, motion_by_steps in arms.items():
             for steps in step_counts:
                 bundle = StudentBundle(pre.base, motion_by_steps[steps])
                 got = arm_set(bundle, sched, steps, tokens, x_start)
                 reports[arm].add(style, steps, energy_distance(got, ref),
-                                 n_conditions, seed)
+                                 len(tokens), seed)
     return reports

@@ -7,6 +7,7 @@ Layout of a workspace::
       checkpoints/motion_pretrained.ckpt pretrained shared motion module
       checkpoints/<arm>/motion_<stage>.ckpt   distilled per-stage outputs
       data/<name>.ds                     training datasets
+      references/<style>.ckpt            a style's teacher reference set
       reports/*.csv, *.json              evaluation outputs
 
 Every artifact is one file in the checkpoint format (``checkpoint``), and
@@ -34,7 +35,10 @@ deterministic per stage, so the result equals an uninterrupted run. An
 arm's motion is keyed by step count, the ``to_steps`` of the plan stage
 that produced it. ``evaluate`` scores any set of arms over styles and step
 counts in one loop (``evalmetrics.score_arms``) and stamps each report's
-provenance.
+provenance. Each style's reference set, the guided teacher's samples that
+every cell of the style is scored against, is a cached artifact too: it is
+sampled by the first evaluation that scores the style and read back, bit
+for bit, by every later one, ``eval`` and ``ablate`` alike.
 """
 from __future__ import annotations
 
@@ -65,7 +69,7 @@ from .nets import (
     pretrain_base,
     pretrain_motion,
 )
-from .evalmetrics import score_arms
+from .evalmetrics import eval_inputs, reference_set, score_arms
 
 __all__ = [
     "Workspace",
@@ -102,6 +106,9 @@ class Workspace:
     def report_path(self, name: str) -> str:
         return os.path.join(self.root, "reports", name)
 
+    def reference_path(self, style: str) -> str:
+        return os.path.join(self.root, "references", f"{style}.ckpt")
+
     # -- the cache --------------------------------------------------------
 
     def _cached(self, path: str, load, save, build=None):
@@ -126,9 +133,9 @@ class Workspace:
         save(value, path, {"config_hash": self.hash})
         return value
 
-    def _params(self, path: str, keys, build=None) -> dict:
-        """Parameter arrays of one checkpoint, through ``_cached``;
-        ``build()`` returns the arrays."""
+    def _arrays(self, path: str, keys, build=None) -> dict:
+        """Named arrays of one checkpoint, through ``_cached``; ``build()``
+        returns the arrays."""
         return self._cached(path, partial(checkpoint_load, expect=keys),
                             checkpoint_save, build)
 
@@ -150,10 +157,10 @@ class Workspace:
 
     def _base(self, style: str, build=None) -> BaseParams:
         return BaseParams(style_by_name(style).style_id, self.dims,
-                          self._params(self.ckpt_path(f"base_{style}"), BASE_KEYS, build))
+                          self._arrays(self.ckpt_path(f"base_{style}"), BASE_KEYS, build))
 
     def _motion(self, build=None) -> MotionParams:
-        return MotionParams(self.dims, self._params(
+        return MotionParams(self.dims, self._arrays(
             self.ckpt_path("motion_pretrained"), MOTION_KEYS, build))
 
     def load_base(self, style: str) -> BaseParams:
@@ -256,7 +263,7 @@ class Workspace:
         out = {}
         for stage in plan_from_config(self.cfg).stages:
             build = partial(train, stage, teacher) if train else None
-            teacher = MotionParams(self.dims, self._params(
+            teacher = MotionParams(self.dims, self._arrays(
                 self.ckpt_path(f"motion_{stage.name}", arm=arm), MOTION_KEYS,
                 build))
             out[stage.to_steps] = teacher
@@ -287,13 +294,24 @@ class Workspace:
 
     def evaluate(self, bundles: dict, arms: dict, styles: list,
                  step_counts: list) -> dict:
-        """Score each arm's motion by step count (see ``score_arms``);
-        returns {arm: EvalReport} with each report's provenance."""
+        """Score each arm's motion by step count (see ``score_arms``)
+        against each style's cached reference set, sampled here when its
+        file is missing; returns {arm: EvalReport} with each report's
+        provenance."""
         ev = self.cfg["eval"]
         seed = self.cfg["seed"]
-        reports = score_arms(bundles, arms, self.sched, styles, step_counts,
-                             seed, ev["n_conditions"], ref_steps=ev["ref_steps"],
-                             ref_cfg=ev["ref_cfg"])
+        tokens, x_start = eval_inputs(seed, ev["n_conditions"], self.dims)
+
+        def build(style):
+            return {"clips": reference_set(bundles[style], self.sched, tokens,
+                                           x_start, steps=ev["ref_steps"],
+                                           w=ev["ref_cfg"])}
+
+        references = {style: self._arrays(self.reference_path(style), ("clips",),
+                                          partial(build, style))["clips"]
+                      for style in styles}
+        reports = score_arms(bundles, arms, self.sched, references, step_counts,
+                             tokens, x_start, seed)
         for arm, report in reports.items():
             report.metadata.update(
                 arm=arm, seed=seed, n_conditions=ev["n_conditions"],

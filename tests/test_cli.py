@@ -176,7 +176,8 @@ WRONG_TYPES = {
 _ROW = {"rank": 0, "style": "default", "dataset": "real"}
 
 
-@pytest.mark.parametrize("override, key", [
+# Each is an unknown key unless WRONG_TYPES names it.
+BAD_KEYS = [
     ({"distill": {"iteraions": 7}}, "distill.iteraions"),
     ({"workers": 4}, "workers"),
     ({"eval": {"styles": ["real_b"], "n_condition": 9}}, "eval.n_condition"),
@@ -193,14 +194,37 @@ _ROW = {"rank": 0, "style": "default", "dataset": "real"}
     ({"seed": True}, "seed"),
     ({"distill": {"include_one_step": 1}}, "distill.include_one_step"),
     ({"pretrain": {"lr": "0.1"}}, "pretrain.lr"),
-])
+]
+
+# Values of the right type out of range, set in the config or by a flag
+# that applies after it: (override, key, flags, message).
+BAD_VALUES = [
+    ({"seed": -1}, "seed", [], "seed must be non-negative, got -1"),
+    ({}, "seed", ["--seed", "-3"], "seed must be non-negative, got -3"),
+    ({"eval": {"ref_steps": 0}}, "eval.ref_steps", [],
+     "eval.ref_steps must be in [1, 128], got 0"),
+    ({"eval": {"ref_steps": 500}}, "eval.ref_steps", [],
+     "eval.ref_steps must be in [1, 128], got 500"),
+    ({"data": {"gen_steps": 0}}, "data.gen_steps", [],
+     "data.gen_steps must be in [1, 128], got 0"),
+    ({"eval": {"ref_cfg": -1.0}}, "eval.ref_cfg", [],
+     "eval.ref_cfg must be >= 0, got -1.0"),
+    ({"data": {"gen_cfg": -0.5}}, "data.gen_cfg", [],
+     "data.gen_cfg must be >= 0, got -0.5"),
+]
+
+
+@pytest.mark.parametrize("override, flags, message", [
+    pytest.param(override, flags, message, id=f"override{i}-{key}")
+    for i, (override, key, flags, message) in enumerate(
+        [(override, key, [], WRONG_TYPES.get(key, f"unknown config key '{key}'"))
+         for override, key in BAD_KEYS] + BAD_VALUES)])
 def test_unknown_config_key_fails_and_writes_nothing(tmp_path, capsys,
-                                                     override, key):
+                                                     override, flags, message):
     path, wd = tmp_path / "typo.json", tmp_path / "run"
     path.write_text(json.dumps(override))
-    assert cli(["eval", "--config", str(path), "--workdir", str(wd)]) == 1
-    message = WRONG_TYPES.get(key, f"unknown config key '{key}'")
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert cli(["eval", "--config", str(path), "--workdir", str(wd), *flags]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not wd.exists()
 
 
@@ -375,6 +399,77 @@ def test_ablate_writes_paired_reports(tiny_config, workdir):
     for style in load_config(tiny_config)["eval"]["styles"]:
         rows = [line for line in main if line.startswith(f"{style},4,")]
         assert len(rows) == 1 and rows[0] in cross
+
+
+def _scored_copy(workdir, dst) -> str:
+    """A copy of the shared run with both arms distilled and nothing
+    scored: no reference sets, no reports."""
+    shutil.copytree(workdir, dst)
+    for name in ("references", "reports"):
+        shutil.rmtree(os.path.join(dst, name))
+    return str(dst)
+
+
+def _counting_reference_set(monkeypatch) -> list:
+    """Record the style of every reference set sampled from now on."""
+    calls = []
+    sample = runner.reference_set
+
+    def counting(bundle, *args, **kwargs):
+        calls.append(bundle.base.style_id)
+        return sample(bundle, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "reference_set", counting)
+    return calls
+
+
+def test_eval_and_ablate_sample_each_reference_once(tiny_config, workdir, tmp_path,
+                                                    monkeypatch):
+    cached = _scored_copy(workdir, tmp_path / "cached")
+    fresh = _scored_copy(workdir, tmp_path / "fresh")
+    calls = _counting_reference_set(monkeypatch)
+    styles = load_config(tiny_config)["eval"]["styles"]
+    assert cli(["eval", "--config", tiny_config, "--workdir", cached]) == 0
+    assert len(calls) == len(styles)
+    assert sorted(os.listdir(os.path.join(cached, "references"))) == sorted(
+        f"{style}.ckpt" for style in styles)
+    # ablate scores every style and samples only those eval did not.
+    assert cli(["ablate", "--config", tiny_config, "--workdir", cached]) == 0
+    assert len(calls) == len(STYLES) and len(set(calls)) == len(STYLES)
+    del calls[:]
+    assert cli(["eval", "--config", tiny_config, "--workdir", fresh]) == 0
+    shutil.rmtree(os.path.join(fresh, "references"))
+    assert cli(["ablate", "--config", tiny_config, "--workdir", fresh]) == 0
+    assert len(calls) == len(styles) + len(STYLES)
+    reports = _snapshot(os.path.join(cached, "reports"))
+    assert len(reports) == 6
+    assert reports == _snapshot(os.path.join(fresh, "reports"))
+    # A second eval samples nothing and rewrites the same reports.
+    del calls[:]
+    assert cli(["eval", "--config", tiny_config, "--workdir", cached]) == 0
+    assert calls == []
+    assert _snapshot(os.path.join(cached, "reports")) == reports
+
+
+@pytest.mark.parametrize("stamp", [b"meta config_hash 0123456789abcdef\n", b""],
+                         ids=["another_hash", "no_hash"])
+def test_reference_from_another_config_is_refused(tiny_config, workdir, tmp_path,
+                                                  capsys, monkeypatch, stamp):
+    wd = str(tmp_path / "stale")
+    shutil.copytree(workdir, wd)
+    path = os.path.join(wd, "references", "anime_a.ckpt")
+    raw = open(path, "rb").read()
+    restamped = re.sub(rb"meta config_hash \S+\n", stamp, raw)
+    assert restamped != raw
+    with open(path, "wb") as fh:
+        fh.write(restamped)
+    calls = _counting_reference_set(monkeypatch)
+    capsys.readouterr()
+    assert cli(["eval", "--config", tiny_config, "--workdir", wd]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+    assert open(path, "rb").read() == restamped
+    assert calls == []
 
 
 @pytest.mark.parametrize("command, report", [("eval", "main"),

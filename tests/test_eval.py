@@ -11,8 +11,10 @@ from flowdistill import evalmetrics
 from flowdistill.evalmetrics import (
     EvalReport,
     energy_distance,
+    eval_inputs,
     eval_seeds,
     eval_tokens,
+    reference_set,
 )
 
 
@@ -246,9 +248,11 @@ def test_score_arms_same_motion_same_report_rows_style_major():
                for name in ("real_b", "anime_a")}
     motion = {steps: fd.init_motion(dims, rng, 0.05) for steps in (2, 4)}
     other = {steps: fd.init_motion(dims, rng, 0.5) for steps in (2, 4)}
+    tokens, x_start = eval_inputs(3, 4, dims)
+    refs = {style: reference_set(bundles[style], sched, tokens, x_start, steps=8)
+            for style in ("anime_a", "real_b")}
     reports = fd.score_arms(bundles, {"a": motion, "b": dict(motion), "c": other},
-                            sched, ["anime_a", "real_b"], [4, 2], seed=3,
-                            n_conditions=4, ref_steps=8)
+                            sched, refs, [4, 2], tokens, x_start, seed=3)
     assert list(reports) == ["a", "b", "c"]
     assert reports["a"].rows == reports["b"].rows
     assert [(r["style"], r["steps"]) for r in reports["a"].rows] == [
@@ -291,21 +295,26 @@ def test_score_arms_matches_the_per_cell_reference_bit_for_bit(monkeypatch):
                for name in styles}
     arms = {arm: {steps: fd.init_motion(dims, rng, scale) for steps in (1, 2, 4)}
             for arm, scale in (("cross", 0.05), ("single", 0.5))}
-    args = (bundles, arms, sched, styles, [4, 1, 2])
     kw = dict(seed=5, n_conditions=6, ref_steps=8, ref_cfg=7.5)
-    want = _score_arms_reference(*args, **kw)
+    want = _score_arms_reference(bundles, arms, sched, styles, [4, 1, 2], **kw)
 
     made = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed=None: made.append(seed) or default_rng(seed))
     evalmetrics._within_sum.cache_clear()
-    got = fd.score_arms(*args, **kw)
+    tokens, x_start = eval_inputs(kw["seed"], kw["n_conditions"], dims)
+    refs = {style: reference_set(bundles[style], sched, tokens, x_start,
+                                 steps=kw["ref_steps"], w=kw["ref_cfg"])
+            for style in styles}
+    got = fd.score_arms(bundles, arms, sched, refs, [4, 1, 2], tokens, x_start,
+                        kw["seed"])
 
     assert list(got) == list(want)
     for arm in want:
         assert got[arm].rows == want[arm].rows
-    # One generator per condition: the per-clip noise is drawn once per call.
+    # One generator per condition: the per-clip noise is drawn once and
+    # shared by the references and every arm set.
     assert sum(np.ndim(seed) == 0 for seed in made) == kw["n_conditions"]
     # Each arm set's within-set sum once, each reference's once per style.
     cells = len(styles) * len(arms) * 3
