@@ -229,18 +229,51 @@ def _validate_ranks(rows: list) -> None:
             raise ValueError(f"unknown dataset {row['dataset']!r}")
 
 
+# (section, key, least value) of every width, size and step count.
+_LEAST = (
+    *(("nets", key, 1) for key in default_config()["nets"]),
+    ("data", "ground_truth_clips", 1),
+    ("data", "generated_clips", 1),
+    ("pretrain", "batch", 1),
+    ("pretrain", "base_steps", 0),
+    ("pretrain", "motion_steps", 0),
+    ("distill", "iterations", 0),
+    ("distill", "mse_iterations", 0),
+)
+
+
+def _validate_sizes(cfg: dict) -> None:
+    for section, key, least in _LEAST:
+        if cfg[section][key] < least:
+            raise ValueError(f"{section}.{key} must be >= {least}, "
+                             f"got {cfg[section][key]}")
+    nets = cfg["nets"]
+    if nets["time_dim"] % 2:  # sine and cosine features come in pairs
+        raise ValueError(f"nets.time_dim must be even, got {nets['time_dim']}")
+    if nets["frame_dim"] != 2:  # every style is defined on 2 coordinates
+        raise ValueError(f"nets.frame_dim must be 2, got {nets['frame_dim']}")
+    dropout = cfg["pretrain"]["cond_dropout"]
+    if not 0 <= dropout <= 1:
+        raise ValueError(f"pretrain.cond_dropout must be in [0, 1], got {dropout}")
+
+
 def validate_config(cfg: dict) -> None:
     """Reject keys and JSON types that ``default_config()`` does not have,
-    a negative seed, unknown styles, rank tables that are empty, list a
-    rank id twice or a negative one, train on an unseen style or name an
-    unknown dataset, broken plans, eval step counts that no plan stage
-    distills, a style or step count listed twice in ``eval`` (its cells
-    would be scored and written twice), fewer than two eval conditions,
-    and teacher sampler settings (``data.gen_*``, ``eval.ref_*``) with a
-    step count outside [1, T] or a negative guidance scale."""
+    a negative seed, sizes that cannot mean anything (a net width, clip
+    count or pretraining batch below 1, a negative step or iteration count,
+    an odd ``nets.time_dim``, a ``nets.frame_dim`` other than 2, a
+    ``pretrain.cond_dropout`` outside [0, 1]), unknown styles, rank tables
+    that are empty, list a rank id twice or a negative one, train on an
+    unseen style or name an unknown dataset, broken plans, eval step counts
+    that no plan stage distills, a style or step count listed twice in
+    ``eval`` (its cells would be scored and written twice), fewer than two
+    eval conditions, and teacher sampler settings (``data.gen_*``,
+    ``eval.ref_*``) with a step count outside [1, T] or a negative guidance
+    scale."""
     _check_types(cfg, default_config())
     if cfg["seed"] < 0:  # a generator seed cannot hold it
         raise ValueError(f"seed must be non-negative, got {cfg['seed']}")
+    _validate_sizes(cfg)
     schedule_from_config(cfg)
     T = cfg["schedule"]["T"]
     for section, prefix in (("data", "gen"), ("eval", "ref")):

@@ -30,6 +30,7 @@ import numpy as np
 from .checkpoint import checkpoint_load, checkpoint_save
 from .schedule import NoiseSchedule
 from .solvers import sample_batch, start_noise
+from .streams import clip_streams
 
 __all__ = [
     "StyleSpec",
@@ -187,32 +188,30 @@ class ClipDataset:
         return len(self.clips)
 
 
-def _seed_parts(seed) -> list:
-    if isinstance(seed, (list, tuple, np.ndarray)):
-        return [int(v) for v in seed]
-    return [int(seed)]
-
-
-def _clip_rng(seed, style_id: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(_seed_parts(seed) + [style_id, index])
+def _clip_entropies(seed, style_id: int, n: int):
+    """Clip ``i``'s stream entropy: the parts of ``seed``, ``style_id``, ``i``."""
+    seed = seed if isinstance(seed, (list, tuple, np.ndarray)) else [seed]
+    parts = [int(v) for v in seed] + [style_id]
+    return (parts + [i] for i in range(n))
 
 
 def sample_ground_truth(style: StyleSpec, n: int, seed, frames: int = 8,
                         frame_dim: int = 2, vocab: int = 8) -> ClipDataset:
     """Draw ``n`` clips from a style's condition-indexed Gaussian mixture.
 
-    Each clip uses its own seed-derived generator, so the result is
-    independent of any batching or parallel execution order. The
-    generators draw clip by clip; the arithmetic runs once over the stack.
+    Clip ``i`` draws its condition, then its deviations, from the stream
+    ``default_rng([*seed, style.style_id, i])`` (``streams.clip_streams``,
+    which reuses one generator: a clip's draws finish before the next
+    clip's stream starts). So the result does not depend on batching or
+    execution order. The arithmetic runs once over the stack.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     conds = np.empty(n, dtype=np.int32)
     z = np.empty((n, frames, frame_dim))
-    for i in range(n):
-        rng = _clip_rng(seed, style.style_id, i)
+    for i, rng in enumerate(clip_streams(_clip_entropies(seed, style.style_id, n))):
         conds[i] = rng.integers(0, vocab)
-        z[i] = rng.standard_normal((frames, frame_dim))
+        rng.standard_normal(out=z[i])
     scale = np.asarray(style.scale)
     offset = np.asarray(style.offset)
     if style.single_component:
@@ -228,9 +227,12 @@ def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
                              batch: int = 512, x0_clip: float = 4.0) -> ClipDataset:
     """Mass-generate clips from a pretrained teacher with the multistep solver.
 
-    Conditions and starting noise come from per-clip streams; the solve runs
-    in fixed-size batches so the output is reproducible regardless of how
-    the work is scheduled.
+    Clip ``i`` draws its condition, then its start-noise seed, from the
+    stream ``default_rng([*seed, style.style_id, i])``, and its start
+    noise from ``default_rng(that seed)`` (both through
+    ``streams.clip_streams``: one reused generator, so each clip's draws
+    finish before the next stream starts). The solve runs in fixed-size
+    batches, so the output is reproducible however the work is scheduled.
     """
     if bundle is None:
         raise ValueError(f"missing teacher for style {style.name!r}")
@@ -239,10 +241,9 @@ def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
     vocab = bundle.dims.vocab
     conds = np.empty(n, dtype=np.int32)
     seeds = []
-    for i in range(n):
-        rng = _clip_rng(seed, style.style_id, i)
-        conds[i] = int(rng.integers(0, vocab))
-        seeds.append(rng.integers(0, 2 ** 63 - 1))
+    for i, rng in enumerate(clip_streams(_clip_entropies(seed, style.style_id, n))):
+        conds[i] = rng.integers(0, vocab)
+        seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
     clips = np.empty((n, bundle.dims.frames, bundle.dims.frame_dim), dtype=np.float32)
     for lo in range(0, n, batch):
         hi = min(lo + batch, n)

@@ -11,7 +11,8 @@ returns a taped :class:`~flowdistill.autodiff.Var` yields a differentiable
 update (this is how the student's single stride is trained).
 
 Sampling starts from per-clip noise: :func:`start_noise` is the one place
-that draws it, one generator per clip seed, and :func:`sample_batch` takes
+that draws it, from one stream per clip seed (``default_rng(seed)``,
+positioned by ``streams.clip_streams``), and :func:`sample_batch` takes
 the drawn states. A caller that samples the same seeds many times (every
 arm and step count of an evaluation) draws them once.
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .schedule import NoiseSchedule, _coef
+from .streams import clip_streams
 
 __all__ = [
     "cfg_combine",
@@ -162,15 +164,16 @@ def multistep_solve(f, x_start, steps: int, tokens, sched: NoiseSchedule,
 
 
 def start_noise(seeds, dims) -> np.ndarray:
-    """(len(seeds), frames, frame_dim) starting noise, one generator per seed.
+    """(len(seeds), frames, frame_dim) starting noise, one stream per seed.
 
-    Each clip's noise comes from its own generator, so a clip's start state
-    does not depend on which other clips are drawn with it.
+    Row ``i`` is ``default_rng(seeds[i]).standard_normal((frames,
+    frame_dim))``, so a clip's start state does not depend on which other
+    clips are drawn with it.
     """
-    return np.stack([
-        np.random.default_rng(s).standard_normal((dims.frames, dims.frame_dim))
-        for s in seeds
-    ])
+    x = np.empty((len(seeds), dims.frames, dims.frame_dim))
+    for row, rng in zip(x, clip_streams(seeds)):
+        rng.standard_normal(out=row)
+    return x
 
 
 def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,

@@ -17,7 +17,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["distill-cross", "eval-ablate"])
+@pytest.mark.parametrize("workload", ["pretrain-gen", "distill-cross", "eval-ablate"])
 def test_traced_benchmark_runs_clean(workload):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),

@@ -211,6 +211,30 @@ BAD_VALUES = [
      "eval.ref_cfg must be >= 0, got -1.0"),
     ({"data": {"gen_cfg": -0.5}}, "data.gen_cfg", [],
      "data.gen_cfg must be >= 0, got -0.5"),
+    ({"data": {"ground_truth_clips": 0}}, "data.ground_truth_clips", [],
+     "data.ground_truth_clips must be >= 1, got 0"),
+    ({"data": {"generated_clips": 0}}, "data.generated_clips", [],
+     "data.generated_clips must be >= 1, got 0"),
+    ({"pretrain": {"batch": 0}}, "pretrain.batch", [],
+     "pretrain.batch must be >= 1, got 0"),
+    ({"pretrain": {"base_steps": -5}}, "pretrain.base_steps", [],
+     "pretrain.base_steps must be >= 0, got -5"),
+    ({"pretrain": {"motion_steps": -1}}, "pretrain.motion_steps", [],
+     "pretrain.motion_steps must be >= 0, got -1"),
+    ({"distill": {"mse_iterations": -2}}, "distill.mse_iterations", [],
+     "distill.mse_iterations must be >= 0, got -2"),
+    ({"pretrain": {"cond_dropout": 1.5}}, "pretrain.cond_dropout", [],
+     "pretrain.cond_dropout must be in [0, 1], got 1.5"),
+    ({"pretrain": {"cond_dropout": -0.1}}, "pretrain.cond_dropout", [],
+     "pretrain.cond_dropout must be in [0, 1], got -0.1"),
+    ({"nets": {"frames": 0}}, "nets.frames", [], "nets.frames must be >= 1, got 0"),
+    ({"nets": {"hidden": 0}}, "nets.hidden", [], "nets.hidden must be >= 1, got 0"),
+    ({"nets": {"head_hidden": -3}}, "nets.head_hidden", [],
+     "nets.head_hidden must be >= 1, got -3"),
+    ({"nets": {"vocab": 0}}, "nets.vocab", [], "nets.vocab must be >= 1, got 0"),
+    ({"nets": {"time_dim": 0}}, "nets.time_dim", [], "nets.time_dim must be >= 1, got 0"),
+    ({"nets": {"time_dim": 15}}, "nets.time_dim", [], "nets.time_dim must be even, got 15"),
+    ({"nets": {"frame_dim": 3}}, "nets.frame_dim", [], "nets.frame_dim must be 2, got 3"),
 ]
 
 

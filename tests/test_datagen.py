@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowdistill as fd
+import flowdistill.datagen as datagen
 from flowdistill.datagen import (
     ANALYTIC_SIGMA,
     ANALYTIC_STYLE,
@@ -110,6 +111,49 @@ def test_ground_truth_equals_per_clip_reference_bitwise(style):
         clips, conds = _ground_truth_per_clip(style, n, seed, **shape)
         assert ds.clips.tobytes() == clips.tobytes()
         assert ds.conditions.tobytes() == conds.tobytes()
+
+
+def _generated_per_clip(style, n, seed, dims):
+    """Reference: clip i's condition and start state, each from fresh
+    per-clip generators."""
+    conds = np.empty(n, dtype=np.int32)
+    starts = np.empty((n, dims.frames, dims.frame_dim))
+    for i in range(n):
+        rng = np.random.default_rng([int(v) for v in np.atleast_1d(seed)]
+                                    + [style.style_id, i])
+        conds[i] = rng.integers(0, dims.vocab)
+        noise = np.random.default_rng(rng.integers(0, 2 ** 63 - 1))
+        starts[i] = noise.standard_normal((dims.frames, dims.frame_dim))
+    return conds, starts
+
+
+@pytest.mark.parametrize("n, seed, batch", [
+    (1, 4, 512),
+    (70, [0, 13, 1], 32),
+    (1100, [2 ** 32 + 5, 13, 1], 512),  # 6-word entropies, two hash blocks
+])
+def test_generated_dataset_equals_per_clip_reference_bitwise(monkeypatch, n, seed,
+                                                             batch):
+    dims = fd.NetDims(vocab=5)
+    rng = np.random.default_rng(24)
+    bundle = fd.StudentBundle(fd.init_base(1, dims, rng), fd.init_motion(dims, rng, 0.05))
+    sched = fd.build_schedule(128, 0.002, 0.0985703125)
+    solved = []
+
+    def solve(bundle_, sched_, steps, tokens, x_start, **kw):
+        solved.append((np.array(tokens), x_start))
+        return x_start  # the clips are the start states: the draws show
+
+    monkeypatch.setattr(datagen, "sample_batch", solve)
+    ds = fd.generate_distill_dataset(bundle, sched, ANALYTIC_STYLE, n, seed,
+                                     steps=8, batch=batch)
+    conds, starts = _generated_per_clip(ANALYTIC_STYLE, n, seed, dims)
+    assert [len(tokens) for tokens, _ in solved] == [
+        min(batch, n - lo) for lo in range(0, n, batch)]
+    assert np.concatenate([t for t, _ in solved]).tobytes() == conds.tobytes()
+    assert np.concatenate([x for _, x in solved]).tobytes() == starts.tobytes()
+    assert ds.conditions.tobytes() == conds.tobytes()
+    assert ds.clips.tobytes() == starts.astype(np.float32).tobytes()
 
 
 def test_ar1_cholesky_reproduces_kernel():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowdistill as fd
-from flowdistill import evalmetrics
+from flowdistill import evalmetrics, solvers
 from flowdistill.evalmetrics import (
     EvalReport,
     energy_distance,
@@ -299,9 +299,14 @@ def test_score_arms_matches_the_per_cell_reference_bit_for_bit(monkeypatch):
     want = _score_arms_reference(bundles, arms, sched, styles, [4, 1, 2], **kw)
 
     made = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed=None: made.append(seed) or default_rng(seed))
+    clip_streams = solvers.clip_streams
+
+    def counted(entropies):
+        for rng in clip_streams(entropies):
+            made.append(rng)
+            yield rng
+
+    monkeypatch.setattr(solvers, "clip_streams", counted)
     evalmetrics._within_sum.cache_clear()
     tokens, x_start = eval_inputs(kw["seed"], kw["n_conditions"], dims)
     refs = {style: reference_set(bundles[style], sched, tokens, x_start,
@@ -313,9 +318,9 @@ def test_score_arms_matches_the_per_cell_reference_bit_for_bit(monkeypatch):
     assert list(got) == list(want)
     for arm in want:
         assert got[arm].rows == want[arm].rows
-    # One generator per condition: the per-clip noise is drawn once and
+    # One stream per condition: the per-clip noise is drawn once and
     # shared by the references and every arm set.
-    assert sum(np.ndim(seed) == 0 for seed in made) == kw["n_conditions"]
+    assert len(made) == kw["n_conditions"]
     # Each arm set's within-set sum once, each reference's once per style.
     cells = len(styles) * len(arms) * 3
     info = evalmetrics._within_sum.cache_info()
