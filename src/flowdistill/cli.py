@@ -20,10 +20,7 @@ from .distill import DistillDivergence
 from .gradchecks import REL_TOL, gradcheck_battery
 from .nets import StudentBundle
 from .runner import Workspace
-from .solvers import sample_batch, start_noise
-
-# Rows per sample_batch call of ``sample``, as in generate_distill_dataset.
-SAMPLE_BATCH = 512
+from .solvers import SAMPLE_BATCH, sample_batch, start_noise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,8 +208,11 @@ def cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
     except DistillDivergence as exc:
         print(f"error: {exc}; diagnostics in {exc.dump_path}", file=sys.stderr)

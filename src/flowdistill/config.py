@@ -5,7 +5,8 @@ Sections:
 * ``schedule``: ``T``, ``beta_start``, ``beta_end``. The desk-scale default
   uses 128 timesteps; see the constants below for how the endpoints were
   picked.
-* ``nets``: widths shared by every network.
+* ``nets``: widths shared by every network (a frame's 2 coordinates are
+  ``NetDims.frame_dim``, not a key).
 * ``data``: ground-truth and generated dataset sizes, generation settings.
 * ``pretrain``: step counts and optimiser settings for base/motion training.
 * ``distill``: per-stage iteration budget, micro-batch, accumulation,
@@ -13,7 +14,7 @@ Sections:
 * ``ranks``: the worker table, rows of ``rank`` (a non-negative id),
   ``style`` (a seen style) and ``dataset`` (a ``datagen.DATASET_STYLES``
   id). It is the only rank table: the cross-model arm distills against
-  exactly these rows.
+  exactly these rows. The id ``distill.DISC_STREAM`` is reserved.
 * ``eval``: evaluated styles, step counts, conditions per arm.
 * ``seed``: global seed.
 
@@ -26,9 +27,10 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 
 from .datagen import DATASET_STYLES, style_by_name
-from .distill import DistillPlan, StageConfig
+from .distill import DISC_STREAM, DistillPlan, StageConfig
 from .nets import NetDims
 from .schedule import build_schedule
 
@@ -63,7 +65,6 @@ def default_config() -> dict:
         },
         "nets": {
             "frames": 8,
-            "frame_dim": 2,
             "hidden": 16,
             "time_dim": 16,
             "head_hidden": 32,
@@ -139,12 +140,14 @@ def _check_types(value, default, path: str = "") -> None:
     from the shape of ``default``: an object must have exactly the
     default's keys, each list item the type of the default's first item,
     and each scalar the default's type. An int counts as a float; a bool
-    is not an int."""
+    is not an int; a float must be finite."""
     kind, name = next(k for k in _KINDS if isinstance(default, k[0]))
     if (not isinstance(value, (int, float) if kind is float else kind)
             or isinstance(value, bool) and kind is not bool):
         raise ValueError(f"config key {path!r} must be {name}, "
                          f"not {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"config key {path!r} must be finite, got {value}")
     prefix = f"{path}." if path else ""
     if kind is dict:
         for key in value:
@@ -185,10 +188,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def dims_from_config(cfg: dict) -> NetDims:
-    n = cfg["nets"]
-    return NetDims(frames=n["frames"], frame_dim=n["frame_dim"],
-                   hidden=n["hidden"], time_dim=n["time_dim"],
-                   head_hidden=n["head_hidden"], vocab=n["vocab"])
+    return NetDims(**cfg["nets"])
 
 
 def schedule_from_config(cfg: dict):
@@ -217,11 +217,14 @@ def _validate_ranks(rows: list) -> None:
     if not rows:
         raise ValueError("need at least one rank")
     seen = set()
-    for row in rows:
+    for i, row in enumerate(rows):
         if row["rank"] in seen:
             raise ValueError(f"duplicate rank id {row['rank']}")
         if row["rank"] < 0:  # a generator seed cannot hold it
             raise ValueError(f"negative rank id {row['rank']}")
+        if row["rank"] == DISC_STREAM:  # its rows would reuse the head's draws
+            raise ValueError(f"ranks.{i}.rank: id {DISC_STREAM} is reserved "
+                             "for the discriminator's random stream")
         seen.add(row["rank"])
         if style_by_name(row["style"]).group == "unseen":  # raises on unknown
             raise ValueError(f"unseen style {row['style']!r} cannot be trained on")
@@ -239,7 +242,10 @@ _LEAST = (
     ("pretrain", "motion_steps", 0),
     ("distill", "iterations", 0),
     ("distill", "mse_iterations", 0),
+    ("distill", "micro_batch", 1),
+    ("distill", "grad_accum", 1),
 )
+_RATES = (("pretrain", "lr"), ("distill", "lr_student"), ("distill", "lr_disc"))
 
 
 def _validate_sizes(cfg: dict) -> None:
@@ -247,11 +253,12 @@ def _validate_sizes(cfg: dict) -> None:
         if cfg[section][key] < least:
             raise ValueError(f"{section}.{key} must be >= {least}, "
                              f"got {cfg[section][key]}")
-    nets = cfg["nets"]
-    if nets["time_dim"] % 2:  # sine and cosine features come in pairs
-        raise ValueError(f"nets.time_dim must be even, got {nets['time_dim']}")
-    if nets["frame_dim"] != 2:  # every style is defined on 2 coordinates
-        raise ValueError(f"nets.frame_dim must be 2, got {nets['frame_dim']}")
+    for section, key in _RATES:
+        if cfg[section][key] <= 0:
+            raise ValueError(f"{section}.{key} must be > 0, got {cfg[section][key]}")
+    time_dim = cfg["nets"]["time_dim"]
+    if time_dim % 2:  # sine and cosine features come in pairs
+        raise ValueError(f"nets.time_dim must be even, got {time_dim}")
     dropout = cfg["pretrain"]["cond_dropout"]
     if not 0 <= dropout <= 1:
         raise ValueError(f"pretrain.cond_dropout must be in [0, 1], got {dropout}")
@@ -259,17 +266,17 @@ def _validate_sizes(cfg: dict) -> None:
 
 def validate_config(cfg: dict) -> None:
     """Reject keys and JSON types that ``default_config()`` does not have,
-    a negative seed, sizes that cannot mean anything (a net width, clip
-    count or pretraining batch below 1, a negative step or iteration count,
-    an odd ``nets.time_dim``, a ``nets.frame_dim`` other than 2, a
-    ``pretrain.cond_dropout`` outside [0, 1]), unknown styles, rank tables
-    that are empty, list a rank id twice or a negative one, train on an
-    unseen style or name an unknown dataset, broken plans, eval step counts
-    that no plan stage distills, a style or step count listed twice in
-    ``eval`` (its cells would be scored and written twice), fewer than two
-    eval conditions, and teacher sampler settings (``data.gen_*``,
-    ``eval.ref_*``) with a step count outside [1, T] or a negative guidance
-    scale."""
+    a non-finite number, a negative seed, sizes that cannot mean anything
+    (a net width, clip count, batch or accumulation count below 1, a
+    negative step or iteration count, an odd ``nets.time_dim``, a learning
+    rate <= 0, a ``pretrain.cond_dropout`` outside [0, 1]), unknown styles,
+    rank tables that are empty, list a rank id twice, a negative one or
+    ``distill.DISC_STREAM``, train on an unseen style or name an unknown
+    dataset, broken plans, eval step counts that no plan stage distills, a
+    style or step count listed twice in ``eval`` (its cells would be scored
+    and written twice), fewer than two eval conditions, and teacher sampler
+    settings (``data.gen_*``, ``eval.ref_*``) with a step count outside
+    [1, T] or a negative guidance scale."""
     _check_types(cfg, default_config())
     if cfg["seed"] < 0:  # a generator seed cannot hold it
         raise ValueError(f"seed must be non-negative, got {cfg['seed']}")

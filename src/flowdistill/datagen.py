@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import checkpoint_load, checkpoint_save
+from .nets import NetDims
 from .schedule import NoiseSchedule
-from .solvers import sample_batch, start_noise
+from .solvers import SAMPLE_BATCH, TEACHER_X0_CLIP, sample_batch, start_noise
 from .streams import clip_streams
 
 __all__ = [
@@ -196,7 +197,7 @@ def _clip_entropies(seed, style_id: int, n: int):
 
 
 def sample_ground_truth(style: StyleSpec, n: int, seed, frames: int = 8,
-                        frame_dim: int = 2, vocab: int = 8) -> ClipDataset:
+                        vocab: int = 8) -> ClipDataset:
     """Draw ``n`` clips from a style's condition-indexed Gaussian mixture.
 
     Clip ``i`` draws its condition, then its deviations, from the stream
@@ -208,7 +209,7 @@ def sample_ground_truth(style: StyleSpec, n: int, seed, frames: int = 8,
     if n < 1:
         raise ValueError("need n >= 1")
     conds = np.empty(n, dtype=np.int32)
-    z = np.empty((n, frames, frame_dim))
+    z = np.empty((n, frames, NetDims.frame_dim))
     for i, rng in enumerate(clip_streams(_clip_entropies(seed, style.style_id, n))):
         conds[i] = rng.integers(0, vocab)
         rng.standard_normal(out=z[i])
@@ -223,8 +224,7 @@ def sample_ground_truth(style: StyleSpec, n: int, seed, frames: int = 8,
 
 
 def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
-                             n: int, seed, steps: int = 32, w: float = 7.5,
-                             batch: int = 512, x0_clip: float = 4.0) -> ClipDataset:
+                             n: int, seed, steps: int = 32, w: float = 7.5) -> ClipDataset:
     """Mass-generate clips from a pretrained teacher with the multistep solver.
 
     Clip ``i`` draws its condition, then its start-noise seed, from the
@@ -245,11 +245,11 @@ def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
         conds[i] = rng.integers(0, vocab)
         seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
     clips = np.empty((n, bundle.dims.frames, bundle.dims.frame_dim), dtype=np.float32)
-    for lo in range(0, n, batch):
-        hi = min(lo + batch, n)
+    for lo in range(0, n, SAMPLE_BATCH):
+        hi = min(lo + SAMPLE_BATCH, n)
         out = sample_batch(bundle, sched, steps, conds[lo:hi],
                            start_noise(seeds[lo:hi], bundle.dims),
-                           w=w, solver="multistep", x0_clip=x0_clip)
+                           w=w, solver="multistep", x0_clip=TEACHER_X0_CLIP)
         clips[lo:hi] = out.astype(np.float32)
     return ClipDataset(clips, conds, "teacher_generated", style.group, style.style_id)
 

@@ -5,8 +5,9 @@ the teacher traverses ``n = from_steps / to_steps`` strides of
 ``s = T / from_steps`` timesteps while the student takes a single stride of
 ``n * s``. The first stage matches trajectories under mean squared error
 with the teacher guided at scale 7.5; later stages train adversarially,
-first with the trajectory-conditional discriminator head and then with the
-relaxed single-pass head (fresh head, same backbone). A stage's student is
+first with the trajectory-conditional discriminator head and then with a
+fresh relaxed single-pass head in its place on the same backbone
+(``nets.relaxed_discriminator``). A stage's student is
 the next stage's teacher; ``Workspace.distill_arm`` chains the stages and
 caches each one.
 
@@ -49,11 +50,11 @@ from .nets import (
     disc_single_prob,
     draw_rows,
     init_discriminator,
-    reset_single_head,
+    relaxed_discriminator,
     student_eps,
 )
 from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
-from .solvers import euler_solve
+from .solvers import TEACHER_X0_CLIP, euler_solve
 
 __all__ = [
     "StageConfig",
@@ -72,12 +73,10 @@ __all__ = [
 
 PROB_CLAMP = 1e-6
 
-# Traversals during training clamp the predicted clean sample well outside
-# the data range; scale-7.5 guidance diverges on a few trajectories without
-# it. Teacher targets and the student's trained stride use the same clamp,
-# so a student identical to its teacher at n = 1 reproduces it exactly.
-# Inference-time sampling stays unclamped.
-TEACHER_X0_CLIP = 4.0
+# Tags the stage generators of the discriminator's initial weights (phase
+# 0) and relaxed head (phase 1). Rank r draws from the one tagged r, so no
+# rank may take this id.
+DISC_STREAM = 104729
 
 LOSS_KINDS = ("mse_cfg", "adversarial")
 PHASES = ("trajectory_conditional", "relaxed")
@@ -239,8 +238,7 @@ def _nonsat_losses(p_real, p_fake):
 
 
 def adversarial_losses(base_arrays, motion, disc_arrays, b: dict, phase: str,
-                       flow_idx: int, sched: NoiseSchedule, dims,
-                       num_flows: int) -> tuple:
+                       flow_idx: int, sched: NoiseSchedule, dims) -> tuple:
     """Non-saturating (l_d, l_g) with the teacher's ``target`` as the real
     sample and the student's stride as the fake one.
 
@@ -255,21 +253,16 @@ def adversarial_losses(base_arrays, motion, disc_arrays, b: dict, phase: str,
     x_next = ad.concat([b["target"], fake_next], axis=0)
     if phase == "trajectory_conditional":
         p = disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
-                           b["tokens"], flow_idx, sched.T, dims, num_flows)
+                           b["tokens"], flow_idx, sched.T, dims)
     else:
         p = disc_single_prob(disc_arrays, x_next, t_next, b["tokens"],
-                             flow_idx, sched.T, dims, num_flows)
+                             flow_idx, sched.T, dims)
     real = np.arange(len(b["tokens"]))
     return _nonsat_losses(ad.take_rows(p, real), ad.take_rows(p, real + len(real)))
 
 
 def _taped(arrays: dict) -> dict:
     return {k: ad.Var(v) for k, v in arrays.items()}
-
-
-def _grads(pvars: dict) -> dict:
-    return {k: (v.grad if v.grad is not None else np.zeros_like(v.value))
-            for k, v in pvars.items()}
 
 
 def rank_step(base, motion, disc, b: dict, phase, flow_idx: int, side: str,
@@ -292,14 +285,14 @@ def rank_step(base, motion, disc, b: dict, phase, flow_idx: int, side: str,
     if phase is None:
         loss = mse_loss(base.data, pvars, b, sched, dims)
         ad.backward(loss)
-        return {"mse": float(loss.value)}, _grads(pvars)
+        return {"mse": float(loss.value)}, {k: v.grad for k, v in pvars.items()}
     l_d, l_g = adversarial_losses(
         base.data, pvars if side == "student" else motion.data,
         pvars if side == "disc" else disc.data, b, phase, flow_idx, sched,
-        dims, disc.num_flows)
+        dims)
     ad.backward(l_d if side == "disc" else l_g)
     return ({"l_d": float(ad.value_of(l_d)), "l_g": float(ad.value_of(l_g))},
-            _grads(pvars))
+            {k: v.grad for k, v in pvars.items()})
 
 
 def _dump_diagnostics(ctx: DistillContext, stage: StageConfig, phase, iteration,
@@ -357,14 +350,15 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
     disc = None
     if stage.loss_kind == "adversarial":
         disc = init_discriminator(ctx.dims, ctx.num_flows,
-                                  _stage_rng(ctx.seed, stage, 0, 104729),
-                                  backbone_from=ctx.pretrained)
+                                  _stage_rng(ctx.seed, stage, 0, DISC_STREAM),
+                                  ctx.pretrained)
     t_grid = stage_timesteps(stage, ctx.sched.T)
     ranks = sorted(ctx.ranks, key=lambda r: r.rank)
     history: list = []
     for phase_idx, phase in enumerate(stage.phases()):
         if phase == "relaxed":
-            reset_single_head(disc, _stage_rng(ctx.seed, stage, 1, 104729))
+            disc = relaxed_discriminator(
+                disc, _stage_rng(ctx.seed, stage, 1, DISC_STREAM))
         rngs = [_stage_rng(ctx.seed, stage, phase_idx, r.rank) for r in ranks]
         opt = {"student": Adam(stage.lr_student), "disc": Adam(stage.lr_disc)}
         for it in range(stage.iterations):

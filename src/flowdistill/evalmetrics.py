@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .solvers import sample_batch, start_noise
+from .solvers import TEACHER_X0_CLIP, sample_batch, start_noise
 
 __all__ = [
     "energy_distance",
@@ -227,15 +227,14 @@ def eval_inputs(seed: int, n_conditions: int, dims) -> tuple:
 
 
 def reference_set(bundle, sched, tokens, x_start, steps: int = 32,
-                  w: float = 7.5, x0_clip: float = 4.0):
+                  w: float = 7.5):
     """Teacher reference samples: guided Euler traversal at full step count.
 
-    The predicted clean sample is clamped well outside the data range, as
-    in the teacher's data-generation settings, so strongly guided
-    trajectories stay bounded.
+    The predicted clean sample is clamped as in data generation, so
+    strongly guided trajectories stay bounded.
     """
     return sample_batch(bundle, sched, steps, tokens, x_start, w=w,
-                        solver="euler", x0_clip=x0_clip)
+                        solver="euler", x0_clip=TEACHER_X0_CLIP)
 
 
 def arm_set(bundle, sched, steps: int, tokens, x_start):

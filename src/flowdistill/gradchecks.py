@@ -14,10 +14,12 @@ from . import autodiff as ad
 from .distill import adversarial_losses, mse_loss
 from .nets import (
     NetDims,
+    StudentBundle,
     denoise_loss,
     init_base,
     init_discriminator,
     init_motion,
+    relaxed_discriminator,
 )
 from .schedule import NoiseSchedule, add_noise
 
@@ -30,14 +32,14 @@ def _setup(sched: NoiseSchedule, dims: NetDims, seed: int = 7):
     rng = np.random.default_rng(seed)
     base = init_base(0, dims, rng)
     motion = init_motion(dims, rng, out_scale=0.05)
-    disc = init_discriminator(dims, 3, rng)
-    # Randomise the zero-initialised final head layers so gradients flow
-    # through every discriminator parameter.
-    disc.data["hp2_w"] = rng.normal(0.0, 0.3, disc.data["hp2_w"].shape).astype(np.float32)
-    disc.data["hp2_b"] = rng.normal(0.0, 0.1, disc.data["hp2_b"].shape).astype(np.float32)
-    disc.data["hs2_w"] = rng.normal(0.0, 0.3, disc.data["hs2_w"].shape).astype(np.float32)
-    disc.data["hs2_b"] = rng.normal(0.0, 0.1, disc.data["hs2_b"].shape).astype(np.float32)
-    disc.data["flow_emb"] = rng.normal(0.0, 0.2, disc.data["flow_emb"].shape).astype(np.float32)
+    pair = init_discriminator(dims, 3, rng, StudentBundle(base, motion))
+    pair.data["flow_emb"] = rng.normal(0.0, 0.2, pair.data["flow_emb"].shape).astype(np.float32)
+    relaxed = relaxed_discriminator(pair, rng)
+    # Randomise the near-zero final head layers so gradients flow through
+    # every discriminator parameter.
+    for data, w2, b2 in ((pair.data, "hp2_w", "hp2_b"), (relaxed.data, "hs2_w", "hs2_b")):
+        data[w2] = rng.normal(0.0, 0.3, data[w2].shape).astype(np.float32)
+        data[b2] = rng.normal(0.0, 0.1, data[b2].shape).astype(np.float32)
 
     batch = 2
     x0 = rng.normal(0.0, 0.7, (batch, dims.frames, dims.frame_dim))
@@ -49,12 +51,12 @@ def _setup(sched: NoiseSchedule, dims: NetDims, seed: int = 7):
     stride = dict(x_t=add_noise(x0, eps, t, sched), t=t, tokens=tokens,
                   n=4, s=sched.T // 16,
                   target=rng.normal(0.0, 0.7, x0.shape))
-    return base, motion, disc, noise, stride
+    return base, motion, pair, relaxed, noise, stride
 
 
 def gradcheck_battery(sched: NoiseSchedule, dims: NetDims, seed: int = 7) -> list:
     """Returns one record per checked loss: name, worst error, pass flag."""
-    base, motion, disc, noise, b = _setup(sched, dims, seed)
+    base, motion, pair, relaxed, noise, b = _setup(sched, dims, seed)
 
     def denoise(base_arrays, motion_arrays):
         return denoise_loss(base_arrays, motion_arrays, noise["x0"], noise["tokens"],
@@ -62,7 +64,7 @@ def gradcheck_battery(sched: NoiseSchedule, dims: NetDims, seed: int = 7) -> lis
 
     def adversarial(motion_arrays, disc_arrays, phase):
         return adversarial_losses(base.data, motion_arrays, disc_arrays, b, phase,
-                                  1, sched, dims, disc.num_flows)
+                                  1, sched, dims)
 
     checks = [
         ("pretrain_eps_mse/base", lambda p: denoise(p, None), base.data),
@@ -70,12 +72,12 @@ def gradcheck_battery(sched: NoiseSchedule, dims: NetDims, seed: int = 7) -> lis
         ("distill_mse/motion", lambda p: mse_loss(base.data, p, b, sched, dims),
          motion.data),
         ("disc_conditional/disc",
-         lambda p: adversarial(motion.data, p, "trajectory_conditional")[0], disc.data),
+         lambda p: adversarial(motion.data, p, "trajectory_conditional")[0], pair.data),
         ("disc_relaxed/disc", lambda p: adversarial(motion.data, p, "relaxed")[0],
-         disc.data),
+         relaxed.data),
         ("generator_conditional/motion",
-         lambda p: adversarial(p, disc.data, "trajectory_conditional")[1], motion.data),
-        ("generator_relaxed/motion", lambda p: adversarial(p, disc.data, "relaxed")[1],
+         lambda p: adversarial(p, pair.data, "trajectory_conditional")[1], motion.data),
+        ("generator_relaxed/motion", lambda p: adversarial(p, relaxed.data, "relaxed")[1],
          motion.data),
     ]
 

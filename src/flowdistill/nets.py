@@ -16,9 +16,9 @@ Architecture at desk scale:
   composition reproduces the base model bit-exactly.
 * Discriminator: the same encoder shape as the student (through the second
   hidden layer), made flow-conditional by adding a learned per-flow
-  embedding to the time embedding, plus two fully connected heads. The
-  pair head consumes the channel-concatenated features of x_t and of a
-  next state; the single head consumes a next state's features alone.
+  embedding (one row per flow) to the time embedding, plus the head its
+  phase trains: the pair head consumes the channel-concatenated features
+  of x_t and of a next state; the relaxed single head, a next state's.
   Both heads score a stack of candidate next states (the teacher's and the
   student's) with one backbone pass over the stack, and the pair head
   encodes x_t once and tiles its features to every candidate.
@@ -28,8 +28,9 @@ upcast to float64 inside every forward pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,8 +64,8 @@ DISC_HEAD_SINGLE_KEYS = ("hs1_w", "hs1_b", "hs2_w", "hs2_b")
 class NetDims:
     """Shared width configuration for every network in a run."""
 
+    frame_dim: ClassVar[int] = 2  # every style is defined on 2 coordinates
     frames: int = 8
-    frame_dim: int = 2
     hidden: int = 16
     time_dim: int = 16
     head_hidden: int = 32
@@ -113,10 +114,9 @@ class StudentBundle:
 
 @dataclass
 class DiscriminatorParams:
-    """Flow-conditional discriminator: shared backbone plus two heads."""
+    """Flow-conditional discriminator: backbone, flow table and one head."""
 
     dims: NetDims
-    num_flows: int
     data: dict = field(repr=False)
 
 
@@ -136,14 +136,13 @@ def init_base(style_id: int, dims: NetDims, rng: np.random.Generator) -> BasePar
     return BaseParams(style_id, dims, _f32(data))
 
 
-def init_motion(dims: NetDims, rng: np.random.Generator | None = None,
+def init_motion(dims: NetDims, rng: np.random.Generator,
                 out_scale: float = 0.0) -> MotionParams:
     """Motion block with zero output mixing by default (base-only start).
 
     The inner layers are always non-zero so gradients reach every motion
     parameter from the first step.
     """
-    rng = rng if rng is not None else np.random.default_rng(1729)
     h, f, e, v = dims.hidden, dims.frames, dims.time_dim, dims.vocab
     mix_out = (rng.normal(0.0, out_scale, (h, f, f)) if out_scale > 0.0
                else np.zeros((h, f, f)))
@@ -161,43 +160,35 @@ def init_motion(dims: NetDims, rng: np.random.Generator | None = None,
 HEAD_OUT_INIT = 0.001
 
 
+def _head_init(rng: np.random.Generator, fan_in: int, g: int, keys) -> dict:
+    """A fresh head named ``keys``; its output layer starts near zero."""
+    w1, b1, w2, b2 = keys
+    return _f32({w1: rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, g)),
+                 b1: np.zeros(g),
+                 w2: rng.normal(0.0, HEAD_OUT_INIT, (g, 1)),
+                 b2: np.zeros(1)})
+
+
 def init_discriminator(dims: NetDims, num_flows: int, rng: np.random.Generator,
-                       backbone_from: StudentBundle | None = None) -> DiscriminatorParams:
-    """Backbone copied from a pretrained student; heads start near zero."""
-    h, e, f = dims.hidden, dims.time_dim, dims.frames
-    g = dims.head_hidden
-    if backbone_from is not None:
-        bdata = {k: backbone_from.base.data[k].copy()
-                 for k in DISC_BACKBONE_KEYS if k not in MOTION_KEYS}
-        bdata.update({k: backbone_from.motion.data[k].copy() for k in MOTION_KEYS})
-    else:
-        tmp = init_base(-1, dims, rng)
-        bdata = {k: tmp.data[k] for k in DISC_BACKBONE_KEYS if k not in MOTION_KEYS}
-        bdata.update(init_motion(dims, rng).data)
-    data = dict(bdata)
-    data["flow_emb"] = np.zeros((num_flows, e), dtype=np.float32)
-    data.update(_f32({
-        "hp1_w": rng.normal(0.0, 1.0 / np.sqrt(2 * h * f), (2 * h * f, g)),
-        "hp1_b": np.zeros(g),
-        "hp2_w": rng.normal(0.0, HEAD_OUT_INIT, (g, 1)),
-        "hp2_b": np.zeros(1),
-        "hs1_w": rng.normal(0.0, 1.0 / np.sqrt(h * f), (h * f, g)),
-        "hs1_b": np.zeros(g),
-        "hs2_w": rng.normal(0.0, HEAD_OUT_INIT, (g, 1)),
-        "hs2_b": np.zeros(1),
-    }))
-    return DiscriminatorParams(dims, num_flows, data)
+                       backbone_from: StudentBundle) -> DiscriminatorParams:
+    """Backbone copied from a pretrained student, zero flows, fresh pair head."""
+    data = {k: backbone_from.base.data[k].copy()
+            for k in DISC_BACKBONE_KEYS if k not in MOTION_KEYS}
+    data.update({k: backbone_from.motion.data[k].copy() for k in MOTION_KEYS})
+    data["flow_emb"] = np.zeros((num_flows, dims.time_dim), dtype=np.float32)
+    data.update(_head_init(rng, 2 * dims.hidden * dims.frames, dims.head_hidden,
+                           DISC_HEAD_PAIR_KEYS))
+    return DiscriminatorParams(dims, data)
 
 
-def reset_single_head(disc: DiscriminatorParams, rng: np.random.Generator) -> None:
-    """Fresh single-pass head; the trained backbone is kept."""
-    h, f, g = disc.dims.hidden, disc.dims.frames, disc.dims.head_hidden
-    disc.data["hs1_w"] = np.ascontiguousarray(
-        rng.normal(0.0, 1.0 / np.sqrt(h * f), (h * f, g)), dtype=np.float32)
-    disc.data["hs1_b"] = np.zeros(g, dtype=np.float32)
-    disc.data["hs2_w"] = np.ascontiguousarray(
-        rng.normal(0.0, HEAD_OUT_INIT, (g, 1)), dtype=np.float32)
-    disc.data["hs2_b"] = np.zeros(1, dtype=np.float32)
+def relaxed_discriminator(disc: DiscriminatorParams,
+                          rng: np.random.Generator) -> DiscriminatorParams:
+    """``disc``'s arrays with a fresh single head in place of its pair head."""
+    dims = disc.dims
+    data = {k: v for k, v in disc.data.items() if k not in DISC_HEAD_PAIR_KEYS}
+    data.update(_head_init(rng, dims.hidden * dims.frames, dims.head_hidden,
+                           DISC_HEAD_SINGLE_KEYS))
+    return DiscriminatorParams(dims, data)
 
 
 # -- time and condition features ----------------------------------------
@@ -279,6 +270,8 @@ def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims)
 
 
 def _disc_features(disc_arrays, x, t, tokens, flow_idx, T: int, dims: NetDims):
+    if not 0 <= flow_idx < ad.value_of(disc_arrays["flow_emb"]).shape[0]:
+        raise ValueError(f"unregistered flow index {flow_idx}")
     tfeat = np.asarray(time_features(t, T, dims.time_dim), dtype=np.float64)
     if tfeat.ndim == 1:
         tfeat = np.broadcast_to(tfeat, (ad.value_of(x).shape[0], dims.time_dim))
@@ -312,7 +305,7 @@ def _tiled(a, k: int):
 
 
 def disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens, flow_idx,
-                   T: int, dims: NetDims, num_flows: int):
+                   T: int, dims: NetDims):
     """Probability that each (x_t -> x_next) is a teacher transition.
 
     ``x_next`` stacks ``k`` candidate next states for the same ``B`` rows
@@ -322,8 +315,6 @@ def disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens, flow_idx,
     concatenated with its features along the channel axis before the pair
     head. Returns ``k * B`` probabilities.
     """
-    if not (0 <= flow_idx < num_flows):
-        raise ValueError(f"unregistered flow index {flow_idx}")
     if not np.all(np.asarray(t_next) < np.asarray(t)):
         raise ValueError("t_next must precede t")
     tokens = _check_tokens(tokens, dims)
@@ -339,15 +330,13 @@ def disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens, flow_idx,
 
 
 def disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
-                     T: int, dims: NetDims, num_flows: int):
+                     T: int, dims: NetDims):
     """Probability from the relaxed (single-pass) head.
 
     ``x_next`` stacks ``k`` candidates for the ``B`` rows of ``t_next`` and
     ``tokens``, as in :func:`disc_pair_prob`; one backbone pass encodes
     them all. Returns ``k * B`` probabilities.
     """
-    if not (0 <= flow_idx < num_flows):
-        raise ValueError(f"unregistered flow index {flow_idx}")
     tokens = _check_tokens(tokens, dims)
     k = _candidates(x_next, tokens)
     feats = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
@@ -362,19 +351,17 @@ def disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
 class Adam:
     """Adam with float64 moments; parameters are stored back as float32."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict = {}
         self.v: dict = {}
 
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name in sorted(grads):
@@ -386,7 +373,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
             mhat = self.m[name] / bc1
             vhat = self.v[name] / bc2
-            new = params[name].astype(np.float64) - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            new = params[name].astype(np.float64) - self.lr * mhat / (np.sqrt(vhat) + self.EPS)
             params[name] = new.astype(np.float32)
 
 

@@ -148,7 +148,7 @@ class Workspace:
             self._ground_truth[style_name] = sample_ground_truth(
                 style, self.cfg["data"]["ground_truth_clips"],
                 self._seed("gt", style.style_id), frames=self.dims.frames,
-                frame_dim=self.dims.frame_dim, vocab=self.dims.vocab)
+                vocab=self.dims.vocab)
         return self._ground_truth[style_name]
 
     def _seed(self, tag: str, *extra) -> list:

@@ -39,6 +39,14 @@ __all__ = [
     "sample_batch",
 ]
 
+# Teacher traversals (data generation, references, distillation targets)
+# and the student's trained stride clamp the predicted clean sample: guided
+# trajectories diverge without it, and one clamp lets a student equal to
+# its teacher at n = 1 reproduce it. Distilled arms sample unclamped.
+TEACHER_X0_CLIP = 4.0
+
+SAMPLE_BATCH = 512  # rows per sample_batch call when sampling many clips
+
 
 def cfg_combine(eps_cond, eps_uncond, w: float):
     """Guided prediction: eps_uncond + w * (eps_cond - eps_uncond)."""

@@ -234,7 +234,27 @@ BAD_VALUES = [
     ({"nets": {"vocab": 0}}, "nets.vocab", [], "nets.vocab must be >= 1, got 0"),
     ({"nets": {"time_dim": 0}}, "nets.time_dim", [], "nets.time_dim must be >= 1, got 0"),
     ({"nets": {"time_dim": 15}}, "nets.time_dim", [], "nets.time_dim must be even, got 15"),
-    ({"nets": {"frame_dim": 3}}, "nets.frame_dim", [], "nets.frame_dim must be 2, got 3"),
+    # Every style has 2 frame coordinates: the width is not a setting.
+    ({"nets": {"frame_dim": 2}}, "nets.frame_dim", [],
+     "unknown config key 'nets.frame_dim'"),
+    ({"data": {"gen_cfg": float("nan")}}, "data.gen_cfg", [],
+     "config key 'data.gen_cfg' must be finite, got nan"),
+    ({"eval": {"ref_cfg": float("inf")}}, "eval.ref_cfg", [],
+     "config key 'eval.ref_cfg' must be finite, got inf"),
+    ({"distill": {"lr_student": float("nan")}}, "distill.lr_student", [],
+     "config key 'distill.lr_student' must be finite, got nan"),
+    ({"pretrain": {"lr": -1.0}}, "pretrain.lr", [], "pretrain.lr must be > 0, got -1.0"),
+    ({"distill": {"lr_student": 0}}, "distill.lr_student", [],
+     "distill.lr_student must be > 0, got 0"),
+    ({"distill": {"lr_disc": -0.5}}, "distill.lr_disc", [],
+     "distill.lr_disc must be > 0, got -0.5"),
+    ({"distill": {"micro_batch": 0}}, "distill.micro_batch", [],
+     "distill.micro_batch must be >= 1, got 0"),
+    ({"distill": {"grad_accum": 0}}, "distill.grad_accum", [],
+     "distill.grad_accum must be >= 1, got 0"),
+    ({"eval": {"styles": ["nope"]}}, "eval.styles", [], "unknown style 'nope'"),
+    ({"ranks": [dict(_ROW, rank=104729)]}, "ranks.0.rank", [],
+     "ranks.0.rank: id 104729 is reserved for the discriminator's random stream"),
 ]
 
 

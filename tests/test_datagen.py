@@ -145,8 +145,8 @@ def test_generated_dataset_equals_per_clip_reference_bitwise(monkeypatch, n, see
         return x_start  # the clips are the start states: the draws show
 
     monkeypatch.setattr(datagen, "sample_batch", solve)
-    ds = fd.generate_distill_dataset(bundle, sched, ANALYTIC_STYLE, n, seed,
-                                     steps=8, batch=batch)
+    monkeypatch.setattr(datagen, "SAMPLE_BATCH", batch)
+    ds = fd.generate_distill_dataset(bundle, sched, ANALYTIC_STYLE, n, seed, steps=8)
     conds, starts = _generated_per_clip(ANALYTIC_STYLE, n, seed, dims)
     assert [len(tokens) for tokens, _ in solved] == [
         min(batch, n - lo) for lo in range(0, n, batch)]

@@ -7,6 +7,7 @@ import flowdistill as fd
 from flowdistill.datagen import style_by_name
 from flowdistill import autodiff as ad
 from flowdistill.distill import (
+    DISC_STREAM,
     DistillContext,
     PHASES,
     PROB_CLAMP,
@@ -24,13 +25,16 @@ from flowdistill.distill import (
     teacher_stride,
 )
 from flowdistill.nets import (
+    DISC_BACKBONE_KEYS,
+    DISC_HEAD_PAIR_KEYS,
+    DISC_HEAD_SINGLE_KEYS,
     MOTION_KEYS,
     Adam,
     disc_pair_prob,
     disc_single_prob,
     draw_rows,
     init_discriminator,
-    reset_single_head,
+    relaxed_discriminator,
 )
 from flowdistill.config import default_config, plan_from_config
 
@@ -51,8 +55,7 @@ def setup(sched, dims):
     base = fd.init_base(0, dims, rng)
     motion = fd.init_motion(dims, rng, out_scale=0.05)
     ds = fd.sample_ground_truth(style_by_name("default"), 512, 1,
-                                frames=dims.frames, frame_dim=dims.frame_dim,
-                                vocab=dims.vocab)
+                                frames=dims.frames, vocab=dims.vocab)
     return base, motion, ds
 
 
@@ -201,7 +204,8 @@ def test_adversarial_losses_at_fresh_heads(sched, dims, setup):
     assert abs(l_d - 2 * np.log(2.0)) < 1e-3
     assert abs(l_g - np.log(2.0)) < 0.02
     assert set(grads) == set(disc.data)
-    l_d2, l_g2, grads2 = _adversarial_step(base, motion, motion, disc, batch, st,
+    relaxed = relaxed_discriminator(disc, np.random.default_rng(6))
+    l_d2, l_g2, grads2 = _adversarial_step(base, motion, motion, relaxed, batch, st,
                                            "relaxed", 0, sched, dims, side="student")
     assert abs(l_d2 - 2 * np.log(2.0)) < 1e-3
     assert set(grads2) == set(MOTION_KEYS)
@@ -219,12 +223,13 @@ def test_adversarial_probabilities_clamped(sched, dims, setup):
     disc = init_discriminator(dims, 1, np.random.default_rng(8),
                               backbone_from=fd.StudentBundle(base, motion))
     disc.data["hp2_b"] = np.array([60.0], dtype=np.float32)
-    disc.data["hs2_b"] = np.array([-60.0], dtype=np.float32)
+    relaxed = relaxed_discriminator(disc, np.random.default_rng(8))
+    relaxed.data["hs2_b"] = np.array([-60.0], dtype=np.float32)
     st = StageConfig(32, 8, "adversarial", 1, cfg_scale=0.0)
     batch = _batch(ds, st, sched, np.random.default_rng(9), n=4)
-    for phase in ("trajectory_conditional", "relaxed"):
+    for phase, d in (("trajectory_conditional", disc), ("relaxed", relaxed)):
         for side in ("disc", "student"):
-            l_d, l_g, _ = _adversarial_step(base, motion, motion, disc, batch, st,
+            l_d, l_g, _ = _adversarial_step(base, motion, motion, d, batch, st,
                                             phase, 0, sched, dims, side=side)
             assert np.isfinite(l_d) and np.isfinite(l_g)
     assert np.isfinite(np.log(PROB_CLAMP))
@@ -262,7 +267,6 @@ def _tiny_ctx(sched, dims, seed=0, tmpdir=None):
         bases[name] = fd.init_base(style.style_id, dims, rng)
         datasets[name] = fd.sample_ground_truth(style, 256, style.style_id + 50,
                                                 frames=dims.frames,
-                                                frame_dim=dims.frame_dim,
                                                 vocab=dims.vocab)
     motion = fd.init_motion(dims, rng, out_scale=0.05)
     ranks = [Rank(0, bases["default"], datasets["default"], 0),
@@ -335,7 +339,7 @@ def _reference_grads(base, motion, disc, b, phase, flow_idx, side, sched, dims):
         l_d, l_g = adversarial_losses(
             base.data, pvars if side == "student" else motion.data,
             pvars if side == "disc" else disc.data, b, phase, flow_idx, sched,
-            dims, disc.num_flows)
+            dims)
         loss = l_d if side == "disc" else l_g
     ad.backward(loss)
     return {k: v.grad if v.grad is not None else np.zeros_like(v.value)
@@ -344,19 +348,21 @@ def _reference_grads(base, motion, disc, b, phase, flow_idx, side, sched, dims):
 
 def _reference_stage(stage, ctx, teacher, iteration_grads):
     """Reference loop for ``run_stage``: each phase reseeds the ranks and
-    starts fresh optimizers, the relaxed phase on a reset relaxed head, and
+    starts fresh optimizers, the relaxed phase with a fresh single head in
+    place of the pair head, and
     every iteration takes ``iteration_grads`` of the ranks and makes one
     Adam step."""
     motion = teacher.copy()
     disc = None
     if stage.loss_kind == "adversarial":
         disc = init_discriminator(ctx.dims, ctx.num_flows,
-                                  _stage_rng(ctx.seed, stage, 0, 104729),
-                                  backbone_from=ctx.pretrained)
+                                  _stage_rng(ctx.seed, stage, 0, DISC_STREAM),
+                                  ctx.pretrained)
     ranks = sorted(ctx.ranks, key=lambda r: r.rank)
     for phase_idx, phase in enumerate(stage.phases()):
         if phase == "relaxed":
-            reset_single_head(disc, _stage_rng(ctx.seed, stage, 1, 104729))
+            disc = relaxed_discriminator(
+                disc, _stage_rng(ctx.seed, stage, 1, DISC_STREAM))
         rngs = {r.rank: _stage_rng(ctx.seed, stage, phase_idx, r.rank)
                 for r in ranks}
         opt_student, opt_disc = Adam(stage.lr_student), Adam(stage.lr_disc)
@@ -516,16 +522,16 @@ def test_one_teacher_call_per_rank_equals_one_per_micro_batch(sched, dims, setup
 
 
 def _two_call_losses(base_arrays, motion, disc_arrays, b, phase, flow_idx, sched,
-                     dims, num_flows):
+                     dims):
     # Reference: the real and the fake next state in separate calls.
     t_next = b["t"] - b["n"] * b["s"]
 
     def prob(x_next):
         if phase == "trajectory_conditional":
             return disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
-                                  b["tokens"], flow_idx, sched.T, dims, num_flows)
+                                  b["tokens"], flow_idx, sched.T, dims)
         return disc_single_prob(disc_arrays, x_next, t_next, b["tokens"],
-                                flow_idx, sched.T, dims, num_flows)
+                                flow_idx, sched.T, dims)
 
     fake_next = _student_stride(base_arrays, motion, b, sched, dims)
     return _nonsat_losses(prob(b["target"]), prob(fake_next))
@@ -538,8 +544,11 @@ def test_stacked_discriminator_matches_two_call_reference(sched, dims, setup,
     base, motion, ds = setup
     rng = np.random.default_rng(12)
     disc = init_discriminator(dims, 2, rng, backbone_from=fd.StudentBundle(base, motion))
-    for key in ("hp2_w", "hs2_w", "flow_emb"):
+    for key in ("hp2_w", "flow_emb"):
         disc.data[key] = rng.normal(0, 0.5, disc.data[key].shape).astype(np.float32)
+    if phase == "relaxed":
+        disc = relaxed_discriminator(disc, rng)
+        disc.data["hs2_w"] = rng.normal(0, 0.5, disc.data["hs2_w"].shape).astype(np.float32)
     st = StageConfig(32, 8, "adversarial", 1)
     b = teacher_stride(base.data, motion.data, _batch(ds, st, sched, rng, n=16),
                        st, sched, dims)
@@ -548,7 +557,7 @@ def test_stacked_discriminator_matches_two_call_reference(sched, dims, setup,
         pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).data.items()}
         l_d, l_g = losses_of(base.data, pvars if side == "student" else motion.data,
                              pvars if side == "disc" else disc.data, b, phase, 1,
-                             sched, dims, disc.num_flows)
+                             sched, dims)
         ad.backward(l_d if side == "disc" else l_g)
         results.append((float(ad.value_of(l_d)), float(ad.value_of(l_g)),
                         {k: v.grad for k, v in pvars.items()}))
@@ -562,3 +571,27 @@ def test_stacked_discriminator_matches_two_call_reference(sched, dims, setup,
             continue
         np.testing.assert_allclose(grads[key], ref, rtol=1e-10,
                                    atol=1e-10 * np.abs(ref).max(), err_msg=key)
+
+
+def test_each_phase_holds_only_the_head_it_trains(sched, dims, monkeypatch):
+    # Every array the discriminator holds is taped and Adam-updated, so it
+    # holds the backbone, the flow table and its phase's head, nothing else.
+    import flowdistill.distill as dist
+
+    seen = []
+    step = dist.rank_step
+
+    def spy(base, motion, disc, b, phase, *args):
+        seen.append((phase, set(disc.data)))
+        return step(base, motion, disc, b, phase, *args)
+
+    monkeypatch.setattr(dist, "rank_step", spy)
+    ctx, motion = _tiny_ctx(sched, dims)
+    run_stage(StageConfig(32, 8, "adversarial", 2, micro_batch=2, grad_accum=1),
+              ctx, motion)
+    heads = {"trajectory_conditional": DISC_HEAD_PAIR_KEYS,
+             "relaxed": DISC_HEAD_SINGLE_KEYS}
+    assert [phase for phase, _ in seen] == (
+        ["trajectory_conditional"] * 4 + ["relaxed"] * 4)  # 2 iterations x 2 ranks
+    for phase, keys in seen:
+        assert keys == {*DISC_BACKBONE_KEYS, "flow_emb", *heads[phase]}, phase

@@ -12,8 +12,11 @@ from flowdistill.nets import (
     disc_pair_prob,
     disc_single_prob,
     draw_rows,
+    DISC_BACKBONE_KEYS,
+    DISC_HEAD_PAIR_KEYS,
+    DISC_HEAD_SINGLE_KEYS,
     init_discriminator,
-    reset_single_head,
+    relaxed_discriminator,
     student_eps,
     time_features,
 )
@@ -38,7 +41,7 @@ def bundle(dims):
 def test_zero_motion_matches_base_bitwise(sched, dims):
     rng = np.random.default_rng(1)
     base = fd.init_base(0, dims, rng)
-    zero = fd.StudentBundle(base, fd.init_motion(dims))
+    zero = fd.StudentBundle(base, fd.init_motion(dims, np.random.default_rng(1729)))
     x = rng.standard_normal((6, dims.frames, dims.frame_dim))
     tokens = rng.integers(0, dims.vocab, 6)
     with_motion = student_eps(base.data, zero.motion.data, x, 50, tokens,
@@ -90,12 +93,12 @@ def test_time_features_cover_clean_boundary(dims):
 
 def _pair(disc, x_t, x_next, t, t_next, tokens, flow_idx, sched):
     return disc_pair_prob(disc.data, x_t, x_next, t, t_next, tokens, flow_idx,
-                          sched.T, disc.dims, disc.num_flows)
+                          sched.T, disc.dims)
 
 
 def _single(disc, x_next, t_next, tokens, flow_idx, sched):
     return disc_single_prob(disc.data, x_next, t_next, tokens, flow_idx,
-                            sched.T, disc.dims, disc.num_flows)
+                            sched.T, disc.dims)
 
 
 def test_discriminator_probability_range_and_determinism(sched, dims, bundle):
@@ -103,12 +106,13 @@ def test_discriminator_probability_range_and_determinism(sched, dims, bundle):
     disc = init_discriminator(dims, 3, rng, backbone_from=bundle)
     # Randomise heads so scores are generic.
     disc.data["hp2_w"] = rng.normal(0, 0.5, disc.data["hp2_w"].shape).astype(np.float32)
-    disc.data["hs2_w"] = rng.normal(0, 0.5, disc.data["hs2_w"].shape).astype(np.float32)
+    relaxed = relaxed_discriminator(disc, rng)
+    relaxed.data["hs2_w"] = rng.normal(0, 0.5, relaxed.data["hs2_w"].shape).astype(np.float32)
     x_t = rng.standard_normal((5, dims.frames, dims.frame_dim))
     x_n = rng.standard_normal((5, dims.frames, dims.frame_dim))
     tokens = rng.integers(0, dims.vocab, 5)
     p = _pair(disc, x_t, x_n, 60, 28, tokens, 1, sched)
-    q = _single(disc, x_n, 28, tokens, 1, sched)
+    q = _single(relaxed, x_n, 28, tokens, 1, sched)
     for probs in (p, q):
         vals = np.asarray(ad.value_of(probs))
         assert np.all((vals > 0) & (vals < 1))
@@ -126,7 +130,7 @@ def test_fresh_heads_output_near_half(sched, dims, bundle):
     tokens = np.zeros(4, dtype=int)
     p = _pair(disc, x, x + 0.1, 40, 8, tokens, 0, sched)
     assert np.all(np.abs(np.asarray(p) - 0.5) < 0.02)
-    q = _single(disc, x, 8, tokens, 0, sched)
+    q = _single(relaxed_discriminator(disc, rng), x, 8, tokens, 0, sched)
     assert np.all(np.abs(np.asarray(q) - 0.5) < 0.02)
 
 
@@ -144,12 +148,16 @@ def test_flow_index_changes_score_when_embeddings_differ(sched, dims, bundle):
 
 
 def test_unregistered_flow_index_rejected(sched, dims, bundle):
+    # The flow count is the row count of flow_emb, here 2.
     disc = init_discriminator(dims, 2, np.random.default_rng(6), backbone_from=bundle)
+    relaxed = relaxed_discriminator(disc, np.random.default_rng(7))
     x = np.zeros((1, dims.frames, dims.frame_dim))
-    with pytest.raises(ValueError):
-        _pair(disc, x, x, 50, 10, np.zeros(1, dtype=int), 2, sched)
-    with pytest.raises(ValueError):
-        _single(disc, x, 10, np.zeros(1, dtype=int), -1, sched)
+    tokens = np.zeros(1, dtype=int)
+    for flow_idx in (2, -1):
+        with pytest.raises(ValueError, match=f"unregistered flow index {flow_idx}"):
+            _pair(disc, x, x, 50, 10, tokens, flow_idx, sched)
+        with pytest.raises(ValueError, match=f"unregistered flow index {flow_idx}"):
+            _single(relaxed, x, 10, tokens, flow_idx, sched)
 
 
 def test_conditional_disc_requires_ordered_timesteps(sched, dims, bundle):
@@ -163,7 +171,8 @@ def test_stacked_candidates_score_as_separate_calls(sched, dims, bundle):
     rng = np.random.default_rng(9)
     disc = init_discriminator(dims, 2, rng, backbone_from=bundle)
     disc.data["hp2_w"] = rng.normal(0, 0.5, disc.data["hp2_w"].shape).astype(np.float32)
-    disc.data["hs2_w"] = rng.normal(0, 0.5, disc.data["hs2_w"].shape).astype(np.float32)
+    relaxed = relaxed_discriminator(disc, rng)
+    relaxed.data["hs2_w"] = rng.normal(0, 0.5, relaxed.data["hs2_w"].shape).astype(np.float32)
     x_t = rng.standard_normal((3, dims.frames, dims.frame_dim))
     a, b = rng.standard_normal((2, 3, dims.frames, dims.frame_dim))
     t, t_next = np.array([70, 40, 90]), np.array([38, 8, 58])
@@ -174,49 +183,52 @@ def test_stacked_candidates_score_as_separate_calls(sched, dims, bundle):
         np.concatenate([_pair(disc, x_t, x, t, t_next, tokens, 1, sched) for x in (a, b)]),
         rtol=1e-12)
     np.testing.assert_allclose(
-        _single(disc, stacked, t_next, tokens, 1, sched),
-        np.concatenate([_single(disc, x, t_next, tokens, 1, sched) for x in (a, b)]),
+        _single(relaxed, stacked, t_next, tokens, 1, sched),
+        np.concatenate([_single(relaxed, x, t_next, tokens, 1, sched) for x in (a, b)]),
         rtol=1e-12)
     with pytest.raises(ValueError, match="multiple"):
-        _single(disc, stacked[:5], t_next, tokens, 1, sched)
+        _single(relaxed, stacked[:5], t_next, tokens, 1, sched)
 
 
 def test_relaxed_backbone_gradients_nonzero(sched, dims, bundle):
     # The whole discriminator trains, including the shared backbone.
     rng = np.random.default_rng(8)
-    disc = init_discriminator(dims, 2, rng, backbone_from=bundle)
+    disc = relaxed_discriminator(init_discriminator(dims, 2, rng, backbone_from=bundle),
+                                 rng)
     disc.data["hs2_w"] = rng.normal(0, 0.5, disc.data["hs2_w"].shape).astype(np.float32)
     x = rng.standard_normal((3, dims.frames, dims.frame_dim))
     tokens = rng.integers(0, dims.vocab, 3)
-    from flowdistill.nets import disc_single_prob
     dvars = {k: ad.Var(v) for k, v in disc.data.items()}
-    p = disc_single_prob(dvars, x, 20, tokens, 0, sched.T, dims, 2)
+    p = disc_single_prob(dvars, x, 20, tokens, 0, sched.T, dims)
     ad.backward(ad.mean_all(ad.log(p)))
     for key in ("w1", "w2", "mix", "time_w"):
         assert dvars[key].grad is not None
         assert np.any(dvars[key].grad != 0), key
 
 
-def test_reset_single_head_keeps_backbone(dims, bundle):
+def test_relaxed_discriminator_swaps_the_head_and_keeps_backbone(dims, bundle):
     rng = np.random.default_rng(9)
     disc = init_discriminator(dims, 2, rng, backbone_from=bundle)
-    disc.data["hs2_w"] = rng.normal(0, 0.5, disc.data["hs2_w"].shape).astype(np.float32)
-    before = {k: v.copy() for k, v in disc.data.items()}
-    reset_single_head(disc, np.random.default_rng(10))
-    assert np.abs(disc.data["hs2_w"]).max() < 0.05  # near-zero fresh head
-    assert not np.array_equal(disc.data["hs2_w"], before["hs2_w"])
-    for key in ("w1", "w2", "mix", "mix_out", "hp1_w", "hp2_w", "flow_emb"):
-        assert np.array_equal(disc.data[key], before[key])
-    assert not np.array_equal(disc.data["hs1_w"], before["hs1_w"])
+    disc.data["flow_emb"] = rng.normal(0, 0.5, disc.data["flow_emb"].shape).astype(np.float32)
+    assert set(disc.data) == {*DISC_BACKBONE_KEYS, "flow_emb", *DISC_HEAD_PAIR_KEYS}
+    relaxed = relaxed_discriminator(disc, np.random.default_rng(10))
+    assert set(relaxed.data) == {*DISC_BACKBONE_KEYS, "flow_emb", *DISC_HEAD_SINGLE_KEYS}
+    assert np.abs(relaxed.data["hs2_w"]).max() < 0.05  # near-zero fresh head
+    assert np.any(relaxed.data["hs2_w"] != 0)
+    for key in (*DISC_BACKBONE_KEYS, "flow_emb"):
+        assert relaxed.data[key] is disc.data[key], key
+    # A fresh head from another stream differs.
+    other = relaxed_discriminator(disc, np.random.default_rng(11))
+    assert not np.array_equal(relaxed.data["hs1_w"], other.data["hs1_w"])
 
 
 def test_pretrain_base_learns_analytic_predictor(sched, dims):
     ds = sample_ground_truth(ANALYTIC_STYLE, 8000, [99, 1], frames=dims.frames,
-                             frame_dim=dims.frame_dim, vocab=dims.vocab)
+                             vocab=dims.vocab)
     base, history = fd.pretrain_base(ds, sched, dims, ANALYTIC_STYLE.style_id,
                                      4000, [99, 2])
     assert np.mean(history[-50:]) < np.mean(history[:50])
-    bundle = fd.StudentBundle(base, fd.init_motion(dims))
+    bundle = fd.StudentBundle(base, fd.init_motion(dims, np.random.default_rng(1729)))
     rng = np.random.default_rng(11)
     for t in (32, 64, 96):
         x0 = np.sqrt(ANALYTIC_VAR) * rng.standard_normal((512, dims.frames, dims.frame_dim))
@@ -232,7 +244,7 @@ def test_pretrain_base_learns_analytic_predictor(sched, dims):
 
 def test_pretrain_zero_lr_keeps_parameters(sched, dims):
     ds = sample_ground_truth(ANALYTIC_STYLE, 256, [98, 1], frames=dims.frames,
-                             frame_dim=dims.frame_dim, vocab=dims.vocab)
+                             vocab=dims.vocab)
     base, _ = fd.pretrain_base(ds, sched, dims, 1, 3, [98, 2], lr=0.0)
     fresh = fd.init_base(1, dims, np.random.default_rng([98, 2]))
     for key in BASE_KEYS:
@@ -242,8 +254,7 @@ def test_pretrain_zero_lr_keeps_parameters(sched, dims):
 def test_pretrain_motion_trains_only_motion(sched, dims):
     from flowdistill.datagen import style_by_name
     ds = sample_ground_truth(style_by_name("default"), 2048, [97, 1],
-                             frames=dims.frames, frame_dim=dims.frame_dim,
-                             vocab=dims.vocab)
+                             frames=dims.frames, vocab=dims.vocab)
     base, _ = fd.pretrain_base(ds, sched, dims, 0, 400, [97, 2])
     frozen = {k: v.copy() for k, v in base.data.items()}
     motion, history = fd.pretrain_motion(base, ds, sched, 300, [97, 3])
@@ -257,7 +268,7 @@ def test_draw_rows_on_the_full_grid_draws_integer_timesteps(sched, dims):
     # Pretraining draws over np.arange(T): the same draws as timesteps from
     # rng.integers(0, T), in the order index, dropout, timestep, noise.
     ds = sample_ground_truth(ANALYTIC_STYLE, 64, [96, 1], frames=dims.frames,
-                             frame_dim=dims.frame_dim, vocab=dims.vocab)
+                             vocab=dims.vocab)
     got = draw_rows(ds, 32, np.random.default_rng(5), np.arange(sched.T),
                     cond_dropout=0.5, null_token=dims.null_token)
     rng = np.random.default_rng(5)
