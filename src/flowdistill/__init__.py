@@ -30,7 +30,6 @@ from .nets import (
     pretrain_base,
     pretrain_motion,
 )
-from .streams import clip_streams
 from .solvers import (
     cfg_combine,
     euler_solve,

@@ -121,18 +121,19 @@ def cmd_sample(args) -> int:
                          f"step counts: {', '.join(map(str, arm))}")
     bundle = StudentBundle(ws.load_base(args.style), arm[args.steps])
     _progress(f"sampling with the {args.steps}-step distilled student")
-    rng = np.random.default_rng(cfg["seed"])
-    tokens, seeds = [], []
-    for _ in range(args.count):
-        tokens.append(int(rng.integers(0, ws.dims.vocab)))
-        seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
+    # Tokens and start noise each come from one stream that no other
+    # command draws from, filled in clip order, so clip i is the same for
+    # every --count > i.
+    seed = cfg["seed"]
+    tokens = np.random.default_rng([seed, 23]).integers(0, ws.dims.vocab,
+                                                        size=args.count)
+    x_start = start_noise([seed, 29], args.count, ws.dims)
     clips = []
     for lo in range(0, args.count, SAMPLE_BATCH):
         batch = slice(lo, lo + SAMPLE_BATCH)
-        out = sample_batch(bundle, ws.sched, args.steps, tokens[batch],
-                           start_noise(seeds[batch], ws.dims))
+        out = sample_batch(bundle, ws.sched, args.steps, tokens[batch], x_start[batch])
         clips += [{"token": token, "frames": clip.tolist()}
-                  for token, clip in zip(tokens[batch], out)]
+                  for token, clip in zip(tokens[batch].tolist(), out)]
 
     def write(path):
         with open(path, "w") as fh:

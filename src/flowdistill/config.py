@@ -7,7 +7,11 @@ Sections:
   picked.
 * ``nets``: widths shared by every network (a frame's 2 coordinates are
   ``NetDims.frame_dim``, not a key).
-* ``data``: ground-truth and generated dataset sizes, generation settings.
+* ``guidance``: the classifier-free guidance scale of every guided
+  teacher traversal: data generation, the first stage's distillation
+  target and the evaluation reference. One key sets all three, so a
+  student is distilled from, and scored against, one guided teacher.
+* ``data``: ground-truth and generated dataset sizes, generation steps.
 * ``pretrain``: step counts and optimiser settings for base/motion training.
 * ``distill``: per-stage iteration budget, micro-batch, accumulation,
   learning rates, and whether to append the experimental 2 -> 1 stage.
@@ -58,6 +62,7 @@ _BETA_END = 0.068487
 def default_config() -> dict:
     return {
         "seed": 0,
+        "guidance": 7.5,
         "schedule": {
             "T": _DESK_T,
             "beta_start": _BETA_START,
@@ -74,7 +79,6 @@ def default_config() -> dict:
             "ground_truth_clips": 20000,
             "generated_clips": 20000,
             "gen_steps": 32,
-            "gen_cfg": 7.5,
         },
         "pretrain": {
             "base_steps": 12000,
@@ -116,7 +120,6 @@ def default_config() -> dict:
             "step_counts": [1, 2, 4, 8],
             "n_conditions": 100,
             "ref_steps": 32,
-            "ref_cfg": 7.5,
         },
     }
 
@@ -139,15 +142,21 @@ def _check_types(value, default, path: str = "") -> None:
     """Raise ``ValueError`` naming the dotted key where ``value`` departs
     from the shape of ``default``: an object must have exactly the
     default's keys, each list item the type of the default's first item,
-    and each scalar the default's type. An int counts as a float; a bool
-    is not an int; a float must be finite."""
+    and each scalar the default's type. An int counts as a float, if a
+    float can hold it; a bool is not an int; a float must be finite."""
     kind, name = next(k for k in _KINDS if isinstance(default, k[0]))
     if (not isinstance(value, (int, float) if kind is float else kind)
             or isinstance(value, bool) and kind is not bool):
         raise ValueError(f"config key {path!r} must be {name}, "
                          f"not {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"config key {path!r} must be finite, got {value}")
+    if kind is float:
+        try:
+            finite = math.isfinite(float(value))
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"config key {path!r} must be finite, got an "
+                             f"integer of {len(str(abs(value)))} digits") from None
+        if not finite:
+            raise ValueError(f"config key {path!r} must be finite, got {value}")
     prefix = f"{path}." if path else ""
     if kind is dict:
         for key in value:
@@ -207,7 +216,7 @@ def plan_from_config(cfg: dict) -> DistillPlan:
                   lr_student=d["lr_student"], lr_disc=d["lr_disc"])
     steps = [32, 8, 4, 2] + ([1] if d["include_one_step"] else [])
     stages = [StageConfig(128, 32, "mse_cfg", d["mse_iterations"],
-                          cfg_scale=7.5, **common)]
+                          cfg_scale=cfg["guidance"], **common)]
     stages += [StageConfig(a, b, "adversarial", d["iterations"], **common)
                for a, b in zip(steps, steps[1:])]
     return DistillPlan(tuple(stages))
@@ -274,22 +283,21 @@ def validate_config(cfg: dict) -> None:
     ``distill.DISC_STREAM``, train on an unseen style or name an unknown
     dataset, broken plans, eval step counts that no plan stage distills, a
     style or step count listed twice in ``eval`` (its cells would be scored
-    and written twice), fewer than two eval conditions, and teacher sampler
-    settings (``data.gen_*``, ``eval.ref_*``) with a step count outside
-    [1, T] or a negative guidance scale."""
+    and written twice), fewer than two eval conditions, teacher step
+    counts (``data.gen_steps``, ``eval.ref_steps``) outside [1, T] and a
+    negative ``guidance``."""
     _check_types(cfg, default_config())
     if cfg["seed"] < 0:  # a generator seed cannot hold it
         raise ValueError(f"seed must be non-negative, got {cfg['seed']}")
     _validate_sizes(cfg)
     schedule_from_config(cfg)
     T = cfg["schedule"]["T"]
-    for section, prefix in (("data", "gen"), ("eval", "ref")):
-        steps, w = cfg[section][f"{prefix}_steps"], cfg[section][f"{prefix}_cfg"]
-        if not 1 <= steps <= T:
-            raise ValueError(f"{section}.{prefix}_steps must be in [1, {T}], "
-                             f"got {steps}")
-        if w < 0:  # the sampler guides only when w > 0
-            raise ValueError(f"{section}.{prefix}_cfg must be >= 0, got {w}")
+    for section, key in (("data", "gen_steps"), ("eval", "ref_steps")):
+        if not 1 <= cfg[section][key] <= T:
+            raise ValueError(f"{section}.{key} must be in [1, {T}], "
+                             f"got {cfg[section][key]}")
+    if cfg["guidance"] < 0:  # the sampler guides only when w > 0
+        raise ValueError(f"guidance must be >= 0, got {cfg['guidance']}")
     dims_from_config(cfg)
     plan = plan_from_config(cfg)
     if cfg["schedule"]["T"] % plan.stages[0].from_steps != 0:

@@ -31,7 +31,6 @@ from .checkpoint import checkpoint_load, checkpoint_save
 from .nets import NetDims
 from .schedule import NoiseSchedule
 from .solvers import SAMPLE_BATCH, TEACHER_X0_CLIP, sample_batch, start_noise
-from .streams import clip_streams
 
 __all__ = [
     "StyleSpec",
@@ -60,9 +59,9 @@ _POOL_GROUPS = {v: k for k, v in POOL_IDS.items()}
 SIGMA_BASE = 0.5      # per-coordinate deviation scale of mixture styles
 ANALYTIC_SIGMA = 1.0  # the single-component oracle style is N(0, I)
 # Component means span [-COND_SPREAD, COND_SPREAD] on coordinate 1. The
-# spread is kept comparable to SIGMA_BASE so that guidance at scale 7.5
-# sharpens the conditional distribution without blowing trajectories off
-# the data range.
+# spread is kept comparable to SIGMA_BASE so that guidance sharpens the
+# conditional distribution. At the default scale 7.5 some styles' guided
+# trajectories still leave the data range (real_b reaches the x0 clamp).
 COND_SPREAD = 0.6
 
 
@@ -189,30 +188,31 @@ class ClipDataset:
         return len(self.clips)
 
 
-def _clip_entropies(seed, style_id: int, n: int):
-    """Clip ``i``'s stream entropy: the parts of ``seed``, ``style_id``, ``i``."""
-    seed = seed if isinstance(seed, (list, tuple, np.ndarray)) else [seed]
-    parts = [int(v) for v in seed] + [style_id]
-    return (parts + [i] for i in range(n))
+def _entropies(seed) -> tuple:
+    """The entropies of a dataset's condition stream and noise stream: the
+    parts of ``seed``, then 1 or 2. Neither is 0: an entropy shorter than 4
+    words hashes as if zero-padded, so ``[*seed, 0]`` could be the stream
+    of ``seed`` itself."""
+    parts = [int(v) for v in (seed if isinstance(seed, (list, tuple, np.ndarray))
+                              else [seed])]
+    return parts + [1], parts + [2]
 
 
 def sample_ground_truth(style: StyleSpec, n: int, seed, frames: int = 8,
                         vocab: int = 8) -> ClipDataset:
     """Draw ``n`` clips from a style's condition-indexed Gaussian mixture.
 
-    Clip ``i`` draws its condition, then its deviations, from the stream
-    ``default_rng([*seed, style.style_id, i])`` (``streams.clip_streams``,
-    which reuses one generator: a clip's draws finish before the next
-    clip's stream starts). So the result does not depend on batching or
-    execution order. The arithmetic runs once over the stack.
+    The conditions come from one stream and the deviations from another
+    (``_entropies``), each drawn in one call that fills in clip order, so
+    clip ``i`` is the same for every ``n > i``. The arithmetic runs once
+    over the stack.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    conds = np.empty(n, dtype=np.int32)
-    z = np.empty((n, frames, NetDims.frame_dim))
-    for i, rng in enumerate(clip_streams(_clip_entropies(seed, style.style_id, n))):
-        conds[i] = rng.integers(0, vocab)
-        rng.standard_normal(out=z[i])
+    cond_entropy, noise_entropy = _entropies(seed)
+    conds = np.random.default_rng(cond_entropy).integers(0, vocab, size=n)
+    z = np.random.default_rng(noise_entropy).standard_normal(
+        (n, frames, NetDims.frame_dim))
     scale = np.asarray(style.scale)
     offset = np.asarray(style.offset)
     if style.single_component:
@@ -224,33 +224,27 @@ def sample_ground_truth(style: StyleSpec, n: int, seed, frames: int = 8,
 
 
 def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
-                             n: int, seed, steps: int = 32, w: float = 7.5) -> ClipDataset:
+                             n: int, seed, steps: int, w: float) -> ClipDataset:
     """Mass-generate clips from a pretrained teacher with the multistep solver.
 
-    Clip ``i`` draws its condition, then its start-noise seed, from the
-    stream ``default_rng([*seed, style.style_id, i])``, and its start
-    noise from ``default_rng(that seed)`` (both through
-    ``streams.clip_streams``: one reused generator, so each clip's draws
-    finish before the next stream starts). The solve runs in fixed-size
-    batches, so the output is reproducible however the work is scheduled.
+    The conditions come from one stream and the start noise from another
+    (``_entropies``, ``solvers.start_noise``), each drawn in one call that
+    fills in clip order, so clip ``i``'s inputs are the same for every
+    ``n > i``. The solve runs in batches of ``SAMPLE_BATCH`` rows, which
+    never interact.
     """
     if bundle is None:
         raise ValueError(f"missing teacher for style {style.name!r}")
     if n < 1:
         raise ValueError("need n >= 1")
-    vocab = bundle.dims.vocab
-    conds = np.empty(n, dtype=np.int32)
-    seeds = []
-    for i, rng in enumerate(clip_streams(_clip_entropies(seed, style.style_id, n))):
-        conds[i] = rng.integers(0, vocab)
-        seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
-    clips = np.empty((n, bundle.dims.frames, bundle.dims.frame_dim), dtype=np.float32)
+    cond_entropy, noise_entropy = _entropies(seed)
+    conds = np.random.default_rng(cond_entropy).integers(0, bundle.dims.vocab, size=n)
+    x_start = start_noise(noise_entropy, n, bundle.dims)
+    clips = np.empty(x_start.shape, dtype=np.float32)
     for lo in range(0, n, SAMPLE_BATCH):
-        hi = min(lo + SAMPLE_BATCH, n)
-        out = sample_batch(bundle, sched, steps, conds[lo:hi],
-                           start_noise(seeds[lo:hi], bundle.dims),
-                           w=w, solver="multistep", x0_clip=TEACHER_X0_CLIP)
-        clips[lo:hi] = out.astype(np.float32)
+        batch = slice(lo, lo + SAMPLE_BATCH)
+        clips[batch] = sample_batch(bundle, sched, steps, conds[batch], x_start[batch],
+                                    w=w, solver="multistep", x0_clip=TEACHER_X0_CLIP)
     return ClipDataset(clips, conds, "teacher_generated", style.group, style.style_id)
 
 

@@ -4,7 +4,8 @@ A stage teaches the student to cover ``n`` teacher strides in one step:
 the teacher traverses ``n = from_steps / to_steps`` strides of
 ``s = T / from_steps`` timesteps while the student takes a single stride of
 ``n * s``. The first stage matches trajectories under mean squared error
-with the teacher guided at scale 7.5; later stages train adversarially,
+with the teacher guided at the stage's ``cfg_scale`` (the config's
+``guidance``); later stages train adversarially,
 first with the trajectory-conditional discriminator head and then with a
 fresh relaxed single-pass head in its place on the same backbone
 (``nets.relaxed_discriminator``). A stage's student is

@@ -33,7 +33,9 @@ against one reference set, so that set's sum is computed once and reused,
 the same bits as computing it again.
 
 The harness scores every arm and step count on the same condition tokens
-and start noise, drawn once per evaluation by :func:`eval_inputs`.
+and start noise, drawn once per evaluation by :func:`eval_inputs`: the
+tokens from one stream and the noise from another, each filled in clip
+order, so condition ``i`` is the same for every ``n_conditions > i``.
 :func:`score_arms` samples no reference: its caller hands it each style's
 reference set, sampled by :func:`reference_set` from those same inputs. A
 run caches each reference set as an artifact (``runner.Workspace.evaluate``),
@@ -53,7 +55,6 @@ from .solvers import TEACHER_X0_CLIP, sample_batch, start_noise
 __all__ = [
     "energy_distance",
     "EvalReport",
-    "eval_seeds",
     "eval_tokens",
     "eval_inputs",
     "reference_set",
@@ -210,24 +211,19 @@ class EvalReport:
                          f"{row['n']},{row['seed']}\n")
 
 
-def eval_seeds(seed: int, n: int) -> np.ndarray:
-    """Per-condition sampling seeds, shared across all arms of a comparison."""
-    return np.random.default_rng([seed, 7919]).integers(0, 2 ** 63 - 1, size=n)
-
-
 def eval_tokens(seed: int, n: int, vocab: int) -> np.ndarray:
     return np.random.default_rng([seed, 6101]).integers(0, vocab, size=n)
 
 
 def eval_inputs(seed: int, n_conditions: int, dims) -> tuple:
     """(tokens, x_start): the condition tokens and start noise that every
-    reference and arm set of one evaluation shares."""
+    reference and arm set of one evaluation shares, each from its own
+    stream and filled in clip order."""
     return (eval_tokens(seed, n_conditions, dims.vocab),
-            start_noise(eval_seeds(seed, n_conditions), dims))
+            start_noise([seed, 7919], n_conditions, dims))
 
 
-def reference_set(bundle, sched, tokens, x_start, steps: int = 32,
-                  w: float = 7.5):
+def reference_set(bundle, sched, tokens, x_start, steps: int, w: float):
     """Teacher reference samples: guided Euler traversal at full step count.
 
     The predicted clean sample is clamped as in data generation, so

@@ -233,7 +233,7 @@ class Workspace:
                     bundles[style_name], self.sched, spec,
                     data_cfg["generated_clips"],
                     self._seed("gen", spec.style_id),
-                    steps=data_cfg["gen_steps"], w=data_cfg["gen_cfg"]))
+                    steps=data_cfg["gen_steps"], w=self.cfg["guidance"]))
             return flip_augment(pool_by_group(parts))
 
         return {name: self._cached(self.data_path(name), _read_dataset, save_dataset,
@@ -305,7 +305,7 @@ class Workspace:
         def build(style):
             return {"clips": reference_set(bundles[style], self.sched, tokens,
                                            x_start, steps=ev["ref_steps"],
-                                           w=ev["ref_cfg"])}
+                                           w=self.cfg["guidance"])}
 
         references = {style: self._arrays(self.reference_path(style), ("clips",),
                                           partial(build, style))["clips"]
@@ -315,6 +315,6 @@ class Workspace:
         for arm, report in reports.items():
             report.metadata.update(
                 arm=arm, seed=seed, n_conditions=ev["n_conditions"],
-                ref_steps=ev["ref_steps"], ref_cfg=ev["ref_cfg"],
+                ref_steps=ev["ref_steps"], guidance=self.cfg["guidance"],
                 config_hash=self.hash)
         return reports

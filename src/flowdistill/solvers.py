@@ -10,11 +10,11 @@ arithmetic is written against the generic autodiff ops, so a predictor that
 returns a taped :class:`~flowdistill.autodiff.Var` yields a differentiable
 update (this is how the student's single stride is trained).
 
-Sampling starts from per-clip noise: :func:`start_noise` is the one place
-that draws it, from one stream per clip seed (``default_rng(seed)``,
-positioned by ``streams.clip_streams``), and :func:`sample_batch` takes
-the drawn states. A caller that samples the same seeds many times (every
-arm and step count of an evaluation) draws them once.
+Sampling starts from noise that :func:`start_noise` draws, one stream for
+all the clips of a call, and :func:`sample_batch` takes the drawn states.
+The stream fills in clip order, so clip ``i`` is the same however many
+clips are drawn after it. A caller that samples the same states many times
+(every arm and step count of an evaluation) draws them once.
 
 Timesteps are checked where they enter: ``NoiseSchedule`` rejects a
 schedule whose ``alpha_bar`` underflows when it is built, and
@@ -27,7 +27,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .schedule import NoiseSchedule, _coef
-from .streams import clip_streams
 
 __all__ = [
     "cfg_combine",
@@ -171,17 +170,12 @@ def multistep_solve(f, x_start, steps: int, tokens, sched: NoiseSchedule,
     return x
 
 
-def start_noise(seeds, dims) -> np.ndarray:
-    """(len(seeds), frames, frame_dim) starting noise, one stream per seed.
-
-    Row ``i`` is ``default_rng(seeds[i]).standard_normal((frames,
-    frame_dim))``, so a clip's start state does not depend on which other
-    clips are drawn with it.
-    """
-    x = np.empty((len(seeds), dims.frames, dims.frame_dim))
-    for row, rng in zip(x, clip_streams(seeds)):
-        rng.standard_normal(out=row)
-    return x
+def start_noise(entropy, n: int, dims) -> np.ndarray:
+    """(n, frames, frame_dim) starting noise from the stream
+    ``default_rng(entropy)``, filled in clip order: row ``i`` is the same
+    for every ``n > i``."""
+    return np.random.default_rng(entropy).standard_normal(
+        (n, dims.frames, dims.frame_dim))
 
 
 def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -12,11 +13,16 @@ import flowdistill.evalmetrics as evalmetrics
 import flowdistill.runner as runner
 from flowdistill.checkpoint import checkpoint_load
 from flowdistill.cli import cli
-from flowdistill.config import config_hash, default_config, load_config, validate_config
-from flowdistill.datagen import STYLES, load_dataset
-from flowdistill.nets import MOTION_KEYS, StudentBundle
+from flowdistill.config import (
+    config_hash,
+    default_config,
+    load_config,
+    plan_from_config,
+    validate_config,
+)
+from flowdistill.datagen import STYLES, ClipDataset, load_dataset
+from flowdistill.nets import MOTION_KEYS
 from flowdistill.runner import Workspace
-from flowdistill.solvers import sample_batch
 
 STAGES = ("128to32", "32to8", "8to4", "4to2", "2to1")
 
@@ -78,9 +84,39 @@ def test_config_validation_rejects_bad_styles():
 
 def test_config_accepts_an_int_where_a_float_is_expected(tmp_path):
     path = tmp_path / "lr.json"
-    path.write_text(json.dumps({"pretrain": {"lr": 1}, "data": {"gen_cfg": 7}}))
+    path.write_text(json.dumps({"pretrain": {"lr": 1}, "guidance": 7}))
     cfg = load_config(str(path))
-    assert cfg["pretrain"]["lr"] == 1 and cfg["data"]["gen_cfg"] == 7
+    assert cfg["pretrain"]["lr"] == 1 and cfg["guidance"] == 7
+
+
+def test_one_guidance_key_sets_every_guided_teacher(tmp_path, monkeypatch):
+    cfg = default_config()
+    cfg["guidance"] = 2.5
+    cfg["data"]["ground_truth_clips"] = 4
+    validate_config(cfg)
+    assert [stage.cfg_scale for stage in plan_from_config(cfg).stages] == [
+        2.5, 0.0, 0.0, 0.0, 0.0]
+    ws = Workspace(cfg, str(tmp_path / "run"))
+    scales = []
+
+    def generate(bundle, sched, style, n, seed, steps, w):
+        scales.append(("data", style.name, w))
+        return ClipDataset(np.zeros((2, 8, 2)), [0, 1], "teacher_generated",
+                           style.group, style.style_id)
+
+    def reference(bundle, sched, tokens, x_start, steps, w):
+        scales.append(("reference", bundle, w))
+        return np.zeros(x_start.shape)
+
+    monkeypatch.setattr(runner, "generate_distill_dataset", generate)
+    monkeypatch.setattr(runner, "reference_set", reference)
+    monkeypatch.setattr(runner, "score_arms", lambda *a: {})
+    ws.build_datasets({s.name: None for s in STYLES})
+    ws.evaluate({"real_b": "real_b", "anime_a": "anime_a"}, {}, ["real_b", "anime_a"], [4])
+    assert scales == [
+        ("data", "real_a", 2.5), ("data", "real_b", 2.5), ("data", "anime_a", 2.5),
+        ("data", "anime_b", 2.5), ("data", "anime_c", 2.5),
+        ("reference", "real_b", 2.5), ("reference", "anime_a", 2.5)]
 
 
 def _with_ranks(rows) -> dict:
@@ -207,10 +243,8 @@ BAD_VALUES = [
      "eval.ref_steps must be in [1, 128], got 500"),
     ({"data": {"gen_steps": 0}}, "data.gen_steps", [],
      "data.gen_steps must be in [1, 128], got 0"),
-    ({"eval": {"ref_cfg": -1.0}}, "eval.ref_cfg", [],
-     "eval.ref_cfg must be >= 0, got -1.0"),
-    ({"data": {"gen_cfg": -0.5}}, "data.gen_cfg", [],
-     "data.gen_cfg must be >= 0, got -0.5"),
+    ({"guidance": -1.0}, "guidance", [], "guidance must be >= 0, got -1.0"),
+    ({"guidance": -0.5}, "guidance", [], "guidance must be >= 0, got -0.5"),
     ({"data": {"ground_truth_clips": 0}}, "data.ground_truth_clips", [],
      "data.ground_truth_clips must be >= 1, got 0"),
     ({"data": {"generated_clips": 0}}, "data.generated_clips", [],
@@ -237,10 +271,10 @@ BAD_VALUES = [
     # Every style has 2 frame coordinates: the width is not a setting.
     ({"nets": {"frame_dim": 2}}, "nets.frame_dim", [],
      "unknown config key 'nets.frame_dim'"),
-    ({"data": {"gen_cfg": float("nan")}}, "data.gen_cfg", [],
-     "config key 'data.gen_cfg' must be finite, got nan"),
-    ({"eval": {"ref_cfg": float("inf")}}, "eval.ref_cfg", [],
-     "config key 'eval.ref_cfg' must be finite, got inf"),
+    ({"guidance": float("nan")}, "guidance", [],
+     "config key 'guidance' must be finite, got nan"),
+    ({"guidance": float("inf")}, "guidance", [],
+     "config key 'guidance' must be finite, got inf"),
     ({"distill": {"lr_student": float("nan")}}, "distill.lr_student", [],
      "config key 'distill.lr_student' must be finite, got nan"),
     ({"pretrain": {"lr": -1.0}}, "pretrain.lr", [], "pretrain.lr must be > 0, got -1.0"),
@@ -255,6 +289,9 @@ BAD_VALUES = [
     ({"eval": {"styles": ["nope"]}}, "eval.styles", [], "unknown style 'nope'"),
     ({"ranks": [dict(_ROW, rank=104729)]}, "ranks.0.rank", [],
      "ranks.0.rank: id 104729 is reserved for the discriminator's random stream"),
+    # Past the float range: it would end training with an OverflowError.
+    ({"pretrain": {"lr": 10 ** 400}}, "pretrain.lr", [],
+     "config key 'pretrain.lr' must be finite, got an integer of 401 digits"),
 ]
 
 
@@ -332,42 +369,67 @@ def test_sample_uses_distilled_checkpoint(tiny_config, workdir, tmp_path):
     assert frames.shape == (8, 2) and np.all(np.isfinite(frames))
 
 
-def _sample_per_clip(cfg, workdir, style, steps, count) -> str:
-    """The sample command's --out JSON, sampled one clip per call."""
-    ws = Workspace(cfg, workdir)
-    bundle = StudentBundle(ws.load_base(style), ws.load_arm("cross")[steps])
-    rng = np.random.default_rng(cfg["seed"])
-    clips = []
-    for _ in range(count):
-        token = int(rng.integers(0, ws.dims.vocab))
-        seed = int(rng.integers(0, 2 ** 63 - 1))
-        x = np.random.default_rng(seed).standard_normal((1, ws.dims.frames,
-                                                         ws.dims.frame_dim))
-        clip = sample_batch(bundle, ws.sched, steps, [token], x)[0]
-        clips.append({"token": token, "frames": clip.tolist()})
-    return json.dumps({"style": style, "steps": steps, "clips": clips})
-
-
-@pytest.mark.parametrize("batch", [1, 3])
-def test_sample_in_batches_matches_the_per_clip_reference(tiny_config, workdir,
-                                                          tmp_path, monkeypatch,
-                                                          batch):
-    # Seven clips in batches of 3 cover a full batch and a remainder. Rows
-    # never interact, but BLAS rounds a product of another batch size
-    # differently, so batches match the one-clip calls to the last bits;
-    # batches of one match them byte for byte.
-    monkeypatch.setattr(cli_module, "SAMPLE_BATCH", batch)
-    out = tmp_path / "clips.json"
+def _sample(tiny_config, workdir, out, count) -> list:
     assert cli(["sample", "--config", tiny_config, "--workdir", workdir,
                 "--steps", "4", "--style", "real_b", "--out", str(out),
-                "--count", "7"]) == 0
-    want = _sample_per_clip(load_config(tiny_config), workdir, "real_b", 4, 7)
-    if batch == 1:
-        assert out.read_text() == want
-    got, want = json.loads(out.read_text()), json.loads(want)
-    assert [c["token"] for c in got["clips"]] == [c["token"] for c in want["clips"]]
-    np.testing.assert_allclose([c["frames"] for c in got["clips"]],
-                               [c["frames"] for c in want["clips"]], rtol=0, atol=1e-12)
+                "--count", str(count)]) == 0
+    return json.loads(out.read_text())["clips"]
+
+
+@pytest.mark.parametrize("batch, k", [(1, 2), (3, 3), (3, 6), (3, 2), (512, 2)])
+def test_sample_of_fewer_clips_is_a_prefix(tiny_config, workdir, tmp_path,
+                                           monkeypatch, batch, k):
+    # Tokens and start states are the same clip for clip. Rows never
+    # interact in a solve, but BLAS may round a product of another batch
+    # size differently in the last bits: where clip i's batch has the same
+    # rows in both runs it matches byte for byte.
+    monkeypatch.setattr(cli_module, "SAMPLE_BATCH", batch)
+    few = _sample(tiny_config, workdir, tmp_path / "few.json", k)
+    many = _sample(tiny_config, workdir, tmp_path / "many.json", 7)
+    assert [c["token"] for c in few] == [c["token"] for c in many[:k]]
+    if k % batch == 0:
+        assert few == many[:k]
+    np.testing.assert_allclose([c["frames"] for c in few],
+                               [c["frames"] for c in many[:k]], rtol=0, atol=1e-12)
+
+
+def test_every_random_stream_of_a_run_has_one_purpose(tmp_path, monkeypatch):
+    # A run's streams, keyed by the state they start from: an entropy
+    # shorter than 4 words hashes as if zero-padded, so [s, 1] and
+    # [s, 1, 0, 0] are one stream. Each must be made at one place in the
+    # code; the same place may make it again (each command draws its own
+    # inputs).
+    made = {}
+    default_rng = np.random.default_rng
+
+    def recording(entropy):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "start_noise":  # its caller's stream
+            frame = frame.f_back
+        state = tuple(np.random.SeedSequence(entropy).generate_state(4))
+        made.setdefault(state, set()).add((frame.f_code.co_name, frame.f_lineno))
+        return default_rng(entropy)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    path, wd = tmp_path / "cfg.json", str(tmp_path / "run")
+    path.write_text(json.dumps({
+        "data": {"ground_truth_clips": 8, "generated_clips": 4},
+        "pretrain": {"base_steps": 1, "motion_steps": 1, "batch": 4},
+        "distill": {"iterations": 1, "mse_iterations": 1, "micro_batch": 2,
+                    "grad_accum": 1},
+        "eval": {"n_conditions": 2}}))
+    common = ["--config", str(path), "--workdir", wd]
+    for command in (["pretrain"], ["gen-data"], ["distill"],
+                    ["distill", "--arm", "single"], ["eval"], ["ablate"],
+                    ["sample", "--steps", "4", "--style", "real_b", "--out",
+                     str(tmp_path / "clips.json"), "--count", "3"]):
+        assert cli(command + common) == 0
+    sites = {site for places in made.values() for site in places}
+    assert {name for name, _ in sites} >= {
+        "sample_ground_truth", "generate_distill_dataset", "pretrain_base",
+        "pretrain_motion", "_stage_rng", "eval_tokens", "eval_inputs", "cmd_sample"}
+    shared = [places for places in made.values() if len(places) > 1]
+    assert shared == []
 
 
 def test_pretraining_draws_the_default_ground_truth_once(tiny_config, tmp_path,

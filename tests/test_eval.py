@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowdistill as fd
-from flowdistill import evalmetrics, solvers
+from flowdistill import evalmetrics
 from flowdistill.evalmetrics import (
     EvalReport,
     energy_distance,
     eval_inputs,
-    eval_seeds,
     eval_tokens,
     reference_set,
 )
@@ -232,11 +231,24 @@ def test_eval_report_rejects_a_nan_metric():
     assert report.rows == []
 
 
-def test_eval_seed_and_token_streams_deterministic():
-    assert np.array_equal(eval_seeds(7, 32), eval_seeds(7, 32))
-    assert not np.array_equal(eval_seeds(7, 32), eval_seeds(8, 32))
-    toks = eval_tokens(7, 64, 8)
-    assert toks.min() >= 0 and toks.max() < 8
+def test_eval_inputs_deterministic_and_seeded():
+    dims = fd.NetDims()
+    tokens, x = eval_inputs(7, 32, dims)
+    again = eval_inputs(7, 32, dims)
+    assert np.array_equal(tokens, again[0]) and np.array_equal(x, again[1])
+    assert x.shape == (32, dims.frames, dims.frame_dim)
+    assert not np.array_equal(x, eval_inputs(8, 32, dims)[1])
+    assert tokens.min() >= 0 and tokens.max() < dims.vocab
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 40), st.integers(1, 80), st.integers(1, 80))
+def test_eval_inputs_of_fewer_conditions_are_a_prefix(seed, k, n):
+    k, n = min(k, n), max(k, n)
+    dims = fd.NetDims(frames=3, vocab=5)
+    few, many = eval_inputs(seed, k, dims), eval_inputs(seed, n, dims)
+    for a, b in zip(few, many):
+        assert a.tobytes() == b[:k].tobytes()
 
 
 def test_score_arms_same_motion_same_report_rows_style_major():
@@ -249,7 +261,7 @@ def test_score_arms_same_motion_same_report_rows_style_major():
     motion = {steps: fd.init_motion(dims, rng, 0.05) for steps in (2, 4)}
     other = {steps: fd.init_motion(dims, rng, 0.5) for steps in (2, 4)}
     tokens, x_start = eval_inputs(3, 4, dims)
-    refs = {style: reference_set(bundles[style], sched, tokens, x_start, steps=8)
+    refs = {style: reference_set(bundles[style], sched, tokens, x_start, 8, 7.5)
             for style in ("anime_a", "real_b")}
     reports = fd.score_arms(bundles, {"a": motion, "b": dict(motion), "c": other},
                             sched, refs, [4, 2], tokens, x_start, seed=3)
@@ -264,22 +276,21 @@ def _score_arms_reference(bundles_by_style, arms, sched, styles, step_counts,
                           seed, n_conditions, ref_steps, ref_cfg):
     """score_arms with every set sampled from freshly drawn noise and every
     sum of the energy distance computed by the brute-force oracle."""
-    def sample(bundle, steps, tokens, seeds, **kw):
+    def sample(bundle, steps, tokens, **kw):
         dims = bundle.dims
-        x = np.stack([np.random.default_rng(s).standard_normal((dims.frames, dims.frame_dim))
-                      for s in seeds])
+        x = np.random.default_rng([seed, 7919]).standard_normal(
+            (len(tokens), dims.frames, dims.frame_dim))
         return fd.sample_batch(bundle, sched, steps, tokens, x, solver="euler", **kw)
 
     reports = {arm: EvalReport() for arm in arms}
     for style in styles:
         pre = bundles_by_style[style]
         tokens = eval_tokens(seed, n_conditions, pre.dims.vocab)
-        seeds = eval_seeds(seed, n_conditions)
-        ref = sample(pre, ref_steps, tokens, seeds, w=ref_cfg, x0_clip=4.0)
+        ref = sample(pre, ref_steps, tokens, w=ref_cfg, x0_clip=4.0)
         for arm, motion_by_steps in arms.items():
             for steps in step_counts:
                 bundle = fd.StudentBundle(pre.base, motion_by_steps[steps])
-                got = sample(bundle, steps, tokens, seeds, w=0.0)
+                got = sample(bundle, steps, tokens, w=0.0)
                 reports[arm].add(style, steps, brute_force_energy_distance(got, ref),
                                  n_conditions, seed)
     return reports
@@ -299,14 +310,13 @@ def test_score_arms_matches_the_per_cell_reference_bit_for_bit(monkeypatch):
     want = _score_arms_reference(bundles, arms, sched, styles, [4, 1, 2], **kw)
 
     made = []
-    clip_streams = solvers.clip_streams
+    start_noise = evalmetrics.start_noise
 
-    def counted(entropies):
-        for rng in clip_streams(entropies):
-            made.append(rng)
-            yield rng
+    def counted(*args):
+        made.append(args)
+        return start_noise(*args)
 
-    monkeypatch.setattr(solvers, "clip_streams", counted)
+    monkeypatch.setattr(evalmetrics, "start_noise", counted)
     evalmetrics._within_sum.cache_clear()
     tokens, x_start = eval_inputs(kw["seed"], kw["n_conditions"], dims)
     refs = {style: reference_set(bundles[style], sched, tokens, x_start,
@@ -318,9 +328,9 @@ def test_score_arms_matches_the_per_cell_reference_bit_for_bit(monkeypatch):
     assert list(got) == list(want)
     for arm in want:
         assert got[arm].rows == want[arm].rows
-    # One stream per condition: the per-clip noise is drawn once and
-    # shared by the references and every arm set.
-    assert len(made) == kw["n_conditions"]
+    # The start noise is drawn once, in one call, and shared by the
+    # references and every arm set.
+    assert len(made) == 1
     # Each arm set's within-set sum once, each reference's once per style.
     cells = len(styles) * len(arms) * 3
     info = evalmetrics._within_sum.cache_info()

@@ -192,8 +192,8 @@ def _bundle(seed):
 
 
 def _sample_one(bundle, sched, steps, token, seed, **kw):
-    """One clip: a one-row sample_batch from the clip's own noise stream."""
-    x = fd.start_noise([seed], bundle.dims)
+    """One clip: a one-row sample_batch from the noise stream ``seed``."""
+    x = fd.start_noise(seed, 1, bundle.dims)
     return fd.sample_batch(bundle, sched, steps, [token], x, **kw)[0]
 
 
@@ -209,10 +209,11 @@ def test_sampling_determinism(sched):
 def test_sample_batch_independent_of_batch_partition(sched):
     bundle = _bundle(12)
     tokens = np.array([0, 1, 2, 3])
-    seeds = [10, 11, 12, 13]
-    full = fd.sample_batch(bundle, sched, 4, tokens, fd.start_noise(seeds, bundle.dims))
-    singles = np.stack([
-        _sample_one(bundle, sched, 4, int(tok), s) for tok, s in zip(tokens, seeds)
+    x = fd.start_noise(10, len(tokens), bundle.dims)
+    full = fd.sample_batch(bundle, sched, 4, tokens, x)
+    singles = np.concatenate([
+        fd.sample_batch(bundle, sched, 4, tokens[i:i + 1], x[i:i + 1])
+        for i in range(len(tokens))
     ])
     np.testing.assert_allclose(full, singles, rtol=0, atol=1e-12)
 
@@ -225,13 +226,18 @@ def test_sample_unconditional_null_token_path(sched):
     assert np.all(np.isfinite(clip))
 
 
-def test_start_noise_is_one_stream_per_seed():
-    dims = fd.NetDims()
-    x = fd.start_noise([5, 9, 5], dims)
-    assert x.shape == (3, dims.frames, dims.frame_dim)
-    assert np.array_equal(x[0], x[2]) and not np.array_equal(x[0], x[1])
-    assert np.array_equal(
-        x[1], np.random.default_rng(9).standard_normal((dims.frames, dims.frame_dim)))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(entropy=st.one_of(st.integers(0, 2 ** 64),
+                         st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=6)),
+       k=st.integers(1, 60), n=st.integers(1, 60))
+def test_start_noise_of_fewer_clips_is_a_prefix(entropy, k, n):
+    k, n = min(k, n), max(k, n)
+    dims = fd.NetDims(frames=3)
+    many = fd.start_noise(entropy, n, dims)
+    assert many.shape == (n, dims.frames, dims.frame_dim)
+    assert fd.start_noise(entropy, k, dims).tobytes() == many[:k].tobytes()
+    assert many.tobytes() == np.random.default_rng(entropy).standard_normal(
+        (n, dims.frames, dims.frame_dim)).tobytes()
 
 
 @pytest.mark.parametrize("tokens, rows", [
@@ -247,7 +253,7 @@ def test_sample_batch_rejects_bad_rows_before_any_forward(sched, monkeypatch,
     calls = []
     monkeypatch.setattr(nets, "student_eps", lambda *a: calls.append(a))
     bundle = _bundle(14)
-    x = fd.start_noise(range(rows), bundle.dims)
+    x = fd.start_noise(0, rows, bundle.dims)
     with pytest.raises(ValueError):
         fd.sample_batch(bundle, sched, 4, np.array(tokens), x)
     assert calls == []
