@@ -19,9 +19,6 @@ from .schedule import (
 )
 from .nets import (
     Adam,
-    BaseParams,
-    DiscriminatorParams,
-    MotionParams,
     NetDims,
     StudentBundle,
     init_base,

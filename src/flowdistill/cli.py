@@ -20,7 +20,7 @@ from .distill import DistillDivergence
 from .gradchecks import REL_TOL, gradcheck_battery
 from .nets import StudentBundle
 from .runner import Workspace
-from .solvers import SAMPLE_BATCH, sample_batch, start_noise
+from .solvers import sample_batch, start_noise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,7 +119,7 @@ def cmd_sample(args) -> int:
     if args.steps not in arm:
         raise ValueError(f"no distilled stage samples in {args.steps} steps; "
                          f"step counts: {', '.join(map(str, arm))}")
-    bundle = StudentBundle(ws.load_base(args.style), arm[args.steps])
+    bundle = StudentBundle(ws.load_base(args.style), arm[args.steps], ws.dims)
     _progress(f"sampling with the {args.steps}-step distilled student")
     # Tokens and start noise each come from one stream that no other
     # command draws from, filled in clip order, so clip i is the same for
@@ -128,12 +128,9 @@ def cmd_sample(args) -> int:
     tokens = np.random.default_rng([seed, 23]).integers(0, ws.dims.vocab,
                                                         size=args.count)
     x_start = start_noise([seed, 29], args.count, ws.dims)
-    clips = []
-    for lo in range(0, args.count, SAMPLE_BATCH):
-        batch = slice(lo, lo + SAMPLE_BATCH)
-        out = sample_batch(bundle, ws.sched, args.steps, tokens[batch], x_start[batch])
-        clips += [{"token": token, "frames": clip.tolist()}
-                  for token, clip in zip(tokens[batch].tolist(), out)]
+    out = sample_batch(bundle, ws.sched, args.steps, tokens, x_start)
+    clips = [{"token": token, "frames": clip.tolist()}
+             for token, clip in zip(tokens.tolist(), out)]
 
     def write(path):
         with open(path, "w") as fh:

@@ -113,8 +113,9 @@ def default_config() -> dict:
         # unseen styles. The analytic single-Gaussian style is deliberately
         # not scored here: guidance is a no-op on a single component, so its
         # undistilled arm already sits at the reference and ratio-based
-        # comparisons degenerate; it is exercised by the oracle tests and
-        # the few-step ordering check instead.
+        # comparisons degenerate. Instead, tests use its closed-form noise
+        # prediction (``datagen.analytic_eps_star``) as the oracle for a
+        # pretrained base and for the solvers.
         "eval": {
             "styles": ["real_b", "anime_a", "unseen_near", "unseen_far"],
             "step_counts": [1, 2, 4, 8],
@@ -316,5 +317,7 @@ def validate_config(cfg: dict) -> None:
                              f"any plan stage (to_steps {plan_steps})")
     for key in ("styles", "step_counts"):
         values = cfg["eval"][key]
+        if not values:
+            raise ValueError(f"eval.{key} must list at least one value")
         if len(set(values)) != len(values):
             raise ValueError(f"eval.{key} lists a value twice: {values}")

@@ -30,7 +30,7 @@ import numpy as np
 from .checkpoint import checkpoint_load, checkpoint_save
 from .nets import NetDims
 from .schedule import NoiseSchedule
-from .solvers import SAMPLE_BATCH, TEACHER_X0_CLIP, sample_batch, start_noise
+from .solvers import TEACHER_X0_CLIP, sample_batch, start_noise
 
 __all__ = [
     "StyleSpec",
@@ -230,8 +230,7 @@ def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
     The conditions come from one stream and the start noise from another
     (``_entropies``, ``solvers.start_noise``), each drawn in one call that
     fills in clip order, so clip ``i``'s inputs are the same for every
-    ``n > i``. The solve runs in batches of ``SAMPLE_BATCH`` rows, which
-    never interact.
+    ``n > i``.
     """
     if bundle is None:
         raise ValueError(f"missing teacher for style {style.name!r}")
@@ -240,11 +239,8 @@ def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
     cond_entropy, noise_entropy = _entropies(seed)
     conds = np.random.default_rng(cond_entropy).integers(0, bundle.dims.vocab, size=n)
     x_start = start_noise(noise_entropy, n, bundle.dims)
-    clips = np.empty(x_start.shape, dtype=np.float32)
-    for lo in range(0, n, SAMPLE_BATCH):
-        batch = slice(lo, lo + SAMPLE_BATCH)
-        clips[batch] = sample_batch(bundle, sched, steps, conds[batch], x_start[batch],
-                                    w=w, solver="multistep", x0_clip=TEACHER_X0_CLIP)
+    clips = sample_batch(bundle, sched, steps, conds, x_start, w=w,
+                         solver="multistep", x0_clip=TEACHER_X0_CLIP)
     return ClipDataset(clips, conds, "teacher_generated", style.group, style.style_id)
 
 

@@ -45,17 +45,15 @@ from . import autodiff as ad
 from .checkpoint import atomic_write, checkpoint_save
 from .nets import (
     Adam,
-    MotionParams,
     StudentBundle,
     disc_pair_prob,
     disc_single_prob,
     draw_rows,
     init_discriminator,
     relaxed_discriminator,
-    student_eps,
 )
 from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
-from .solvers import TEACHER_X0_CLIP, euler_solve
+from .solvers import TEACHER_X0_CLIP, euler_solve, predictor
 
 __all__ = [
     "StageConfig",
@@ -167,7 +165,7 @@ class Rank(NamedTuple):
     and flow index (the discriminator's per-base conditioning)."""
 
     rank: int
-    base: "BaseParams"
+    base: dict
     dataset: "ClipDataset"
     flow_idx: int
 
@@ -188,12 +186,6 @@ class DistillContext:
         return max(r.flow_idx for r in self.ranks) + 1
 
 
-def _predictor(base_data, motion_arrays, T, dims):
-    def f(x, t, tokens):
-        return student_eps(base_data, motion_arrays, x, t, tokens, T, dims)
-    return f
-
-
 def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
                    sched: NoiseSchedule, dims) -> dict:
     """Inputs of the stride losses for a drawn batch of any number of rows.
@@ -209,7 +201,7 @@ def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
         raise ValueError(f"timesteps misaligned with stage {stage.name} grid")
     x_t = add_noise(batch["x0"], batch["eps"], t, sched)
     x_t = substitute_terminal_noise(x_t, batch["eps"], t, sched)
-    teacher_f = _predictor(base_arrays, teacher_arrays, sched.T, dims)
+    teacher_f = predictor(base_arrays, teacher_arrays, sched.T, dims)
     target = euler_solve(teacher_f, x_t, t, batch["tokens"], n, s, sched,
                          w=stage.cfg_scale, null_token=dims.null_token,
                          x0_clip=TEACHER_X0_CLIP)
@@ -218,7 +210,7 @@ def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
 
 
 def _student_stride(base_arrays, motion, b, sched: NoiseSchedule, dims):
-    student_f = _predictor(base_arrays, motion, sched.T, dims)
+    student_f = predictor(base_arrays, motion, sched.T, dims)
     return euler_solve(student_f, b["x_t"], b["t"], b["tokens"], 1,
                        b["n"] * b["s"], sched, w=0.0, x0_clip=TEACHER_X0_CLIP)
 
@@ -282,15 +274,14 @@ def rank_step(base, motion, disc, b: dict, phase, flow_idx: int, side: str,
         raise ValueError(f"unknown phase {phase!r}")
     if side not in (("student",) if phase is None else ("disc", "student")):
         raise ValueError(f"unknown side {side!r} for phase {phase!r}")
-    pvars = _taped(disc.data if side == "disc" else motion.data)
+    pvars = _taped(disc if side == "disc" else motion)
     if phase is None:
-        loss = mse_loss(base.data, pvars, b, sched, dims)
+        loss = mse_loss(base, pvars, b, sched, dims)
         ad.backward(loss)
         return {"mse": float(loss.value)}, {k: v.grad for k, v in pvars.items()}
     l_d, l_g = adversarial_losses(
-        base.data, pvars if side == "student" else motion.data,
-        pvars if side == "disc" else disc.data, b, phase, flow_idx, sched,
-        dims)
+        base, pvars if side == "student" else motion,
+        pvars if side == "disc" else disc, b, phase, flow_idx, sched, dims)
     ad.backward(l_d if side == "disc" else l_g)
     return ({"l_d": float(ad.value_of(l_d)), "l_g": float(ad.value_of(l_g))},
             {k: v.grad for k, v in pvars.items()})
@@ -313,10 +304,10 @@ def _dump_diagnostics(ctx: DistillContext, stage: StageConfig, phase, iteration,
             json.dump(state, fh, indent=2)
 
     atomic_write(path, write)
-    checkpoint_save(dict(motion.data),
+    checkpoint_save(motion,
                     os.path.join(ctx.workdir, f"diverged_{stage.name}_motion.ckpt"))
     if disc is not None:
-        checkpoint_save(dict(disc.data),
+        checkpoint_save(disc,
                         os.path.join(ctx.workdir, f"diverged_{stage.name}_disc.ckpt"))
     return path
 
@@ -338,7 +329,7 @@ def _mean(grads: list) -> dict:
 
 
 def run_stage(stage: StageConfig, ctx: DistillContext,
-              teacher_motion: MotionParams) -> tuple:
+              teacher_motion: dict) -> tuple:
     """Train one stage; returns (distilled motion, per-iteration history).
 
     Each phase of the stage (``stage.phases()``) draws from fresh per-rank
@@ -347,7 +338,7 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
     relaxed head on the trained backbone, alternating discriminator and
     student iterations.
     """
-    motion = teacher_motion.copy()
+    motion = {k: v.copy() for k, v in teacher_motion.items()}
     disc = None
     if stage.loss_kind == "adversarial":
         disc = init_discriminator(ctx.dims, ctx.num_flows,
@@ -359,7 +350,7 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
     for phase_idx, phase in enumerate(stage.phases()):
         if phase == "relaxed":
             disc = relaxed_discriminator(
-                disc, _stage_rng(ctx.seed, stage, 1, DISC_STREAM))
+                disc, ctx.dims, _stage_rng(ctx.seed, stage, 1, DISC_STREAM))
         rngs = [_stage_rng(ctx.seed, stage, phase_idx, r.rank) for r in ranks]
         opt = {"student": Adam(stage.lr_student), "disc": Adam(stage.lr_disc)}
         for it in range(stage.iterations):
@@ -373,7 +364,7 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
                 draws = [draw_rows(r.dataset, stage.micro_batch, rng, t_grid)
                          for _ in range(stage.grad_accum)]
                 batch = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
-                b = teacher_stride(r.base.data, teacher_motion.data, batch,
+                b = teacher_stride(r.base, teacher_motion, batch,
                                    stage, ctx.sched, ctx.dims)
                 losses, grads = rank_step(r.base, motion, disc, b, phase,
                                           r.flow_idx, side, ctx.sched, ctx.dims)
@@ -386,7 +377,7 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
                                          mean_losses)
                 raise DistillDivergence(
                     f"non-finite loss at stage {stage.name} iteration {it}", dump)
-            opt[side].step(disc.data if side == "disc" else motion.data,
+            opt[side].step(disc if side == "disc" else motion,
                            _mean(rank_grads))
             history.append({"stage": stage.name, "phase": phase or "mse",
                             "iteration": it, "side": side, **mean_losses})

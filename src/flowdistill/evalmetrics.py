@@ -253,15 +253,13 @@ def score_arms(bundles_by_style: dict, arms: dict, sched, references: dict,
     ``references`` order, then in ``step_counts`` order; ``seed`` is the
     seed the inputs were drawn from, recorded in each row.
     """
-    from .nets import StudentBundle
-
     reports = {arm: EvalReport() for arm in arms}
     for style, ref in references.items():
         pre = bundles_by_style[style]
         for arm, motion_by_steps in arms.items():
             for steps in step_counts:
-                bundle = StudentBundle(pre.base, motion_by_steps[steps])
-                got = arm_set(bundle, sched, steps, tokens, x_start)
+                got = arm_set(pre._replace(motion=motion_by_steps[steps]),
+                              sched, steps, tokens, x_start)
                 reports[arm].add(style, steps, energy_distance(got, ref),
                                  len(tokens), seed)
     return reports

@@ -30,14 +30,14 @@ REL_TOL = 1e-4
 
 def _setup(sched: NoiseSchedule, dims: NetDims, seed: int = 7):
     rng = np.random.default_rng(seed)
-    base = init_base(0, dims, rng)
+    base = init_base(dims, rng)
     motion = init_motion(dims, rng, out_scale=0.05)
-    pair = init_discriminator(dims, 3, rng, StudentBundle(base, motion))
-    pair.data["flow_emb"] = rng.normal(0.0, 0.2, pair.data["flow_emb"].shape).astype(np.float32)
-    relaxed = relaxed_discriminator(pair, rng)
+    pair = init_discriminator(dims, 3, rng, StudentBundle(base, motion, dims))
+    pair["flow_emb"] = rng.normal(0.0, 0.2, pair["flow_emb"].shape).astype(np.float32)
+    relaxed = relaxed_discriminator(pair, dims, rng)
     # Randomise the near-zero final head layers so gradients flow through
     # every discriminator parameter.
-    for data, w2, b2 in ((pair.data, "hp2_w", "hp2_b"), (relaxed.data, "hs2_w", "hs2_b")):
+    for data, w2, b2 in ((pair, "hp2_w", "hp2_b"), (relaxed, "hs2_w", "hs2_b")):
         data[w2] = rng.normal(0.0, 0.3, data[w2].shape).astype(np.float32)
         data[b2] = rng.normal(0.0, 0.1, data[b2].shape).astype(np.float32)
 
@@ -63,22 +63,20 @@ def gradcheck_battery(sched: NoiseSchedule, dims: NetDims, seed: int = 7) -> lis
                             noise["t"], noise["eps"], sched, dims)
 
     def adversarial(motion_arrays, disc_arrays, phase):
-        return adversarial_losses(base.data, motion_arrays, disc_arrays, b, phase,
+        return adversarial_losses(base, motion_arrays, disc_arrays, b, phase,
                                   1, sched, dims)
 
     checks = [
-        ("pretrain_eps_mse/base", lambda p: denoise(p, None), base.data),
-        ("pretrain_eps_mse/motion", lambda p: denoise(base.data, p), motion.data),
-        ("distill_mse/motion", lambda p: mse_loss(base.data, p, b, sched, dims),
-         motion.data),
+        ("pretrain_eps_mse/base", lambda p: denoise(p, None), base),
+        ("pretrain_eps_mse/motion", lambda p: denoise(base, p), motion),
+        ("distill_mse/motion", lambda p: mse_loss(base, p, b, sched, dims), motion),
         ("disc_conditional/disc",
-         lambda p: adversarial(motion.data, p, "trajectory_conditional")[0], pair.data),
-        ("disc_relaxed/disc", lambda p: adversarial(motion.data, p, "relaxed")[0],
-         relaxed.data),
+         lambda p: adversarial(motion, p, "trajectory_conditional")[0], pair),
+        ("disc_relaxed/disc", lambda p: adversarial(motion, p, "relaxed")[0], relaxed),
         ("generator_conditional/motion",
-         lambda p: adversarial(p, pair.data, "trajectory_conditional")[1], motion.data),
-        ("generator_relaxed/motion", lambda p: adversarial(p, relaxed.data, "relaxed")[1],
-         motion.data),
+         lambda p: adversarial(p, pair, "trajectory_conditional")[1], motion),
+        ("generator_relaxed/motion", lambda p: adversarial(p, relaxed, "relaxed")[1],
+         motion),
     ]
 
     results = []

@@ -23,14 +23,16 @@ Architecture at desk scale:
   student's) with one backbone pass over the stack, and the pair head
   encodes x_t once and tiles its features to every candidate.
 
-Parameters are stored as float32 arrays (the checkpoint element type) and
-upcast to float64 inside every forward pass.
+A model is its arrays: each network's parameters are one dict of named
+float32 arrays (the checkpoint's entries and element type), upcast to
+float64 inside every forward pass. ``StudentBundle`` pairs a base model's
+arrays with the motion module's and the run's ``NetDims``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -39,10 +41,7 @@ from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
 
 __all__ = [
     "NetDims",
-    "BaseParams",
-    "MotionParams",
     "StudentBundle",
-    "DiscriminatorParams",
     "student_eps",
     "disc_pair_prob",
     "disc_single_prob",
@@ -80,47 +79,16 @@ def _f32(arrs: dict) -> dict:
     return {k: np.ascontiguousarray(v, dtype=np.float32) for k, v in arrs.items()}
 
 
-@dataclass
-class BaseParams:
-    """Frozen per-frame base model for one style."""
+class StudentBundle(NamedTuple):
+    """Composition of a frozen base model with the shared motion module:
+    the arrays of each, and the run's widths."""
 
-    style_id: int
+    base: dict
+    motion: dict
     dims: NetDims
-    data: dict = field(repr=False)
 
 
-@dataclass
-class MotionParams:
-    """Shared trainable temporal-mixing parameters."""
-
-    dims: NetDims
-    data: dict = field(repr=False)
-
-    def copy(self) -> "MotionParams":
-        return MotionParams(self.dims, {k: v.copy() for k, v in self.data.items()})
-
-
-@dataclass
-class StudentBundle:
-    """Composition of a frozen base model with the shared motion module."""
-
-    base: BaseParams
-    motion: MotionParams
-
-    @property
-    def dims(self) -> NetDims:
-        return self.base.dims
-
-
-@dataclass
-class DiscriminatorParams:
-    """Flow-conditional discriminator: backbone, flow table and one head."""
-
-    dims: NetDims
-    data: dict = field(repr=False)
-
-
-def init_base(style_id: int, dims: NetDims, rng: np.random.Generator) -> BaseParams:
+def init_base(dims: NetDims, rng: np.random.Generator) -> dict:
     d, h, e, v = dims.frame_dim, dims.hidden, dims.time_dim, dims.vocab
     scale = 1.0
     data = {
@@ -133,11 +101,11 @@ def init_base(style_id: int, dims: NetDims, rng: np.random.Generator) -> BasePar
         "w3": rng.normal(0.0, scale / np.sqrt(h), (h, d)),
         "b3": np.zeros(d),
     }
-    return BaseParams(style_id, dims, _f32(data))
+    return _f32(data)
 
 
 def init_motion(dims: NetDims, rng: np.random.Generator,
-                out_scale: float = 0.0) -> MotionParams:
+                out_scale: float = 0.0) -> dict:
     """Motion block with zero output mixing by default (base-only start).
 
     The inner layers are always non-zero so gradients reach every motion
@@ -146,12 +114,12 @@ def init_motion(dims: NetDims, rng: np.random.Generator,
     h, f, e, v = dims.hidden, dims.frames, dims.time_dim, dims.vocab
     mix_out = (rng.normal(0.0, out_scale, (h, f, f)) if out_scale > 0.0
                else np.zeros((h, f, f)))
-    return MotionParams(dims, _f32({
+    return _f32({
         "mix": rng.normal(0.0, 0.3, (h, f, f)),
         "tproj": rng.normal(0.0, 0.3, (e, h)),
         "cproj": rng.normal(0.0, 0.3, (v + 1, h)),
         "mix_out": mix_out,
-    }))
+    })
 
 
 # Final head layers start near (not exactly at) zero: pre-sigmoid scores of
@@ -170,25 +138,24 @@ def _head_init(rng: np.random.Generator, fan_in: int, g: int, keys) -> dict:
 
 
 def init_discriminator(dims: NetDims, num_flows: int, rng: np.random.Generator,
-                       backbone_from: StudentBundle) -> DiscriminatorParams:
+                       backbone_from: StudentBundle) -> dict:
     """Backbone copied from a pretrained student, zero flows, fresh pair head."""
-    data = {k: backbone_from.base.data[k].copy()
+    data = {k: backbone_from.base[k].copy()
             for k in DISC_BACKBONE_KEYS if k not in MOTION_KEYS}
-    data.update({k: backbone_from.motion.data[k].copy() for k in MOTION_KEYS})
+    data.update({k: backbone_from.motion[k].copy() for k in MOTION_KEYS})
     data["flow_emb"] = np.zeros((num_flows, dims.time_dim), dtype=np.float32)
     data.update(_head_init(rng, 2 * dims.hidden * dims.frames, dims.head_hidden,
                            DISC_HEAD_PAIR_KEYS))
-    return DiscriminatorParams(dims, data)
+    return data
 
 
-def relaxed_discriminator(disc: DiscriminatorParams,
-                          rng: np.random.Generator) -> DiscriminatorParams:
+def relaxed_discriminator(disc: dict, dims: NetDims,
+                          rng: np.random.Generator) -> dict:
     """``disc``'s arrays with a fresh single head in place of its pair head."""
-    dims = disc.dims
-    data = {k: v for k, v in disc.data.items() if k not in DISC_HEAD_PAIR_KEYS}
+    data = {k: v for k, v in disc.items() if k not in DISC_HEAD_PAIR_KEYS}
     data.update(_head_init(rng, dims.hidden * dims.frames, dims.head_hidden,
                            DISC_HEAD_SINGLE_KEYS))
-    return DiscriminatorParams(dims, data)
+    return data
 
 
 # -- time and condition features ----------------------------------------
@@ -436,34 +403,33 @@ def _pretrain(params: dict, keys, loss_of, dataset, sched: NoiseSchedule,
     return history
 
 
-def pretrain_base(dataset, sched: NoiseSchedule, dims: NetDims, style_id: int,
-                  steps: int, seed, lr: float = 3e-3, batch: int = 128,
+def pretrain_base(dataset, sched: NoiseSchedule, dims: NetDims, steps: int,
+                  seed, lr: float = 3e-3, batch: int = 128,
                   cond_dropout: float = 0.15):
     """Denoising pretraining of one frozen-to-be base model.
 
-    Returns (params, loss_history).
+    Returns (base arrays, loss_history).
     """
     rng = np.random.default_rng(seed)
-    base = init_base(style_id, dims, rng)
+    base = init_base(dims, rng)
     history = _pretrain(
-        base.data, BASE_KEYS,
+        base, BASE_KEYS,
         lambda pvars, *b: denoise_loss(pvars, None, *b, sched, dims),
         dataset, sched, dims, steps, rng, lr, batch, cond_dropout)
     return base, history
 
 
-def pretrain_motion(base: BaseParams, dataset, sched: NoiseSchedule,
+def pretrain_motion(base: dict, dataset, sched: NoiseSchedule, dims: NetDims,
                     steps: int, seed, lr: float = 3e-3, batch: int = 128,
                     cond_dropout: float = 0.15):
     """Train the temporal module against correlated clips; base stays frozen.
 
-    Returns (motion, loss_history).
+    Returns (motion arrays, loss_history).
     """
-    dims = base.dims
     rng = np.random.default_rng(seed)
     motion = init_motion(dims, rng)
     history = _pretrain(
-        motion.data, MOTION_KEYS,
-        lambda mvars, *b: denoise_loss(base.data, mvars, *b, sched, dims),
+        motion, MOTION_KEYS,
+        lambda mvars, *b: denoise_loss(base, mvars, *b, sched, dims),
         dataset, sched, dims, steps, rng, lr, batch, cond_dropout)
     return motion, history

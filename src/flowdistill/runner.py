@@ -11,7 +11,10 @@ Layout of a workspace::
       reports/*.csv, *.json              evaluation outputs
 
 Every artifact is one file in the checkpoint format (``checkpoint``), and
-a directory is made only when a file is written into it.
+a directory is made only when a file is written into it. A model's
+parameters are the arrays its checkpoint holds, as the dict that
+``checkpoint_load`` returns; ``StudentBundle`` pairs a base model's dict
+with the motion module's.
 
 One cache rule serves every artifact (``Workspace._cached``): a file that
 exists is loaded and its metadata checked. Each file records the config
@@ -60,15 +63,7 @@ from .datagen import (
     style_by_name,
 )
 from .distill import DistillContext, Rank, run_stage
-from .nets import (
-    BASE_KEYS,
-    BaseParams,
-    MOTION_KEYS,
-    MotionParams,
-    StudentBundle,
-    pretrain_base,
-    pretrain_motion,
-)
+from .nets import BASE_KEYS, MOTION_KEYS, StudentBundle, pretrain_base, pretrain_motion
 from .evalmetrics import eval_inputs, reference_set, score_arms
 
 __all__ = [
@@ -155,15 +150,13 @@ class Workspace:
         tags = {"gt": 11, "gen": 13, "base": 17, "motion": 19}
         return [self.cfg["seed"], tags[tag], *extra]
 
-    def _base(self, style: str, build=None) -> BaseParams:
-        return BaseParams(style_by_name(style).style_id, self.dims,
-                          self._arrays(self.ckpt_path(f"base_{style}"), BASE_KEYS, build))
+    def _base(self, style: str, build=None) -> dict:
+        return self._arrays(self.ckpt_path(f"base_{style}"), BASE_KEYS, build)
 
-    def _motion(self, build=None) -> MotionParams:
-        return MotionParams(self.dims, self._arrays(
-            self.ckpt_path("motion_pretrained"), MOTION_KEYS, build))
+    def _motion(self, build=None) -> dict:
+        return self._arrays(self.ckpt_path("motion_pretrained"), MOTION_KEYS, build)
 
-    def load_base(self, style: str) -> BaseParams:
+    def load_base(self, style: str) -> dict:
         """A pretrained base model, read from its checkpoint only."""
         return self._base(style)
 
@@ -175,7 +168,7 @@ class Workspace:
         under another config.
         """
         motion = self._motion()
-        return {style: StudentBundle(self._base(style), motion)
+        return {style: StudentBundle(self._base(style), motion, self.dims)
                 for style in styles}
 
     def pretrain_bases(self, progress=None) -> dict:
@@ -186,34 +179,32 @@ class Workspace:
             style_id = style_by_name(style).style_id
             if progress:
                 progress(f"pretraining base model for style {style}")
-            base, _ = pretrain_base(self.ground_truth(style), self.sched, self.dims,
-                                    style_id, pt["base_steps"],
-                                    self._seed("base", style_id),
-                                    lr=pt["lr"], batch=pt["batch"],
-                                    cond_dropout=pt["cond_dropout"])
-            return base.data
+            return pretrain_base(self.ground_truth(style), self.sched, self.dims,
+                                 pt["base_steps"], self._seed("base", style_id),
+                                 lr=pt["lr"], batch=pt["batch"],
+                                 cond_dropout=pt["cond_dropout"])[0]
 
         return {s.name: self._base(s.name, partial(build, s.name))
                 for s in STYLES}
 
-    def pretrain_shared_motion(self, default_base: BaseParams, progress=None) -> MotionParams:
+    def pretrain_shared_motion(self, default_base: dict, progress=None) -> dict:
         def build():
             if progress:
                 progress("pretraining shared motion module")
             pt = self.cfg["pretrain"]
-            motion, _ = pretrain_motion(default_base, self.ground_truth("default"),
-                                        self.sched, pt["motion_steps"],
-                                        self._seed("motion"), lr=pt["lr"],
-                                        batch=pt["batch"],
-                                        cond_dropout=pt["cond_dropout"])
-            return motion.data
+            return pretrain_motion(default_base, self.ground_truth("default"),
+                                   self.sched, self.dims, pt["motion_steps"],
+                                   self._seed("motion"), lr=pt["lr"],
+                                   batch=pt["batch"],
+                                   cond_dropout=pt["cond_dropout"])[0]
 
         return self._motion(build)
 
     def pretrained_bundles(self, progress=None) -> dict:
         bases = self.pretrain_bases(progress=progress)
         motion = self.pretrain_shared_motion(bases["default"], progress=progress)
-        return {name: StudentBundle(base, motion) for name, base in bases.items()}
+        return {name: StudentBundle(base, motion, self.dims)
+                for name, base in bases.items()}
 
     # -- datasets ---------------------------------------------------------
 
@@ -263,9 +254,8 @@ class Workspace:
         out = {}
         for stage in plan_from_config(self.cfg).stages:
             build = partial(train, stage, teacher) if train else None
-            teacher = MotionParams(self.dims, self._arrays(
-                self.ckpt_path(f"motion_{stage.name}", arm=arm), MOTION_KEYS,
-                build))
+            teacher = self._arrays(self.ckpt_path(f"motion_{stage.name}", arm=arm),
+                                   MOTION_KEYS, build)
             out[stage.to_steps] = teacher
         return out
 
@@ -286,7 +276,7 @@ class Workspace:
         def train(stage, teacher):
             if progress:
                 progress(f"distilling arm {arm!r}: stage {stage.name}")
-            return run_stage(stage, ctx, teacher)[0].data
+            return run_stage(stage, ctx, teacher)[0]
 
         return self._stages(arm, train, bundles["default"].motion)
 

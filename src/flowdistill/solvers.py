@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .nets import _check_tokens, student_eps
 from .schedule import NoiseSchedule, _coef
 
 __all__ = [
@@ -44,7 +45,14 @@ __all__ = [
 # its teacher at n = 1 reproduce it. Distilled arms sample unclamped.
 TEACHER_X0_CLIP = 4.0
 
-SAMPLE_BATCH = 512  # rows per sample_batch call when sampling many clips
+SAMPLE_BATCH = 512  # rows per solve when sample_batch samples many clips
+
+
+def predictor(base: dict, motion: dict, T: int, dims):
+    """The composed model as a predictor ``f(x, t, tokens) -> eps_hat``."""
+    def f(x, t, tokens):
+        return student_eps(base, motion, x, t, tokens, T, dims)
+    return f
 
 
 def cfg_combine(eps_cond, eps_uncond, w: float):
@@ -183,30 +191,33 @@ def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,
     """Deterministic batch sampling from start states drawn by
     :func:`start_noise`, one row per entry of ``tokens``.
 
-    Rows never interact, so the result does not depend on how the clips are
-    partitioned into batches, up to the last bits that BLAS rounding of
-    different batch sizes can move.
+    The rows are solved in blocks of ``SAMPLE_BATCH``. Rows never interact,
+    so the result does not depend on how the clips are partitioned into
+    blocks, up to the last bits that BLAS rounding of different block
+    sizes can move.
     """
-    from .nets import _check_tokens, student_eps  # local import to avoid a cycle
-
     dims = bundle.dims
     tokens = _check_tokens(tokens, dims)
     x = np.asarray(x_start, dtype=np.float64)
     if tokens.ndim != 1 or x.shape[:1] != tokens.shape:
         raise ValueError(f"start states {x.shape} for tokens {tokens.shape}; "
                          "need one per clip")
+    if solver not in ("euler", "multistep"):
+        raise ValueError(f"unknown solver {solver!r}")
+    f = predictor(bundle.base, bundle.motion, sched.T, dims)
+    grid = solve_grid(sched.T, steps)
 
-    def f(xv, t, tok):
-        return student_eps(bundle.base.data, bundle.motion.data, xv, t, tok,
-                           sched.T, dims)
-
-    if solver == "euler":
-        grid = solve_grid(sched.T, steps)
+    def solve(xb, tok):
+        if solver == "multistep":
+            return multistep_solve(f, xb, steps, tok, sched, w=w,
+                                   null_token=dims.null_token, x0_clip=x0_clip)
         for j in range(steps):
-            x = euler_step(f, x, grid[j], grid[j + 1], tokens, sched,
-                           w=w, null_token=dims.null_token, x0_clip=x0_clip)
-        return x
-    if solver == "multistep":
-        return multistep_solve(f, x, steps, tokens, sched,
-                               w=w, null_token=dims.null_token, x0_clip=x0_clip)
-    raise ValueError(f"unknown solver {solver!r}")
+            xb = euler_step(f, xb, grid[j], grid[j + 1], tok, sched, w=w,
+                            null_token=dims.null_token, x0_clip=x0_clip)
+        return xb
+
+    out = np.empty_like(x)
+    for lo in range(0, len(x), SAMPLE_BATCH):
+        rows = slice(lo, lo + SAMPLE_BATCH)
+        out[rows] = solve(x[rows], tokens[rows])
+    return out

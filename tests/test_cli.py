@@ -3,14 +3,15 @@ import os
 import re
 import shutil
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import flowdistill.cli as cli_module
 import flowdistill.distill as dist
 import flowdistill.evalmetrics as evalmetrics
 import flowdistill.runner as runner
+import flowdistill.solvers as solvers
 from flowdistill.checkpoint import checkpoint_load
 from flowdistill.cli import cli
 from flowdistill.config import (
@@ -292,6 +293,11 @@ BAD_VALUES = [
     # Past the float range: it would end training with an OverflowError.
     ({"pretrain": {"lr": 10 ** 400}}, "pretrain.lr", [],
      "config key 'pretrain.lr' must be finite, got an integer of 401 digits"),
+    # An empty list would score nothing and still write a report.
+    ({"eval": {"styles": []}}, "eval.styles", [],
+     "eval.styles must list at least one value"),
+    ({"eval": {"step_counts": []}}, "eval.step_counts", [],
+     "eval.step_counts must list at least one value"),
 ]
 
 
@@ -343,18 +349,18 @@ def test_pipeline_subcommands_end_to_end(tiny_config, workdir, capsys):
     assert cli(["eval", "--config", tiny_config, "--workdir", workdir]) == 0
     report = os.path.join(workdir, "reports", "main.csv")
     assert os.path.exists(report)
-    lines = open(report).read().splitlines()
+    lines = Path(report).read_text().splitlines()
     assert lines[0] == "style,steps,metric,n,seed"
     assert len(lines) == 1 + 4 * 4  # four styles, four step counts
-    plot = json.load(open(os.path.join(workdir, "reports", "main_plot.json")))
+    plot = json.loads(Path(os.path.join(workdir, "reports", "main_plot.json")).read_text())
     assert set(plot["series"]) == {"real_b", "anime_a", "unseen_near", "unseen_far"}
 
 
 def test_eval_report_regeneration_is_identical(tiny_config, workdir):
     report = os.path.join(workdir, "reports", "main.csv")
-    first = open(report).read()
+    first = Path(report).read_text()
     assert cli(["eval", "--config", tiny_config, "--workdir", workdir]) == 0
-    assert open(report).read() == first
+    assert Path(report).read_text() == first
 
 
 def test_sample_uses_distilled_checkpoint(tiny_config, workdir, tmp_path):
@@ -363,7 +369,7 @@ def test_sample_uses_distilled_checkpoint(tiny_config, workdir, tmp_path):
                 "--steps", "4", "--style", "anime_a", "--out", str(out),
                 "--count", "2"])
     assert code == 0
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     assert payload["steps"] == 4 and len(payload["clips"]) == 2
     frames = np.asarray(payload["clips"][0]["frames"])
     assert frames.shape == (8, 2) and np.all(np.isfinite(frames))
@@ -383,7 +389,7 @@ def test_sample_of_fewer_clips_is_a_prefix(tiny_config, workdir, tmp_path,
     # interact in a solve, but BLAS may round a product of another batch
     # size differently in the last bits: where clip i's batch has the same
     # rows in both runs it matches byte for byte.
-    monkeypatch.setattr(cli_module, "SAMPLE_BATCH", batch)
+    monkeypatch.setattr(solvers, "SAMPLE_BATCH", batch)
     few = _sample(tiny_config, workdir, tmp_path / "few.json", k)
     many = _sample(tiny_config, workdir, tmp_path / "many.json", 7)
     assert [c["token"] for c in few] == [c["token"] for c in many[:k]]
@@ -456,7 +462,7 @@ def test_sample_does_not_need_the_pretrained_motion(tiny_config, workdir, tmp_pa
         out = tmp_path / "clips.json"
         assert cli(["sample", "--config", tiny_config, "--workdir", root,
                     "--steps", "4", "--style", "anime_a", "--out", str(out)]) == 0
-        clips.append(json.load(open(out)))
+        clips.append(json.loads(Path(out).read_text()))
     assert clips[0] == clips[1]
     assert _snapshot(wd) == before
 
@@ -500,8 +506,8 @@ def test_ablate_writes_paired_reports(tiny_config, workdir):
         path = os.path.join(workdir, "reports", f"ablation_{arm}.csv")
         assert os.path.exists(path)
     # The cross arm at 4 steps is scored exactly as `eval` scores it.
-    main = open(os.path.join(workdir, "reports", "main.csv")).read().splitlines()
-    cross = open(os.path.join(workdir, "reports", "ablation_cross.csv")).read().splitlines()
+    main = Path(os.path.join(workdir, "reports", "main.csv")).read_text().splitlines()
+    cross = Path(os.path.join(workdir, "reports", "ablation_cross.csv")).read_text().splitlines()
     for style in load_config(tiny_config)["eval"]["styles"]:
         rows = [line for line in main if line.startswith(f"{style},4,")]
         assert len(rows) == 1 and rows[0] in cross
@@ -517,12 +523,13 @@ def _scored_copy(workdir, dst) -> str:
 
 
 def _counting_reference_set(monkeypatch) -> list:
-    """Record the style of every reference set sampled from now on."""
+    """Record the base model of every reference set sampled from now on,
+    by its weights: each style's pretrained base has its own."""
     calls = []
     sample = runner.reference_set
 
     def counting(bundle, *args, **kwargs):
-        calls.append(bundle.base.style_id)
+        calls.append(bundle.base["w1"].tobytes())
         return sample(bundle, *args, **kwargs)
 
     monkeypatch.setattr(runner, "reference_set", counting)
@@ -564,7 +571,7 @@ def test_reference_from_another_config_is_refused(tiny_config, workdir, tmp_path
     wd = str(tmp_path / "stale")
     shutil.copytree(workdir, wd)
     path = os.path.join(wd, "references", "anime_a.ckpt")
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     restamped = re.sub(rb"meta config_hash \S+\n", stamp, raw)
     assert restamped != raw
     with open(path, "wb") as fh:
@@ -574,7 +581,7 @@ def test_reference_from_another_config_is_refused(tiny_config, workdir, tmp_path
     assert cli(["eval", "--config", tiny_config, "--workdir", wd]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err
-    assert open(path, "rb").read() == restamped
+    assert Path(path).read_bytes() == restamped
     assert calls == []
 
 
@@ -605,7 +612,7 @@ def _snapshot(root) -> dict:
     for dirpath, _, names in os.walk(root):
         for name in names:
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = Path(path).read_bytes()
     return out
 
 
@@ -632,7 +639,7 @@ def test_failed_plot_write_keeps_previous_plot(tiny_config, workdir, tmp_path,
     shutil.copytree(workdir, wd)
     reports = os.path.join(wd, "reports")
     plot = os.path.join(reports, "main_plot.json")
-    before = open(plot, "rb").read()
+    before = Path(plot).read_bytes()
     names = sorted(os.listdir(reports))
 
     def broken_dump(obj, fh, **kwargs):
@@ -642,7 +649,7 @@ def test_failed_plot_write_keeps_previous_plot(tiny_config, workdir, tmp_path,
     monkeypatch.setattr(json, "dump", broken_dump)
     with pytest.raises(OSError, match="disk full"):
         cli(["eval", "--config", tiny_config, "--workdir", wd])
-    assert open(plot, "rb").read() == before
+    assert Path(plot).read_bytes() == before
     assert sorted(os.listdir(reports)) == names
 
 
@@ -672,7 +679,7 @@ def test_checkpoint_without_config_hash_is_refused(tiny_config, workdir, tmp_pat
     wd = str(tmp_path / "unhashed")
     shutil.copytree(workdir, wd)
     path = os.path.join(wd, "checkpoints", "cross", "motion_8to4.ckpt")
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     stripped = re.sub(rb"meta config_hash \S+\n", b"", raw)
     assert stripped != raw
     with open(path, "wb") as fh:
@@ -696,7 +703,7 @@ def test_interrupted_distill_resumes_from_last_finished_stage(
     run_stage = runner.run_stage
 
     def recording_run_stage(stage, ctx, teacher):
-        trained.append((stage.name, {k: v.copy() for k, v in teacher.data.items()}))
+        trained.append((stage.name, {k: v.copy() for k, v in teacher.items()}))
         return run_stage(stage, ctx, teacher)
 
     monkeypatch.setattr(runner, "run_stage", recording_run_stage)
@@ -711,8 +718,8 @@ def test_interrupted_distill_resumes_from_last_finished_stage(
         now = os.stat(stage_path(wd, stage))
         assert (now.st_ino, now.st_mtime_ns) == (st.st_ino, st.st_mtime_ns), stage
     for stage in STAGES:
-        assert (open(stage_path(wd, stage), "rb").read()
-                == open(stage_path(workdir, stage), "rb").read()), stage
+        assert (Path(stage_path(wd, stage)).read_bytes()
+                == Path(stage_path(workdir, stage)).read_bytes()), stage
 
 
 def test_distill_single_rank_override(tiny_config, tmp_path):
@@ -750,7 +757,7 @@ def test_distill_divergence_exits_with_dump_path(tiny_config, workdir, tmp_path,
 
     def poisoned(base, motion, *args, **kwargs):
         return {"mse": float("nan")}, {k: np.zeros_like(v, dtype=np.float64)
-                                       for k, v in motion.data.items()}
+                                       for k, v in motion.items()}
 
     monkeypatch.setattr(dist, "rank_step", poisoned)
     assert cli(["distill", "--config", tiny_config, "--workdir", wd]) == 1

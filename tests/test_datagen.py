@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import flowdistill as fd
 import flowdistill.datagen as datagen
+import flowdistill.solvers as solvers
 from flowdistill.datagen import (
     ANALYTIC_STYLE,
     ANALYTIC_VAR,
@@ -101,20 +102,20 @@ _SCHED = fd.build_schedule(128, 0.002, 0.0985703125)
 
 def _teacher(seed=24):
     rng = np.random.default_rng(seed)
-    return fd.StudentBundle(fd.init_base(1, _DIMS, rng), fd.init_motion(_DIMS, rng, 0.05))
+    return fd.StudentBundle(fd.init_base(_DIMS, rng), fd.init_motion(_DIMS, rng, 0.05), _DIMS)
 
 
 def _generate_draws(monkeypatch, n, seed, batch):
-    """A generated dataset whose solve returns its start states, so the
-    draws show, and the row count of each solve."""
+    """A generated dataset whose multistep solve returns its start states,
+    so the draws show, and the row count of each block's solve."""
     rows = []
 
-    def solve(bundle_, sched_, steps, tokens, x_start, **kw):
+    def solve(f, x_start, steps, tokens, sched_, **kw):
         rows.append(len(tokens))
         return x_start
 
-    monkeypatch.setattr(datagen, "sample_batch", solve)
-    monkeypatch.setattr(datagen, "SAMPLE_BATCH", batch)
+    monkeypatch.setattr(solvers, "multistep_solve", solve)
+    monkeypatch.setattr(solvers, "SAMPLE_BATCH", batch)
     ds = fd.generate_distill_dataset(_teacher(), _SCHED, ANALYTIC_STYLE, n, seed, 8, 7.5)
     return ds, rows
 
@@ -154,7 +155,7 @@ def test_generated_dataset_is_the_same_for_any_batch_partition(monkeypatch):
     teacher = _teacher(25)
     whole = fd.generate_distill_dataset(teacher, _SCHED, ANALYTIC_STYLE, 10, 6, 4, 7.5)
     for batch in (1, 3, 7):
-        monkeypatch.setattr(datagen, "SAMPLE_BATCH", batch)
+        monkeypatch.setattr(solvers, "SAMPLE_BATCH", batch)
         ds = fd.generate_distill_dataset(teacher, _SCHED, ANALYTIC_STYLE, 10, 6, 4, 7.5)
         assert ds.conditions.tobytes() == whole.conditions.tobytes()
         np.testing.assert_allclose(ds.clips, whole.clips, rtol=1e-6, atol=1e-7)
@@ -267,7 +268,7 @@ def test_generated_dataset_deterministic_and_tagged(tmp_path):
     dims = fd.NetDims()
     sched = fd.build_schedule(128, 0.002, 0.0985703125)
     rng = np.random.default_rng(22)
-    bundle = fd.StudentBundle(fd.init_base(1, dims, rng), fd.init_motion(dims, rng, 0.05))
+    bundle = fd.StudentBundle(fd.init_base(dims, rng), fd.init_motion(dims, rng, 0.05), dims)
     a = fd.generate_distill_dataset(bundle, sched, ANALYTIC_STYLE, 24, 23, 8, 7.5)
     b = fd.generate_distill_dataset(bundle, sched, ANALYTIC_STYLE, 24, 23, 8, 7.5)
     assert np.array_equal(a.clips, b.clips)

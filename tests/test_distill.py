@@ -52,7 +52,7 @@ def dims():
 @pytest.fixture(scope="module")
 def setup(sched, dims):
     rng = np.random.default_rng(0)
-    base = fd.init_base(0, dims, rng)
+    base = fd.init_base(dims, rng)
     motion = fd.init_motion(dims, rng, out_scale=0.05)
     ds = fd.sample_ground_truth(style_by_name("default"), 512, 1,
                                 frames=dims.frames, vocab=dims.vocab)
@@ -71,7 +71,7 @@ def _batch(ds, stage, sched, rng, n=8):
 
 
 def _mse_step(base, teacher, motion, batch, stage, sched, dims):
-    b = teacher_stride(base.data, teacher.data, batch, stage, sched, dims)
+    b = teacher_stride(base, teacher, batch, stage, sched, dims)
     losses, grads = rank_step(base, motion, None, b, None, 0, "student", sched,
                               dims)
     return losses["mse"], grads
@@ -79,7 +79,7 @@ def _mse_step(base, teacher, motion, batch, stage, sched, dims):
 
 def _adversarial_step(base, teacher, motion, disc, batch, stage, phase, flow_idx,
                       sched, dims, side):
-    b = teacher_stride(base.data, teacher.data, batch, stage, sched, dims)
+    b = teacher_stride(base, teacher, batch, stage, sched, dims)
     losses, grads = rank_step(base, motion, disc, b, phase, flow_idx, side,
                               sched, dims)
     return losses["l_d"], losses["l_g"], grads
@@ -159,12 +159,12 @@ def test_mse_gradients_only_for_motion_and_base_untouched(sched, dims, setup):
     base, motion, ds = setup
     rng = np.random.default_rng(3)
     st = StageConfig(32, 8, "mse_cfg", 1, cfg_scale=7.5)
-    before = {k: v.copy() for k, v in base.data.items()}
+    before = {k: v.copy() for k, v in base.items()}
     batch = _batch(ds, st, sched, rng)
     loss, grads = _mse_step(base, motion, motion, batch, st, sched, dims)
     assert np.isfinite(loss) and loss >= 0.0
     assert set(grads) == set(MOTION_KEYS)
-    for key, val in base.data.items():
+    for key, val in base.items():
         assert np.array_equal(val, before[key])
 
 
@@ -176,7 +176,8 @@ def test_mse_target_detached_from_student(sched, dims, setup):
     st = StageConfig(32, 8, "mse_cfg", 1, cfg_scale=0.0)
     batch = _batch(ds, st, sched, rng)
     loss_a, grads_a = _mse_step(base, motion, motion, batch, st, sched, dims)
-    loss_b, grads_b = _mse_step(base, motion.copy(), motion, batch, st, sched, dims)
+    copy = {k: v.copy() for k, v in motion.items()}
+    loss_b, grads_b = _mse_step(base, copy, motion, batch, st, sched, dims)
     assert loss_a == loss_b
     for key in grads_a:
         assert np.array_equal(grads_a[key], grads_b[key]), key
@@ -188,14 +189,14 @@ def test_misaligned_timestep_rejected(sched, dims, setup):
     batch = _batch(ds, st, sched, np.random.default_rng(5), n=4)
     batch["t"] = np.array([126, 127, 127, 127])  # 126 not on the 32-step grid
     with pytest.raises(ValueError, match="misaligned"):
-        teacher_stride(base.data, motion.data, batch, st, sched, dims)
+        teacher_stride(base, motion, batch, st, sched, dims)
 
 
 def test_adversarial_losses_at_fresh_heads(sched, dims, setup):
     # Zero-initialised head output 0 -> p = 0.5 -> L_D = 2 ln 2, L_G = ln 2.
     base, motion, ds = setup
     disc = init_discriminator(dims, 1, np.random.default_rng(6),
-                              backbone_from=fd.StudentBundle(base, motion))
+                              backbone_from=fd.StudentBundle(base, motion, dims))
     st = StageConfig(32, 8, "adversarial", 1, cfg_scale=0.0)
     batch = _batch(ds, st, sched, np.random.default_rng(7), n=16)
     l_d, l_g, grads = _adversarial_step(base, motion, motion, disc, batch, st,
@@ -203,8 +204,8 @@ def test_adversarial_losses_at_fresh_heads(sched, dims, setup):
                                         side="disc")
     assert abs(l_d - 2 * np.log(2.0)) < 1e-3
     assert abs(l_g - np.log(2.0)) < 0.02
-    assert set(grads) == set(disc.data)
-    relaxed = relaxed_discriminator(disc, np.random.default_rng(6))
+    assert set(grads) == set(disc)
+    relaxed = relaxed_discriminator(disc, dims, np.random.default_rng(6))
     l_d2, l_g2, grads2 = _adversarial_step(base, motion, motion, relaxed, batch, st,
                                            "relaxed", 0, sched, dims, side="student")
     assert abs(l_d2 - 2 * np.log(2.0)) < 1e-3
@@ -221,10 +222,10 @@ def test_adversarial_probabilities_clamped(sched, dims, setup):
     # A huge head bias saturates the sigmoid; the loss must stay finite.
     base, motion, ds = setup
     disc = init_discriminator(dims, 1, np.random.default_rng(8),
-                              backbone_from=fd.StudentBundle(base, motion))
-    disc.data["hp2_b"] = np.array([60.0], dtype=np.float32)
-    relaxed = relaxed_discriminator(disc, np.random.default_rng(8))
-    relaxed.data["hs2_b"] = np.array([-60.0], dtype=np.float32)
+                              backbone_from=fd.StudentBundle(base, motion, dims))
+    disc["hp2_b"] = np.array([60.0], dtype=np.float32)
+    relaxed = relaxed_discriminator(disc, dims, np.random.default_rng(8))
+    relaxed["hs2_b"] = np.array([-60.0], dtype=np.float32)
     st = StageConfig(32, 8, "adversarial", 1, cfg_scale=0.0)
     batch = _batch(ds, st, sched, np.random.default_rng(9), n=4)
     for phase, d in (("trajectory_conditional", disc), ("relaxed", relaxed)):
@@ -243,10 +244,10 @@ def test_discriminator_step_peak_memory_per_row(sched, dims, setup):
     base, motion, ds = setup
     rng = np.random.default_rng(13)
     disc = init_discriminator(dims, 2, rng,
-                              backbone_from=fd.StudentBundle(base, motion))
+                              backbone_from=fd.StudentBundle(base, motion, dims))
     st = StageConfig(32, 8, "adversarial", 1)
     rows = st.micro_batch * st.grad_accum
-    b = teacher_stride(base.data, motion.data, _batch(ds, st, sched, rng, n=rows),
+    b = teacher_stride(base, motion, _batch(ds, st, sched, rng, n=rows),
                        st, sched, dims)
     tracemalloc.start()
     try:
@@ -264,7 +265,7 @@ def _tiny_ctx(sched, dims, seed=0, tmpdir=None):
     datasets = {}
     for name in ("default", "real_a"):
         style = style_by_name(name)
-        bases[name] = fd.init_base(style.style_id, dims, rng)
+        bases[name] = fd.init_base(dims, rng)
         datasets[name] = fd.sample_ground_truth(style, 256, style.style_id + 50,
                                                 frames=dims.frames,
                                                 vocab=dims.vocab)
@@ -272,7 +273,7 @@ def _tiny_ctx(sched, dims, seed=0, tmpdir=None):
     ranks = [Rank(0, bases["default"], datasets["default"], 0),
              Rank(1, bases["real_a"], datasets["real_a"], 1)]
     ctx = DistillContext(sched=sched, dims=dims, ranks=ranks,
-                         pretrained=fd.StudentBundle(bases["default"], motion),
+                         pretrained=fd.StudentBundle(bases["default"], motion, dims),
                          seed=seed, workdir=str(tmpdir) if tmpdir else None)
     return ctx, motion
 
@@ -282,13 +283,13 @@ def test_zero_iteration_stage_returns_input_unchanged(sched, dims):
     st = StageConfig(32, 8, "adversarial", 0, micro_batch=4, grad_accum=1)
     out, history = run_stage(st, ctx, motion)
     assert history == []
-    for key in motion.data:
-        assert np.array_equal(out.data[key], motion.data[key])
+    for key in motion:
+        assert np.array_equal(out[key], motion[key])
 
 
 def test_run_stage_freezes_bases_and_produces_finite_history(sched, dims):
     ctx, motion = _tiny_ctx(sched, dims)
-    before = [{k: v.copy() for k, v in r.base.data.items()} for r in ctx.ranks]
+    before = [{k: v.copy() for k, v in r.base.items()} for r in ctx.ranks]
     st = StageConfig(32, 8, "adversarial", 6, micro_batch=4, grad_accum=2)
     out, history = run_stage(st, ctx, motion)
     assert len(history) == 12  # two phases
@@ -298,8 +299,25 @@ def test_run_stage_freezes_bases_and_produces_finite_history(sched, dims):
     assert sides == ["disc", "student"] * 3
     for r, saved in zip(ctx.ranks, before):
         for key, val in saved.items():
-            assert np.array_equal(r.base.data[key], val)
-    assert not np.array_equal(out.data["mix_out"], motion.data["mix_out"])
+            assert np.array_equal(r.base[key], val)
+    assert not np.array_equal(out["mix_out"], motion["mix_out"])
+
+
+@pytest.mark.parametrize("stage", [
+    StageConfig(128, 32, "mse_cfg", 2, micro_batch=4, grad_accum=1, cfg_scale=7.5),
+    StageConfig(32, 8, "adversarial", 2, micro_batch=4, grad_accum=1),
+], ids=["mse", "adversarial"])
+def test_run_stage_leaves_its_teacher_unchanged(sched, dims, stage):
+    # The teacher is the previous stage's cached result, and Adam rebinds
+    # the entries of the dict it steps: the stage trains a copy.
+    ctx, teacher = _tiny_ctx(sched, dims)
+    before = {k: v.copy() for k, v in teacher.items()}
+    out, _ = run_stage(stage, ctx, teacher)
+    assert teacher.keys() == before.keys()
+    for key, val in before.items():
+        assert teacher[key].dtype == val.dtype, key
+        assert teacher[key].tobytes() == val.tobytes(), key
+    assert not np.array_equal(out["mix_out"], teacher["mix_out"])
 
 
 def _mean_in_order(grads):
@@ -332,13 +350,13 @@ def _accumulated_grads(stage, ranks, draw_stride, step_grads):
 def _reference_grads(base, motion, disc, b, phase, flow_idx, side, sched, dims):
     """The gradients of one rank's loss on ``b``, taped and differentiated
     here, with a zero array for each taped parameter the loss misses."""
-    pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).data.items()}
+    pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).items()}
     if phase is None:
-        loss = mse_loss(base.data, pvars, b, sched, dims)
+        loss = mse_loss(base, pvars, b, sched, dims)
     else:
         l_d, l_g = adversarial_losses(
-            base.data, pvars if side == "student" else motion.data,
-            pvars if side == "disc" else disc.data, b, phase, flow_idx, sched,
+            base, pvars if side == "student" else motion,
+            pvars if side == "disc" else disc, b, phase, flow_idx, sched,
             dims)
         loss = l_d if side == "disc" else l_g
     ad.backward(loss)
@@ -352,7 +370,7 @@ def _reference_stage(stage, ctx, teacher, iteration_grads):
     place of the pair head, and
     every iteration takes ``iteration_grads`` of the ranks and makes one
     Adam step."""
-    motion = teacher.copy()
+    motion = {k: v.copy() for k, v in teacher.items()}
     disc = None
     if stage.loss_kind == "adversarial":
         disc = init_discriminator(ctx.dims, ctx.num_flows,
@@ -362,7 +380,7 @@ def _reference_stage(stage, ctx, teacher, iteration_grads):
     for phase_idx, phase in enumerate(stage.phases()):
         if phase == "relaxed":
             disc = relaxed_discriminator(
-                disc, _stage_rng(ctx.seed, stage, 1, DISC_STREAM))
+                disc, ctx.dims, _stage_rng(ctx.seed, stage, 1, DISC_STREAM))
         rngs = {r.rank: _stage_rng(ctx.seed, stage, phase_idx, r.rank)
                 for r in ranks}
         opt_student, opt_disc = Adam(stage.lr_student), Adam(stage.lr_disc)
@@ -372,7 +390,7 @@ def _reference_stage(stage, ctx, teacher, iteration_grads):
             def draw_stride(r):
                 batch = _batch(r.dataset, stage, ctx.sched, rngs[r.rank],
                                n=stage.micro_batch)
-                return teacher_stride(r.base.data, teacher.data, batch, stage,
+                return teacher_stride(r.base, teacher, batch, stage,
                                       ctx.sched, ctx.dims)
 
             def step_grads(r, b):
@@ -381,9 +399,9 @@ def _reference_stage(stage, ctx, teacher, iteration_grads):
 
             grads = iteration_grads(stage, ranks, draw_stride, step_grads)
             if side == "student":
-                opt_student.step(motion.data, grads)
+                opt_student.step(motion, grads)
             else:
-                opt_disc.step(disc.data, grads)
+                opt_disc.step(disc, grads)
     return motion
 
 
@@ -424,7 +442,7 @@ def _stage_and_reference(sched, dims, stage, iteration_grads, monkeypatch):
     assert len(got) == len(updates) == stage.iterations * len(stage.phases())
     for g, r in zip(got, updates):
         assert g.keys() == r.keys()
-    assert not np.array_equal(out.data["mix_out"], motion.data["mix_out"])
+    assert not np.array_equal(out["mix_out"], motion["mix_out"])
     return got, updates, out, ref
 
 
@@ -435,8 +453,8 @@ def test_run_stage_matches_per_rank_reference(sched, dims, stage, monkeypatch):
     for g, r in zip(got, want):
         for key in g:
             assert np.array_equal(g[key], r[key]), key
-    for key in out.data:
-        assert np.array_equal(out.data[key], ref.data[key]), key
+    for key in out:
+        assert np.array_equal(out[key], ref[key]), key
 
 
 def _row_terms(r, b, step_grads) -> list:
@@ -489,7 +507,7 @@ def test_nan_loss_aborts_with_dump(sched, dims, tmp_path, monkeypatch):
 
     def poisoned(*args, **kwargs):
         return {"mse": float("nan")}, {k: np.zeros_like(v, dtype=np.float64)
-                                       for k, v in motion.data.items()}
+                                       for k, v in motion.items()}
 
     monkeypatch.setattr(dist, "rank_step", poisoned)
     with pytest.raises(fd.DistillDivergence) as err:
@@ -508,7 +526,7 @@ def test_divergence_dump_that_fails_partway_leaves_no_json(sched, dims, tmp_path
 
     def poisoned(*args, **kwargs):
         return {"mse": float("nan")}, {k: np.zeros_like(v, dtype=np.float64)
-                                       for k, v in motion.data.items()}
+                                       for k, v in motion.items()}
 
     def dump_partway(obj, fh, **kwargs):
         fh.write('{"stage": ')
@@ -534,11 +552,11 @@ def test_one_teacher_call_per_rank_equals_one_per_micro_batch(sched, dims, setup
     rng = np.random.default_rng(11)
     draws = [draw_rows(ds, stage.micro_batch, rng, grid)
              for _ in range(stage.grad_accum)]
-    got = teacher_stride(base.data, motion.data,
+    got = teacher_stride(base, motion,
                          {k: np.concatenate([d[k] for d in draws]) for k in draws[0]},
                          stage, sched, dims)
     rng = np.random.default_rng(11)
-    parts = [teacher_stride(base.data, motion.data,
+    parts = [teacher_stride(base, motion,
                             _batch(ds, stage, sched, rng, n=stage.micro_batch),
                             stage, sched, dims) for _ in range(stage.grad_accum)]
     want = {**parts[0], **{k: np.concatenate([p[k] for p in parts])
@@ -571,20 +589,20 @@ def test_stacked_discriminator_matches_two_call_reference(sched, dims, setup,
                                                           phase, side):
     base, motion, ds = setup
     rng = np.random.default_rng(12)
-    disc = init_discriminator(dims, 2, rng, backbone_from=fd.StudentBundle(base, motion))
+    disc = init_discriminator(dims, 2, rng, backbone_from=fd.StudentBundle(base, motion, dims))
     for key in ("hp2_w", "flow_emb"):
-        disc.data[key] = rng.normal(0, 0.5, disc.data[key].shape).astype(np.float32)
+        disc[key] = rng.normal(0, 0.5, disc[key].shape).astype(np.float32)
     if phase == "relaxed":
-        disc = relaxed_discriminator(disc, rng)
-        disc.data["hs2_w"] = rng.normal(0, 0.5, disc.data["hs2_w"].shape).astype(np.float32)
+        disc = relaxed_discriminator(disc, dims, rng)
+        disc["hs2_w"] = rng.normal(0, 0.5, disc["hs2_w"].shape).astype(np.float32)
     st = StageConfig(32, 8, "adversarial", 1)
-    b = teacher_stride(base.data, motion.data, _batch(ds, st, sched, rng, n=16),
+    b = teacher_stride(base, motion, _batch(ds, st, sched, rng, n=16),
                        st, sched, dims)
     results = []
     for losses_of in (adversarial_losses, _two_call_losses):
-        pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).data.items()}
-        l_d, l_g = losses_of(base.data, pvars if side == "student" else motion.data,
-                             pvars if side == "disc" else disc.data, b, phase, 1,
+        pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).items()}
+        l_d, l_g = losses_of(base, pvars if side == "student" else motion,
+                             pvars if side == "disc" else disc, b, phase, 1,
                              sched, dims)
         ad.backward(l_d if side == "disc" else l_g)
         results.append((float(ad.value_of(l_d)), float(ad.value_of(l_g)),
@@ -610,7 +628,7 @@ def test_each_phase_holds_only_the_head_it_trains(sched, dims, monkeypatch):
     step = dist.rank_step
 
     def spy(base, motion, disc, b, phase, *args):
-        seen.append((phase, set(disc.data)))
+        seen.append((phase, set(disc)))
         return step(base, motion, disc, b, phase, *args)
 
     monkeypatch.setattr(dist, "rank_step", spy)

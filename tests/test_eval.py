@@ -255,8 +255,8 @@ def test_score_arms_same_motion_same_report_rows_style_major():
     dims = fd.NetDims(frames=3, hidden=4, time_dim=4, head_hidden=4, vocab=3)
     sched = fd.build_schedule(128, 0.002, 0.0985703125)
     rng = np.random.default_rng(6)
-    bundles = {name: fd.StudentBundle(fd.init_base(fd.style_by_name(name).style_id, dims, rng),
-                                      fd.init_motion(dims, rng, 0.05))
+    bundles = {name: fd.StudentBundle(fd.init_base(dims, rng),
+                                      fd.init_motion(dims, rng, 0.05), dims)
                for name in ("real_b", "anime_a")}
     motion = {steps: fd.init_motion(dims, rng, 0.05) for steps in (2, 4)}
     other = {steps: fd.init_motion(dims, rng, 0.5) for steps in (2, 4)}
@@ -289,7 +289,7 @@ def _score_arms_reference(bundles_by_style, arms, sched, styles, step_counts,
         ref = sample(pre, ref_steps, tokens, w=ref_cfg, x0_clip=4.0)
         for arm, motion_by_steps in arms.items():
             for steps in step_counts:
-                bundle = fd.StudentBundle(pre.base, motion_by_steps[steps])
+                bundle = pre._replace(motion=motion_by_steps[steps])
                 got = sample(bundle, steps, tokens, w=0.0)
                 reports[arm].add(style, steps, brute_force_energy_distance(got, ref),
                                  n_conditions, seed)
@@ -301,8 +301,8 @@ def test_score_arms_matches_the_per_cell_reference_bit_for_bit(monkeypatch):
     sched = fd.build_schedule(128, 0.002, 0.0985703125)
     rng = np.random.default_rng(8)
     styles = ["anime_a", "real_b", "unseen_far"]
-    bundles = {name: fd.StudentBundle(fd.init_base(fd.style_by_name(name).style_id, dims, rng),
-                                      fd.init_motion(dims, rng, 0.05))
+    bundles = {name: fd.StudentBundle(fd.init_base(dims, rng),
+                                      fd.init_motion(dims, rng, 0.05), dims)
                for name in styles}
     arms = {arm: {steps: fd.init_motion(dims, rng, scale) for steps in (1, 2, 4)}
             for arm, scale in (("cross", 0.05), ("single", 0.5))}

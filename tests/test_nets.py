@@ -27,26 +27,30 @@ def sched():
     return fd.build_schedule(128, 0.002, 0.0985703125)
 
 
+# Every network of this file has the default widths.
+_DIMS = fd.NetDims()
+
+
 @pytest.fixture(scope="module")
 def dims():
-    return fd.NetDims()
+    return _DIMS
 
 
 @pytest.fixture(scope="module")
 def bundle(dims):
     rng = np.random.default_rng(0)
-    return fd.StudentBundle(fd.init_base(0, dims, rng), fd.init_motion(dims, rng, 0.05))
+    return fd.StudentBundle(fd.init_base(dims, rng), fd.init_motion(dims, rng, 0.05), dims)
 
 
 def test_zero_motion_matches_base_bitwise(sched, dims):
     rng = np.random.default_rng(1)
-    base = fd.init_base(0, dims, rng)
-    zero = fd.StudentBundle(base, fd.init_motion(dims, np.random.default_rng(1729)))
+    base = fd.init_base(dims, rng)
+    zero = fd.StudentBundle(base, fd.init_motion(dims, np.random.default_rng(1729)), dims)
     x = rng.standard_normal((6, dims.frames, dims.frame_dim))
     tokens = rng.integers(0, dims.vocab, 6)
-    with_motion = student_eps(base.data, zero.motion.data, x, 50, tokens,
+    with_motion = student_eps(base, zero.motion, x, 50, tokens,
                               sched.T, dims)
-    base_only = student_eps(base.data, None, x, 50, tokens, sched.T, dims)
+    base_only = student_eps(base, None, x, 50, tokens, sched.T, dims)
     assert np.array_equal(with_motion, base_only)
 
 
@@ -54,7 +58,7 @@ def test_forward_student_deterministic(sched, bundle, dims):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, dims.frames, dims.frame_dim))
     tokens = np.array([0, 1, dims.null_token])
-    args = (bundle.base.data, bundle.motion.data, x, 17, tokens, sched.T, dims)
+    args = (bundle.base, bundle.motion, x, 17, tokens, sched.T, dims)
     a, b = student_eps(*args), student_eps(*args)
     assert np.array_equal(a, b)
 
@@ -67,7 +71,7 @@ def test_untaped_student_forward_peak_memory_at_batch_512(sched, bundle, dims):
     rng = np.random.default_rng(3)
     x = rng.standard_normal((B, dims.frames, dims.frame_dim))
     tokens = rng.integers(0, dims.vocab, B)
-    args = (bundle.base.data, bundle.motion.data, x, 60, tokens, sched.T, dims)
+    args = (bundle.base, bundle.motion, x, 60, tokens, sched.T, dims)
     student_eps(*args)  # fill the time-feature cache first
     tracemalloc.start()
     try:
@@ -81,7 +85,7 @@ def test_untaped_student_forward_peak_memory_at_batch_512(sched, bundle, dims):
 def test_forward_student_rejects_unknown_token(sched, bundle, dims):
     x = np.zeros((1, dims.frames, dims.frame_dim))
     with pytest.raises(ValueError):
-        student_eps(bundle.base.data, bundle.motion.data, x, 5,
+        student_eps(bundle.base, bundle.motion, x, 5,
                     np.array([dims.vocab + 1]), sched.T, dims)
 
 
@@ -92,22 +96,22 @@ def test_time_features_cover_clean_boundary(dims):
 
 
 def _pair(disc, x_t, x_next, t, t_next, tokens, flow_idx, sched):
-    return disc_pair_prob(disc.data, x_t, x_next, t, t_next, tokens, flow_idx,
-                          sched.T, disc.dims)
+    return disc_pair_prob(disc, x_t, x_next, t, t_next, tokens, flow_idx,
+                          sched.T, _DIMS)
 
 
 def _single(disc, x_next, t_next, tokens, flow_idx, sched):
-    return disc_single_prob(disc.data, x_next, t_next, tokens, flow_idx,
-                            sched.T, disc.dims)
+    return disc_single_prob(disc, x_next, t_next, tokens, flow_idx,
+                            sched.T, _DIMS)
 
 
 def test_discriminator_probability_range_and_determinism(sched, dims, bundle):
     rng = np.random.default_rng(3)
     disc = init_discriminator(dims, 3, rng, backbone_from=bundle)
     # Randomise heads so scores are generic.
-    disc.data["hp2_w"] = rng.normal(0, 0.5, disc.data["hp2_w"].shape).astype(np.float32)
-    relaxed = relaxed_discriminator(disc, rng)
-    relaxed.data["hs2_w"] = rng.normal(0, 0.5, relaxed.data["hs2_w"].shape).astype(np.float32)
+    disc["hp2_w"] = rng.normal(0, 0.5, disc["hp2_w"].shape).astype(np.float32)
+    relaxed = relaxed_discriminator(disc, dims, rng)
+    relaxed["hs2_w"] = rng.normal(0, 0.5, relaxed["hs2_w"].shape).astype(np.float32)
     x_t = rng.standard_normal((5, dims.frames, dims.frame_dim))
     x_n = rng.standard_normal((5, dims.frames, dims.frame_dim))
     tokens = rng.integers(0, dims.vocab, 5)
@@ -130,15 +134,15 @@ def test_fresh_heads_output_near_half(sched, dims, bundle):
     tokens = np.zeros(4, dtype=int)
     p = _pair(disc, x, x + 0.1, 40, 8, tokens, 0, sched)
     assert np.all(np.abs(np.asarray(p) - 0.5) < 0.02)
-    q = _single(relaxed_discriminator(disc, rng), x, 8, tokens, 0, sched)
+    q = _single(relaxed_discriminator(disc, dims, rng), x, 8, tokens, 0, sched)
     assert np.all(np.abs(np.asarray(q) - 0.5) < 0.02)
 
 
 def test_flow_index_changes_score_when_embeddings_differ(sched, dims, bundle):
     rng = np.random.default_rng(5)
     disc = init_discriminator(dims, 2, rng, backbone_from=bundle)
-    disc.data["flow_emb"] = rng.normal(0, 0.5, disc.data["flow_emb"].shape).astype(np.float32)
-    disc.data["hp2_w"] = rng.normal(0, 0.5, disc.data["hp2_w"].shape).astype(np.float32)
+    disc["flow_emb"] = rng.normal(0, 0.5, disc["flow_emb"].shape).astype(np.float32)
+    disc["hp2_w"] = rng.normal(0, 0.5, disc["hp2_w"].shape).astype(np.float32)
     x_t = rng.standard_normal((2, dims.frames, dims.frame_dim))
     x_n = rng.standard_normal((2, dims.frames, dims.frame_dim))
     tokens = np.zeros(2, dtype=int)
@@ -150,7 +154,7 @@ def test_flow_index_changes_score_when_embeddings_differ(sched, dims, bundle):
 def test_unregistered_flow_index_rejected(sched, dims, bundle):
     # The flow count is the row count of flow_emb, here 2.
     disc = init_discriminator(dims, 2, np.random.default_rng(6), backbone_from=bundle)
-    relaxed = relaxed_discriminator(disc, np.random.default_rng(7))
+    relaxed = relaxed_discriminator(disc, dims, np.random.default_rng(7))
     x = np.zeros((1, dims.frames, dims.frame_dim))
     tokens = np.zeros(1, dtype=int)
     for flow_idx in (2, -1):
@@ -170,9 +174,9 @@ def test_conditional_disc_requires_ordered_timesteps(sched, dims, bundle):
 def test_stacked_candidates_score_as_separate_calls(sched, dims, bundle):
     rng = np.random.default_rng(9)
     disc = init_discriminator(dims, 2, rng, backbone_from=bundle)
-    disc.data["hp2_w"] = rng.normal(0, 0.5, disc.data["hp2_w"].shape).astype(np.float32)
-    relaxed = relaxed_discriminator(disc, rng)
-    relaxed.data["hs2_w"] = rng.normal(0, 0.5, relaxed.data["hs2_w"].shape).astype(np.float32)
+    disc["hp2_w"] = rng.normal(0, 0.5, disc["hp2_w"].shape).astype(np.float32)
+    relaxed = relaxed_discriminator(disc, dims, rng)
+    relaxed["hs2_w"] = rng.normal(0, 0.5, relaxed["hs2_w"].shape).astype(np.float32)
     x_t = rng.standard_normal((3, dims.frames, dims.frame_dim))
     a, b = rng.standard_normal((2, 3, dims.frames, dims.frame_dim))
     t, t_next = np.array([70, 40, 90]), np.array([38, 8, 58])
@@ -194,11 +198,11 @@ def test_relaxed_backbone_gradients_nonzero(sched, dims, bundle):
     # The whole discriminator trains, including the shared backbone.
     rng = np.random.default_rng(8)
     disc = relaxed_discriminator(init_discriminator(dims, 2, rng, backbone_from=bundle),
-                                 rng)
-    disc.data["hs2_w"] = rng.normal(0, 0.5, disc.data["hs2_w"].shape).astype(np.float32)
+                                 dims, rng)
+    disc["hs2_w"] = rng.normal(0, 0.5, disc["hs2_w"].shape).astype(np.float32)
     x = rng.standard_normal((3, dims.frames, dims.frame_dim))
     tokens = rng.integers(0, dims.vocab, 3)
-    dvars = {k: ad.Var(v) for k, v in disc.data.items()}
+    dvars = {k: ad.Var(v) for k, v in disc.items()}
     p = disc_single_prob(dvars, x, 20, tokens, 0, sched.T, dims)
     ad.backward(ad.mean_all(ad.log(p)))
     for key in ("w1", "w2", "mix", "time_w"):
@@ -209,32 +213,31 @@ def test_relaxed_backbone_gradients_nonzero(sched, dims, bundle):
 def test_relaxed_discriminator_swaps_the_head_and_keeps_backbone(dims, bundle):
     rng = np.random.default_rng(9)
     disc = init_discriminator(dims, 2, rng, backbone_from=bundle)
-    disc.data["flow_emb"] = rng.normal(0, 0.5, disc.data["flow_emb"].shape).astype(np.float32)
-    assert set(disc.data) == {*DISC_BACKBONE_KEYS, "flow_emb", *DISC_HEAD_PAIR_KEYS}
-    relaxed = relaxed_discriminator(disc, np.random.default_rng(10))
-    assert set(relaxed.data) == {*DISC_BACKBONE_KEYS, "flow_emb", *DISC_HEAD_SINGLE_KEYS}
-    assert np.abs(relaxed.data["hs2_w"]).max() < 0.05  # near-zero fresh head
-    assert np.any(relaxed.data["hs2_w"] != 0)
+    disc["flow_emb"] = rng.normal(0, 0.5, disc["flow_emb"].shape).astype(np.float32)
+    assert set(disc) == {*DISC_BACKBONE_KEYS, "flow_emb", *DISC_HEAD_PAIR_KEYS}
+    relaxed = relaxed_discriminator(disc, dims, np.random.default_rng(10))
+    assert set(relaxed) == {*DISC_BACKBONE_KEYS, "flow_emb", *DISC_HEAD_SINGLE_KEYS}
+    assert np.abs(relaxed["hs2_w"]).max() < 0.05  # near-zero fresh head
+    assert np.any(relaxed["hs2_w"] != 0)
     for key in (*DISC_BACKBONE_KEYS, "flow_emb"):
-        assert relaxed.data[key] is disc.data[key], key
+        assert relaxed[key] is disc[key], key
     # A fresh head from another stream differs.
-    other = relaxed_discriminator(disc, np.random.default_rng(11))
-    assert not np.array_equal(relaxed.data["hs1_w"], other.data["hs1_w"])
+    other = relaxed_discriminator(disc, dims, np.random.default_rng(11))
+    assert not np.array_equal(relaxed["hs1_w"], other["hs1_w"])
 
 
 def test_pretrain_base_learns_analytic_predictor(sched, dims):
     ds = sample_ground_truth(ANALYTIC_STYLE, 8000, [99, 1], frames=dims.frames,
                              vocab=dims.vocab)
-    base, history = fd.pretrain_base(ds, sched, dims, ANALYTIC_STYLE.style_id,
-                                     4000, [99, 2])
+    base, history = fd.pretrain_base(ds, sched, dims, 4000, [99, 2])
     assert np.mean(history[-50:]) < np.mean(history[:50])
-    bundle = fd.StudentBundle(base, fd.init_motion(dims, np.random.default_rng(1729)))
+    bundle = fd.StudentBundle(base, fd.init_motion(dims, np.random.default_rng(1729)), dims)
     rng = np.random.default_rng(11)
     for t in (32, 64, 96):
         x0 = np.sqrt(ANALYTIC_VAR) * rng.standard_normal((512, dims.frames, dims.frame_dim))
         eps = rng.standard_normal(x0.shape)
         x_t = fd.add_noise(x0, eps, t, sched)
-        pred = student_eps(bundle.base.data, bundle.motion.data, x_t, t,
+        pred = student_eps(bundle.base, bundle.motion, x_t, t,
                            rng.integers(0, dims.vocab, 512), sched.T, dims)
         star = analytic_eps_star(x_t, t, sched)
         rms = float(np.sqrt(np.mean((pred - star) ** 2)))
@@ -245,23 +248,23 @@ def test_pretrain_base_learns_analytic_predictor(sched, dims):
 def test_pretrain_zero_lr_keeps_parameters(sched, dims):
     ds = sample_ground_truth(ANALYTIC_STYLE, 256, [98, 1], frames=dims.frames,
                              vocab=dims.vocab)
-    base, _ = fd.pretrain_base(ds, sched, dims, 1, 3, [98, 2], lr=0.0)
-    fresh = fd.init_base(1, dims, np.random.default_rng([98, 2]))
+    base, _ = fd.pretrain_base(ds, sched, dims, 3, [98, 2], lr=0.0)
+    fresh = fd.init_base(dims, np.random.default_rng([98, 2]))
     for key in BASE_KEYS:
-        assert np.array_equal(base.data[key], fresh.data[key]), key
+        assert np.array_equal(base[key], fresh[key]), key
 
 
 def test_pretrain_motion_trains_only_motion(sched, dims):
     from flowdistill.datagen import style_by_name
     ds = sample_ground_truth(style_by_name("default"), 2048, [97, 1],
                              frames=dims.frames, vocab=dims.vocab)
-    base, _ = fd.pretrain_base(ds, sched, dims, 0, 400, [97, 2])
-    frozen = {k: v.copy() for k, v in base.data.items()}
-    motion, history = fd.pretrain_motion(base, ds, sched, 300, [97, 3])
+    base, _ = fd.pretrain_base(ds, sched, dims, 400, [97, 2])
+    frozen = {k: v.copy() for k, v in base.items()}
+    motion, history = fd.pretrain_motion(base, ds, sched, dims, 300, [97, 3])
     assert np.mean(history[-20:]) < np.mean(history[:20])
     for key in BASE_KEYS:
-        assert np.array_equal(base.data[key], frozen[key]), key
-    assert np.any(motion.data["mix_out"] != 0)
+        assert np.array_equal(base[key], frozen[key]), key
+    assert np.any(motion["mix_out"] != 0)
 
 
 def test_draw_rows_on_the_full_grid_draws_integer_timesteps(sched, dims):
@@ -290,7 +293,7 @@ def test_pretrain_empty_dataset_rejected(sched, dims):
     empty = ClipDataset(np.zeros((0, dims.frames, dims.frame_dim), np.float32),
                         np.zeros(0, np.int32), "ground_truth", "default", 0)
     with pytest.raises(ValueError):
-        fd.pretrain_base(empty, sched, dims, 0, 10, 0)
+        fd.pretrain_base(empty, sched, dims, 10, 0)
 
 
 def test_adam_zero_lr_is_bit_exact_noop():

@@ -188,7 +188,7 @@ def test_multistep_terminal_statistics_match_target(sched):
 def _bundle(seed):
     dims = fd.NetDims()
     rng = np.random.default_rng(seed)
-    return fd.StudentBundle(fd.init_base(0, dims, rng), fd.init_motion(dims, rng, 0.05))
+    return fd.StudentBundle(fd.init_base(dims, rng), fd.init_motion(dims, rng, 0.05), dims)
 
 
 def _sample_one(bundle, sched, steps, token, seed, **kw):
@@ -248,10 +248,10 @@ def test_start_noise_of_fewer_clips_is_a_prefix(entropy, k, n):
 ])
 def test_sample_batch_rejects_bad_rows_before_any_forward(sched, monkeypatch,
                                                           tokens, rows):
-    import flowdistill.nets as nets
+    import flowdistill.solvers as solvers
 
     calls = []
-    monkeypatch.setattr(nets, "student_eps", lambda *a: calls.append(a))
+    monkeypatch.setattr(solvers, "student_eps", lambda *a: calls.append(a))
     bundle = _bundle(14)
     x = fd.start_noise(0, rows, bundle.dims)
     with pytest.raises(ValueError):
