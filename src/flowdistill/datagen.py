@@ -30,7 +30,7 @@ import numpy as np
 from .checkpoint import checkpoint_load, checkpoint_save
 from .nets import NetDims
 from .schedule import NoiseSchedule
-from .solvers import TEACHER_X0_CLIP, sample_batch, start_noise
+from .solvers import sample_batch, start_noise
 
 __all__ = [
     "StyleSpec",
@@ -136,8 +136,6 @@ def component_means(vocab: int) -> np.ndarray:
 
 
 def ar1_cholesky(rho: float, frames: int) -> np.ndarray:
-    if rho == 0.0:
-        return np.eye(frames)
     idx = np.arange(frames)
     cov = rho ** np.abs(idx[:, None] - idx[None, :])
     return np.linalg.cholesky(cov)
@@ -239,8 +237,7 @@ def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
     cond_entropy, noise_entropy = _entropies(seed)
     conds = np.random.default_rng(cond_entropy).integers(0, bundle.dims.vocab, size=n)
     x_start = start_noise(noise_entropy, n, bundle.dims)
-    clips = sample_batch(bundle, sched, steps, conds, x_start, w=w,
-                         solver="multistep", x0_clip=TEACHER_X0_CLIP)
+    clips = sample_batch(bundle, sched, steps, conds, x_start, w=w, solver="multistep")
     return ClipDataset(clips, conds, "teacher_generated", style.group, style.style_id)
 
 

@@ -53,7 +53,7 @@ from .nets import (
     relaxed_discriminator,
 )
 from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
-from .solvers import TEACHER_X0_CLIP, euler_solve, predictor
+from .solvers import euler_solve, predictor
 
 __all__ = [
     "StageConfig",
@@ -201,18 +201,16 @@ def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
         raise ValueError(f"timesteps misaligned with stage {stage.name} grid")
     x_t = add_noise(batch["x0"], batch["eps"], t, sched)
     x_t = substitute_terminal_noise(x_t, batch["eps"], t, sched)
-    teacher_f = predictor(base_arrays, teacher_arrays, sched.T, dims)
-    target = euler_solve(teacher_f, x_t, t, batch["tokens"], n, s, sched,
-                         w=stage.cfg_scale, null_token=dims.null_token,
-                         x0_clip=TEACHER_X0_CLIP)
+    target = euler_solve(predictor(base_arrays, teacher_arrays, sched.T, dims,
+                                   stage.cfg_scale),
+                         x_t, t, batch["tokens"], n, s, sched)
     return {"x_t": x_t, "t": t, "tokens": batch["tokens"], "n": n, "s": s,
             "target": target}
 
 
 def _student_stride(base_arrays, motion, b, sched: NoiseSchedule, dims):
-    student_f = predictor(base_arrays, motion, sched.T, dims)
-    return euler_solve(student_f, b["x_t"], b["t"], b["tokens"], 1,
-                       b["n"] * b["s"], sched, w=0.0, x0_clip=TEACHER_X0_CLIP)
+    return euler_solve(predictor(base_arrays, motion, sched.T, dims),
+                       b["x_t"], b["t"], b["tokens"], 1, b["n"] * b["s"], sched)
 
 
 def mse_loss(base_arrays, motion, b: dict, sched: NoiseSchedule, dims):

@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .solvers import TEACHER_X0_CLIP, sample_batch, start_noise
+from .solvers import sample_batch, start_noise
 
 __all__ = [
     "energy_distance",
@@ -224,19 +224,16 @@ def eval_inputs(seed: int, n_conditions: int, dims) -> tuple:
 
 
 def reference_set(bundle, sched, tokens, x_start, steps: int, w: float):
-    """Teacher reference samples: guided Euler traversal at full step count.
-
-    The predicted clean sample is clamped as in data generation, so
-    strongly guided trajectories stay bounded.
-    """
-    return sample_batch(bundle, sched, steps, tokens, x_start, w=w,
-                        solver="euler", x0_clip=TEACHER_X0_CLIP)
+    """Teacher reference samples: guided Euler traversal at full step count,
+    with the predicted clean sample clamped as in every traversal."""
+    return sample_batch(bundle, sched, steps, tokens, x_start, w=w)
 
 
 def arm_set(bundle, sched, steps: int, tokens, x_start):
-    """Distilled-arm samples: unguided Euler traversal at few steps."""
-    return sample_batch(bundle, sched, steps, tokens, x_start, w=0.0,
-                        solver="euler")
+    """Distilled-arm samples: unguided Euler traversal at few steps, with
+    the predicted clean sample clamped as in the student's trained stride,
+    so one stride of an arm set is the stride the student was trained on."""
+    return sample_batch(bundle, sched, steps, tokens, x_start)
 
 
 def score_arms(bundles_by_style: dict, arms: dict, sched, references: dict,

@@ -1,14 +1,18 @@
-"""Deterministic samplers: guided combination, stride-`s` Euler traversal,
-and a second-order multistep solver used for teacher data generation.
+"""Deterministic samplers: stride-`s` Euler traversal and a second-order
+multistep solver used for teacher data generation.
 
 All solvers treat timestep ``-1`` as the clean boundary (``alpha_bar = 1``),
 so a full traversal of a ``T``-step schedule takes ``n * s = T`` strides
 from ``t = T - 1`` down to ``t = -1``.
 
-Predictors are callables ``f(x, t, tokens) -> eps_hat``. The one-step
-arithmetic is written against the generic autodiff ops, so a predictor that
-returns a taped :class:`~flowdistill.autodiff.Var` yields a differentiable
-update (this is how the student's single stride is trained).
+Predictors are callables ``f(x, t, tokens) -> eps_hat``; :func:`predictor`
+builds one from a model, and classifier-free guidance is part of the
+predictor it returns, not of the solvers. The one-step arithmetic is written
+against the generic autodiff ops, so a predictor that returns a taped
+:class:`~flowdistill.autodiff.Var` yields a differentiable update (this is
+how the student's single stride is trained). Every update clamps the
+predicted clean sample at ``±X0_CLIP``, so teacher traversals, the
+student's trained stride and sampling follow one rule.
 
 Sampling starts from noise that :func:`start_noise` draws, one stream for
 all the clips of a call, and :func:`sample_batch` takes the drawn states.
@@ -39,20 +43,13 @@ __all__ = [
     "sample_batch",
 ]
 
-# Teacher traversals (data generation, references, distillation targets)
-# and the student's trained stride clamp the predicted clean sample: guided
-# trajectories diverge without it, and one clamp lets a student equal to
-# its teacher at n = 1 reproduce it. Distilled arms sample unclamped.
-TEACHER_X0_CLIP = 4.0
+# Every update clamps the predicted clean sample at this bound: guided
+# trajectories diverge without it, and with one rule for teacher traversals,
+# the student's trained stride and sampling, a student equal to its teacher
+# at n = 1 reproduces it and an arm samples as it was trained.
+X0_CLIP = 4.0
 
 SAMPLE_BATCH = 512  # rows per solve when sample_batch samples many clips
-
-
-def predictor(base: dict, motion: dict, T: int, dims):
-    """The composed model as a predictor ``f(x, t, tokens) -> eps_hat``."""
-    def f(x, t, tokens):
-        return student_eps(base, motion, x, t, tokens, T, dims)
-    return f
 
 
 def cfg_combine(eps_cond, eps_uncond, w: float):
@@ -62,45 +59,39 @@ def cfg_combine(eps_cond, eps_uncond, w: float):
     return eps_uncond + w * (eps_cond - eps_uncond)
 
 
-def _predict(f, x, t, tokens, w: float, null_token):
-    eps = f(x, t, tokens)
-    if w > 0.0:
-        if null_token is None:
-            raise ValueError("guided prediction needs the null condition token")
-        null = np.full_like(np.asarray(tokens), null_token)
-        eps = cfg_combine(eps, f(x, t, null), w)
-    return eps
+def predictor(base: dict, motion: dict, T: int, dims, w: float = 0.0):
+    """The composed model as a predictor ``f(x, t, tokens) -> eps_hat``,
+    guided at scale ``w`` against the null condition token when ``w > 0``."""
+    def f(x, t, tokens):
+        eps = student_eps(base, motion, x, t, tokens, T, dims)
+        if w > 0.0:
+            null = np.full_like(np.asarray(tokens), dims.null_token)
+            eps = cfg_combine(eps, student_eps(base, motion, x, t, null, T, dims), w)
+        return eps
+    return f
 
 
-def _ddim_update(x, eps, t, t_next, sched: NoiseSchedule, x0_clip=None):
-    """sqrt(ab')·x0_hat + sqrt(1-ab')·eps, with x0_hat recovered from x.
-
-    ``x0_clip`` optionally clips the recovered clean sample; guided teacher
-    traversals use it to keep strongly extrapolated trajectories bounded.
-    """
+def _ddim_update(x, eps, t, t_next, sched: NoiseSchedule):
+    """sqrt(ab')·x0_hat + sqrt(1-ab')·eps, with x0_hat recovered from x and
+    clamped at ``±X0_CLIP``."""
     ndim = ad.value_of(x).ndim
     a_t = _coef(sched.sqrt_alpha_bar(t), ndim)
     b_t = _coef(sched.sqrt_one_minus_alpha_bar(t), ndim)
     a_n = _coef(sched.sqrt_alpha_bar(t_next), ndim)
     b_n = _coef(sched.sqrt_one_minus_alpha_bar(t_next), ndim)
-    x0_hat = (x - b_t * eps) / a_t
-    if x0_clip is not None:
-        x0_hat = ad.clamp(x0_hat, -x0_clip, x0_clip)
+    x0_hat = ad.clamp((x - b_t * eps) / a_t, -X0_CLIP, X0_CLIP)
     return a_n * x0_hat + b_n * eps
 
 
-def euler_step(f, x_t, t, t_next, tokens, sched: NoiseSchedule,
-               w: float = 0.0, null_token=None, x0_clip=None):
+def euler_step(f, x_t, t, t_next, tokens, sched: NoiseSchedule):
     """One deterministic stride from t to t_next (< t)."""
     t_a, tn_a = np.asarray(t), np.asarray(t_next)
     if not np.all(tn_a < t_a):
         raise ValueError("t_next must precede t")
-    eps = _predict(f, x_t, t, tokens, w, null_token)
-    return _ddim_update(x_t, eps, t, t_next, sched, x0_clip=x0_clip)
+    return _ddim_update(x_t, f(x_t, t, tokens), t, t_next, sched)
 
 
-def euler_solve(f, x_t, t, tokens, n: int, s: int, sched: NoiseSchedule,
-                w: float = 0.0, null_token=None, x0_clip=None):
+def euler_solve(f, x_t, t, tokens, n: int, s: int, sched: NoiseSchedule):
     """n successive Euler strides of s timesteps each; n = 0 returns x_t."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("n must be a non-negative integer")
@@ -111,8 +102,7 @@ def euler_solve(f, x_t, t, tokens, n: int, s: int, sched: NoiseSchedule,
         raise ValueError(f"stride plan n*s={n * s} overruns the clean boundary")
     x = x_t
     for k in range(n):
-        x = euler_step(f, x, t_a - k * s, t_a - (k + 1) * s, tokens, sched,
-                       w=w, null_token=null_token, x0_clip=x0_clip)
+        x = euler_step(f, x, t_a - k * s, t_a - (k + 1) * s, tokens, sched)
     return x
 
 
@@ -130,8 +120,7 @@ def solve_grid(T: int, steps: int) -> list:
     return grid
 
 
-def multistep_solve(f, x_start, steps: int, tokens, sched: NoiseSchedule,
-                    w: float = 0.0, null_token=None, x0_clip=None):
+def multistep_solve(f, x_start, steps: int, tokens, sched: NoiseSchedule):
     """Second-order multistep traversal in x0 parameterisation.
 
     With a = sqrt(ab), sig = sqrt(1-ab), lam = ln(a/sig), h = lam' - lam,
@@ -140,7 +129,8 @@ def multistep_solve(f, x_start, steps: int, tokens, sched: NoiseSchedule,
         x' = (sig'/sig) * x - a' * (exp(-h) - 1) * D
 
     where D extrapolates the current and previous x0 predictions:
-    D = (1 + 1/(2r)) * x0 - (1/(2r)) * x0_prev with r = h_prev / h.
+    D = (1 + 1/(2r)) * x0 - (1/(2r)) * x0_prev with r = h_prev / h, and each
+    x0 prediction is clamped at ``±X0_CLIP``.
     The first step has no history and the final step lands on the clean
     boundary (sig' = 0, h infinite), so both use the first-order update,
     which coincides with a single Euler stride.
@@ -157,16 +147,14 @@ def multistep_solve(f, x_start, steps: int, tokens, sched: NoiseSchedule,
     h_prev = None
     for j in range(steps):
         t_cur, t_next = grid[j], grid[j + 1]
-        eps = _predict(f, x, t_cur, tokens, w, null_token)
+        eps = f(x, t_cur, tokens)
         ndim = ad.value_of(x).ndim
         a_c = _coef(alphas[j], ndim)
         s_c = _coef(sigmas[j], ndim)
-        x0 = (x - s_c * eps) / a_c
-        if x0_clip is not None:
-            x0 = ad.clamp(x0, -x0_clip, x0_clip)
+        x0 = ad.clamp((x - s_c * eps) / a_c, -X0_CLIP, X0_CLIP)
         h = lams[j + 1] - lams[j]
         if x0_prev is None or not np.isfinite(h):
-            x = _ddim_update(x, eps, t_cur, t_next, sched, x0_clip=x0_clip)
+            x = _ddim_update(x, eps, t_cur, t_next, sched)
         else:
             r = h_prev / h
             d = (1.0 + 1.0 / (2.0 * r)) * x0 - (1.0 / (2.0 * r)) * x0_prev
@@ -187,9 +175,10 @@ def start_noise(entropy, n: int, dims) -> np.ndarray:
 
 
 def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,
-                 w: float = 0.0, solver: str = "euler", x0_clip=None):
+                 w: float = 0.0, solver: str = "euler"):
     """Deterministic batch sampling from start states drawn by
-    :func:`start_noise`, one row per entry of ``tokens``.
+    :func:`start_noise`, one row per entry of ``tokens``, guided at scale
+    ``w`` (unguided at 0).
 
     The rows are solved in blocks of ``SAMPLE_BATCH``. Rows never interact,
     so the result does not depend on how the clips are partitioned into
@@ -204,16 +193,14 @@ def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,
                          "need one per clip")
     if solver not in ("euler", "multistep"):
         raise ValueError(f"unknown solver {solver!r}")
-    f = predictor(bundle.base, bundle.motion, sched.T, dims)
+    f = predictor(bundle.base, bundle.motion, sched.T, dims, w)
     grid = solve_grid(sched.T, steps)
 
     def solve(xb, tok):
         if solver == "multistep":
-            return multistep_solve(f, xb, steps, tok, sched, w=w,
-                                   null_token=dims.null_token, x0_clip=x0_clip)
+            return multistep_solve(f, xb, steps, tok, sched)
         for j in range(steps):
-            xb = euler_step(f, xb, grid[j], grid[j + 1], tok, sched, w=w,
-                            null_token=dims.null_token, x0_clip=x0_clip)
+            xb = euler_step(f, xb, grid[j], grid[j + 1], tok, sched)
         return xb
 
     out = np.empty_like(x)

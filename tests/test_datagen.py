@@ -175,10 +175,12 @@ def test_a_datasets_condition_and_noise_streams_differ(seed):
 
 
 def test_ar1_cholesky_reproduces_kernel():
-    chol = ar1_cholesky(0.8, 6)
-    cov = chol @ chol.T
     idx = np.arange(6)
-    np.testing.assert_allclose(cov, 0.8 ** np.abs(idx[:, None] - idx), atol=1e-12)
+    for rho in (0.8, 0.0):
+        chol = ar1_cholesky(rho, 6)
+        cov = chol @ chol.T
+        np.testing.assert_allclose(cov, rho ** np.abs(idx[:, None] - idx), atol=1e-12)
+    assert np.array_equal(ar1_cholesky(0.0, 6), np.eye(6))
 
 
 def test_flip_augment_doubles_and_inverts():

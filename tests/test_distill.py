@@ -37,6 +37,8 @@ from flowdistill.nets import (
     relaxed_discriminator,
 )
 from flowdistill.config import default_config, plan_from_config
+from flowdistill.evalmetrics import arm_set
+from flowdistill.solvers import predictor, solve_grid
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +168,29 @@ def test_mse_gradients_only_for_motion_and_base_untouched(sched, dims, setup):
     assert set(grads) == set(MOTION_KEYS)
     for key, val in base.items():
         assert np.array_equal(val, before[key])
+
+
+@pytest.mark.parametrize("steps, n, s", [(1, 2, 64), (2, 2, 32), (8, 4, 4)])
+def test_arm_set_strides_are_the_trained_student_stride(sched, dims, steps, n, s):
+    # A distilled arm samples with the rule its student was trained on: each
+    # stride of an arm set is _student_stride on the state it starts from,
+    # bit for bit, also where the x0 clamp binds.
+    rng = np.random.default_rng(21)
+    base = fd.init_base(dims, rng)
+    motion = fd.init_motion(dims, rng, out_scale=3.0)
+    tokens = rng.integers(0, dims.vocab, 6)
+    x_start = fd.start_noise(22, 6, dims)
+    f = predictor(base, motion, sched.T, dims)
+    want = x_start
+    for t in solve_grid(sched.T, steps)[:-1]:
+        x0_hat = ((want - sched.sqrt_one_minus_alpha_bar(t) * f(want, t, tokens))
+                  / sched.sqrt_alpha_bar(t))
+        assert np.max(np.abs(x0_hat)) > 4.0  # the clamp binds at every stride
+        b = {"x_t": want, "t": np.full(len(tokens), t), "tokens": tokens,
+             "n": n, "s": s}
+        want = _student_stride(base, motion, b, sched, dims)
+    got = arm_set(fd.StudentBundle(base, motion, dims), sched, steps, tokens, x_start)
+    assert np.array_equal(got, want)
 
 
 def test_mse_target_detached_from_student(sched, dims, setup):

@@ -286,7 +286,7 @@ def _score_arms_reference(bundles_by_style, arms, sched, styles, step_counts,
     for style in styles:
         pre = bundles_by_style[style]
         tokens = eval_tokens(seed, n_conditions, pre.dims.vocab)
-        ref = sample(pre, ref_steps, tokens, w=ref_cfg, x0_clip=4.0)
+        ref = sample(pre, ref_steps, tokens, w=ref_cfg)
         for arm, motion_by_steps in arms.items():
             for steps in step_counts:
                 bundle = pre._replace(motion=motion_by_steps[steps])

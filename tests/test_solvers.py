@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import flowdistill as fd
 from flowdistill.datagen import ANALYTIC_VAR, analytic_eps_star, analytic_mean
-from flowdistill.solvers import solve_grid
+from flowdistill.solvers import predictor, solve_grid
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,17 @@ def test_sample_batch_independent_of_batch_partition(sched):
         for i in range(len(tokens))
     ])
     np.testing.assert_allclose(full, singles, rtol=0, atol=1e-12)
+
+
+def test_guided_predictor_combines_the_conditional_and_null_predictions(sched):
+    bundle = _bundle(15)
+    base, motion, dims = bundle
+    x = fd.start_noise(3, 4, dims)
+    tokens = np.array([0, 1, 2, 3])
+    plain = predictor(base, motion, sched.T, dims)
+    null = plain(x, 90, np.full(4, dims.null_token))
+    guided = predictor(base, motion, sched.T, dims, 7.5)(x, 90, tokens)
+    assert np.array_equal(guided, fd.cfg_combine(plain(x, 90, tokens), null, 7.5))
 
 
 def test_sample_unconditional_null_token_path(sched):
