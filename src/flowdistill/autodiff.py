@@ -1,28 +1,39 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Every network in this package is a small dense model, so the primitive set
-is fixed and deliberately tiny: elementwise arithmetic, matrix products
-against 2-D weight matrices, embedding-row lookup, per-channel frame
-mixing, concatenation along any axis, reshaping, a few pointwise
-nonlinearities, and full reductions.
+is fixed and deliberately tiny. Each layer is one fused affine node:
+``dense`` is ``act(x @ w + bias + rows…)`` and ``temporal_mix`` is
+per-channel frame mixing with the same row terms and activation. Besides
+those there are elementwise arithmetic, embedding-row lookup,
+concatenation along any axis, reshaping, a few pointwise nonlinearities,
+full reductions and the mean squared error.
 
 Constants are plain numpy arrays; anything wrapped in :class:`Var` receives
 a gradient after :func:`backward` runs on a scalar loss. ``backward`` frees
 the tape as it walks it: each node's closure and every interior gradient
 are dropped once used, so a graph can be back-propagated once. All graph
-values are float64. The free functions (``matmul``, ``silu``, ...) accept
+values are float64. The free functions (``dense``, ``silu``, ...) accept
 either ``Var`` or ``ndarray`` operands, so the same forward code serves
 both training (taped) and inference (plain numpy) callers.
 
-A pointwise chain (``sigmoid``, ``silu`` and their gradients) runs its
-ufuncs one by one with ``out=``, in the order and on the operands of the
-written expression, so it returns the same bits while allocating the
-fewest new arrays: one, or two where two partial results must coexist. At
-batch 512 a fresh (B, F, hidden) temporary is large enough that the
-allocator returns it to the kernel when freed, and faulting its pages back
-in cost more than the arithmetic. The in-place rule: an op writes only
-into a buffer it has just allocated itself, never into an input, a node's
-``value`` or an incoming gradient.
+A fused node returns the bits of the op chain it replaces: its adds run in
+the written order, its activation and gradients are the pointwise chains
+below, and its gradient sums see the same memory layouts. A pointwise
+chain (``sigmoid``, ``silu`` and their gradients) runs its ufuncs one by
+one with ``out=``, in the order and on the operands of the written
+expression, so it returns the same bits while allocating the fewest new
+arrays: one, or two where two partial results must coexist. At batch 512 a
+fresh (B, F, hidden) temporary is large enough that the allocator returns
+it to the kernel when freed, and faulting its pages back in cost more than
+the arithmetic.
+
+The in-place rule: an op writes only into a buffer it has just allocated
+itself, never into an input, a node's ``value`` or an incoming gradient.
+A taped fused node adds its bias and row terms into the product buffer it
+has just allocated. Untaped, each of those adds allocates, as ``z + term``
+does: written in place, they raised the minor page faults of one untaped
+batch-512 ``student_eps`` call from 256 to 608, because a different share
+of the heap's freed top is trimmed and faulted back in.
 """
 from __future__ import annotations
 
@@ -32,6 +43,7 @@ __all__ = [
     "Var",
     "backward",
     "value_of",
+    "dense",
     "matmul",
     "take_rows",
     "temporal_mix",
@@ -43,6 +55,7 @@ __all__ = [
     "square",
     "clamp",
     "mean_all",
+    "mse",
     "gradcheck",
 ]
 
@@ -133,7 +146,7 @@ class Var:
 
 def value_of(x) -> np.ndarray:
     """Underlying ndarray of a Var, or the array itself."""
-    return x.value if isinstance(x, Var) else _as_f64(x)
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
 def _accum(node: Var, g: np.ndarray) -> None:
@@ -232,24 +245,80 @@ def _div_const(a: Var, b):
     return out
 
 
-def matmul(a, b):
-    """Product against a 2-D weight matrix: (..., k) @ (k, n)."""
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return _as_f64(a) @ _as_f64(b)
-    av, bv = value_of(a), value_of(b)
-    if bv.ndim != 2:
-        raise ValueError("matmul right operand must be 2-D")
-    out = Var(av @ bv, _parents=tuple(x for x in (a, b) if isinstance(x, Var)))
+def _affine(z, owned: bool, bias, rows, act, operands, product_bwd):
+    """``act(z + bias + rows…)`` as one node over the product ``z``.
+
+    ``bias`` is (C,) or None, and each (B, C) row term broadcasts over the
+    frame axis of a 3-D ``z``; either may be a float32 array, which the
+    add upcasts exactly. The adds run in the written order. Taped, they
+    write into ``z`` when the caller has just allocated it (``owned``);
+    otherwise the first add allocates, as ``z + term`` does, and the rest
+    write into its result. Untaped, every add allocates (see the module
+    docstring). ``act`` is None or ``"silu"``; the taped node keeps the
+    pre-activation buffer and its sigmoid for the backward pass.
+    ``product_bwd(gz)`` accumulates the gradients of the product's
+    ``operands`` from the pre-activation gradient ``gz``.
+    """
+    if act not in (None, "silu"):
+        raise ValueError(f"unknown activation {act!r}")
+    terms = rows if bias is None else (bias, *rows)
+    parents = tuple([p for p in (*operands, *terms) if isinstance(p, Var)])
+    in_place = owned and bool(parents)
+    for t in terms:
+        tv = t.value if isinstance(t, Var) else t
+        if tv.ndim == 2 and z.ndim == 3:
+            tv = tv[:, None]
+        if in_place:
+            np.add(z, tv, out=z)
+        else:
+            z, in_place = z + tv, bool(parents)
+    s = None if act is None else _sigmoid_np(z)
+    if not parents:
+        return z if s is None else np.multiply(z, s, out=s)
+    out = Var(z if s is None else z * s, _parents=parents)
 
     def bwd(g):
-        if isinstance(a, Var):
-            _accum(a, g @ bv.T)
-        if isinstance(b, Var):
-            axes = (tuple(range(av.ndim - 1)), tuple(range(g.ndim - 1)))
-            _accum(b, np.tensordot(av, g, axes=axes))
+        gz = g if s is None else _silu_grad(g, z, s)
+        product_bwd(gz)
+        for t in terms:
+            if isinstance(t, Var):
+                shape = t.value.shape
+                if len(shape) == 2 and z.ndim == 3:
+                    shape = (shape[0], 1, shape[1])
+                _accum(t, _unbroadcast(gz, shape).reshape(t.value.shape))
 
     out._bwd = bwd
     return out
+
+
+def dense(x, w, bias=None, *rows, act=None):
+    """One dense layer as one node: ``act(x @ w + bias + rows…)``.
+
+    ``x`` is (B, K) or (B, F, K) and ``w`` a 2-D (K, C) weight matrix.
+    ``bias`` is (C,) or None; each row term is (B, C) and broadcasts over
+    the frame axis of a 3-D ``x``. The bias and row terms are added in that
+    order; taped, into the product's own buffer.
+    """
+    xv, wv = value_of(x), value_of(w)
+    if wv.ndim != 2:
+        raise ValueError("dense weight must be 2-D")
+
+    def product_bwd(gz):
+        if isinstance(x, Var):
+            _accum(x, gz @ wv.T)
+        if isinstance(w, Var):
+            # np.tensordot over every leading axis, without its overhead:
+            # the same transposes, reshapes and dot, so the same bits.
+            lead = tuple(range(xv.ndim - 1))
+            xt = xv.transpose((xv.ndim - 1,) + lead).reshape(xv.shape[-1], -1)
+            _accum(w, np.dot(xt, gz.reshape(-1, gz.shape[-1])))
+
+    return _affine(xv @ wv, True, bias, rows, act, (x, w), product_bwd)
+
+
+def matmul(a, b):
+    """Product against a 2-D weight matrix: (..., k) @ (k, n)."""
+    return dense(a, b)
 
 
 def take_rows(table, idx):
@@ -271,32 +340,29 @@ def take_rows(table, idx):
     return out
 
 
-def temporal_mix(mix, h):
-    """Per-channel frame mixing: out[b,f,c] = sum_g mix[c,f,g] * h[b,g,c].
+def temporal_mix(mix, h, *rows, act=None):
+    """Per-channel frame mixing as one node:
+    ``act(out + rows…)`` with out[b,f,c] = sum_g mix[c,f,g] * h[b,g,c].
 
     One batched matmul over channels, ``mix (C,F,G) @ hᵀ (C,G,B)``, and the
     same for both gradients: at desk-scale batches it costs a fraction of
-    the equivalent einsum. The result is a (B,F,C) view of the (C,F,B)
-    product.
+    the equivalent einsum. The product is a (B,F,C) view of the (C,F,B)
+    buffer; each (B, C) row term broadcasts over frames. The first row add
+    allocates, as ``out + row`` does, so its result keeps that layout and
+    the row gradients' sums over frames keep their summation order.
     """
     mv, hv = value_of(mix), value_of(h)
-    hT = hv.transpose(2, 1, 0)
-    if not isinstance(mix, Var) and not isinstance(h, Var):
-        return (mv @ hT).transpose(2, 1, 0)
-    out = Var(
-        (mv @ hT).transpose(2, 1, 0),
-        _parents=tuple(x for x in (mix, h) if isinstance(x, Var)),
-    )
 
-    def bwd(g):
-        gT = g.transpose(2, 1, 0)
+    def product_bwd(gz):
+        gT = gz.transpose(2, 1, 0)
         if isinstance(mix, Var):
             _accum(mix, gT @ hv.transpose(2, 0, 1))
         if isinstance(h, Var):
             _accum(h, (mv.transpose(0, 2, 1) @ gT).transpose(2, 1, 0))
 
-    out._bwd = bwd
-    return out
+    # The product goes straight to _affine, whose first row add frees it.
+    return _affine((mv @ hv.transpose(2, 1, 0)).transpose(2, 1, 0), False,
+                   None, rows, act, (mix, h), product_bwd)
 
 
 def concat(parts, axis: int):
@@ -398,6 +464,26 @@ def mean_all(x):
     n = x.value.size
     out = Var(np.mean(x.value), _parents=(x,))
     out._bwd = lambda g: _accum(x, np.broadcast_to(g / n, x.value.shape))
+    return out
+
+
+def mse(pred, target):
+    """Mean squared error ``mean((pred - target)²)`` as one node.
+
+    ``target`` is a constant: it is an ndarray, never a Var.
+    """
+    if isinstance(target, Var):
+        raise TypeError("mse target must be a constant array")
+    d = value_of(pred) - _as_f64(target)
+    if not isinstance(pred, Var):
+        return np.mean(d * d)
+    out = Var(np.mean(d * d), _parents=(pred,))
+
+    def bwd(g):
+        gd = np.multiply(2.0, d)
+        _accum(pred, np.multiply(gd, g / d.size, out=gd))
+
+    out._bwd = bwd
     return out
 
 

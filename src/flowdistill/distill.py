@@ -217,7 +217,7 @@ def mse_loss(base_arrays, motion, b: dict, sched: NoiseSchedule, dims):
     """Mean squared gap between the student's single stride and the
     teacher's ``target``. ``motion`` holds Vars (taped) or plain arrays."""
     pred = _student_stride(base_arrays, motion, b, sched, dims)
-    return ad.mean_all(ad.square(pred - b["target"]))
+    return ad.mse(pred, b["target"])
 
 
 def _nonsat_losses(p_real, p_fake):

@@ -23,13 +23,22 @@ Architecture at desk scale:
   student's) with one backbone pass over the stack, and the pair head
   encodes x_t once and tiles its features to every candidate.
 
+Each layer is one tape node: ``autodiff.dense`` for the base's layers and
+the heads, ``autodiff.temporal_mix`` for the motion block's mixes. The
+time and condition embeddings (and the motion block's projections of
+them) enter as (B, hidden) row terms that broadcast over frames. The
+pretraining loss is ``autodiff.mse``, the one squared-error definition
+that MSE distillation shares.
+
 A model is its arrays: each network's parameters are one dict of named
 float32 arrays (the checkpoint's entries and element type), upcast to
 float64 inside every forward pass. ``StudentBundle`` pairs a base model's
-arrays with the motion module's and the run's ``NetDims``.
+arrays with the motion module's and the run's ``NetDims``. ``Adam``
+updates a model's arrays as one flat float64 buffer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, NamedTuple
@@ -188,38 +197,32 @@ def _check_tokens(tokens, dims: NetDims):
 # -- forward passes ------------------------------------------------------
 
 
-def _expand_frame_axis(v):
-    return ad.reshape(v, (ad.value_of(v).shape[0], 1, -1))
-
-
 def _encode(params, x, tfeat, tokens, motion):
-    """Shared encoder: per-frame affine + embeddings, motion block, layer 2.
+    """Shared encoder: layer 1 with the time and condition embeddings as
+    its row terms, the motion block, layer 2.
 
     `params`/`motion` values may be Var or ndarray; `x` may be Var or
     ndarray; `tfeat` may be Var (discriminator flow conditioning).
     Returns (B, F, hidden) features.
     """
-    temb = _expand_frame_axis(ad.matmul(tfeat, params["time_w"]))
-    cemb = _expand_frame_axis(ad.take_rows(params["cond_emb"], tokens))
-    h = ad.matmul(x, params["w1"]) + params["b1"] + temb + cemb
-    h = ad.silu(h)
+    h = ad.dense(x, params["w1"], params["b1"],
+                 ad.dense(tfeat, params["time_w"]),
+                 ad.take_rows(params["cond_emb"], tokens), act="silu")
     if motion is not None:
         h = h + _motion_branch(motion, h, tfeat, tokens)
-    return ad.silu(ad.matmul(h, params["w2"]) + params["b2"])
+    return ad.dense(h, params["w2"], params["b2"], act="silu")
 
 
 def _motion_branch(motion, h, tfeat, tokens):
-    """The motion block's residual branch.
+    """The motion block's residual branch: a frame mix with the time and
+    condition projections as row terms and silu, then the output mix.
 
     Untaped, at most three (B, F, hidden) arrays are live at once, ``h``
-    included: ``z`` is rebound after each op, so no superseded state
-    outlives the next one, and it is freed on return, before the residual
+    included, and the branch state is freed on return, before the residual
     add.
     """
-    z = ad.temporal_mix(motion["mix"], h)
-    z = z + _expand_frame_axis(ad.matmul(tfeat, motion["tproj"]))
-    z = z + _expand_frame_axis(ad.take_rows(motion["cproj"], tokens))
-    z = ad.silu(z)
+    z = ad.temporal_mix(motion["mix"], h, ad.dense(tfeat, motion["tproj"]),
+                        ad.take_rows(motion["cproj"], tokens), act="silu")
     return ad.temporal_mix(motion["mix_out"], z)
 
 
@@ -233,7 +236,7 @@ def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims)
     if tfeat.ndim == 1:
         tfeat = np.broadcast_to(tfeat, (ad.value_of(x).shape[0], dims.time_dim))
     h = _encode(base_arrays, x, tfeat, tokens, motion_arrays)
-    return ad.matmul(h, base_arrays["w3"]) + base_arrays["b3"]
+    return ad.dense(h, base_arrays["w3"], base_arrays["b3"])
 
 
 def _disc_features(disc_arrays, x, t, tokens, flow_idx, T: int, dims: NetDims):
@@ -251,8 +254,8 @@ def _disc_features(disc_arrays, x, t, tokens, flow_idx, T: int, dims: NetDims):
 
 
 def _head(arrays, feats, w1, b1, w2, b2):
-    z = ad.silu(ad.matmul(feats, arrays[w1]) + arrays[b1])
-    score = ad.matmul(z, arrays[w2]) + arrays[b2]
+    z = ad.dense(feats, arrays[w1], arrays[b1], act="silu")
+    score = ad.dense(z, arrays[w2], arrays[b2])
     return ad.reshape(score, (ad.value_of(score).shape[0],))
 
 
@@ -316,32 +319,55 @@ def disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
 
 
 class Adam:
-    """Adam with float64 moments; parameters are stored back as float32."""
+    """Adam with float64 moments; parameters are stored back as float32.
+
+    One step updates one flat float64 buffer holding every parameter of the
+    model, in sorted name order; the first step fixes that layout. The
+    arithmetic is elementwise, so each entry gets the bits a per-array
+    update would give it.
+    """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        self.layout: tuple | None = None
+        self.m = self.v = None
 
     def step(self, params: dict, grads: dict) -> None:
+        layout = tuple((name, np.shape(params[name])) for name in sorted(params))
+        for name, shape in layout:
+            if grads.get(name) is None:
+                raise ValueError(f"no gradient for parameter {name!r}")
+            if np.shape(grads[name]) != shape:
+                raise ValueError(f"gradient for parameter {name!r} has shape "
+                                 f"{np.shape(grads[name])}, not {shape}")
+        unknown = sorted(grads.keys() - params.keys())
+        if unknown:
+            raise ValueError(f"gradient for unknown parameter {unknown[0]!r}")
+        if self.layout is None:
+            self.layout = layout
+            self.m = np.zeros(sum(math.prod(s) for _, s in layout))
+            self.v = np.zeros_like(self.m)
+        elif layout != self.layout:
+            raise ValueError("parameter names or shapes changed since the first step")
+        g = np.concatenate([np.ravel(grads[n]) for n, _ in layout], dtype=np.float64)
+        p = np.concatenate([np.ravel(params[n]) for n, _ in layout], dtype=np.float64)
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name in sorted(grads):
-            g = np.asarray(grads[name], dtype=np.float64)
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            new = params[name].astype(np.float64) - self.lr * mhat / (np.sqrt(vhat) + self.EPS)
-            params[name] = new.astype(np.float32)
+        self.m = b1 * self.m + (1.0 - b1) * g
+        self.v = b2 * self.v + (1.0 - b2) * g * g
+        mhat = self.m / bc1
+        vhat = self.v / bc2
+        new = (p - self.lr * mhat / (np.sqrt(vhat) + self.EPS)).astype(np.float32)
+        start = 0
+        for name, shape in layout:
+            stop = start + math.prod(shape)
+            params[name] = new[start:stop].reshape(shape)
+            start = stop
 
 
 # -- pretraining ---------------------------------------------------------
@@ -352,7 +378,7 @@ def denoise_loss(base_arrays, motion_arrays, x0, tokens, t, eps, sched, dims):
     x_t = add_noise(x0, eps, t, sched)
     x_t = substitute_terminal_noise(x_t, eps, t, sched)
     pred = student_eps(base_arrays, motion_arrays, x_t, t, tokens, sched.T, dims)
-    return ad.mean_all(ad.square(pred - eps))
+    return ad.mse(pred, eps)
 
 
 def draw_rows(dataset, n: int, rng: np.random.Generator, t_grid,

@@ -320,3 +320,145 @@ def test_pointwise_backward_leaves_a_broadcast_gradient_alone():
         v = ad.Var(x)
         ad.backward(ad.mean_all(op(v)))
         np.testing.assert_array_equal(v.grad, ref(np.broadcast_to(1.0 / x.size, x.shape)))
+
+
+# -- fused layers -------------------------------------------------------
+
+
+def _dense_inputs(rng, ndim, n_rows, bias, B=3, F=4, K=3, C=5):
+    x = rng.standard_normal((B, F, K) if ndim == 3 else (B, K))
+    params = {"x": x, "w": rng.standard_normal((K, C))}
+    if bias:
+        params["b"] = rng.standard_normal(C)
+    for i in range(n_rows):
+        params[f"r{i}"] = rng.standard_normal((B, C))
+    return params
+
+
+def _dense_of(p, act):
+    rows = [p[k] for k in sorted(p) if k.startswith("r")]
+    return ad.dense(p["x"], p["w"], p.get("b"), *rows, act=act)
+
+
+@pytest.mark.parametrize("act", [None, "silu"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_gradcheck_dense(ndim, bias, n_rows, act):
+    rng = np.random.default_rng(11)
+    params = _dense_inputs(rng, ndim, n_rows, bias)
+    up = rng.standard_normal(ad.value_of(_dense_of(params, act)).shape)
+    _fd_check(lambda p: _sum_all(_dense_of(p, act) * up), params)
+
+
+def test_gradcheck_temporal_mix_with_rows_and_silu():
+    rng = np.random.default_rng(12)
+    params = {"mix": rng.standard_normal((5, 6, 6)) * 0.3,
+              "h": rng.standard_normal((3, 6, 5)),
+              "r0": rng.standard_normal((3, 5)), "r1": rng.standard_normal((3, 5))}
+    up = rng.standard_normal((3, 6, 5))
+
+    def loss(p):
+        return _sum_all(ad.temporal_mix(p["mix"], p["h"], p["r0"], p["r1"],
+                                        act="silu") * up)
+
+    _fd_check(loss, params)
+
+
+def test_fused_ops_reject_an_unknown_activation():
+    with pytest.raises(ValueError):
+        ad.dense(np.ones((2, 3)), np.ones((3, 4)), act="relu")
+
+
+def _frame_row(r, ndim):
+    # The (B, 1, C) reshape that broadcast a row term before the fusion.
+    return ad.reshape(r, (ad.value_of(r).shape[0], 1, -1)) if ndim == 3 else r
+
+
+def _dense_chain(x, w, bias=None, *rows, act=None):
+    """The unfused op chain that ``dense`` replaced, kept as the oracle."""
+    z = ad.matmul(x, w)
+    if bias is not None:
+        z = z + bias
+    for r in rows:
+        z = z + _frame_row(r, ad.value_of(z).ndim)
+    return z if act is None else ad.silu(z)
+
+
+def _mix_chain(mix, h, *rows, act=None):
+    z = ad.temporal_mix(mix, h)
+    for r in rows:
+        z = z + _frame_row(r, 3)
+    return z if act is None else ad.silu(z)
+
+
+# Each layer of the networks at default widths: its inputs in argument
+# order, its activation, the fused op and the unfused chain.
+def _layers(rng, B, F=8, D=2, H=16, G=32):
+    def n(*shape):
+        return rng.standard_normal(shape)
+
+    return {
+        "encoder layer 1": ([n(B, F, D), n(D, H), n(H), n(B, H), n(B, H)],
+                            "silu", ad.dense, _dense_chain),
+        "encoder layer 2": ([n(B, F, H), n(H, H), n(H)], "silu",
+                            ad.dense, _dense_chain),
+        "output layer": ([n(B, F, H), n(H, D), n(D)], None, ad.dense, _dense_chain),
+        "head layer 1": ([n(B, 2 * F * H), n(2 * F * H, G), n(G)], "silu",
+                         ad.dense, _dense_chain),
+        "head layer 2": ([n(B, G), n(G, 1), n(1)], None, ad.dense, _dense_chain),
+        "time projection": ([n(B, H), n(H, H)], None, ad.dense, _dense_chain),
+        "motion mix": ([0.3 * n(H, F, F), n(B, F, H), n(B, H), n(B, H)], "silu",
+                       ad.temporal_mix, _mix_chain),
+        "motion output mix": ([0.3 * n(H, F, F), n(B, F, H)], None,
+                              ad.temporal_mix, _mix_chain),
+    }
+
+
+def _run(op, arrays, act, up, taped):
+    args = [ad.Var(a) if taped else a for a in arrays]
+    out = op(*args, act=act)
+    if not taped:
+        return out, []
+    value = out.value.copy()
+    ad.backward(_sum_all(out * up))
+    return value, [a.grad for a in args]
+
+
+@pytest.mark.parametrize("rows", [64, 128])
+@pytest.mark.parametrize("layer", list(_layers(np.random.default_rng(0), 1)))
+def test_fused_layer_matches_the_unfused_chain_bitwise(layer, rows):
+    rng = np.random.default_rng(13)
+    arrays, act, op, chain = _layers(rng, rows)[layer]
+    up = rng.standard_normal(ad.value_of(chain(*arrays, act=act)).shape)
+    for taped in (False, True):
+        got_value, got_grads = _run(op, arrays, act, up, taped)
+        want_value, want_grads = _run(chain, arrays, act, up, taped)
+        np.testing.assert_array_equal(got_value, want_value, strict=True)
+        assert len(got_grads) == len(want_grads)
+        for got, want in zip(got_grads, want_grads):
+            np.testing.assert_array_equal(got, want, strict=True)
+
+
+def test_mse_matches_the_unfused_chain_bitwise():
+    rng = np.random.default_rng(14)
+    pred, target = rng.standard_normal((128, 8, 2)), rng.standard_normal((128, 8, 2))
+    got, want = ad.Var(pred), ad.Var(pred)
+    loss = ad.mse(got, target)
+    chain = ad.mean_all(ad.square(want - target))
+    assert ad.mse(pred, target) == chain.value == loss.value
+    ad.backward(loss)
+    ad.backward(chain)
+    np.testing.assert_array_equal(got.grad, want.grad, strict=True)
+
+
+def test_gradcheck_mse():
+    rng = np.random.default_rng(15)
+    target = rng.standard_normal((4, 3, 2))
+    _fd_check(lambda p: ad.mse(p["pred"], target),
+              {"pred": rng.standard_normal((4, 3, 2))})
+
+
+def test_mse_refuses_a_taped_target():
+    with pytest.raises(TypeError):
+        ad.mse(np.zeros(3), ad.Var(np.ones(3)))

@@ -302,3 +302,62 @@ def test_adam_zero_lr_is_bit_exact_noop():
     opt = fd.Adam(0.0)
     opt.step(params, {"w": np.ones((4, 4))})
     assert np.array_equal(params["w"], before)
+
+
+def _per_array_adam(lr, steps, params, grads_per_step):
+    """Adam one array at a time, as the update was written before it ran
+    over one flat buffer: the reference for the flat update's bits."""
+    b1, b2, eps = fd.Adam.BETA1, fd.Adam.BETA2, fd.Adam.EPS
+    m = {k: np.zeros(np.shape(v)) for k, v in params.items()}
+    v2 = {k: np.zeros(np.shape(v)) for k, v in params.items()}
+    for t, grads in zip(range(1, steps + 1), grads_per_step):
+        for name in sorted(grads):
+            g = np.asarray(grads[name], dtype=np.float64)
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v2[name] = b2 * v2[name] + (1.0 - b2) * g * g
+            mhat = m[name] / (1.0 - b1 ** t)
+            vhat = v2[name] / (1.0 - b2 ** t)
+            new = params[name].astype(np.float64) - lr * mhat / (np.sqrt(vhat) + eps)
+            params[name] = new.astype(np.float32)
+    return params
+
+
+def test_flat_adam_matches_the_per_array_update_bitwise():
+    rng = np.random.default_rng(13)
+    shapes = {"w": (4, 3), "b": (3,), "mix": (2, 5, 5), "s": (1,), "k": (6, 1)}
+    params = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+    grads = [{k: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)
+              for k, s in shapes.items()} for _ in range(5)]
+    want = _per_array_adam(3e-3, 5, dict(params), grads)
+    opt = fd.Adam(3e-3)
+    for g in grads:
+        opt.step(params, g)
+    assert opt.t == 5
+    for name in shapes:
+        np.testing.assert_array_equal(params[name], want[name], strict=True)
+
+
+@pytest.mark.parametrize("grad", [None, np.ones(4), np.ones((3, 1))],
+                         ids=["missing", "wrong size", "wrong shape"])
+def test_adam_refuses_a_missing_or_misshaped_gradient(grad):
+    params = {"a": np.zeros(2, np.float32), "b": np.ones(3, np.float32)}
+    opt = fd.Adam(1e-3)
+    with pytest.raises(ValueError, match="'b'"):
+        opt.step(params, {"a": np.ones(2), "b": grad})
+    with pytest.raises(ValueError, match="'b'"):
+        opt.step(params, {"a": np.ones(2)})
+    assert opt.t == 0
+    assert np.array_equal(params["b"], np.ones(3, np.float32))
+
+
+def test_adam_refuses_a_gradient_for_an_unknown_parameter():
+    with pytest.raises(ValueError, match="'c'"):
+        fd.Adam(1e-3).step({"b": np.ones(3, np.float32)},
+                           {"b": np.ones(3), "c": np.ones(1)})
+
+
+def test_adam_refuses_a_changed_model():
+    opt = fd.Adam(1e-3)
+    opt.step({"b": np.ones(3, np.float32)}, {"b": np.ones(3)})
+    with pytest.raises(ValueError):
+        opt.step({"b": np.ones(4, np.float32)}, {"b": np.ones(4)})
