@@ -322,11 +322,19 @@ def matmul(a, b):
 
 
 def take_rows(table, idx):
-    """Embedding lookup: rows of a 2-D table selected by an int index array."""
+    """Embedding lookup: rows of a 2-D table selected by an int index array,
+    checked against the table in one pass (one ``min``, one ``max``)."""
     idx = np.asarray(idx)
+    rows = value_of(table).shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise IndexError(f"embedding index out of range [0, {rows})")
+    return _take_rows(table, idx)
+
+
+def _take_rows(table, idx):
+    """:func:`take_rows` for an index array its caller checked where it
+    entered."""
     tv = value_of(table)
-    if np.any(idx < 0) or np.any(idx >= tv.shape[0]):
-        raise IndexError(f"embedding index out of range [0, {tv.shape[0]})")
     if not isinstance(table, Var):
         return tv[idx]
     out = Var(tv[idx], _parents=(table,))

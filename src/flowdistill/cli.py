@@ -15,7 +15,7 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .config import load_config, validate_config
-from .datagen import STYLES
+from .datagen import STYLES, style_by_name
 from .distill import DistillDivergence
 from .gradchecks import REL_TOL, gradcheck_battery
 from .nets import StudentBundle
@@ -114,6 +114,7 @@ def cmd_distill(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    style_by_name(args.style)
     cfg, ws = _resolve(args)
     arm = ws.load_arm("cross")
     if args.steps not in arm:

@@ -46,6 +46,7 @@ from .checkpoint import atomic_write, checkpoint_save
 from .nets import (
     Adam,
     StudentBundle,
+    _check_tokens,
     disc_pair_prob,
     disc_single_prob,
     draw_rows,
@@ -194,17 +195,27 @@ def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
     ``target``: the guided teacher's endpoint after ``n`` strides, computed
     without a tape, so it is a detached constant. Rows never interact, so
     a call on concatenated micro-batches equals one call per micro-batch.
+
+    The batch is checked here, once: its timesteps must be integers that
+    :func:`stage_timesteps` lists, tested arithmetically, and its tokens
+    known condition tokens.
     """
     n, s = stage_strides(stage, sched.T)
     t = np.asarray(batch["t"])
-    if not np.all(np.isin(t, stage_timesteps(stage, sched.T))):
+    if not np.issubdtype(t.dtype, np.integer):
+        raise TypeError("timesteps must be integers")
+    # The grid T-1, T-1-s, ... down to the last point with a full student
+    # stride n*s above the clean boundary.
+    if t.size and (t.max() > sched.T - 1 or t.min() < n * s - 1
+                   or (s > 1 and np.any((sched.T - 1 - t) % s))):
         raise ValueError(f"timesteps misaligned with stage {stage.name} grid")
+    tokens = _check_tokens(batch["tokens"], dims)
     x_t = add_noise(batch["x0"], batch["eps"], t, sched)
     x_t = substitute_terminal_noise(x_t, batch["eps"], t, sched)
     target = euler_solve(predictor(base_arrays, teacher_arrays, sched.T, dims,
                                    stage.cfg_scale),
-                         x_t, t, batch["tokens"], n, s, sched)
-    return {"x_t": x_t, "t": t, "tokens": batch["tokens"], "n": n, "s": s,
+                         x_t, t, tokens, n, s, sched)
+    return {"x_t": x_t, "t": t, "tokens": tokens, "n": n, "s": s,
             "target": target}
 
 
@@ -249,7 +260,7 @@ def adversarial_losses(base_arrays, motion, disc_arrays, b: dict, phase: str,
         p = disc_single_prob(disc_arrays, x_next, t_next, b["tokens"],
                              flow_idx, sched.T, dims)
     real = np.arange(len(b["tokens"]))
-    return _nonsat_losses(ad.take_rows(p, real), ad.take_rows(p, real + len(real)))
+    return _nonsat_losses(ad._take_rows(p, real), ad._take_rows(p, real + len(real)))
 
 
 def _taped(arrays: dict) -> dict:

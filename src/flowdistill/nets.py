@@ -30,6 +30,15 @@ them) enter as (B, hidden) row terms that broadcast over frames. The
 pretraining loss is ``autodiff.mse``, the one squared-error definition
 that MSE distillation shares.
 
+Inputs are checked once, where they enter: ``student_eps``,
+``disc_pair_prob`` and ``disc_single_prob`` check their timesteps
+(integers in ``[-1, T)``) and condition tokens (in ``[0, vocab]``, ``vocab``
+being the null token) in one pass each, and the encoder below them indexes
+its time and embedding tables unchecked. A predictor built by
+``solvers.predictor`` checks its tokens on first use and calls
+``student_eps`` with ``checked=True``, because the traversal that drives it
+checked the timesteps at its entry.
+
 A model is its arrays: each network's parameters are one dict of named
 float32 arrays (the checkpoint's entries and element type), upcast to
 float64 inside every forward pass. ``StudentBundle`` pairs a base model's
@@ -46,7 +55,12 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
+from .schedule import (
+    NoiseSchedule,
+    _check_timesteps,
+    add_noise,
+    substitute_terminal_noise,
+)
 
 __all__ = [
     "NetDims",
@@ -183,15 +197,26 @@ def _sinusoid_table(T: int, dim: int) -> np.ndarray:
 
 
 def time_features(t, T: int, dim: int) -> np.ndarray:
-    """(B, dim) or (dim,) sinusoidal embedding of integer timesteps."""
+    """(B, dim) or (dim,) sinusoidal embedding of integer timesteps in
+    ``[-1, T)``; the caller checks ``t``."""
     return _sinusoid_table(T, dim)[np.asarray(t) + 1]
 
 
 def _check_tokens(tokens, dims: NetDims):
+    """``tokens`` as an array, after one pass that rejects any token outside
+    ``[0, vocab]``."""
     tokens = np.asarray(tokens)
-    if np.any(tokens < 0) or np.any(tokens > dims.vocab):
+    if tokens.size and (tokens.min() < 0 or tokens.max() > dims.vocab):
         raise ValueError(f"unknown condition token (vocab={dims.vocab}, null={dims.vocab})")
     return tokens
+
+
+def _check_inputs(tokens, dims: NetDims, T: int, *ts):
+    """The checked ``tokens`` of a forward pass, after each timestep array
+    in ``ts`` is checked against ``[-1, T)``."""
+    for t in ts:
+        _check_timesteps(t, T)
+    return _check_tokens(tokens, dims)
 
 
 # -- forward passes ------------------------------------------------------
@@ -203,11 +228,12 @@ def _encode(params, x, tfeat, tokens, motion):
 
     `params`/`motion` values may be Var or ndarray; `x` may be Var or
     ndarray; `tfeat` may be Var (discriminator flow conditioning).
+    `tokens` were checked by the public forward that called this.
     Returns (B, F, hidden) features.
     """
     h = ad.dense(x, params["w1"], params["b1"],
                  ad.dense(tfeat, params["time_w"]),
-                 ad.take_rows(params["cond_emb"], tokens), act="silu")
+                 ad._take_rows(params["cond_emb"], tokens), act="silu")
     if motion is not None:
         h = h + _motion_branch(motion, h, tfeat, tokens)
     return ad.dense(h, params["w2"], params["b2"], act="silu")
@@ -222,16 +248,20 @@ def _motion_branch(motion, h, tfeat, tokens):
     add.
     """
     z = ad.temporal_mix(motion["mix"], h, ad.dense(tfeat, motion["tproj"]),
-                        ad.take_rows(motion["cproj"], tokens), act="silu")
+                        ad._take_rows(motion["cproj"], tokens), act="silu")
     return ad.temporal_mix(motion["mix_out"], z)
 
 
-def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims):
+def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims,
+                *, checked=False):
     """Noise prediction of the composed model. Accepts Var or ndarray params.
 
-    x: (B, F, D); t: scalar or (B,) ints; tokens: (B,) ints.
+    x: (B, F, D); t: scalar or (B,) ints in ``[-1, T)``; tokens: (B,) ints
+    in ``[0, vocab]``. Both are checked in one pass each, unless
+    ``checked``: the caller checked them where they entered.
     """
-    tokens = _check_tokens(tokens, dims)
+    if not checked:
+        tokens = _check_inputs(tokens, dims, T, t)
     tfeat = time_features(t, T, dims.time_dim)
     if tfeat.ndim == 1:
         tfeat = np.broadcast_to(tfeat, (ad.value_of(x).shape[0], dims.time_dim))
@@ -240,13 +270,14 @@ def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims)
 
 
 def _disc_features(disc_arrays, x, t, tokens, flow_idx, T: int, dims: NetDims):
+    # ``t`` and ``tokens`` were checked by the public caller.
     if not 0 <= flow_idx < ad.value_of(disc_arrays["flow_emb"]).shape[0]:
         raise ValueError(f"unregistered flow index {flow_idx}")
     tfeat = np.asarray(time_features(t, T, dims.time_dim), dtype=np.float64)
     if tfeat.ndim == 1:
         tfeat = np.broadcast_to(tfeat, (ad.value_of(x).shape[0], dims.time_dim))
-    flow_rows = ad.take_rows(disc_arrays["flow_emb"],
-                             np.full(ad.value_of(x).shape[0], flow_idx, dtype=np.intp))
+    flow_rows = ad._take_rows(disc_arrays["flow_emb"],
+                              np.full(ad.value_of(x).shape[0], flow_idx, dtype=np.intp))
     tfeat = flow_rows + tfeat
     motion = {k: disc_arrays[k] for k in MOTION_KEYS}
     h = _encode(disc_arrays, x, tfeat, tokens, motion)
@@ -287,7 +318,7 @@ def disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens, flow_idx,
     """
     if not np.all(np.asarray(t_next) < np.asarray(t)):
         raise ValueError("t_next must precede t")
-    tokens = _check_tokens(tokens, dims)
+    tokens = _check_inputs(tokens, dims, T, t, t_next)
     k = _candidates(x_next, tokens)
     f_next = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
                             _tiled(tokens, k), flow_idx, T, dims)
@@ -307,7 +338,7 @@ def disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
     ``tokens``, as in :func:`disc_pair_prob`; one backbone pass encodes
     them all. Returns ``k * B`` probabilities.
     """
-    tokens = _check_tokens(tokens, dims)
+    tokens = _check_inputs(tokens, dims, T, t_next)
     k = _candidates(x_next, tokens)
     feats = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
                            _tiled(tokens, k), flow_idx, T, dims)
@@ -391,6 +422,8 @@ def draw_rows(dataset, n: int, rng: np.random.Generator, t_grid,
     noise. With ``t_grid = np.arange(T)`` the timesteps are those of
     ``rng.integers(0, T, n)``.
     """
+    if cond_dropout > 0.0 and null_token is None:
+        raise ValueError("cond_dropout needs a null_token")
     idx = rng.integers(0, len(dataset.clips), size=n)
     x0 = dataset.clips[idx].astype(np.float64)
     tokens = dataset.conditions[idx].astype(np.intp)

@@ -7,6 +7,12 @@ traversal may end one stride past ``t = 0``.
 
 Every ``alpha_bar`` is positive: a schedule whose cumulative product
 underflows to 0 is rejected when it is built, so no lookup has to check.
+
+Timesteps are checked once where they enter: the public lookups
+(``alpha_bar``, ``sqrt_alpha_bar``, ``sqrt_one_minus_alpha_bar``) and
+:func:`add_noise` each check theirs in one pass (integer dtype, then one
+``min`` and one ``max``). The solvers check a traversal's timesteps at its
+entry and then read the ``t + 1``-indexed tables directly.
 """
 from __future__ import annotations
 
@@ -18,6 +24,22 @@ __all__ = [
     "add_noise",
     "substitute_terminal_noise",
 ]
+
+
+def _check_timesteps(t, T: int, lo: int = -1):
+    """``t`` as an int or integer array, after one pass that rejects a
+    non-integer dtype or any entry outside ``[lo, T)``."""
+    # Solver grids are Python ints: one comparison checks them.
+    if type(t) is int:
+        if not lo <= t < T:
+            raise ValueError(f"timestep out of range [{lo}, {T})")
+        return t
+    t = np.asarray(t)
+    if not np.issubdtype(t.dtype, np.integer):
+        raise TypeError("timesteps must be integers")
+    if t.size and (t.min() < lo or t.max() >= T):
+        raise ValueError(f"timestep out of range [{lo}, {T})")
+    return t
 
 
 class NoiseSchedule:
@@ -55,17 +77,7 @@ class NoiseSchedule:
             arr.setflags(write=False)
 
     def _check_t(self, t, lo: int = -1):
-        # Solver grids are Python ints: one comparison checks them.
-        if type(t) is int:
-            if not lo <= t < self.T:
-                raise ValueError(f"timestep out of range [{lo}, {self.T})")
-            return t
-        t = np.asarray(t)
-        if not np.issubdtype(t.dtype, np.integer):
-            raise TypeError("timesteps must be integers")
-        if np.any(t < lo) or np.any(t >= self.T):
-            raise ValueError(f"timestep out of range [{lo}, {self.T})")
-        return t
+        return _check_timesteps(t, self.T, lo)
 
     def alpha_bar(self, t):
         """alpha_bar at integer timestep(s) t, with alpha_bar(-1) = 1."""
@@ -106,15 +118,15 @@ def add_noise(x0, eps, t, sched: NoiseSchedule):
     """Forward process: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps.
 
     ``t`` may be a scalar or a per-sample integer array broadcast over the
-    leading axis of ``x0``.
+    leading axis of ``x0``; it is checked once, against ``[0, T)``.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch: {x0.shape} vs {eps.shape}")
-    sched._check_t(t, lo=0)
-    a = _coef(sched.sqrt_alpha_bar(t), x0.ndim)
-    b = _coef(sched.sqrt_one_minus_alpha_bar(t), x0.ndim)
+    i = sched._check_t(t, lo=0) + 1
+    a = _coef(sched._sqrt_ab_ext[i], x0.ndim)
+    b = _coef(sched._sqrt_1m_ab_ext[i], x0.ndim)
     return a * x0 + b * eps
 
 

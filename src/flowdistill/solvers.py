@@ -20,10 +20,17 @@ The stream fills in clip order, so clip ``i`` is the same however many
 clips are drawn after it. A caller that samples the same states many times
 (every arm and step count of an evaluation) draws them once.
 
-Timesteps are checked where they enter: ``NoiseSchedule`` rejects a
-schedule whose ``alpha_bar`` underflows when it is built, and
-:func:`solve_grid` makes every grid of Python ints, strictly decreasing,
-from ``T - 1`` to ``-1``.
+Inputs are checked once, where they enter a traversal, and never per
+stride. ``NoiseSchedule`` rejects a schedule whose ``alpha_bar`` underflows
+when it is built. :func:`euler_solve` checks its start timesteps (integer
+dtype, range, and that ``n * s`` strides stay inside the schedule) and
+:func:`euler_step` checks its pair and their order; :func:`solve_grid`
+makes every grid of :func:`multistep_solve` and :func:`sample_batch` of
+Python ints, strictly decreasing, from ``T - 1`` to ``-1``. The strides
+then read the schedule's tables unchecked. Condition tokens are checked by
+:func:`sample_batch` at entry and by a :func:`predictor` on the first call
+with each token array; its evals call ``student_eps`` with
+``checked=True``.
 """
 from __future__ import annotations
 
@@ -61,48 +68,68 @@ def cfg_combine(eps_cond, eps_uncond, w: float):
 
 def predictor(base: dict, motion: dict, T: int, dims, w: float = 0.0):
     """The composed model as a predictor ``f(x, t, tokens) -> eps_hat``,
-    guided at scale ``w`` against the null condition token when ``w > 0``."""
+    guided at scale ``w`` against the null condition token when ``w > 0``.
+
+    ``f`` checks a token array on the first call that passes it (a
+    traversal passes one array to every stride) and takes ``t`` as checked
+    by the traversal that calls it.
+    """
+    last_checked = None
+
     def f(x, t, tokens):
-        eps = student_eps(base, motion, x, t, tokens, T, dims)
+        nonlocal last_checked
+        if tokens is not last_checked:
+            tokens = last_checked = _check_tokens(tokens, dims)
+        eps = student_eps(base, motion, x, t, tokens, T, dims, checked=True)
         if w > 0.0:
-            null = np.full_like(np.asarray(tokens), dims.null_token)
-            eps = cfg_combine(eps, student_eps(base, motion, x, t, null, T, dims), w)
+            null = np.full_like(tokens, dims.null_token)
+            eps = cfg_combine(eps, student_eps(base, motion, x, t, null, T, dims,
+                                               checked=True), w)
         return eps
     return f
 
 
 def _ddim_update(x, eps, t, t_next, sched: NoiseSchedule):
     """sqrt(ab')·x0_hat + sqrt(1-ab')·eps, with x0_hat recovered from x and
-    clamped at ``±X0_CLIP``."""
+    clamped at ``±X0_CLIP``. ``t`` and ``t_next`` index the schedule's
+    tables unchecked: the traversal checked them at its entry."""
     ndim = ad.value_of(x).ndim
-    a_t = _coef(sched.sqrt_alpha_bar(t), ndim)
-    b_t = _coef(sched.sqrt_one_minus_alpha_bar(t), ndim)
-    a_n = _coef(sched.sqrt_alpha_bar(t_next), ndim)
-    b_n = _coef(sched.sqrt_one_minus_alpha_bar(t_next), ndim)
+    a_t = _coef(sched._sqrt_ab_ext[t + 1], ndim)
+    b_t = _coef(sched._sqrt_1m_ab_ext[t + 1], ndim)
+    a_n = _coef(sched._sqrt_ab_ext[t_next + 1], ndim)
+    b_n = _coef(sched._sqrt_1m_ab_ext[t_next + 1], ndim)
     x0_hat = ad.clamp((x - b_t * eps) / a_t, -X0_CLIP, X0_CLIP)
     return a_n * x0_hat + b_n * eps
 
 
+def _stride(f, x, t, t_next, tokens, sched: NoiseSchedule):
+    return _ddim_update(x, f(x, t, tokens), t, t_next, sched)
+
+
 def euler_step(f, x_t, t, t_next, tokens, sched: NoiseSchedule):
-    """One deterministic stride from t to t_next (< t)."""
-    t_a, tn_a = np.asarray(t), np.asarray(t_next)
-    if not np.all(tn_a < t_a):
+    """One deterministic stride from t to t_next (< t), both checked here."""
+    t, t_next = sched._check_t(t), sched._check_t(t_next)
+    if not np.all(np.asarray(t_next) < np.asarray(t)):
         raise ValueError("t_next must precede t")
-    return _ddim_update(x_t, f(x_t, t, tokens), t, t_next, sched)
+    return _stride(f, x_t, t, t_next, tokens, sched)
 
 
 def euler_solve(f, x_t, t, tokens, n: int, s: int, sched: NoiseSchedule):
-    """n successive Euler strides of s timesteps each; n = 0 returns x_t."""
+    """n successive Euler strides of s timesteps each; n = 0 returns x_t.
+
+    ``t`` is checked once, here: integers in ``[-1, T)`` whose smallest
+    entry leaves room for ``n * s`` timesteps above the clean boundary.
+    """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("n must be a non-negative integer")
     if not isinstance(s, (int, np.integer)) or s < 1:
         raise ValueError("s must be a positive integer")
-    t_a = np.asarray(t)
-    if np.any(n * s > t_a + 1):
+    t = sched._check_t(t)
+    if np.size(t) and n * s > np.min(t) + 1:
         raise ValueError(f"stride plan n*s={n * s} overruns the clean boundary")
     x = x_t
     for k in range(n):
-        x = euler_step(f, x, t_a - k * s, t_a - (k + 1) * s, tokens, sched)
+        x = _stride(f, x, t - k * s, t - (k + 1) * s, tokens, sched)
     return x
 
 
@@ -200,7 +227,7 @@ def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,
         if solver == "multistep":
             return multistep_solve(f, xb, steps, tok, sched)
         for j in range(steps):
-            xb = euler_step(f, xb, grid[j], grid[j + 1], tok, sched)
+            xb = _stride(f, xb, grid[j], grid[j + 1], tok, sched)
         return xb
 
     out = np.empty_like(x)

@@ -477,6 +477,16 @@ def test_sample_of_an_unplanned_step_count_fails(tiny_config, workdir, tmp_path,
     assert not out.exists()
 
 
+def test_sample_of_an_unknown_style_fails_and_writes_nothing(tiny_config, workdir,
+                                                             tmp_path, capsys):
+    out = tmp_path / "clips.json"
+    code = cli(["sample", "--config", tiny_config, "--workdir", workdir,
+                "--steps", "4", "--style", "nosuch", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == "error: unknown style 'nosuch'"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_sample_of_no_clips_fails_and_writes_nothing(tiny_config, workdir,
                                                      tmp_path, capsys, count):

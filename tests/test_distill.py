@@ -217,6 +217,37 @@ def test_misaligned_timestep_rejected(sched, dims, setup):
         teacher_stride(base, motion, batch, st, sched, dims)
 
 
+def test_unknown_token_rejected(sched, dims, setup):
+    base, motion, ds = setup
+    st = StageConfig(32, 8, "mse_cfg", 1, cfg_scale=7.5)
+    for bad in (dims.null_token + 1, -1):
+        batch = _batch(ds, st, sched, np.random.default_rng(5), n=4)
+        batch["tokens"][2] = bad
+        with pytest.raises(ValueError, match="condition token"):
+            teacher_stride(base, motion, batch, st, sched, dims)
+
+
+@pytest.mark.parametrize("stage", plan_from_config(default_config()).stages,
+                         ids=lambda st: st.name)
+def test_teacher_stride_accepts_exactly_the_stage_timesteps(sched, dims, setup,
+                                                            stage):
+    # The grid is tested arithmetically; it must accept what stage_timesteps
+    # lists and nothing else.
+    base, motion, ds = setup
+    batch = _batch(ds, stage, sched, np.random.default_rng(8), n=1)
+    grid = set(stage_timesteps(stage, sched.T).tolist())
+    for t in range(-3, sched.T + 3):
+        batch["t"] = np.array([t])
+        if t in grid:
+            teacher_stride(base, motion, batch, stage, sched, dims)
+        else:
+            with pytest.raises(ValueError, match="misaligned"):
+                teacher_stride(base, motion, batch, stage, sched, dims)
+    batch["t"] = np.array([float(max(grid))])
+    with pytest.raises(TypeError):
+        teacher_stride(base, motion, batch, stage, sched, dims)
+
+
 def test_adversarial_losses_at_fresh_heads(sched, dims, setup):
     # Zero-initialised head output 0 -> p = 0.5 -> L_D = 2 ln 2, L_G = ln 2.
     base, motion, ds = setup

@@ -89,6 +89,34 @@ def test_forward_student_rejects_unknown_token(sched, bundle, dims):
                     np.array([dims.vocab + 1]), sched.T, dims)
 
 
+@pytest.mark.parametrize("t", [np.array([-3, -3]), np.array([5, 128]), 128, -2])
+def test_forward_student_rejects_out_of_range_timesteps(sched, bundle, dims, t):
+    # time_features indexes its table with t + 1, so t = -3 read row -2,
+    # which is t = 126's.
+    x = np.zeros((2, dims.frames, dims.frame_dim))
+    with pytest.raises(ValueError, match="timestep"):
+        student_eps(bundle.base, bundle.motion, x, t, np.array([0, 1]),
+                    sched.T, dims)
+
+
+@pytest.mark.parametrize("t, t_next", [(np.array([5, 5]), np.array([-3, -3])),
+                                       (np.array([128, 40]), np.array([20, 20]))])
+def test_discriminators_reject_out_of_range_timesteps(sched, dims, bundle, t, t_next):
+    rng = np.random.default_rng(21)
+    disc = init_discriminator(dims, 1, rng, backbone_from=bundle)
+    relaxed = relaxed_discriminator(disc, dims, rng)
+    x = rng.standard_normal((2, dims.frames, dims.frame_dim))
+    tokens = np.array([0, 1])
+    with pytest.raises(ValueError, match="timestep"):
+        _pair(disc, x, x, t, t_next, tokens, 0, sched)
+    if np.min(t_next) < -1:
+        with pytest.raises(ValueError, match="timestep"):
+            _single(relaxed, x, t_next, tokens, 0, sched)
+    else:
+        with pytest.raises(ValueError, match="timestep"):
+            _single(relaxed, x, t, tokens, 0, sched)
+
+
 def test_time_features_cover_clean_boundary(dims):
     feats = time_features(np.array([-1, 0, 5]), 128, dims.time_dim)
     assert feats.shape == (3, dims.time_dim)
@@ -361,3 +389,14 @@ def test_adam_refuses_a_changed_model():
     opt.step({"b": np.ones(3, np.float32)}, {"b": np.ones(3)})
     with pytest.raises(ValueError):
         opt.step({"b": np.ones(4, np.float32)}, {"b": np.ones(4)})
+
+
+def test_draw_rows_with_dropout_needs_a_null_token(dims):
+    # Without one, a dropped row's token was None and the tokens had dtype
+    # object.
+    ds = sample_ground_truth(ANALYTIC_STYLE, 16, [96, 2], frames=dims.frames,
+                             vocab=dims.vocab)
+    with pytest.raises(ValueError, match="null_token"):
+        draw_rows(ds, 8, np.random.default_rng(6), np.arange(128), cond_dropout=0.5)
+    rows = draw_rows(ds, 8, np.random.default_rng(6), np.arange(128))
+    assert rows["tokens"].dtype == np.intp

@@ -268,3 +268,104 @@ def test_sample_batch_rejects_bad_rows_before_any_forward(sched, monkeypatch,
     with pytest.raises(ValueError):
         fd.sample_batch(bundle, sched, 4, np.array(tokens), x)
     assert calls == []
+
+
+@pytest.fixture
+def check_counts(monkeypatch):
+    """Counts of timestep checks (``NoiseSchedule._check_t``) and token
+    checks (``nets._check_tokens``, under each of its bindings) made while
+    a test runs."""
+    import flowdistill.distill as distill
+    import flowdistill.nets as nets
+    import flowdistill.solvers as solvers
+
+    counts = {"t": 0, "tokens": 0}
+    check_t, check_tokens = fd.NoiseSchedule._check_t, nets._check_tokens
+
+    def spy_t(self, *a, **kw):
+        counts["t"] += 1
+        return check_t(self, *a, **kw)
+
+    def spy_tokens(*a, **kw):
+        counts["tokens"] += 1
+        return check_tokens(*a, **kw)
+
+    monkeypatch.setattr(fd.NoiseSchedule, "_check_t", spy_t)
+    for module in (nets, solvers, distill):
+        monkeypatch.setattr(module, "_check_tokens", spy_tokens)
+    return counts
+
+
+def _counted(counts, run):
+    counts.update(t=0, tokens=0)
+    run()
+    return dict(counts)
+
+
+@pytest.mark.parametrize("w", [0.0, 7.5])
+def test_euler_solve_checks_its_inputs_once_whatever_n(sched, check_counts, w):
+    bundle = _bundle(16)
+    x = fd.start_noise(4, 3, bundle.dims)
+    t, tokens = np.array([127, 100, 64]), np.array([0, 1, bundle.dims.null_token])
+
+    def solve(n):
+        f = predictor(bundle.base, bundle.motion, sched.T, bundle.dims, w)
+        return fd.euler_solve(f, x, t, tokens, n, 2, sched)
+
+    got = [_counted(check_counts, lambda: solve(n)) for n in (1, 4, 16)]
+    assert got[0] == got[1] == got[2] == {"t": 1, "tokens": 1}
+
+
+def test_teacher_stride_checks_its_batch_a_fixed_number_of_times(sched, check_counts):
+    from flowdistill.distill import StageConfig, stage_timesteps, teacher_stride
+
+    bundle = _bundle(17)
+    dims = bundle.dims
+    rng = np.random.default_rng(18)
+
+    def stride(to_steps):
+        stage = StageConfig(128, to_steps, "mse_cfg", 1, cfg_scale=7.5)
+        batch = {"x0": rng.standard_normal((8, dims.frames, dims.frame_dim)),
+                 "eps": rng.standard_normal((8, dims.frames, dims.frame_dim)),
+                 "t": rng.choice(stage_timesteps(stage, sched.T), 8),
+                 "tokens": rng.integers(0, dims.vocab, 8)}
+        return lambda: teacher_stride(bundle.base, bundle.motion, batch, stage,
+                                      sched, dims)
+
+    at_4, at_16 = _counted(check_counts, stride(32)), _counted(check_counts, stride(8))
+    assert at_4 == at_16
+    assert at_4["t"] <= 2 and at_4["tokens"] <= 2
+
+
+@pytest.mark.parametrize("solver", ["euler", "multistep"])
+def test_sample_batch_checks_its_inputs_a_fixed_number_of_times(sched, check_counts,
+                                                                solver):
+    bundle = _bundle(19)
+    tokens = np.array([0, 3, bundle.dims.null_token])
+    x = fd.start_noise(5, len(tokens), bundle.dims)
+    got = [_counted(check_counts, lambda: fd.sample_batch(
+        bundle, sched, steps, tokens, x, w=2.0, solver=solver)) for steps in (2, 32)]
+    assert got[0] == got[1]
+    assert got[0]["t"] <= 1 and got[0]["tokens"] <= 2
+
+
+def test_euler_solve_rejects_timesteps_at_entry(sched):
+    x = np.zeros((2, 8, 2))
+    f = lambda *a: x  # noqa: E731
+    with pytest.raises(ValueError):
+        fd.euler_solve(f, x, sched.T, None, 1, 1, sched)
+    with pytest.raises(ValueError):
+        fd.euler_solve(f, x, np.array([sched.T - 1, sched.T]), None, 1, 1, sched)
+    with pytest.raises(TypeError):
+        fd.euler_solve(f, x, 40.0, None, 1, 1, sched)
+    with pytest.raises(TypeError):
+        fd.euler_solve(f, x, np.array([40.0, 41.0]), None, 1, 1, sched)
+
+
+def test_euler_solve_with_a_predictor_rejects_unknown_tokens(sched):
+    bundle = _bundle(20)
+    f = predictor(bundle.base, bundle.motion, sched.T, bundle.dims)
+    x = fd.start_noise(6, 2, bundle.dims)
+    for bad in ([0, bundle.dims.null_token + 1], [-1, 0]):
+        with pytest.raises(ValueError):
+            fd.euler_solve(f, x, np.array([40, 40]), np.array(bad), 2, 4, sched)
