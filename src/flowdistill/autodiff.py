@@ -11,10 +11,19 @@ full reductions and the mean squared error.
 Constants are plain numpy arrays; anything wrapped in :class:`Var` receives
 a gradient after :func:`backward` runs on a scalar loss. ``backward`` frees
 the tape as it walks it: each node's closure and every interior gradient
-are dropped once used, so a graph can be back-propagated once. All graph
-values are float64. The free functions (``dense``, ``silu``, ...) accept
-either ``Var`` or ``ndarray`` operands, so the same forward code serves
-both training (taped) and inference (plain numpy) callers.
+are dropped once used, so a graph can be back-propagated once. The free
+functions (``dense``, ``silu``, ...) accept either ``Var`` or ``ndarray``
+operands, so the same forward code serves both training (taped) and
+inference (plain numpy) callers.
+
+Every op computes in its operands' dtype: training and sampling pass
+float32 arrays and get float32 values and gradients, and :func:`gradcheck`
+passes float64 so that its finite differences keep their precision. A
+float32 operand met by a float64 one is upcast, as numpy promotes it. A
+Python scalar operand is kept as it is, so it takes the dtype of the array
+it meets (NEP 50); a numpy float64 scalar or 0-d array would promote a
+float32 operand to float64, so callers pass coefficients in their
+operands' dtype.
 
 A fused node returns the bits of the op chain it replaces: its adds run in
 the written order, its activation and gradients are the pointwise chains
@@ -60,8 +69,19 @@ __all__ = [
 ]
 
 
-def _as_f64(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+def _as_float(x) -> np.ndarray:
+    """``x`` as an ndarray, kept in its floating dtype; an integer, boolean
+    or other operand becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind == "f" else x.astype(np.float64)
+
+
+def _operand(x):
+    """An op's operand: a Var's value, a Python scalar as it is (it takes
+    the dtype of the array it meets), anything else as :func:`_as_float`."""
+    if isinstance(x, Var):
+        return x.value
+    return x if type(x) in (int, float) else _as_float(x)
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -91,9 +111,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Var:
     """One node of the computation graph.
 
-    ``value`` is always a float64 ndarray (scalars become 0-d arrays).
-    ``grad`` is populated by :func:`backward` on leaves (nodes without
-    parents); an interior node's ``grad`` is freed once it has been used.
+    ``value`` is a floating ndarray (scalars become 0-d arrays): a float
+    array keeps its dtype, anything else becomes float64. ``grad`` is
+    populated by :func:`backward` on leaves (nodes without parents), in the
+    dtype of the computation that reached them; an interior node's ``grad``
+    is freed once it has been used.
     """
 
     __slots__ = ("value", "grad", "_parents", "_bwd")
@@ -103,7 +125,7 @@ class Var:
     __array_ufunc__ = None
 
     def __init__(self, value, _parents=(), _bwd=None):
-        self.value = _as_f64(value)
+        self.value = _as_float(value)
         self.grad = None
         self._parents = _parents
         self._bwd = _bwd
@@ -145,8 +167,8 @@ class Var:
 
 
 def value_of(x) -> np.ndarray:
-    """Underlying ndarray of a Var, or the array itself."""
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+    """Underlying ndarray of a Var, or ``x`` as :func:`_as_float` keeps it."""
+    return x.value if isinstance(x, Var) else _as_float(x)
 
 
 def _accum(node: Var, g: np.ndarray) -> None:
@@ -185,7 +207,7 @@ def backward(loss: Var) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
 
-    loss.grad = np.ones((), dtype=np.float64)
+    loss.grad = np.ones((), dtype=loss.value.dtype)
     for node in reversed(topo):
         if node._bwd is not None and node.grad is not None:
             node._bwd(node.grad)
@@ -197,15 +219,13 @@ def backward(loss: Var) -> None:
 # -- primitives --------------------------------------------------------
 
 
-def _add(a, b):
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return _as_f64(a) + _as_f64(b)
-    av, bv = value_of(a), value_of(b)
-    out = Var(av + bv, _parents=tuple(x for x in (a, b) if isinstance(x, Var)))
+def _add(a: Var, b):
+    """``a + b`` for the Var ``a`` and a Var or constant ``b``."""
+    av, bv = a.value, _operand(b)
+    out = Var(av + bv, _parents=(a, b) if isinstance(b, Var) else (a,))
 
     def bwd(g):
-        if isinstance(a, Var):
-            _accum(a, _unbroadcast(g, av.shape))
+        _accum(a, _unbroadcast(g, av.shape))
         if isinstance(b, Var):
             _accum(b, _unbroadcast(g, bv.shape))
 
@@ -215,21 +235,19 @@ def _add(a, b):
 
 def _neg(a):
     if not isinstance(a, Var):
-        return -_as_f64(a)
+        return -_operand(a)
     out = Var(-a.value, _parents=(a,))
     out._bwd = lambda g: _accum(a, -g)
     return out
 
 
-def _mul(a, b):
-    if not isinstance(a, Var) and not isinstance(b, Var):
-        return _as_f64(a) * _as_f64(b)
-    av, bv = value_of(a), value_of(b)
-    out = Var(av * bv, _parents=tuple(x for x in (a, b) if isinstance(x, Var)))
+def _mul(a: Var, b):
+    """``a * b`` for the Var ``a`` and a Var or constant ``b``."""
+    av, bv = a.value, _operand(b)
+    out = Var(av * bv, _parents=(a, b) if isinstance(b, Var) else (a,))
 
     def bwd(g):
-        if isinstance(a, Var):
-            _accum(a, _unbroadcast(g * bv, av.shape))
+        _accum(a, _unbroadcast(g * bv, av.shape))
         if isinstance(b, Var):
             _accum(b, _unbroadcast(g * av, bv.shape))
 
@@ -239,7 +257,7 @@ def _mul(a, b):
 
 def _div_const(a: Var, b):
     # True division keeps taped values bit-identical to the plain-numpy path.
-    bv = _as_f64(b)
+    bv = _operand(b)
     out = Var(a.value / bv, _parents=(a,))
     out._bwd = lambda g: _accum(a, _unbroadcast(g / bv, a.value.shape))
     return out
@@ -249,8 +267,8 @@ def _affine(z, owned: bool, bias, rows, act, operands, product_bwd):
     """``act(z + bias + rows…)`` as one node over the product ``z``.
 
     ``bias`` is (C,) or None, and each (B, C) row term broadcasts over the
-    frame axis of a 3-D ``z``; either may be a float32 array, which the
-    add upcasts exactly. The adds run in the written order. Taped, they
+    frame axis of a 3-D ``z``; a float32 term added to a float64 ``z`` is
+    upcast exactly. The adds run in the written order. Taped, they
     write into ``z`` when the caller has just allocated it (``owned``);
     otherwise the first add allocates, as ``z + term`` does, and the rest
     write into its result. Untaped, every add allocates (see the module
@@ -268,7 +286,9 @@ def _affine(z, owned: bool, bias, rows, act, operands, product_bwd):
         tv = t.value if isinstance(t, Var) else t
         if tv.ndim == 2 and z.ndim == 3:
             tv = tv[:, None]
-        if in_place:
+        # A wider term (float64 into a float32 product) allocates the
+        # promoted sum instead of being rounded into ``z``.
+        if in_place and tv.dtype.itemsize <= z.dtype.itemsize:
             np.add(z, tv, out=z)
         else:
             z, in_place = z + tv, bool(parents)
@@ -340,7 +360,7 @@ def _take_rows(table, idx):
     out = Var(tv[idx], _parents=(table,))
 
     def bwd(g):
-        dt = np.zeros_like(tv)
+        dt = np.zeros_like(tv, dtype=g.dtype)
         np.add.at(dt, idx, g)
         _accum(table, dt)
 
@@ -397,7 +417,7 @@ def concat(parts, axis: int):
 
 def reshape(x, shape):
     if not isinstance(x, Var):
-        return _as_f64(x).reshape(shape)
+        return _as_float(x).reshape(shape)
     orig = x.value.shape
     out = Var(x.value.reshape(shape), _parents=(x,))
     out._bwd = lambda g: _accum(x, g.reshape(orig))
@@ -406,13 +426,13 @@ def reshape(x, shape):
 
 def _sigmoid_grad(g, y):
     """``g * y * (1 - y)``: two new buffers, the least that keeps its bits."""
-    d = np.multiply(g, y, out=np.empty_like(y))
+    d = np.multiply(g, y, out=np.empty_like(y, dtype=np.result_type(g, y)))
     return np.multiply(d, np.subtract(1.0, y, out=np.empty_like(y)), out=d)
 
 
 def _silu_grad(g, x, s):
     """``g * s * (1 + x * (1 - s))``: two new buffers, as above."""
-    d = np.multiply(g, s, out=np.empty_like(s))
+    d = np.multiply(g, s, out=np.empty_like(s, dtype=np.result_type(g, s)))
     u = np.subtract(1.0, s, out=np.empty_like(s))
     np.multiply(x, u, out=u)
     np.add(1.0, u, out=u)
@@ -421,7 +441,7 @@ def _silu_grad(g, x, s):
 
 def sigmoid(x):
     if not isinstance(x, Var):
-        return _sigmoid_np(_as_f64(x))
+        return _sigmoid_np(_as_float(x))
     y = _sigmoid_np(x.value)
     out = Var(y, _parents=(x,))
     out._bwd = lambda g: _accum(x, _sigmoid_grad(g, y))
@@ -430,7 +450,7 @@ def sigmoid(x):
 
 def silu(x):
     if not isinstance(x, Var):
-        xv = _as_f64(x)
+        xv = _as_float(x)
         s = _sigmoid_np(xv)
         return np.multiply(xv, s, out=s)
     s = _sigmoid_np(x.value)
@@ -441,7 +461,7 @@ def silu(x):
 
 def log(x):
     if not isinstance(x, Var):
-        return np.log(_as_f64(x))
+        return np.log(_as_float(x))
     out = Var(np.log(x.value), _parents=(x,))
     out._bwd = lambda g: _accum(x, g / x.value)
     return out
@@ -449,7 +469,7 @@ def log(x):
 
 def square(x):
     if not isinstance(x, Var):
-        xv = _as_f64(x)
+        xv = _as_float(x)
         return xv * xv
     out = Var(x.value * x.value, _parents=(x,))
     out._bwd = lambda g: _accum(x, 2.0 * x.value * g)
@@ -459,7 +479,7 @@ def square(x):
 def clamp(x, lo: float, hi: float):
     """Clip to [lo, hi]; gradient passes through the interior only."""
     if not isinstance(x, Var):
-        return np.clip(_as_f64(x), lo, hi)
+        return np.clip(_as_float(x), lo, hi)
     inside = (x.value >= lo) & (x.value <= hi)
     out = Var(np.clip(x.value, lo, hi), _parents=(x,))
     out._bwd = lambda g: _accum(x, g * inside)
@@ -468,7 +488,7 @@ def clamp(x, lo: float, hi: float):
 
 def mean_all(x):
     if not isinstance(x, Var):
-        return np.mean(_as_f64(x))
+        return np.mean(_as_float(x))
     n = x.value.size
     out = Var(np.mean(x.value), _parents=(x,))
     out._bwd = lambda g: _accum(x, np.broadcast_to(g / n, x.value.shape))
@@ -482,7 +502,7 @@ def mse(pred, target):
     """
     if isinstance(target, Var):
         raise TypeError("mse target must be a constant array")
-    d = value_of(pred) - _as_f64(target)
+    d = value_of(pred) - _as_float(target)
     if not isinstance(pred, Var):
         return np.mean(d * d)
     out = Var(np.mean(d * d), _parents=(pred,))
@@ -502,14 +522,16 @@ def gradcheck(loss_fn, params: dict) -> dict:
     """Compare analytic gradients of ``loss_fn`` against central differences.
 
     ``loss_fn`` receives a dict mapping names to Var (analytic pass) or
-    ndarray (finite-difference pass) and must return the scalar loss.
+    ndarray (finite-difference pass) and must return the scalar loss. The
+    parameters are passed in float64, whatever their dtype, so the loss
+    computes in float64 wherever they enter.
     Relative error per coordinate uses ``max(|analytic|, |numeric|, 1e-6)``
     as the denominator so that near-zero gradients do not blow up the ratio.
 
     Returns a report with per-parameter max relative error and the overall
     worst coordinate.
     """
-    base = {k: _as_f64(v) for k, v in params.items()}
+    base = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
     pvars = {k: Var(v) for k, v in base.items()}
     loss = loss_fn(pvars)

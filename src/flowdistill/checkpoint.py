@@ -8,17 +8,15 @@ Layout::
     meta <key> <value>          (zero or more)
     entry <name> <dim0xdim1x...> <element_count> <byte_offset>
     entry <name> <dim0xdim1x...> <element_count> <byte_offset> i4
-    entry <name> <dim0xdim1x...> <element_count> <byte_offset> f8
     ...
     ---
     <raw little-endian blob>
 
-An entry is float32 unless its line ends in ``i4`` (int32) or ``f8``
-(float64); integer arrays are stored as int32, float64 arrays as float64
-and every other array as float32. Byte offsets are relative to the start
-of the blob. Round trips are bit-exact because parameters and dataset
-clips are float32, condition tokens int32 and evaluation reference sets
-float64 in memory.
+An entry is float32 unless its line ends in ``i4`` (int32); integer
+arrays are stored as int32 and every other array as float32. Byte offsets
+are relative to the start of the blob. Round trips are bit-exact because
+parameters, dataset clips and evaluation reference sets are float32 and
+condition tokens int32 in memory.
 
 Every file is written through ``atomic_write``: to a temp file beside the
 target, then renamed over it, so a reader sees the old file or the new one,
@@ -34,7 +32,7 @@ __all__ = ["atomic_write", "checkpoint_save", "checkpoint_load"]
 
 _SEP = b"---\n"
 # Entry kind suffix -> stored dtype; an entry line without one is float32.
-_KINDS = {"i4": "<i4", "f8": "<f8"}
+_KINDS = {"i4": "<i4"}
 
 
 def atomic_write(path, write) -> None:
@@ -65,8 +63,7 @@ def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
         if any(ch.isspace() for ch in name):
             raise ValueError(f"entry name {name!r} must not contain whitespace")
         dtype = np.asarray(arr).dtype
-        kind = ("i4" if np.issubdtype(dtype, np.integer)
-                else "f8" if dtype == np.float64 else None)
+        kind = "i4" if np.issubdtype(dtype, np.integer) else None
         arr = np.asarray(arr, dtype=_KINDS.get(kind, "<f4"))  # keeps 0-d entries 0-d
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)

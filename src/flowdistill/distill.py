@@ -327,7 +327,8 @@ def _stage_rng(seed: int, stage: StageConfig, phase_idx: int, *tail) -> np.rando
 
 
 def _mean(grads: list) -> dict:
-    """Elementwise mean of gradient dicts, summed in list order."""
+    """Elementwise mean of gradient dicts, summed in float64 in list
+    order (a rank's float32 gradients are widened exactly)."""
     out = {}
     for name in grads[0]:
         acc = np.array(grads[0][name], dtype=np.float64, copy=True)

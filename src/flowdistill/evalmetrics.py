@@ -5,7 +5,8 @@ clips,
 
     d(A, B) = 2 E||a - b|| - E||a - a'|| - E||b - b'||,
 
-estimated pairwise. Each pairwise norm is ``math.sqrt(math.fsum(row))`` of
+estimated pairwise, in float64: the float32 clips that sampling returns
+are widened exactly. Each pairwise norm is ``math.sqrt(math.fsum(row))`` of
 the pair's squared coordinate differences, and each of the three pairwise
 sums is one ``math.fsum`` over its norms. Correctly rounded summation makes
 the estimate independent of summation order: the metric is exactly

@@ -40,10 +40,13 @@ its time and embedding tables unchecked. A predictor built by
 checked the timesteps at its entry.
 
 A model is its arrays: each network's parameters are one dict of named
-float32 arrays (the checkpoint's entries and element type), upcast to
-float64 inside every forward pass. ``StudentBundle`` pairs a base model's
-arrays with the motion module's and the run's ``NetDims``. ``Adam``
-updates a model's arrays as one flat float64 buffer.
+float32 arrays (the checkpoint's entries and element type). A forward
+pass computes in its inputs' dtype: training and sampling feed float32
+clips, noise and time features, so every forward and backward runs in
+float32, and a float64 input (a gradient check's) runs in float64.
+``StudentBundle`` pairs a base model's arrays with the motion module's
+and the run's ``NetDims``. ``Adam`` keeps float64 moments and updates a
+model's arrays as one flat float64 buffer.
 """
 from __future__ import annotations
 
@@ -186,12 +189,13 @@ def relaxed_discriminator(disc: dict, dims: NetDims,
 
 @lru_cache(maxsize=8)
 def _sinusoid_table(T: int, dim: int) -> np.ndarray:
-    """Sinusoidal features for integer timesteps -1..T-1, indexed by t + 1."""
+    """Float32 sinusoidal features for integer timesteps -1..T-1, indexed
+    by t + 1; computed in float64 and rounded once."""
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
     t = np.arange(-1, T, dtype=np.float64)
     ang = t[:, None] * freqs[None, :]
-    table = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    table = np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(np.float32)
     table.setflags(write=False)
     return table
 
@@ -273,7 +277,7 @@ def _disc_features(disc_arrays, x, t, tokens, flow_idx, T: int, dims: NetDims):
     # ``t`` and ``tokens`` were checked by the public caller.
     if not 0 <= flow_idx < ad.value_of(disc_arrays["flow_emb"]).shape[0]:
         raise ValueError(f"unregistered flow index {flow_idx}")
-    tfeat = np.asarray(time_features(t, T, dims.time_dim), dtype=np.float64)
+    tfeat = time_features(t, T, dims.time_dim)
     if tfeat.ndim == 1:
         tfeat = np.broadcast_to(tfeat, (ad.value_of(x).shape[0], dims.time_dim))
     flow_rows = ad._take_rows(disc_arrays["flow_emb"],
@@ -420,18 +424,20 @@ def draw_rows(dataset, n: int, rng: np.random.Generator, t_grid,
     Draws in the order clip index, dropout (only when ``cond_dropout`` is
     positive: a dropped row's token becomes ``null_token``), timestep index,
     noise. With ``t_grid = np.arange(T)`` the timesteps are those of
-    ``rng.integers(0, T, n)``.
+    ``rng.integers(0, T, n)``. ``x0`` and ``eps`` are float32; the noise
+    is drawn in float64 and rounded, so its stream does not depend on the
+    element type.
     """
     if cond_dropout > 0.0 and null_token is None:
         raise ValueError("cond_dropout needs a null_token")
     idx = rng.integers(0, len(dataset.clips), size=n)
-    x0 = dataset.clips[idx].astype(np.float64)
+    x0 = dataset.clips[idx]
     tokens = dataset.conditions[idx].astype(np.intp)
     if cond_dropout > 0.0:
         drop = rng.random(n) < cond_dropout
         tokens = np.where(drop, null_token, tokens)
     t = t_grid[rng.integers(0, len(t_grid), size=n)]
-    eps = rng.standard_normal(x0.shape)
+    eps = rng.standard_normal(x0.shape).astype(np.float32)
     return {"x0": x0, "tokens": tokens, "t": t, "eps": eps}
 
 

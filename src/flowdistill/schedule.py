@@ -106,27 +106,31 @@ def build_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     return NoiseSchedule(np.linspace(beta_start, beta_end, T))
 
 
-def _coef(values: np.ndarray, ndim: int):
-    """Reshape per-sample coefficients to broadcast over clip axes."""
-    arr = np.asarray(values, dtype=np.float64)
+def _coef(values, x: np.ndarray):
+    """Per-sample coefficients in the float dtype of the clips ``x`` (float64
+    for integer clips), shaped to broadcast over their clip axes. The tables
+    are float64, and a float64 coefficient, even a 0-d one, would promote
+    float32 clips to float64 (NEP 50)."""
+    arr = np.asarray(values, dtype=np.promote_types(x.dtype, np.float32))
     if arr.ndim == 0:
         return arr
-    return arr.reshape(arr.shape + (1,) * (ndim - arr.ndim))
+    return arr.reshape(arr.shape + (1,) * (x.ndim - arr.ndim))
 
 
 def add_noise(x0, eps, t, sched: NoiseSchedule):
     """Forward process: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps.
 
     ``t`` may be a scalar or a per-sample integer array broadcast over the
-    leading axis of ``x0``; it is checked once, against ``[0, T)``.
+    leading axis of ``x0``; it is checked once, against ``[0, T)``. The
+    result has the dtype of ``x0`` and ``eps`` (float32 for float32 clips
+    and noise, float64 if either is float64).
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
+    x0, eps = np.asarray(x0), np.asarray(eps)
     if x0.shape != eps.shape:
         raise ValueError(f"shape mismatch: {x0.shape} vs {eps.shape}")
     i = sched._check_t(t, lo=0) + 1
-    a = _coef(sched._sqrt_ab_ext[i], x0.ndim)
-    b = _coef(sched._sqrt_1m_ab_ext[i], x0.ndim)
+    a = _coef(sched._sqrt_ab_ext[i], x0)
+    b = _coef(sched._sqrt_1m_ab_ext[i], eps)
     return a * x0 + b * eps
 
 

@@ -282,10 +282,9 @@ def _pointwise_inputs():
     }
 
 
-@pytest.mark.parametrize("kind", list(_pointwise_inputs()))
-def test_pointwise_chains_match_expression_reference_bitwise(kind):
-    x = _pointwise_inputs()[kind]
-    g = np.random.default_rng(8).normal(size=x.shape)
+def _pointwise_chains_match(kind, dtype):
+    x = _pointwise_inputs()[kind].astype(dtype)
+    g = np.random.default_rng(8).normal(size=x.shape).astype(dtype)
     x_before, g_before = x.copy(), g.copy()
     s = _sigmoid_ref(x)
     with warnings.catch_warnings():
@@ -309,6 +308,16 @@ def test_pointwise_chains_match_expression_reference_bitwise(kind):
         np.testing.assert_array_equal(v.grad, g * s * (1.0 + x * (1.0 - s)))
     np.testing.assert_array_equal(x, x_before, strict=True)
     np.testing.assert_array_equal(g, g_before, strict=True)
+
+
+@pytest.mark.parametrize("kind", list(_pointwise_inputs()))
+def test_pointwise_chains_match_expression_reference_bitwise(kind):
+    _pointwise_chains_match(kind, np.float64)
+
+
+@pytest.mark.parametrize("kind", list(_pointwise_inputs()))
+def test_pointwise_chains_match_expression_reference_bitwise_float32(kind):
+    _pointwise_chains_match(kind, np.float32)
 
 
 def test_pointwise_backward_leaves_a_broadcast_gradient_alone():
@@ -425,31 +434,54 @@ def _run(op, arrays, act, up, taped):
     return value, [a.grad for a in args]
 
 
-@pytest.mark.parametrize("rows", [64, 128])
-@pytest.mark.parametrize("layer", list(_layers(np.random.default_rng(0), 1)))
-def test_fused_layer_matches_the_unfused_chain_bitwise(layer, rows):
+def _fused_layer_matches(layer, rows, dtype):
     rng = np.random.default_rng(13)
     arrays, act, op, chain = _layers(rng, rows)[layer]
-    up = rng.standard_normal(ad.value_of(chain(*arrays, act=act)).shape)
+    arrays = [a.astype(dtype) for a in arrays]
+    up = rng.standard_normal(ad.value_of(chain(*arrays, act=act)).shape).astype(dtype)
     for taped in (False, True):
         got_value, got_grads = _run(op, arrays, act, up, taped)
         want_value, want_grads = _run(chain, arrays, act, up, taped)
         np.testing.assert_array_equal(got_value, want_value, strict=True)
+        assert got_value.dtype == dtype
         assert len(got_grads) == len(want_grads)
         for got, want in zip(got_grads, want_grads):
             np.testing.assert_array_equal(got, want, strict=True)
+            assert got.dtype == dtype
 
 
-def test_mse_matches_the_unfused_chain_bitwise():
+@pytest.mark.parametrize("rows", [64, 128])
+@pytest.mark.parametrize("layer", list(_layers(np.random.default_rng(0), 1)))
+def test_fused_layer_matches_the_unfused_chain_bitwise(layer, rows):
+    _fused_layer_matches(layer, rows, np.float64)
+
+
+@pytest.mark.parametrize("rows", [64, 128])
+@pytest.mark.parametrize("layer", list(_layers(np.random.default_rng(0), 1)))
+def test_fused_layer_matches_the_unfused_chain_bitwise_float32(layer, rows):
+    _fused_layer_matches(layer, rows, np.float32)
+
+
+def _mse_matches_chain(dtype):
     rng = np.random.default_rng(14)
-    pred, target = rng.standard_normal((128, 8, 2)), rng.standard_normal((128, 8, 2))
+    pred = rng.standard_normal((128, 8, 2)).astype(dtype)
+    target = rng.standard_normal((128, 8, 2)).astype(dtype)
     got, want = ad.Var(pred), ad.Var(pred)
     loss = ad.mse(got, target)
     chain = ad.mean_all(ad.square(want - target))
     assert ad.mse(pred, target) == chain.value == loss.value
+    assert loss.value.dtype == dtype
     ad.backward(loss)
     ad.backward(chain)
     np.testing.assert_array_equal(got.grad, want.grad, strict=True)
+
+
+def test_mse_matches_the_unfused_chain_bitwise():
+    _mse_matches_chain(np.float64)
+
+
+def test_mse_matches_the_unfused_chain_bitwise_float32():
+    _mse_matches_chain(np.float32)
 
 
 def test_gradcheck_mse():
@@ -462,3 +494,26 @@ def test_gradcheck_mse():
 def test_mse_refuses_a_taped_target():
     with pytest.raises(TypeError):
         ad.mse(np.zeros(3), ad.Var(np.ones(3)))
+
+
+def test_mixed_float32_and_float64_operands_promote_as_numpy_does():
+    # A float64 term met by a float32 product, or a float64 gradient met by
+    # a float32 activation, is not rounded to float32: taped and untaped
+    # give numpy's promoted float64 result.
+    rng = np.random.default_rng(16)
+    x, w = rng.standard_normal((4, 3)).astype(np.float32), rng.standard_normal(
+        (3, 5)).astype(np.float32)
+    b = rng.standard_normal(5)
+    taped = ad.dense(x, w, ad.Var(b), act="silu")
+    untaped = ad.dense(x, w, b, act="silu")
+    assert taped.value.dtype == untaped.dtype == np.float64
+    np.testing.assert_array_equal(taped.value, untaped, strict=True)
+
+    v = ad.Var(rng.standard_normal(5).astype(np.float32))
+    up = rng.standard_normal(5)
+    for op, grad in ((ad.sigmoid, lambda y: up * y * (1.0 - y)),
+                     (ad.silu, lambda y: up * y * (1.0 + v.value * (1.0 - y)))):
+        v.grad = None
+        ad.backward(_sum_all(op(v) * up))
+        assert v.grad.dtype == np.float64
+        np.testing.assert_array_equal(v.grad, grad(ad._sigmoid_np(v.value)))

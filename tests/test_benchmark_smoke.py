@@ -45,7 +45,7 @@ COUNTS = {
     },
     "eval-ablate": {
         "autodiff.backward.calls": 0, "autodiff.backward.nodes": 0,
-        "checkpoint.checkpoint_save.bytes": 154224,
+        "checkpoint.checkpoint_save.bytes": 77400,
         "datagen.load_dataset.bytes": 157151, "datagen.save_dataset.bytes": 0,
         "evalmetrics.energy_distance.pairs": 2150400,
         "nets.student_eps.rows": 95400,

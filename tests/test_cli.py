@@ -775,3 +775,42 @@ def test_distill_divergence_exits_with_dump_path(tiny_config, workdir, tmp_path,
     dump = os.path.join(wd, "checkpoints", "cross", "diverged_128to32.json")
     assert err.startswith("error: non-finite loss")
     assert dump in err and os.path.exists(dump)
+
+
+def test_every_artifact_of_a_run_is_stored_as_float32_or_int32(tmp_path, monkeypatch):
+    # The manifest knows only float32 and int32 entries, so every writer
+    # must hand checkpoint_save arrays of those types: a float64 array would
+    # be rounded on its way to disk.
+    import flowdistill.checkpoint as ckpt
+    import flowdistill.datagen as datagen
+
+    handed = []
+    save = ckpt.checkpoint_save
+
+    def spy(arrays, path, meta=None):
+        handed.extend((os.fspath(path), name, np.asarray(value).dtype)
+                      for name, value in arrays.items())
+        save(arrays, path, meta)
+
+    for module in (runner, datagen, dist):
+        monkeypatch.setattr(module, "checkpoint_save", spy)
+    path = tmp_path / "micro.json"
+    path.write_text(json.dumps({
+        "data": {"ground_truth_clips": 32, "generated_clips": 8},
+        "pretrain": {"base_steps": 1, "motion_steps": 1},
+        "distill": {"iterations": 1, "mse_iterations": 1},
+        "eval": {"n_conditions": 4}}))
+    wd = str(tmp_path / "run")
+    for command in ("pretrain", "gen-data", "distill", "eval", "ablate"):
+        assert cli([command, "--config", str(path), "--workdir", wd]) == 0, command
+    kinds = {(name, dtype) for _, name, dtype in handed}
+    assert {name for name, _ in kinds} >= {"w1", "mix", "clips", "conditions"}
+    assert all(dtype in (np.float32, np.int32) for _, dtype in kinds), sorted(kinds)
+    files = [os.path.join(root, f) for root, _, names in os.walk(wd) for f in names]
+    artifacts = [f for f in files if "reports" not in f.split(os.sep)]
+    assert sorted(artifacts) == sorted({p for p, _, _ in handed})
+    for artifact in artifacts:
+        head = Path(artifact).read_bytes().split(b"---\n")[0].decode().splitlines()
+        for line in head:
+            if line.startswith("entry "):
+                assert len(line.split()) == 5 or line.endswith(" i4"), line

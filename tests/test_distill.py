@@ -6,6 +6,7 @@ import pytest
 import flowdistill as fd
 from flowdistill.datagen import style_by_name
 from flowdistill import autodiff as ad
+import flowdistill.distill as dist
 from flowdistill.distill import (
     DISC_STREAM,
     DistillContext,
@@ -61,15 +62,26 @@ def setup(sched, dims):
     return base, motion, ds
 
 
-def _batch(ds, stage, sched, rng, n=8):
-    grid = stage_timesteps(stage, sched.T)
+# A float64 test's tolerance carried to its float32 twin: the same multiple
+# of the machine epsilon.
+TO_FLOAT32 = float(np.finfo(np.float32).eps / np.finfo(np.float64).eps)
+
+
+def _rows(ds, grid, rng, n, dtype):
+    """``draw_rows``'s draws from ``rng`` (no dropout), with the clips and
+    the noise in ``dtype``: at float32 they are ``draw_rows``'s rows."""
     idx = rng.integers(0, len(ds.clips), n)
     return {
-        "x0": ds.clips[idx].astype(np.float64),
+        "x0": ds.clips[idx].astype(dtype),
         "tokens": ds.conditions[idx].astype(np.intp),
         "t": grid[rng.integers(0, len(grid), n)],
-        "eps": rng.standard_normal((n, ds.clips.shape[1], ds.clips.shape[2])),
+        "eps": rng.standard_normal((n, ds.clips.shape[1], ds.clips.shape[2])).astype(
+            dtype),
     }
+
+
+def _batch(ds, stage, sched, rng, n=8, dtype=np.float64):
+    return _rows(ds, stage_timesteps(stage, sched.T), rng, n, dtype)
 
 
 def _mse_step(base, teacher, motion, batch, stage, sched, dims):
@@ -377,7 +389,9 @@ def test_run_stage_leaves_its_teacher_unchanged(sched, dims, stage):
 
 
 def _mean_in_order(grads):
-    return {k: sum(g[k] for g in grads) / len(grads) for k in grads[0]}
+    # Summed in float64, as run_stage sums the ranks' gradients.
+    return {k: sum(np.asarray(g[k], np.float64) for g in grads) / len(grads)
+            for k in grads[0]}
 
 
 _ROW_KEYS = ("x_t", "t", "tokens", "target")
@@ -420,7 +434,7 @@ def _reference_grads(base, motion, disc, b, phase, flow_idx, side, sched, dims):
             for k, v in pvars.items()}
 
 
-def _reference_stage(stage, ctx, teacher, iteration_grads):
+def _reference_stage(stage, ctx, teacher, iteration_grads, dtype):
     """Reference loop for ``run_stage``: each phase reseeds the ranks and
     starts fresh optimizers, the relaxed phase with a fresh single head in
     place of the pair head, and
@@ -445,7 +459,7 @@ def _reference_stage(stage, ctx, teacher, iteration_grads):
 
             def draw_stride(r):
                 batch = _batch(r.dataset, stage, ctx.sched, rngs[r.rank],
-                               n=stage.micro_batch)
+                               n=stage.micro_batch, dtype=dtype)
                 return teacher_stride(r.base, teacher, batch, stage,
                                       ctx.sched, ctx.dims)
 
@@ -468,10 +482,17 @@ _REFERENCE_STAGES = pytest.mark.parametrize("stage", [
 ], ids=["mse", "adversarial"])
 
 
-def _stage_and_reference(sched, dims, stage, iteration_grads, monkeypatch):
-    """Run ``run_stage`` and the reference loop on a three-rank context;
-    returns the float64 gradients each Adam step received and the trained
-    motion, for ``run_stage`` and for the reference."""
+def _stage_and_reference(sched, dims, stage, iteration_grads, monkeypatch,
+                         dtype=np.float64):
+    """Run ``run_stage`` and the reference loop on a three-rank context, on
+    rows of clips and noise in ``dtype`` (``run_stage`` draws float32 rows;
+    at float64 its draws are swapped for float64 ones from the same
+    stream); returns the float64 gradients each Adam step received and the
+    trained motion, for ``run_stage`` and for the reference."""
+    if dtype == np.float64:
+        monkeypatch.setattr(dist, "draw_rows", lambda ds, n, rng, grid: _rows(
+            ds, grid, rng, n, dtype))
+
     def three_rank_ctx():
         # A third rank sharing rank 0's base, listed first: the step must
         # still reduce in rank order, and three terms make the order show.
@@ -494,7 +515,7 @@ def _stage_and_reference(sched, dims, stage, iteration_grads, monkeypatch):
     out, _ = run_stage(stage, ctx, motion)
     got = updates[:]
     updates.clear()
-    ref = _reference_stage(stage, *three_rank_ctx(), iteration_grads)
+    ref = _reference_stage(stage, *three_rank_ctx(), iteration_grads, dtype)
     assert len(got) == len(updates) == stage.iterations * len(stage.phases())
     for g, r in zip(got, updates):
         assert g.keys() == r.keys()
@@ -502,15 +523,25 @@ def _stage_and_reference(sched, dims, stage, iteration_grads, monkeypatch):
     return got, updates, out, ref
 
 
-@_REFERENCE_STAGES
-def test_run_stage_matches_per_rank_reference(sched, dims, stage, monkeypatch):
+def _matches_per_rank_reference(sched, dims, stage, monkeypatch, dtype):
     got, want, out, ref = _stage_and_reference(sched, dims, stage,
-                                               _folded_grads, monkeypatch)
+                                               _folded_grads, monkeypatch, dtype)
     for g, r in zip(got, want):
         for key in g:
             assert np.array_equal(g[key], r[key]), key
     for key in out:
         assert np.array_equal(out[key], ref[key]), key
+
+
+@_REFERENCE_STAGES
+def test_run_stage_matches_per_rank_reference(sched, dims, stage, monkeypatch):
+    _matches_per_rank_reference(sched, dims, stage, monkeypatch, np.float64)
+
+
+@_REFERENCE_STAGES
+def test_run_stage_matches_per_rank_reference_float32(sched, dims, stage,
+                                                      monkeypatch):
+    _matches_per_rank_reference(sched, dims, stage, monkeypatch, np.float32)
 
 
 def _row_terms(r, b, step_grads) -> list:
@@ -521,17 +552,15 @@ def _row_terms(r, b, step_grads) -> list:
             for i in range(rows)]
 
 
-@_REFERENCE_STAGES
-def test_run_stage_gradients_match_micro_step_accumulation(sched, dims, stage,
-                                                           monkeypatch):
+def _matches_micro_step_accumulation(sched, dims, stage, monkeypatch, dtype,
+                                     tol):
     # Every loss is a mean over rows and the micro-batches are the same
     # size, so one step over a rank's rows equals the mean of its micro-step
     # gradients up to the order of the sum over rows, and up to the last
     # bits BLAS moves in each row's forward pass when the row count changes.
     # Both roundings are limited by the sum of the absolute values of the
     # row terms, not by their sum, which can nearly cancel (a fresh head's
-    # bias gradient does). The bound is 1e-12, about 9000 units of
-    # roundoff, of that magnitude.
+    # bias gradient does). The bound is ``tol`` of that magnitude.
     magnitudes = []
 
     def accumulated(stage, ranks, draw_stride, step_grads):
@@ -548,11 +577,26 @@ def test_run_stage_gradients_match_micro_step_accumulation(sched, dims, stage,
         return grads
 
     got, want, _, _ = _stage_and_reference(sched, dims, stage, accumulated,
-                                           monkeypatch)
+                                           monkeypatch, dtype)
     for g, r, size in zip(got, want, magnitudes):
         for key in g:
             gap = np.linalg.norm(g[key] - r[key])
-            assert gap <= 1e-12 * np.linalg.norm(size[key]), key
+            assert gap <= tol * np.linalg.norm(size[key]), key
+
+
+@_REFERENCE_STAGES
+def test_run_stage_gradients_match_micro_step_accumulation(sched, dims, stage,
+                                                           monkeypatch):
+    # 1e-12 is about 9000 units of float64 roundoff.
+    _matches_micro_step_accumulation(sched, dims, stage, monkeypatch, np.float64,
+                                     1e-12)
+
+
+@_REFERENCE_STAGES
+def test_run_stage_gradients_match_micro_step_accumulation_float32(
+        sched, dims, stage, monkeypatch):
+    _matches_micro_step_accumulation(sched, dims, stage, monkeypatch, np.float32,
+                                     1e-12 * TO_FLOAT32)
 
 
 def test_nan_loss_aborts_with_dump(sched, dims, tmp_path, monkeypatch):
@@ -613,7 +657,8 @@ def test_one_teacher_call_per_rank_equals_one_per_micro_batch(sched, dims, setup
                          stage, sched, dims)
     rng = np.random.default_rng(11)
     parts = [teacher_stride(base, motion,
-                            _batch(ds, stage, sched, rng, n=stage.micro_batch),
+                            _batch(ds, stage, sched, rng, n=stage.micro_batch,
+                                   dtype=np.float32),
                             stage, sched, dims) for _ in range(stage.grad_accum)]
     want = {**parts[0], **{k: np.concatenate([p[k] for p in parts])
                            for k in _ROW_KEYS}}

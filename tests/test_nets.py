@@ -305,14 +305,18 @@ def test_draw_rows_on_the_full_grid_draws_integer_timesteps(sched, dims):
     rng = np.random.default_rng(5)
     idx = rng.integers(0, len(ds.clips), size=32)
     drop = rng.random(32) < 0.5
-    want = {"x0": ds.clips[idx].astype(np.float64),
+    # The clips and the noise are float32; the noise is drawn in float64
+    # and rounded, so the stream is the one a float64 draw reads.
+    want = {"x0": ds.clips[idx],
             "tokens": np.where(drop, dims.null_token, ds.conditions[idx]),
             "t": rng.integers(0, sched.T, size=32),
-            "eps": rng.standard_normal((32, dims.frames, dims.frame_dim))}
+            "eps": rng.standard_normal((32, dims.frames, dims.frame_dim)).astype(
+                np.float32)}
     assert got.keys() == want.keys()
     for key, value in want.items():
         assert np.array_equal(got[key], value), key
-    assert got["t"].dtype == want["t"].dtype
+    for key in ("x0", "t", "eps"):
+        assert got[key].dtype == want[key].dtype, key
     assert np.any(got["tokens"] == dims.null_token)
 
 

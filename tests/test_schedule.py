@@ -111,6 +111,19 @@ def sched():
     return build_schedule(128, 0.002, 0.0985703125)
 
 
+# A float64 test's tolerance carried to its float32 twin: the same multiple
+# of the machine epsilon.
+TO_FLOAT32 = float(np.finfo(np.float32).eps / np.finfo(np.float64).eps)
+
+
+def _round_trip(x0, eps, t, sched):
+    """``x0`` back from ``add_noise``, in the dtype of ``x0`` and ``eps``."""
+    x_t = add_noise(x0, eps, t, sched)
+    back = eps_to_x0(x_t, eps, t, sched)
+    assert x_t.dtype == back.dtype == x0.dtype
+    return back
+
+
 def test_add_noise_boundaries(sched):
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal((8, 2))
@@ -143,24 +156,39 @@ def test_add_noise_shape_and_range_errors(sched):
         add_noise(x, x, -1, sched)
 
 
-def test_eps_to_x0_inverts_add_noise(sched):
+def _inverts_add_noise(sched, dtype, tol):
     rng = np.random.default_rng(2)
     for _ in range(25):
-        x0 = rng.standard_normal((6, 3))
-        eps = rng.standard_normal((6, 3))
+        x0 = rng.standard_normal((6, 3)).astype(dtype)
+        eps = rng.standard_normal((6, 3)).astype(dtype)
         t = int(rng.integers(0, sched.T))
-        x_t = add_noise(x0, eps, t, sched)
-        back = eps_to_x0(x_t, eps, t, sched)
-        assert np.max(np.abs(back - x0)) < 1e-10
+        back = _round_trip(x0, eps, t, sched)
+        assert np.max(np.abs(back - x0)) < tol
+
+
+def test_eps_to_x0_inverts_add_noise(sched):
+    _inverts_add_noise(sched, np.float64, 1e-10)
+
+
+def test_eps_to_x0_inverts_add_noise_float32(sched):
+    _inverts_add_noise(sched, np.float32, 1e-10 * TO_FLOAT32)
+
+
+def _inverts_per_row(sched, dtype, tol):
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal((32, 8, 2)).astype(dtype)
+    eps = rng.standard_normal(x0.shape).astype(dtype)
+    t = rng.integers(0, sched.T, size=32)
+    back = _round_trip(x0, eps, t, sched)
+    assert np.max(np.abs(back - x0)) < tol
 
 
 def test_eps_to_x0_vector_timesteps(sched):
-    rng = np.random.default_rng(3)
-    x0 = rng.standard_normal((32, 8, 2))
-    eps = rng.standard_normal(x0.shape)
-    t = rng.integers(0, sched.T, size=32)
-    back = eps_to_x0(add_noise(x0, eps, t, sched), eps, t, sched)
-    assert np.max(np.abs(back - x0)) < 1e-10
+    _inverts_per_row(sched, np.float64, 1e-10)
+
+
+def test_eps_to_x0_vector_timesteps_float32(sched):
+    _inverts_per_row(sched, np.float32, 1e-10 * TO_FLOAT32)
 
 
 def test_eps_to_x0_zero_eps(sched):
@@ -196,11 +224,25 @@ def test_substitute_terminal_noise_vectorised(sched):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_round_trip_property(t_frac, scale, seed):
+    _round_trip_within(t_frac, scale, seed, np.float64, 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t_frac=st.floats(0.0, 1.0),
+    scale=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_trip_property_float32(t_frac, scale, seed):
+    _round_trip_within(t_frac, scale, seed, np.float32, 1e-10 * TO_FLOAT32)
+
+
+def _round_trip_within(t_frac, scale, seed, dtype, tol):
     sched = build_schedule(64, 0.001, 0.2)
     rng = np.random.default_rng(seed)
-    x0 = scale * rng.standard_normal((3, 2))
-    eps = rng.standard_normal((3, 2))
+    x0 = (scale * rng.standard_normal((3, 2))).astype(dtype)
+    eps = rng.standard_normal((3, 2)).astype(dtype)
     t = min(int(t_frac * sched.T), sched.T - 1)
-    back = eps_to_x0(add_noise(x0, eps, t, sched), eps, t, sched)
+    back = _round_trip(x0, eps, t, sched)
     # Every stride clamps the recovered clean sample at +-4.
-    assert np.max(np.abs(back - np.clip(x0, -4, 4))) <= 1e-10 * max(1.0, scale)
+    assert np.max(np.abs(back - np.clip(x0, -4, 4))) <= tol * max(1.0, scale)

@@ -12,6 +12,11 @@ def sched():
     return fd.build_schedule(128, 0.002, 0.0985703125)
 
 
+# A float64 test's tolerance carried to its float32 twin: the same multiple
+# of the machine epsilon.
+TO_FLOAT32 = float(np.finfo(np.float32).eps / np.finfo(np.float64).eps)
+
+
 def analytic_f(sched):
     return lambda x, t, tokens: analytic_eps_star(x, t, sched)
 
@@ -46,25 +51,46 @@ def test_cfg_combine_affine_in_w(w, seed):
     np.testing.assert_allclose(lhs, b + w * (a - b), rtol=0, atol=0)
 
 
-def test_euler_step_consistent_noise_recovers_forward_process(sched):
+def _consistent_noise_stride(sched, dtype):
     # Predictor that always returns the exact noise used for corruption.
     rng = np.random.default_rng(2)
-    x0 = rng.standard_normal((5, 8, 2))
-    eps = rng.standard_normal(x0.shape)
+    x0 = rng.standard_normal((5, 8, 2)).astype(dtype)
+    eps = rng.standard_normal(x0.shape).astype(dtype)
     t, t_next = 100, 60
     x_t = fd.add_noise(x0, eps, t, sched)
     out = fd.euler_step(lambda x, tt, c: eps, x_t, t, t_next, None, sched)
-    np.testing.assert_allclose(out, fd.add_noise(x0, eps, t_next, sched),
-                               rtol=0, atol=1e-12)
+    assert out.dtype == dtype
+    return out, fd.add_noise(x0, eps, t_next, sched)
+
+
+def test_euler_step_consistent_noise_recovers_forward_process(sched):
+    out, want = _consistent_noise_stride(sched, np.float64)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+
+def test_euler_step_consistent_noise_recovers_forward_process_float32(sched):
+    out, want = _consistent_noise_stride(sched, np.float32)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12 * TO_FLOAT32)
+
+
+def _stride_to_clean_boundary(sched, dtype):
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal((3, 8, 2)).astype(dtype)
+    eps = rng.standard_normal(x0.shape).astype(dtype)
+    x_t = fd.add_noise(x0, eps, 40, sched)
+    out = fd.euler_step(lambda x, tt, c: eps, x_t, 40, -1, None, sched)
+    assert out.dtype == dtype
+    return out, x0
 
 
 def test_euler_step_to_clean_boundary_returns_x0_hat(sched):
-    rng = np.random.default_rng(3)
-    x0 = rng.standard_normal((3, 8, 2))
-    eps = rng.standard_normal(x0.shape)
-    x_t = fd.add_noise(x0, eps, 40, sched)
-    out = fd.euler_step(lambda x, tt, c: eps, x_t, 40, -1, None, sched)
+    out, x0 = _stride_to_clean_boundary(sched, np.float64)
     np.testing.assert_allclose(out, x0, rtol=0, atol=1e-12)
+
+
+def test_euler_step_to_clean_boundary_returns_x0_hat_float32(sched):
+    out, x0 = _stride_to_clean_boundary(sched, np.float32)
+    np.testing.assert_allclose(out, x0, rtol=0, atol=1e-12 * TO_FLOAT32)
 
 
 def test_euler_step_rejects_non_decreasing_t(sched):
@@ -99,19 +125,33 @@ def test_euler_solve_stride_overrun(sched):
         fd.euler_solve(lambda *a: x, x, 10, None, 3, 4, sched)
 
 
-def test_analytic_one_step_matches_scalar_arithmetic(sched):
-    # Independent oracle: scalar evaluation of the update coefficients.
-    f = analytic_f(sched)
+def _analytic_one_step(sched, dtype):
+    """One analytic stride of ``dtype`` states, and its independent oracle:
+    scalar evaluation of the update coefficients, in float64."""
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((1, 8, 2))
+    x = rng.standard_normal((1, 8, 2)).astype(dtype)
     t, t_next = 90, 58
     ab_t = float(sched.alpha_bar(t))
     ab_n = float(sched.alpha_bar(t_next))
-    eps = np.sqrt(1 - ab_t) * x / (ab_t * ANALYTIC_VAR + 1 - ab_t)
-    x0_hat = (x - np.sqrt(1 - ab_t) * eps) / np.sqrt(ab_t)
+    x64 = x.astype(np.float64)
+    eps = np.sqrt(1 - ab_t) * x64 / (ab_t * ANALYTIC_VAR + 1 - ab_t)
+    x0_hat = (x64 - np.sqrt(1 - ab_t) * eps) / np.sqrt(ab_t)
     expect = np.sqrt(ab_n) * x0_hat + np.sqrt(1 - ab_n) * eps
-    got = fd.euler_step(f, x, t, t_next, None, sched)
+    f = analytic_f(sched)
+    got = fd.euler_step(lambda x, t, c: f(x, t, c).astype(dtype), x, t, t_next,
+                        None, sched)
+    assert got.dtype == dtype
+    return got, expect
+
+
+def test_analytic_one_step_matches_scalar_arithmetic(sched):
+    got, expect = _analytic_one_step(sched, np.float64)
     np.testing.assert_allclose(got, expect, rtol=1e-13)
+
+
+def test_analytic_one_step_matches_scalar_arithmetic_float32(sched):
+    got, expect = _analytic_one_step(sched, np.float32)
+    np.testing.assert_allclose(got, expect, rtol=1e-13 * TO_FLOAT32)
 
 
 def test_student_teacher_gap_nonzero_before_distillation(sched):
@@ -206,16 +246,43 @@ def test_sampling_determinism(sched):
     assert not np.array_equal(a, c)
 
 
-def test_sample_batch_independent_of_batch_partition(sched):
+def _whole_and_one_by_one(sched, dtype):
     bundle = _bundle(12)
     tokens = np.array([0, 1, 2, 3])
-    x = fd.start_noise(10, len(tokens), bundle.dims)
+    x = fd.start_noise(10, len(tokens), bundle.dims).astype(dtype)
     full = fd.sample_batch(bundle, sched, 4, tokens, x)
     singles = np.concatenate([
         fd.sample_batch(bundle, sched, 4, tokens[i:i + 1], x[i:i + 1])
         for i in range(len(tokens))
     ])
+    assert full.dtype == singles.dtype == dtype
+    return full, singles
+
+
+def test_sample_batch_independent_of_batch_partition(sched):
+    full, singles = _whole_and_one_by_one(sched, np.float64)
     np.testing.assert_allclose(full, singles, rtol=0, atol=1e-12)
+
+
+def test_sample_batch_independent_of_batch_partition_float32(sched):
+    full, singles = _whole_and_one_by_one(sched, np.float32)
+    np.testing.assert_allclose(full, singles, rtol=0, atol=1e-12 * TO_FLOAT32)
+
+
+@pytest.mark.parametrize("solver", ["euler", "multistep"])
+def test_float32_guided_sampling_tracks_the_float64_reference(sched, solver):
+    # The same 32-step guided traversal from the same start states, once in
+    # float32 (start_noise's states) and once in float64. The norm-wise
+    # relative gap measured 1.0e-6 to 5.6e-6 (10 to 50 float32 epsilons)
+    # over six bundles at w 7.5, clamp binding included; the bound is 5e-5.
+    bundle = _bundle(30)
+    tokens = np.arange(bundle.dims.vocab + 1).repeat(4)
+    x = fd.start_noise(40, len(tokens), bundle.dims)
+    got = fd.sample_batch(bundle, sched, 32, tokens, x, w=7.5, solver=solver)
+    ref = fd.sample_batch(bundle, sched, 32, tokens, x.astype(np.float64), w=7.5,
+                          solver=solver)
+    assert got.dtype == np.float32 and ref.dtype == np.float64
+    assert np.linalg.norm(got - ref) <= 5e-5 * np.linalg.norm(ref)
 
 
 def test_guided_predictor_combines_the_conditional_and_null_predictions(sched):
@@ -248,7 +315,7 @@ def test_start_noise_of_fewer_clips_is_a_prefix(entropy, k, n):
     assert many.shape == (n, dims.frames, dims.frame_dim)
     assert fd.start_noise(entropy, k, dims).tobytes() == many[:k].tobytes()
     assert many.tobytes() == np.random.default_rng(entropy).standard_normal(
-        (n, dims.frames, dims.frame_dim)).tobytes()
+        (n, dims.frames, dims.frame_dim)).astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("tokens, rows", [
