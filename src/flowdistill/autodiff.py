@@ -4,15 +4,15 @@ Every network in this package is a small dense model, so the primitive set
 is fixed and deliberately tiny. Each layer is one fused affine node:
 ``dense`` is ``act(x @ w + bias + rows…)`` and ``temporal_mix`` is
 per-channel frame mixing with the same row terms and activation. Besides
-those there are elementwise arithmetic, embedding-row lookup,
-concatenation along any axis, reshaping, a few pointwise nonlinearities,
-full reductions and the mean squared error.
+those there are elementwise arithmetic, embedding-row lookup for indices
+checked by the caller, concatenation along any axis, reshaping, sigmoid,
+log and clamp, the full mean and the mean squared error.
 
 Constants are plain numpy arrays; anything wrapped in :class:`Var` receives
 a gradient after :func:`backward` runs on a scalar loss. ``backward`` frees
 the tape as it walks it: each node's closure and every interior gradient
 are dropped once used, so a graph can be back-propagated once. The free
-functions (``dense``, ``silu``, ...) accept either ``Var`` or ``ndarray``
+functions (``dense``, ``sigmoid``, ...) accept either ``Var`` or ``ndarray``
 operands, so the same forward code serves both training (taped) and
 inference (plain numpy) callers.
 
@@ -28,13 +28,13 @@ operands' dtype.
 A fused node returns the bits of the op chain it replaces: its adds run in
 the written order, its activation and gradients are the pointwise chains
 below, and its gradient sums see the same memory layouts. A pointwise
-chain (``sigmoid``, ``silu`` and their gradients) runs its ufuncs one by
-one with ``out=``, in the order and on the operands of the written
-expression, so it returns the same bits while allocating the fewest new
-arrays: one, or two where two partial results must coexist. At batch 512 a
-fresh (B, F, hidden) temporary is large enough that the allocator returns
-it to the kernel when freed, and faulting its pages back in cost more than
-the arithmetic.
+chain (``sigmoid``, a fused layer's silu and their gradients) runs its
+ufuncs one by one with ``out=``, in the order and on the operands of the
+written expression, so it returns the same bits while allocating the
+fewest new arrays: one, or two where two partial results must coexist.
+At batch 512 a fresh (B, F, hidden) temporary is large enough that the
+allocator returns it to the kernel when freed, and faulting its pages
+back in cost more than the arithmetic.
 
 The in-place rule: an op writes only into a buffer it has just allocated
 itself, never into an input, a node's ``value`` or an incoming gradient.
@@ -53,15 +53,11 @@ __all__ = [
     "backward",
     "value_of",
     "dense",
-    "matmul",
-    "take_rows",
     "temporal_mix",
     "concat",
     "reshape",
     "sigmoid",
-    "silu",
     "log",
-    "square",
     "clamp",
     "mean_all",
     "mse",
@@ -336,24 +332,9 @@ def dense(x, w, bias=None, *rows, act=None):
     return _affine(xv @ wv, True, bias, rows, act, (x, w), product_bwd)
 
 
-def matmul(a, b):
-    """Product against a 2-D weight matrix: (..., k) @ (k, n)."""
-    return dense(a, b)
-
-
-def take_rows(table, idx):
-    """Embedding lookup: rows of a 2-D table selected by an int index array,
-    checked against the table in one pass (one ``min``, one ``max``)."""
-    idx = np.asarray(idx)
-    rows = value_of(table).shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise IndexError(f"embedding index out of range [0, {rows})")
-    return _take_rows(table, idx)
-
-
 def _take_rows(table, idx):
-    """:func:`take_rows` for an index array its caller checked where it
-    entered."""
+    """Embedding lookup: rows of a 2-D table selected by an int index array
+    that its caller checked where it entered."""
     tv = value_of(table)
     if not isinstance(table, Var):
         return tv[idx]
@@ -448,31 +429,11 @@ def sigmoid(x):
     return out
 
 
-def silu(x):
-    if not isinstance(x, Var):
-        xv = _as_float(x)
-        s = _sigmoid_np(xv)
-        return np.multiply(xv, s, out=s)
-    s = _sigmoid_np(x.value)
-    out = Var(x.value * s, _parents=(x,))
-    out._bwd = lambda g: _accum(x, _silu_grad(g, x.value, s))
-    return out
-
-
 def log(x):
     if not isinstance(x, Var):
         return np.log(_as_float(x))
     out = Var(np.log(x.value), _parents=(x,))
     out._bwd = lambda g: _accum(x, g / x.value)
-    return out
-
-
-def square(x):
-    if not isinstance(x, Var):
-        xv = _as_float(x)
-        return xv * xv
-    out = Var(x.value * x.value, _parents=(x,))
-    out._bwd = lambda g: _accum(x, 2.0 * x.value * g)
     return out
 
 

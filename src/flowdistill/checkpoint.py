@@ -13,7 +13,9 @@ Layout::
     <raw little-endian blob>
 
 An entry is float32 unless its line ends in ``i4`` (int32); integer
-arrays are stored as int32 and every other array as float32. Byte offsets
+arrays are stored as int32 and every other array as float32. A line
+ending in ``f8`` is from a float64 file written before that format, and
+loading it asks for the run directory to be rebuilt. Byte offsets
 are relative to the start of the blob. Round trips are bit-exact because
 parameters, dataset clips and evaluation reference sets are float32 and
 condition tokens int32 in memory.
@@ -126,6 +128,10 @@ def checkpoint_load(path, expect: tuple = ()) -> tuple:
         dtype = "<f4"
         if len(parts) == 5 and parts[4] in _KINDS:
             dtype = _KINDS[parts.pop()]
+        elif len(parts) == 5 and parts[4] == "f8":
+            raise ValueError(
+                f"{path}: entry {parts[0]!r} is float64 (f8): the file predates "
+                "the float32 format; rebuild the run directory")
         if len(parts) != 4:
             raise ValueError(f"{path}: malformed entry line {rest!r}")
         name, shape_s, count_s, offset_s = parts

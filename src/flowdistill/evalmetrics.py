@@ -14,24 +14,33 @@ symmetric and an independent brute-force reimplementation reproduces it bit
 for bit.
 
 The norms are computed in numpy, over blocks of pairs laid out as
-(coordinates, pairs), with the same result bit for bit:
+(coordinates, pairs), with the same result bit for bit. The blocks of
+one pairwise term share one buffer for their squared differences and one
+array for their norms. Per block, in order:
 
-* an error-free TwoSum cascade over the coordinates gives a running sum
-  plus rounding errors whose exact total is the exact row sum;
+* an error-free cascade over the coordinates gives a running sum plus
+  rounding errors whose exact total is the exact row sum;
 * rounding the running sum plus the summed errors is certified correctly
   rounded when its leftover, plus a rigorous bound on the error of the
   error sum, lies strictly inside half the gap to the neighbouring
-  doubles;
-* any pair the certificate does not cover (exact ties, zero rows,
-  non-finite values) is recomputed with ``math.fsum``;
+  doubles. Exact ties and zero rows never pass; on float32 clips, whose
+  squared differences carry at most 48 significant bits, ties are common;
+* when enough pairs of the block fail, one vectorised pass over just those
+  checks whether their error sums were exact; for each that was, with a
+  finite result, the rounded sum is the exact sum rounded half to even,
+  as ``math.fsum`` rounds it;
+* any pair left (an inexact error sum, inf or NaN, or a failed pair of a
+  block with too few failures to pay for that pass) is recomputed with
+  ``math.fsum``;
 * ``np.sqrt`` is correctly rounded, like ``math.sqrt``.
 
 A within-set norm is computed once per unordered pair and counted twice:
 ``x_i - x_j`` is the exact negation of ``x_j - x_i``, so both orders give
-the same norm bit for bit. Each set's within-set sum is cached by content
-(its shape and float64 bytes): an evaluation scores every cell of a style
-against one reference set, so that set's sum is computed once and reused,
-the same bits as computing it again.
+the same norm bit for bit, and the within-set sum is twice the exact sum
+over unordered pairs (see :func:`_within_sum`). Each set's within-set sum
+is cached by content (its shape and float64 bytes): an evaluation scores
+every cell of a style against one reference set, so that set's sum is
+computed once and reused, the same bits as computing it again.
 
 The harness scores every arm and step count on the same condition tokens
 and start noise, drawn once per evaluation by :func:`eval_inputs`: the
@@ -72,6 +81,12 @@ def _flatten(clips) -> np.ndarray:
 # Bytes of squared differences held per block of pairs.
 _BLOCK_BYTES = 1 << 20
 _U = 2.0 ** -53  # unit roundoff of float64
+# The exactness pass runs on a block with at least this many failed
+# columns. It costs about 14 numpy calls per coordinate, whatever the
+# column count: as much as the fsum calls of 100-170 columns at D = 4, 16
+# and 64 (numpy 2.4, 2-core x86 host). Two 16-clip sets have 256 cross
+# pairs, of which about 16 fail at the 6.4% rate of ``eval-ablate``'s sets.
+_EXACT_PASS_PAIRS = 160
 
 
 def _two_sum(a, b):
@@ -81,21 +96,69 @@ def _two_sum(a, b):
     return s, (a - (s - z)) + (b - z)
 
 
-def _sqrt_fsum(sq: np.ndarray) -> np.ndarray:
-    """``math.sqrt(math.fsum(sq[:, k]))`` for every column k, bit for bit.
+def _cascade(sq: np.ndarray) -> tuple:
+    """(s, c) down the rows of the (D, pairs) ``sq``: ``s`` the running
+    float sum and ``c`` the float sum of its rounding errors, ``c += e`` in
+    row order, so ``s + sum(e)`` is the exact column sum.
+
+    Each error is Dekker's Fast2Sum on the larger and the smaller of ``s``
+    and the next row: the entries are nonnegative (or NaN), so ``maximum``
+    and ``minimum`` order them by magnitude, and the error is exact, the
+    same value :func:`_two_sum` returns. Every step writes into buffers
+    allocated once.
+    """
+    s = sq[0].copy()
+    c = np.zeros_like(s)
+    hi, lo = np.empty_like(s), np.empty_like(s)
+    for x in sq[1:]:
+        np.maximum(s, x, out=hi)
+        np.minimum(s, x, out=lo)
+        np.add(hi, lo, out=s)
+        np.subtract(s, hi, out=hi)
+        np.subtract(lo, hi, out=lo)
+        c += lo
+    return s, c
+
+
+def _exact_error_sums(sq: np.ndarray) -> np.ndarray:
+    """Whether :func:`_cascade`'s ``c`` is the exact sum of its errors, for
+    each column of ``sq``: the same cascade, with each ``c += e`` done as a
+    TwoSum whose error must be zero. Inf or NaN makes an error NaN, which
+    is not exact."""
+    s = sq[0].copy()
+    c = np.zeros_like(s)
+    exact = np.ones(s.shape, dtype=bool)
+    for x in sq[1:]:
+        s, e = _two_sum(s, x)
+        c, f = _two_sum(c, e)
+        exact &= f == 0.0
+    return exact
+
+
+def _sqrt_fsum(sq: np.ndarray, out=None) -> np.ndarray:
+    """``math.sqrt(math.fsum(sq[:, k]))`` for every column k, bit for bit,
+    written into ``out`` when it is given.
 
     ``sq`` is (D, pairs) and holds squares, so every entry is nonnegative
-    or NaN.
+    or NaN. The passes, in order:
+
+    1. :func:`_cascade` gives ``s`` and ``c``, and ``r = fl(s + c)``;
+    2. the certificate below accepts each column whose exact sum provably
+       rounds to ``r``; it never accepts an exact tie, a zero row or a
+       non-finite ``r``;
+    3. when at least ``_EXACT_PASS_PAIRS`` columns fail it,
+       :func:`_exact_error_sums` re-runs the cascade on just those and
+       accepts each whose ``c`` is exact and whose ``r`` is finite: ``s +
+       c`` is then the exact sum, so ``r``, its round-half-even rounding,
+       is what ``fsum`` returns, ties and zero rows included;
+    4. ``math.fsum`` recomputes the rest: inexact error sums, inf and NaN,
+       and every failed column of a block with fewer failures than that.
     """
     d = sq.shape[0]
     # Inf and NaN make this arithmetic warn; their pairs fail the
     # certificate and take the fsum path.
     with np.errstate(over="ignore", invalid="ignore"):
-        s = sq[0].copy()
-        c = np.zeros_like(s)
-        for x in sq[1:]:
-            s, e = _two_sum(s, x)
-            c += e
+        s, c = _cascade(sq)
         # The exact sum is s + sum(e). Partial sums of nonnegative terms
         # never decrease, so each |e| <= u s and |sum(e) - c| is below
         # (d - 1)^2 u^2 s, and d^2 u^2 s still is after rounding: the margin
@@ -109,8 +172,11 @@ def _sqrt_fsum(sq: np.ndarray) -> np.ndarray:
         # is never smaller. Zero, inf and NaN fail the test.
         below = (r.view(np.int64) - 1).view(np.float64)
         ok = (np.abs(t) + bound) * 2.0 < r - below
-    norms = np.sqrt(r)
-    redo = np.flatnonzero(~ok)
+        redo = np.flatnonzero(~ok)
+        if redo.size >= _EXACT_PASS_PAIRS:
+            done = _exact_error_sums(sq[:, redo]) & np.isfinite(r[redo])
+            redo = redo[~done]
+    norms = np.sqrt(r, out=out)
     norms[redo] = [math.sqrt(math.fsum(row)) for row in sq[:, redo].T.tolist()]
     return norms
 
@@ -120,8 +186,9 @@ def _offset_norms(xt: np.ndarray, yt: np.ndarray, offsets: range) -> list:
 
     ``xt`` is (D, n) and ``yt`` is (D, m). Offsets 0..m-1 reach every pair
     once; for n == m, offsets 1..m-1 reach every pair but i == j. Each block
-    of offsets is one numpy op with its squared differences under
-    ``_BLOCK_BYTES``.
+    of offsets is one subtraction into a (D, offsets, n) buffer allocated
+    once, its squared differences under ``_BLOCK_BYTES``; its norms go into
+    one array, converted to a list once.
     """
     d, n = xt.shape
     m = yt.shape[1]
@@ -129,12 +196,16 @@ def _offset_norms(xt: np.ndarray, yt: np.ndarray, offsets: range) -> list:
     wrapped = yt[:, np.arange(n + m - 1) % m]
     windows = np.lib.stride_tricks.sliding_window_view(wrapped, n, axis=1)
     step = max(1, _BLOCK_BYTES // (8 * d * n))
-    norms = []
+    buf = np.empty((d, min(step, len(offsets)), n))
+    norms = np.empty(len(offsets) * n)
     for k in range(offsets.start, offsets.stop, step):
-        sq = xt[:, None, :] - windows[:, k:min(k + step, offsets.stop)]
+        w = min(step, offsets.stop - k)
+        sq = buf[:, :w]
+        np.subtract(xt[:, None, :], windows[:, k:k + w], out=sq)
         sq *= sq
-        norms += _sqrt_fsum(sq.reshape(d, -1)).tolist()
-    return norms
+        at = (k - offsets.start) * n
+        _sqrt_fsum(sq.reshape(d, -1), norms[at:at + w * n])
+    return norms.tolist()
 
 
 @lru_cache(maxsize=8)
@@ -145,14 +216,19 @@ def _within_sum(shape: tuple, data: bytes) -> float:
     Offsets 1..n//2 reach each unordered pair once, except that for even n
     the last offset reaches each of its pairs twice (from i and i + n/2);
     that second half is dropped. ``x_i - x_j`` is the exact negation of
-    ``x_j - x_i``, so each norm stands for both orders and is summed twice.
+    ``x_j - x_i``, so each norm stands for both orders: the sum is twice
+    the correctly rounded sum of the unordered pairs' norms. Doubling is
+    exact, so that is ``math.fsum(norms + norms)`` bit for bit whenever it
+    is finite; where the doubled sum exceeds the largest double it is inf,
+    where ``fsum`` would raise ``OverflowError``. A norm is at most
+    ``sqrt(DBL_MAX)``, about 1.3e154, so that takes some 1e154 pairs.
     """
     xt = np.frombuffer(data).reshape(shape).T
     n = xt.shape[1]
     norms = _offset_norms(xt, xt, range(1, n // 2 + 1))
     if n % 2 == 0:
         del norms[len(norms) - n // 2:]
-    return math.fsum(norms + norms)
+    return 2.0 * math.fsum(norms)
 
 
 def energy_distance(a, b, matched_pairs: bool = False) -> float:

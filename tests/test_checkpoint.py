@@ -80,6 +80,19 @@ def test_shape_count_mismatch_rejected(tmp_path):
         checkpoint_load(tmp_path / "bad.ckpt")
 
 
+def test_a_float64_entry_asks_for_the_run_directory_to_be_rebuilt(tmp_path):
+    # The layout of a reference set written before the float32 format.
+    path = tmp_path / "references" / "default.ckpt"
+    path.parent.mkdir()
+    clips = np.arange(16, dtype="<f8").reshape(2, 4, 2)
+    path.write_bytes(b"ckpt-v1 1\nentry clips 2x4x2 16 0 f8\n---\n" + clips.tobytes())
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert str(err.value) == (
+        f"{path}: entry 'clips' is float64 (f8): the file predates the float32 "
+        "format; rebuild the run directory")
+
+
 def test_mixed_entry_kinds_get_their_offsets(tmp_path):
     # An integer array is stored as int32 and any other array as float32, a
     # float64 one included: the manifest knows no other kind.

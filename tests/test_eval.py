@@ -1,4 +1,5 @@
 import math
+import sys
 import types
 
 import numpy as np
@@ -132,11 +133,19 @@ def test_pair_norms_equal_sqrt_of_fsum_bit_for_bit(xs):
     assert _bits(got) == _bits(want)
 
 
-def test_fsum_fallback_runs_on_ties_and_zero_rows(monkeypatch):
-    # (2^27, 1, 1) squares to (2^54, 1, 1): the exact sum 2^54 + 2 is a tie
-    # between two doubles. Repeated points give zero rows.
-    xs = np.array([[0.0, 0.0, 0.0], [2.0 ** 27, 1.0, 1.0], [0.0, 0.0, 0.0],
-                   [3.0, 4.0, 12.0], [0.5, 0.25, 0.125]])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(point_sets())
+def test_pair_norms_through_the_exactness_pass_equal_sqrt_of_fsum_bit_for_bit(xs):
+    # Every pair that fails the certificate takes the exactness pass, however
+    # few there are.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evalmetrics, "_EXACT_PASS_PAIRS", 0)
+        got, want = _all_pair_norms(xs)
+    assert _bits(got) == _bits(want)
+
+
+def _fsum_rows(monkeypatch):
+    """The list of every row evalmetrics hands ``math.fsum`` from now on."""
     rows = []
     real_fsum = math.fsum
 
@@ -146,6 +155,16 @@ def test_fsum_fallback_runs_on_ties_and_zero_rows(monkeypatch):
 
     monkeypatch.setattr(evalmetrics, "math",
                         types.SimpleNamespace(fsum=counting_fsum, sqrt=math.sqrt))
+    return rows
+
+
+def test_fsum_fallback_runs_on_ties_and_zero_rows(monkeypatch):
+    # (2^27, 1, 1) squares to (2^54, 1, 1): the exact sum 2^54 + 2 is a tie
+    # between two doubles. Repeated points give zero rows. Too few pairs fail
+    # the certificate for the exactness pass, so each goes to fsum.
+    xs = np.array([[0.0, 0.0, 0.0], [2.0 ** 27, 1.0, 1.0], [0.0, 0.0, 0.0],
+                   [3.0, 4.0, 12.0], [0.5, 0.25, 0.125]])
+    rows = _fsum_rows(monkeypatch)
     got, want = _all_pair_norms(xs)
     assert _bits(got) == _bits(want)
     assert [2.0 ** 54, 1.0, 1.0] in rows
@@ -153,13 +172,52 @@ def test_fsum_fallback_runs_on_ties_and_zero_rows(monkeypatch):
     assert len(rows) < len(got)  # the rest are certified without fsum
 
 
+# Two rows whose cascade error sum is inexact: see the test below.
+INEXACT_ROWS = [
+    [1.0 + 2.0 ** -52, 2.0 ** -54, 2.0 ** -54 - 2.0 ** -107, 0.0, 0.0],
+    [1.0 + 2.0 ** -52, 2.0 ** -53 - 2.0 ** -106] + [3 * 2.0 ** -109] * 3,
+]
+
+
+def test_exactness_pass_leaves_fsum_only_inexact_and_non_finite_rows(monkeypatch):
+    # One block of squares. Ties: the exact sums 2^54 + 2, 2^54 + 10 and
+    # 9 * 2^52 + 4 each lie halfway between two doubles. Zero rows are a
+    # point's difference from itself. Rows of small integers pass the
+    # certificate.
+    ties = [[2.0 ** 27, 1, 1, 0, 0], [2.0 ** 27, 3, 1, 0, 0],
+            [3 * 2.0 ** 26, 1, 1, 1, 1]]
+    plain = [[3, 4, 12, 0, 1], [0.5, 0.25, 0.125, 1, 2], [7, 1, 2, 5, 6]]
+    squares = np.array(ties * 60 + [[0.0] * 5] * 40 + plain * 20) ** 2
+    fallback = INEXACT_ROWS + [[math.inf, 1, 0, 0, 0], [math.nan, 4, 0, 0, 0]]
+    rows = np.random.default_rng(0).permutation(np.vstack([squares, fallback]))
+    want = [math.sqrt(math.fsum(row)) for row in rows.tolist()]
+    failed = []
+    real_pass = evalmetrics._exact_error_sums
+    monkeypatch.setattr(evalmetrics, "_exact_error_sums",
+                        lambda sq: failed.append(sq.shape[1]) or real_pass(sq))
+    fsum_rows = _fsum_rows(monkeypatch)
+    got = evalmetrics._sqrt_fsum(rows.T.copy())
+    assert _bits(got) == _bits(want)
+    # Every tie, zero and fallback row fails the certificate, enough of
+    # them to take the pass, and only the fallback rows reach fsum.
+    assert failed == [len(ties) * 60 + 40 + len(fallback)]
+    assert failed[0] >= evalmetrics._EXACT_PASS_PAIRS
+    assert sorted(_bits(row) for row in fsum_rows) == sorted(_bits(row) for row in fallback)
+    # A finite row whose sum overflows: its error sum (2^970) is exact but
+    # r is inf, so it reaches fsum too, which raises as for the row alone.
+    overflow = [sys.float_info.max, 2.0 ** 969, 2.0 ** 969, 0.0, 0.0]
+    with pytest.raises(OverflowError):
+        math.fsum(overflow)
+    with pytest.raises(OverflowError):
+        evalmetrics._sqrt_fsum(np.vstack([rows, [overflow]]).T.copy())
+
+
 def test_certificate_allows_for_rounding_in_the_error_sum():
     # In both rows the cascade keeps s = 1 + 2^-52 and the errors are the
     # later terms, whose float sum rounds across the tie at s + 2^-53 (row
     # a: up onto it, where round-half-even then goes up; row b: down below
     # it), while the exact sum lies just on the other side.
-    a = [1.0 + 2.0 ** -52, 2.0 ** -54, 2.0 ** -54 - 2.0 ** -107, 0.0, 0.0]
-    b = [1.0 + 2.0 ** -52, 2.0 ** -53 - 2.0 ** -106] + [3 * 2.0 ** -109] * 3
+    a, b = INEXACT_ROWS
     got = evalmetrics._sqrt_fsum(np.array([a, b]).T)
     assert _bits(got) == _bits([math.sqrt(math.fsum(a)), math.sqrt(math.fsum(b))])
 
@@ -197,6 +255,19 @@ def test_energy_distance_matches_brute_force_across_many_blocks(monkeypatch, blo
         if n == m:
             assert (energy_distance(a, b, matched_pairs=True)
                     == brute_force_energy_distance(a, b, matched_pairs=True))
+
+
+def test_clamped_clip_sets_fall_back_to_fsum_a_pinned_number_of_times(monkeypatch):
+    # Clip-shaped float32 sets clamped at +-4, as sampling clamps x0, make
+    # exact ties common. Without the exactness pass this call handed 1,428
+    # pairs to fsum; the 219 left are in blocks with too few failures to
+    # pay for the pass.
+    rng = np.random.default_rng(150)
+    a, b = (np.clip(4.0 * _clips(rng, 150), -4.0, 4.0) for _ in range(2))
+    evalmetrics._within_sum.cache_clear()
+    rows = _fsum_rows(monkeypatch)
+    energy_distance(a, b)
+    assert sum(len(row) == 16 for row in rows) == 219
 
 
 def test_energy_distance_of_a_nan_sample_is_nan():
