@@ -30,8 +30,6 @@ from .nets import (
 from .solvers import (
     cfg_combine,
     euler_solve,
-    euler_step,
-    multistep_solve,
     sample_batch,
     start_noise,
 )

@@ -14,8 +14,13 @@ closed form for oracle tests:
     eps_star(x, t) = sqrt(1-ab) * (x - sqrt(ab) * mu) / (ab * var + 1 - ab)
 
 Unit variance puts that style's noisy marginals at N(0, I) for every
-timestep, so solver fidelity can be measured without start-distribution
-bias.
+timestep, so a traversal's fidelity can be measured without
+start-distribution bias.
+
+A generated dataset is the guided teacher's samples from one traversal,
+``solvers.sample_batch``: the sampler that also draws the evaluation's
+reference sets, so the students train on, and are scored against, one
+distribution.
 
 A dataset file is a checkpoint file (see ``checkpoint``): float32
 ``clips``, int32 ``conditions``, and the provenance and style id as
@@ -223,7 +228,9 @@ def sample_ground_truth(style: StyleSpec, n: int, seed, frames: int = 8,
 
 def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
                              n: int, seed, steps: int, w: float) -> ClipDataset:
-    """Mass-generate clips from a pretrained teacher with the multistep solver.
+    """Mass-generate clips from a pretrained teacher: ``sample_batch`` in
+    ``steps`` guided Euler strides at scale ``w``, the traversal that also
+    samples the evaluation's reference sets.
 
     The conditions come from one stream and the start noise from another
     (``_entropies``, ``solvers.start_noise``), each drawn in one call that
@@ -237,7 +244,7 @@ def generate_distill_dataset(bundle, sched: NoiseSchedule, style: StyleSpec,
     cond_entropy, noise_entropy = _entropies(seed)
     conds = np.random.default_rng(cond_entropy).integers(0, bundle.dims.vocab, size=n)
     x_start = start_noise(noise_entropy, n, bundle.dims)
-    clips = sample_batch(bundle, sched, steps, conds, x_start, w=w, solver="multistep")
+    clips = sample_batch(bundle, sched, steps, conds, x_start, w=w)
     return ClipDataset(clips, conds, "teacher_generated", style.group, style.style_id)
 
 

@@ -301,7 +301,8 @@ def eval_inputs(seed: int, n_conditions: int, dims) -> tuple:
 
 
 def reference_set(bundle, sched, tokens, x_start, steps: int, w: float):
-    """Teacher reference samples: guided Euler traversal at full step count,
+    """Teacher reference samples: the guided Euler traversal that also
+    samples the generated datasets (``datagen.generate_distill_dataset``),
     with the predicted clean sample clamped as in every traversal."""
     return sample_batch(bundle, sched, steps, tokens, x_start, w=w)
 

@@ -41,7 +41,10 @@ counts in one loop (``evalmetrics.score_arms``) and stamps each report's
 provenance. Each style's reference set, the guided teacher's samples that
 every cell of the style is scored against, is a cached artifact too: it is
 sampled by the first evaluation that scores the style and read back, bit
-for bit, by every later one, ``eval`` and ``ablate`` alike.
+for bit, by every later one, ``eval`` and ``ablate`` alike. The generated
+datasets and the reference sets are samples of one guided teacher: one
+``solvers.sample_batch`` traversal of the config's ``teacher_steps``
+strides at scale ``guidance``.
 """
 from __future__ import annotations
 
@@ -210,8 +213,6 @@ class Workspace:
 
     def build_datasets(self, bundles: dict, progress=None) -> dict:
         """Training datasets keyed by the rank table's dataset ids."""
-        data_cfg = self.cfg["data"]
-
         def build(name, style_names):
             if progress:
                 progress(f"building dataset {name}")
@@ -222,9 +223,9 @@ class Workspace:
                 spec = style_by_name(style_name)
                 parts.append(generate_distill_dataset(
                     bundles[style_name], self.sched, spec,
-                    data_cfg["generated_clips"],
+                    self.cfg["data"]["generated_clips"],
                     self._seed("gen", spec.style_id),
-                    steps=data_cfg["gen_steps"], w=self.cfg["guidance"]))
+                    steps=self.cfg["teacher_steps"], w=self.cfg["guidance"]))
             return flip_augment(pool_by_group(parts))
 
         return {name: self._cached(self.data_path(name), _read_dataset, save_dataset,
@@ -289,13 +290,12 @@ class Workspace:
         file is missing; returns {arm: EvalReport} with each report's
         provenance."""
         ev = self.cfg["eval"]
-        seed = self.cfg["seed"]
+        seed, steps, w = self.cfg["seed"], self.cfg["teacher_steps"], self.cfg["guidance"]
         tokens, x_start = eval_inputs(seed, ev["n_conditions"], self.dims)
 
         def build(style):
             return {"clips": reference_set(bundles[style], self.sched, tokens,
-                                           x_start, steps=ev["ref_steps"],
-                                           w=self.cfg["guidance"])}
+                                           x_start, steps=steps, w=w)}
 
         references = {style: self._arrays(self.reference_path(style), ("clips",),
                                           partial(build, style))["clips"]
@@ -305,6 +305,5 @@ class Workspace:
         for arm, report in reports.items():
             report.metadata.update(
                 arm=arm, seed=seed, n_conditions=ev["n_conditions"],
-                ref_steps=ev["ref_steps"], guidance=self.cfg["guidance"],
-                config_hash=self.hash)
+                teacher_steps=steps, guidance=w, config_hash=self.hash)
         return reports

@@ -1,13 +1,17 @@
-"""Deterministic samplers: stride-`s` Euler traversal and a second-order
-multistep solver used for teacher data generation.
+"""Deterministic sampling: one traversal, :func:`euler_solve`, of
+stride-``s`` Euler (DDIM) updates.
 
-All solvers treat timestep ``-1`` as the clean boundary (``alpha_bar = 1``),
-so a full traversal of a ``T``-step schedule takes ``n * s = T`` strides
-from ``t = T - 1`` down to ``t = -1``.
+Every traversal treats timestep ``-1`` as the clean boundary
+(``alpha_bar = 1``), so a full traversal of a ``T``-step schedule takes
+``n`` strides of ``s = T // n`` timesteps from ``t = T - 1`` down to
+``t = -1``. The teacher's datasets, the evaluation's reference and arm
+sets, the ``sample`` command and each distillation stage's teacher all
+traverse this way: :func:`sample_batch` is :func:`euler_solve` over
+blocks of rows.
 
 Predictors are callables ``f(x, t, tokens) -> eps_hat``; :func:`predictor`
 builds one from a model, and classifier-free guidance is part of the
-predictor it returns, not of the solvers. The one-step arithmetic is written
+predictor it returns, not of the traversal. The one-step arithmetic is written
 against the generic autodiff ops, so a predictor that returns a taped
 :class:`~flowdistill.autodiff.Var` yields a differentiable update (this is
 how the student's single stride is trained). Every update clamps the
@@ -26,15 +30,13 @@ clips are drawn after it. A caller that samples the same states many times
 
 Inputs are checked once, where they enter a traversal, and never per
 stride. ``NoiseSchedule`` rejects a schedule whose ``alpha_bar`` underflows
-when it is built. :func:`euler_solve` checks its start timesteps (integer
-dtype, range, and that ``n * s`` strides stay inside the schedule) and
-:func:`euler_step` checks its pair and their order; :func:`solve_grid`
-makes every grid of :func:`multistep_solve` and :func:`sample_batch` of
-Python ints, strictly decreasing, from ``T - 1`` to ``-1``. The strides
-then read the schedule's tables unchecked. Condition tokens are checked by
-:func:`sample_batch` at entry and by a :func:`predictor` on the first call
-with each token array; its evals call ``student_eps`` with
-``checked=True``.
+when it is built. :func:`euler_solve` checks its stride count and length
+and its start timesteps (integer dtype, range, and that ``n * s`` strides
+stay inside the schedule); :func:`sample_batch` checks that its step count
+divides ``T``. The strides then read the schedule's tables unchecked.
+Condition tokens are checked by :func:`sample_batch` at entry and by a
+:func:`predictor` on the first call with each token array; its evals call
+``student_eps`` with ``checked=True``.
 """
 from __future__ import annotations
 
@@ -46,10 +48,7 @@ from .schedule import NoiseSchedule, _coef
 
 __all__ = [
     "cfg_combine",
-    "euler_step",
     "euler_solve",
-    "multistep_solve",
-    "solve_grid",
     "start_noise",
     "sample_batch",
 ]
@@ -93,10 +92,13 @@ def predictor(base: dict, motion: dict, T: int, dims, w: float = 0.0):
     return f
 
 
-def _ddim_update(x, eps, t, t_next, sched: NoiseSchedule):
-    """sqrt(ab')·x0_hat + sqrt(1-ab')·eps, with x0_hat recovered from x and
-    clamped at ``±X0_CLIP``. ``t`` and ``t_next`` index the schedule's
-    tables unchecked: the traversal checked them at its entry."""
+def _stride(f, x, t, t_next, tokens, sched: NoiseSchedule):
+    """One Euler (DDIM) stride from ``t`` to ``t_next``:
+    sqrt(ab')·x0_hat + sqrt(1-ab')·eps, with eps = f(x, t, tokens) and
+    x0_hat recovered from x and clamped at ``±X0_CLIP``. ``t`` and
+    ``t_next`` index the schedule's tables unchecked: the traversal checked
+    them at its entry."""
+    eps = f(x, t, tokens)
     xv = ad.value_of(x)
     a_t = _coef(sched._sqrt_ab_ext[t + 1], xv)
     b_t = _coef(sched._sqrt_1m_ab_ext[t + 1], xv)
@@ -104,18 +106,6 @@ def _ddim_update(x, eps, t, t_next, sched: NoiseSchedule):
     b_n = _coef(sched._sqrt_1m_ab_ext[t_next + 1], xv)
     x0_hat = ad.clamp((x - b_t * eps) / a_t, -X0_CLIP, X0_CLIP)
     return a_n * x0_hat + b_n * eps
-
-
-def _stride(f, x, t, t_next, tokens, sched: NoiseSchedule):
-    return _ddim_update(x, f(x, t, tokens), t, t_next, sched)
-
-
-def euler_step(f, x_t, t, t_next, tokens, sched: NoiseSchedule):
-    """One deterministic stride from t to t_next (< t), both checked here."""
-    t, t_next = sched._check_t(t), sched._check_t(t_next)
-    if not np.all(np.asarray(t_next) < np.asarray(t)):
-        raise ValueError("t_next must precede t")
-    return _stride(f, x_t, t, t_next, tokens, sched)
 
 
 def euler_solve(f, x_t, t, tokens, n: int, s: int, sched: NoiseSchedule):
@@ -137,67 +127,6 @@ def euler_solve(f, x_t, t, tokens, n: int, s: int, sched: NoiseSchedule):
     return x
 
 
-def solve_grid(T: int, steps: int) -> list:
-    """Integer timestep grid for a k-step traversal: T-1 down to -1.
-
-    Interior points are rounded from the uniform spacing; when ``steps``
-    divides ``T`` the grid is exactly uniform with stride ``T // steps``.
-    """
-    if steps < 1 or steps > T:
-        raise ValueError(f"steps must be in [1, {T}]")
-    grid = [int(np.floor(T * (steps - j) / steps + 0.5)) - 1 for j in range(steps + 1)]
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("degenerate solver grid; reduce steps")
-    return grid
-
-
-def multistep_solve(f, x_start, steps: int, tokens, sched: NoiseSchedule):
-    """Second-order multistep traversal in x0 parameterisation.
-
-    With a = sqrt(ab), sig = sqrt(1-ab), lam = ln(a/sig), h = lam' - lam,
-    the interior update is
-
-        x' = (sig'/sig) * x - a' * (exp(-h) - 1) * D
-
-    where D extrapolates the current and previous x0 predictions:
-    D = (1 + 1/(2r)) * x0 - (1/(2r)) * x0_prev with r = h_prev / h, and each
-    x0 prediction is clamped at ``±X0_CLIP``.
-    The first step has no history and the final step lands on the clean
-    boundary (sig' = 0, h infinite), so both use the first-order update,
-    which coincides with a single Euler stride.
-    """
-    grid = solve_grid(sched.T, steps)
-    ab = sched.alpha_bar(np.asarray(grid))
-    alphas = np.sqrt(ab)
-    sigmas = np.sqrt(1.0 - ab)
-    with np.errstate(divide="ignore"):
-        lams = np.log(alphas) - np.log(sigmas)
-
-    x = x_start
-    x0_prev = None
-    h_prev = None
-    for j in range(steps):
-        t_cur, t_next = grid[j], grid[j + 1]
-        eps = f(x, t_cur, tokens)
-        xv = ad.value_of(x)
-        a_c = _coef(alphas[j], xv)
-        s_c = _coef(sigmas[j], xv)
-        x0 = ad.clamp((x - s_c * eps) / a_c, -X0_CLIP, X0_CLIP)
-        # Python floats, so they take the dtype of the clips they scale.
-        h = float(lams[j + 1] - lams[j])
-        if x0_prev is None or not np.isfinite(h):
-            x = _ddim_update(x, eps, t_cur, t_next, sched)
-        else:
-            r = h_prev / h
-            d = (1.0 + 1.0 / (2.0 * r)) * x0 - (1.0 / (2.0 * r)) * x0_prev
-            a_n = _coef(alphas[j + 1], xv)
-            s_n = _coef(sigmas[j + 1], xv)
-            x = (s_n / s_c) * x - a_n * float(np.expm1(-h)) * d
-        x0_prev = x0
-        h_prev = h
-    return x
-
-
 def start_noise(entropy, n: int, dims) -> np.ndarray:
     """(n, frames, frame_dim) float32 starting noise from the stream
     ``default_rng(entropy)``, filled in clip order: row ``i`` is the same
@@ -208,11 +137,13 @@ def start_noise(entropy, n: int, dims) -> np.ndarray:
 
 
 def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,
-                 w: float = 0.0, solver: str = "euler"):
+                 w: float = 0.0):
     """Deterministic batch sampling from start states drawn by
     :func:`start_noise`, one row per entry of ``tokens``, guided at scale
-    ``w`` (unguided at 0). The samples have the start states' float dtype:
-    float32 from :func:`start_noise`, float64 from float64 states.
+    ``w`` (unguided at 0): a full :func:`euler_solve` traversal in
+    ``steps`` strides of ``T // steps``, where ``steps`` must divide ``T``.
+    The samples have the start states' float dtype: float32 from
+    :func:`start_noise`, float64 from float64 states.
 
     The rows are solved in blocks of ``SAMPLE_BATCH``. Rows never interact,
     so the result does not depend on how the clips are partitioned into
@@ -221,25 +152,18 @@ def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,
     traversal amplifies them (about 2e-5 at w 7.5 and 4 steps).
     """
     dims = bundle.dims
+    T = sched.T
+    if steps < 1 or T % steps:
+        raise ValueError(f"steps must divide T = {T}, got {steps}")
     tokens = _check_tokens(tokens, dims)
     x = ad.value_of(x_start)
     if tokens.ndim != 1 or x.shape[:1] != tokens.shape:
         raise ValueError(f"start states {x.shape} for tokens {tokens.shape}; "
                          "need one per clip")
-    if solver not in ("euler", "multistep"):
-        raise ValueError(f"unknown solver {solver!r}")
-    f = predictor(bundle.base, bundle.motion, sched.T, dims, w)
-    grid = solve_grid(sched.T, steps)
-
-    def solve(xb, tok):
-        if solver == "multistep":
-            return multistep_solve(f, xb, steps, tok, sched)
-        for j in range(steps):
-            xb = _stride(f, xb, grid[j], grid[j + 1], tok, sched)
-        return xb
-
+    f = predictor(bundle.base, bundle.motion, T, dims, w)
     out = np.empty_like(x)
     for lo in range(0, len(x), SAMPLE_BATCH):
         rows = slice(lo, lo + SAMPLE_BATCH)
-        out[rows] = solve(x[rows], tokens[rows])
+        out[rows] = euler_solve(f, x[rows], T - 1, tokens[rows], steps, T // steps,
+                                sched)
     return out

@@ -23,7 +23,7 @@ ABSENT = [
     "distill.RankWorker.draw_batch", "distill.adversarial_step",
     "distill.mse_distill_step", "ranks.accumulate_and_update",
     "ranks.all_reduce_shared", "runner.Workspace.evaluate_ablation",
-    "runner.Workspace.evaluate_main",
+    "runner.Workspace.evaluate_main", "solvers.multistep_solve",
 ]
 
 # The deterministic counts at seed 1009: work done and bytes written and

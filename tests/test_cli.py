@@ -91,8 +91,10 @@ def test_config_accepts_an_int_where_a_float_is_expected(tmp_path):
 
 
 def test_one_guidance_key_sets_every_guided_teacher(tmp_path, monkeypatch):
+    # And one teacher_steps key sets the step count of data and references.
     cfg = default_config()
     cfg["guidance"] = 2.5
+    cfg["teacher_steps"] = 16
     cfg["data"]["ground_truth_clips"] = 4
     validate_config(cfg)
     assert [stage.cfg_scale for stage in plan_from_config(cfg).stages] == [
@@ -101,12 +103,12 @@ def test_one_guidance_key_sets_every_guided_teacher(tmp_path, monkeypatch):
     scales = []
 
     def generate(bundle, sched, style, n, seed, steps, w):
-        scales.append(("data", style.name, w))
+        scales.append(("data", style.name, steps, w))
         return ClipDataset(np.zeros((2, 8, 2)), [0, 1], "teacher_generated",
                            style.group, style.style_id)
 
     def reference(bundle, sched, tokens, x_start, steps, w):
-        scales.append(("reference", bundle, w))
+        scales.append(("reference", bundle, steps, w))
         return np.zeros(x_start.shape)
 
     monkeypatch.setattr(runner, "generate_distill_dataset", generate)
@@ -115,9 +117,10 @@ def test_one_guidance_key_sets_every_guided_teacher(tmp_path, monkeypatch):
     ws.build_datasets({s.name: None for s in STYLES})
     ws.evaluate({"real_b": "real_b", "anime_a": "anime_a"}, {}, ["real_b", "anime_a"], [4])
     assert scales == [
-        ("data", "real_a", 2.5), ("data", "real_b", 2.5), ("data", "anime_a", 2.5),
-        ("data", "anime_b", 2.5), ("data", "anime_c", 2.5),
-        ("reference", "real_b", 2.5), ("reference", "anime_a", 2.5)]
+        ("data", "real_a", 16, 2.5), ("data", "real_b", 16, 2.5),
+        ("data", "anime_a", 16, 2.5), ("data", "anime_b", 16, 2.5),
+        ("data", "anime_c", 16, 2.5),
+        ("reference", "real_b", 16, 2.5), ("reference", "anime_a", 16, 2.5)]
 
 
 def _with_ranks(rows) -> dict:
@@ -238,12 +241,12 @@ BAD_KEYS = [
 BAD_VALUES = [
     ({"seed": -1}, "seed", [], "seed must be non-negative, got -1"),
     ({}, "seed", ["--seed", "-3"], "seed must be non-negative, got -3"),
-    ({"eval": {"ref_steps": 0}}, "eval.ref_steps", [],
-     "eval.ref_steps must be in [1, 128], got 0"),
-    ({"eval": {"ref_steps": 500}}, "eval.ref_steps", [],
-     "eval.ref_steps must be in [1, 128], got 500"),
-    ({"data": {"gen_steps": 0}}, "data.gen_steps", [],
-     "data.gen_steps must be in [1, 128], got 0"),
+    ({"teacher_steps": 0}, "teacher_steps", [],
+     "teacher_steps must divide T = 128, got 0"),
+    ({"teacher_steps": 500}, "teacher_steps", [],
+     "teacher_steps must divide T = 128, got 500"),
+    ({"teacher_steps": 48}, "teacher_steps", [],
+     "teacher_steps must divide T = 128, got 48"),
     ({"guidance": -1.0}, "guidance", [], "guidance must be >= 0, got -1.0"),
     ({"guidance": -0.5}, "guidance", [], "guidance must be >= 0, got -0.5"),
     ({"data": {"ground_truth_clips": 0}}, "data.ground_truth_clips", [],

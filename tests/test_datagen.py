@@ -17,6 +17,7 @@ from flowdistill.datagen import (
     save_dataset,
     style_by_name,
 )
+from flowdistill.evalmetrics import reference_set
 
 
 def test_style_registry_structure():
@@ -106,15 +107,15 @@ def _teacher(seed=24):
 
 
 def _generate_draws(monkeypatch, n, seed, batch):
-    """A generated dataset whose multistep solve returns its start states,
-    so the draws show, and the row count of each block's solve."""
+    """A generated dataset whose traversal returns its start states, so the
+    draws show, and the row count of each block's solve."""
     rows = []
 
-    def solve(f, x_start, steps, tokens, sched_, **kw):
+    def solve(f, x_t, t, tokens, n, s, sched_):
         rows.append(len(tokens))
-        return x_start
+        return x_t
 
-    monkeypatch.setattr(solvers, "multistep_solve", solve)
+    monkeypatch.setattr(solvers, "euler_solve", solve)
     monkeypatch.setattr(solvers, "SAMPLE_BATCH", batch)
     ds = fd.generate_distill_dataset(_teacher(), _SCHED, ANALYTIC_STYLE, n, seed, 8, 7.5)
     return ds, rows
@@ -146,6 +147,26 @@ def test_generated_dataset_draws_are_the_same_for_any_batch_partition(monkeypatc
         assert rows == [min(batch, n - lo) for lo in range(0, n, batch)]
         assert ds.clips.tobytes() == whole.clips.tobytes()
         assert ds.conditions.tobytes() == whole.conditions.tobytes()
+
+
+def test_generated_clips_are_the_reference_sampler_on_their_own_inputs():
+    # One guided-teacher sampler: on a dataset's own condition tokens and
+    # start noise, the evaluation's reference sampler returns its clips,
+    # bit for bit.
+    teacher = _teacher(26)
+    n, seed, steps, w = 12, [4, 13, 1], 8, 7.5
+    ds = fd.generate_distill_dataset(teacher, _SCHED, style_by_name("anime_a"), n,
+                                     seed, steps, w)
+    cond_entropy, noise_entropy = datagen._entropies(seed)
+    conds = np.random.default_rng(cond_entropy).integers(0, _DIMS.vocab, size=n)
+    x_start = fd.start_noise(noise_entropy, n, _DIMS)
+    assert ds.conditions.tobytes() == conds.astype(np.int32).tobytes()
+    ref = reference_set(teacher, _SCHED, conds, x_start, steps, w)
+    assert ref.dtype == ds.clips.dtype == np.float32
+    assert ds.clips.tobytes() == ref.tobytes()
+    # A traversal takes strides of one length: 3 steps cannot cover T = 128.
+    with pytest.raises(ValueError, match="steps must divide T = 128, got 3"):
+        fd.sample_batch(teacher, _SCHED, 3, conds, x_start)
 
 
 def _partitioned_datasets(monkeypatch):

@@ -351,7 +351,7 @@ def _score_arms_reference(bundles_by_style, arms, sched, styles, step_counts,
         dims = bundle.dims
         x = np.random.default_rng([seed, 7919]).standard_normal(
             (len(tokens), dims.frames, dims.frame_dim)).astype(np.float32)
-        return fd.sample_batch(bundle, sched, steps, tokens, x, solver="euler", **kw)
+        return fd.sample_batch(bundle, sched, steps, tokens, x, **kw)
 
     reports = {arm: EvalReport() for arm in arms}
     for style in styles:

@@ -8,14 +8,18 @@ from flowdistill.schedule import (
     build_schedule,
     substitute_terminal_noise,
 )
-from flowdistill.solvers import euler_step
+from flowdistill.solvers import euler_solve
 
 
 def eps_to_x0(x_t, eps, t, sched):
     """The clean sample, clamped at +-4, that the Euler stride to the clean
     boundary (t = -1) recovers from ``x_t`` with ``eps`` as the noise
-    prediction."""
-    return euler_step(lambda x, t, tokens: eps, x_t, t, -1, None, sched)
+    prediction: one stride of ``t + 1`` timesteps. A stride has one length,
+    so per-row timesteps take one stride per row."""
+    if np.ndim(t):
+        return np.concatenate([eps_to_x0(x_t[i:i + 1], eps[i:i + 1], int(t[i]), sched)
+                               for i in range(len(t))])
+    return euler_solve(lambda x, t, tokens: eps, x_t, t, None, 1, t + 1, sched)
 
 
 def test_classic_linear_endpoints():
