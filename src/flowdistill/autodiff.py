@@ -5,8 +5,24 @@ is fixed and deliberately tiny. Each layer is one fused affine node:
 ``dense`` is ``act(x @ w + bias + rows…)`` and ``temporal_mix`` is
 per-channel frame mixing with the same row terms and activation. Besides
 those there are elementwise arithmetic, embedding-row lookup for indices
-checked by the caller, concatenation along any axis, reshaping, sigmoid,
-log and clamp, the full mean and the mean squared error.
+checked by the caller, concatenation along any axis, reshaping, the
+axis-reversing ``transpose``, sigmoid, log and clamp, the full mean and
+the mean squared error.
+
+The layout: a stack of frames is a C-contiguous channel-major
+(C, frames, rows) array. A dense layer over it is one ``w.T @ x`` on its
+(K, frames * rows) matrix and the frame mix is one ``mix @ h`` batched
+over channels, so each product is written straight into a fresh
+contiguous buffer. A (C,) bias enters as (C, 1, 1) and each (rows, C) row
+term as a contiguous (C, 1, rows) copy, so every add and every gradient
+sum runs over contiguous trailing axes. Row-major (rows, K) matrices, the
+networks' time projections and heads, take the plain ``x @ w``.
+``transpose`` converts between a row-major (rows, frames, C) stack and the
+channel-major one. In float32 the products round as the row-major ones
+did, so untaped float32 values keep the row-major layout's bits (float64
+ones may differ in their last bits); a weight, bias or row-term gradient
+sums over rows and frames in another order than a row-major layer would,
+so it may differ in its last bits.
 
 Constants are plain numpy arrays; anything wrapped in :class:`Var` receives
 a gradient after :func:`backward` runs on a scalar loss. ``backward`` frees
@@ -25,24 +41,25 @@ it meets (NEP 50); a numpy float64 scalar or 0-d array would promote a
 float32 operand to float64, so callers pass coefficients in their
 operands' dtype.
 
-A fused node returns the bits of the op chain it replaces: its adds run in
-the written order, its activation and gradients are the pointwise chains
-below, and its gradient sums see the same memory layouts. A pointwise
-chain (``sigmoid``, a fused layer's silu and their gradients) runs its
-ufuncs one by one with ``out=``, in the order and on the operands of the
-written expression, so it returns the same bits while allocating the
-fewest new arrays: one, or two where two partial results must coexist.
-At batch 512 a fresh (B, F, hidden) temporary is large enough that the
-allocator returns it to the kernel when freed, and faulting its pages
-back in cost more than the arithmetic.
+A fused node returns the bits of the op chain it replaces in the same
+layout: its adds run in the written order, its activation and gradients
+are the pointwise chains below, and its gradient sums run over the same
+axes. A pointwise chain (``sigmoid``, a fused layer's silu and their
+gradients) runs its ufuncs one by one with ``out=``, in the order and on
+the operands of the written expression, so it returns the same bits while
+allocating the fewest new arrays: one, or two where two partial results
+must coexist.
 
 The in-place rule: an op writes only into a buffer it has just allocated
 itself, never into an input, a node's ``value`` or an incoming gradient.
-A taped fused node adds its bias and row terms into the product buffer it
-has just allocated. Untaped, each of those adds allocates, as ``z + term``
-does: written in place, they raised the minor page faults of one untaped
-batch-512 ``student_eps`` call from 256 to 608, because a different share
-of the heap's freed top is trimmed and faulted back in.
+A fused node, taped or not, adds its bias and row terms into the product
+buffer it has just allocated. At batch 512 a (hidden, frames, rows)
+float32 activation is 256 KiB, large enough that the allocator may hand
+its pages back to the kernel when it is freed, and a fresh process faults
+them back in: one untaped batch-512 ``student_eps`` call takes 264 minor
+page faults there, against 112 for the row-major layout, and is faster
+all the same. Allocating each untaped add, as ``z + term`` does, raised
+that to 328.
 """
 from __future__ import annotations
 
@@ -54,6 +71,7 @@ __all__ = [
     "value_of",
     "dense",
     "temporal_mix",
+    "transpose",
     "concat",
     "reshape",
     "sigmoid",
@@ -259,49 +277,55 @@ def _div_const(a: Var, b):
     return out
 
 
-def _affine(z, owned: bool, bias, rows, act, operands, product_bwd):
-    """``act(z + bias + rows…)`` as one node over the product ``z``.
+def _affine(z, bias, rows, act, operands, product_bwd):
+    """``act(z + bias + rows…)`` as one node over the product ``z``, a
+    buffer the caller has just allocated.
 
-    ``bias`` is (C,) or None, and each (B, C) row term broadcasts over the
-    frame axis of a 3-D ``z``; a float32 term added to a float64 ``z`` is
-    upcast exactly. The adds run in the written order. Taped, they
-    write into ``z`` when the caller has just allocated it (``owned``);
-    otherwise the first add allocates, as ``z + term`` does, and the rest
-    write into its result. Untaped, every add allocates (see the module
-    docstring). ``act`` is None or ``"silu"``; the taped node keeps the
-    pre-activation buffer and its sigmoid for the backward pass.
-    ``product_bwd(gz)`` accumulates the gradients of the product's
-    ``operands`` from the pre-activation gradient ``gz``.
+    ``z`` is row-major (B, C) or channel-major (C, F, B). ``bias`` is (C,)
+    or None and each row term is (B, C). Over a channel-major ``z`` the
+    bias enters as a (C, 1, 1) view and each row term as a contiguous
+    (C, 1, B) copy, so every add and every gradient sum runs over
+    contiguous trailing axes. The adds run in the written order, into
+    ``z``; a float32 ``z`` met by a float64 term allocates the promoted sum
+    instead, as ``z + term`` does, and the rest write into that. ``act`` is
+    None or ``"silu"``; the taped node keeps the pre-activation buffer and
+    its sigmoid for the backward pass. ``product_bwd(gz)`` accumulates the
+    gradients of the product's ``operands`` from the pre-activation
+    gradient ``gz``.
     """
     if act not in (None, "silu"):
         raise ValueError(f"unknown activation {act!r}")
+    frames = z.ndim == 3
     terms = rows if bias is None else (bias, *rows)
     parents = tuple([p for p in (*operands, *terms) if isinstance(p, Var)])
-    in_place = owned and bool(parents)
     for t in terms:
         tv = t.value if isinstance(t, Var) else t
-        if tv.ndim == 2 and z.ndim == 3:
-            tv = tv[:, None]
+        if frames and tv.ndim == 1:
+            tv = tv[:, None, None]
+        elif frames:
+            tv = np.ascontiguousarray(tv.T)[:, None]
         # A wider term (float64 into a float32 product) allocates the
         # promoted sum instead of being rounded into ``z``.
-        if in_place and tv.dtype.itemsize <= z.dtype.itemsize:
+        if tv.dtype.itemsize <= z.dtype.itemsize:
             np.add(z, tv, out=z)
         else:
-            z, in_place = z + tv, bool(parents)
+            z = z + tv
     s = None if act is None else _sigmoid_np(z)
     if not parents:
         return z if s is None else np.multiply(z, s, out=s)
     out = Var(z if s is None else z * s, _parents=parents)
+
+    def term_grad(gz, ndim):
+        if ndim == 2:
+            return np.ascontiguousarray(gz.sum(axis=1).T) if frames else gz
+        return gz.sum(axis=(1, 2) if frames else 0)
 
     def bwd(g):
         gz = g if s is None else _silu_grad(g, z, s)
         product_bwd(gz)
         for t in terms:
             if isinstance(t, Var):
-                shape = t.value.shape
-                if len(shape) == 2 and z.ndim == 3:
-                    shape = (shape[0], 1, shape[1])
-                _accum(t, _unbroadcast(gz, shape).reshape(t.value.shape))
+                _accum(t, term_grad(gz, t.value.ndim))
 
     out._bwd = bwd
     return out
@@ -310,26 +334,35 @@ def _affine(z, owned: bool, bias, rows, act, operands, product_bwd):
 def dense(x, w, bias=None, *rows, act=None):
     """One dense layer as one node: ``act(x @ w + bias + rows…)``.
 
-    ``x`` is (B, K) or (B, F, K) and ``w`` a 2-D (K, C) weight matrix.
-    ``bias`` is (C,) or None; each row term is (B, C) and broadcasts over
-    the frame axis of a 3-D ``x``. The bias and row terms are added in that
-    order; taped, into the product's own buffer.
+    ``w`` is a 2-D (K, C) weight matrix. A row-major (B, K) ``x`` gives
+    (B, C); a channel-major frame stack (K, F, B) gives (C, F, B), one
+    ``w.T @ x.reshape(K, F * B)``. ``bias`` is (C,) or None and each row
+    term is (B, C), broadcast over the frames of a frame stack. The bias
+    and row terms are added in that order, into the product's own buffer.
     """
     xv, wv = value_of(x), value_of(w)
     if wv.ndim != 2:
         raise ValueError("dense weight must be 2-D")
+    if xv.ndim == 3:
+        x2 = xv.reshape(xv.shape[0], -1)
+        z = (wv.T @ x2).reshape((wv.shape[1],) + xv.shape[1:])
 
-    def product_bwd(gz):
-        if isinstance(x, Var):
-            _accum(x, gz @ wv.T)
-        if isinstance(w, Var):
-            # np.tensordot over every leading axis, without its overhead:
-            # the same transposes, reshapes and dot, so the same bits.
-            lead = tuple(range(xv.ndim - 1))
-            xt = xv.transpose((xv.ndim - 1,) + lead).reshape(xv.shape[-1], -1)
-            _accum(w, np.dot(xt, gz.reshape(-1, gz.shape[-1])))
+        def product_bwd(gz):
+            g2 = gz.reshape(gz.shape[0], -1)
+            if isinstance(x, Var):
+                _accum(x, (wv @ g2).reshape(xv.shape))
+            if isinstance(w, Var):
+                _accum(w, x2 @ g2.T)
+    else:
+        z = xv @ wv
 
-    return _affine(xv @ wv, True, bias, rows, act, (x, w), product_bwd)
+        def product_bwd(gz):
+            if isinstance(x, Var):
+                _accum(x, gz @ wv.T)
+            if isinstance(w, Var):
+                _accum(w, np.dot(xv.T, gz))
+
+    return _affine(z, bias, rows, act, (x, w), product_bwd)
 
 
 def _take_rows(table, idx):
@@ -350,28 +383,34 @@ def _take_rows(table, idx):
 
 
 def temporal_mix(mix, h, *rows, act=None):
-    """Per-channel frame mixing as one node:
-    ``act(out + rows…)`` with out[b,f,c] = sum_g mix[c,f,g] * h[b,g,c].
+    """Per-channel frame mixing as one node over a channel-major frame
+    stack: ``act(mix @ h + rows…)``, out[c,f,b] = sum_g mix[c,f,g] * h[c,g,b].
 
-    One batched matmul over channels, ``mix (C,F,G) @ hᵀ (C,G,B)``, and the
-    same for both gradients: at desk-scale batches it costs a fraction of
-    the equivalent einsum. The product is a (B,F,C) view of the (C,F,B)
-    buffer; each (B, C) row term broadcasts over frames. The first row add
-    allocates, as ``out + row`` does, so its result keeps that layout and
-    the row gradients' sums over frames keep their summation order.
+    ``mix`` is (C, F, G) and ``h`` (C, G, B); the product is one batched
+    matmul over channels, and so is each gradient. Each row term is (B, C)
+    and broadcasts over frames.
     """
     mv, hv = value_of(mix), value_of(h)
 
     def product_bwd(gz):
-        gT = gz.transpose(2, 1, 0)
         if isinstance(mix, Var):
-            _accum(mix, gT @ hv.transpose(2, 0, 1))
+            _accum(mix, gz @ hv.transpose(0, 2, 1))
         if isinstance(h, Var):
-            _accum(h, (mv.transpose(0, 2, 1) @ gT).transpose(2, 1, 0))
+            _accum(h, mv.transpose(0, 2, 1) @ gz)
 
-    # The product goes straight to _affine, whose first row add frees it.
-    return _affine((mv @ hv.transpose(2, 1, 0)).transpose(2, 1, 0), False,
-                   None, rows, act, (mix, h), product_bwd)
+    return _affine(mv @ hv, None, rows, act, (mix, h), product_bwd)
+
+
+def transpose(x):
+    """``x`` with its axes reversed, as a C-contiguous copy: a row-major
+    (B, F, C) frame stack becomes channel-major (C, F, B), and back."""
+    xv = value_of(x)
+    yv = np.ascontiguousarray(xv.T)
+    if not isinstance(x, Var):
+        return yv
+    out = Var(yv, _parents=(x,))
+    out._bwd = lambda g: _accum(x, np.ascontiguousarray(g.T))
+    return out
 
 
 def concat(parts, axis: int):

@@ -86,7 +86,10 @@ def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
 
 
 def checkpoint_load(path, expect: tuple = ()) -> tuple:
-    """Read (arrays, meta). Raises on corrupt manifests or truncated blobs.
+    """Read (arrays, meta). Raises on corrupt manifests or truncated blobs,
+    with a message that names ``path``: among them a line with nothing after
+    its kind, a repeated entry name, and a negative dimension, count or
+    offset.
 
     ``expect`` names entries that must be present; the error message names
     the first missing one.
@@ -111,7 +114,9 @@ def checkpoint_load(path, expect: tuple = ()) -> tuple:
     for line in manifest[1:]:
         if not line.strip():
             continue
-        kind, rest = line.split(" ", 1)
+        kind, _, rest = line.partition(" ")
+        if kind in ("meta", "entry") and not rest.strip():
+            raise ValueError(f"{path}: malformed manifest line {line!r}")
         if kind == "meta":
             key, _, value = rest.partition(" ")
             meta[key] = value
@@ -135,8 +140,16 @@ def checkpoint_load(path, expect: tuple = ()) -> tuple:
         if len(parts) != 4:
             raise ValueError(f"{path}: malformed entry line {rest!r}")
         name, shape_s, count_s, offset_s = parts
-        count, offset = int(count_s), int(offset_s)
-        shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split("x"))
+        if name in arrays:
+            raise ValueError(f"{path}: repeated entry {name!r}")
+        try:
+            count, offset = int(count_s), int(offset_s)
+            shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split("x"))
+        except ValueError:
+            raise ValueError(f"{path}: malformed entry line {rest!r}") from None
+        if min((count, offset, *shape)) < 0:
+            raise ValueError(f"{path}: entry {name!r} has a negative dimension, "
+                             "count or offset")
         if int(np.prod(shape, dtype=np.int64)) != count:
             raise ValueError(f"{path}: entry {name!r} shape/count mismatch")
         end = offset + count * np.dtype(dtype).itemsize

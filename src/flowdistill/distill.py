@@ -28,9 +28,11 @@ adversarial phase) once over its ``micro_batch * grad_accum`` rows and
 runs one ``backward``. Every loss is a mean over rows and the
 micro-batches are the same size, so this is the mean of the micro-batch
 gradients up to summation order. The ranks' gradients are averaged in rank
-order and one optimizer step follows. An adversarial loss scores the
-teacher's and the student's next state in one discriminator call on the
-two stacked on the row axis.
+order and one optimizer step follows. On a discriminator iteration an
+adversarial loss scores the teacher's and the student's next state in one
+discriminator pass on the two stacked on the row axis; on a student
+iteration the teacher's rows are scored without a tape, in a pass of
+their own.
 """
 from __future__ import annotations
 
@@ -244,23 +246,30 @@ def adversarial_losses(base_arrays, motion, disc_arrays, b: dict, phase: str,
     """Non-saturating (l_d, l_g) with the teacher's ``target`` as the real
     sample and the student's stride as the fake one.
 
-    Real and fake are stacked on the row axis and scored by one
-    discriminator call, whose probabilities are split back into the real
-    and the fake rows. ``motion`` and ``disc_arrays`` each hold Vars or
-    plain arrays; the side given as arrays is a constant of the returned
-    losses.
+    ``motion`` and ``disc_arrays`` each hold Vars or plain arrays; the side
+    given as arrays is a constant of the returned losses. When the
+    student's stride is a constant (a discriminator iteration), real and
+    fake are stacked on the row axis and scored by one discriminator pass,
+    whose probabilities are split back into the real and the fake rows.
+    When it is taped (a student iteration), the teacher's rows carry no
+    gradient to the student, so they are scored in a pass of their own
+    without a tape, beside the taped pass over the fake rows.
     """
     t_next = b["t"] - b["n"] * b["s"]
     fake_next = _student_stride(base_arrays, motion, b, sched, dims)
-    x_next = ad.concat([b["target"], fake_next], axis=0)
+    stacked = not isinstance(fake_next, ad.Var)
+    x_next = (np.concatenate([b["target"], fake_next]) if stacked
+              else (b["target"], fake_next))
     if phase == "trajectory_conditional":
         p = disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
                            b["tokens"], flow_idx, sched.T, dims)
     else:
         p = disc_single_prob(disc_arrays, x_next, t_next, b["tokens"],
                              flow_idx, sched.T, dims)
-    real = np.arange(len(b["tokens"]))
-    return _nonsat_losses(ad._take_rows(p, real), ad._take_rows(p, real + len(real)))
+    if stacked:
+        real = np.arange(len(b["tokens"]))
+        p = ad._take_rows(p, real), ad._take_rows(p, real + len(real))
+    return _nonsat_losses(*p)
 
 
 def _taped(arrays: dict) -> dict:

@@ -20,15 +20,23 @@ Architecture at desk scale:
   phase trains: the pair head consumes the channel-concatenated features
   of x_t and of a next state; the relaxed single head, a next state's.
   Both heads score a stack of candidate next states (the teacher's and the
-  student's) with one backbone pass over the stack, and the pair head
-  encodes x_t once and tiles its features to every candidate.
+  student's) with one backbone pass over the stack, or one pass per stack
+  when given a tuple of them, and the pair head encodes x_t once and tiles
+  its features to every candidate.
 
 Each layer is one tape node: ``autodiff.dense`` for the base's layers and
-the heads, ``autodiff.temporal_mix`` for the motion block's mixes. The
-time and condition embeddings (and the motion block's projections of
-them) enter as (B, hidden) row terms that broadcast over frames. The
-pretraining loss is ``autodiff.mse``, the one squared-error definition
-that MSE distillation shares.
+the heads, ``autodiff.temporal_mix`` for the motion block's mixes. Inside
+the encoder every frame-stacked activation is a C-contiguous channel-major
+(hidden, F, B) array (see ``autodiff``): ``student_eps`` transposes its
+(B, F, D) input into that layout once and its (D, F, B) output back, and a
+discriminator transposes its (hidden, F, B) features back to (B, F, hidden)
+before flattening them, so the heads see (B, F * hidden) features in
+frame-major order. The time and condition embeddings (and the motion
+block's projections of them) are (B, hidden) row terms, which the fused
+layers add over frames as (hidden, 1, B). Untaped float32 outputs have
+the bits of the row-major layout; taped gradients may differ from its in
+their last bits. The pretraining loss is ``autodiff.mse``, the one
+squared-error definition that MSE distillation shares.
 
 Inputs are checked once, where they enter: ``student_eps``,
 ``disc_pair_prob`` and ``disc_single_prob`` check their timesteps
@@ -230,10 +238,10 @@ def _encode(params, x, tfeat, tokens, motion):
     """Shared encoder: layer 1 with the time and condition embeddings as
     its row terms, the motion block, layer 2.
 
-    `params`/`motion` values may be Var or ndarray; `x` may be Var or
-    ndarray; `tfeat` may be Var (discriminator flow conditioning).
-    `tokens` were checked by the public forward that called this.
-    Returns (B, F, hidden) features.
+    `params`/`motion` values may be Var or ndarray; `x` is the
+    channel-major (frame_dim, F, B) input, Var or ndarray; `tfeat` may be
+    Var (discriminator flow conditioning). `tokens` were checked by the
+    public forward that called this. Returns (hidden, F, B) features.
     """
     h = ad.dense(x, params["w1"], params["b1"],
                  ad.dense(tfeat, params["time_w"]),
@@ -247,7 +255,7 @@ def _motion_branch(motion, h, tfeat, tokens):
     """The motion block's residual branch: a frame mix with the time and
     condition projections as row terms and silu, then the output mix.
 
-    Untaped, at most three (B, F, hidden) arrays are live at once, ``h``
+    Untaped, at most three (hidden, F, B) arrays are live at once, ``h``
     included, and the branch state is freed on return, before the residual
     add.
     """
@@ -262,15 +270,16 @@ def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims,
 
     x: (B, F, D); t: scalar or (B,) ints in ``[-1, T)``; tokens: (B,) ints
     in ``[0, vocab]``. Both are checked in one pass each, unless
-    ``checked``: the caller checked them where they entered.
+    ``checked``: the caller checked them where they entered. Returns
+    (B, F, D), C-contiguous.
     """
     if not checked:
         tokens = _check_inputs(tokens, dims, T, t)
     tfeat = time_features(t, T, dims.time_dim)
     if tfeat.ndim == 1:
         tfeat = np.broadcast_to(tfeat, (ad.value_of(x).shape[0], dims.time_dim))
-    h = _encode(base_arrays, x, tfeat, tokens, motion_arrays)
-    return ad.dense(h, base_arrays["w3"], base_arrays["b3"])
+    h = _encode(base_arrays, ad.transpose(x), tfeat, tokens, motion_arrays)
+    return ad.transpose(ad.dense(h, base_arrays["w3"], base_arrays["b3"]))
 
 
 def _disc_features(disc_arrays, x, t, tokens, flow_idx, T: int, dims: NetDims):
@@ -284,7 +293,7 @@ def _disc_features(disc_arrays, x, t, tokens, flow_idx, T: int, dims: NetDims):
                               np.full(ad.value_of(x).shape[0], flow_idx, dtype=np.intp))
     tfeat = flow_rows + tfeat
     motion = {k: disc_arrays[k] for k in MOTION_KEYS}
-    h = _encode(disc_arrays, x, tfeat, tokens, motion)
+    h = ad.transpose(_encode(disc_arrays, ad.transpose(x), tfeat, tokens, motion))
     return ad.reshape(h, (ad.value_of(h).shape[0], dims.frames * dims.hidden))
 
 
@@ -309,6 +318,14 @@ def _tiled(a, k: int):
     return a if a.ndim == 0 or k == 1 else np.concatenate([a] * k)
 
 
+def _per_stack(x_next, score):
+    """``score(x_next)``, or for a tuple of stacks the tuple of each one's
+    score."""
+    if isinstance(x_next, tuple):
+        return tuple(score(x) for x in x_next)
+    return score(x_next)
+
+
 def disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens, flow_idx,
                    T: int, dims: NetDims):
     """Probability that each (x_t -> x_next) is a teacher transition.
@@ -319,19 +336,26 @@ def disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens, flow_idx,
     ``x_t``; the ``x_t`` features are tiled to each candidate and
     concatenated with its features along the channel axis before the pair
     head. Returns ``k * B`` probabilities.
+
+    ``x_next`` may also be a tuple of such stacks. Each stack then gets its
+    own backbone and head pass, all sharing the one encoding of ``x_t``, so
+    a constant stack is scored without a tape beside a taped one; the
+    result is the tuple of each stack's probabilities.
     """
     if not np.all(np.asarray(t_next) < np.asarray(t)):
         raise ValueError("t_next must precede t")
     tokens = _check_inputs(tokens, dims, T, t, t_next)
-    k = _candidates(x_next, tokens)
-    f_next = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
-                            _tiled(tokens, k), flow_idx, T, dims)
     f_cur = _disc_features(disc_arrays, x_t, t, tokens, flow_idx, T, dims)
-    if k > 1:
-        f_cur = ad.concat([f_cur] * k, axis=0)
-    feats = ad.concat([f_next, f_cur], axis=-1)
-    score = _head(disc_arrays, feats, "hp1_w", "hp1_b", "hp2_w", "hp2_b")
-    return ad.sigmoid(score)
+
+    def score(x):
+        k = _candidates(x, tokens)
+        f_next = _disc_features(disc_arrays, x, _tiled(t_next, k),
+                                _tiled(tokens, k), flow_idx, T, dims)
+        tiled = ad.concat([f_cur] * k, axis=0) if k > 1 else f_cur
+        feats = ad.concat([f_next, tiled], axis=-1)
+        return ad.sigmoid(_head(disc_arrays, feats, "hp1_w", "hp1_b", "hp2_w", "hp2_b"))
+
+    return _per_stack(x_next, score)
 
 
 def disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
@@ -340,14 +364,18 @@ def disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
 
     ``x_next`` stacks ``k`` candidates for the ``B`` rows of ``t_next`` and
     ``tokens``, as in :func:`disc_pair_prob`; one backbone pass encodes
-    them all. Returns ``k * B`` probabilities.
+    them all. Returns ``k * B`` probabilities, or for a tuple of stacks the
+    tuple of each stack's probabilities, one pass per stack.
     """
     tokens = _check_inputs(tokens, dims, T, t_next)
-    k = _candidates(x_next, tokens)
-    feats = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
-                           _tiled(tokens, k), flow_idx, T, dims)
-    score = _head(disc_arrays, feats, "hs1_w", "hs1_b", "hs2_w", "hs2_b")
-    return ad.sigmoid(score)
+
+    def score(x):
+        k = _candidates(x, tokens)
+        feats = _disc_features(disc_arrays, x, _tiled(t_next, k),
+                               _tiled(tokens, k), flow_idx, T, dims)
+        return ad.sigmoid(_head(disc_arrays, feats, "hs1_w", "hs1_b", "hs2_w", "hs2_b"))
+
+    return _per_stack(x_next, score)
 
 
 # -- optimisation --------------------------------------------------------

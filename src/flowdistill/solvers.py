@@ -9,14 +9,17 @@ sets, the ``sample`` command and each distillation stage's teacher all
 traverse this way: :func:`sample_batch` is :func:`euler_solve` over
 blocks of rows.
 
-Predictors are callables ``f(x, t, tokens) -> eps_hat``; :func:`predictor`
-builds one from a model, and classifier-free guidance is part of the
-predictor it returns, not of the traversal. The one-step arithmetic is written
-against the generic autodiff ops, so a predictor that returns a taped
-:class:`~flowdistill.autodiff.Var` yields a differentiable update (this is
-how the student's single stride is trained). Every update clamps the
-predicted clean sample at ``±X0_CLIP``, so teacher traversals, the
-student's trained stride and sampling follow one rule.
+Predictors are callables ``f(x, t, tokens) -> eps_hat`` on row-major
+(B, frames, frame_dim) states; the model's channel-major activations stay
+inside ``nets``, whose untaped float32 outputs keep the row-major layout's
+bits. :func:`predictor` builds one from a model, and classifier-free
+guidance is part of the predictor it returns, not of the traversal. The
+one-step arithmetic is written against the generic autodiff ops, so a
+predictor that returns a taped :class:`~flowdistill.autodiff.Var` yields a
+differentiable update (this is how the student's single stride is
+trained). Every update clamps the predicted clean sample at ``±X0_CLIP``,
+so teacher traversals, the student's trained stride and sampling follow
+one rule.
 
 A traversal computes in its states' dtype: each stride reads the
 schedule's coefficients in that dtype (``schedule._coef``), so float32

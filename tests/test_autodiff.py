@@ -122,7 +122,7 @@ def test_gradcheck_embedding_rows():
 
 def test_gradcheck_temporal_mix():
     rng = np.random.default_rng(4)
-    h = rng.standard_normal((3, 6, 5))  # batch, frames, channels
+    h = rng.standard_normal((5, 6, 3))  # channels, frames, batch
     params = {"mix": rng.standard_normal((5, 6, 6)) * 0.3}
 
     def loss(p):
@@ -133,14 +133,14 @@ def test_gradcheck_temporal_mix():
 
 
 def test_temporal_mix_zero_weights_identity():
-    h = np.random.default_rng(5).standard_normal((2, 4, 3))
+    h = np.random.default_rng(5).standard_normal((3, 4, 2))
     out = h + ad.temporal_mix(np.zeros((3, 4, 4)), h)
     assert np.array_equal(out, h)
 
 
 def _einsum_mix(mix, h):
     # The einsum form of temporal_mix, kept as the reference.
-    return np.einsum("cfg,bgc->bfc", mix, h)
+    return np.einsum("cfg,cgb->cfb", mix, h)
 
 
 @pytest.mark.parametrize("mix_taped,h_taped", [
@@ -148,8 +148,8 @@ def _einsum_mix(mix, h):
 def test_temporal_mix_matches_einsum_reference(mix_taped, h_taped):
     rng = np.random.default_rng(9)
     mix = rng.standard_normal((5, 6, 6))
-    h = rng.standard_normal((16, 6, 5))
-    up = rng.standard_normal((16, 6, 5))  # upstream gradient
+    h = rng.standard_normal((5, 6, 16))
+    up = rng.standard_normal((5, 6, 16))  # upstream gradient
     m_in = ad.Var(mix) if mix_taped else mix
     h_in = ad.Var(h) if h_taped else h
     out = ad.temporal_mix(m_in, h_in)
@@ -159,10 +159,10 @@ def test_temporal_mix_matches_einsum_reference(mix_taped, h_taped):
         return
     ad.backward(_sum_all(out * up))
     if mix_taped:
-        np.testing.assert_allclose(m_in.grad, np.einsum("bfc,bgc->cfg", up, h),
+        np.testing.assert_allclose(m_in.grad, np.einsum("cfb,cgb->cfg", up, h),
                                    rtol=1e-12)
     if h_taped:
-        np.testing.assert_allclose(h_in.grad, np.einsum("cfg,bfc->bgc", mix, up),
+        np.testing.assert_allclose(h_in.grad, np.einsum("cfg,cfb->cgb", mix, up),
                                    rtol=1e-12)
 
 
@@ -209,6 +209,19 @@ def test_gradcheck_reshape_and_mean():
         return ad.mean_all(flat * ad.sigmoid(flat))
 
     _fd_check(loss, params)
+
+
+def test_transpose_reverses_the_axes_into_a_contiguous_copy():
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((2, 3, 4))
+    y = ad.transpose(x)
+    assert y.flags.c_contiguous
+    np.testing.assert_array_equal(y, x.T, strict=True)
+    up = rng.standard_normal((4, 3, 2))
+    v = ad.Var(x)
+    ad.backward(_sum_all(ad.transpose(v) * up))
+    assert v.grad.flags.c_contiguous
+    np.testing.assert_array_equal(v.grad, up.T, strict=True)
 
 
 def test_broadcast_add_gradients():
@@ -310,7 +323,7 @@ def test_pointwise_backward_leaves_a_broadcast_gradient_alone():
 
 
 def _dense_inputs(rng, ndim, n_rows, bias, B=3, F=4, K=3, C=5):
-    x = rng.standard_normal((B, F, K) if ndim == 3 else (B, K))
+    x = rng.standard_normal((K, F, B) if ndim == 3 else (B, K))
     params = {"x": x, "w": rng.standard_normal((K, C))}
     if bias:
         params["b"] = rng.standard_normal(C)
@@ -338,9 +351,9 @@ def test_gradcheck_dense(ndim, bias, n_rows, act):
 def test_gradcheck_temporal_mix_with_rows_and_silu():
     rng = np.random.default_rng(12)
     params = {"mix": rng.standard_normal((5, 6, 6)) * 0.3,
-              "h": rng.standard_normal((3, 6, 5)),
+              "h": rng.standard_normal((5, 6, 3)),
               "r0": rng.standard_normal((3, 5)), "r1": rng.standard_normal((3, 5))}
-    up = rng.standard_normal((3, 6, 5))
+    up = rng.standard_normal((5, 6, 3))
 
     def loss(p):
         return _sum_all(ad.temporal_mix(p["mix"], p["h"], p["r0"], p["r1"],
@@ -354,16 +367,19 @@ def test_fused_ops_reject_an_unknown_activation():
         ad.dense(np.ones((2, 3)), np.ones((3, 4)), act="relu")
 
 
-def _frame_row(r, ndim):
-    # The (B, 1, C) reshape that broadcast a row term before the fusion.
-    return ad.reshape(r, (ad.value_of(r).shape[0], 1, -1)) if ndim == 3 else r
+def _frame_term(t, shape):
+    """A term as it enters a channel-major (C, F, B) product, as a node of
+    its own: the (C,) bias as (C, 1, 1), a (B, C) row term transposed to
+    (C, 1, B)."""
+    if ad.value_of(t).ndim == 1:
+        return ad.reshape(t, (shape[0], 1, 1))
+    return ad.reshape(ad.transpose(t), (shape[0], 1, shape[2]))
 
 
 def _silu(z):
     """silu as a node of its own, the activation step of the unfused
     chains: the value ``z * s`` and the gradient chain that the pointwise
-    tests above pin to its written expression (its output keeps ``s``'s
-    memory layout, which the row gradients' sums over frames see)."""
+    tests above pin to its written expression."""
     zv = ad.value_of(z)
     s = _sigmoid_ref(zv)
     if not isinstance(z, ad.Var):
@@ -373,44 +389,44 @@ def _silu(z):
     return out
 
 
-def _dense_chain(x, w, bias=None, *rows, act=None):
-    """The unfused op chain that ``dense`` replaced, kept as the oracle:
-    the bare product, then each add and the activation as nodes of their
+def _chain(z, terms, act):
+    """The unfused op chain over the bare product ``z``, kept as the oracle:
+    each add, in the written order, and the activation as nodes of their
     own."""
-    z = ad.dense(x, w)
-    if bias is not None:
-        z = z + bias
-    for r in rows:
-        z = z + _frame_row(r, ad.value_of(z).ndim)
+    shape = ad.value_of(z).shape
+    for t in terms:
+        z = z + (_frame_term(t, shape) if len(shape) == 3 else t)
     return z if act is None else _silu(z)
+
+
+def _dense_chain(x, w, bias=None, *rows, act=None):
+    return _chain(ad.dense(x, w), rows if bias is None else (bias, *rows), act)
 
 
 def _mix_chain(mix, h, *rows, act=None):
-    z = ad.temporal_mix(mix, h)
-    for r in rows:
-        z = z + _frame_row(r, 3)
-    return z if act is None else _silu(z)
+    return _chain(ad.temporal_mix(mix, h), rows, act)
 
 
 # Each layer of the networks at default widths: its inputs in argument
-# order, its activation, the fused op and the unfused chain.
+# order, its activation, the fused op and the unfused chain. Frame stacks
+# are channel-major (C, F, B).
 def _layers(rng, B, F=8, D=2, H=16, G=32):
     def n(*shape):
         return rng.standard_normal(shape)
 
     return {
-        "encoder layer 1": ([n(B, F, D), n(D, H), n(H), n(B, H), n(B, H)],
+        "encoder layer 1": ([n(D, F, B), n(D, H), n(H), n(B, H), n(B, H)],
                             "silu", ad.dense, _dense_chain),
-        "encoder layer 2": ([n(B, F, H), n(H, H), n(H)], "silu",
+        "encoder layer 2": ([n(H, F, B), n(H, H), n(H)], "silu",
                             ad.dense, _dense_chain),
-        "output layer": ([n(B, F, H), n(H, D), n(D)], None, ad.dense, _dense_chain),
+        "output layer": ([n(H, F, B), n(H, D), n(D)], None, ad.dense, _dense_chain),
         "head layer 1": ([n(B, 2 * F * H), n(2 * F * H, G), n(G)], "silu",
                          ad.dense, _dense_chain),
         "head layer 2": ([n(B, G), n(G, 1), n(1)], None, ad.dense, _dense_chain),
         "time projection": ([n(B, H), n(H, H)], None, ad.dense, _dense_chain),
-        "motion mix": ([0.3 * n(H, F, F), n(B, F, H), n(B, H), n(B, H)], "silu",
+        "motion mix": ([0.3 * n(H, F, F), n(H, F, B), n(B, H), n(B, H)], "silu",
                        ad.temporal_mix, _mix_chain),
-        "motion output mix": ([0.3 * n(H, F, F), n(B, F, H)], None,
+        "motion output mix": ([0.3 * n(H, F, F), n(H, F, B)], None,
                               ad.temporal_mix, _mix_chain),
     }
 

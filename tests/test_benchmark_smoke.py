@@ -30,14 +30,14 @@ ABSENT = [
 # read, which do not depend on the host's BLAS as float fingerprints do.
 COUNTS = {
     "pretrain-gen": {
-        "autodiff.backward.calls": 540, "autodiff.backward.nodes": 7440,
+        "autodiff.backward.calls": 540, "autodiff.backward.nodes": 7980,
         "checkpoint.checkpoint_save.bytes": 520533,
         "datagen.load_dataset.bytes": 0, "datagen.save_dataset.bytes": 484649,
         "evalmetrics.energy_distance.pairs": 0, "nets.student_eps.rows": 232960,
         "ranks.all_reduce_shared.bytes": 0, "ranks.all_reduce_shared.calls": 0,
     },
     "distill-cross": {
-        "autodiff.backward.calls": 144, "autodiff.backward.nodes": 5856,
+        "autodiff.backward.calls": 144, "autodiff.backward.nodes": 6032,
         "checkpoint.checkpoint_save.bytes": 49740,
         "datagen.load_dataset.bytes": 157151, "datagen.save_dataset.bytes": 0,
         "evalmetrics.energy_distance.pairs": 0, "nets.student_eps.rows": 37888,

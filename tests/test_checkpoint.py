@@ -80,6 +80,46 @@ def test_shape_count_mismatch_rejected(tmp_path):
         checkpoint_load(tmp_path / "bad.ckpt")
 
 
+def _manifest(tmp_path, lines, blob=b""):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes("\n".join(lines).encode() + b"\n---\n" + blob)
+    return path
+
+
+@pytest.mark.parametrize("line", ["meta", "entry", "entry "])
+def test_a_line_with_nothing_after_its_kind_is_refused_by_path(tmp_path, line):
+    path = _manifest(tmp_path, ["ckpt-v1 0", line])
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert str(err.value) == f"{path}: malformed manifest line {line!r}"
+
+
+def test_a_repeated_entry_name_is_refused(tmp_path):
+    blob = np.arange(4, dtype="<f4").tobytes()
+    path = _manifest(tmp_path, ["ckpt-v1 2", "entry a 2 2 0", "entry a 2 2 8"], blob)
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert str(err.value) == f"{path}: repeated entry 'a'"
+
+
+@pytest.mark.parametrize("entry", ["entry a 2x-1 -2 0", "entry a -2 -2 0",
+                                   "entry a 2 2 -8", "entry a 2x1 2 -4"])
+def test_a_negative_dimension_count_or_offset_is_refused(tmp_path, entry):
+    # "entry a 2x-1 -2 0" once loaded a (2, 1) array from the blob.
+    path = _manifest(tmp_path, ["ckpt-v1 1", entry], np.arange(4, dtype="<f4").tobytes())
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert str(err.value) == (
+        f"{path}: entry 'a' has a negative dimension, count or offset")
+
+
+def test_a_non_integer_field_is_refused_by_path(tmp_path):
+    path = _manifest(tmp_path, ["ckpt-v1 1", "entry a 2xz 2 0"])
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert str(err.value) == f"{path}: malformed entry line 'a 2xz 2 0'"
+
+
 def test_a_float64_entry_asks_for_the_run_directory_to_be_rebuilt(tmp_path):
     # The layout of a reference set written before the float32 format.
     path = tmp_path / "references" / "default.ckpt"

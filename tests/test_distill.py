@@ -736,6 +736,68 @@ def test_stacked_discriminator_matches_two_call_reference(sched, dims, setup,
                                    atol=1e-10 * np.abs(ref).max(), err_msg=key)
 
 
+def _stacked_losses(base_arrays, motion, disc_arrays, b, phase, flow_idx, sched,
+                    dims):
+    # Reference: the real and the fake next state stacked on the row axis in
+    # one discriminator pass, taped whole when the student is taped.
+    t_next = b["t"] - b["n"] * b["s"]
+    x_next = ad.concat([b["target"], _student_stride(base_arrays, motion, b, sched,
+                                                     dims)], axis=0)
+    if phase == "trajectory_conditional":
+        p = disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
+                           b["tokens"], flow_idx, sched.T, dims)
+    else:
+        p = disc_single_prob(disc_arrays, x_next, t_next, b["tokens"], flow_idx,
+                             sched.T, dims)
+    real = np.arange(len(b["tokens"]))
+    return _nonsat_losses(ad._take_rows(p, real), ad._take_rows(p, real + len(real)))
+
+
+def _tape_size(loss):
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("rows", [16, 64])
+@pytest.mark.parametrize("phase", ["trajectory_conditional", "relaxed"])
+def test_student_iterations_score_the_real_rows_untaped(sched, dims, setup, phase,
+                                                        rows):
+    # The teacher's rows carry no gradient to the student. Scored in an
+    # untaped pass of their own, they give the stacked pass's losses and
+    # student gradients bit for bit: the channel-major frame layers treat
+    # each row as its own BLAS column and the row-major heads each row as
+    # its own BLAS row, so no row's arithmetic depends on the others.
+    base, motion, ds = setup
+    rng = np.random.default_rng(15)
+    disc = init_discriminator(dims, 2, rng, backbone_from=fd.StudentBundle(base, motion, dims))
+    disc["hp2_w"] = rng.normal(0, 0.5, disc["hp2_w"].shape).astype(np.float32)
+    if phase == "relaxed":
+        disc = relaxed_discriminator(disc, dims, rng)
+        disc["hs2_w"] = rng.normal(0, 0.5, disc["hs2_w"].shape).astype(np.float32)
+    st = StageConfig(32, 8, "adversarial", 1)
+    b = teacher_stride(base, motion, _batch(ds, st, sched, rng, n=rows,
+                                            dtype=np.float32), st, sched, dims)
+    results = []
+    for losses_of in (adversarial_losses, _stacked_losses):
+        mvars = {k: ad.Var(v) for k, v in motion.items()}
+        l_d, l_g = losses_of(base, mvars, disc, b, phase, 1, sched, dims)
+        tape = _tape_size(l_g)
+        ad.backward(l_g)
+        results.append((ad.value_of(l_d), l_g.value, tape,
+                        {k: v.grad for k, v in mvars.items()}))
+    (l_d, l_g, tape, grads), (r_d, r_g, r_tape, r_grads) = results
+    np.testing.assert_array_equal(l_d, r_d, strict=True)
+    np.testing.assert_array_equal(l_g, r_g, strict=True)
+    for key, ref in r_grads.items():
+        np.testing.assert_array_equal(grads[key], ref, strict=True, err_msg=key)
+    assert tape < r_tape
+
+
 def test_each_phase_holds_only_the_head_it_trains(sched, dims, monkeypatch):
     # Every array the discriminator holds is taped and Adam-updated, so it
     # holds the backbone, the flow table and its phase's head, nothing else.
