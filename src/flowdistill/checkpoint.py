@@ -53,11 +53,16 @@ def atomic_write(path, write) -> None:
 
 
 def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
-    """Write named arrays; entry order is the dict order."""
+    """Write named arrays; entry order is the dict order. A meta key with
+    whitespace or a meta value with a line break is refused before
+    anything is written."""
     lines = [f"ckpt-v1 {len(arrays)}"]
     for key, value in (meta or {}).items():
         if any(ch.isspace() for ch in str(key)):
             raise ValueError(f"meta key {key!r} must not contain whitespace")
+        value = str(value)
+        if "".join(value.splitlines()) != value:  # the line breaks load splits on
+            raise ValueError(f"meta value of {key!r} must not contain a line break")
         lines.append(f"meta {key} {value}")
     blobs = []
     offset = 0

@@ -16,8 +16,8 @@ Sections:
   one sampler (``solvers.sample_batch``). It must divide ``T``.
 * ``data``: ground-truth and generated dataset sizes.
 * ``pretrain``: step counts and optimiser settings for base/motion training.
-* ``distill``: per-stage iteration budget, micro-batch, accumulation,
-  learning rates, and whether to append the experimental 2 -> 1 stage.
+* ``distill``: per-stage iteration budget, micro-batch, accumulation and
+  learning rates of the plan 128 -> 32 -> 8 -> 4 -> 2 -> 1.
 * ``ranks``: the worker table, rows of ``rank`` (a non-negative id),
   ``style`` (a seen style) and ``dataset`` (a ``datagen.DATASET_STYLES``
   id). It is the only rank table: the cross-model arm distills against
@@ -99,7 +99,6 @@ def default_config() -> dict:
             "grad_accum": 4,
             "lr_student": 1e-3,
             "lr_disc": 2e-3,
-            "include_one_step": True,
         },
         # Mirrors the 8-worker roster: two default-base workers on real
         # data, two realistic-analog workers on the pooled realistic set,
@@ -139,7 +138,7 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-_KINDS = ((bool, "a boolean"), (int, "an integer"), (float, "a number"),
+_KINDS = ((int, "an integer"), (float, "a number"),
           (str, "a string"), (list, "a list"), (dict, "an object"))
 
 
@@ -148,10 +147,10 @@ def _check_types(value, default, path: str = "") -> None:
     from the shape of ``default``: an object must have exactly the
     default's keys, each list item the type of the default's first item,
     and each scalar the default's type. An int counts as a float, if a
-    float can hold it; a bool is not an int; a float must be finite."""
+    float can hold it; no key takes a bool; a float must be finite."""
     kind, name = next(k for k in _KINDS if isinstance(default, k[0]))
     if (not isinstance(value, (int, float) if kind is float else kind)
-            or isinstance(value, bool) and kind is not bool):
+            or isinstance(value, bool)):
         raise ValueError(f"config key {path!r} must be {name}, "
                          f"not {type(value).__name__}")
     if kind is float:
@@ -211,15 +210,14 @@ def schedule_from_config(cfg: dict):
 
 
 def plan_from_config(cfg: dict) -> DistillPlan:
-    """128 -> 32 -> 8 -> 4 -> 2, then -> 1 when ``distill.include_one_step``
-    (experimental: the one-step epsilon formulation is known to be noisy).
+    """128 -> 32 -> 8 -> 4 -> 2 -> 1.
 
     The MSE stage runs ``distill.mse_iterations``; the adversarial stages
     run ``distill.iterations`` per phase."""
     d = cfg["distill"]
     common = dict(micro_batch=d["micro_batch"], grad_accum=d["grad_accum"],
                   lr_student=d["lr_student"], lr_disc=d["lr_disc"])
-    steps = [32, 8, 4, 2] + ([1] if d["include_one_step"] else [])
+    steps = [32, 8, 4, 2, 1]
     stages = [StageConfig(128, 32, "mse_cfg", d["mse_iterations"],
                           cfg_scale=cfg["guidance"], **common)]
     stages += [StageConfig(a, b, "adversarial", d["iterations"], **common)

@@ -291,9 +291,18 @@ def save_dataset(ds: ClipDataset, path, meta: dict | None = None) -> None:
 
 
 def load_dataset(path) -> ClipDataset:
-    """Read a ``save_dataset`` file; its metadata lands in ``meta``."""
+    """Read a ``save_dataset`` file; its metadata lands in ``meta``. A
+    missing ``provenance`` or ``style_id``, or a ``style_id`` that is not an
+    integer, raises ``ValueError`` naming ``path`` and the key."""
     arrays, meta = checkpoint_load(path, expect=("clips", "conditions"))
-    style_id = int(meta["style_id"])
+    for key in ("provenance", "style_id"):
+        if key not in meta:
+            raise ValueError(f"{path}: dataset meta is missing {key!r}")
+    try:
+        style_id = int(meta["style_id"])
+    except ValueError:
+        raise ValueError(f"{path}: dataset meta 'style_id' is not an integer: "
+                         f"{meta['style_id']!r}") from None
     group = _POOL_GROUPS.get(style_id) or style_by_id(style_id).group
     return ClipDataset(arrays["clips"], arrays["conditions"], meta["provenance"],
                        group, style_id, meta)

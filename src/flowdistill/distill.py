@@ -23,16 +23,16 @@ the ranks in ascending id. Each rank draws its ``grad_accum``
 micro-batches of ``micro_batch`` rows in order from its own generator and
 concatenates them; the frozen teacher traverses all of them in one untaped
 call (``teacher_stride``). ``rank_step`` then tapes the side being updated
-and the rank's loss (``mse_loss``, or ``adversarial_losses`` in an
-adversarial phase) once over its ``micro_batch * grad_accum`` rows and
-runs one ``backward``. Every loss is a mean over rows and the
-micro-batches are the same size, so this is the mean of the micro-batch
-gradients up to summation order. The ranks' gradients are averaged in rank
-order and one optimizer step follows. On a discriminator iteration an
-adversarial loss scores the teacher's and the student's next state in one
-discriminator pass on the two stacked on the row axis; on a student
-iteration the teacher's rows are scored without a tape, in a pass of
-their own.
+and the one loss that side minimises (``mse_loss``, or
+``adversarial_loss``'s ``l_d`` or ``l_g``) once over its
+``micro_batch * grad_accum`` rows and runs one ``backward``. Every loss is
+a mean over rows and the micro-batches are the same size, so this is the
+mean of the micro-batch gradients up to summation order. The ranks'
+gradients are averaged in rank order and one optimizer step follows. A
+discriminator iteration scores the teacher's and the student's next state
+in one discriminator pass on the two stacked on the row axis; a student
+iteration scores the student's next state alone, since the teacher's rows
+carry no gradient to the student.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ __all__ = [
     "DistillDivergence",
     "teacher_stride",
     "mse_loss",
-    "adversarial_losses",
+    "adversarial_loss",
     "rank_step",
     "run_stage",
     "stage_strides",
@@ -233,76 +233,68 @@ def mse_loss(base_arrays, motion, b: dict, sched: NoiseSchedule, dims):
     return ad.mse(pred, b["target"])
 
 
-def _nonsat_losses(p_real, p_fake):
-    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-    l_d = -ad.mean_all(ad.log(ad.clamp(p_real, lo, hi))) \
-        - ad.mean_all(ad.log(1.0 - ad.clamp(p_fake, lo, hi)))
-    l_g = -ad.mean_all(ad.log(ad.clamp(p_fake, lo, hi)))
-    return l_d, l_g
+def adversarial_loss(base_arrays, motion, disc_arrays, b: dict, flow_idx: int,
+                     side: str, sched: NoiseSchedule, dims):
+    """The non-saturating loss that ``side`` minimises, with the teacher's
+    ``target`` as the real sample and the student's stride as the fake one.
 
-
-def adversarial_losses(base_arrays, motion, disc_arrays, b: dict, phase: str,
-                       flow_idx: int, sched: NoiseSchedule, dims) -> tuple:
-    """Non-saturating (l_d, l_g) with the teacher's ``target`` as the real
-    sample and the student's stride as the fake one.
-
-    ``motion`` and ``disc_arrays`` each hold Vars or plain arrays; the side
-    given as arrays is a constant of the returned losses. When the
-    student's stride is a constant (a discriminator iteration), real and
-    fake are stacked on the row axis and scored by one discriminator pass,
-    whose probabilities are split back into the real and the fake rows.
-    When it is taped (a student iteration), the teacher's rows carry no
-    gradient to the student, so they are scored in a pass of their own
-    without a tape, beside the taped pass over the fake rows.
+    ``side`` "disc" gives ``l_d``: real and fake are stacked on the row axis
+    and scored by one discriminator pass, the fake rows as a constant.
+    ``side`` "student" gives ``l_g`` from a pass over the fake rows alone.
+    The head is the one ``disc_arrays`` holds: the pair head of the
+    trajectory-conditional phase when it holds ``hp1_w``, else the relaxed
+    single head. ``motion`` and ``disc_arrays`` each hold Vars or plain
+    arrays; the side given as arrays is a constant of the returned loss.
     """
+    if side not in ("disc", "student"):
+        raise ValueError(f"unknown side {side!r}")
     t_next = b["t"] - b["n"] * b["s"]
-    fake_next = _student_stride(base_arrays, motion, b, sched, dims)
-    stacked = not isinstance(fake_next, ad.Var)
-    x_next = (np.concatenate([b["target"], fake_next]) if stacked
-              else (b["target"], fake_next))
-    if phase == "trajectory_conditional":
+    x_next = _student_stride(base_arrays, motion, b, sched, dims)
+    if side == "disc":
+        x_next = np.concatenate([b["target"], ad.value_of(x_next)])
+    if "hp1_w" in disc_arrays:
         p = disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
                            b["tokens"], flow_idx, sched.T, dims)
     else:
         p = disc_single_prob(disc_arrays, x_next, t_next, b["tokens"],
                              flow_idx, sched.T, dims)
-    if stacked:
-        real = np.arange(len(b["tokens"]))
-        p = ad._take_rows(p, real), ad._take_rows(p, real + len(real))
-    return _nonsat_losses(*p)
+    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
+    if side == "student":
+        return -ad.mean_all(ad.log(ad.clamp(p, lo, hi)))
+    real = np.arange(len(b["tokens"]))
+    p_real = ad.clamp(ad._take_rows(p, real), lo, hi)
+    p_fake = ad.clamp(ad._take_rows(p, real + len(real)), lo, hi)
+    return -ad.mean_all(ad.log(p_real)) - ad.mean_all(ad.log(1.0 - p_fake))
 
 
 def _taped(arrays: dict) -> dict:
     return {k: ad.Var(v) for k, v in arrays.items()}
 
 
-def rank_step(base, motion, disc, b: dict, phase, flow_idx: int, side: str,
+def rank_step(base, motion, disc, b: dict, flow_idx: int, side: str,
               sched: NoiseSchedule, dims) -> tuple:
-    """One rank's local losses and gradients on its stride batch ``b`` (as
-    ``teacher_stride`` returns it): (losses, grads).
+    """One rank's local loss and gradients on its stride batch ``b`` (as
+    ``teacher_stride`` returns it): ({name: loss}, grads).
 
-    ``phase`` None is the MSE stage, which updates the student. In an
-    adversarial phase, ``side`` selects which parameters receive gradients:
-    the discriminator sees the student's stride as a detached sample, the
-    student differentiates through the (frozen this iteration)
-    discriminator. Only the side being updated is taped; base parameters
-    never receive an entry.
+    ``disc`` None is the MSE stage, which updates the student and returns
+    ``mse``. Otherwise ``side`` selects which parameters receive gradients
+    and the loss they minimise: the discriminator's ``l_d`` sees the
+    student's stride as a detached sample, the student's ``l_g``
+    differentiates through the (frozen this iteration) discriminator. Only
+    the side being updated is taped; base parameters never receive an entry.
     """
-    if phase is not None and phase not in PHASES:
-        raise ValueError(f"unknown phase {phase!r}")
-    if side not in (("student",) if phase is None else ("disc", "student")):
-        raise ValueError(f"unknown side {side!r} for phase {phase!r}")
+    if disc is None and side != "student":
+        raise ValueError(f"unknown side {side!r} for the MSE stage")
     pvars = _taped(disc if side == "disc" else motion)
-    if phase is None:
-        loss = mse_loss(base, pvars, b, sched, dims)
-        ad.backward(loss)
-        return {"mse": float(loss.value)}, {k: v.grad for k, v in pvars.items()}
-    l_d, l_g = adversarial_losses(
-        base, pvars if side == "student" else motion,
-        pvars if side == "disc" else disc, b, phase, flow_idx, sched, dims)
-    ad.backward(l_d if side == "disc" else l_g)
-    return ({"l_d": float(ad.value_of(l_d)), "l_g": float(ad.value_of(l_g))},
-            {k: v.grad for k, v in pvars.items()})
+    if disc is None:
+        name, loss = "mse", mse_loss(base, pvars, b, sched, dims)
+    else:
+        name = "l_d" if side == "disc" else "l_g"
+        loss = adversarial_loss(base, pvars if side == "student" else motion,
+                                pvars if side == "disc" else disc, b, flow_idx,
+                                side, sched, dims)
+    ad.backward(loss)
+    return {name: float(loss.value)}, {k: v.grad for k, v in pvars.items()}
 
 
 def _dump_diagnostics(ctx: DistillContext, stage: StageConfig, phase, iteration,
@@ -385,8 +377,8 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
                 batch = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
                 b = teacher_stride(r.base, teacher_motion, batch,
                                    stage, ctx.sched, ctx.dims)
-                losses, grads = rank_step(r.base, motion, disc, b, phase,
-                                          r.flow_idx, side, ctx.sched, ctx.dims)
+                losses, grads = rank_step(r.base, motion, disc, b, r.flow_idx,
+                                          side, ctx.sched, ctx.dims)
                 rank_grads.append(grads)
                 step_losses.append(losses)
             mean_losses = {k: float(np.mean([d[k] for d in step_losses]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .distill import adversarial_losses, mse_loss
+from .distill import adversarial_loss, mse_loss
 from .nets import (
     NetDims,
     StudentBundle,
@@ -62,20 +62,19 @@ def gradcheck_battery(sched: NoiseSchedule, dims: NetDims, seed: int = 7) -> lis
         return denoise_loss(base_arrays, motion_arrays, noise["x0"], noise["tokens"],
                             noise["t"], noise["eps"], sched, dims)
 
-    def adversarial(motion_arrays, disc_arrays, phase):
-        return adversarial_losses(base, motion_arrays, disc_arrays, b, phase,
-                                  1, sched, dims)
+    def adversarial(motion_arrays, disc_arrays, side):
+        return adversarial_loss(base, motion_arrays, disc_arrays, b, 1, side,
+                                sched, dims)
 
     checks = [
         ("pretrain_eps_mse/base", lambda p: denoise(p, None), base),
         ("pretrain_eps_mse/motion", lambda p: denoise(base, p), motion),
         ("distill_mse/motion", lambda p: mse_loss(base, p, b, sched, dims), motion),
-        ("disc_conditional/disc",
-         lambda p: adversarial(motion, p, "trajectory_conditional")[0], pair),
-        ("disc_relaxed/disc", lambda p: adversarial(motion, p, "relaxed")[0], relaxed),
+        ("disc_conditional/disc", lambda p: adversarial(motion, p, "disc"), pair),
+        ("disc_relaxed/disc", lambda p: adversarial(motion, p, "disc"), relaxed),
         ("generator_conditional/motion",
-         lambda p: adversarial(p, pair, "trajectory_conditional")[1], motion),
-        ("generator_relaxed/motion", lambda p: adversarial(p, relaxed, "relaxed")[1],
+         lambda p: adversarial(p, pair, "student"), motion),
+        ("generator_relaxed/motion", lambda p: adversarial(p, relaxed, "student"),
          motion),
     ]
 

@@ -20,9 +20,9 @@ Architecture at desk scale:
   phase trains: the pair head consumes the channel-concatenated features
   of x_t and of a next state; the relaxed single head, a next state's.
   Both heads score a stack of candidate next states (the teacher's and the
-  student's) with one backbone pass over the stack, or one pass per stack
-  when given a tuple of them, and the pair head encodes x_t once and tiles
-  its features to every candidate.
+  student's, or the student's alone) with one backbone pass over the
+  stack, and the pair head encodes x_t once and tiles its features to
+  every candidate.
 
 Each layer is one tape node: ``autodiff.dense`` for the base's layers and
 the heads, ``autodiff.temporal_mix`` for the motion block's mixes. Inside
@@ -318,14 +318,6 @@ def _tiled(a, k: int):
     return a if a.ndim == 0 or k == 1 else np.concatenate([a] * k)
 
 
-def _per_stack(x_next, score):
-    """``score(x_next)``, or for a tuple of stacks the tuple of each one's
-    score."""
-    if isinstance(x_next, tuple):
-        return tuple(score(x) for x in x_next)
-    return score(x_next)
-
-
 def disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens, flow_idx,
                    T: int, dims: NetDims):
     """Probability that each (x_t -> x_next) is a teacher transition.
@@ -336,26 +328,17 @@ def disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens, flow_idx,
     ``x_t``; the ``x_t`` features are tiled to each candidate and
     concatenated with its features along the channel axis before the pair
     head. Returns ``k * B`` probabilities.
-
-    ``x_next`` may also be a tuple of such stacks. Each stack then gets its
-    own backbone and head pass, all sharing the one encoding of ``x_t``, so
-    a constant stack is scored without a tape beside a taped one; the
-    result is the tuple of each stack's probabilities.
     """
     if not np.all(np.asarray(t_next) < np.asarray(t)):
         raise ValueError("t_next must precede t")
     tokens = _check_inputs(tokens, dims, T, t, t_next)
+    k = _candidates(x_next, tokens)
     f_cur = _disc_features(disc_arrays, x_t, t, tokens, flow_idx, T, dims)
-
-    def score(x):
-        k = _candidates(x, tokens)
-        f_next = _disc_features(disc_arrays, x, _tiled(t_next, k),
-                                _tiled(tokens, k), flow_idx, T, dims)
-        tiled = ad.concat([f_cur] * k, axis=0) if k > 1 else f_cur
-        feats = ad.concat([f_next, tiled], axis=-1)
-        return ad.sigmoid(_head(disc_arrays, feats, "hp1_w", "hp1_b", "hp2_w", "hp2_b"))
-
-    return _per_stack(x_next, score)
+    f_next = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
+                            _tiled(tokens, k), flow_idx, T, dims)
+    tiled = ad.concat([f_cur] * k, axis=0) if k > 1 else f_cur
+    feats = ad.concat([f_next, tiled], axis=-1)
+    return ad.sigmoid(_head(disc_arrays, feats, "hp1_w", "hp1_b", "hp2_w", "hp2_b"))
 
 
 def disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
@@ -364,18 +347,13 @@ def disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
 
     ``x_next`` stacks ``k`` candidates for the ``B`` rows of ``t_next`` and
     ``tokens``, as in :func:`disc_pair_prob`; one backbone pass encodes
-    them all. Returns ``k * B`` probabilities, or for a tuple of stacks the
-    tuple of each stack's probabilities, one pass per stack.
+    them all. Returns ``k * B`` probabilities.
     """
     tokens = _check_inputs(tokens, dims, T, t_next)
-
-    def score(x):
-        k = _candidates(x, tokens)
-        feats = _disc_features(disc_arrays, x, _tiled(t_next, k),
-                               _tiled(tokens, k), flow_idx, T, dims)
-        return ad.sigmoid(_head(disc_arrays, feats, "hs1_w", "hs1_b", "hs2_w", "hs2_b"))
-
-    return _per_stack(x_next, score)
+    k = _candidates(x_next, tokens)
+    feats = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
+                           _tiled(tokens, k), flow_idx, T, dims)
+    return ad.sigmoid(_head(disc_arrays, feats, "hs1_w", "hs1_b", "hs2_w", "hs2_b"))
 
 
 # -- optimisation --------------------------------------------------------

@@ -30,6 +30,22 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert meta["seed"] == "7"
 
 
+@pytest.mark.parametrize("meta, key", [
+    # Read back, this would be a second entry line: "declares 1 entries, found 2".
+    ({"config_hash": "abc\nentry b 1 1 0"}, "config_hash"),
+    # Read back, this would lose its line break and come back as "x".
+    ({"seed": 7, "note": "x\n"}, "note"),
+    ({"note": "x\r\ny"}, "note"),
+    ({"note": "x\u2028y"}, "note"),
+])
+def test_a_meta_value_with_a_line_break_is_refused_and_nothing_written(
+        tmp_path, meta, key):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=f"meta value of '{key}'.*line break"):
+        checkpoint_save({"a": np.zeros(1, np.float32)}, path, meta=meta)
+    assert os.listdir(tmp_path) == []
+
+
 def test_manifest_entry_count_matches(tmp_path):
     params = _params(1)
     path = tmp_path / "model.ckpt"

@@ -69,8 +69,8 @@ def test_config_validation_rejects_bad_styles():
     with pytest.raises(KeyError):
         validate_config(cfg)
     cfg = default_config()
-    cfg["distill"]["include_one_step"] = False  # the plan stops at 2 steps
-    with pytest.raises(ValueError, match="eval step count 1 "):
+    cfg["eval"]["step_counts"] = [16]  # no stage distills to 16 steps
+    with pytest.raises(ValueError, match="eval step count 16 "):
         validate_config(cfg)
     cfg = default_config()
     cfg["eval"]["n_conditions"] = 1  # no pair to score
@@ -208,8 +208,7 @@ WRONG_TYPES = {
     "ranks.1.dataset": "missing config key 'ranks.1.dataset'",
     "ranks.0.rank": "config key 'ranks.0.rank' must be an integer, not float",
     "seed": "config key 'seed' must be an integer, not bool",
-    "distill.include_one_step": ("config key 'distill.include_one_step' must "
-                                 "be a boolean, not int"),
+    "distill.lr_disc": "config key 'distill.lr_disc' must be a number, not bool",
     "pretrain.lr": "config key 'pretrain.lr' must be a number, not str",
 }
 
@@ -232,7 +231,7 @@ BAD_KEYS = [
     ({"ranks": [dict(_ROW, rank=0.5)]}, "ranks.0.rank"),
     ({"ranks": [dict(_ROW, weight=2)]}, "ranks.0.weight"),
     ({"seed": True}, "seed"),
-    ({"distill": {"include_one_step": 1}}, "distill.include_one_step"),
+    ({"distill": {"lr_disc": True}}, "distill.lr_disc"),
     ({"pretrain": {"lr": "0.1"}}, "pretrain.lr"),
 ]
 

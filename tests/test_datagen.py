@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +312,23 @@ def test_dataset_file_rejects_corruption(tmp_path):
     (tmp_path / "magic.ds").write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError):
         load_dataset(tmp_path / "magic.ds")
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"provenance": "p"}, "missing 'style_id'"),
+    ({"style_id": 3}, "missing 'provenance'"),
+    ({"provenance": "p", "style_id": "three"},
+     "'style_id' is not an integer: 'three'"),
+])
+def test_bad_dataset_meta_is_refused_naming_the_file_and_key(tmp_path, meta,
+                                                             message):
+    ds = fd.sample_ground_truth(style_by_name("real_b"), 3, 22)
+    path = tmp_path / "clips.ds"
+    fd.checkpoint_save({"clips": ds.clips, "conditions": ds.conditions}, path,
+                       meta=meta)
+    with pytest.raises(ValueError,
+                       match=f"{re.escape(str(path))}: dataset meta .*{message}"):
+        load_dataset(path)
 
 
 def test_generated_dataset_deterministic_and_tagged(tmp_path):

@@ -14,10 +14,9 @@ from flowdistill.distill import (
     PROB_CLAMP,
     Rank,
     StageConfig,
-    _nonsat_losses,
     _stage_rng,
     _student_stride,
-    adversarial_losses,
+    adversarial_loss,
     mse_loss,
     rank_step,
     run_stage,
@@ -86,17 +85,19 @@ def _batch(ds, stage, sched, rng, n=8, dtype=np.float64):
 
 def _mse_step(base, teacher, motion, batch, stage, sched, dims):
     b = teacher_stride(base, teacher, batch, stage, sched, dims)
-    losses, grads = rank_step(base, motion, None, b, None, 0, "student", sched,
-                              dims)
+    losses, grads = rank_step(base, motion, None, b, 0, "student", sched, dims)
     return losses["mse"], grads
 
 
-def _adversarial_step(base, teacher, motion, disc, batch, stage, phase, flow_idx,
+def _adversarial_step(base, teacher, motion, disc, batch, stage, flow_idx,
                       sched, dims, side):
+    """The loss ``side`` minimises and its gradients: ``rank_step`` returns
+    that one loss, ``l_d`` or ``l_g``, and nothing else."""
     b = teacher_stride(base, teacher, batch, stage, sched, dims)
-    losses, grads = rank_step(base, motion, disc, b, phase, flow_idx, side,
-                              sched, dims)
-    return losses["l_d"], losses["l_g"], grads
+    losses, grads = rank_step(base, motion, disc, b, flow_idx, side, sched, dims)
+    (name, loss), = losses.items()
+    assert name == {"disc": "l_d", "student": "l_g"}[side]
+    return loss, grads
 
 
 def test_stage_config_validation():
@@ -117,9 +118,8 @@ def _plan(**distill):
 
 
 def test_plan_chaining_validation():
-    good = _plan(include_one_step=False)
-    assert [s.name for s in good.stages] == ["128to32", "32to8", "8to4", "4to2"]
-    assert [s.name for s in _plan().stages][-1] == "2to1"
+    assert [s.name for s in _plan().stages] == [
+        "128to32", "32to8", "8to4", "4to2", "2to1"]
     with pytest.raises(ValueError, match="chain"):
         fd.DistillPlan((StageConfig(128, 32, "mse_cfg", 1),
                         StageConfig(16, 8, "adversarial", 1)))
@@ -261,29 +261,29 @@ def test_teacher_stride_accepts_exactly_the_stage_timesteps(sched, dims, setup,
 
 
 def test_adversarial_losses_at_fresh_heads(sched, dims, setup):
-    # Zero-initialised head output 0 -> p = 0.5 -> L_D = 2 ln 2, L_G = ln 2.
+    # Zero-initialised head output 0 -> p = 0.5 -> L_D = 2 ln 2, L_G = ln 2,
+    # with either head.
     base, motion, ds = setup
     disc = init_discriminator(dims, 1, np.random.default_rng(6),
                               backbone_from=fd.StudentBundle(base, motion, dims))
+    relaxed = relaxed_discriminator(disc, dims, np.random.default_rng(6))
     st = StageConfig(32, 8, "adversarial", 1, cfg_scale=0.0)
     batch = _batch(ds, st, sched, np.random.default_rng(7), n=16)
-    l_d, l_g, grads = _adversarial_step(base, motion, motion, disc, batch, st,
-                                        "trajectory_conditional", 0, sched, dims,
-                                        side="disc")
-    assert abs(l_d - 2 * np.log(2.0)) < 1e-3
-    assert abs(l_g - np.log(2.0)) < 0.02
-    assert set(grads) == set(disc)
-    relaxed = relaxed_discriminator(disc, dims, np.random.default_rng(6))
-    l_d2, l_g2, grads2 = _adversarial_step(base, motion, motion, relaxed, batch, st,
-                                           "relaxed", 0, sched, dims, side="student")
-    assert abs(l_d2 - 2 * np.log(2.0)) < 1e-3
-    assert set(grads2) == set(MOTION_KEYS)
-    with pytest.raises(ValueError, match="unknown phase"):
-        _adversarial_step(base, motion, motion, disc, batch, st, "sideways", 0,
-                          sched, dims, side="disc")
-    with pytest.raises(ValueError, match="unknown side 'disc' for phase None"):
-        _adversarial_step(base, motion, motion, disc, batch, st, None, 0,
-                          sched, dims, side="disc")
+    for d in (disc, relaxed):
+        l_d, grads = _adversarial_step(base, motion, motion, d, batch, st, 0,
+                                       sched, dims, side="disc")
+        assert abs(l_d - 2 * np.log(2.0)) < 1e-3
+        assert set(grads) == set(d)
+        l_g, grads = _adversarial_step(base, motion, motion, d, batch, st, 0,
+                                       sched, dims, side="student")
+        assert abs(l_g - np.log(2.0)) < 0.02
+        assert set(grads) == set(MOTION_KEYS)
+    with pytest.raises(ValueError, match="unknown side 'sideways'"):
+        _adversarial_step(base, motion, motion, disc, batch, st, 0, sched, dims,
+                          side="sideways")
+    with pytest.raises(ValueError, match="unknown side 'disc' for the MSE stage"):
+        _adversarial_step(base, motion, motion, None, batch, st, 0, sched, dims,
+                          side="disc")
 
 
 def test_adversarial_probabilities_clamped(sched, dims, setup):
@@ -296,11 +296,11 @@ def test_adversarial_probabilities_clamped(sched, dims, setup):
     relaxed["hs2_b"] = np.array([-60.0], dtype=np.float32)
     st = StageConfig(32, 8, "adversarial", 1, cfg_scale=0.0)
     batch = _batch(ds, st, sched, np.random.default_rng(9), n=4)
-    for phase, d in (("trajectory_conditional", disc), ("relaxed", relaxed)):
+    for d in (disc, relaxed):
         for side in ("disc", "student"):
-            l_d, l_g, _ = _adversarial_step(base, motion, motion, d, batch, st,
-                                            phase, 0, sched, dims, side=side)
-            assert np.isfinite(l_d) and np.isfinite(l_g)
+            loss, _ = _adversarial_step(base, motion, motion, d, batch, st, 0,
+                                        sched, dims, side=side)
+            assert np.isfinite(loss)
     assert np.isfinite(np.log(PROB_CLAMP))
 
 
@@ -319,8 +319,7 @@ def test_discriminator_step_peak_memory_per_row(sched, dims, setup):
                        st, sched, dims)
     tracemalloc.start()
     try:
-        rank_step(base, motion, disc, b, "trajectory_conditional", 1, "disc",
-                  sched, dims)
+        rank_step(base, motion, disc, b, 1, "disc", sched, dims)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,10 +360,14 @@ def test_run_stage_freezes_bases_and_produces_finite_history(sched, dims):
     st = StageConfig(32, 8, "adversarial", 6, micro_batch=4, grad_accum=2)
     out, history = run_stage(st, ctx, motion)
     assert len(history) == 12  # two phases
+    assert [(rec["phase"], rec["side"]) for rec in history] == [
+        (phase, side) for phase in ("trajectory_conditional", "relaxed")
+        for side in ("disc", "student") * 3]
     for rec in history:
-        assert np.isfinite(rec["l_d"]) and np.isfinite(rec["l_g"])
-    sides = [rec["side"] for rec in history[:6]]
-    assert sides == ["disc", "student"] * 3
+        # Each entry holds exactly the loss its side minimised.
+        loss = {"disc": "l_d", "student": "l_g"}[rec["side"]]
+        assert rec.keys() == {"stage", "phase", "iteration", "side", loss}
+        assert np.isfinite(rec[loss])
     for r, saved in zip(ctx.ranks, before):
         for key, val in saved.items():
             assert np.array_equal(r.base[key], val)
@@ -384,6 +387,8 @@ def test_an_mse_stage_moves_its_student_toward_the_teacher(sched, dims):
     _, history = run_stage(st, ctx, motion)
     assert [rec["iteration"] for rec in history] == list(range(40))
     assert {(rec["phase"], rec["side"]) for rec in history} == {("mse", "student")}
+    assert {tuple(rec) for rec in history} == {
+        ("stage", "phase", "iteration", "side", "mse")}
     assert history[-1]["mse"] < history[0]["mse"] * 2 / 3
 
 
@@ -433,18 +438,16 @@ def _accumulated_grads(stage, ranks, draw_stride, step_grads):
     return _mean_in_order(micro)
 
 
-def _reference_grads(base, motion, disc, b, phase, flow_idx, side, sched, dims):
+def _reference_grads(base, motion, disc, b, flow_idx, side, sched, dims):
     """The gradients of one rank's loss on ``b``, taped and differentiated
     here, with a zero array for each taped parameter the loss misses."""
     pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).items()}
-    if phase is None:
+    if disc is None:
         loss = mse_loss(base, pvars, b, sched, dims)
     else:
-        l_d, l_g = adversarial_losses(
-            base, pvars if side == "student" else motion,
-            pvars if side == "disc" else disc, b, phase, flow_idx, sched,
-            dims)
-        loss = l_d if side == "disc" else l_g
+        loss = adversarial_loss(base, pvars if side == "student" else motion,
+                                pvars if side == "disc" else disc, b, flow_idx,
+                                side, sched, dims)
     ad.backward(loss)
     return {k: v.grad if v.grad is not None else np.zeros_like(v.value)
             for k, v in pvars.items()}
@@ -480,8 +483,8 @@ def _reference_stage(stage, ctx, teacher, iteration_grads, dtype):
                                       ctx.sched, ctx.dims)
 
             def step_grads(r, b):
-                return _reference_grads(r.base, motion, disc, b, phase,
-                                        r.flow_idx, side, ctx.sched, ctx.dims)
+                return _reference_grads(r.base, motion, disc, b, r.flow_idx,
+                                        side, ctx.sched, ctx.dims)
 
             grads = iteration_grads(stage, ranks, draw_stride, step_grads)
             if side == "student":
@@ -684,73 +687,109 @@ def test_one_teacher_call_per_rank_equals_one_per_micro_batch(sched, dims, setup
         assert np.array_equal(got[key], want[key]), key
 
 
+def _nonsat(p_real, p_fake):
+    """The non-saturating (l_d, l_g) of the real and the fake rows'
+    probabilities, clamped to [PROB_CLAMP, 1 - PROB_CLAMP]:
+    l_d = -mean(log p_real) - mean(log(1 - p_fake)), l_g = -mean(log p_fake).
+    """
+    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
+    p_real, p_fake = ad.clamp(p_real, lo, hi), ad.clamp(p_fake, lo, hi)
+    l_d = -ad.mean_all(ad.log(p_real)) - ad.mean_all(ad.log(1.0 - p_fake))
+    return l_d, -ad.mean_all(ad.log(p_fake))
+
+
+def _prob(disc_arrays, b, x_next, phase, flow_idx, sched, dims):
+    # The head is named by the phase here, not read from the arrays.
+    t_next = b["t"] - b["n"] * b["s"]
+    if phase == "trajectory_conditional":
+        return disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
+                              b["tokens"], flow_idx, sched.T, dims)
+    return disc_single_prob(disc_arrays, x_next, t_next, b["tokens"], flow_idx,
+                            sched.T, dims)
+
+
 def _two_call_losses(base_arrays, motion, disc_arrays, b, phase, flow_idx, sched,
                      dims):
     # Reference: the real and the fake next state in separate calls.
-    t_next = b["t"] - b["n"] * b["s"]
-
-    def prob(x_next):
-        if phase == "trajectory_conditional":
-            return disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
-                                  b["tokens"], flow_idx, sched.T, dims)
-        return disc_single_prob(disc_arrays, x_next, t_next, b["tokens"],
-                                flow_idx, sched.T, dims)
-
     fake_next = _student_stride(base_arrays, motion, b, sched, dims)
-    return _nonsat_losses(prob(b["target"]), prob(fake_next))
-
-
-@pytest.mark.parametrize("side", ["disc", "student"])
-@pytest.mark.parametrize("phase", ["trajectory_conditional", "relaxed"])
-def test_stacked_discriminator_matches_two_call_reference(sched, dims, setup,
-                                                          phase, side):
-    base, motion, ds = setup
-    rng = np.random.default_rng(12)
-    disc = init_discriminator(dims, 2, rng, backbone_from=fd.StudentBundle(base, motion, dims))
-    for key in ("hp2_w", "flow_emb"):
-        disc[key] = rng.normal(0, 0.5, disc[key].shape).astype(np.float32)
-    if phase == "relaxed":
-        disc = relaxed_discriminator(disc, dims, rng)
-        disc["hs2_w"] = rng.normal(0, 0.5, disc["hs2_w"].shape).astype(np.float32)
-    st = StageConfig(32, 8, "adversarial", 1)
-    b = teacher_stride(base, motion, _batch(ds, st, sched, rng, n=16),
-                       st, sched, dims)
-    results = []
-    for losses_of in (adversarial_losses, _two_call_losses):
-        pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).items()}
-        l_d, l_g = losses_of(base, pvars if side == "student" else motion,
-                             pvars if side == "disc" else disc, b, phase, 1,
-                             sched, dims)
-        ad.backward(l_d if side == "disc" else l_g)
-        results.append((float(ad.value_of(l_d)), float(ad.value_of(l_g)),
-                        {k: v.grad for k, v in pvars.items()}))
-    (l_d, l_g, grads), (r_d, r_g, r_grads) = results
-    assert l_d == pytest.approx(r_d, rel=1e-12)
-    assert l_g == pytest.approx(r_g, rel=1e-12)
-    assert grads.keys() == r_grads.keys()
-    for key, ref in r_grads.items():
-        if ref is None:
-            assert grads[key] is None, key
-            continue
-        np.testing.assert_allclose(grads[key], ref, rtol=1e-10,
-                                   atol=1e-10 * np.abs(ref).max(), err_msg=key)
+    return _nonsat(_prob(disc_arrays, b, b["target"], phase, flow_idx, sched, dims),
+                   _prob(disc_arrays, b, fake_next, phase, flow_idx, sched, dims))
 
 
 def _stacked_losses(base_arrays, motion, disc_arrays, b, phase, flow_idx, sched,
                     dims):
     # Reference: the real and the fake next state stacked on the row axis in
     # one discriminator pass, taped whole when the student is taped.
-    t_next = b["t"] - b["n"] * b["s"]
     x_next = ad.concat([b["target"], _student_stride(base_arrays, motion, b, sched,
                                                      dims)], axis=0)
-    if phase == "trajectory_conditional":
-        p = disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
-                           b["tokens"], flow_idx, sched.T, dims)
-    else:
-        p = disc_single_prob(disc_arrays, x_next, t_next, b["tokens"], flow_idx,
-                             sched.T, dims)
+    p = _prob(disc_arrays, b, x_next, phase, flow_idx, sched, dims)
     real = np.arange(len(b["tokens"]))
-    return _nonsat_losses(ad._take_rows(p, real), ad._take_rows(p, real + len(real)))
+    return _nonsat(ad._take_rows(p, real), ad._take_rows(p, real + len(real)))
+
+
+def _adversarial_disc(dims, setup, phase, rng):
+    """A discriminator of ``phase`` whose near-zero head output layer and
+    zero flow table are randomised, so every path carries signal."""
+    base, motion, _ = setup
+    disc = init_discriminator(dims, 2, rng, backbone_from=fd.StudentBundle(base, motion, dims))
+    for key in ("hp2_w", "flow_emb"):
+        disc[key] = rng.normal(0, 0.5, disc[key].shape).astype(np.float32)
+    if phase == "relaxed":
+        disc = relaxed_discriminator(disc, dims, rng)
+        disc["hs2_w"] = rng.normal(0, 0.5, disc["hs2_w"].shape).astype(np.float32)
+    return disc
+
+
+def _taped(losses_of, side, base, motion, disc, b, *args):
+    """(value, grads, tape size) of ``losses_of``'s loss with ``side``'s
+    arrays taped; a reference's (l_d, l_g) pair gives the side's own."""
+    pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).items()}
+    loss = losses_of(base, pvars if side == "student" else motion,
+                     pvars if side == "disc" else disc, b, *args)
+    if isinstance(loss, tuple):
+        loss = loss[0] if side == "disc" else loss[1]
+    tape = _tape_size(loss)
+    ad.backward(loss)
+    return loss.value, {k: v.grad for k, v in pvars.items()}, tape
+
+
+def _assert_bit_equal(got, want):
+    (value, grads, _), (r_value, r_grads, _) = got, want
+    np.testing.assert_array_equal(value, r_value, strict=True)
+    assert grads.keys() == r_grads.keys()
+    for key, ref in r_grads.items():
+        np.testing.assert_array_equal(grads[key], ref, strict=True, err_msg=key)
+
+
+@pytest.mark.parametrize("side", ["disc", "student"])
+@pytest.mark.parametrize("phase", ["trajectory_conditional", "relaxed"])
+def test_stacked_discriminator_matches_two_call_reference(sched, dims, setup,
+                                                          phase, side):
+    # adversarial_loss reads the head from the arrays; the references name
+    # it by phase. Its l_d is the stacked pass's and its l_g the two-call
+    # reference's pass over the fake rows, each with its gradients bit for
+    # bit. Rows never interact, so the stacked l_g matches bit for bit too,
+    # and the two-call l_d up to the summation order of its gradients.
+    base, motion, ds = setup
+    rng = np.random.default_rng(12)
+    disc = _adversarial_disc(dims, setup, phase, rng)
+    st = StageConfig(32, 8, "adversarial", 1)
+    b = teacher_stride(base, motion, _batch(ds, st, sched, rng, n=16),
+                       st, sched, dims)
+    got = _taped(adversarial_loss, side, base, motion, disc, b, 1, side, sched,
+                 dims)
+    stacked, two_call = (_taped(ref, side, base, motion, disc, b, phase, 1, sched,
+                                dims) for ref in (_stacked_losses, _two_call_losses))
+    _assert_bit_equal(got, stacked)
+    if side == "student":
+        _assert_bit_equal(got, two_call)
+        return
+    (l_d, grads, _), (r_d, r_grads, _) = got, two_call
+    assert l_d == pytest.approx(r_d, rel=1e-12)
+    assert grads.keys() == r_grads.keys()
+    for key, ref in r_grads.items():
+        np.testing.assert_allclose(grads[key], ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max(), err_msg=key)
 
 
 def _tape_size(loss):
@@ -763,60 +802,70 @@ def _tape_size(loss):
     return len(seen)
 
 
+def _disc_passes(monkeypatch) -> list:
+    """(head, rows scored) of every discriminator pass ``distill`` makes
+    while a test runs."""
+    seen = []
+    for head, name, x_next_at in (("pair", "disc_pair_prob", 2),
+                                  ("single", "disc_single_prob", 1)):
+        def spy(*args, forward=getattr(dist, name), head=head, at=x_next_at):
+            seen.append((head, len(ad.value_of(args[at]))))
+            return forward(*args)
+
+        monkeypatch.setattr(dist, name, spy)
+    return seen
+
+
 @pytest.mark.parametrize("rows", [16, 64])
 @pytest.mark.parametrize("phase", ["trajectory_conditional", "relaxed"])
-def test_student_iterations_score_the_real_rows_untaped(sched, dims, setup, phase,
-                                                        rows):
-    # The teacher's rows carry no gradient to the student. Scored in an
-    # untaped pass of their own, they give the stacked pass's losses and
-    # student gradients bit for bit: the channel-major frame layers treat
-    # each row as its own BLAS column and the row-major heads each row as
-    # its own BLAS row, so no row's arithmetic depends on the others.
+def test_student_iterations_score_only_the_fake_rows(sched, dims, setup, phase,
+                                                     rows, monkeypatch):
+    # The teacher's rows carry no gradient to the student, so a student
+    # iteration's one discriminator pass scores the B fake rows alone. It
+    # gives the stacked pass's l_g and student gradients bit for bit, on a
+    # smaller tape: the channel-major frame layers treat each row as its own
+    # BLAS column and the row-major heads each row as its own BLAS row, so
+    # no row's arithmetic depends on the others.
     base, motion, ds = setup
     rng = np.random.default_rng(15)
-    disc = init_discriminator(dims, 2, rng, backbone_from=fd.StudentBundle(base, motion, dims))
-    disc["hp2_w"] = rng.normal(0, 0.5, disc["hp2_w"].shape).astype(np.float32)
-    if phase == "relaxed":
-        disc = relaxed_discriminator(disc, dims, rng)
-        disc["hs2_w"] = rng.normal(0, 0.5, disc["hs2_w"].shape).astype(np.float32)
+    disc = _adversarial_disc(dims, setup, phase, rng)
     st = StageConfig(32, 8, "adversarial", 1)
     b = teacher_stride(base, motion, _batch(ds, st, sched, rng, n=rows,
                                             dtype=np.float32), st, sched, dims)
-    results = []
-    for losses_of in (adversarial_losses, _stacked_losses):
-        mvars = {k: ad.Var(v) for k, v in motion.items()}
-        l_d, l_g = losses_of(base, mvars, disc, b, phase, 1, sched, dims)
-        tape = _tape_size(l_g)
-        ad.backward(l_g)
-        results.append((ad.value_of(l_d), l_g.value, tape,
-                        {k: v.grad for k, v in mvars.items()}))
-    (l_d, l_g, tape, grads), (r_d, r_g, r_tape, r_grads) = results
-    np.testing.assert_array_equal(l_d, r_d, strict=True)
-    np.testing.assert_array_equal(l_g, r_g, strict=True)
-    for key, ref in r_grads.items():
-        np.testing.assert_array_equal(grads[key], ref, strict=True, err_msg=key)
-    assert tape < r_tape
+    passes = _disc_passes(monkeypatch)
+    got = _taped(adversarial_loss, "student", base, motion, disc, b, 1, "student",
+                 sched, dims)
+    head = "pair" if phase == "trajectory_conditional" else "single"
+    assert passes == [(head, rows)]
+    want = _taped(_stacked_losses, "student", base, motion, disc, b, phase, 1,
+                  sched, dims)
+    _assert_bit_equal(got, want)
+    assert got[2] < want[2]
 
 
 def test_each_phase_holds_only_the_head_it_trains(sched, dims, monkeypatch):
     # Every array the discriminator holds is taped and Adam-updated, so it
-    # holds the backbone, the flow table and its phase's head, nothing else.
-    import flowdistill.distill as dist
-
+    # holds the backbone, the flow table and its phase's head, nothing else;
+    # that head is the one each of its passes runs. A discriminator
+    # iteration scores the real and the fake rows in one pass, a student
+    # iteration the fake rows alone.
     seen = []
     step = dist.rank_step
 
-    def spy(base, motion, disc, b, phase, *args):
-        seen.append((phase, set(disc)))
-        return step(base, motion, disc, b, phase, *args)
+    def spy(base, motion, disc, b, flow_idx, side, *args):
+        seen.append((set(disc), side, len(b["t"])))
+        return step(base, motion, disc, b, flow_idx, side, *args)
 
     monkeypatch.setattr(dist, "rank_step", spy)
+    passes = _disc_passes(monkeypatch)
     ctx, motion = _tiny_ctx(sched, dims)
     run_stage(StageConfig(32, 8, "adversarial", 2, micro_batch=2, grad_accum=1),
               ctx, motion)
-    heads = {"trajectory_conditional": DISC_HEAD_PAIR_KEYS,
-             "relaxed": DISC_HEAD_SINGLE_KEYS}
-    assert [phase for phase, _ in seen] == (
-        ["trajectory_conditional"] * 4 + ["relaxed"] * 4)  # 2 iterations x 2 ranks
-    for phase, keys in seen:
-        assert keys == {*DISC_BACKBONE_KEYS, "flow_emb", *heads[phase]}, phase
+    heads = [("pair", DISC_HEAD_PAIR_KEYS)] * 4 + [("single", DISC_HEAD_SINGLE_KEYS)] * 4
+    assert [side for _, side, _ in seen] == ["disc", "disc", "student", "student"] * 2
+    assert len(passes) == len(seen)  # 2 iterations x 2 ranks x 2 phases
+    for (keys, side, rows), (head, scored), (want_head, head_keys) in zip(
+            seen, passes, heads):
+        assert keys == {*DISC_BACKBONE_KEYS, "flow_emb", *head_keys}, want_head
+        assert head == want_head
+        assert scored == (2 * rows if side == "disc" else rows)

@@ -81,24 +81,25 @@ def _context():
     (StageConfig(128, 32, "mse_cfg", 1, micro_batch=4, grad_accum=2, cfg_scale=7.5),
      [(None, "student")]),
     (StageConfig(32, 8, "adversarial", 2, micro_batch=4, grad_accum=2),
-     [("trajectory_conditional", "disc"), ("trajectory_conditional", "student"),
-      ("relaxed", "disc"), ("relaxed", "student")]),
+     [("pair", "disc"), ("pair", "student"), ("single", "disc"),
+      ("single", "student")]),
 ], ids=["mse", "adversarial"])
 def test_a_distillation_iteration_tapes_and_differentiates_in_float32(
         tapes, monkeypatch, stage, sides):
     steps = []
     rank_step = dist.rank_step
 
-    def spy(base, motion, disc, b, phase, flow_idx, side, *rest):
-        losses, grads = rank_step(base, motion, disc, b, phase, flow_idx, side, *rest)
-        steps.append((phase, side, {g.dtype for g in grads.values()}))
+    def spy(base, motion, disc, b, flow_idx, side, *rest):
+        losses, grads = rank_step(base, motion, disc, b, flow_idx, side, *rest)
+        head = None if disc is None else "pair" if "hp1_w" in disc else "single"
+        steps.append((head, side, {g.dtype for g in grads.values()}))
         return losses, grads
 
     monkeypatch.setattr(dist, "rank_step", spy)
     ctx, teacher = _context()
     run_stage(stage, ctx, teacher)
     # Both ranks step on each side of each phase.
-    assert steps == [(phase, side, {F32}) for phase, side in sides for _ in range(2)]
+    assert steps == [(head, side, {F32}) for head, side in sides for _ in range(2)]
     assert len(tapes) == len(steps)
     for tape in tapes:
         assert tape["values"] == tape["grads"] == {F32}

@@ -20,7 +20,7 @@ from flowdistill import autodiff as ad
 from flowdistill.datagen import style_by_name
 from flowdistill.distill import (
     StageConfig,
-    adversarial_losses,
+    adversarial_loss,
     mse_loss,
     stage_timesteps,
     teacher_stride,
@@ -231,15 +231,11 @@ def _taped_cases(models, sched, dims):
             base, p, _stride_batch(models, MSE_STAGE, sched, dims), sched, dims)),
     }
     for phase, disc in discs.items():
-        def adv(side, phase=phase, disc=disc):
+        def adv(side, disc=disc):
             b = _stride_batch(models, ADV_STAGE, sched, dims)
-
-            def loss(p):
-                l_d, l_g = adversarial_losses(
-                    base, p if side == "student" else motion,
-                    p if side == "disc" else disc, b, phase, 1, sched, dims)
-                return (l_d, l_g) if side == "disc" else (l_g, l_d)
-            return loss
+            return lambda p: adversarial_loss(
+                base, p if side == "student" else motion,
+                p if side == "disc" else disc, b, 1, side, sched, dims)
 
         cases[f"adversarial, {phase}, disc"] = (disc, adv("disc"))
         cases[f"adversarial, {phase}, student"] = (motion, adv("student"))
@@ -252,25 +248,22 @@ _TAPED = (["denoise_loss, base", "denoise_loss, motion", "mse_loss"]
              for side in ("disc", "student")])
 
 
-def _losses_and_grads(arrays, loss_of):
+def _loss_and_grads(arrays, loss_of):
     pvars = {k: ad.Var(v) for k, v in arrays.items()}
-    losses = loss_of(pvars)
-    losses = losses if isinstance(losses, tuple) else (losses,)
-    ad.backward(losses[0])
-    return ([ad.value_of(v) for v in losses],
-            {k: v.grad for k, v in pvars.items() if v.grad is not None})
+    loss = loss_of(pvars)
+    ad.backward(loss)
+    return loss.value, {k: v.grad for k, v in pvars.items() if v.grad is not None}
 
 
 @pytest.mark.parametrize("case", _TAPED)
 def test_taped_losses_equal_the_row_major_reference_and_gradients_stay_close(
         sched, dims, models, case, monkeypatch):
     arrays, loss_of = _taped_cases(models, sched, dims)[case]
-    got_losses, got = _losses_and_grads(arrays, loss_of)
+    got_loss, got = _loss_and_grads(arrays, loss_of)
     _row_major(monkeypatch)
-    want_losses, want = _losses_and_grads(arrays, loss_of)
-    for g, w in zip(got_losses, want_losses):
-        assert g.dtype == np.float32
-        np.testing.assert_array_equal(g, w, strict=True)
+    want_loss, want = _loss_and_grads(arrays, loss_of)
+    assert got_loss.dtype == np.float32
+    np.testing.assert_array_equal(got_loss, want_loss, strict=True)
     assert got.keys() == want.keys() and got
     for key, ref in want.items():
         assert got[key].dtype == np.float32, key
