@@ -292,8 +292,9 @@ def save_dataset(ds: ClipDataset, path, meta: dict | None = None) -> None:
 
 def load_dataset(path) -> ClipDataset:
     """Read a ``save_dataset`` file; its metadata lands in ``meta``. A
-    missing ``provenance`` or ``style_id``, or a ``style_id`` that is not an
-    integer, raises ``ValueError`` naming ``path`` and the key."""
+    missing ``provenance`` or ``style_id``, a ``style_id`` that is not an
+    integer or names no style or pool, and arrays or a provenance that
+    ``ClipDataset`` refuses each raise ``ValueError`` naming ``path``."""
     arrays, meta = checkpoint_load(path, expect=("clips", "conditions"))
     for key in ("provenance", "style_id"):
         if key not in meta:
@@ -303,6 +304,15 @@ def load_dataset(path) -> ClipDataset:
     except ValueError:
         raise ValueError(f"{path}: dataset meta 'style_id' is not an integer: "
                          f"{meta['style_id']!r}") from None
-    group = _POOL_GROUPS.get(style_id) or style_by_id(style_id).group
-    return ClipDataset(arrays["clips"], arrays["conditions"], meta["provenance"],
-                       group, style_id, meta)
+    if style_id in _POOL_GROUPS:
+        group = _POOL_GROUPS[style_id]
+    elif style_id in _BY_ID:
+        group = _BY_ID[style_id].group
+    else:
+        raise ValueError(f"{path}: dataset meta 'style_id' {style_id} names no "
+                         "style or pool")
+    try:
+        return ClipDataset(arrays["clips"], arrays["conditions"],
+                           meta["provenance"], group, style_id, meta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -21,18 +21,21 @@ A rank is plain data (``Rank``): its id, its frozen base model, its
 dataset and its flow index. One iteration is a data-parallel step over
 the ranks in ascending id. Each rank draws its ``grad_accum``
 micro-batches of ``micro_batch`` rows in order from its own generator and
-concatenates them; the frozen teacher traverses all of them in one untaped
-call (``teacher_stride``). ``rank_step`` then tapes the side being updated
-and the one loss that side minimises (``mse_loss``, or
-``adversarial_loss``'s ``l_d`` or ``l_g``) once over its
+concatenates them, and the batch is checked and noised once. Where the
+iteration's loss reads the teacher's endpoint, the frozen teacher then
+traverses all the rows in one untaped call (``teacher_stride``): on every
+MSE iteration and every discriminator iteration. ``rank_step`` then tapes
+the side being updated and the one loss that side minimises
+(``mse_loss``, or ``adversarial_loss``'s ``l_d`` or ``l_g``) once over its
 ``micro_batch * grad_accum`` rows and runs one ``backward``. Every loss is
 a mean over rows and the micro-batches are the same size, so this is the
 mean of the micro-batch gradients up to summation order. The ranks'
 gradients are averaged in rank order and one optimizer step follows. A
-discriminator iteration scores the teacher's and the student's next state
-in one discriminator pass on the two stacked on the row axis; a student
-iteration scores the student's next state alone, since the teacher's rows
-carry no gradient to the student.
+discriminator iteration scores the teacher's endpoint (the real sample)
+and the student's next state in one discriminator pass on the two stacked
+on the row axis. A student iteration scores the student's next state
+alone, since the teacher's rows carry no gradient to the student, so it
+traverses no teacher: its batch is noised and nothing more.
 """
 from __future__ import annotations
 
@@ -189,14 +192,11 @@ class DistillContext:
         return max(r.flow_idx for r in self.ranks) + 1
 
 
-def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
-                   sched: NoiseSchedule, dims) -> dict:
-    """Inputs of the stride losses for a drawn batch of any number of rows.
-
-    Returns ``x_t``, ``t``, ``tokens``, the strides ``n`` and ``s``, and
-    ``target``: the guided teacher's endpoint after ``n`` strides, computed
-    without a tape, so it is a detached constant. Rows never interact, so
-    a call on concatenated micro-batches equals one call per micro-batch.
+def _noised_stride(batch, stage: StageConfig, sched: NoiseSchedule,
+                   dims) -> dict:
+    """A drawn batch checked and noised: ``x_t``, ``t``, ``tokens`` and the
+    strides ``n`` and ``s``, every input of the stride losses but the
+    teacher's ``target``.
 
     The batch is checked here, once: its timesteps must be integers that
     :func:`stage_timesteps` lists, tested arithmetically, and its tokens
@@ -214,11 +214,29 @@ def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
     tokens = _check_tokens(batch["tokens"], dims)
     x_t = add_noise(batch["x0"], batch["eps"], t, sched)
     x_t = substitute_terminal_noise(x_t, batch["eps"], t, sched)
-    target = euler_solve(predictor(base_arrays, teacher_arrays, sched.T, dims,
-                                   stage.cfg_scale),
-                         x_t, t, tokens, n, s, sched)
-    return {"x_t": x_t, "t": t, "tokens": tokens, "n": n, "s": s,
-            "target": target}
+    return {"x_t": x_t, "t": t, "tokens": tokens, "n": n, "s": s}
+
+
+def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
+                   sched: NoiseSchedule, dims) -> dict:
+    """Inputs of the stride losses for a drawn batch of any number of rows:
+    the batch checked and noised (``_noised_stride``), then the teacher's
+    traversal.
+
+    Returns ``x_t``, ``t``, ``tokens``, the strides ``n`` and ``s``, and
+    ``target``: the guided teacher's endpoint after ``n`` strides, computed
+    without a tape, so it is a detached constant. Rows never interact, so
+    a call on concatenated micro-batches equals one call per micro-batch.
+    Only ``mse_loss`` and the discriminator's side of ``adversarial_loss``
+    read ``target``; a student iteration of an adversarial stage noises its
+    batch alone.
+    """
+    b = _noised_stride(batch, stage, sched, dims)
+    b["target"] = euler_solve(predictor(base_arrays, teacher_arrays, sched.T,
+                                        dims, stage.cfg_scale),
+                              b["x_t"], b["t"], b["tokens"], b["n"], b["s"],
+                              sched)
+    return b
 
 
 def _student_stride(base_arrays, motion, b, sched: NoiseSchedule, dims):
@@ -274,7 +292,9 @@ def _taped(arrays: dict) -> dict:
 def rank_step(base, motion, disc, b: dict, flow_idx: int, side: str,
               sched: NoiseSchedule, dims) -> tuple:
     """One rank's local loss and gradients on its stride batch ``b`` (as
-    ``teacher_stride`` returns it): ({name: loss}, grads).
+    ``teacher_stride`` returns it): ({name: loss}, grads). A student
+    iteration of an adversarial stage reads no ``target``, so its ``b`` may
+    be the noised batch alone.
 
     ``disc`` None is the MSE stage, which updates the student and returns
     ``mse``. Otherwise ``side`` selects which parameters receive gradients
@@ -366,17 +386,23 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
         opt = {"student": Adam(stage.lr_student), "disc": Adam(stage.lr_disc)}
         for it in range(stage.iterations):
             side = "disc" if disc is not None and it % 2 == 0 else "student"
-            # Data-parallel step: one teacher traversal and one taped step
-            # per rank over all its rows, then the mean over ranks in rank
-            # order, then one optimizer update.
+            # Data-parallel step: per rank, its rows noised, traversed by the
+            # teacher only where the loss reads the target (the MSE loss, and
+            # l_d's real sample; l_g scores the student's stride alone), and
+            # one taped step over all of them; then the mean over ranks in
+            # rank order and one optimizer update.
+            traverse = disc is None or side == "disc"
             rank_grads: list = []
             step_losses: list = []
             for r, rng in zip(ranks, rngs):
                 draws = [draw_rows(r.dataset, stage.micro_batch, rng, t_grid)
                          for _ in range(stage.grad_accum)]
                 batch = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
-                b = teacher_stride(r.base, teacher_motion, batch,
-                                   stage, ctx.sched, ctx.dims)
+                if traverse:
+                    b = teacher_stride(r.base, teacher_motion, batch,
+                                       stage, ctx.sched, ctx.dims)
+                else:
+                    b = _noised_stride(batch, stage, ctx.sched, ctx.dims)
                 losses, grads = rank_step(r.base, motion, disc, b, r.flow_idx,
                                           side, ctx.sched, ctx.dims)
                 rank_grads.append(grads)

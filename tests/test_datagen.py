@@ -319,6 +319,8 @@ def test_dataset_file_rejects_corruption(tmp_path):
     ({"style_id": 3}, "missing 'provenance'"),
     ({"provenance": "p", "style_id": "three"},
      "'style_id' is not an integer: 'three'"),
+    ({"provenance": "ground_truth", "style_id": 99},
+     "'style_id' 99 names no style or pool"),
 ])
 def test_bad_dataset_meta_is_refused_naming_the_file_and_key(tmp_path, meta,
                                                              message):
@@ -328,6 +330,28 @@ def test_bad_dataset_meta_is_refused_naming_the_file_and_key(tmp_path, meta,
                        meta=meta)
     with pytest.raises(ValueError,
                        match=f"{re.escape(str(path))}: dataset meta .*{message}"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("provenance", "unknown provenance 'scraped'"),
+    ("finite", "clips must be finite"),
+    ("length", "clips and conditions must have equal length"),
+])
+def test_dataset_contents_refused_name_the_file(tmp_path, case, message):
+    ds = fd.sample_ground_truth(style_by_name("real_b"), 3, 22)
+    clips, conditions, provenance = ds.clips.copy(), ds.conditions, ds.provenance
+    if case == "provenance":
+        provenance = "scraped"
+    elif case == "finite":
+        clips[1, 2, 0] = np.nan
+    else:
+        conditions = conditions[:-1]
+    path = tmp_path / "clips.ds"
+    fd.checkpoint_save({"clips": clips, "conditions": conditions}, path,
+                       meta={"provenance": provenance, "style_id": ds.style_id})
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         load_dataset(path)
 
 

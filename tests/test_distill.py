@@ -869,3 +869,71 @@ def test_each_phase_holds_only_the_head_it_trains(sched, dims, monkeypatch):
         assert keys == {*DISC_BACKBONE_KEYS, "flow_emb", *head_keys}, want_head
         assert head == want_head
         assert scored == (2 * rows if side == "disc" else rows)
+
+
+@pytest.mark.parametrize("stage", [
+    StageConfig(32, 8, "adversarial", 2, micro_batch=2, grad_accum=2),
+    StageConfig(128, 32, "mse_cfg", 2, micro_batch=2, grad_accum=2,
+                cfg_scale=7.5),
+], ids=["adversarial", "mse"])
+def test_only_iterations_that_read_the_target_traverse_the_teacher(
+        sched, dims, stage, monkeypatch):
+    # The MSE loss and l_d read the teacher's endpoint; l_g scores the
+    # student's stride alone, so a student iteration traverses no teacher.
+    n, _ = stage_strides(stage, sched.T)
+    solve, step = dist.euler_solve, dist.rank_step
+    traversals = [0]
+    seen = []  # (iteration kind, teacher traversals, target given) per rank step
+
+    def counting_solve(f, x_t, t, tokens, strides, s, sched):
+        # The teacher traverses n strides, the student's stride is one.
+        traversals[0] += strides == n
+        return solve(f, x_t, t, tokens, strides, s, sched)
+
+    def recording_step(base, motion, disc, b, flow_idx, side, *args):
+        seen.append(("mse" if disc is None else side, traversals[0],
+                     "target" in b))
+        traversals[0] = 0
+        return step(base, motion, disc, b, flow_idx, side, *args)
+
+    monkeypatch.setattr(dist, "euler_solve", counting_solve)
+    monkeypatch.setattr(dist, "rank_step", recording_step)
+    ctx, motion = _tiny_ctx(sched, dims)
+    run_stage(stage, ctx, motion)
+    sides = {"adversarial": ["disc", "student"], "mse_cfg": ["mse", "mse"]}
+    want = {"disc": (1, True), "student": (0, False), "mse": (1, True)}
+    assert seen == [(side, *want[side]) for _ in stage.phases()
+                    for side in sides[stage.loss_kind] for _ in ctx.ranks]
+
+
+def _misalign(rows, dims):
+    rows["t"][0] = 126  # off the 32-step grid
+
+
+def _unknown_token(rows, dims):
+    rows["tokens"][0] = dims.null_token + 1
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_misalign, "misaligned"), (_unknown_token, "condition token"),
+], ids=["timestep", "token"])
+def test_a_student_iteration_refuses_a_bad_batch_as_teacher_stride_does(
+        sched, dims, corrupt, message, monkeypatch):
+    stage = StageConfig(32, 8, "adversarial", 2, micro_batch=2, grad_accum=1)
+    ctx, motion = _tiny_ctx(sched, dims)
+    draws = []
+
+    def corrupting_draw(ds, n, rng, grid):
+        rows = draw_rows(ds, n, rng, grid)
+        if len(draws) == len(ctx.ranks):  # rank 0's student-iteration draw
+            corrupt(rows, dims)
+        draws.append(rows)
+        return rows
+
+    monkeypatch.setattr(dist, "draw_rows", corrupting_draw)
+    with pytest.raises(ValueError, match=message) as got:
+        run_stage(stage, ctx, motion)
+    assert len(draws) == len(ctx.ranks) + 1
+    with pytest.raises(ValueError) as want:
+        teacher_stride(ctx.ranks[0].base, motion, draws[-1], stage, sched, dims)
+    assert str(got.value) == str(want.value)

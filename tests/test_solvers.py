@@ -345,24 +345,32 @@ def test_euler_solve_checks_its_inputs_once_whatever_n(sched, check_counts, w):
 
 
 def test_teacher_stride_checks_its_batch_a_fixed_number_of_times(sched, check_counts):
-    from flowdistill.distill import StageConfig, stage_timesteps, teacher_stride
+    from flowdistill.distill import (StageConfig, _noised_stride, stage_timesteps,
+                                     teacher_stride)
 
     bundle = _bundle(17)
     dims = bundle.dims
     rng = np.random.default_rng(18)
 
-    def stride(to_steps):
+    def stride(to_steps, traverse):
         stage = StageConfig(128, to_steps, "mse_cfg", 1, cfg_scale=7.5)
         batch = {"x0": rng.standard_normal((8, dims.frames, dims.frame_dim)),
                  "eps": rng.standard_normal((8, dims.frames, dims.frame_dim)),
                  "t": rng.choice(stage_timesteps(stage, sched.T), 8),
                  "tokens": rng.integers(0, dims.vocab, 8)}
-        return lambda: teacher_stride(bundle.base, bundle.motion, batch, stage,
-                                      sched, dims)
+        if traverse:
+            return lambda: teacher_stride(bundle.base, bundle.motion, batch,
+                                          stage, sched, dims)
+        return lambda: _noised_stride(batch, stage, sched, dims)
 
-    at_4, at_16 = _counted(check_counts, stride(32)), _counted(check_counts, stride(8))
+    at_4, at_16 = (_counted(check_counts, stride(32, True)),
+                   _counted(check_counts, stride(8, True)))
     assert at_4 == at_16
     assert at_4["t"] <= 2 and at_4["tokens"] <= 2
+    # A student iteration's batch is noised and not traversed: its checks
+    # run once, whatever the stage's stride count.
+    noised = [_counted(check_counts, stride(to_steps, False)) for to_steps in (32, 8)]
+    assert noised[0] == noised[1] == {"t": 1, "tokens": 1}
 
 
 def test_sample_batch_checks_its_inputs_a_fixed_number_of_times(sched, check_counts):
