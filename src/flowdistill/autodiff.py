@@ -24,6 +24,18 @@ ones may differ in their last bits); a weight, bias or row-term gradient
 sums over rows and frames in another order than a row-major layer would,
 so it may differ in its last bits.
 
+A leading rank axis stacks R independent models of one shape: ``dense``
+takes one weight per rank, (R, K, C), and a (R, C) bias, ``_take_rows`` a
+(R, V, C) table, and a frame stack is then (R, C, frames, rows). Row-major
+operands keep all R·B rows on their leading axis, grouped by rank (rank
+r's rows are r·B to r·B + B - 1), and each rank's rows meet only its own
+weights and tables. A rank-stacked product runs the 2-D product of an
+unstacked call once per rank in one batched matmul, so each rank gets
+that call's bits. A shared (K, C) weight over R·B row-major rows is one
+product, in which each row is its own BLAS row: in float32 its values
+equal the per-rank products' (float64 BLAS takes another kernel for a
+single row, so there one-row ranks may differ in their last bits).
+
 Constants are plain numpy arrays; anything wrapped in :class:`Var` receives
 a gradient after :func:`backward` runs on a scalar loss. ``backward`` frees
 the tape as it walks it: each node's closure and every interior gradient
@@ -277,33 +289,67 @@ def _div_const(a: Var, b):
     return out
 
 
+def _term(tv, z, bias: bool):
+    """A bias or row term's value shaped to broadcast against the product
+    ``z`` (see :func:`_affine`)."""
+    if z.ndim == 2:
+        # A per-rank (R, C) bias over rows grouped by rank: each rank's
+        # bias repeated over its rows.
+        return (np.repeat(tv, len(z) // len(tv), axis=0)
+                if bias and tv.ndim == 2 else tv)
+    if bias:
+        return tv[..., None, None]
+    if z.ndim == 3:
+        return np.ascontiguousarray(tv.T)[:, None]
+    ranked = tv.reshape(len(z), -1, tv.shape[1]).transpose(0, 2, 1)
+    return np.ascontiguousarray(ranked)[:, :, None]
+
+
+def _term_grad(gz, shape, bias: bool):
+    """The gradient of a bias or row term of ``shape`` from the
+    pre-activation gradient ``gz``: :func:`_term`'s broadcast undone."""
+    if gz.ndim == 2:
+        if not bias:
+            return gz
+        if len(shape) == 2:
+            return gz.reshape(shape[0], -1, shape[1]).sum(axis=1)
+        return gz.sum(axis=0)
+    if bias:
+        # Over frames and rows, and over ranks for a bias they share.
+        return gz.sum(axis=(1, 2) if gz.ndim == 3
+                      else (2, 3) if len(shape) == 2 else (0, 2, 3))
+    if gz.ndim == 3:
+        return np.ascontiguousarray(gz.sum(axis=1).T)
+    ranked = gz.sum(axis=2).transpose(0, 2, 1)
+    return np.ascontiguousarray(ranked).reshape(-1, shape[1])
+
+
 def _affine(z, bias, rows, act, operands, product_bwd):
     """``act(z + bias + rows…)`` as one node over the product ``z``, a
     buffer the caller has just allocated.
 
-    ``z`` is row-major (B, C) or channel-major (C, F, B). ``bias`` is (C,)
-    or None and each row term is (B, C). Over a channel-major ``z`` the
-    bias enters as a (C, 1, 1) view and each row term as a contiguous
-    (C, 1, B) copy, so every add and every gradient sum runs over
-    contiguous trailing axes. The adds run in the written order, into
-    ``z``; a float32 ``z`` met by a float64 term allocates the promoted sum
-    instead, as ``z + term`` does, and the rest write into that. ``act`` is
-    None or ``"silu"``; the taped node keeps the pre-activation buffer and
-    its sigmoid for the backward pass. ``product_bwd(gz)`` accumulates the
-    gradients of the product's ``operands`` from the pre-activation
-    gradient ``gz``.
+    ``z`` is row-major (N, C), channel-major (C, F, B), or channel-major
+    with a leading rank axis, (R, C, F, B). ``bias`` is None, (C,) or one
+    per rank, (R, C). Each row term is (N, C): over a rank-stacked ``z``
+    its N = R·B rows are grouped by rank, rank r's at rows r·B to
+    r·B + B - 1. Over a channel-major ``z`` the bias enters as a
+    (C, 1, 1) or (R, C, 1, 1) view and each row term as a contiguous
+    (C, 1, B) or (R, C, 1, B) copy, so every add and every gradient sum
+    runs over contiguous trailing axes. The adds run in the written order,
+    into ``z``; a float32 ``z`` met by a float64 term allocates the
+    promoted sum instead, as ``z + term`` does, and the rest write into
+    that. ``act`` is None or ``"silu"``; the taped node keeps the
+    pre-activation buffer and its sigmoid for the backward pass.
+    ``product_bwd(gz)`` accumulates the gradients of the product's
+    ``operands`` from the pre-activation gradient ``gz``.
     """
     if act not in (None, "silu"):
         raise ValueError(f"unknown activation {act!r}")
-    frames = z.ndim == 3
     terms = rows if bias is None else (bias, *rows)
+    biased = bias is not None  # the first term is the bias
     parents = tuple([p for p in (*operands, *terms) if isinstance(p, Var)])
-    for t in terms:
-        tv = t.value if isinstance(t, Var) else t
-        if frames and tv.ndim == 1:
-            tv = tv[:, None, None]
-        elif frames:
-            tv = np.ascontiguousarray(tv.T)[:, None]
+    for i, t in enumerate(terms):
+        tv = _term(t.value if isinstance(t, Var) else t, z, biased and i == 0)
         # A wider term (float64 into a float32 product) allocates the
         # promoted sum instead of being rounded into ``z``.
         if tv.dtype.itemsize <= z.dtype.itemsize:
@@ -315,17 +361,12 @@ def _affine(z, bias, rows, act, operands, product_bwd):
         return z if s is None else np.multiply(z, s, out=s)
     out = Var(z if s is None else z * s, _parents=parents)
 
-    def term_grad(gz, ndim):
-        if ndim == 2:
-            return np.ascontiguousarray(gz.sum(axis=1).T) if frames else gz
-        return gz.sum(axis=(1, 2) if frames else 0)
-
     def bwd(g):
         gz = g if s is None else _silu_grad(g, z, s)
         product_bwd(gz)
-        for t in terms:
+        for i, t in enumerate(terms):
             if isinstance(t, Var):
-                _accum(t, term_grad(gz, t.value.ndim))
+                _accum(t, _term_grad(gz, t.value.shape, biased and i == 0))
 
     out._bwd = bwd
     return out
@@ -334,25 +375,43 @@ def _affine(z, bias, rows, act, operands, product_bwd):
 def dense(x, w, bias=None, *rows, act=None):
     """One dense layer as one node: ``act(x @ w + bias + rows…)``.
 
-    ``w`` is a 2-D (K, C) weight matrix. A row-major (B, K) ``x`` gives
-    (B, C); a channel-major frame stack (K, F, B) gives (C, F, B), one
-    ``w.T @ x.reshape(K, F * B)``. ``bias`` is (C,) or None and each row
-    term is (B, C), broadcast over the frames of a frame stack. The bias
-    and row terms are added in that order, into the product's own buffer.
+    ``w`` is a (K, C) weight matrix, or one per rank, (R, K, C). A
+    row-major (N, K) ``x`` gives (N, C); under a rank-stacked ``w`` its
+    rows are grouped by rank and each rank's rows meet its own matrix. A
+    channel-major frame stack (K, F, B) gives (C, F, B), one
+    ``w.T @ x.reshape(K, F * B)``; a rank-stacked one, (R, K, F, B), gives
+    (R, C, F, B), one such product per rank, against a shared or a
+    rank-stacked ``w``. ``bias`` is (C,), (R, C) or None and each row term
+    is (N, C), broadcast over the frames of a frame stack (see
+    :func:`_affine`). The bias and row terms are added in that order, into
+    the product's own buffer.
     """
     xv, wv = value_of(x), value_of(w)
-    if wv.ndim != 2:
-        raise ValueError("dense weight must be 2-D")
-    if xv.ndim == 3:
-        x2 = xv.reshape(xv.shape[0], -1)
-        z = (wv.T @ x2).reshape((wv.shape[1],) + xv.shape[1:])
+    if wv.ndim not in (2, 3):
+        raise ValueError("dense weight must be 2-D, or 3-D with a leading rank axis")
+    if xv.ndim >= 3:
+        if wv.ndim == 3 and xv.ndim != 4:
+            raise ValueError("a rank-stacked weight needs a rank-stacked frame stack")
+        x2 = xv.reshape(*xv.shape[:-2], -1)
+        z = wv.swapaxes(-1, -2) @ x2
+        z = z.reshape(*z.shape[:-1], *xv.shape[-2:])
 
         def product_bwd(gz):
-            g2 = gz.reshape(gz.shape[0], -1)
+            g2 = gz.reshape(*gz.shape[:-2], -1)
             if isinstance(x, Var):
                 _accum(x, (wv @ g2).reshape(xv.shape))
             if isinstance(w, Var):
-                _accum(w, x2 @ g2.T)
+                _accum(w, _unbroadcast(x2 @ g2.swapaxes(-1, -2), wv.shape))
+    elif wv.ndim == 3:
+        x3 = xv.reshape(len(wv), -1, xv.shape[-1])
+        z = (x3 @ wv).reshape(len(xv), -1)
+
+        def product_bwd(gz):
+            g3 = gz.reshape(len(wv), -1, gz.shape[-1])
+            if isinstance(x, Var):
+                _accum(x, (g3 @ wv.swapaxes(-1, -2)).reshape(xv.shape))
+            if isinstance(w, Var):
+                _accum(w, x3.swapaxes(-1, -2) @ g3)
     else:
         z = xv @ wv
 
@@ -366,16 +425,21 @@ def dense(x, w, bias=None, *rows, act=None):
 
 
 def _take_rows(table, idx):
-    """Embedding lookup: rows of a 2-D table selected by an int index array
-    that its caller checked where it entered."""
+    """Embedding lookup: rows of a 1-D or 2-D table selected by an int
+    index array that its caller checked where it entered. A rank-stacked
+    (R, V, C) table takes N = R·B indices grouped by rank, and each rank's
+    look up its own (V, C) table."""
     tv = value_of(table)
+    at = idx
+    if tv.ndim == 3:
+        at = (np.repeat(np.arange(tv.shape[0]), len(idx) // tv.shape[0]), idx)
     if not isinstance(table, Var):
-        return tv[idx]
-    out = Var(tv[idx], _parents=(table,))
+        return tv[at]
+    out = Var(tv[at], _parents=(table,))
 
     def bwd(g):
         dt = np.zeros_like(tv, dtype=g.dtype)
-        np.add.at(dt, idx, g)
+        np.add.at(dt, at, g)
         _accum(table, dt)
 
     out._bwd = bwd
@@ -386,30 +450,38 @@ def temporal_mix(mix, h, *rows, act=None):
     """Per-channel frame mixing as one node over a channel-major frame
     stack: ``act(mix @ h + rows…)``, out[c,f,b] = sum_g mix[c,f,g] * h[c,g,b].
 
-    ``mix`` is (C, F, G) and ``h`` (C, G, B); the product is one batched
-    matmul over channels, and so is each gradient. Each row term is (B, C)
-    and broadcasts over frames.
+    ``mix`` is (C, F, G) and ``h`` (C, G, B), or rank-stacked (R, C, G, B)
+    with ``mix`` shared by every rank; the product is one batched matmul
+    over channels (and ranks), and so is each gradient. Each row term is
+    (N, C) and broadcasts over frames (see :func:`_affine`).
     """
     mv, hv = value_of(mix), value_of(h)
 
     def product_bwd(gz):
         if isinstance(mix, Var):
-            _accum(mix, gz @ hv.transpose(0, 2, 1))
+            _accum(mix, _unbroadcast(gz @ hv.swapaxes(-1, -2), mv.shape))
         if isinstance(h, Var):
-            _accum(h, mv.transpose(0, 2, 1) @ gz)
+            _accum(h, mv.swapaxes(-1, -2) @ gz)
 
     return _affine(mv @ hv, None, rows, act, (mix, h), product_bwd)
 
 
+def _reversed(a):
+    """``a`` with its axes reversed, but a 4-D stack's leading rank axis."""
+    return a.swapaxes(1, 3) if a.ndim == 4 else a.T
+
+
 def transpose(x):
     """``x`` with its axes reversed, as a C-contiguous copy: a row-major
-    (B, F, C) frame stack becomes channel-major (C, F, B), and back."""
+    (B, F, C) frame stack becomes channel-major (C, F, B), and back. A 4-D
+    stack keeps its leading rank axis in front: (R, B, F, C) becomes
+    (R, C, F, B), and back."""
     xv = value_of(x)
-    yv = np.ascontiguousarray(xv.T)
+    yv = np.ascontiguousarray(_reversed(xv))
     if not isinstance(x, Var):
         return yv
     out = Var(yv, _parents=(x,))
-    out._bwd = lambda g: _accum(x, np.ascontiguousarray(g.T))
+    out._bwd = lambda g: _accum(x, np.ascontiguousarray(_reversed(g)))
     return out
 
 

@@ -13,7 +13,8 @@ Layout::
     <raw little-endian blob>
 
 An entry is float32 unless its line ends in ``i4`` (int32); integer
-arrays are stored as int32 and every other array as float32. A line
+arrays are stored as int32, and refused when a value lies outside its
+range, and every other array as float32. A line
 ending in ``f8`` is from a float64 file written before that format, and
 loading it asks for the run directory to be rebuilt. Byte offsets
 are relative to the start of the blob. Round trips are bit-exact because
@@ -35,6 +36,7 @@ __all__ = ["atomic_write", "checkpoint_save", "checkpoint_load"]
 _SEP = b"---\n"
 # Entry kind suffix -> stored dtype; an entry line without one is float32.
 _KINDS = {"i4": "<i4"}
+_I4 = np.iinfo(np.int32)
 
 
 def atomic_write(path, write) -> None:
@@ -54,8 +56,8 @@ def atomic_write(path, write) -> None:
 
 def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
     """Write named arrays; entry order is the dict order. A meta key with
-    whitespace or a meta value with a line break is refused before
-    anything is written."""
+    whitespace, a meta value with a line break and an integer entry with a
+    value outside int32 are refused before anything is written."""
     lines = [f"ckpt-v1 {len(arrays)}"]
     for key, value in (meta or {}).items():
         if any(ch.isspace() for ch in str(key)):
@@ -69,8 +71,11 @@ def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
     for name, arr in arrays.items():
         if any(ch.isspace() for ch in name):
             raise ValueError(f"entry name {name!r} must not contain whitespace")
-        dtype = np.asarray(arr).dtype
-        kind = "i4" if np.issubdtype(dtype, np.integer) else None
+        arr = np.asarray(arr)
+        kind = "i4" if np.issubdtype(arr.dtype, np.integer) else None
+        if kind and arr.size and (arr.min() < _I4.min or arr.max() > _I4.max):
+            raise ValueError(f"{os.fspath(path)}: entry {name!r} holds integers "
+                             "outside int32, which would not load back as saved")
         arr = np.asarray(arr, dtype=_KINDS.get(kind, "<f4"))  # keeps 0-d entries 0-d
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)

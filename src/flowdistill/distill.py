@@ -20,22 +20,28 @@ the teacher.
 A rank is plain data (``Rank``): its id, its frozen base model, its
 dataset and its flow index. One iteration is a data-parallel step over
 the ranks in ascending id. Each rank draws its ``grad_accum``
-micro-batches of ``micro_batch`` rows in order from its own generator and
-concatenates them, and the batch is checked and noised once. Where the
-iteration's loss reads the teacher's endpoint, the frozen teacher then
-traverses all the rows in one untaped call (``teacher_stride``): on every
-MSE iteration and every discriminator iteration. ``rank_step`` then tapes
-the side being updated and the one loss that side minimises
-(``mse_loss``, or ``adversarial_loss``'s ``l_d`` or ``l_g``) once over its
-``micro_batch * grad_accum`` rows and runs one ``backward``. Every loss is
-a mean over rows and the micro-batches are the same size, so this is the
-mean of the micro-batch gradients up to summation order. The ranks'
-gradients are averaged in rank order and one optimizer step follows. A
-discriminator iteration scores the teacher's endpoint (the real sample)
-and the student's next state in one discriminator pass on the two stacked
-on the row axis. A student iteration scores the student's next state
-alone, since the teacher's rows carry no gradient to the student, so it
-traverses no teacher: its batch is noised and nothing more.
+micro-batches of ``micro_batch`` rows in order from its own generator,
+and all ranks' rows are concatenated in rank order and checked and noised
+once. Where the iteration's loss reads the teacher's endpoint, on every
+MSE iteration and every discriminator iteration, the frozen teacher then
+traverses all those rows in one untaped call (``teacher_stride``), with
+the ranks' bases stacked on a leading rank axis so that each rank's rows
+run through its own base; whole ranks are solved together in blocks of at
+most ``solvers.SAMPLE_BATCH`` rows. ``rank_step`` then runs per rank on
+its own block of rows: it tapes the side being updated and the one loss
+that side minimises (``mse_loss``, or ``adversarial_loss``'s ``l_d`` or
+``l_g``) once over its ``micro_batch * grad_accum`` rows and runs one
+``backward``. Every loss is a mean over rows and the micro-batches are the
+same size, so this is the mean of the micro-batch gradients up to
+summation order. The ranks' gradients are averaged in rank order and one
+optimizer step follows. A discriminator iteration scores the teacher's
+endpoint (the real sample) and the student's next state in one
+discriminator pass on the two stacked on the row axis. A student
+iteration scores the student's next state alone, since the teacher's rows
+carry no gradient to the student, so it traverses no teacher: its batch
+is noised and nothing more. Rows never interact, so in float32 the
+stacked traversal gives each rank the bits of a traversal of its rows
+alone.
 """
 from __future__ import annotations
 
@@ -59,7 +65,7 @@ from .nets import (
     relaxed_discriminator,
 )
 from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
-from .solvers import euler_solve, predictor
+from .solvers import SAMPLE_BATCH, euler_solve, predictor
 
 __all__ = [
     "StageConfig",
@@ -84,6 +90,8 @@ PROB_CLAMP = 1e-6
 DISC_STREAM = 104729
 
 LOSS_KINDS = ("mse_cfg", "adversarial")
+# The entries of a stride batch that hold one value per row.
+_ROW_KEYS = ("x_t", "t", "tokens", "target")
 PHASES = ("trajectory_conditional", "relaxed")
 
 
@@ -225,17 +233,34 @@ def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
 
     Returns ``x_t``, ``t``, ``tokens``, the strides ``n`` and ``s``, and
     ``target``: the guided teacher's endpoint after ``n`` strides, computed
-    without a tape, so it is a detached constant. Rows never interact, so
-    a call on concatenated micro-batches equals one call per micro-batch.
-    Only ``mse_loss`` and the discriminator's side of ``adversarial_loss``
-    read ``target``; a student iteration of an adversarial stage noises its
-    batch alone.
+    without a tape, so it is a detached constant. ``base_arrays`` is one
+    base, or R bases stacked on a leading rank axis with the rows grouped
+    by rank (``nets.student_eps``): then whole ranks are traversed together,
+    in blocks of at most ``SAMPLE_BATCH`` rows (one rank, if its rows
+    alone exceed that). Rows never interact, so a call on concatenated
+    micro-batches, or on stacked ranks, equals one call per micro-batch or
+    per rank. Only ``mse_loss`` and the discriminator's side of
+    ``adversarial_loss`` read ``target``; a student iteration of an
+    adversarial stage noises its batch alone.
     """
     b = _noised_stride(batch, stage, sched, dims)
-    b["target"] = euler_solve(predictor(base_arrays, teacher_arrays, sched.T,
-                                        dims, stage.cfg_scale),
-                              b["x_t"], b["t"], b["tokens"], b["n"], b["s"],
-                              sched)
+    w1 = base_arrays["w1"]
+    ranks = len(w1) if np.ndim(w1) == 3 else 1
+    per_rank, rem = divmod(len(b["x_t"]), ranks)
+    if rem:
+        raise ValueError(f"{len(b['x_t'])} rows do not split evenly over "
+                         f"{ranks} stacked bases")
+    block = max(1, SAMPLE_BATCH // max(per_rank, 1))
+    parts = []
+    for lo in range(0, ranks, block):
+        rows = slice(lo * per_rank, (lo + block) * per_rank)
+        bases = (base_arrays if ranks == 1 else
+                 {k: v[lo:lo + block] for k, v in base_arrays.items()})
+        f = predictor(bases, teacher_arrays, sched.T, dims, stage.cfg_scale)
+        t = b["t"][rows] if b["t"].ndim else b["t"]
+        parts.append(euler_solve(f, b["x_t"][rows], t, b["tokens"][rows],
+                                 b["n"], b["s"], sched))
+    b["target"] = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return b
 
 
@@ -291,10 +316,11 @@ def _taped(arrays: dict) -> dict:
 
 def rank_step(base, motion, disc, b: dict, flow_idx: int, side: str,
               sched: NoiseSchedule, dims) -> tuple:
-    """One rank's local loss and gradients on its stride batch ``b`` (as
-    ``teacher_stride`` returns it): ({name: loss}, grads). A student
-    iteration of an adversarial stage reads no ``target``, so its ``b`` may
-    be the noised batch alone.
+    """One rank's local loss and gradients on its stride batch ``b``:
+    ({name: loss}, grads). ``b`` holds this rank's rows of what
+    ``teacher_stride`` returns for all ranks' rows, and ``base`` is this
+    rank's own (unstacked) base. A student iteration of an adversarial
+    stage reads no ``target``, so its ``b`` may be the noised rows alone.
 
     ``disc`` None is the MSE stage, which updates the student and returns
     ``mse``. Otherwise ``side`` selects which parameters receive gradients
@@ -377,6 +403,8 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
                                   ctx.pretrained)
     t_grid = stage_timesteps(stage, ctx.sched.T)
     ranks = sorted(ctx.ranks, key=lambda r: r.rank)
+    bases = {k: np.stack([r.base[k] for r in ranks]) for k in ranks[0].base}
+    rows = stage.micro_batch * stage.grad_accum
     history: list = []
     for phase_idx, phase in enumerate(stage.phases()):
         if phase == "relaxed":
@@ -386,24 +414,28 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
         opt = {"student": Adam(stage.lr_student), "disc": Adam(stage.lr_disc)}
         for it in range(stage.iterations):
             side = "disc" if disc is not None and it % 2 == 0 else "student"
-            # Data-parallel step: per rank, its rows noised, traversed by the
-            # teacher only where the loss reads the target (the MSE loss, and
-            # l_d's real sample; l_g scores the student's stride alone), and
-            # one taped step over all of them; then the mean over ranks in
-            # rank order and one optimizer update.
-            traverse = disc is None or side == "disc"
+            # Data-parallel step: each rank draws its rows from its own
+            # stream; all ranks' rows are noised at once and traversed by
+            # the teacher, each rank's on its own base, only where the loss
+            # reads the target (the MSE loss, and l_d's real sample; l_g
+            # scores the student's stride alone). Then one taped step per
+            # rank on its own rows, the mean over ranks in rank order and
+            # one optimizer update.
+            draws = [draw_rows(r.dataset, stage.micro_batch, rng, t_grid)
+                     for r, rng in zip(ranks, rngs)
+                     for _ in range(stage.grad_accum)]
+            batch = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
+            if disc is None or side == "disc":
+                b = teacher_stride(bases, teacher_motion, batch, stage,
+                                   ctx.sched, ctx.dims)
+            else:
+                b = _noised_stride(batch, stage, ctx.sched, ctx.dims)
             rank_grads: list = []
             step_losses: list = []
-            for r, rng in zip(ranks, rngs):
-                draws = [draw_rows(r.dataset, stage.micro_batch, rng, t_grid)
-                         for _ in range(stage.grad_accum)]
-                batch = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
-                if traverse:
-                    b = teacher_stride(r.base, teacher_motion, batch,
-                                       stage, ctx.sched, ctx.dims)
-                else:
-                    b = _noised_stride(batch, stage, ctx.sched, ctx.dims)
-                losses, grads = rank_step(r.base, motion, disc, b, r.flow_idx,
+            for i, r in enumerate(ranks):
+                own = {k: v[i * rows:(i + 1) * rows] if k in _ROW_KEYS else v
+                       for k, v in b.items()}
+                losses, grads = rank_step(r.base, motion, disc, own, r.flow_idx,
                                           side, ctx.sched, ctx.dims)
                 rank_grads.append(grads)
                 step_losses.append(losses)

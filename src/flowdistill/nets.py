@@ -33,9 +33,16 @@ discriminator transposes its (hidden, F, B) features back to (B, F, hidden)
 before flattening them, so the heads see (B, F * hidden) features in
 frame-major order. The time and condition embeddings (and the motion
 block's projections of them) are (B, hidden) row terms, which the fused
-layers add over frames as (hidden, 1, B). Untaped float32 outputs have
-the bits of the row-major layout; taped gradients may differ from its in
-their last bits. The pretraining loss is ``autodiff.mse``, the one
+layers add over frames as (hidden, 1, B). ``student_eps`` also takes R
+base models stacked on a leading rank axis, every base array (R, ...),
+with its rows grouped by rank: its input and output keep the rows on the
+leading axis, (R·B, F, D), and inside the encoder each activation gains
+the rank axis in front, (R, hidden, F, B). Each rank's rows meet its own
+base's weights and tables and the shared motion module, so in float32
+each rank gets the bits of a call on its rows and base alone (see
+``autodiff``). Untaped float32 outputs have the bits of the row-major
+layout; taped gradients may differ from its in their last bits. The
+pretraining loss is ``autodiff.mse``, the one
 squared-error definition that MSE distillation shares.
 
 Inputs are checked once, where they enter: ``student_eps``,
@@ -268,18 +275,29 @@ def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims,
                 *, checked=False):
     """Noise prediction of the composed model. Accepts Var or ndarray params.
 
-    x: (B, F, D); t: scalar or (B,) ints in ``[-1, T)``; tokens: (B,) ints
+    x: (N, F, D); t: scalar or (N,) ints in ``[-1, T)``; tokens: (N,) ints
     in ``[0, vocab]``. Both are checked in one pass each, unless
     ``checked``: the caller checked them where they entered. Returns
-    (B, F, D), C-contiguous.
+    (N, F, D), C-contiguous. ``base_arrays`` is one base model, or R of
+    them stacked on a leading rank axis (every array (R, ...)): then the N
+    rows are grouped by rank, rank r's the r-th block of N / R, and each
+    block runs through its own base beside the shared motion module.
     """
     if not checked:
         tokens = _check_inputs(tokens, dims, T, t)
+    shape = ad.value_of(x).shape
     tfeat = time_features(t, T, dims.time_dim)
     if tfeat.ndim == 1:
-        tfeat = np.broadcast_to(tfeat, (ad.value_of(x).shape[0], dims.time_dim))
+        tfeat = np.broadcast_to(tfeat, (shape[0], dims.time_dim))
+    w1 = ad.value_of(base_arrays["w1"])
+    if w1.ndim == 3:
+        if shape[0] % w1.shape[0]:
+            raise ValueError(f"{shape[0]} rows do not split evenly over "
+                             f"{w1.shape[0]} stacked bases")
+        x = ad.reshape(x, (w1.shape[0], -1) + shape[1:])
     h = _encode(base_arrays, ad.transpose(x), tfeat, tokens, motion_arrays)
-    return ad.transpose(ad.dense(h, base_arrays["w3"], base_arrays["b3"]))
+    eps = ad.transpose(ad.dense(h, base_arrays["w3"], base_arrays["b3"]))
+    return eps if w1.ndim == 2 else ad.reshape(eps, shape)
 
 
 def _disc_features(disc_arrays, x, t, tokens, flow_idx, T: int, dims: NetDims):

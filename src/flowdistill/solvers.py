@@ -75,6 +75,8 @@ def cfg_combine(eps_cond, eps_uncond, w: float):
 def predictor(base: dict, motion: dict, T: int, dims, w: float = 0.0):
     """The composed model as a predictor ``f(x, t, tokens) -> eps_hat``,
     guided at scale ``w`` against the null condition token when ``w > 0``.
+    ``base`` may stack R bases on a leading rank axis; ``f`` then takes
+    rows grouped by rank (``nets.student_eps``).
 
     ``f`` checks a token array on the first call that passes it (a
     traversal passes one array to every stride) and takes ``t`` as checked

@@ -362,6 +362,89 @@ def test_gradcheck_temporal_mix_with_rows_and_silu():
     _fd_check(loss, params)
 
 
+# -- the leading rank axis ----------------------------------------------
+
+
+R, B, F, K, C = 3, 2, 4, 3, 5  # ranks, rows per rank, frames, in, out
+
+
+@pytest.mark.parametrize("act", [None, "silu"])
+@pytest.mark.parametrize("case", ["stacked frames", "shared weight over stacked frames",
+                                  "stacked rows"])
+def test_gradcheck_dense_with_a_rank_axis(case, act):
+    # Every operand taped: a per-rank (or shared) weight and bias, and two
+    # (R·B, C) row terms grouped by rank.
+    rng = np.random.default_rng(30)
+    stacked = case != "shared weight over stacked frames"
+    params = {"x": rng.standard_normal((R * B, K) if case == "stacked rows"
+                                       else (R, K, F, B)),
+              "w": rng.standard_normal((R, K, C) if stacked else (K, C)),
+              "b": rng.standard_normal((R, C) if stacked else C),
+              "r0": rng.standard_normal((R * B, C)),
+              "r1": rng.standard_normal((R * B, C))}
+    up = rng.standard_normal(ad.value_of(_dense_of(params, act)).shape)
+    _fd_check(lambda p: _sum_all(_dense_of(p, act) * up), params)
+
+
+def test_gradcheck_temporal_mix_with_a_rank_axis():
+    rng = np.random.default_rng(31)
+    params = {"mix": rng.standard_normal((C, F, F)) * 0.3,
+              "h": rng.standard_normal((R, C, F, B)),
+              "r0": rng.standard_normal((R * B, C))}
+    up = rng.standard_normal((R, C, F, B))
+
+    def loss(p):
+        return _sum_all(ad.temporal_mix(p["mix"], p["h"], p["r0"], act="silu") * up)
+
+    _fd_check(loss, params)
+
+
+def test_gradcheck_embedding_rows_with_a_rank_axis():
+    rng = np.random.default_rng(32)
+    idx = np.array([0, 2, 2, 1, 3, 3])  # two rows per rank, repeats included
+    params = {"table": rng.standard_normal((R, 4, C))}
+    up = rng.standard_normal((len(idx), C))
+
+    def loss(p):
+        return _sum_all(ad._take_rows(p["table"], idx) * up)
+
+    _fd_check(loss, params)
+    rows = ad._take_rows(params["table"], idx)
+    for i, k in enumerate(idx):  # rank i // 2 looks up its own table
+        np.testing.assert_array_equal(rows[i], params["table"][i // 2, k])
+
+
+def test_transpose_keeps_a_leading_rank_axis():
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((R, B, F, C))
+    y = ad.transpose(x)
+    assert y.flags.c_contiguous
+    np.testing.assert_array_equal(y, np.stack([xr.T for xr in x]), strict=True)
+    up = rng.standard_normal((R, C, F, B))
+    _fd_check(lambda p: _sum_all(ad.transpose(p["x"]) * up), {"x": x})
+
+
+def test_rank_stacked_layers_equal_per_rank_calls_bitwise():
+    # Each rank's block of a stacked call is the call on its rows alone.
+    rng = np.random.default_rng(34)
+    n = lambda *shape: rng.standard_normal(shape).astype(np.float32)  # noqa: E731
+    x, w, b, rows = n(R, K, F, 64), n(R, K, C), n(R, C), n(R * 64, C)
+    h, mix = n(R, C, F, 64), n(C, F, F)
+    got = ad.dense(x, w, b, rows, act="silu")
+    mixed = ad.temporal_mix(mix, h, rows, act="silu")
+    for r in range(R):
+        own = rows[r * 64:(r + 1) * 64]
+        np.testing.assert_array_equal(
+            got[r], ad.dense(x[r], w[r], b[r], own, act="silu"), strict=True)
+        np.testing.assert_array_equal(
+            mixed[r], ad.temporal_mix(mix, h[r], own, act="silu"), strict=True)
+
+
+def test_a_rank_stacked_weight_needs_rank_stacked_frames():
+    with pytest.raises(ValueError, match="rank-stacked"):
+        ad.dense(np.ones((K, F, B)), np.ones((R, K, C)))
+
+
 def test_fused_ops_reject_an_unknown_activation():
     with pytest.raises(ValueError):
         ad.dense(np.ones((2, 3)), np.ones((3, 4)), act="relu")

@@ -188,6 +188,20 @@ def test_int32_entries_round_trip_exactly(tmp_path):
     assert "entry w1 3x5 15 16" in head  # float32 lines carry no dtype
 
 
+@pytest.mark.parametrize("value", [
+    np.array([0, 2 ** 40 + 5], dtype=np.int64),
+    np.array([-2 ** 31 - 1], dtype=np.int64),
+    np.array([2 ** 32 - 1], dtype=np.uint32),
+], ids=["int64 above", "int64 below", "uint32 above"])
+def test_an_integer_outside_int32_is_refused_and_nothing_written(tmp_path, value):
+    # Stored as int32, such a value would wrap: 2**40 + 5 would load as 5.
+    path = tmp_path / "wide.ckpt"
+    with pytest.raises(ValueError, match="outside int32") as err:
+        checkpoint_save({"w1": _params(6)["w1"], "tokens": value}, path)
+    assert str(path) in str(err.value) and "'tokens'" in str(err.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_creates_the_parent_directory(tmp_path):
     path = tmp_path / "a" / "b" / "model.ckpt"
     checkpoint_save(_params(5), path)

@@ -25,6 +25,7 @@ from flowdistill.distill import (
     teacher_stride,
 )
 from flowdistill.nets import (
+    BASE_KEYS,
     DISC_BACKBONE_KEYS,
     DISC_HEAD_PAIR_KEYS,
     DISC_HEAD_SINGLE_KEYS,
@@ -664,8 +665,9 @@ def test_divergence_dump_that_fails_partway_leaves_no_json(sched, dims, tmp_path
 ], ids=["mse_cfg", "adversarial"])
 def test_one_teacher_call_per_rank_equals_one_per_micro_batch(sched, dims, setup,
                                                               stage):
-    # run_stage draws a rank's micro-batches in order, concatenates them and
-    # traverses them in one teacher call.
+    # run_stage draws a rank's micro-batches in order, concatenates them
+    # (and the ranks' rows in rank order) and traverses them in one teacher
+    # call.
     base, motion, ds = setup
     grid = stage_timesteps(stage, sched.T)
     rng = np.random.default_rng(11)
@@ -685,6 +687,100 @@ def test_one_teacher_call_per_rank_equals_one_per_micro_batch(sched, dims, setup
     assert len(got["t"]) == stage.micro_batch * stage.grad_accum
     for key in got:
         assert np.array_equal(got[key], want[key]), key
+
+
+def _stacked_bases(dims, ranks, seed):
+    """``ranks`` distinct bases, and the same stacked on a leading axis."""
+    rng = np.random.default_rng(seed)
+    bases = [fd.init_base(dims, rng) for _ in range(ranks)]
+    return bases, {k: np.stack([b[k] for b in bases]) for k in BASE_KEYS}
+
+
+def _rank_rows(ds, stage, sched, ranks, rows, seed):
+    """``rows`` float32 drawn rows per rank, grouped by rank."""
+    draws = [draw_rows(ds, rows, np.random.default_rng([seed, r]),
+                       stage_timesteps(stage, sched.T)) for r in range(ranks)]
+    return {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
+
+
+@pytest.mark.parametrize("stage, ranks, rows, blocks", [
+    (StageConfig(128, 32, "mse_cfg", 1, cfg_scale=7.5), 8, 64, [512]),
+    (StageConfig(128, 32, "mse_cfg", 1, cfg_scale=7.5), 3, 200, [400, 200]),
+    (StageConfig(8, 4, "adversarial", 1), 8, 64, [512]),
+    (StageConfig(8, 4, "adversarial", 1), 3, 600, [600, 600, 600]),
+], ids=["guided, 8 ranks", "guided, 2 blocks", "unguided, 8 ranks",
+        "unguided, a rank per block"])
+def test_a_rank_stacked_teacher_stride_equals_the_per_rank_calls(
+        sched, dims, setup, monkeypatch, stage, ranks, rows, blocks):
+    # Rows grouped by rank, each rank's on its own base: whole ranks are
+    # traversed together in blocks of at most SAMPLE_BATCH rows, and each
+    # rank gets the bits of a call on its rows and base alone.
+    _, motion, ds = setup
+    bases, stacked = _stacked_bases(dims, ranks, 60 + ranks)
+    batch = _rank_rows(ds, stage, sched, ranks, rows, 61)
+    solved = []
+    solve = dist.euler_solve
+
+    def recording_solve(f, x_t, *args):
+        solved.append(len(x_t))
+        return solve(f, x_t, *args)
+
+    monkeypatch.setattr(dist, "euler_solve", recording_solve)
+    got = teacher_stride(stacked, motion, batch, stage, sched, dims)
+    assert solved == blocks
+    monkeypatch.setattr(dist, "euler_solve", solve)
+    for r, base in enumerate(bases):
+        own = slice(r * rows, (r + 1) * rows)
+        want = teacher_stride(base, motion, {k: v[own] for k, v in batch.items()},
+                              stage, sched, dims)
+        assert want.keys() == got.keys()
+        for key in _ROW_KEYS:
+            np.testing.assert_array_equal(got[key][own], want[key], strict=True)
+        assert (got["n"], got["s"]) == (want["n"], want["s"])
+
+
+def test_a_rank_stacked_teacher_stride_takes_one_timestep_for_every_row(
+        sched, dims, setup):
+    _, motion, ds = setup
+    stage = StageConfig(8, 4, "adversarial", 1)
+    _, stacked = _stacked_bases(dims, 3, 64)
+    batch = _rank_rows(ds, stage, sched, 3, 200, 65)
+    one = {**batch, "t": batch["t"][0]}
+    every = {**batch, "t": np.full_like(batch["t"], batch["t"][0])}
+    got, want = (teacher_stride(stacked, motion, b, stage, sched, dims)
+                 for b in (one, every))
+    assert np.ndim(got["t"]) == 0
+    np.testing.assert_array_equal(got["target"], want["target"], strict=True)
+
+
+def test_a_rank_stacked_teacher_stride_refuses_rows_that_do_not_split(
+        sched, dims, setup):
+    _, motion, ds = setup
+    stage = StageConfig(8, 4, "adversarial", 1)
+    _, stacked = _stacked_bases(dims, 3, 62)
+    batch = _rank_rows(ds, stage, sched, 1, 901, 63)
+    with pytest.raises(ValueError, match="901 rows do not split evenly over 3"):
+        teacher_stride(stacked, motion, batch, stage, sched, dims)
+
+
+def test_an_8_rank_teacher_traversal_peak_memory_per_row(sched, dims, setup):
+    # One guided traversal of 8 ranks' default rows (8 x 64 = 512, one
+    # block), as an MSE iteration of the cross arm runs it. Untaped, its
+    # peak is a few live (hidden, F, rows) activations of 512 bytes a row:
+    # 2.1 KB/row measured, as for one rank's 64 rows alone.
+    _, motion, ds = setup
+    stage = StageConfig(128, 32, "mse_cfg", 1, cfg_scale=7.5)
+    rows = stage.micro_batch * stage.grad_accum
+    _, stacked = _stacked_bases(dims, 8, 70)
+    batch = _rank_rows(ds, stage, sched, 8, rows, 71)
+    teacher_stride(stacked, motion, batch, stage, sched, dims)  # warm caches
+    tracemalloc.start()
+    try:
+        teacher_stride(stacked, motion, batch, stage, sched, dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * rows) < 4e3
 
 
 def _nonsat(p_real, p_fake):
@@ -880,30 +976,36 @@ def test_only_iterations_that_read_the_target_traverse_the_teacher(
         sched, dims, stage, monkeypatch):
     # The MSE loss and l_d read the teacher's endpoint; l_g scores the
     # student's stride alone, so a student iteration traverses no teacher.
+    # An iteration that reads it traverses once, over every rank's rows.
     n, _ = stage_strides(stage, sched.T)
     solve, step = dist.euler_solve, dist.rank_step
-    traversals = [0]
-    seen = []  # (iteration kind, teacher traversals, target given) per rank step
+    traversals = []  # rows of each teacher traversal since the last step
+    seen = []  # (iteration kind, teacher traversals, target given) per iteration
 
     def counting_solve(f, x_t, t, tokens, strides, s, sched):
         # The teacher traverses n strides, the student's stride is one.
-        traversals[0] += strides == n
+        if strides == n:
+            traversals.append(len(x_t))
         return solve(f, x_t, t, tokens, strides, s, sched)
 
     def recording_step(base, motion, disc, b, flow_idx, side, *args):
-        seen.append(("mse" if disc is None else side, traversals[0],
-                     "target" in b))
-        traversals[0] = 0
+        if base is ctx.ranks[0].base:  # the first rank step of an iteration
+            seen.append(("mse" if disc is None else side, traversals[:],
+                         "target" in b))
+            traversals.clear()
+        assert not traversals
         return step(base, motion, disc, b, flow_idx, side, *args)
 
     monkeypatch.setattr(dist, "euler_solve", counting_solve)
     monkeypatch.setattr(dist, "rank_step", recording_step)
     ctx, motion = _tiny_ctx(sched, dims)
     run_stage(stage, ctx, motion)
+    every_rank = [len(ctx.ranks) * stage.micro_batch * stage.grad_accum]
     sides = {"adversarial": ["disc", "student"], "mse_cfg": ["mse", "mse"]}
-    want = {"disc": (1, True), "student": (0, False), "mse": (1, True)}
+    want = {"disc": (every_rank, True), "student": ([], False),
+            "mse": (every_rank, True)}
     assert seen == [(side, *want[side]) for _ in stage.phases()
-                    for side in sides[stage.loss_kind] for _ in ctx.ranks]
+                    for side in sides[stage.loss_kind]]
 
 
 def _misalign(rows, dims):
@@ -933,7 +1035,9 @@ def test_a_student_iteration_refuses_a_bad_batch_as_teacher_stride_does(
     monkeypatch.setattr(dist, "draw_rows", corrupting_draw)
     with pytest.raises(ValueError, match=message) as got:
         run_stage(stage, ctx, motion)
-    assert len(draws) == len(ctx.ranks) + 1
+    # Every rank draws before the iteration's rows are checked, once.
+    assert len(draws) == 2 * len(ctx.ranks)
     with pytest.raises(ValueError) as want:
-        teacher_stride(ctx.ranks[0].base, motion, draws[-1], stage, sched, dims)
+        teacher_stride(ctx.ranks[0].base, motion, draws[len(ctx.ranks)], stage,
+                       sched, dims)
     assert str(got.value) == str(want.value)

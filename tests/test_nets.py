@@ -63,6 +63,36 @@ def test_forward_student_deterministic(sched, bundle, dims):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("per_row_t", [False, True], ids=["scalar t", "per-row t"])
+@pytest.mark.parametrize("ranks", [1, 3, 8])
+def test_rank_stacked_student_eps_equals_the_per_rank_calls_bitwise(
+        sched, bundle, dims, ranks, per_row_t):
+    # R distinct float32 bases stacked on a leading axis, rows grouped by
+    # rank: each rank's block is the call on its rows and its base alone.
+    rows = 64
+    rng = np.random.default_rng(40 + ranks)
+    bases = [fd.init_base(dims, rng) for _ in range(ranks)]
+    stacked = {k: np.stack([b[k] for b in bases]) for k in BASE_KEYS}
+    x = fd.start_noise(ranks, ranks * rows, dims)
+    tokens = rng.integers(0, dims.vocab + 1, ranks * rows)
+    t = rng.integers(-1, sched.T, ranks * rows) if per_row_t else 37
+    got = student_eps(stacked, bundle.motion, x, t, tokens, sched.T, dims)
+    assert got.shape == x.shape and got.dtype == np.float32
+    assert got.flags.c_contiguous
+    for r, base in enumerate(bases):
+        own = slice(r * rows, (r + 1) * rows)
+        want = student_eps(base, bundle.motion, x[own],
+                           t[own] if per_row_t else t, tokens[own], sched.T, dims)
+        np.testing.assert_array_equal(got[own], want, strict=True)
+
+
+def test_rank_stacked_student_eps_refuses_rows_that_do_not_split(sched, bundle, dims):
+    stacked = {k: np.stack([v, v]) for k, v in bundle.base.items()}
+    x = fd.start_noise(0, 5, dims)
+    with pytest.raises(ValueError, match="5 rows do not split evenly over 2"):
+        student_eps(stacked, bundle.motion, x, 3, np.zeros(5, int), sched.T, dims)
+
+
 def test_untaped_student_forward_peak_memory_at_batch_512(sched, bundle, dims):
     # Measured in (B, F, hidden) float64 arrays: 5.26 when every pointwise
     # op made a fresh temporary, 4.38 with one buffer per sigmoid chain,
