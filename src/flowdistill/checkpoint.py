@@ -27,6 +27,7 @@ never a part of one.
 """
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -160,7 +161,7 @@ def checkpoint_load(path, expect: tuple = ()) -> tuple:
         if min((count, offset, *shape)) < 0:
             raise ValueError(f"{path}: entry {name!r} has a negative dimension, "
                              "count or offset")
-        if int(np.prod(shape, dtype=np.int64)) != count:
+        if math.prod(shape) != count:
             raise ValueError(f"{path}: entry {name!r} shape/count mismatch")
         end = offset + count * np.dtype(dtype).itemsize
         if end > len(blob):

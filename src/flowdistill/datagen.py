@@ -128,12 +128,6 @@ def style_by_name(name: str) -> StyleSpec:
     return _BY_NAME[name]
 
 
-def style_by_id(style_id: int) -> StyleSpec:
-    if style_id not in _BY_ID:
-        raise KeyError(f"unknown style id {style_id}")
-    return _BY_ID[style_id]
-
-
 def component_means(vocab: int) -> np.ndarray:
     """(vocab, 2) mixture component means on the shared base distribution."""
     v = np.linspace(-COND_SPREAD, COND_SPREAD, vocab)

@@ -22,26 +22,27 @@ dataset and its flow index. One iteration is a data-parallel step over
 the ranks in ascending id. Each rank draws its ``grad_accum``
 micro-batches of ``micro_batch`` rows in order from its own generator,
 and all ranks' rows are concatenated in rank order and checked and noised
-once. Where the iteration's loss reads the teacher's endpoint, on every
-MSE iteration and every discriminator iteration, the frozen teacher then
-traverses all those rows in one untaped call (``teacher_stride``), with
-the ranks' bases stacked on a leading rank axis so that each rank's rows
-run through its own base; whole ranks are solved together in blocks of at
-most ``solvers.SAMPLE_BATCH`` rows. ``rank_step`` then runs per rank on
-its own block of rows: it tapes the side being updated and the one loss
-that side minimises (``mse_loss``, or ``adversarial_loss``'s ``l_d`` or
-``l_g``) once over its ``micro_batch * grad_accum`` rows and runs one
-``backward``. Every loss is a mean over rows and the micro-batches are the
-same size, so this is the mean of the micro-batch gradients up to
-summation order. The ranks' gradients are averaged in rank order and one
-optimizer step follows. A discriminator iteration scores the teacher's
-endpoint (the real sample) and the student's next state in one
-discriminator pass on the two stacked on the row axis. A student
-iteration scores the student's next state alone, since the teacher's rows
-carry no gradient to the student, so it traverses no teacher: its batch
-is noised and nothing more. Rows never interact, so in float32 the
-stacked traversal gives each rank the bits of a traversal of its rows
-alone.
+once (``_noised_stride``). Every untaped solve of the iteration then runs
+once over all those rows (``solvers.traverse``), with the ranks' bases
+stacked on a leading rank axis so that each rank's rows run through its
+own base: the frozen teacher's ``target`` where the loss reads it, on
+every MSE iteration and every discriminator iteration, and on a
+discriminator iteration also the student's single stride, ``fake``. Both
+are constants of the loss that reads them. ``rank_step`` then runs per
+rank on its own block of rows and holds only taped work: it tapes the side
+being updated and the one loss that side minimises (``mse_loss``, or
+``adversarial_loss``'s ``l_d`` or ``l_g``) once over its
+``micro_batch * grad_accum`` rows and runs one ``backward``. Every loss is
+a mean over rows and the micro-batches are the same size, so this is the
+mean of the micro-batch gradients up to summation order. The ranks'
+gradients are averaged in rank order and one optimizer step follows. A
+discriminator iteration scores the teacher's endpoint (the real sample)
+and the student's stride (the fake one) in one discriminator pass on the
+two stacked on the row axis. A student iteration scores the student's
+taped stride alone, since the teacher's rows carry no gradient to the
+student, so it traverses nothing untaped: its batch is noised and nothing
+more. Rows never interact, so in float32 a stacked traversal gives each
+rank the bits of a traversal of its rows alone.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ from .nets import (
     relaxed_discriminator,
 )
 from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
-from .solvers import SAMPLE_BATCH, euler_solve, predictor
+from .solvers import euler_solve, predictor, traverse
 
 __all__ = [
     "StageConfig",
@@ -73,7 +74,6 @@ __all__ = [
     "Rank",
     "DistillContext",
     "DistillDivergence",
-    "teacher_stride",
     "mse_loss",
     "adversarial_loss",
     "rank_step",
@@ -91,7 +91,7 @@ DISC_STREAM = 104729
 
 LOSS_KINDS = ("mse_cfg", "adversarial")
 # The entries of a stride batch that hold one value per row.
-_ROW_KEYS = ("x_t", "t", "tokens", "target")
+_ROW_KEYS = ("x_t", "t", "tokens", "target", "fake")
 PHASES = ("trajectory_conditional", "relaxed")
 
 
@@ -202,9 +202,10 @@ class DistillContext:
 
 def _noised_stride(batch, stage: StageConfig, sched: NoiseSchedule,
                    dims) -> dict:
-    """A drawn batch checked and noised: ``x_t``, ``t``, ``tokens`` and the
-    strides ``n`` and ``s``, every input of the stride losses but the
-    teacher's ``target``.
+    """A drawn batch of any number of rows checked and noised: ``x_t``,
+    ``t``, ``tokens`` and the strides ``n`` and ``s``, every input of the
+    stride losses but the untaped traversals ``run_stage`` adds: the
+    teacher's ``target`` and, for ``l_d``, the student's ``fake``.
 
     The batch is checked here, once: its timesteps must be integers that
     :func:`stage_timesteps` lists, tested arithmetically, and its tokens
@@ -225,45 +226,6 @@ def _noised_stride(batch, stage: StageConfig, sched: NoiseSchedule,
     return {"x_t": x_t, "t": t, "tokens": tokens, "n": n, "s": s}
 
 
-def teacher_stride(base_arrays, teacher_arrays, batch, stage: StageConfig,
-                   sched: NoiseSchedule, dims) -> dict:
-    """Inputs of the stride losses for a drawn batch of any number of rows:
-    the batch checked and noised (``_noised_stride``), then the teacher's
-    traversal.
-
-    Returns ``x_t``, ``t``, ``tokens``, the strides ``n`` and ``s``, and
-    ``target``: the guided teacher's endpoint after ``n`` strides, computed
-    without a tape, so it is a detached constant. ``base_arrays`` is one
-    base, or R bases stacked on a leading rank axis with the rows grouped
-    by rank (``nets.student_eps``): then whole ranks are traversed together,
-    in blocks of at most ``SAMPLE_BATCH`` rows (one rank, if its rows
-    alone exceed that). Rows never interact, so a call on concatenated
-    micro-batches, or on stacked ranks, equals one call per micro-batch or
-    per rank. Only ``mse_loss`` and the discriminator's side of
-    ``adversarial_loss`` read ``target``; a student iteration of an
-    adversarial stage noises its batch alone.
-    """
-    b = _noised_stride(batch, stage, sched, dims)
-    w1 = base_arrays["w1"]
-    ranks = len(w1) if np.ndim(w1) == 3 else 1
-    per_rank, rem = divmod(len(b["x_t"]), ranks)
-    if rem:
-        raise ValueError(f"{len(b['x_t'])} rows do not split evenly over "
-                         f"{ranks} stacked bases")
-    block = max(1, SAMPLE_BATCH // max(per_rank, 1))
-    parts = []
-    for lo in range(0, ranks, block):
-        rows = slice(lo * per_rank, (lo + block) * per_rank)
-        bases = (base_arrays if ranks == 1 else
-                 {k: v[lo:lo + block] for k, v in base_arrays.items()})
-        f = predictor(bases, teacher_arrays, sched.T, dims, stage.cfg_scale)
-        t = b["t"][rows] if b["t"].ndim else b["t"]
-        parts.append(euler_solve(f, b["x_t"][rows], t, b["tokens"][rows],
-                                 b["n"], b["s"], sched))
-    b["target"] = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return b
-
-
 def _student_stride(base_arrays, motion, b, sched: NoiseSchedule, dims):
     return euler_solve(predictor(base_arrays, motion, sched.T, dims),
                        b["x_t"], b["t"], b["tokens"], 1, b["n"] * b["s"], sched)
@@ -281,20 +243,23 @@ def adversarial_loss(base_arrays, motion, disc_arrays, b: dict, flow_idx: int,
     """The non-saturating loss that ``side`` minimises, with the teacher's
     ``target`` as the real sample and the student's stride as the fake one.
 
-    ``side`` "disc" gives ``l_d``: real and fake are stacked on the row axis
-    and scored by one discriminator pass, the fake rows as a constant.
-    ``side`` "student" gives ``l_g`` from a pass over the fake rows alone.
-    The head is the one ``disc_arrays`` holds: the pair head of the
-    trajectory-conditional phase when it holds ``hp1_w``, else the relaxed
-    single head. ``motion`` and ``disc_arrays`` each hold Vars or plain
-    arrays; the side given as arrays is a constant of the returned loss.
+    ``side`` "disc" gives ``l_d``: ``b``'s ``target`` and ``fake`` (the
+    student's untaped stride) are stacked on the row axis and scored by one
+    discriminator pass; it runs no student, so ``base_arrays`` and
+    ``motion`` go unread. ``side`` "student" gives ``l_g`` from a pass over
+    the student's stride alone. The head is the one ``disc_arrays`` holds:
+    the pair head of the trajectory-conditional phase when it holds
+    ``hp1_w``, else the relaxed single head. ``motion`` and ``disc_arrays``
+    each hold Vars or plain arrays; the side given as arrays is a constant
+    of the returned loss.
     """
     if side not in ("disc", "student"):
         raise ValueError(f"unknown side {side!r}")
     t_next = b["t"] - b["n"] * b["s"]
-    x_next = _student_stride(base_arrays, motion, b, sched, dims)
     if side == "disc":
-        x_next = np.concatenate([b["target"], ad.value_of(x_next)])
+        x_next = np.concatenate([b["target"], b["fake"]])
+    else:
+        x_next = _student_stride(base_arrays, motion, b, sched, dims)
     if "hp1_w" in disc_arrays:
         p = disc_pair_prob(disc_arrays, b["x_t"], x_next, b["t"], t_next,
                            b["tokens"], flow_idx, sched.T, dims)
@@ -317,17 +282,19 @@ def _taped(arrays: dict) -> dict:
 def rank_step(base, motion, disc, b: dict, flow_idx: int, side: str,
               sched: NoiseSchedule, dims) -> tuple:
     """One rank's local loss and gradients on its stride batch ``b``:
-    ({name: loss}, grads). ``b`` holds this rank's rows of what
-    ``teacher_stride`` returns for all ranks' rows, and ``base`` is this
-    rank's own (unstacked) base. A student iteration of an adversarial
-    stage reads no ``target``, so its ``b`` may be the noised rows alone.
+    ({name: loss}, grads). ``b`` holds this rank's rows of the stride batch
+    that ``run_stage`` builds for all ranks' rows, and ``base`` is this
+    rank's own (unstacked) base. It runs no untaped solve: ``run_stage``
+    traversed every rank's ``target`` and ``fake`` before it.
 
     ``disc`` None is the MSE stage, which updates the student and returns
-    ``mse``. Otherwise ``side`` selects which parameters receive gradients
-    and the loss they minimise: the discriminator's ``l_d`` sees the
-    student's stride as a detached sample, the student's ``l_g``
-    differentiates through the (frozen this iteration) discriminator. Only
-    the side being updated is taped; base parameters never receive an entry.
+    ``mse`` against ``b``'s ``target``. Otherwise ``side`` selects which
+    parameters receive gradients and the loss they minimise: the
+    discriminator's ``l_d`` scores ``b``'s ``target`` and ``fake`` (the
+    student's stride as a detached sample), the student's ``l_g``
+    differentiates through the (frozen this iteration) discriminator and
+    reads the noised rows alone. Only the side being updated is taped; base
+    parameters never receive an entry.
     """
     if disc is None and side != "student":
         raise ValueError(f"unknown side {side!r} for the MSE stage")
@@ -415,21 +382,25 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
         for it in range(stage.iterations):
             side = "disc" if disc is not None and it % 2 == 0 else "student"
             # Data-parallel step: each rank draws its rows from its own
-            # stream; all ranks' rows are noised at once and traversed by
-            # the teacher, each rank's on its own base, only where the loss
-            # reads the target (the MSE loss, and l_d's real sample; l_g
-            # scores the student's stride alone). Then one taped step per
-            # rank on its own rows, the mean over ranks in rank order and
-            # one optimizer update.
+            # stream, and all ranks' rows are noised at once. The untaped
+            # traversals run once over them, each rank's rows on its own
+            # base: the teacher's where the loss reads the target (the MSE
+            # loss, and l_d's real sample), and the student's stride on a
+            # discriminator iteration (l_d's fake sample). Then one taped
+            # step per rank on its own rows, the mean over ranks in rank
+            # order and one optimizer update.
             draws = [draw_rows(r.dataset, stage.micro_batch, rng, t_grid)
                      for r, rng in zip(ranks, rngs)
                      for _ in range(stage.grad_accum)]
-            batch = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
+            b = _noised_stride({k: np.concatenate([d[k] for d in draws])
+                                for k in draws[0]}, stage, ctx.sched, ctx.dims)
+            args = b["x_t"], b["t"], b["tokens"]
             if disc is None or side == "disc":
-                b = teacher_stride(bases, teacher_motion, batch, stage,
-                                   ctx.sched, ctx.dims)
-            else:
-                b = _noised_stride(batch, stage, ctx.sched, ctx.dims)
+                b["target"] = traverse(bases, teacher_motion, *args, b["n"], b["s"],
+                                       ctx.sched, ctx.dims, stage.cfg_scale)
+            if side == "disc":
+                b["fake"] = traverse(bases, motion, *args, 1, b["n"] * b["s"],
+                                     ctx.sched, ctx.dims)
             rank_grads: list = []
             step_losses: list = []
             for i, r in enumerate(ranks):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .distill import adversarial_loss, mse_loss
+from .distill import _student_stride, adversarial_loss, mse_loss
 from .nets import (
     NetDims,
     StudentBundle,
@@ -47,10 +47,13 @@ def _setup(sched: NoiseSchedule, dims: NetDims, seed: int = 7):
     tokens = rng.integers(0, dims.vocab, batch)
     t = np.asarray([sched.T // 2, sched.T // 3])
     noise = dict(x0=x0, tokens=tokens, t=t, eps=eps)
-    # A stride batch as ``teacher_stride`` returns it, with a random target.
+    # A stride batch as ``distill.run_stage`` builds it on a discriminator
+    # iteration, with a random target and the untaped stride of ``motion``
+    # as the fake sample.
     stride = dict(x_t=add_noise(x0, eps, t, sched), t=t, tokens=tokens,
                   n=4, s=sched.T // 16,
                   target=rng.normal(0.0, 0.7, x0.shape))
+    stride["fake"] = _student_stride(base, motion, stride, sched, dims)
     return base, motion, pair, relaxed, noise, stride
 
 

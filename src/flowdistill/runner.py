@@ -74,8 +74,12 @@ __all__ = [
 ]
 
 
-def _read_dataset(path) -> tuple:
+def _read_dataset(path, vocab: int) -> tuple:
+    """A dataset file and its metadata; a condition outside ``[0, vocab)``
+    (the null token included) raises ``ValueError`` naming ``path``."""
     ds = load_dataset(path)
+    if len(ds) and (ds.conditions.min() < 0 or ds.conditions.max() >= vocab):
+        raise ValueError(f"{path}: dataset conditions outside [0, {vocab})")
     return ds, ds.meta
 
 
@@ -228,7 +232,8 @@ class Workspace:
                     steps=self.cfg["teacher_steps"], w=self.cfg["guidance"]))
             return flip_augment(pool_by_group(parts))
 
-        return {name: self._cached(self.data_path(name), _read_dataset, save_dataset,
+        read = partial(_read_dataset, vocab=self.dims.vocab)
+        return {name: self._cached(self.data_path(name), read, save_dataset,
                                    partial(build, name, style_names))
                 for name, style_names in DATASET_STYLES.items()}
 

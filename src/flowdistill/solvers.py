@@ -4,10 +4,11 @@ stride-``s`` Euler (DDIM) updates.
 Every traversal treats timestep ``-1`` as the clean boundary
 (``alpha_bar = 1``), so a full traversal of a ``T``-step schedule takes
 ``n`` strides of ``s = T // n`` timesteps from ``t = T - 1`` down to
-``t = -1``. The teacher's datasets, the evaluation's reference and arm
-sets, the ``sample`` command and each distillation stage's teacher all
-traverse this way: :func:`sample_batch` is :func:`euler_solve` over
-blocks of rows.
+``t = -1``. Every untaped solve is one :func:`traverse`: the teacher's
+datasets, the evaluation's reference and arm sets and the ``sample``
+command through :func:`sample_batch`, and each distillation iteration's
+teacher target and the student's detached stride over all ranks at once.
+It is the one place that splits rows into blocks of ``SAMPLE_BATCH``.
 
 Predictors are callables ``f(x, t, tokens) -> eps_hat`` on row-major
 (B, frames, frame_dim) states; the model's channel-major activations stay
@@ -54,6 +55,7 @@ __all__ = [
     "euler_solve",
     "start_noise",
     "sample_batch",
+    "traverse",
 ]
 
 # Every update clamps the predicted clean sample at this bound: guided
@@ -62,7 +64,7 @@ __all__ = [
 # at n = 1 reproduces it and an arm samples as it was trained.
 X0_CLIP = 4.0
 
-SAMPLE_BATCH = 512  # rows per solve when sample_batch samples many clips
+SAMPLE_BATCH = 512  # rows per block of an untaped traversal
 
 
 def cfg_combine(eps_cond, eps_uncond, w: float):
@@ -141,20 +143,54 @@ def start_noise(entropy, n: int, dims) -> np.ndarray:
         (n, dims.frames, dims.frame_dim)).astype(np.float32)
 
 
+def traverse(base: dict, motion: dict, x_t, t, tokens, n: int, s: int,
+             sched: NoiseSchedule, dims, w: float = 0.0) -> np.ndarray:
+    """The untaped :func:`euler_solve` of ``n`` strides of ``s`` from
+    ``x_t`` at ``t`` (a scalar, or one timestep per row), through the
+    :func:`predictor` of ``base`` and ``motion`` guided at ``w``.
+
+    ``base`` is one base, or R bases stacked on a leading rank axis with
+    the rows grouped by rank (``nets.student_eps``). The rows are solved in
+    blocks by one rule: whole ranks go together up to ``SAMPLE_BATCH``
+    rows, and a rank whose rows alone exceed that is split into blocks of
+    ``SAMPLE_BATCH`` rows. Rows never interact, so in float32 a block gives
+    each rank the bits of a call on its rows and base alone; a rank split
+    differently is equal up to the last bits that BLAS rounding of
+    different block sizes can move.
+    """
+    w1 = base["w1"]
+    ranks = len(w1) if np.ndim(w1) == 3 else 1
+    per_rank, rem = divmod(len(x_t), ranks)
+    if rem:
+        raise ValueError(f"{len(x_t)} rows do not split evenly over "
+                         f"{ranks} stacked bases")
+    span = max(1, SAMPLE_BATCH // max(per_rank, 1))  # ranks per block
+    out = np.empty_like(x_t)
+    for lo in range(0, ranks, span):
+        hi = min(lo + span, ranks)
+        f = predictor(base if ranks == 1 else {k: v[lo:hi] for k, v in base.items()},
+                      motion, sched.T, dims, w)
+        for a in range(lo * per_rank, hi * per_rank, SAMPLE_BATCH):
+            rows = slice(a, min(a + SAMPLE_BATCH, hi * per_rank))
+            out[rows] = euler_solve(f, x_t[rows], t[rows] if np.ndim(t) else t,
+                                    tokens[rows], n, s, sched)
+    return out
+
+
 def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,
                  w: float = 0.0):
     """Deterministic batch sampling from start states drawn by
     :func:`start_noise`, one row per entry of ``tokens``, guided at scale
-    ``w`` (unguided at 0): a full :func:`euler_solve` traversal in
-    ``steps`` strides of ``T // steps``, where ``steps`` must divide ``T``.
-    The samples have the start states' float dtype: float32 from
-    :func:`start_noise`, float64 from float64 states.
+    ``w`` (unguided at 0): a full :func:`traverse` in ``steps`` strides of
+    ``T // steps``, where ``steps`` must divide ``T``. The samples have the
+    start states' float dtype: float32 from :func:`start_noise`, float64
+    from float64 states.
 
-    The rows are solved in blocks of ``SAMPLE_BATCH``. Rows never interact,
-    so the result does not depend on how the clips are partitioned into
-    blocks, up to the last bits that BLAS rounding of different block
-    sizes can move. In float32 those are float32 bits, and a guided
-    traversal amplifies them (about 2e-5 at w 7.5 and 4 steps).
+    Rows never interact, so the result does not depend on how
+    :func:`traverse` partitions the clips into blocks, up to the last bits
+    that BLAS rounding of different block sizes can move. In float32 those
+    are float32 bits, and a guided traversal amplifies them (about 2e-5 at
+    w 7.5 and 4 steps).
     """
     dims = bundle.dims
     T = sched.T
@@ -165,10 +201,5 @@ def sample_batch(bundle, sched: NoiseSchedule, steps: int, tokens, x_start,
     if tokens.ndim != 1 or x.shape[:1] != tokens.shape:
         raise ValueError(f"start states {x.shape} for tokens {tokens.shape}; "
                          "need one per clip")
-    f = predictor(bundle.base, bundle.motion, T, dims, w)
-    out = np.empty_like(x)
-    for lo in range(0, len(x), SAMPLE_BATCH):
-        rows = slice(lo, lo + SAMPLE_BATCH)
-        out[rows] = euler_solve(f, x[rows], T - 1, tokens[rows], steps, T // steps,
-                                sched)
-    return out
+    return traverse(bundle.base, bundle.motion, x, T - 1, tokens, steps, T // steps,
+                    sched, dims, w)

@@ -102,6 +102,15 @@ def _manifest(tmp_path, lines, blob=b""):
     return path
 
 
+def test_a_shape_whose_int64_product_wraps_is_a_shape_count_mismatch(tmp_path):
+    # 2**32 x 2**32 elements is 0 in int64 arithmetic: the line once passed
+    # the check and failed in numpy's reshape, naming no file.
+    path = _manifest(tmp_path, ["ckpt-v1 1", "entry w 4294967296x4294967296 0 0"])
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert str(err.value) == f"{path}: entry 'w' shape/count mismatch"
+
+
 @pytest.mark.parametrize("line", ["meta", "entry", "entry "])
 def test_a_line_with_nothing_after_its_kind_is_refused_by_path(tmp_path, line):
     path = _manifest(tmp_path, ["ckpt-v1 0", line])

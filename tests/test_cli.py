@@ -21,7 +21,7 @@ from flowdistill.config import (
     plan_from_config,
     validate_config,
 )
-from flowdistill.datagen import STYLES, ClipDataset, load_dataset
+from flowdistill.datagen import STYLES, ClipDataset, load_dataset, save_dataset
 from flowdistill.nets import MOTION_KEYS
 from flowdistill.runner import Workspace
 
@@ -683,6 +683,23 @@ def test_dataset_from_another_config_is_refused(tiny_config, workdir, tmp_path):
     path.write_text(json.dumps(other))
     ws = Workspace(load_config(str(path)), workdir)
     with pytest.raises(ValueError, match=re.escape(ws.data_path("real"))):
+        ws.build_datasets({})
+
+
+@pytest.mark.parametrize("conditions", [[3, 99], [-5, 3], [3, 8]],
+                         ids=["above the vocabulary", "negative", "null token"])
+def test_a_dataset_with_conditions_outside_the_vocabulary_is_refused(
+        tiny_config, tmp_path, conditions):
+    # Such a row once loaded and failed later in distillation, naming no
+    # file; one at the null token (vocab 8) trained as an unconditional row.
+    ws = Workspace(load_config(tiny_config), str(tmp_path / "run"))
+    assert ws.dims.vocab == 8
+    clips = np.zeros((2, ws.dims.frames, ws.dims.frame_dim), np.float32)
+    save_dataset(ClipDataset(clips, np.array(conditions), "ground_truth",
+                             "default", STYLES[0].style_id),
+                 ws.data_path("real"), {"config_hash": ws.hash})
+    with pytest.raises(ValueError, match=re.escape(
+            f"{ws.data_path('real')}: dataset conditions outside [0, 8)")):
         ws.build_datasets({})
 
 

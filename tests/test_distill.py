@@ -14,6 +14,7 @@ from flowdistill.distill import (
     PROB_CLAMP,
     Rank,
     StageConfig,
+    _noised_stride,
     _stage_rng,
     _student_stride,
     adversarial_loss,
@@ -22,7 +23,6 @@ from flowdistill.distill import (
     run_stage,
     stage_strides,
     stage_timesteps,
-    teacher_stride,
 )
 from flowdistill.nets import (
     BASE_KEYS,
@@ -39,7 +39,8 @@ from flowdistill.nets import (
 )
 from flowdistill.config import default_config, plan_from_config
 from flowdistill.evalmetrics import arm_set
-from flowdistill.solvers import predictor
+import flowdistill.solvers as solvers
+from flowdistill.solvers import predictor, traverse
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +85,24 @@ def _batch(ds, stage, sched, rng, n=8, dtype=np.float64):
     return _rows(ds, stage_timesteps(stage, sched.T), rng, n, dtype)
 
 
+def _stride_batch(base, teacher, batch, stage, sched, dims):
+    """``batch`` as ``run_stage`` builds its stride batch for a loss that
+    reads the target: checked and noised, then the teacher's traversal of
+    its rows, each rank's on its own base when ``base`` stacks several."""
+    b = _noised_stride(batch, stage, sched, dims)
+    b["target"] = traverse(base, teacher, b["x_t"], b["t"], b["tokens"], b["n"],
+                           b["s"], sched, dims, stage.cfg_scale)
+    return b
+
+
+def _with_fake(base, motion, b, sched, dims):
+    """``b`` with ``fake``, the student's untaped stride that ``l_d`` reads,
+    computed on this rank's rows alone."""
+    return {**b, "fake": _student_stride(base, motion, b, sched, dims)}
+
+
 def _mse_step(base, teacher, motion, batch, stage, sched, dims):
-    b = teacher_stride(base, teacher, batch, stage, sched, dims)
+    b = _stride_batch(base, teacher, batch, stage, sched, dims)
     losses, grads = rank_step(base, motion, None, b, 0, "student", sched, dims)
     return losses["mse"], grads
 
@@ -94,7 +111,8 @@ def _adversarial_step(base, teacher, motion, disc, batch, stage, flow_idx,
                       sched, dims, side):
     """The loss ``side`` minimises and its gradients: ``rank_step`` returns
     that one loss, ``l_d`` or ``l_g``, and nothing else."""
-    b = teacher_stride(base, teacher, batch, stage, sched, dims)
+    b = _with_fake(base, motion, _stride_batch(base, teacher, batch, stage, sched,
+                                               dims), sched, dims)
     losses, grads = rank_step(base, motion, disc, b, flow_idx, side, sched, dims)
     (name, loss), = losses.items()
     assert name == {"disc": "l_d", "student": "l_g"}[side]
@@ -227,7 +245,7 @@ def test_misaligned_timestep_rejected(sched, dims, setup):
     batch = _batch(ds, st, sched, np.random.default_rng(5), n=4)
     batch["t"] = np.array([126, 127, 127, 127])  # 126 not on the 32-step grid
     with pytest.raises(ValueError, match="misaligned"):
-        teacher_stride(base, motion, batch, st, sched, dims)
+        _stride_batch(base, motion, batch, st, sched, dims)
 
 
 def test_unknown_token_rejected(sched, dims, setup):
@@ -237,7 +255,7 @@ def test_unknown_token_rejected(sched, dims, setup):
         batch = _batch(ds, st, sched, np.random.default_rng(5), n=4)
         batch["tokens"][2] = bad
         with pytest.raises(ValueError, match="condition token"):
-            teacher_stride(base, motion, batch, st, sched, dims)
+            _stride_batch(base, motion, batch, st, sched, dims)
 
 
 @pytest.mark.parametrize("stage", plan_from_config(default_config()).stages,
@@ -252,13 +270,13 @@ def test_teacher_stride_accepts_exactly_the_stage_timesteps(sched, dims, setup,
     for t in range(-3, sched.T + 3):
         batch["t"] = np.array([t])
         if t in grid:
-            teacher_stride(base, motion, batch, stage, sched, dims)
+            _stride_batch(base, motion, batch, stage, sched, dims)
         else:
             with pytest.raises(ValueError, match="misaligned"):
-                teacher_stride(base, motion, batch, stage, sched, dims)
+                _stride_batch(base, motion, batch, stage, sched, dims)
     batch["t"] = np.array([float(max(grid))])
     with pytest.raises(TypeError):
-        teacher_stride(base, motion, batch, stage, sched, dims)
+        _stride_batch(base, motion, batch, stage, sched, dims)
 
 
 def test_adversarial_losses_at_fresh_heads(sched, dims, setup):
@@ -316,8 +334,9 @@ def test_discriminator_step_peak_memory_per_row(sched, dims, setup):
                               backbone_from=fd.StudentBundle(base, motion, dims))
     st = StageConfig(32, 8, "adversarial", 1)
     rows = st.micro_batch * st.grad_accum
-    b = teacher_stride(base, motion, _batch(ds, st, sched, rng, n=rows),
-                       st, sched, dims)
+    b = _with_fake(base, motion, _stride_batch(
+        base, motion, _batch(ds, st, sched, rng, n=rows), st, sched, dims),
+        sched, dims)
     tracemalloc.start()
     try:
         rank_step(base, motion, disc, b, 1, "disc", sched, dims)
@@ -416,17 +435,18 @@ def _mean_in_order(grads):
             for k in grads[0]}
 
 
-_ROW_KEYS = ("x_t", "t", "tokens", "target")
+_ROW_KEYS = ("x_t", "t", "tokens", "target", "fake")
 
 
 def _folded_grads(stage, ranks, draw_stride, step_grads):
-    """Per rank in rank order: the teacher once per micro-batch, the
-    strides concatenated, one step over all rows; then the mean over
-    ranks."""
+    """Per rank in rank order: the teacher (and on a discriminator
+    iteration the student's fake stride) once per micro-batch, the strides
+    concatenated, one step over all rows; then the mean over ranks."""
     per_rank = []
     for r in ranks:
         bs = [draw_stride(r) for _ in range(stage.grad_accum)]
-        b = {**bs[0], **{k: np.concatenate([x[k] for x in bs]) for k in _ROW_KEYS}}
+        b = {**bs[0], **{k: np.concatenate([x[k] for x in bs])
+                         for k in _ROW_KEYS if k in bs[0]}}
         per_rank.append(step_grads(r, b))
     return _mean_in_order(per_rank)
 
@@ -459,7 +479,8 @@ def _reference_stage(stage, ctx, teacher, iteration_grads, dtype):
     starts fresh optimizers, the relaxed phase with a fresh single head in
     place of the pair head, and
     every iteration takes ``iteration_grads`` of the ranks and makes one
-    Adam step."""
+    Adam step. The strides of a discriminator iteration carry the
+    student's fake stride, computed per rank and micro-batch."""
     motion = {k: v.copy() for k, v in teacher.items()}
     disc = None
     if stage.loss_kind == "adversarial":
@@ -480,8 +501,11 @@ def _reference_stage(stage, ctx, teacher, iteration_grads, dtype):
             def draw_stride(r):
                 batch = _batch(r.dataset, stage, ctx.sched, rngs[r.rank],
                                n=stage.micro_batch, dtype=dtype)
-                return teacher_stride(r.base, teacher, batch, stage,
-                                      ctx.sched, ctx.dims)
+                b = _stride_batch(r.base, teacher, batch, stage, ctx.sched,
+                                  ctx.dims)
+                if side == "disc":
+                    b = _with_fake(r.base, motion, b, ctx.sched, ctx.dims)
+                return b
 
             def step_grads(r, b):
                 return _reference_grads(r.base, motion, disc, b, r.flow_idx,
@@ -568,7 +592,7 @@ def _row_terms(r, b, step_grads) -> list:
     """Each row's term in the gradient of the mean loss over ``b``'s rows."""
     rows = len(b["t"])
     return [{k: v / rows for k, v in step_grads(
-                r, {**b, **{k: b[k][i:i + 1] for k in _ROW_KEYS}}).items()}
+                r, {**b, **{k: b[k][i:i + 1] for k in _ROW_KEYS if k in b}}).items()}
             for i in range(rows)]
 
 
@@ -673,16 +697,16 @@ def test_one_teacher_call_per_rank_equals_one_per_micro_batch(sched, dims, setup
     rng = np.random.default_rng(11)
     draws = [draw_rows(ds, stage.micro_batch, rng, grid)
              for _ in range(stage.grad_accum)]
-    got = teacher_stride(base, motion,
-                         {k: np.concatenate([d[k] for d in draws]) for k in draws[0]},
-                         stage, sched, dims)
+    got = _stride_batch(base, motion,
+                        {k: np.concatenate([d[k] for d in draws]) for k in draws[0]},
+                        stage, sched, dims)
     rng = np.random.default_rng(11)
-    parts = [teacher_stride(base, motion,
-                            _batch(ds, stage, sched, rng, n=stage.micro_batch,
-                                   dtype=np.float32),
-                            stage, sched, dims) for _ in range(stage.grad_accum)]
+    parts = [_stride_batch(base, motion,
+                           _batch(ds, stage, sched, rng, n=stage.micro_batch,
+                                  dtype=np.float32),
+                           stage, sched, dims) for _ in range(stage.grad_accum)]
     want = {**parts[0], **{k: np.concatenate([p[k] for p in parts])
-                           for k in _ROW_KEYS}}
+                           for k in _ROW_KEYS if k in got}}
     assert got.keys() == want.keys()
     assert len(got["t"]) == stage.micro_batch * stage.grad_accum
     for key in got:
@@ -707,34 +731,36 @@ def _rank_rows(ds, stage, sched, ranks, rows, seed):
     (StageConfig(128, 32, "mse_cfg", 1, cfg_scale=7.5), 8, 64, [512]),
     (StageConfig(128, 32, "mse_cfg", 1, cfg_scale=7.5), 3, 200, [400, 200]),
     (StageConfig(8, 4, "adversarial", 1), 8, 64, [512]),
-    (StageConfig(8, 4, "adversarial", 1), 3, 600, [600, 600, 600]),
+    (StageConfig(8, 4, "adversarial", 1), 3, 600, [512, 88] * 3),
 ], ids=["guided, 8 ranks", "guided, 2 blocks", "unguided, 8 ranks",
         "unguided, a rank per block"])
 def test_a_rank_stacked_teacher_stride_equals_the_per_rank_calls(
         sched, dims, setup, monkeypatch, stage, ranks, rows, blocks):
     # Rows grouped by rank, each rank's on its own base: whole ranks are
-    # traversed together in blocks of at most SAMPLE_BATCH rows, and each
-    # rank gets the bits of a call on its rows and base alone.
+    # traversed together in blocks of at most SAMPLE_BATCH rows, a rank
+    # over SAMPLE_BATCH rows is split into SAMPLE_BATCH-row blocks as one
+    # base's rows are, and each rank gets the bits of a call on its rows
+    # and base alone.
     _, motion, ds = setup
     bases, stacked = _stacked_bases(dims, ranks, 60 + ranks)
     batch = _rank_rows(ds, stage, sched, ranks, rows, 61)
     solved = []
-    solve = dist.euler_solve
+    solve = solvers.euler_solve
 
     def recording_solve(f, x_t, *args):
         solved.append(len(x_t))
         return solve(f, x_t, *args)
 
-    monkeypatch.setattr(dist, "euler_solve", recording_solve)
-    got = teacher_stride(stacked, motion, batch, stage, sched, dims)
+    monkeypatch.setattr(solvers, "euler_solve", recording_solve)
+    got = _stride_batch(stacked, motion, batch, stage, sched, dims)
     assert solved == blocks
-    monkeypatch.setattr(dist, "euler_solve", solve)
+    monkeypatch.setattr(solvers, "euler_solve", solve)
     for r, base in enumerate(bases):
         own = slice(r * rows, (r + 1) * rows)
-        want = teacher_stride(base, motion, {k: v[own] for k, v in batch.items()},
-                              stage, sched, dims)
+        want = _stride_batch(base, motion, {k: v[own] for k, v in batch.items()},
+                             stage, sched, dims)
         assert want.keys() == got.keys()
-        for key in _ROW_KEYS:
+        for key in ("x_t", "t", "tokens", "target"):
             np.testing.assert_array_equal(got[key][own], want[key], strict=True)
         assert (got["n"], got["s"]) == (want["n"], want["s"])
 
@@ -747,7 +773,7 @@ def test_a_rank_stacked_teacher_stride_takes_one_timestep_for_every_row(
     batch = _rank_rows(ds, stage, sched, 3, 200, 65)
     one = {**batch, "t": batch["t"][0]}
     every = {**batch, "t": np.full_like(batch["t"], batch["t"][0])}
-    got, want = (teacher_stride(stacked, motion, b, stage, sched, dims)
+    got, want = (_stride_batch(stacked, motion, b, stage, sched, dims)
                  for b in (one, every))
     assert np.ndim(got["t"]) == 0
     np.testing.assert_array_equal(got["target"], want["target"], strict=True)
@@ -760,7 +786,7 @@ def test_a_rank_stacked_teacher_stride_refuses_rows_that_do_not_split(
     _, stacked = _stacked_bases(dims, 3, 62)
     batch = _rank_rows(ds, stage, sched, 1, 901, 63)
     with pytest.raises(ValueError, match="901 rows do not split evenly over 3"):
-        teacher_stride(stacked, motion, batch, stage, sched, dims)
+        _stride_batch(stacked, motion, batch, stage, sched, dims)
 
 
 def test_an_8_rank_teacher_traversal_peak_memory_per_row(sched, dims, setup):
@@ -773,10 +799,10 @@ def test_an_8_rank_teacher_traversal_peak_memory_per_row(sched, dims, setup):
     rows = stage.micro_batch * stage.grad_accum
     _, stacked = _stacked_bases(dims, 8, 70)
     batch = _rank_rows(ds, stage, sched, 8, rows, 71)
-    teacher_stride(stacked, motion, batch, stage, sched, dims)  # warm caches
+    _stride_batch(stacked, motion, batch, stage, sched, dims)  # warm caches
     tracemalloc.start()
     try:
-        teacher_stride(stacked, motion, batch, stage, sched, dims)
+        _stride_batch(stacked, motion, batch, stage, sched, dims)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -870,8 +896,9 @@ def test_stacked_discriminator_matches_two_call_reference(sched, dims, setup,
     rng = np.random.default_rng(12)
     disc = _adversarial_disc(dims, setup, phase, rng)
     st = StageConfig(32, 8, "adversarial", 1)
-    b = teacher_stride(base, motion, _batch(ds, st, sched, rng, n=16),
-                       st, sched, dims)
+    b = _with_fake(base, motion, _stride_batch(
+        base, motion, _batch(ds, st, sched, rng, n=16), st, sched, dims),
+        sched, dims)
     got = _taped(adversarial_loss, side, base, motion, disc, b, 1, side, sched,
                  dims)
     stacked, two_call = (_taped(ref, side, base, motion, disc, b, phase, 1, sched,
@@ -926,8 +953,8 @@ def test_student_iterations_score_only_the_fake_rows(sched, dims, setup, phase,
     rng = np.random.default_rng(15)
     disc = _adversarial_disc(dims, setup, phase, rng)
     st = StageConfig(32, 8, "adversarial", 1)
-    b = teacher_stride(base, motion, _batch(ds, st, sched, rng, n=rows,
-                                            dtype=np.float32), st, sched, dims)
+    b = _stride_batch(base, motion, _batch(ds, st, sched, rng, n=rows,
+                                           dtype=np.float32), st, sched, dims)
     passes = _disc_passes(monkeypatch)
     got = _taped(adversarial_loss, "student", base, motion, disc, b, 1, "student",
                  sched, dims)
@@ -974,38 +1001,93 @@ def test_each_phase_holds_only_the_head_it_trains(sched, dims, monkeypatch):
 ], ids=["adversarial", "mse"])
 def test_only_iterations_that_read_the_target_traverse_the_teacher(
         sched, dims, stage, monkeypatch):
-    # The MSE loss and l_d read the teacher's endpoint; l_g scores the
-    # student's stride alone, so a student iteration traverses no teacher.
-    # An iteration that reads it traverses once, over every rank's rows.
+    # The MSE loss and l_d read the teacher's endpoint, and l_d also the
+    # student's detached stride; l_g scores the student's taped stride
+    # alone. So an MSE iteration traverses once (the teacher's n strides),
+    # a discriminator iteration twice (the teacher's, then the student's
+    # one stride), each over every rank's rows before the first rank step,
+    # and a student iteration not at all.
     n, _ = stage_strides(stage, sched.T)
-    solve, step = dist.euler_solve, dist.rank_step
-    traversals = []  # rows of each teacher traversal since the last step
-    seen = []  # (iteration kind, teacher traversals, target given) per iteration
+    solve, step = solvers.euler_solve, dist.rank_step
+    traversals = []  # (strides, rows) of each traversal since the last step
+    seen = []  # (iteration kind, traversals, target given, fake given)
 
     def counting_solve(f, x_t, t, tokens, strides, s, sched):
-        # The teacher traverses n strides, the student's stride is one.
-        if strides == n:
-            traversals.append(len(x_t))
+        traversals.append((strides, len(x_t)))
         return solve(f, x_t, t, tokens, strides, s, sched)
 
     def recording_step(base, motion, disc, b, flow_idx, side, *args):
         if base is ctx.ranks[0].base:  # the first rank step of an iteration
             seen.append(("mse" if disc is None else side, traversals[:],
-                         "target" in b))
+                         "target" in b, "fake" in b))
             traversals.clear()
         assert not traversals
         return step(base, motion, disc, b, flow_idx, side, *args)
 
-    monkeypatch.setattr(dist, "euler_solve", counting_solve)
+    monkeypatch.setattr(solvers, "euler_solve", counting_solve)
     monkeypatch.setattr(dist, "rank_step", recording_step)
     ctx, motion = _tiny_ctx(sched, dims)
     run_stage(stage, ctx, motion)
-    every_rank = [len(ctx.ranks) * stage.micro_batch * stage.grad_accum]
+    rows = len(ctx.ranks) * stage.micro_batch * stage.grad_accum
     sides = {"adversarial": ["disc", "student"], "mse_cfg": ["mse", "mse"]}
-    want = {"disc": (every_rank, True), "student": ([], False),
-            "mse": (every_rank, True)}
+    want = {"disc": ([(n, rows), (1, rows)], True, True),
+            "student": ([], False, False),
+            "mse": ([(n, rows)], True, False)}
     assert seen == [(side, *want[side]) for _ in stage.phases()
                     for side in sides[stage.loss_kind]]
+
+
+@pytest.mark.parametrize("ranks", [1, 3, 8])
+def test_a_rank_stacked_fake_stride_equals_each_ranks_student_stride(
+        sched, dims, setup, ranks):
+    # run_stage's fake rows on a discriminator iteration: one untaped
+    # traversal of the student's stride over every rank's rows, each on its
+    # own base. In float32 each rank's rows carry the bits of
+    # _student_stride on its rows and base alone, the fake that l_d read
+    # when it ran the student per rank.
+    _, motion, ds = setup
+    stage = StageConfig(32, 8, "adversarial", 1)
+    rows = stage.micro_batch * stage.grad_accum
+    bases, stacked = _stacked_bases(dims, ranks, 80 + ranks)
+    b = _noised_stride(_rank_rows(ds, stage, sched, ranks, rows, 81), stage,
+                       sched, dims)
+    got = traverse(stacked, motion, b["x_t"], b["t"], b["tokens"], 1,
+                   b["n"] * b["s"], sched, dims)
+    assert got.dtype == np.float32
+    for r, base in enumerate(bases):
+        own = slice(r * rows, (r + 1) * rows)
+        want = _student_stride(base, motion, {
+            **b, **{k: b[k][own] for k in ("x_t", "t", "tokens")}}, sched, dims)
+        np.testing.assert_array_equal(got[own], want, strict=True)
+
+
+def test_rank_step_runs_no_untaped_student_forward(sched, dims, monkeypatch):
+    # Every untaped solve runs once over all ranks before the per-rank loop,
+    # l_d's fake rows included, so each student forward pass inside
+    # rank_step is taped: its motion holds Vars. The untaped passes (the
+    # teacher's and the fake stride) all run outside it.
+    forward, step = solvers.student_eps, dist.rank_step
+    passes = []  # (inside rank_step, taped) of each student forward pass
+    inside = [False]
+
+    def recording_eps(base, motion, *args, **kwargs):
+        passes.append((inside[0], isinstance(motion["mix_out"], ad.Var)))
+        return forward(base, motion, *args, **kwargs)
+
+    def recording_step(*args):
+        inside[0] = True
+        try:
+            return step(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(solvers, "student_eps", recording_eps)
+    monkeypatch.setattr(dist, "rank_step", recording_step)
+    ctx, motion = _tiny_ctx(sched, dims)
+    run_stage(StageConfig(32, 8, "adversarial", 2, micro_batch=2, grad_accum=2),
+              ctx, motion)
+    assert (True, False) not in passes
+    assert (True, True) in passes and (False, False) in passes
 
 
 def _misalign(rows, dims):
@@ -1038,6 +1120,6 @@ def test_a_student_iteration_refuses_a_bad_batch_as_teacher_stride_does(
     # Every rank draws before the iteration's rows are checked, once.
     assert len(draws) == 2 * len(ctx.ranks)
     with pytest.raises(ValueError) as want:
-        teacher_stride(ctx.ranks[0].base, motion, draws[len(ctx.ranks)], stage,
-                       sched, dims)
+        _stride_batch(ctx.ranks[0].base, motion, draws[len(ctx.ranks)], stage,
+                      sched, dims)
     assert str(got.value) == str(want.value)

@@ -20,10 +20,11 @@ from flowdistill import autodiff as ad
 from flowdistill.datagen import style_by_name
 from flowdistill.distill import (
     StageConfig,
+    _noised_stride,
+    _student_stride,
     adversarial_loss,
     mse_loss,
     stage_timesteps,
-    teacher_stride,
 )
 from flowdistill.evalmetrics import arm_set
 from flowdistill.nets import (
@@ -34,7 +35,7 @@ from flowdistill.nets import (
     relaxed_discriminator,
     time_features,
 )
-from flowdistill.solvers import sample_batch, start_noise
+from flowdistill.solvers import sample_batch, start_noise, traverse
 
 # Norm-relative bound on a float32 gradient's distance from the reference
 # (float32 epsilon is 1.2e-7; measured gaps are below 1e-6).
@@ -170,7 +171,10 @@ def _stride_batch(models, stage, sched, dims, rows=64):
     (base, motion, _), _, ds = models
     batch = draw_rows(ds, rows, np.random.default_rng(5),
                       stage_timesteps(stage, sched.T))
-    return teacher_stride(base, motion, batch, stage, sched, dims)
+    b = _noised_stride(batch, stage, sched, dims)
+    b["target"] = traverse(base, motion, b["x_t"], b["t"], b["tokens"], b["n"],
+                           b["s"], sched, dims, stage.cfg_scale)
+    return b
 
 
 # -- untaped: bit for bit -------------------------------------------------
@@ -233,9 +237,13 @@ def _taped_cases(models, sched, dims):
     for phase, disc in discs.items():
         def adv(side, disc=disc):
             b = _stride_batch(models, ADV_STAGE, sched, dims)
+            # l_d's fake rows, the student's untaped stride, are computed
+            # with each call, so the reference computes them in its layout.
             return lambda p: adversarial_loss(
                 base, p if side == "student" else motion,
-                p if side == "disc" else disc, b, 1, side, sched, dims)
+                p if side == "disc" else disc,
+                {**b, "fake": _student_stride(base, motion, b, sched, dims)},
+                1, side, sched, dims)
 
         cases[f"adversarial, {phase}, disc"] = (disc, adv("disc"))
         cases[f"adversarial, {phase}, student"] = (motion, adv("student"))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import flowdistill as fd
 from flowdistill.datagen import ANALYTIC_VAR, analytic_eps_star, analytic_mean
-from flowdistill.solvers import predictor
+from flowdistill.solvers import predictor, traverse
 
 
 @pytest.fixture(scope="module")
@@ -345,23 +345,27 @@ def test_euler_solve_checks_its_inputs_once_whatever_n(sched, check_counts, w):
 
 
 def test_teacher_stride_checks_its_batch_a_fixed_number_of_times(sched, check_counts):
-    from flowdistill.distill import (StageConfig, _noised_stride, stage_timesteps,
-                                     teacher_stride)
+    from flowdistill.distill import StageConfig, _noised_stride, stage_timesteps
 
     bundle = _bundle(17)
     dims = bundle.dims
     rng = np.random.default_rng(18)
 
-    def stride(to_steps, traverse):
+    def stride(to_steps, traversed):
         stage = StageConfig(128, to_steps, "mse_cfg", 1, cfg_scale=7.5)
         batch = {"x0": rng.standard_normal((8, dims.frames, dims.frame_dim)),
                  "eps": rng.standard_normal((8, dims.frames, dims.frame_dim)),
                  "t": rng.choice(stage_timesteps(stage, sched.T), 8),
                  "tokens": rng.integers(0, dims.vocab, 8)}
-        if traverse:
-            return lambda: teacher_stride(bundle.base, bundle.motion, batch,
-                                          stage, sched, dims)
-        return lambda: _noised_stride(batch, stage, sched, dims)
+        if not traversed:
+            return lambda: _noised_stride(batch, stage, sched, dims)
+
+        def noised_and_traversed():
+            b = _noised_stride(batch, stage, sched, dims)
+            return traverse(bundle.base, bundle.motion, b["x_t"], b["t"],
+                            b["tokens"], b["n"], b["s"], sched, dims,
+                            stage.cfg_scale)
+        return noised_and_traversed
 
     at_4, at_16 = (_counted(check_counts, stride(32, True)),
                    _counted(check_counts, stride(8, True)))
