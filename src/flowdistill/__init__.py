@@ -13,6 +13,7 @@ table: a rank (``Rank``) is one frozen base and one dataset, and
 from .autodiff import Var, backward, gradcheck
 from .schedule import (
     NoiseSchedule,
+    SCHEDULE,
     add_noise,
     build_schedule,
     substitute_terminal_noise,

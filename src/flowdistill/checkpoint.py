@@ -99,8 +99,8 @@ def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
 def checkpoint_load(path, expect: tuple = ()) -> tuple:
     """Read (arrays, meta). Raises on corrupt manifests or truncated blobs,
     with a message that names ``path``: among them a line with nothing after
-    its kind, a repeated entry name, and a negative dimension, count or
-    offset.
+    its kind, a repeated entry name or meta key, and a negative dimension,
+    count or offset.
 
     ``expect`` names entries that must be present; the error message names
     the first missing one.
@@ -130,6 +130,8 @@ def checkpoint_load(path, expect: tuple = ()) -> tuple:
             raise ValueError(f"{path}: malformed manifest line {line!r}")
         if kind == "meta":
             key, _, value = rest.partition(" ")
+            if key in meta:
+                raise ValueError(f"{path}: repeated meta key {key!r}")
             meta[key] = value
         elif kind == "entry":
             entry_lines.append(rest)

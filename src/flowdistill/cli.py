@@ -177,7 +177,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg, ws = _resolve(args)
-    results = gradcheck_battery(ws.sched, ws.dims, seed=cfg["seed"] + 7)
+    results = gradcheck_battery(ws.dims, seed=cfg["seed"] + 7)
     ok = True
     for res in results:
         status = "ok" if res["passed"] else "FAIL"

@@ -2,28 +2,31 @@
 
 Sections:
 
-* ``schedule``: ``T``, ``beta_start``, ``beta_end``. The desk-scale default
-  uses 128 timesteps; see the constants below for how the endpoints were
-  picked.
-* ``nets``: widths shared by every network (a frame's 2 coordinates are
-  ``NetDims.frame_dim``, not a key).
 * ``guidance``: the classifier-free guidance scale of every guided
   teacher traversal: data generation, the first stage's distillation
   target and the evaluation reference. One key sets all three, so a
   student is distilled from, and scored against, one guided teacher.
 * ``teacher_steps``: the Euler step count of the guided teacher that
   samples the generated datasets and the evaluation references, through
-  one sampler (``solvers.sample_batch``). It must divide ``T``.
+  one sampler (``solvers.sample_batch``). It must divide the schedule's T.
 * ``data``: ground-truth and generated dataset sizes.
-* ``pretrain``: step counts and optimiser settings for base/motion training.
-* ``distill``: per-stage iteration budget, micro-batch, accumulation and
-  learning rates of the plan 128 -> 32 -> 8 -> 4 -> 2 -> 1.
+* ``pretrain``: step counts and batch size of base/motion training.
+* ``distill``: per-stage iteration budget, micro-batch and accumulation of
+  the plan 128 -> 32 -> 8 -> 4 -> 2 -> 1.
 * ``ranks``: the worker table, rows of ``rank`` (a non-negative id),
   ``style`` (a seen style) and ``dataset`` (a ``datagen.DATASET_STYLES``
   id). It is the only rank table: the cross-model arm distills against
   exactly these rows. The id ``distill.DISC_STREAM`` is reserved.
 * ``eval``: evaluated styles, step counts, conditions per arm.
 * ``seed``: global seed.
+
+What no run varies is not a key. The noise schedule is
+``schedule.SCHEDULE``, the network widths are the ``nets.NetDims()``
+defaults, the pretraining learning rate and condition dropout are the
+defaults of ``nets.pretrain_base`` and ``nets.pretrain_motion``, and the
+distillation learning rates are those of ``distill.StageConfig``.
+``config_hash`` hashes the schedule's endpoints and the widths with the
+config, so an edit of either refuses the artifacts built before it.
 
 A config is checked once, where it enters (``load_config`` calls
 ``validate_config``): every key and the JSON type of every value against
@@ -32,6 +35,7 @@ A config is checked once, where it enters (``load_config`` calls
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,29 +43,15 @@ import math
 from .datagen import DATASET_STYLES, style_by_name
 from .distill import DISC_STREAM, DistillPlan, StageConfig
 from .nets import NetDims
-from .schedule import build_schedule
+from .schedule import SCHEDULE
 
 __all__ = [
     "default_config",
     "load_config",
     "config_hash",
     "validate_config",
-    "dims_from_config",
-    "schedule_from_config",
     "plan_from_config",
 ]
-
-_DESK_T = 128
-# Endpoints chosen so that (a) the terminal signal fraction is 1%, small
-# enough that sampling starts from unit noise yet gentle enough that the
-# epsilon parameterisation's 1/sqrt(alpha_bar) error amplification through
-# a guided traversal stays bounded, and (b) on the analytic style, with its
-# exact noise prediction, the 32-step Euler traversal of ``teacher_steps``
-# reproduces the target mean within sampling error (z < 1.5 over 10,000
-# clips). It keeps 0.93 of the target variance: deterministic DDIM strides
-# shrink it, by less as they shorten (0.99 at 128 steps).
-_BETA_START = 0.0018
-_BETA_END = 0.068487
 
 
 def default_config() -> dict:
@@ -69,18 +59,6 @@ def default_config() -> dict:
         "seed": 0,
         "guidance": 7.5,
         "teacher_steps": 32,
-        "schedule": {
-            "T": _DESK_T,
-            "beta_start": _BETA_START,
-            "beta_end": _BETA_END,
-        },
-        "nets": {
-            "frames": 8,
-            "hidden": 16,
-            "time_dim": 16,
-            "head_hidden": 32,
-            "vocab": 8,
-        },
         "data": {
             "ground_truth_clips": 20000,
             "generated_clips": 20000,
@@ -88,17 +66,13 @@ def default_config() -> dict:
         "pretrain": {
             "base_steps": 12000,
             "motion_steps": 6000,
-            "lr": 3e-3,
             "batch": 128,
-            "cond_dropout": 0.15,
         },
         "distill": {
             "iterations": 600,
             "mse_iterations": 800,
             "micro_batch": 16,
             "grad_accum": 4,
-            "lr_student": 1e-3,
-            "lr_disc": 2e-3,
         },
         # Mirrors the 8-worker roster: two default-base workers on real
         # data, two realistic-analog workers on the pooled realistic set,
@@ -147,7 +121,8 @@ def _check_types(value, default, path: str = "") -> None:
     from the shape of ``default``: an object must have exactly the
     default's keys, each list item the type of the default's first item,
     and each scalar the default's type. An int counts as a float, if a
-    float can hold it; no key takes a bool; a float must be finite."""
+    float can hold it, and is stored as one, so that ``7`` and ``7.0``
+    hash alike; no key takes a bool; a float must be finite."""
     kind, name = next(k for k in _KINDS if isinstance(default, k[0]))
     if (not isinstance(value, (int, float) if kind is float else kind)
             or isinstance(value, bool)):
@@ -170,6 +145,8 @@ def _check_types(value, default, path: str = "") -> None:
             if key not in value:
                 raise ValueError(f"missing config key {prefix + key!r}")
             _check_types(value[key], default[key], prefix + key)
+            if isinstance(default[key], float):
+                value[key] = float(value[key])
     elif kind is list:
         for i, item in enumerate(value):
             _check_types(item, default[0], f"{prefix}{i}")
@@ -196,17 +173,13 @@ def load_config(path_or_default: str) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    """16 hex digits of the SHA-256 of ``cfg`` with the schedule's endpoints
+    and the network widths, the constants every artifact depends on."""
+    betas = SCHEDULE.betas
+    doc = {**cfg, "schedule": [SCHEDULE.T, float(betas[0]), float(betas[-1])],
+           "nets": dataclasses.asdict(NetDims())}
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def dims_from_config(cfg: dict) -> NetDims:
-    return NetDims(**cfg["nets"])
-
-
-def schedule_from_config(cfg: dict):
-    s = cfg["schedule"]
-    return build_schedule(s["T"], s["beta_start"], s["beta_end"])
 
 
 def plan_from_config(cfg: dict) -> DistillPlan:
@@ -215,8 +188,7 @@ def plan_from_config(cfg: dict) -> DistillPlan:
     The MSE stage runs ``distill.mse_iterations``; the adversarial stages
     run ``distill.iterations`` per phase."""
     d = cfg["distill"]
-    common = dict(micro_batch=d["micro_batch"], grad_accum=d["grad_accum"],
-                  lr_student=d["lr_student"], lr_disc=d["lr_disc"])
+    common = dict(micro_batch=d["micro_batch"], grad_accum=d["grad_accum"])
     steps = [32, 8, 4, 2, 1]
     stages = [StageConfig(128, 32, "mse_cfg", d["mse_iterations"],
                           cfg_scale=cfg["guidance"], **common)]
@@ -244,9 +216,8 @@ def _validate_ranks(rows: list) -> None:
             raise ValueError(f"unknown dataset {row['dataset']!r}")
 
 
-# (section, key, least value) of every width, size and step count.
+# (section, key, least value) of every size and step count.
 _LEAST = (
-    *(("nets", key, 1) for key in default_config()["nets"]),
     ("data", "ground_truth_clips", 1),
     ("data", "generated_clips", 1),
     ("pretrain", "batch", 1),
@@ -257,52 +228,32 @@ _LEAST = (
     ("distill", "micro_batch", 1),
     ("distill", "grad_accum", 1),
 )
-_RATES = (("pretrain", "lr"), ("distill", "lr_student"), ("distill", "lr_disc"))
-
-
-def _validate_sizes(cfg: dict) -> None:
-    for section, key, least in _LEAST:
-        if cfg[section][key] < least:
-            raise ValueError(f"{section}.{key} must be >= {least}, "
-                             f"got {cfg[section][key]}")
-    for section, key in _RATES:
-        if cfg[section][key] <= 0:
-            raise ValueError(f"{section}.{key} must be > 0, got {cfg[section][key]}")
-    time_dim = cfg["nets"]["time_dim"]
-    if time_dim % 2:  # sine and cosine features come in pairs
-        raise ValueError(f"nets.time_dim must be even, got {time_dim}")
-    dropout = cfg["pretrain"]["cond_dropout"]
-    if not 0 <= dropout <= 1:
-        raise ValueError(f"pretrain.cond_dropout must be in [0, 1], got {dropout}")
 
 
 def validate_config(cfg: dict) -> None:
     """Reject keys and JSON types that ``default_config()`` does not have,
     a non-finite number, a negative seed, sizes that cannot mean anything
-    (a net width, clip count, batch or accumulation count below 1, a
-    negative step or iteration count, an odd ``nets.time_dim``, a learning
-    rate <= 0, a ``pretrain.cond_dropout`` outside [0, 1]), unknown styles,
-    rank tables that are empty, list a rank id twice, a negative one or
-    ``distill.DISC_STREAM``, train on an unseen style or name an unknown
-    dataset, broken plans, eval step counts that no plan stage distills, a
-    style or step count listed twice in ``eval`` (its cells would be scored
-    and written twice), fewer than two eval conditions, a
-    ``teacher_steps`` that does not divide T and a negative ``guidance``."""
+    (a clip count, batch or accumulation count below 1, a negative step or
+    iteration count), unknown styles, rank tables that are empty, list a
+    rank id twice, a negative one or ``distill.DISC_STREAM``, train on an
+    unseen style or name an unknown dataset, eval step counts that no plan
+    stage distills, a style or step count listed twice in ``eval`` (its
+    cells would be scored and written twice), fewer than two eval
+    conditions, a ``teacher_steps`` that does not divide T and a negative
+    ``guidance``."""
     _check_types(cfg, default_config())
     if cfg["seed"] < 0:  # a generator seed cannot hold it
         raise ValueError(f"seed must be non-negative, got {cfg['seed']}")
-    _validate_sizes(cfg)
-    schedule_from_config(cfg)
-    T, steps = cfg["schedule"]["T"], cfg["teacher_steps"]
+    for section, key, least in _LEAST:
+        if cfg[section][key] < least:
+            raise ValueError(f"{section}.{key} must be >= {least}, "
+                             f"got {cfg[section][key]}")
+    T, steps = SCHEDULE.T, cfg["teacher_steps"]
     if steps < 1 or T % steps:
         raise ValueError(f"teacher_steps must divide T = {T}, got {steps}")
     if cfg["guidance"] < 0:  # the sampler guides only when w > 0
         raise ValueError(f"guidance must be >= 0, got {cfg['guidance']}")
-    dims_from_config(cfg)
     plan = plan_from_config(cfg)
-    if cfg["schedule"]["T"] % plan.stages[0].from_steps != 0:
-        raise ValueError("schedule length must be divisible by the first "
-                         "stage's step count")
     _validate_ranks(cfg["ranks"])
     for name in cfg["eval"]["styles"]:
         style_by_name(name)

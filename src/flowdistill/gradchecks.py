@@ -21,14 +21,14 @@ from .nets import (
     init_motion,
     relaxed_discriminator,
 )
-from .schedule import NoiseSchedule, add_noise
+from .schedule import SCHEDULE, add_noise
 
 __all__ = ["gradcheck_battery", "REL_TOL"]
 
 REL_TOL = 1e-4
 
 
-def _setup(sched: NoiseSchedule, dims: NetDims, seed: int = 7):
+def _setup(dims: NetDims, seed: int = 7):
     rng = np.random.default_rng(seed)
     base = init_base(dims, rng)
     motion = init_motion(dims, rng, out_scale=0.05)
@@ -45,34 +45,35 @@ def _setup(sched: NoiseSchedule, dims: NetDims, seed: int = 7):
     x0 = rng.normal(0.0, 0.7, (batch, dims.frames, dims.frame_dim))
     eps = rng.standard_normal(x0.shape)
     tokens = rng.integers(0, dims.vocab, batch)
-    t = np.asarray([sched.T // 2, sched.T // 3])
+    t = np.asarray([SCHEDULE.T // 2, SCHEDULE.T // 3])
     noise = dict(x0=x0, tokens=tokens, t=t, eps=eps)
     # A stride batch as ``distill.run_stage`` builds it on a discriminator
     # iteration, with a random target and the untaped stride of ``motion``
     # as the fake sample.
-    stride = dict(x_t=add_noise(x0, eps, t, sched), t=t, tokens=tokens,
-                  n=4, s=sched.T // 16,
+    stride = dict(x_t=add_noise(x0, eps, t, SCHEDULE), t=t, tokens=tokens,
+                  n=4, s=SCHEDULE.T // 16,
                   target=rng.normal(0.0, 0.7, x0.shape))
-    stride["fake"] = _student_stride(base, motion, stride, sched, dims)
+    stride["fake"] = _student_stride(base, motion, stride, SCHEDULE, dims)
     return base, motion, pair, relaxed, noise, stride
 
 
-def gradcheck_battery(sched: NoiseSchedule, dims: NetDims, seed: int = 7) -> list:
-    """Returns one record per checked loss: name, worst error, pass flag."""
-    base, motion, pair, relaxed, noise, b = _setup(sched, dims, seed)
+def gradcheck_battery(dims: NetDims, seed: int = 7) -> list:
+    """Returns one record per checked loss, on the shipped schedule: name,
+    worst error, pass flag."""
+    base, motion, pair, relaxed, noise, b = _setup(dims, seed)
 
     def denoise(base_arrays, motion_arrays):
         return denoise_loss(base_arrays, motion_arrays, noise["x0"], noise["tokens"],
-                            noise["t"], noise["eps"], sched, dims)
+                            noise["t"], noise["eps"], SCHEDULE, dims)
 
     def adversarial(motion_arrays, disc_arrays, side):
         return adversarial_loss(base, motion_arrays, disc_arrays, b, 1, side,
-                                sched, dims)
+                                SCHEDULE, dims)
 
     checks = [
         ("pretrain_eps_mse/base", lambda p: denoise(p, None), base),
         ("pretrain_eps_mse/motion", lambda p: denoise(base, p), motion),
-        ("distill_mse/motion", lambda p: mse_loss(base, p, b, sched, dims), motion),
+        ("distill_mse/motion", lambda p: mse_loss(base, p, b, SCHEDULE, dims), motion),
         ("disc_conditional/disc", lambda p: adversarial(motion, p, "disc"), pair),
         ("disc_relaxed/disc", lambda p: adversarial(motion, p, "disc"), relaxed),
         ("generator_conditional/motion",

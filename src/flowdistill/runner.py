@@ -52,7 +52,7 @@ import os
 from functools import partial
 
 from .checkpoint import checkpoint_load, checkpoint_save
-from .config import config_hash, dims_from_config, plan_from_config, schedule_from_config
+from .config import config_hash, plan_from_config
 from .datagen import (
     DATASET_STYLES,
     ClipDataset,
@@ -66,8 +66,16 @@ from .datagen import (
     style_by_name,
 )
 from .distill import DistillContext, Rank, run_stage
-from .nets import BASE_KEYS, MOTION_KEYS, StudentBundle, pretrain_base, pretrain_motion
+from .nets import (
+    BASE_KEYS,
+    MOTION_KEYS,
+    NetDims,
+    StudentBundle,
+    pretrain_base,
+    pretrain_motion,
+)
 from .evalmetrics import eval_inputs, reference_set, score_arms
+from .schedule import SCHEDULE
 
 __all__ = [
     "Workspace",
@@ -90,8 +98,8 @@ class Workspace:
         self.cfg = cfg
         self.root = root
         self.hash = config_hash(cfg)
-        self.sched = schedule_from_config(cfg)
-        self.dims = dims_from_config(cfg)
+        self.sched = SCHEDULE
+        self.dims = NetDims()
         self._ground_truth: dict = {}
 
     # -- paths ----------------------------------------------------------
@@ -188,8 +196,7 @@ class Workspace:
                 progress(f"pretraining base model for style {style}")
             return pretrain_base(self.ground_truth(style), self.sched, self.dims,
                                  pt["base_steps"], self._seed("base", style_id),
-                                 lr=pt["lr"], batch=pt["batch"],
-                                 cond_dropout=pt["cond_dropout"])[0]
+                                 batch=pt["batch"])[0]
 
         return {s.name: self._base(s.name, partial(build, s.name))
                 for s in STYLES}
@@ -201,9 +208,7 @@ class Workspace:
             pt = self.cfg["pretrain"]
             return pretrain_motion(default_base, self.ground_truth("default"),
                                    self.sched, self.dims, pt["motion_steps"],
-                                   self._seed("motion"), lr=pt["lr"],
-                                   batch=pt["batch"],
-                                   cond_dropout=pt["cond_dropout"])[0]
+                                   self._seed("motion"), batch=pt["batch"])[0]
 
         return self._motion(build)
 

@@ -8,11 +8,14 @@ traversal may end one stride past ``t = 0``.
 Every ``alpha_bar`` is positive: a schedule whose cumulative product
 underflows to 0 is rejected when it is built, so no lookup has to check.
 
-Timesteps are checked once where they enter: the public lookups
-(``alpha_bar``, ``sqrt_alpha_bar``, ``sqrt_one_minus_alpha_bar``) and
-:func:`add_noise` each check theirs in one pass (integer dtype, then one
-``min`` and one ``max``). The solvers check a traversal's timesteps at its
-entry and then read the ``t + 1``-indexed tables directly.
+Every run uses one schedule, ``SCHEDULE``: T = 128, the step count of the
+first distillation stage's teacher, with the endpoints below.
+
+Timesteps are checked once where they enter: the public lookup
+(``alpha_bar``) and :func:`add_noise` each check theirs in one pass
+(integer dtype, then one ``min`` and one ``max``). The solvers check a
+traversal's timesteps at its entry and then read the ``t + 1``-indexed
+tables directly.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "NoiseSchedule",
+    "SCHEDULE",
     "build_schedule",
     "add_noise",
     "substitute_terminal_noise",
@@ -83,12 +87,6 @@ class NoiseSchedule:
         """alpha_bar at integer timestep(s) t, with alpha_bar(-1) = 1."""
         return self._ab_ext[self._check_t(t) + 1]
 
-    def sqrt_alpha_bar(self, t):
-        return self._sqrt_ab_ext[self._check_t(t) + 1]
-
-    def sqrt_one_minus_alpha_bar(self, t):
-        return self._sqrt_1m_ab_ext[self._check_t(t) + 1]
-
     def __repr__(self):
         return (f"NoiseSchedule(T={self.T}, beta_start={self.betas[0]:.6g}, "
                 f"beta_end={self.betas[-1]:.6g})")
@@ -104,6 +102,18 @@ def build_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
     return NoiseSchedule(np.linspace(beta_start, beta_end, T))
+
+
+# Endpoints chosen so that (a) the terminal signal fraction is 1%, small
+# enough that sampling starts from unit noise yet gentle enough that the
+# epsilon parameterisation's 1/sqrt(alpha_bar) error amplification through
+# a guided traversal stays bounded, and (b) on the analytic style, with its
+# exact noise prediction, the 32-step Euler traversal of ``teacher_steps``
+# reproduces the target mean within sampling error (z < 1.5 over 10,000
+# clips). It keeps 0.93 of the target variance on average (0.89-0.96 per
+# coordinate): deterministic DDIM strides shrink it, by less as they
+# shorten (0.99 at 128 steps, 0.94-1.01 per coordinate).
+SCHEDULE = build_schedule(128, 0.0018, 0.068487)
 
 
 def _coef(values, x: np.ndarray):

@@ -127,6 +127,15 @@ def test_a_repeated_entry_name_is_refused(tmp_path):
     assert str(err.value) == f"{path}: repeated entry 'a'"
 
 
+def test_a_repeated_meta_key_is_refused(tmp_path):
+    # It once loaded with the last value winning.
+    path = _manifest(tmp_path, ["ckpt-v1 0", "meta config_hash aaaa",
+                                "meta config_hash bbbb"])
+    with pytest.raises(ValueError) as err:
+        checkpoint_load(path)
+    assert str(err.value) == f"{path}: repeated meta key 'config_hash'"
+
+
 @pytest.mark.parametrize("entry", ["entry a 2x-1 -2 0", "entry a -2 -2 0",
                                    "entry a 2 2 -8", "entry a 2x1 2 -4"])
 def test_a_negative_dimension_count_or_offset_is_refused(tmp_path, entry):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flowdistill.config as config
 import flowdistill.distill as dist
 import flowdistill.evalmetrics as evalmetrics
 import flowdistill.runner as runner
@@ -22,8 +24,9 @@ from flowdistill.config import (
     validate_config,
 )
 from flowdistill.datagen import STYLES, ClipDataset, load_dataset, save_dataset
-from flowdistill.nets import MOTION_KEYS
+from flowdistill.nets import MOTION_KEYS, NetDims
 from flowdistill.runner import Workspace
+from flowdistill.schedule import build_schedule
 
 STAGES = ("128to32", "32to8", "8to4", "4to2", "2to1")
 
@@ -51,7 +54,7 @@ def workdir(tmp_path_factory):
 def test_config_loading_and_hash(tiny_config):
     cfg = load_config(tiny_config)
     assert cfg["data"]["ground_truth_clips"] == 300
-    assert cfg["schedule"]["T"] == 128  # defaults fill the rest
+    assert cfg["teacher_steps"] == 32  # defaults fill the rest
     h1 = config_hash(cfg)
     cfg2 = load_config(tiny_config)
     assert config_hash(cfg2) == h1
@@ -84,10 +87,15 @@ def test_config_validation_rejects_bad_styles():
 
 
 def test_config_accepts_an_int_where_a_float_is_expected(tmp_path):
-    path = tmp_path / "lr.json"
-    path.write_text(json.dumps({"pretrain": {"lr": 1}, "guidance": 7}))
-    cfg = load_config(str(path))
-    assert cfg["pretrain"]["lr"] == 1 and cfg["guidance"] == 7
+    # And stores it as that float: 7 and 7.0 run alike, so they hash alike.
+    hashes = set()
+    for guidance in (7, 7.0):
+        path = tmp_path / "guidance.json"
+        path.write_text(json.dumps({"guidance": guidance}))
+        cfg = load_config(str(path))
+        assert type(cfg["guidance"]) is float and cfg["guidance"] == 7
+        hashes.add(config_hash(cfg))
+    assert len(hashes) == 1
 
 
 def test_one_guidance_key_sets_every_guided_teacher(tmp_path, monkeypatch):
@@ -208,8 +216,6 @@ WRONG_TYPES = {
     "ranks.1.dataset": "missing config key 'ranks.1.dataset'",
     "ranks.0.rank": "config key 'ranks.0.rank' must be an integer, not float",
     "seed": "config key 'seed' must be an integer, not bool",
-    "distill.lr_disc": "config key 'distill.lr_disc' must be a number, not bool",
-    "pretrain.lr": "config key 'pretrain.lr' must be a number, not str",
 }
 
 _ROW = {"rank": 0, "style": "default", "dataset": "real"}
@@ -236,7 +242,9 @@ BAD_KEYS = [
 ]
 
 # Values of the right type out of range, set in the config or by a flag
-# that applies after it: (override, key, flags, message).
+# that applies after it: (override, key, flags, message). A key that is
+# now a constant (the learning rates, the condition dropout, the ``nets``
+# widths) is refused as unknown, whatever its value.
 BAD_VALUES = [
     ({"seed": -1}, "seed", [], "seed must be non-negative, got -1"),
     ({}, "seed", ["--seed", "-3"], "seed must be non-negative, got -3"),
@@ -261,30 +269,27 @@ BAD_VALUES = [
     ({"distill": {"mse_iterations": -2}}, "distill.mse_iterations", [],
      "distill.mse_iterations must be >= 0, got -2"),
     ({"pretrain": {"cond_dropout": 1.5}}, "pretrain.cond_dropout", [],
-     "pretrain.cond_dropout must be in [0, 1], got 1.5"),
+     "unknown config key 'pretrain.cond_dropout'"),
     ({"pretrain": {"cond_dropout": -0.1}}, "pretrain.cond_dropout", [],
-     "pretrain.cond_dropout must be in [0, 1], got -0.1"),
-    ({"nets": {"frames": 0}}, "nets.frames", [], "nets.frames must be >= 1, got 0"),
-    ({"nets": {"hidden": 0}}, "nets.hidden", [], "nets.hidden must be >= 1, got 0"),
-    ({"nets": {"head_hidden": -3}}, "nets.head_hidden", [],
-     "nets.head_hidden must be >= 1, got -3"),
-    ({"nets": {"vocab": 0}}, "nets.vocab", [], "nets.vocab must be >= 1, got 0"),
-    ({"nets": {"time_dim": 0}}, "nets.time_dim", [], "nets.time_dim must be >= 1, got 0"),
-    ({"nets": {"time_dim": 15}}, "nets.time_dim", [], "nets.time_dim must be even, got 15"),
-    # Every style has 2 frame coordinates: the width is not a setting.
-    ({"nets": {"frame_dim": 2}}, "nets.frame_dim", [],
-     "unknown config key 'nets.frame_dim'"),
+     "unknown config key 'pretrain.cond_dropout'"),
+    ({"nets": {"frames": 0}}, "nets.frames", [], "unknown config key 'nets'"),
+    ({"nets": {"hidden": 0}}, "nets.hidden", [], "unknown config key 'nets'"),
+    ({"nets": {"head_hidden": -3}}, "nets.head_hidden", [], "unknown config key 'nets'"),
+    ({"nets": {"vocab": 0}}, "nets.vocab", [], "unknown config key 'nets'"),
+    ({"nets": {"time_dim": 0}}, "nets.time_dim", [], "unknown config key 'nets'"),
+    ({"nets": {"time_dim": 15}}, "nets.time_dim", [], "unknown config key 'nets'"),
+    ({"nets": {"frame_dim": 2}}, "nets.frame_dim", [], "unknown config key 'nets'"),
     ({"guidance": float("nan")}, "guidance", [],
      "config key 'guidance' must be finite, got nan"),
     ({"guidance": float("inf")}, "guidance", [],
      "config key 'guidance' must be finite, got inf"),
     ({"distill": {"lr_student": float("nan")}}, "distill.lr_student", [],
-     "config key 'distill.lr_student' must be finite, got nan"),
-    ({"pretrain": {"lr": -1.0}}, "pretrain.lr", [], "pretrain.lr must be > 0, got -1.0"),
+     "unknown config key 'distill.lr_student'"),
+    ({"pretrain": {"lr": -1.0}}, "pretrain.lr", [], "unknown config key 'pretrain.lr'"),
     ({"distill": {"lr_student": 0}}, "distill.lr_student", [],
-     "distill.lr_student must be > 0, got 0"),
+     "unknown config key 'distill.lr_student'"),
     ({"distill": {"lr_disc": -0.5}}, "distill.lr_disc", [],
-     "distill.lr_disc must be > 0, got -0.5"),
+     "unknown config key 'distill.lr_disc'"),
     ({"distill": {"micro_batch": 0}}, "distill.micro_batch", [],
      "distill.micro_batch must be >= 1, got 0"),
     ({"distill": {"grad_accum": 0}}, "distill.grad_accum", [],
@@ -292,14 +297,18 @@ BAD_VALUES = [
     ({"eval": {"styles": ["nope"]}}, "eval.styles", [], "unknown style 'nope'"),
     ({"ranks": [dict(_ROW, rank=104729)]}, "ranks.0.rank", [],
      "ranks.0.rank: id 104729 is reserved for the discriminator's random stream"),
-    # Past the float range: it would end training with an OverflowError.
     ({"pretrain": {"lr": 10 ** 400}}, "pretrain.lr", [],
-     "config key 'pretrain.lr' must be finite, got an integer of 401 digits"),
+     "unknown config key 'pretrain.lr'"),
     # An empty list would score nothing and still write a report.
     ({"eval": {"styles": []}}, "eval.styles", [],
      "eval.styles must list at least one value"),
     ({"eval": {"step_counts": []}}, "eval.step_counts", [],
      "eval.step_counts must list at least one value"),
+    ({"guidance": True}, "guidance", [], "config key 'guidance' must be a number, not bool"),
+    ({"guidance": "7.5"}, "guidance", [], "config key 'guidance' must be a number, not str"),
+    # Past the float range: it would end sampling with an OverflowError.
+    ({"guidance": 10 ** 400}, "guidance", [],
+     "config key 'guidance' must be finite, got an integer of 401 digits"),
 ]
 
 
@@ -674,6 +683,28 @@ def test_checkpoint_config_hash_mismatch_rejected(tiny_config, workdir, tmp_path
     code = cli(["eval", "--config", str(path), "--workdir", workdir])
     assert code == 1
     assert "config" in capsys.readouterr().err
+
+
+@dataclasses.dataclass(frozen=True)
+class _WiderDims(NetDims):
+    hidden: int = 17
+
+
+@pytest.mark.parametrize("constant, edited", [
+    ("SCHEDULE", build_schedule(128, 0.0018, 0.0685)),
+    ("NetDims", _WiderDims),
+], ids=["beta_end", "hidden"])
+def test_an_edited_constant_refuses_the_artifacts_built_before_it(
+        tiny_config, workdir, monkeypatch, capsys, constant, edited):
+    # The schedule and the widths are not config keys, but the config hash
+    # covers them, as it covers every key.
+    cfg = load_config(tiny_config)
+    before = config_hash(cfg)
+    monkeypatch.setattr(config, constant, edited)
+    assert config_hash(cfg) != before
+    assert cli(["eval", "--config", tiny_config, "--workdir", workdir]) == 1
+    err = capsys.readouterr().err
+    assert f"produced under config {before}, current config is {config_hash(cfg)}" in err
 
 
 def test_dataset_from_another_config_is_refused(tiny_config, workdir, tmp_path):

@@ -100,7 +100,6 @@ def test_ground_truth_of_fewer_clips_is_a_prefix(style, seed, k, n):
 
 
 _DIMS = fd.NetDims(vocab=5)
-_SCHED = fd.build_schedule(128, 0.002, 0.0985703125)
 
 
 def _teacher(seed=24):
@@ -119,7 +118,7 @@ def _generate_draws(monkeypatch, n, seed, batch):
 
     monkeypatch.setattr(solvers, "euler_solve", solve)
     monkeypatch.setattr(solvers, "SAMPLE_BATCH", batch)
-    ds = fd.generate_distill_dataset(_teacher(), _SCHED, ANALYTIC_STYLE, n, seed, 8, 7.5)
+    ds = fd.generate_distill_dataset(_teacher(), fd.SCHEDULE, ANALYTIC_STYLE, n, seed, 8, 7.5)
     return ds, rows
 
 
@@ -157,28 +156,28 @@ def test_generated_clips_are_the_reference_sampler_on_their_own_inputs():
     # bit for bit.
     teacher = _teacher(26)
     n, seed, steps, w = 12, [4, 13, 1], 8, 7.5
-    ds = fd.generate_distill_dataset(teacher, _SCHED, style_by_name("anime_a"), n,
+    ds = fd.generate_distill_dataset(teacher, fd.SCHEDULE, style_by_name("anime_a"), n,
                                      seed, steps, w)
     cond_entropy, noise_entropy = datagen._entropies(seed)
     conds = np.random.default_rng(cond_entropy).integers(0, _DIMS.vocab, size=n)
     x_start = fd.start_noise(noise_entropy, n, _DIMS)
     assert ds.conditions.tobytes() == conds.astype(np.int32).tobytes()
-    ref = reference_set(teacher, _SCHED, conds, x_start, steps, w)
+    ref = reference_set(teacher, fd.SCHEDULE, conds, x_start, steps, w)
     assert ref.dtype == ds.clips.dtype == np.float32
     assert ds.clips.tobytes() == ref.tobytes()
     # A traversal takes strides of one length: 3 steps cannot cover T = 128.
     with pytest.raises(ValueError, match="steps must divide T = 128, got 3"):
-        fd.sample_batch(teacher, _SCHED, 3, conds, x_start)
+        fd.sample_batch(teacher, fd.SCHEDULE, 3, conds, x_start)
 
 
 def _partitioned_datasets(monkeypatch):
     """A generated dataset as one solve, then as solves of 1, 3 and 7 rows."""
     teacher = _teacher(25)
-    whole = fd.generate_distill_dataset(teacher, _SCHED, ANALYTIC_STYLE, 10, 6, 4, 7.5)
+    whole = fd.generate_distill_dataset(teacher, fd.SCHEDULE, ANALYTIC_STYLE, 10, 6, 4, 7.5)
     parts = []
     for batch in (1, 3, 7):
         monkeypatch.setattr(solvers, "SAMPLE_BATCH", batch)
-        parts.append(fd.generate_distill_dataset(teacher, _SCHED, ANALYTIC_STYLE,
+        parts.append(fd.generate_distill_dataset(teacher, fd.SCHEDULE, ANALYTIC_STYLE,
                                                  10, 6, 4, 7.5))
     for ds in parts:
         assert ds.conditions.tobytes() == whole.conditions.tobytes()
@@ -355,9 +354,7 @@ def test_dataset_contents_refused_name_the_file(tmp_path, case, message):
         load_dataset(path)
 
 
-def test_generated_dataset_deterministic_and_tagged(tmp_path):
-    dims = fd.NetDims()
-    sched = fd.build_schedule(128, 0.002, 0.0985703125)
+def test_generated_dataset_deterministic_and_tagged(tmp_path, sched, dims):
     rng = np.random.default_rng(22)
     bundle = fd.StudentBundle(fd.init_base(dims, rng), fd.init_motion(dims, rng, 0.05), dims)
     a = fd.generate_distill_dataset(bundle, sched, ANALYTIC_STYLE, 24, 23, 8, 7.5)

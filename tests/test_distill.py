@@ -44,16 +44,6 @@ from flowdistill.solvers import predictor, traverse
 
 
 @pytest.fixture(scope="module")
-def sched():
-    return fd.build_schedule(128, 0.002, 0.0985703125)
-
-
-@pytest.fixture(scope="module")
-def dims():
-    return fd.NetDims()
-
-
-@pytest.fixture(scope="module")
 def setup(sched, dims):
     rng = np.random.default_rng(0)
     base = fd.init_base(dims, rng)
@@ -214,8 +204,8 @@ def test_arm_set_strides_are_the_trained_student_stride(sched, dims, steps, n, s
     f = predictor(base, motion, sched.T, dims)
     want = x_start
     for t in range(sched.T - 1, -1, -(sched.T // steps)):
-        x0_hat = ((want - sched.sqrt_one_minus_alpha_bar(t) * f(want, t, tokens))
-                  / sched.sqrt_alpha_bar(t))
+        x0_hat = ((want - np.sqrt(1 - sched.alpha_bar(t)) * f(want, t, tokens))
+                  / np.sqrt(sched.alpha_bar(t)))
         assert np.max(np.abs(x0_hat)) > 4.0  # the clamp binds at every stride
         b = {"x_t": want, "t": np.full(len(tokens), t), "tokens": tokens,
              "n": n, "s": s}

@@ -302,8 +302,7 @@ def test_eval_report_rejects_a_nan_metric():
     assert report.rows == []
 
 
-def test_eval_inputs_deterministic_and_seeded():
-    dims = fd.NetDims()
+def test_eval_inputs_deterministic_and_seeded(dims):
     tokens, x = eval_inputs(7, 32, dims)
     again = eval_inputs(7, 32, dims)
     assert np.array_equal(tokens, again[0]) and np.array_equal(x, again[1])
@@ -322,9 +321,8 @@ def test_eval_inputs_of_fewer_conditions_are_a_prefix(seed, k, n):
         assert a.tobytes() == b[:k].tobytes()
 
 
-def test_score_arms_same_motion_same_report_rows_style_major():
+def test_score_arms_same_motion_same_report_rows_style_major(sched):
     dims = fd.NetDims(frames=3, hidden=4, time_dim=4, head_hidden=4, vocab=3)
-    sched = fd.build_schedule(128, 0.002, 0.0985703125)
     rng = np.random.default_rng(6)
     bundles = {name: fd.StudentBundle(fd.init_base(dims, rng),
                                       fd.init_motion(dims, rng, 0.05), dims)
@@ -367,9 +365,8 @@ def _score_arms_reference(bundles_by_style, arms, sched, styles, step_counts,
     return reports
 
 
-def test_score_arms_matches_the_per_cell_reference_bit_for_bit(monkeypatch):
+def test_score_arms_matches_the_per_cell_reference_bit_for_bit(monkeypatch, sched):
     dims = fd.NetDims(frames=3, hidden=4, time_dim=4, head_hidden=4, vocab=3)
-    sched = fd.build_schedule(128, 0.002, 0.0985703125)
     rng = np.random.default_rng(8)
     styles = ["anime_a", "real_b", "unseen_far"]
     bundles = {name: fd.StudentBundle(fd.init_base(dims, rng),

@@ -19,7 +19,6 @@ from flowdistill.distill import DistillContext, Rank, StageConfig, run_stage
 from flowdistill.evalmetrics import arm_set, eval_inputs, reference_set
 from flowdistill.nets import BASE_KEYS, MOTION_KEYS
 
-SCHED = fd.build_schedule(128, 0.002, 0.0985703125)
 DIMS = fd.NetDims()
 F32 = np.dtype(np.float32)
 
@@ -62,8 +61,8 @@ def _bundle(seed=0):
 
 def test_a_pretraining_step_tapes_and_differentiates_in_float32(tapes):
     ds = fd.sample_ground_truth(style_by_name("default"), 64, 1)
-    base, _ = fd.pretrain_base(ds, SCHED, DIMS, 1, 0, batch=8)
-    fd.pretrain_motion(base, ds, SCHED, DIMS, 1, 0, batch=8)
+    base, _ = fd.pretrain_base(ds, fd.SCHEDULE, DIMS, 1, 0, batch=8)
+    fd.pretrain_motion(base, ds, fd.SCHEDULE, DIMS, 1, 0, batch=8)
     assert tapes == [{"values": {F32}, "grads": {F32}, "leaves": len(keys)}
                      for keys in (BASE_KEYS, MOTION_KEYS)]
 
@@ -73,7 +72,7 @@ def _context():
     ranks = [Rank(r, bundle.base,
                   fd.sample_ground_truth(style_by_name("default"), 64, r), r)
              for r in range(2)]
-    return DistillContext(sched=SCHED, dims=DIMS, ranks=ranks, pretrained=bundle,
+    return DistillContext(sched=fd.SCHEDULE, dims=DIMS, ranks=ranks, pretrained=bundle,
                           seed=0), bundle.motion
 
 
@@ -128,7 +127,7 @@ def test_sample_batch_samples_in_float32(forwards, w):
     tokens = np.array([0, 3, DIMS.null_token])
     x = fd.start_noise(2, len(tokens), DIMS)
     assert x.dtype == F32
-    got = fd.sample_batch(_bundle(), SCHED, 4, tokens, x, w=w)
+    got = fd.sample_batch(_bundle(), fd.SCHEDULE, 4, tokens, x, w=w)
     assert got.dtype == F32
     assert len(forwards) == 4 * (2 if w else 1)
     assert set(forwards) == {(F32, F32)}
@@ -143,7 +142,7 @@ def test_generated_datasets_are_sampled_in_float32(forwards, monkeypatch):
         return raw[-1]
 
     monkeypatch.setattr(datagen, "sample_batch", spy)
-    fd.generate_distill_dataset(_bundle(), SCHED, style_by_name("real_b"), 6, 3, 4, 7.5)
+    fd.generate_distill_dataset(_bundle(), fd.SCHEDULE, style_by_name("real_b"), 6, 3, 4, 7.5)
     assert [clips.dtype for clips in raw] == [F32]
     assert forwards and set(forwards) == {(F32, F32)}
 
@@ -151,6 +150,6 @@ def test_generated_datasets_are_sampled_in_float32(forwards, monkeypatch):
 def test_reference_and_arm_sets_are_sampled_in_float32(forwards):
     tokens, x_start = eval_inputs(4, 6, DIMS)
     bundle = _bundle()
-    assert reference_set(bundle, SCHED, tokens, x_start, 8, 7.5).dtype == F32
-    assert arm_set(bundle, SCHED, 2, tokens, x_start).dtype == F32
+    assert reference_set(bundle, fd.SCHEDULE, tokens, x_start, 8, 7.5).dtype == F32
+    assert arm_set(bundle, fd.SCHEDULE, 2, tokens, x_start).dtype == F32
     assert forwards and set(forwards) == {(F32, F32)}

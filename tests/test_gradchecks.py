@@ -1,5 +1,4 @@
 import flowdistill as fd
-from flowdistill.config import default_config, schedule_from_config
 from flowdistill.gradchecks import REL_TOL, gradcheck_battery
 
 
@@ -7,7 +6,7 @@ def test_gradcheck_battery_passes_at_tiny_dims():
     # Tiny widths keep the coordinate-by-coordinate finite differences to
     # about a second; the losses checked are the ones training calls.
     dims = fd.NetDims(frames=3, hidden=4, time_dim=4, head_hidden=4, vocab=3)
-    results = gradcheck_battery(schedule_from_config(default_config()), dims)
+    results = gradcheck_battery(dims)
     assert [r["name"] for r in results] == [
         "pretrain_eps_mse/base", "pretrain_eps_mse/motion", "distill_mse/motion",
         "disc_conditional/disc", "disc_relaxed/disc",

@@ -133,16 +133,6 @@ def _row_major(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def sched():
-    return fd.build_schedule(128, 0.002, 0.0985703125)
-
-
-@pytest.fixture(scope="module")
-def dims():
-    return fd.NetDims()
-
-
-@pytest.fixture(scope="module")
 def models(dims):
     rng = np.random.default_rng(0)
     base = fd.init_base(dims, rng)

@@ -23,20 +23,6 @@ from flowdistill.nets import (
 
 
 @pytest.fixture(scope="module")
-def sched():
-    return fd.build_schedule(128, 0.002, 0.0985703125)
-
-
-# Every network of this file has the default widths.
-_DIMS = fd.NetDims()
-
-
-@pytest.fixture(scope="module")
-def dims():
-    return _DIMS
-
-
-@pytest.fixture(scope="module")
 def bundle(dims):
     rng = np.random.default_rng(0)
     return fd.StudentBundle(fd.init_base(dims, rng), fd.init_motion(dims, rng, 0.05), dims)
@@ -155,12 +141,12 @@ def test_time_features_cover_clean_boundary(dims):
 
 def _pair(disc, x_t, x_next, t, t_next, tokens, flow_idx, sched):
     return disc_pair_prob(disc, x_t, x_next, t, t_next, tokens, flow_idx,
-                          sched.T, _DIMS)
+                          sched.T, fd.NetDims())
 
 
 def _single(disc, x_next, t_next, tokens, flow_idx, sched):
     return disc_single_prob(disc, x_next, t_next, tokens, flow_idx,
-                            sched.T, _DIMS)
+                            sched.T, fd.NetDims())
 
 
 def test_discriminator_probability_range_and_determinism(sched, dims, bundle):

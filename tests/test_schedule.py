@@ -73,7 +73,16 @@ def test_alpha_bars_strictly_decreasing_and_betas_increasing():
 def test_clean_boundary_alpha_bar():
     sched = build_schedule(16, 0.01, 0.2)
     assert sched.alpha_bar(-1) == 1.0
-    assert sched.sqrt_one_minus_alpha_bar(-1) == 0.0
+    assert np.sqrt(1 - sched.alpha_bar(-1)) == 0.0
+
+
+def test_the_shipped_schedule_ends_at_one_percent_signal(sched):
+    # What ``schedule.SCHEDULE``'s rationale states: 128 timesteps, the
+    # first stage's teacher's step count, and a terminal signal fraction
+    # of 1%.
+    assert sched.T == 128
+    assert (sched.betas[0], sched.betas[-1]) == (0.0018, 0.068487)
+    assert sched.alpha_bar(sched.T - 1) == pytest.approx(0.0099997, abs=1e-7)
 
 
 @pytest.mark.parametrize("bad", [
@@ -105,14 +114,9 @@ def test_integer_timesteps_are_range_checked_like_arrays():
             with pytest.raises(ValueError, match="out of range"):
                 sched.alpha_bar(form)
     assert sched.alpha_bar(-1) == sched.alpha_bar(np.int64(-1)) == 1.0
-    assert sched.sqrt_alpha_bar(7) == sched.sqrt_alpha_bar(np.array(7))
+    assert np.sqrt(sched.alpha_bar(7)) == np.sqrt(sched.alpha_bar(np.array(7)))
     with pytest.raises(TypeError):
         sched.alpha_bar(3.0)
-
-
-@pytest.fixture(scope="module")
-def sched():
-    return build_schedule(128, 0.002, 0.0985703125)
 
 
 # A float64 test's tolerance carried to its float32 twin: the same multiple
