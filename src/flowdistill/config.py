@@ -22,11 +22,12 @@ Sections:
 
 What no run varies is not a key. The noise schedule is
 ``schedule.SCHEDULE``, the network widths are the ``nets.NetDims()``
-defaults, the pretraining learning rate and condition dropout are the
-defaults of ``nets.pretrain_base`` and ``nets.pretrain_motion``, and the
-distillation learning rates are those of ``distill.StageConfig``.
-``config_hash`` hashes the schedule's endpoints and the widths with the
-config, so an edit of either refuses the artifacts built before it.
+defaults, the pretraining learning rate and condition dropout are
+``nets.PRETRAIN_LR`` and ``nets.COND_DROPOUT``, and the distillation
+learning rates are the defaults of ``distill.StageConfig``.
+``config_hash`` hashes the schedule's endpoints, the widths and the four
+rates with the config, so an edit of any of them refuses the artifacts
+built before it.
 
 A config is checked once, where it enters (``load_config`` calls
 ``validate_config``): every key and the JSON type of every value against
@@ -42,7 +43,7 @@ import math
 
 from .datagen import DATASET_STYLES, style_by_name
 from .distill import DISC_STREAM, DistillPlan, StageConfig
-from .nets import NetDims
+from .nets import COND_DROPOUT, PRETRAIN_LR, NetDims
 from .schedule import SCHEDULE
 
 __all__ = [
@@ -173,11 +174,15 @@ def load_config(path_or_default: str) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    """16 hex digits of the SHA-256 of ``cfg`` with the schedule's endpoints
-    and the network widths, the constants every artifact depends on."""
+    """16 hex digits of the SHA-256 of ``cfg`` with the schedule's endpoints,
+    the network widths and the learning rates and condition dropout, the
+    constants every artifact depends on."""
     betas = SCHEDULE.betas
     doc = {**cfg, "schedule": [SCHEDULE.T, float(betas[0]), float(betas[-1])],
-           "nets": dataclasses.asdict(NetDims())}
+           "nets": dataclasses.asdict(NetDims()),
+           "rates": {"pretrain_lr": PRETRAIN_LR, "cond_dropout": COND_DROPOUT,
+                     "lr_student": StageConfig.lr_student,
+                     "lr_disc": StageConfig.lr_disc}}
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 

@@ -64,7 +64,7 @@ def gradcheck_battery(dims: NetDims, seed: int = 7) -> list:
 
     def denoise(base_arrays, motion_arrays):
         return denoise_loss(base_arrays, motion_arrays, noise["x0"], noise["tokens"],
-                            noise["t"], noise["eps"], SCHEDULE, dims)
+                            noise["t"], noise["eps"], SCHEDULE, dims)[0]
 
     def adversarial(motion_arrays, disc_arrays, side):
         return adversarial_loss(base, motion_arrays, disc_arrays, b, 1, side,

@@ -45,6 +45,15 @@ layout; taped gradients may differ from its in their last bits. The
 pretraining loss is ``autodiff.mse``, the one
 squared-error definition that MSE distillation shares.
 
+Pretraining takes the same rank axis taped: ``pretrain_base`` trains one
+base per dataset, all of them stacked, with one taped ``denoise_loss``
+over every base's rows, one backward and one ``Adam`` update per step.
+The loss is the sum of the per-base means, so each base gets its own
+mean's gradient, and its rows come from its own generator: in float32
+each base gets the weights and loss history of training it alone. Both
+pretraining loops read one learning rate, ``PRETRAIN_LR``, and one
+condition dropout, ``COND_DROPOUT``.
+
 Inputs are checked once, where they enter: ``student_eps``,
 ``disc_pair_prob`` and ``disc_single_prob`` check their timesteps
 (integers in ``[-1, T)``) and condition tokens (in ``[0, vocab]``, ``vocab``
@@ -431,13 +440,32 @@ class Adam:
 
 # -- pretraining ---------------------------------------------------------
 
+# The pretraining rates, read by both pretraining loops. No run varies
+# them, and ``config.config_hash`` hashes them, so an edit of either
+# refuses the artifacts built before it.
+PRETRAIN_LR = 3e-3
+COND_DROPOUT = 0.15  # share of rows trained on the null token
+
 
 def denoise_loss(base_arrays, motion_arrays, x0, tokens, t, eps, sched, dims):
-    """Pretraining loss: mean squared error of the predicted noise."""
+    """Pretraining loss, the mean squared error of the predicted noise, and
+    each base's mean of it: ``(loss, means)``.
+
+    ``base_arrays`` may stack R bases on a leading rank axis, the rows
+    grouped by rank (``student_eps``). The loss is then R times the mean
+    over the stack, the sum of the R per-base means, so each base gets
+    exactly its own mean's gradient. ``means`` holds the R per-base means,
+    each with the bits of one base's loss on its rows alone.
+    """
     x_t = add_noise(x0, eps, t, sched)
     x_t = substitute_terminal_noise(x_t, eps, t, sched)
     pred = student_eps(base_arrays, motion_arrays, x_t, t, tokens, sched.T, dims)
-    return ad.mse(pred, eps)
+    w1 = ad.value_of(base_arrays["w1"])
+    ranks = len(w1) if w1.ndim == 3 else 1
+    d = ad.value_of(pred) - eps
+    loss = ad.mse(pred, eps)
+    return (loss if ranks == 1 else ranks * loss), np.mean(
+        (d * d).reshape(ranks, -1), axis=1)
 
 
 def draw_rows(dataset, n: int, rng: np.random.Generator, t_grid,
@@ -470,55 +498,74 @@ def _decayed(lr: float, step: int, steps: int) -> float:
     return lr * 0.1 ** (step / max(steps - 1, 1))
 
 
-def _pretrain(params: dict, keys, loss_of, dataset, sched: NoiseSchedule,
-              dims: NetDims, steps: int, rng: np.random.Generator, lr: float,
-              batch: int, cond_dropout: float) -> list:
+def _pretrain(params: dict, keys, loss_of, datasets, sched: NoiseSchedule,
+              dims: NetDims, steps: int, rngs, lr: float, batch: int,
+              cond_dropout: float) -> list:
     """Adam on the arrays ``params[k]`` for ``k`` in ``keys``, in place;
-    ``loss_of(vars, x0, tokens, t, eps)`` is the loss with those arrays
-    taped. Returns the loss history."""
-    if len(dataset.clips) == 0:
+    ``loss_of(vars, x0, tokens, t, eps)`` is ``denoise_loss`` with those
+    arrays taped. Each step draws ``batch`` rows of each dataset from its
+    own generator in ``rngs`` and concatenates them in that order. Returns
+    one loss history per dataset."""
+    if any(len(ds.clips) == 0 for ds in datasets):
         raise ValueError("empty dataset")
     opt = Adam(lr)
-    history = []
+    histories = [[] for _ in datasets]
     t_grid = np.arange(sched.T)
     for step in range(steps):
-        b = draw_rows(dataset, batch, rng, t_grid, cond_dropout, dims.null_token)
+        draws = [draw_rows(ds, batch, rng, t_grid, cond_dropout, dims.null_token)
+                 for ds, rng in zip(datasets, rngs)]
+        b = {k: np.concatenate([d[k] for d in draws]) for k in draws[0]}
         pvars = {k: ad.Var(params[k]) for k in keys}
-        loss = loss_of(pvars, b["x0"], b["tokens"], b["t"], b["eps"])
+        loss, means = loss_of(pvars, b["x0"], b["tokens"], b["t"], b["eps"])
         ad.backward(loss)
         opt.lr = _decayed(lr, step, steps)
         opt.step(params, {k: pvars[k].grad for k in keys})
-        history.append(float(loss.value))
-    return history
+        for history, mean in zip(histories, means):
+            history.append(float(mean))
+    return histories
 
 
-def pretrain_base(dataset, sched: NoiseSchedule, dims: NetDims, steps: int,
-                  seed, lr: float = 3e-3, batch: int = 128,
-                  cond_dropout: float = 0.15):
-    """Denoising pretraining of one frozen-to-be base model.
+def pretrain_base(datasets, sched: NoiseSchedule, dims: NetDims, steps: int,
+                  seeds, lr: float = PRETRAIN_LR, batch: int = 128,
+                  cond_dropout: float = COND_DROPOUT) -> list:
+    """Denoising pretraining of frozen-to-be base models, one per dataset
+    of ``datasets``, with one seed per dataset in ``seeds``.
 
-    Returns (base arrays, loss_history).
+    The bases train together, stacked on a leading rank axis: each step is
+    one taped ``denoise_loss`` over every base's ``batch`` rows, one
+    backward and one Adam update of the stack. Base r starts from
+    ``init_base`` on the generator of ``seeds[r]``, and each step draws its
+    rows from that generator and ``datasets[r]``, so in float32 every base
+    gets the bits, weights and history, of training it alone. One base is
+    a stack of one. The stack's rows are the caller's to bound: ``runner``
+    trains in the blocks of ``solvers.rank_blocks``.
+
+    Returns one ``(base arrays, loss history)`` per dataset.
     """
-    rng = np.random.default_rng(seed)
-    base = init_base(dims, rng)
-    history = _pretrain(
-        base, BASE_KEYS,
+    if len(datasets) != len(seeds):
+        raise ValueError(f"{len(datasets)} datasets for {len(seeds)} seeds")
+    rngs = list(map(np.random.default_rng, seeds))
+    bases = [init_base(dims, rng) for rng in rngs]
+    stack = {k: np.stack([base[k] for base in bases]) for k in BASE_KEYS}
+    histories = _pretrain(
+        stack, BASE_KEYS,
         lambda pvars, *b: denoise_loss(pvars, None, *b, sched, dims),
-        dataset, sched, dims, steps, rng, lr, batch, cond_dropout)
-    return base, history
+        datasets, sched, dims, steps, rngs, lr, batch, cond_dropout)
+    return [({k: v[r] for k, v in stack.items()}, history)
+            for r, history in enumerate(histories)]
 
 
 def pretrain_motion(base: dict, dataset, sched: NoiseSchedule, dims: NetDims,
-                    steps: int, seed, lr: float = 3e-3, batch: int = 128,
-                    cond_dropout: float = 0.15):
+                    steps: int, seed, lr: float = PRETRAIN_LR, batch: int = 128,
+                    cond_dropout: float = COND_DROPOUT):
     """Train the temporal module against correlated clips; base stays frozen.
 
     Returns (motion arrays, loss_history).
     """
     rng = np.random.default_rng(seed)
     motion = init_motion(dims, rng)
-    history = _pretrain(
+    (history,) = _pretrain(
         motion, MOTION_KEYS,
         lambda mvars, *b: denoise_loss(base, mvars, *b, sched, dims),
-        dataset, sched, dims, steps, rng, lr, batch, cond_dropout)
+        [dataset], sched, dims, steps, [rng], lr, batch, cond_dropout)
     return motion, history

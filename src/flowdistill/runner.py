@@ -28,6 +28,14 @@ tuples as they stand, and the single-model arm trains one rank on the
 default base and the real dataset. Every training dataset of
 ``datagen.DATASET_STYLES`` is built for both.
 
+The base models are pretrained in blocks: ``pretrain_bases`` stacks the
+missing styles' bases in the blocks of ``solvers.rank_blocks`` (whole
+bases together up to ``solvers.SAMPLE_BATCH`` rows, four at the default
+batch of 128) and trains each block as one stack (``nets.pretrain_base``).
+Every base gets the bits of training it alone, so which bases share a
+block does not change any checkpoint, and an interrupted pretraining
+resumes by training only the missing styles.
+
 Each cached artifact has a load-only path beside the path that builds it
 when it is missing: ``load_bundles`` (or ``load_base`` for one base model)
 beside ``pretrained_bundles`` for the pretrained models, ``load_arm``
@@ -76,6 +84,7 @@ from .nets import (
 )
 from .evalmetrics import eval_inputs, reference_set, score_arms
 from .schedule import SCHEDULE
+from .solvers import rank_blocks
 
 __all__ = [
     "Workspace",
@@ -187,19 +196,31 @@ class Workspace:
                 for style in styles}
 
     def pretrain_bases(self, progress=None) -> dict:
-        """Pretrain (or load cached) the base model of every style."""
+        """Pretrain (or load cached) the base model of every style.
+
+        The cached bases are loaded first, so a file from another config
+        is refused before anything trains. The missing ones train in the
+        blocks of ``solvers.rank_blocks``, stacked (``nets.pretrain_base``),
+        and each is written through the cache: every base gets the bits of
+        training it alone, so a partly cached run trains only what is
+        missing and ends as an uninterrupted one.
+        """
         pt = self.cfg["pretrain"]
-
-        def build(style):
-            style_id = style_by_name(style).style_id
+        missing = [s for s in STYLES
+                   if not os.path.exists(self.ckpt_path(f"base_{s.name}"))]
+        bases = {s.name: self._base(s.name) for s in STYLES if s not in missing}
+        for lo, hi in rank_blocks(len(missing), pt["batch"]):
+            block = missing[lo:hi]
             if progress:
-                progress(f"pretraining base model for style {style}")
-            return pretrain_base(self.ground_truth(style), self.sched, self.dims,
-                                 pt["base_steps"], self._seed("base", style_id),
-                                 batch=pt["batch"])[0]
-
-        return {s.name: self._base(s.name, partial(build, s.name))
-                for s in STYLES}
+                progress("pretraining base models for styles "
+                         + ", ".join(s.name for s in block))
+            trained = pretrain_base([self.ground_truth(s.name) for s in block],
+                                    self.sched, self.dims, pt["base_steps"],
+                                    [self._seed("base", s.style_id) for s in block],
+                                    batch=pt["batch"])
+            for style, (base, _) in zip(block, trained):
+                bases[style.name] = self._base(style.name, lambda base=base: base)
+        return {s.name: bases[s.name] for s in STYLES}
 
     def pretrain_shared_motion(self, default_base: dict, progress=None) -> dict:
         def build():

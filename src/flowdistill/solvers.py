@@ -8,7 +8,9 @@ Every traversal treats timestep ``-1`` as the clean boundary
 datasets, the evaluation's reference and arm sets and the ``sample``
 command through :func:`sample_batch`, and each distillation iteration's
 teacher target and the student's detached stride over all ranks at once.
-It is the one place that splits rows into blocks of ``SAMPLE_BATCH``.
+:func:`rank_blocks` is the one rule that groups stacked ranks into blocks
+of at most ``SAMPLE_BATCH`` rows: :func:`traverse` solves in its blocks,
+and ``runner`` pretrains the base models in them.
 
 Predictors are callables ``f(x, t, tokens) -> eps_hat`` on row-major
 (B, frames, frame_dim) states; the model's channel-major activations stay
@@ -55,6 +57,7 @@ __all__ = [
     "euler_solve",
     "start_noise",
     "sample_batch",
+    "rank_blocks",
     "traverse",
 ]
 
@@ -64,7 +67,7 @@ __all__ = [
 # at n = 1 reproduces it and an arm samples as it was trained.
 X0_CLIP = 4.0
 
-SAMPLE_BATCH = 512  # rows per block of an untaped traversal
+SAMPLE_BATCH = 512  # rows per block of a rank-stacked call
 
 
 def cfg_combine(eps_cond, eps_uncond, w: float):
@@ -143,6 +146,15 @@ def start_noise(entropy, n: int, dims) -> np.ndarray:
         (n, dims.frames, dims.frame_dim)).astype(np.float32)
 
 
+def rank_blocks(ranks: int, per_rank: int) -> list:
+    """The blocks of a rank-stacked call as ``(lo, hi)`` rank ranges:
+    whole ranks of ``per_rank`` rows each go together up to
+    ``SAMPLE_BATCH`` rows, and a rank whose rows alone exceed that is a
+    block by itself."""
+    span = max(1, SAMPLE_BATCH // max(per_rank, 1))  # ranks per block
+    return [(lo, min(lo + span, ranks)) for lo in range(0, ranks, span)]
+
+
 def traverse(base: dict, motion: dict, x_t, t, tokens, n: int, s: int,
              sched: NoiseSchedule, dims, w: float = 0.0) -> np.ndarray:
     """The untaped :func:`euler_solve` of ``n`` strides of ``s`` from
@@ -151,9 +163,9 @@ def traverse(base: dict, motion: dict, x_t, t, tokens, n: int, s: int,
 
     ``base`` is one base, or R bases stacked on a leading rank axis with
     the rows grouped by rank (``nets.student_eps``). The rows are solved in
-    blocks by one rule: whole ranks go together up to ``SAMPLE_BATCH``
-    rows, and a rank whose rows alone exceed that is split into blocks of
-    ``SAMPLE_BATCH`` rows. Rows never interact, so in float32 a block gives
+    the blocks of :func:`rank_blocks`, and a rank whose rows alone exceed
+    ``SAMPLE_BATCH`` is split into blocks of ``SAMPLE_BATCH`` rows. Rows
+    never interact, so in float32 a block gives
     each rank the bits of a call on its rows and base alone; a rank split
     differently is equal up to the last bits that BLAS rounding of
     different block sizes can move.
@@ -164,10 +176,8 @@ def traverse(base: dict, motion: dict, x_t, t, tokens, n: int, s: int,
     if rem:
         raise ValueError(f"{len(x_t)} rows do not split evenly over "
                          f"{ranks} stacked bases")
-    span = max(1, SAMPLE_BATCH // max(per_rank, 1))  # ranks per block
     out = np.empty_like(x_t)
-    for lo in range(0, ranks, span):
-        hi = min(lo + span, ranks)
+    for lo, hi in rank_blocks(ranks, per_rank):
         f = predictor(base if ranks == 1 else {k: v[lo:hi] for k, v in base.items()},
                       motion, sched.T, dims, w)
         for a in range(lo * per_rank, hi * per_rank, SAMPLE_BATCH):

@@ -690,14 +690,21 @@ class _WiderDims(NetDims):
     hidden: int = 17
 
 
+@dataclasses.dataclass(frozen=True)
+class _FasterDisc(dist.StageConfig):
+    lr_disc: float = 5e-3
+
+
 @pytest.mark.parametrize("constant, edited", [
     ("SCHEDULE", build_schedule(128, 0.0018, 0.0685)),
     ("NetDims", _WiderDims),
-], ids=["beta_end", "hidden"])
+    ("StageConfig", _FasterDisc),
+    ("COND_DROPOUT", 0.2),
+], ids=["beta_end", "hidden", "lr_disc", "cond_dropout"])
 def test_an_edited_constant_refuses_the_artifacts_built_before_it(
         tiny_config, workdir, monkeypatch, capsys, constant, edited):
-    # The schedule and the widths are not config keys, but the config hash
-    # covers them, as it covers every key.
+    # The schedule, the widths and the rates are not config keys, but the
+    # config hash covers them, as it covers every key.
     cfg = load_config(tiny_config)
     before = config_hash(cfg)
     monkeypatch.setattr(config, constant, edited)

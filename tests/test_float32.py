@@ -61,7 +61,7 @@ def _bundle(seed=0):
 
 def test_a_pretraining_step_tapes_and_differentiates_in_float32(tapes):
     ds = fd.sample_ground_truth(style_by_name("default"), 64, 1)
-    base, _ = fd.pretrain_base(ds, fd.SCHEDULE, DIMS, 1, 0, batch=8)
+    [(base, _)] = fd.pretrain_base([ds], fd.SCHEDULE, DIMS, 1, [0], batch=8)
     fd.pretrain_motion(base, ds, fd.SCHEDULE, DIMS, 1, 0, batch=8)
     assert tapes == [{"values": {F32}, "grads": {F32}, "leaves": len(keys)}
                      for keys in (BASE_KEYS, MOTION_KEYS)]

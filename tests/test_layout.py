@@ -218,9 +218,9 @@ def _taped_cases(models, sched, dims):
     pre = (pre["x0"], pre["tokens"], pre["t"], pre["eps"])
     cases = {
         "denoise_loss, base": (base, lambda p: denoise_loss(
-            p, None, *pre, sched, dims)),
+            p, None, *pre, sched, dims)[0]),
         "denoise_loss, motion": (motion, lambda p: denoise_loss(
-            base, p, *pre, sched, dims)),
+            base, p, *pre, sched, dims)[0]),
         "mse_loss": (motion, lambda p: mse_loss(
             base, p, _stride_batch(models, MSE_STAGE, sched, dims), sched, dims)),
     }

@@ -273,7 +273,7 @@ def test_relaxed_discriminator_swaps_the_head_and_keeps_backbone(dims, bundle):
 def test_pretrain_base_learns_analytic_predictor(sched, dims):
     ds = sample_ground_truth(ANALYTIC_STYLE, 8000, [99, 1], frames=dims.frames,
                              vocab=dims.vocab)
-    base, history = fd.pretrain_base(ds, sched, dims, 4000, [99, 2])
+    [(base, history)] = fd.pretrain_base([ds], sched, dims, 4000, [[99, 2]])
     assert np.mean(history[-50:]) < np.mean(history[:50])
     bundle = fd.StudentBundle(base, fd.init_motion(dims, np.random.default_rng(1729)), dims)
     rng = np.random.default_rng(11)
@@ -292,7 +292,7 @@ def test_pretrain_base_learns_analytic_predictor(sched, dims):
 def test_pretrain_zero_lr_keeps_parameters(sched, dims):
     ds = sample_ground_truth(ANALYTIC_STYLE, 256, [98, 1], frames=dims.frames,
                              vocab=dims.vocab)
-    base, _ = fd.pretrain_base(ds, sched, dims, 3, [98, 2], lr=0.0)
+    [(base, _)] = fd.pretrain_base([ds], sched, dims, 3, [[98, 2]], lr=0.0)
     fresh = fd.init_base(dims, np.random.default_rng([98, 2]))
     for key in BASE_KEYS:
         assert np.array_equal(base[key], fresh[key]), key
@@ -302,7 +302,7 @@ def test_pretrain_motion_trains_only_motion(sched, dims):
     from flowdistill.datagen import style_by_name
     ds = sample_ground_truth(style_by_name("default"), 2048, [97, 1],
                              frames=dims.frames, vocab=dims.vocab)
-    base, _ = fd.pretrain_base(ds, sched, dims, 400, [97, 2])
+    [(base, _)] = fd.pretrain_base([ds], sched, dims, 400, [[97, 2]])
     frozen = {k: v.copy() for k, v in base.items()}
     motion, history = fd.pretrain_motion(base, ds, sched, dims, 300, [97, 3])
     assert np.mean(history[-20:]) < np.mean(history[:20])
@@ -341,7 +341,7 @@ def test_pretrain_empty_dataset_rejected(sched, dims):
     empty = ClipDataset(np.zeros((0, dims.frames, dims.frame_dim), np.float32),
                         np.zeros(0, np.int32), "ground_truth", "default", 0)
     with pytest.raises(ValueError):
-        fd.pretrain_base(empty, sched, dims, 10, 0)
+        fd.pretrain_base([empty], sched, dims, 10, [0])
 
 
 def test_adam_zero_lr_is_bit_exact_noop():
