@@ -7,7 +7,8 @@ shared module down to few-step sampling against all bases at once, with a
 flow-conditional discriminator for the adversarial stages. Each
 distillation iteration is a data-parallel step over the config's rank
 table: a rank (``Rank``) is one frozen base and one dataset, and
-``rank_step`` is its share of the step.
+``rank_step`` takes the share of a block of ranks, stacked on a leading
+rank axis, in one taped pass and one backward.
 """
 
 from .autodiff import Var, backward, gradcheck

@@ -26,7 +26,8 @@ so it may differ in its last bits.
 
 A leading rank axis stacks R independent models of one shape: ``dense``
 takes one weight per rank, (R, K, C), and a (R, C) bias, ``_take_rows`` a
-(R, V, C) table, and a frame stack is then (R, C, frames, rows). Row-major
+(R, V, C) table, ``temporal_mix`` a (R, C, F, G) mix, and a frame stack is
+then (R, C, frames, rows). Row-major
 operands keep all R·B rows on their leading axis, grouped by rank (rank
 r's rows are r·B to r·B + B - 1), and each rank's rows meet only its own
 weights and tables. A rank-stacked product runs the 2-D product of an
@@ -451,9 +452,11 @@ def temporal_mix(mix, h, *rows, act=None):
     stack: ``act(mix @ h + rows…)``, out[c,f,b] = sum_g mix[c,f,g] * h[c,g,b].
 
     ``mix`` is (C, F, G) and ``h`` (C, G, B), or rank-stacked (R, C, G, B)
-    with ``mix`` shared by every rank; the product is one batched matmul
-    over channels (and ranks), and so is each gradient. Each row term is
-    (N, C) and broadcasts over frames (see :func:`_affine`).
+    with ``mix`` shared by every rank or one per rank, (R, C, F, G); the
+    product is one batched matmul over channels (and ranks), and so is each
+    gradient. A shared ``mix`` sums its gradient over ranks; a rank-stacked
+    one gives each rank the gradient of a call on its own rows. Each row
+    term is (N, C) and broadcasts over frames (see :func:`_affine`).
     """
     mv, hv = value_of(mix), value_of(h)
 

@@ -28,21 +28,29 @@ stacked on a leading rank axis so that each rank's rows run through its
 own base: the frozen teacher's ``target`` where the loss reads it, on
 every MSE iteration and every discriminator iteration, and on a
 discriminator iteration also the student's single stride, ``fake``. Both
-are constants of the loss that reads them. ``rank_step`` then runs per
-rank on its own block of rows and holds only taped work: it tapes the side
-being updated and the one loss that side minimises (``mse_loss``, or
-``adversarial_loss``'s ``l_d`` or ``l_g``) once over its
-``micro_batch * grad_accum`` rows and runs one ``backward``. Every loss is
-a mean over rows and the micro-batches are the same size, so this is the
-mean of the micro-batch gradients up to summation order. The ranks'
-gradients are averaged in rank order and one optimizer step follows. A
-discriminator iteration scores the teacher's endpoint (the real sample)
-and the student's stride (the fake one) in one discriminator pass on the
-two stacked on the row axis. A student iteration scores the student's
-taped stride alone, since the teacher's rows carry no gradient to the
-student, so it traverses nothing untaped: its batch is noised and nothing
-more. Rows never interact, so in float32 a stacked traversal gives each
-rank the bits of a traversal of its rows alone.
+are constants of the loss that reads them. ``rank_step`` then runs once
+per block of ranks (``solvers.rank_blocks``) on their rows and holds only
+taped work: it tapes the side being updated as one copy per rank, stacked
+on the rank axis beside the block's bases, and the one loss that side
+minimises (``mse_loss``, or ``adversarial_loss``'s ``l_d`` or ``l_g``)
+over each rank's ``micro_batch * grad_accum`` rows, and runs one
+``backward``. A block holds as many whole ranks as keep the rows its
+taped encoders take within ``SAMPLE_BATCH``: per rank, its rows once for
+the MSE stage, three times for the pair head (the student's stride or
+none, ``x_t`` and one or two candidates) and twice for the single head.
+The block's loss is the sum of its ranks' means, so rank r's copy gets
+exactly rank r's gradient. Every loss is a mean over rows and the
+micro-batches are the same size, so this is the mean of the micro-batch
+gradients up to summation order. The ranks' gradients are averaged in
+float64 in rank order and one optimizer step follows. A discriminator
+iteration scores the teacher's endpoint (the real sample) and the
+student's stride (the fake one) in one discriminator pass, each rank's two
+stacked on the row axis. A student iteration scores the student's taped
+stride alone, since the teacher's rows carry no gradient to the student,
+so it traverses nothing untaped: its batch is noised and nothing more.
+Rows never interact and every layer of a block is one product per rank,
+so in float32 a stacked traversal or step gives each rank the bits,
+losses and gradients included, of one on its rows alone.
 """
 from __future__ import annotations
 
@@ -63,10 +71,14 @@ from .nets import (
     disc_single_prob,
     draw_rows,
     init_discriminator,
+    rank_means,
+    rank_sum,
+    ranked_mse,
     relaxed_discriminator,
+    stack_size,
 )
 from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
-from .solvers import euler_solve, predictor, traverse
+from .solvers import euler_solve, predictor, rank_blocks, traverse
 
 __all__ = [
     "StageConfig",
@@ -233,31 +245,53 @@ def _student_stride(base_arrays, motion, b, sched: NoiseSchedule, dims):
 
 def mse_loss(base_arrays, motion, b: dict, sched: NoiseSchedule, dims):
     """Mean squared gap between the student's single stride and the
-    teacher's ``target``. ``motion`` holds Vars (taped) or plain arrays."""
+    teacher's ``target``, and each rank's: ``(loss, losses)``. ``motion``
+    holds Vars (taped) or plain arrays.
+
+    ``base_arrays`` is one base, or R bases stacked on a leading rank axis
+    with ``b``'s rows grouped by rank; ``motion`` may stack R copies too,
+    one per rank. The loss is R times the mean over the stack, so each
+    rank gets exactly its own mean's gradient, and ``losses`` holds the R
+    per-rank means (``nets.ranked_mse``).
+    """
     pred = _student_stride(base_arrays, motion, b, sched, dims)
-    return ad.mse(pred, b["target"])
+    return ranked_mse(pred, b["target"], stack_size(base_arrays))
 
 
-def adversarial_loss(base_arrays, motion, disc_arrays, b: dict, flow_idx: int,
+def _rank_major(ranks: int, *parts) -> np.ndarray:
+    """``parts``, each with its rows grouped by rank, interleaved by rank:
+    rank 0's rows of each part in turn, then rank 1's, and so on."""
+    shape = parts[0].shape
+    return np.stack([p.reshape((ranks, -1) + shape[1:]) for p in parts],
+                    axis=1).reshape((-1,) + shape[1:])
+
+
+def adversarial_loss(base_arrays, motion, disc_arrays, b: dict, flow_idx,
                      side: str, sched: NoiseSchedule, dims):
     """The non-saturating loss that ``side`` minimises, with the teacher's
-    ``target`` as the real sample and the student's stride as the fake one.
+    ``target`` as the real sample and the student's stride as the fake one,
+    and each rank's: ``(loss, losses)``.
 
-    ``side`` "disc" gives ``l_d``: ``b``'s ``target`` and ``fake`` (the
-    student's untaped stride) are stacked on the row axis and scored by one
-    discriminator pass; it runs no student, so ``base_arrays`` and
-    ``motion`` go unread. ``side`` "student" gives ``l_g`` from a pass over
-    the student's stride alone. The head is the one ``disc_arrays`` holds:
-    the pair head of the trajectory-conditional phase when it holds
-    ``hp1_w``, else the relaxed single head. ``motion`` and ``disc_arrays``
-    each hold Vars or plain arrays; the side given as arrays is a constant
-    of the returned loss.
+    ``flow_idx`` is one flow index, or one per rank over R ranks whose rows
+    ``b`` groups by rank; the loss is R times the mean over the stack and
+    ``losses`` holds the R per-rank losses, as in :func:`mse_loss`.
+    ``side`` "disc" gives ``l_d``: each rank's ``target`` and ``fake`` (the
+    student's untaped stride) rows are stacked on the row axis, and one
+    discriminator pass scores them all; it runs no student, so
+    ``base_arrays`` and ``motion`` go unread. ``side`` "student" gives
+    ``l_g`` from a pass over the student's stride alone. The head is the
+    one ``disc_arrays`` holds: the pair head of the trajectory-conditional
+    phase when it holds ``hp1_w``, else the relaxed single head.
+    ``motion`` and ``disc_arrays`` each hold Vars or plain arrays, either
+    one model or R copies stacked, one per rank; the side given as arrays
+    is a constant of the returned loss.
     """
     if side not in ("disc", "student"):
         raise ValueError(f"unknown side {side!r}")
+    ranks = np.size(flow_idx)
     t_next = b["t"] - b["n"] * b["s"]
     if side == "disc":
-        x_next = np.concatenate([b["target"], b["fake"]])
+        x_next = _rank_major(ranks, b["target"], b["fake"])
     else:
         x_next = _student_stride(base_arrays, motion, b, sched, dims)
     if "hp1_w" in disc_arrays:
@@ -268,24 +302,32 @@ def adversarial_loss(base_arrays, motion, disc_arrays, b: dict, flow_idx: int,
                              flow_idx, sched.T, dims)
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
     if side == "student":
-        return -ad.mean_all(ad.log(ad.clamp(p, lo, hi)))
-    real = np.arange(len(b["tokens"]))
-    p_real = ad.clamp(ad._take_rows(p, real), lo, hi)
-    p_fake = ad.clamp(ad._take_rows(p, real + len(real)), lo, hi)
-    return -ad.mean_all(ad.log(p_real)) - ad.mean_all(ad.log(1.0 - p_fake))
+        log_p = ad.log(ad.clamp(p, lo, hi))
+        return (rank_sum(-ad.mean_all(log_p), ranks),
+                -rank_means(ad.value_of(log_p), ranks))
+    per_rank = len(b["tokens"]) // ranks
+    real = (2 * per_rank * np.arange(ranks)[:, None] + np.arange(per_rank)).ravel()
+    log_real = ad.log(ad.clamp(ad._take_rows(p, real), lo, hi))
+    log_fake = ad.log(1.0 - ad.clamp(ad._take_rows(p, real + per_rank), lo, hi))
+    loss = -ad.mean_all(log_real) - ad.mean_all(log_fake)
+    return rank_sum(loss, ranks), (-rank_means(ad.value_of(log_real), ranks)
+                                   - rank_means(ad.value_of(log_fake), ranks))
 
 
-def _taped(arrays: dict) -> dict:
-    return {k: ad.Var(v) for k, v in arrays.items()}
+def _copies(arrays: dict, ranks: int) -> dict:
+    """``ranks`` copies of each array, stacked on a leading rank axis."""
+    return {k: np.stack([v] * ranks) for k, v in arrays.items()}
 
 
-def rank_step(base, motion, disc, b: dict, flow_idx: int, side: str,
+def rank_step(bases, motion, disc, b: dict, flows, side: str,
               sched: NoiseSchedule, dims) -> tuple:
-    """One rank's local loss and gradients on its stride batch ``b``:
-    ({name: loss}, grads). ``b`` holds this rank's rows of the stride batch
-    that ``run_stage`` builds for all ranks' rows, and ``base`` is this
-    rank's own (unstacked) base. It runs no untaped solve: ``run_stage``
-    traversed every rank's ``target`` and ``fake`` before it.
+    """The local losses and gradients of a block of R ranks on their rows
+    of the stride batch ``b``: ``({name: (R,) losses}, {key: (R, ...)
+    gradients})``. ``bases`` stacks the block's R bases on a leading rank
+    axis, ``b`` holds their rows of the stride batch that ``run_stage``
+    builds for all ranks' rows, grouped by rank, and ``flows`` their R
+    flow indices. It runs no untaped solve: ``run_stage`` traversed every
+    rank's ``target`` and ``fake`` before it.
 
     ``disc`` None is the MSE stage, which updates the student and returns
     ``mse`` against ``b``'s ``target``. Otherwise ``side`` selects which
@@ -293,21 +335,32 @@ def rank_step(base, motion, disc, b: dict, flow_idx: int, side: str,
     discriminator's ``l_d`` scores ``b``'s ``target`` and ``fake`` (the
     student's stride as a detached sample), the student's ``l_g``
     differentiates through the (frozen this iteration) discriminator and
-    reads the noised rows alone. Only the side being updated is taped; base
-    parameters never receive an entry.
+    reads the noised rows alone. Only the side being updated is taped, as
+    R copies of its arrays stacked on a leading rank axis, so rank r's
+    copy receives exactly rank r's gradient; base parameters never receive
+    an entry. The discriminator enters the student's loss as R stacked
+    copies too, so every layer is one product per rank, as for the bases.
+    One ``backward`` runs over the block's loss, the sum of its ranks'
+    losses, so in float32 each rank gets the losses and gradients of a
+    call on its rows alone.
     """
     if disc is None and side != "student":
         raise ValueError(f"unknown side {side!r} for the MSE stage")
-    pvars = _taped(disc if side == "disc" else motion)
+    ranks = stack_size(bases)
+    if np.shape(flows) != (ranks,):
+        raise ValueError(f"{np.size(flows)} flow indices for {ranks} stacked bases")
+    pvars = {k: ad.Var(v)
+             for k, v in _copies(disc if side == "disc" else motion, ranks).items()}
     if disc is None:
-        name, loss = "mse", mse_loss(base, pvars, b, sched, dims)
+        name, (loss, losses) = "mse", mse_loss(bases, pvars, b, sched, dims)
+    elif side == "disc":
+        name, (loss, losses) = "l_d", adversarial_loss(
+            bases, motion, pvars, b, flows, side, sched, dims)
     else:
-        name = "l_d" if side == "disc" else "l_g"
-        loss = adversarial_loss(base, pvars if side == "student" else motion,
-                                pvars if side == "disc" else disc, b, flow_idx,
-                                side, sched, dims)
+        name, (loss, losses) = "l_g", adversarial_loss(
+            bases, pvars, _copies(disc, ranks), b, flows, side, sched, dims)
     ad.backward(loss)
-    return {name: float(loss.value)}, {k: v.grad for k, v in pvars.items()}
+    return {name: losses}, {k: v.grad for k, v in pvars.items()}
 
 
 def _dump_diagnostics(ctx: DistillContext, stage: StageConfig, phase, iteration,
@@ -371,6 +424,7 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
     t_grid = stage_timesteps(stage, ctx.sched.T)
     ranks = sorted(ctx.ranks, key=lambda r: r.rank)
     bases = {k: np.stack([r.base[k] for r in ranks]) for k in ranks[0].base}
+    flows = np.array([r.flow_idx for r in ranks])
     rows = stage.micro_batch * stage.grad_accum
     history: list = []
     for phase_idx, phase in enumerate(stage.phases()):
@@ -379,6 +433,11 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
                 disc, ctx.dims, _stage_rng(ctx.seed, stage, 1, DISC_STREAM))
         rngs = [_stage_rng(ctx.seed, stage, phase_idx, r.rank) for r in ranks]
         opt = {"student": Adam(stage.lr_student), "disc": Adam(stage.lr_disc)}
+        # The rows each rank puts through a taped encoder: the student's
+        # stride, x_t and one candidate for the pair head, or the stride
+        # and one candidate for the single head, on either side.
+        passes = {None: 1, "trajectory_conditional": 3, "relaxed": 2}[phase]
+        blocks = rank_blocks(len(ranks), rows * passes)
         for it in range(stage.iterations):
             side = "disc" if disc is not None and it % 2 == 0 else "student"
             # Data-parallel step: each rank draws its rows from its own
@@ -387,8 +446,8 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
             # base: the teacher's where the loss reads the target (the MSE
             # loss, and l_d's real sample), and the student's stride on a
             # discriminator iteration (l_d's fake sample). Then one taped
-            # step per rank on its own rows, the mean over ranks in rank
-            # order and one optimizer update.
+            # step per block of ranks on their rows, the mean over ranks in
+            # rank order and one optimizer update.
             draws = [draw_rows(r.dataset, stage.micro_batch, rng, t_grid)
                      for r, rng in zip(ranks, rngs)
                      for _ in range(stage.grad_accum)]
@@ -402,16 +461,18 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
                 b["fake"] = traverse(bases, motion, *args, 1, b["n"] * b["s"],
                                      ctx.sched, ctx.dims)
             rank_grads: list = []
-            step_losses: list = []
-            for i, r in enumerate(ranks):
-                own = {k: v[i * rows:(i + 1) * rows] if k in _ROW_KEYS else v
+            rank_losses: dict = {}
+            for lo, hi in blocks:
+                own = {k: v[lo * rows:hi * rows] if k in _ROW_KEYS else v
                        for k, v in b.items()}
-                losses, grads = rank_step(r.base, motion, disc, own, r.flow_idx,
-                                          side, ctx.sched, ctx.dims)
-                rank_grads.append(grads)
-                step_losses.append(losses)
-            mean_losses = {k: float(np.mean([d[k] for d in step_losses]))
-                           for k in step_losses[0]}
+                losses, grads = rank_step({k: v[lo:hi] for k, v in bases.items()},
+                                          motion, disc, own, flows[lo:hi], side,
+                                          ctx.sched, ctx.dims)
+                rank_grads += [{k: g[i] for k, g in grads.items()}
+                               for i in range(hi - lo)]
+                for k, v in losses.items():
+                    rank_losses.setdefault(k, []).extend(map(float, v))
+            mean_losses = {k: float(np.mean(v)) for k, v in rank_losses.items()}
             if not all(np.isfinite(v) for v in mean_losses.values()):
                 dump = _dump_diagnostics(ctx, stage, phase, it, motion, disc,
                                          mean_losses)

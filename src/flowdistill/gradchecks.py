@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .distill import _student_stride, adversarial_loss, mse_loss
+from .distill import _copies, _student_stride, adversarial_loss, mse_loss
 from .nets import (
     NetDims,
     StudentBundle,
@@ -47,20 +47,36 @@ def _setup(dims: NetDims, seed: int = 7):
     tokens = rng.integers(0, dims.vocab, batch)
     t = np.asarray([SCHEDULE.T // 2, SCHEDULE.T // 3])
     noise = dict(x0=x0, tokens=tokens, t=t, eps=eps)
-    # A stride batch as ``distill.run_stage`` builds it on a discriminator
-    # iteration, with a random target and the untaped stride of ``motion``
-    # as the fake sample.
-    stride = dict(x_t=add_noise(x0, eps, t, SCHEDULE), t=t, tokens=tokens,
-                  n=4, s=SCHEDULE.T // 16,
-                  target=rng.normal(0.0, 0.7, x0.shape))
-    stride["fake"] = _student_stride(base, motion, stride, SCHEDULE, dims)
-    return base, motion, pair, relaxed, noise, stride
+    stride = _stride_batch(base, motion, x0, eps, tokens, t, rng, dims)
+    # A second base, stacked with the first: two ranks of two rows each.
+    bases = {k: np.stack([base[k], v]) for k, v in init_base(dims, rng).items()}
+    x0 = rng.normal(0.0, 0.7, (2 * batch, dims.frames, dims.frame_dim))
+    stacked = _stride_batch(bases, motion, x0, rng.standard_normal(x0.shape),
+                            rng.integers(0, dims.vocab, 2 * batch),
+                            np.tile(t, 2), rng, dims)
+    return base, motion, pair, relaxed, noise, stride, bases, stacked
+
+
+def _stride_batch(base, motion, x0, eps, tokens, t, rng, dims):
+    """A stride batch as ``distill.run_stage`` builds it on a discriminator
+    iteration, with a random target and the untaped stride of ``motion``
+    as the fake sample; ``base`` may stack one base per rank."""
+    b = dict(x_t=add_noise(x0, eps, t, SCHEDULE), t=t, tokens=tokens,
+             n=4, s=SCHEDULE.T // 16, target=rng.normal(0.0, 0.7, x0.shape))
+    b["fake"] = _student_stride(base, motion, b, SCHEDULE, dims)
+    return b
 
 
 def gradcheck_battery(dims: NetDims, seed: int = 7) -> list:
     """Returns one record per checked loss, on the shipped schedule: name,
-    worst error, pass flag."""
-    base, motion, pair, relaxed, noise, b = _setup(dims, seed)
+    worst error, pass flag.
+
+    The rows named ``…/2 ranks`` check the losses as ``distill.rank_step``
+    calls them on a block of ranks: two bases stacked, two rows each, the
+    taped side as one copy per rank and the discriminator at flow indices
+    (1, 2).
+    """
+    base, motion, pair, relaxed, noise, b, bases, stacked = _setup(dims, seed)
 
     def denoise(base_arrays, motion_arrays):
         return denoise_loss(base_arrays, motion_arrays, noise["x0"], noise["tokens"],
@@ -68,18 +84,34 @@ def gradcheck_battery(dims: NetDims, seed: int = 7) -> list:
 
     def adversarial(motion_arrays, disc_arrays, side):
         return adversarial_loss(base, motion_arrays, disc_arrays, b, 1, side,
-                                SCHEDULE, dims)
+                                SCHEDULE, dims)[0]
 
+    def ranked(motion_arrays, disc_arrays, side):
+        return adversarial_loss(bases, motion_arrays, disc_arrays, stacked,
+                                np.array([1, 2]), side, SCHEDULE, dims)[0]
+
+    motions = _copies(motion, 2)
     checks = [
         ("pretrain_eps_mse/base", lambda p: denoise(p, None), base),
         ("pretrain_eps_mse/motion", lambda p: denoise(base, p), motion),
-        ("distill_mse/motion", lambda p: mse_loss(base, p, b, SCHEDULE, dims), motion),
+        ("distill_mse/motion",
+         lambda p: mse_loss(base, p, b, SCHEDULE, dims)[0], motion),
         ("disc_conditional/disc", lambda p: adversarial(motion, p, "disc"), pair),
         ("disc_relaxed/disc", lambda p: adversarial(motion, p, "disc"), relaxed),
         ("generator_conditional/motion",
          lambda p: adversarial(p, pair, "student"), motion),
         ("generator_relaxed/motion", lambda p: adversarial(p, relaxed, "student"),
          motion),
+        ("distill_mse/motion/2 ranks",
+         lambda p: mse_loss(bases, p, stacked, SCHEDULE, dims)[0], motions),
+        ("disc_conditional/disc/2 ranks", lambda p: ranked(motion, p, "disc"),
+         _copies(pair, 2)),
+        ("disc_relaxed/disc/2 ranks", lambda p: ranked(motion, p, "disc"),
+         _copies(relaxed, 2)),
+        ("generator_conditional/motion/2 ranks",
+         lambda p: ranked(p, _copies(pair, 2), "student"), motions),
+        ("generator_relaxed/motion/2 ranks",
+         lambda p: ranked(p, _copies(relaxed, 2), "student"), motions),
     ]
 
     results = []

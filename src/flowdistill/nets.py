@@ -22,7 +22,10 @@ Architecture at desk scale:
   Both heads score a stack of candidate next states (the teacher's and the
   student's, or the student's alone) with one backbone pass over the
   stack, and the pair head encodes x_t once and tiles its features to
-  every candidate.
+  every candidate. One pass takes the rows of R ranks, grouped by rank,
+  with one flow index per rank: each rank's rows read their own flow's
+  embedding, and each rank's candidates are tiled within its own block of
+  rows (rank major, then candidate, then row).
 
 Each layer is one tape node: ``autodiff.dense`` for the base's layers and
 the heads, ``autodiff.temporal_mix`` for the motion block's mixes. Inside
@@ -40,10 +43,15 @@ leading axis, (R·B, F, D), and inside the encoder each activation gains
 the rank axis in front, (R, hidden, F, B). Each rank's rows meet its own
 base's weights and tables and the shared motion module, so in float32
 each rank gets the bits of a call on its rows and base alone (see
-``autodiff``). Untaped float32 outputs have the bits of the row-major
-layout; taped gradients may differ from its in their last bits. The
-pretraining loss is ``autodiff.mse``, the one
-squared-error definition that MSE distillation shares.
+``autodiff``). The motion module and the discriminator take the same
+rank axis, R copies stacked, one per rank, as a taped distillation step
+holds them: then every layer is one product per rank, and each rank's
+copy receives the gradient of a call on its rows alone. Untaped float32
+outputs have the bits of the row-major layout; taped gradients may differ
+from its in their last bits. The pretraining loss is ``ranked_mse``, the
+one squared-error definition that MSE distillation shares: over R ranks'
+rows it is the sum of the per-rank means (``rank_sum``), which the
+adversarial losses use too.
 
 Pretraining takes the same rank axis taped: ``pretrain_base`` trains one
 base per dataset, all of them stacked, with one taped ``denoise_loss``
@@ -309,19 +317,24 @@ def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims,
     return eps if w1.ndim == 2 else ad.reshape(eps, shape)
 
 
-def _disc_features(disc_arrays, x, t, tokens, flow_idx, T: int, dims: NetDims):
-    # ``t`` and ``tokens`` were checked by the public caller.
-    if not 0 <= flow_idx < ad.value_of(disc_arrays["flow_emb"]).shape[0]:
-        raise ValueError(f"unregistered flow index {flow_idx}")
+def _disc_features(disc_arrays, x, t, tokens, flows, T: int, dims: NetDims):
+    """(N, frames * hidden) features of the N rows of ``x``, grouped by rank
+    over the R ranks of ``flows``: rank r's rows take flow ``flows[r]``. A
+    rank-stacked discriminator (every array (R, ...)) runs each rank's rows
+    through its own arrays. ``t``, ``tokens`` and ``flows`` were checked by
+    the public caller."""
+    rows = ad.value_of(x).shape[0]
     tfeat = time_features(t, T, dims.time_dim)
     if tfeat.ndim == 1:
-        tfeat = np.broadcast_to(tfeat, (ad.value_of(x).shape[0], dims.time_dim))
+        tfeat = np.broadcast_to(tfeat, (rows, dims.time_dim))
     flow_rows = ad._take_rows(disc_arrays["flow_emb"],
-                              np.full(ad.value_of(x).shape[0], flow_idx, dtype=np.intp))
+                              np.repeat(flows, rows // len(flows)))
     tfeat = flow_rows + tfeat
+    if ad.value_of(disc_arrays["w1"]).ndim == 3:
+        x = ad.reshape(x, (len(flows), -1) + ad.value_of(x).shape[1:])
     motion = {k: disc_arrays[k] for k in MOTION_KEYS}
     h = ad.transpose(_encode(disc_arrays, ad.transpose(x), tfeat, tokens, motion))
-    return ad.reshape(h, (ad.value_of(h).shape[0], dims.frames * dims.hidden))
+    return ad.reshape(h, (rows, dims.frames * dims.hidden))
 
 
 def _head(arrays, feats, w1, b1, w2, b2):
@@ -339,32 +352,59 @@ def _candidates(x_next, tokens) -> int:
     return k
 
 
-def _tiled(a, k: int):
-    """``a`` repeated ``k`` times along the row axis; a scalar is kept."""
+def _check_flows(disc_arrays, flow_idx, rows: int) -> np.ndarray:
+    """``flow_idx``, one flow index or one per rank, as an (R,) index
+    array, after checking that each is a row of the flow table, that the
+    ``rows`` condition rows split evenly over the R ranks, and that a
+    rank-stacked discriminator stacks R ranks."""
+    flows = np.atleast_1d(np.asarray(flow_idx, dtype=np.intp))
+    table = ad.value_of(disc_arrays["flow_emb"])
+    bad = flows[(flows < 0) | (flows >= table.shape[-2])]
+    if bad.size:
+        raise ValueError(f"unregistered flow index {bad[0]}")
+    if table.ndim == 3 and len(table) != len(flows):
+        raise ValueError(f"{len(table)} stacked discriminators for "
+                         f"{len(flows)} flow indices")
+    if rows % len(flows):
+        raise ValueError(f"{rows} rows do not split evenly over {len(flows)} ranks")
+    return flows
+
+
+def _tiled(a, k: int, ranks: int):
+    """``a``, its rows grouped by rank, with each rank's rows repeated ``k``
+    times: rank major, then candidate, then row. A scalar is kept."""
     a = np.asarray(a)
-    return a if a.ndim == 0 or k == 1 else np.concatenate([a] * k)
+    if a.ndim == 0 or k == 1:
+        return a
+    return np.repeat(a.reshape(ranks, 1, -1), k, axis=1).reshape(-1)
 
 
 def disc_pair_prob(disc_arrays, x_t, x_next, t, t_next, tokens, flow_idx,
                    T: int, dims: NetDims):
     """Probability that each (x_t -> x_next) is a teacher transition.
 
-    ``x_next`` stacks ``k`` candidate next states for the same ``B`` rows
-    of ``x_t``, ``t``, ``t_next`` and ``tokens`` (``k * B`` rows, candidate
-    major). One backbone pass encodes every candidate and one encodes
-    ``x_t``; the ``x_t`` features are tiled to each candidate and
-    concatenated with its features along the channel axis before the pair
-    head. Returns ``k * B`` probabilities.
+    The ``B`` rows of ``x_t``, ``t``, ``t_next`` and ``tokens`` are grouped
+    by rank over the R ranks of ``flow_idx`` (one flow index, or one per
+    rank). ``x_next`` stacks ``k`` candidate next states for each rank's
+    rows: ``k * B`` rows, rank major, then candidate, then row. One
+    backbone pass encodes every candidate and one encodes ``x_t``; each
+    rank's ``x_t`` features are tiled to its candidates and concatenated
+    with their features along the channel axis before the pair head.
+    Returns ``k * B`` probabilities.
     """
     if not np.all(np.asarray(t_next) < np.asarray(t)):
         raise ValueError("t_next must precede t")
     tokens = _check_inputs(tokens, dims, T, t, t_next)
     k = _candidates(x_next, tokens)
-    f_cur = _disc_features(disc_arrays, x_t, t, tokens, flow_idx, T, dims)
-    f_next = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
-                            _tiled(tokens, k), flow_idx, T, dims)
-    tiled = ad.concat([f_cur] * k, axis=0) if k > 1 else f_cur
-    feats = ad.concat([f_next, tiled], axis=-1)
+    flows = _check_flows(disc_arrays, flow_idx, len(tokens))
+    ranks = len(flows)
+    f_cur = _disc_features(disc_arrays, x_t, t, tokens, flows, T, dims)
+    f_next = _disc_features(disc_arrays, x_next, _tiled(t_next, k, ranks),
+                            _tiled(tokens, k, ranks), flows, T, dims)
+    if k > 1:
+        f_cur = ad.reshape(ad.concat([ad.reshape(f_cur, (ranks, 1, -1))] * k, axis=1),
+                           ad.value_of(f_next).shape)
+    feats = ad.concat([f_next, f_cur], axis=-1)
     return ad.sigmoid(_head(disc_arrays, feats, "hp1_w", "hp1_b", "hp2_w", "hp2_b"))
 
 
@@ -372,14 +412,15 @@ def disc_single_prob(disc_arrays, x_next, t_next, tokens, flow_idx,
                      T: int, dims: NetDims):
     """Probability from the relaxed (single-pass) head.
 
-    ``x_next`` stacks ``k`` candidates for the ``B`` rows of ``t_next`` and
-    ``tokens``, as in :func:`disc_pair_prob`; one backbone pass encodes
-    them all. Returns ``k * B`` probabilities.
+    ``x_next`` stacks ``k`` candidates for each rank's rows of ``t_next``
+    and ``tokens``, as in :func:`disc_pair_prob`; one backbone pass
+    encodes them all. Returns ``k * B`` probabilities.
     """
     tokens = _check_inputs(tokens, dims, T, t_next)
     k = _candidates(x_next, tokens)
-    feats = _disc_features(disc_arrays, x_next, _tiled(t_next, k),
-                           _tiled(tokens, k), flow_idx, T, dims)
+    flows = _check_flows(disc_arrays, flow_idx, len(tokens))
+    feats = _disc_features(disc_arrays, x_next, _tiled(t_next, k, len(flows)),
+                           _tiled(tokens, k, len(flows)), flows, T, dims)
     return ad.sigmoid(_head(disc_arrays, feats, "hs1_w", "hs1_b", "hs2_w", "hs2_b"))
 
 
@@ -447,6 +488,34 @@ PRETRAIN_LR = 3e-3
 COND_DROPOUT = 0.15  # share of rows trained on the null token
 
 
+def stack_size(arrays) -> int:
+    """R for a model whose arrays are stacked on a leading rank axis, 1 for
+    one model; read from its first layer's weight."""
+    w1 = ad.value_of(arrays["w1"])
+    return len(w1) if w1.ndim == 3 else 1
+
+
+def rank_sum(loss, ranks: int):
+    """A mean over R ranks' equal shares of rows as their sum of per-rank
+    means: R times ``loss``. Each rank then gets exactly the gradient of
+    its own mean, since R / (R·n) rounds as 1 / n does. One rank's loss is
+    returned as it is."""
+    return loss if ranks == 1 else ranks * loss
+
+
+def rank_means(values, ranks: int) -> np.ndarray:
+    """The R per-rank means of ``values``, its rows grouped by rank: each
+    has the bits of the mean over that rank's rows alone."""
+    return np.mean(np.reshape(values, (ranks, -1)), axis=1)
+
+
+def ranked_mse(pred, target, ranks: int):
+    """``autodiff.mse`` over R ranks' rows, grouped by rank, summed over
+    ranks (:func:`rank_sum`), and each rank's own: ``(loss, means)``."""
+    d = ad.value_of(pred) - target
+    return rank_sum(ad.mse(pred, target), ranks), rank_means(d * d, ranks)
+
+
 def denoise_loss(base_arrays, motion_arrays, x0, tokens, t, eps, sched, dims):
     """Pretraining loss, the mean squared error of the predicted noise, and
     each base's mean of it: ``(loss, means)``.
@@ -460,12 +529,7 @@ def denoise_loss(base_arrays, motion_arrays, x0, tokens, t, eps, sched, dims):
     x_t = add_noise(x0, eps, t, sched)
     x_t = substitute_terminal_noise(x_t, eps, t, sched)
     pred = student_eps(base_arrays, motion_arrays, x_t, t, tokens, sched.T, dims)
-    w1 = ad.value_of(base_arrays["w1"])
-    ranks = len(w1) if w1.ndim == 3 else 1
-    d = ad.value_of(pred) - eps
-    loss = ad.mse(pred, eps)
-    return (loss if ranks == 1 else ranks * loss), np.mean(
-        (d * d).reshape(ranks, -1), axis=1)
+    return ranked_mse(pred, eps, stack_size(base_arrays))
 
 
 def draw_rows(dataset, n: int, rng: np.random.Generator, t_grid,

@@ -10,7 +10,8 @@ command through :func:`sample_batch`, and each distillation iteration's
 teacher target and the student's detached stride over all ranks at once.
 :func:`rank_blocks` is the one rule that groups stacked ranks into blocks
 of at most ``SAMPLE_BATCH`` rows: :func:`traverse` solves in its blocks,
-and ``runner`` pretrains the base models in them.
+``runner`` pretrains the base models in them and ``distill.run_stage``
+tapes its steps in them.
 
 Predictors are callables ``f(x, t, tokens) -> eps_hat`` on row-major
 (B, frames, frame_dim) states; the model's channel-major activations stay

@@ -37,7 +37,7 @@ COUNTS = {
         "ranks.all_reduce_shared.bytes": 0, "ranks.all_reduce_shared.calls": 0,
     },
     "distill-cross": {
-        "autodiff.backward.calls": 144, "autodiff.backward.nodes": 6032,
+        "autodiff.backward.calls": 50, "autodiff.backward.nodes": 2374,
         "checkpoint.checkpoint_save.bytes": 49740,
         "datagen.load_dataset.bytes": 157151, "datagen.save_dataset.bytes": 0,
         "evalmetrics.energy_distance.pairs": 0, "nets.student_eps.rows": 27648,

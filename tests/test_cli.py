@@ -695,6 +695,15 @@ class _FasterDisc(dist.StageConfig):
     lr_disc: float = 5e-3
 
 
+@pytest.fixture(scope="module")
+def pretrained_workdir(tiny_config, tmp_path_factory):
+    """A workdir of its own that ``pretrain`` alone has filled, at the tiny
+    config: the bases and the pretrained motion, nothing else."""
+    wd = str(tmp_path_factory.mktemp("pretrained"))
+    assert cli(["pretrain", "--config", tiny_config, "--workdir", wd]) == 0
+    return wd
+
+
 @pytest.mark.parametrize("constant, edited", [
     ("SCHEDULE", build_schedule(128, 0.0018, 0.0685)),
     ("NetDims", _WiderDims),
@@ -702,14 +711,17 @@ class _FasterDisc(dist.StageConfig):
     ("COND_DROPOUT", 0.2),
 ], ids=["beta_end", "hidden", "lr_disc", "cond_dropout"])
 def test_an_edited_constant_refuses_the_artifacts_built_before_it(
-        tiny_config, workdir, monkeypatch, capsys, constant, edited):
+        tiny_config, pretrained_workdir, monkeypatch, capsys, constant, edited):
     # The schedule, the widths and the rates are not config keys, but the
-    # config hash covers them, as it covers every key.
+    # config hash covers them, as it covers every key: pretrain refuses
+    # the checkpoints it wrote before the edit.
     cfg = load_config(tiny_config)
     before = config_hash(cfg)
+    capsys.readouterr()
     monkeypatch.setattr(config, constant, edited)
     assert config_hash(cfg) != before
-    assert cli(["eval", "--config", tiny_config, "--workdir", workdir]) == 1
+    assert cli(["pretrain", "--config", tiny_config,
+                "--workdir", pretrained_workdir]) == 1
     err = capsys.readouterr().err
     assert f"produced under config {before}, current config is {config_hash(cfg)}" in err
 
@@ -822,9 +834,10 @@ def test_distill_divergence_exits_with_dump_path(tiny_config, workdir, tmp_path,
                                                  monkeypatch, capsys):
     wd = _copy_undistilled(workdir, tmp_path / "diverge")
 
-    def poisoned(base, motion, *args, **kwargs):
-        return {"mse": float("nan")}, {k: np.zeros_like(v, dtype=np.float64)
-                                       for k, v in motion.items()}
+    def poisoned(bases, motion, *args, **kwargs):
+        ranks = len(bases["w1"])
+        return {"mse": np.full(ranks, np.nan)}, {
+            k: np.zeros((ranks,) + v.shape) for k, v in motion.items()}
 
     monkeypatch.setattr(dist, "rank_step", poisoned)
     assert cli(["distill", "--config", tiny_config, "--workdir", wd]) == 1

@@ -7,6 +7,7 @@ import flowdistill as fd
 from flowdistill.datagen import style_by_name
 from flowdistill import autodiff as ad
 import flowdistill.distill as dist
+import flowdistill.nets as nets
 from flowdistill.distill import (
     DISC_STREAM,
     DistillContext,
@@ -91,9 +92,22 @@ def _with_fake(base, motion, b, sched, dims):
     return {**b, "fake": _student_stride(base, motion, b, sched, dims)}
 
 
+def _stack(bases) -> dict:
+    """``bases`` stacked on a leading rank axis."""
+    return {k: np.stack([b[k] for b in bases]) for k in BASE_KEYS}
+
+
+def _one_rank_step(base, motion, disc, b, flow_idx, side, sched, dims):
+    """``rank_step`` on a block of one rank: its losses and gradients."""
+    losses, grads = rank_step(_stack([base]), motion, disc, b, [flow_idx], side,
+                              sched, dims)
+    return ({k: float(v[0]) for k, v in losses.items()},
+            {k: g[0] for k, g in grads.items()})
+
+
 def _mse_step(base, teacher, motion, batch, stage, sched, dims):
     b = _stride_batch(base, teacher, batch, stage, sched, dims)
-    losses, grads = rank_step(base, motion, None, b, 0, "student", sched, dims)
+    losses, grads = _one_rank_step(base, motion, None, b, 0, "student", sched, dims)
     return losses["mse"], grads
 
 
@@ -103,7 +117,8 @@ def _adversarial_step(base, teacher, motion, disc, batch, stage, flow_idx,
     that one loss, ``l_d`` or ``l_g``, and nothing else."""
     b = _with_fake(base, motion, _stride_batch(base, teacher, batch, stage, sched,
                                                dims), sched, dims)
-    losses, grads = rank_step(base, motion, disc, b, flow_idx, side, sched, dims)
+    losses, grads = _one_rank_step(base, motion, disc, b, flow_idx, side, sched,
+                                   dims)
     (name, loss), = losses.items()
     assert name == {"disc": "l_d", "student": "l_g"}[side]
     return loss, grads
@@ -314,26 +329,28 @@ def test_adversarial_probabilities_clamped(sched, dims, setup):
 
 
 def test_discriminator_step_peak_memory_per_row(sched, dims, setup):
-    # One trajectory-conditional discriminator step over one rank's rows at
-    # the default micro_batch * grad_accum. Freeing each interior gradient
-    # as backward uses it keeps the peak well under what the whole tape's
-    # gradients would add (about 95 KB/row when they are all kept).
-    base, motion, ds = setup
+    # One trajectory-conditional discriminator step over the block that
+    # run_stage gives the pair head at the default micro_batch * grad_accum:
+    # 2 ranks of 64 rows, 3 x 64 rows each through the taped encoder.
+    # Freeing each interior gradient as backward uses it keeps the peak
+    # well under what the whole tape's gradients would add (about 95 KB/row
+    # when they are all kept). Measured: 30 KB/row and 3.9 MB per block.
+    base, motion, _ = setup
     rng = np.random.default_rng(13)
     disc = init_discriminator(dims, 2, rng,
                               backbone_from=fd.StudentBundle(base, motion, dims))
     st = StageConfig(32, 8, "adversarial", 1)
     rows = st.micro_batch * st.grad_accum
-    b = _with_fake(base, motion, _stride_batch(
-        base, motion, _batch(ds, st, sched, rng, n=rows), st, sched, dims),
-        sched, dims)
+    assert solvers.rank_blocks(8, 3 * rows)[0] == (0, 2)
+    _, stacked, b = _block(sched, dims, setup, 2, rows, 14)
     tracemalloc.start()
     try:
-        rank_step(base, motion, disc, b, 1, "disc", sched, dims)
+        rank_step(stacked, motion, disc, b, np.array([0, 1]), "disc", sched, dims)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / rows < 85e3
+    assert peak / (2 * rows) < 85e3
+    assert peak < 6e6
 
 
 def _tiny_ctx(sched, dims, seed=0, tmpdir=None):
@@ -449,19 +466,19 @@ def _accumulated_grads(stage, ranks, draw_stride, step_grads):
     return _mean_in_order(micro)
 
 
-def _reference_grads(base, motion, disc, b, flow_idx, side, sched, dims):
-    """The gradients of one rank's loss on ``b``, taped and differentiated
-    here, with a zero array for each taped parameter the loss misses."""
+def _reference_step(base, motion, disc, b, flow_idx, side, sched, dims):
+    """One rank's loss value and gradients on ``b`` alone, taped and
+    differentiated here on its unstacked base and arrays."""
     pvars = {k: ad.Var(v) for k, v in (disc if side == "disc" else motion).items()}
     if disc is None:
-        loss = mse_loss(base, pvars, b, sched, dims)
+        loss, _ = mse_loss(base, pvars, b, sched, dims)
     else:
-        loss = adversarial_loss(base, pvars if side == "student" else motion,
-                                pvars if side == "disc" else disc, b, flow_idx,
-                                side, sched, dims)
+        loss, _ = adversarial_loss(base, pvars if side == "student" else motion,
+                                   pvars if side == "disc" else disc, b, flow_idx,
+                                   side, sched, dims)
     ad.backward(loss)
-    return {k: v.grad if v.grad is not None else np.zeros_like(v.value)
-            for k, v in pvars.items()}
+    return loss.value, {k: v.grad if v.grad is not None else np.zeros_like(v.value)
+                        for k, v in pvars.items()}
 
 
 def _reference_stage(stage, ctx, teacher, iteration_grads, dtype):
@@ -470,7 +487,10 @@ def _reference_stage(stage, ctx, teacher, iteration_grads, dtype):
     place of the pair head, and
     every iteration takes ``iteration_grads`` of the ranks and makes one
     Adam step. The strides of a discriminator iteration carry the
-    student's fake stride, computed per rank and micro-batch."""
+    student's fake stride, computed per rank and micro-batch. Returns the
+    trained motion and the history: each iteration's loss is the mean of
+    the losses of its ``step_grads`` calls, in rank order, which for
+    :func:`_folded_grads` is the mean over ranks of each rank's loss."""
     motion = {k: v.copy() for k, v in teacher.items()}
     disc = None
     if stage.loss_kind == "adversarial":
@@ -478,6 +498,7 @@ def _reference_stage(stage, ctx, teacher, iteration_grads, dtype):
                                   _stage_rng(ctx.seed, stage, 0, DISC_STREAM),
                                   ctx.pretrained)
     ranks = sorted(ctx.ranks, key=lambda r: r.rank)
+    history = []
     for phase_idx, phase in enumerate(stage.phases()):
         if phase == "relaxed":
             disc = relaxed_discriminator(
@@ -497,16 +518,24 @@ def _reference_stage(stage, ctx, teacher, iteration_grads, dtype):
                     b = _with_fake(r.base, motion, b, ctx.sched, ctx.dims)
                 return b
 
+            losses = []
+
             def step_grads(r, b):
-                return _reference_grads(r.base, motion, disc, b, r.flow_idx,
-                                        side, ctx.sched, ctx.dims)
+                loss, grads = _reference_step(r.base, motion, disc, b, r.flow_idx,
+                                              side, ctx.sched, ctx.dims)
+                losses.append(float(loss))
+                return grads
 
             grads = iteration_grads(stage, ranks, draw_stride, step_grads)
             if side == "student":
                 opt_student.step(motion, grads)
             else:
                 opt_disc.step(disc, grads)
-    return motion
+            name = "mse" if disc is None else {"disc": "l_d", "student": "l_g"}[side]
+            history.append({"stage": stage.name, "phase": phase or "mse",
+                            "iteration": it, "side": side,
+                            name: float(np.mean(losses))})
+    return motion, history
 
 
 _REFERENCE_STAGES = pytest.mark.parametrize("stage", [
@@ -521,8 +550,9 @@ def _stage_and_reference(sched, dims, stage, iteration_grads, monkeypatch,
     """Run ``run_stage`` and the reference loop on a three-rank context, on
     rows of clips and noise in ``dtype`` (``run_stage`` draws float32 rows;
     at float64 its draws are swapped for float64 ones from the same
-    stream); returns the float64 gradients each Adam step received and the
-    trained motion, for ``run_stage`` and for the reference."""
+    stream). Returns, for ``run_stage`` and for the reference, the float64
+    gradients each Adam step received, the parameters (motion or
+    discriminator) it left, the trained motion and the history."""
     if dtype == np.float64:
         monkeypatch.setattr(dist, "draw_rows", lambda ds, n, rng, grid: _rows(
             ds, grid, rng, n, dtype))
@@ -537,34 +567,58 @@ def _stage_and_reference(sched, dims, stage, iteration_grads, monkeypatch,
     # Compare the float64 gradients each update receives: an early Adam step
     # is close to sign(g), so the float32 parameters alone would hide a
     # change of summation order.
-    updates = []
+    updates, params = [], []
     adam_step = Adam.step
 
-    def recording_step(self, params, grads):
+    def recording_step(self, model, grads):
         updates.append({k: np.array(v, copy=True) for k, v in grads.items()})
-        adam_step(self, params, grads)
+        adam_step(self, model, grads)
+        params.append({k: v.copy() for k, v in model.items()})
 
+    # run_stage folds each iteration's three ranks into one taped block.
+    blocks = _block_sizes(monkeypatch)
     monkeypatch.setattr(Adam, "step", recording_step)
     ctx, motion = three_rank_ctx()
-    out, _ = run_stage(stage, ctx, motion)
-    got = updates[:]
+    got = (*run_stage(stage, ctx, motion), updates[:], params[:])
+    n_steps = stage.iterations * len(stage.phases())
+    assert blocks == [3] * n_steps
     updates.clear()
-    ref = _reference_stage(stage, *three_rank_ctx(), iteration_grads, dtype)
-    assert len(got) == len(updates) == stage.iterations * len(stage.phases())
-    for g, r in zip(got, updates):
+    params.clear()
+    want = (*_reference_stage(stage, *three_rank_ctx(), iteration_grads, dtype),
+            updates, params)
+    assert len(got[2]) == len(want[2]) == n_steps
+    for g, r in zip(got[2], want[2]):
         assert g.keys() == r.keys()
-    assert not np.array_equal(out["mix_out"], motion["mix_out"])
-    return got, updates, out, ref
+    assert not np.array_equal(got[0]["mix_out"], motion["mix_out"])
+    return got, want
+
+
+def _block_sizes(monkeypatch) -> list:
+    """The ranks of each block ``run_stage`` hands ``rank_step`` while a
+    test runs."""
+    seen = []
+    step = dist.rank_step
+
+    def spy(bases, *args):
+        seen.append(len(bases["w1"]))
+        return step(bases, *args)
+
+    monkeypatch.setattr(dist, "rank_step", spy)
+    return seen
 
 
 def _matches_per_rank_reference(sched, dims, stage, monkeypatch, dtype):
-    got, want, out, ref = _stage_and_reference(sched, dims, stage,
-                                               _folded_grads, monkeypatch, dtype)
-    for g, r in zip(got, want):
+    (out, history, grads, params), (ref, ref_history, ref_grads, ref_params) = (
+        _stage_and_reference(sched, dims, stage, _folded_grads, monkeypatch, dtype))
+    for g, r in zip(grads, ref_grads):
         for key in g:
             assert np.array_equal(g[key], r[key]), key
+    for p, r in zip(params, ref_params):
+        for key in p:
+            assert p[key].tobytes() == r[key].tobytes(), key
     for key in out:
         assert np.array_equal(out[key], ref[key]), key
+    assert history == ref_history
 
 
 @_REFERENCE_STAGES
@@ -594,7 +648,9 @@ def _matches_micro_step_accumulation(sched, dims, stage, monkeypatch, dtype,
     # bits BLAS moves in each row's forward pass when the row count changes.
     # Both roundings are limited by the sum of the absolute values of the
     # row terms, not by their sum, which can nearly cancel (a fresh head's
-    # bias gradient does). The bound is ``tol`` of that magnitude.
+    # bias gradient does). The bound is ``tol`` of that magnitude. run_stage
+    # steps each iteration's ranks as one folded block (checked by
+    # _stage_and_reference), so the bound holds for the fold as well.
     magnitudes = []
 
     def accumulated(stage, ranks, draw_stride, step_grads):
@@ -610,9 +666,9 @@ def _matches_micro_step_accumulation(sched, dims, stage, monkeypatch, dtype,
                            for k in grads})
         return grads
 
-    got, want, _, _ = _stage_and_reference(sched, dims, stage, accumulated,
-                                           monkeypatch, dtype)
-    for g, r, size in zip(got, want, magnitudes):
+    got, want = _stage_and_reference(sched, dims, stage, accumulated, monkeypatch,
+                                     dtype)
+    for g, r, size in zip(got[2], want[2], magnitudes):
         for key in g:
             gap = np.linalg.norm(g[key] - r[key])
             assert gap <= tol * np.linalg.norm(size[key]), key
@@ -639,9 +695,10 @@ def test_nan_loss_aborts_with_dump(sched, dims, tmp_path, monkeypatch):
 
     import flowdistill.distill as dist
 
-    def poisoned(*args, **kwargs):
-        return {"mse": float("nan")}, {k: np.zeros_like(v, dtype=np.float64)
-                                       for k, v in motion.items()}
+    def poisoned(bases, *args, **kwargs):
+        ranks = len(bases["w1"])
+        return {"mse": np.full(ranks, np.nan)}, {
+            k: np.zeros((ranks,) + v.shape) for k, v in motion.items()}
 
     monkeypatch.setattr(dist, "rank_step", poisoned)
     with pytest.raises(fd.DistillDivergence) as err:
@@ -658,9 +715,10 @@ def test_divergence_dump_that_fails_partway_leaves_no_json(sched, dims, tmp_path
 
     import flowdistill.distill as dist
 
-    def poisoned(*args, **kwargs):
-        return {"mse": float("nan")}, {k: np.zeros_like(v, dtype=np.float64)
-                                       for k, v in motion.items()}
+    def poisoned(bases, *args, **kwargs):
+        ranks = len(bases["w1"])
+        return {"mse": np.full(ranks, np.nan)}, {
+            k: np.zeros((ranks,) + v.shape) for k, v in motion.items()}
 
     def dump_partway(obj, fh, **kwargs):
         fh.write('{"stage": ')
@@ -707,7 +765,7 @@ def _stacked_bases(dims, ranks, seed):
     """``ranks`` distinct bases, and the same stacked on a leading axis."""
     rng = np.random.default_rng(seed)
     bases = [fd.init_base(dims, rng) for _ in range(ranks)]
-    return bases, {k: np.stack([b[k] for b in bases]) for k in BASE_KEYS}
+    return bases, _stack(bases)
 
 
 def _rank_rows(ds, stage, sched, ranks, rows, seed):
@@ -852,6 +910,11 @@ def _adversarial_disc(dims, setup, phase, rng):
     return disc
 
 
+def _adversarial_loss(*args):
+    """``adversarial_loss``'s loss, without its per-rank losses."""
+    return adversarial_loss(*args)[0]
+
+
 def _taped(losses_of, side, base, motion, disc, b, *args):
     """(value, grads, tape size) of ``losses_of``'s loss with ``side``'s
     arrays taped; a reference's (l_d, l_g) pair gives the side's own."""
@@ -889,7 +952,7 @@ def test_stacked_discriminator_matches_two_call_reference(sched, dims, setup,
     b = _with_fake(base, motion, _stride_batch(
         base, motion, _batch(ds, st, sched, rng, n=16), st, sched, dims),
         sched, dims)
-    got = _taped(adversarial_loss, side, base, motion, disc, b, 1, side, sched,
+    got = _taped(_adversarial_loss, side, base, motion, disc, b, 1, side, sched,
                  dims)
     stacked, two_call = (_taped(ref, side, base, motion, disc, b, phase, 1, sched,
                                 dims) for ref in (_stacked_losses, _two_call_losses))
@@ -946,7 +1009,7 @@ def test_student_iterations_score_only_the_fake_rows(sched, dims, setup, phase,
     b = _stride_batch(base, motion, _batch(ds, st, sched, rng, n=rows,
                                            dtype=np.float32), st, sched, dims)
     passes = _disc_passes(monkeypatch)
-    got = _taped(adversarial_loss, "student", base, motion, disc, b, 1, "student",
+    got = _taped(_adversarial_loss, "student", base, motion, disc, b, 1, "student",
                  sched, dims)
     head = "pair" if phase == "trajectory_conditional" else "single"
     assert passes == [(head, rows)]
@@ -974,9 +1037,11 @@ def test_each_phase_holds_only_the_head_it_trains(sched, dims, monkeypatch):
     ctx, motion = _tiny_ctx(sched, dims)
     run_stage(StageConfig(32, 8, "adversarial", 2, micro_batch=2, grad_accum=1),
               ctx, motion)
-    heads = [("pair", DISC_HEAD_PAIR_KEYS)] * 4 + [("single", DISC_HEAD_SINGLE_KEYS)] * 4
-    assert [side for _, side, _ in seen] == ["disc", "disc", "student", "student"] * 2
-    assert len(passes) == len(seen)  # 2 iterations x 2 ranks x 2 phases
+    heads = [("pair", DISC_HEAD_PAIR_KEYS)] * 2 + [("single", DISC_HEAD_SINGLE_KEYS)] * 2
+    assert [side for _, side, _ in seen] == ["disc", "student"] * 2
+    # 2 iterations x 2 phases, each one block of both ranks' 2 rows.
+    assert [rows for *_, rows in seen] == [4] * 4
+    assert len(passes) == len(seen)
     for (keys, side, rows), (head, scored), (want_head, head_keys) in zip(
             seen, passes, heads):
         assert keys == {*DISC_BACKBONE_KEYS, "flow_emb", *head_keys}, want_head
@@ -995,8 +1060,8 @@ def test_only_iterations_that_read_the_target_traverse_the_teacher(
     # student's detached stride; l_g scores the student's taped stride
     # alone. So an MSE iteration traverses once (the teacher's n strides),
     # a discriminator iteration twice (the teacher's, then the student's
-    # one stride), each over every rank's rows before the first rank step,
-    # and a student iteration not at all.
+    # one stride), each over every rank's rows before the rank step, and a
+    # student iteration not at all.
     n, _ = stage_strides(stage, sched.T)
     solve, step = solvers.euler_solve, dist.rank_step
     traversals = []  # (strides, rows) of each traversal since the last step
@@ -1007,11 +1072,11 @@ def test_only_iterations_that_read_the_target_traverse_the_teacher(
         return solve(f, x_t, t, tokens, strides, s, sched)
 
     def recording_step(base, motion, disc, b, flow_idx, side, *args):
-        if base is ctx.ranks[0].base:  # the first rank step of an iteration
-            seen.append(("mse" if disc is None else side, traversals[:],
-                         "target" in b, "fake" in b))
-            traversals.clear()
-        assert not traversals
+        # Both ranks are one block, so every step is its iteration's first.
+        assert len(flow_idx) == len(ctx.ranks)
+        seen.append(("mse" if disc is None else side, traversals[:],
+                     "target" in b, "fake" in b))
+        traversals.clear()
         return step(base, motion, disc, b, flow_idx, side, *args)
 
     monkeypatch.setattr(solvers, "euler_solve", counting_solve)
@@ -1113,3 +1178,119 @@ def test_a_student_iteration_refuses_a_bad_batch_as_teacher_stride_does(
         _stride_batch(ctx.ranks[0].base, motion, draws[len(ctx.ranks)], stage,
                       sched, dims)
     assert str(got.value) == str(want.value)
+
+
+# -- folded blocks ---------------------------------------------------------
+
+_LOSSES = [("mse", "student"), ("trajectory_conditional", "disc"),
+           ("trajectory_conditional", "student"), ("relaxed", "disc"),
+           ("relaxed", "student")]
+
+
+def _block(sched, dims, setup, ranks, rows, seed):
+    """``ranks`` distinct bases, stacked, and a stride batch of ``rows``
+    float32 rows per rank as run_stage builds it on a discriminator
+    iteration: target and fake traversed over the stack."""
+    _, motion, ds = setup
+    stage = StageConfig(32, 8, "adversarial", 1)
+    bases, stacked = _stacked_bases(dims, ranks, seed)
+    b = _noised_stride(_rank_rows(ds, stage, sched, ranks, rows, seed + 1), stage,
+                       sched, dims)
+    for key, n, s in (("target", b["n"], b["s"]), ("fake", 1, b["n"] * b["s"])):
+        b[key] = traverse(stacked, motion, b["x_t"], b["t"], b["tokens"], n, s,
+                          sched, dims)
+    return bases, stacked, b
+
+
+@pytest.mark.parametrize("phase, side", _LOSSES, ids=lambda v: str(v))
+@pytest.mark.parametrize("ranks", [1, 2, 3, 8])
+def test_a_folded_block_gives_each_rank_its_own_step(sched, dims, setup, ranks,
+                                                     phase, side):
+    # One rank_step over a block of ranks, each on its own base and flow:
+    # in float32 every rank gets, bit for bit, the loss and the gradients
+    # of the per-rank reference, a step on its rows alone with its
+    # unstacked base and the unstacked taped side. 3 ranks are a count
+    # that is not a power of two.
+    _, motion, _ = setup
+    rows = 8
+    bases, stacked, b = _block(sched, dims, setup, ranks, rows, 90 + ranks)
+    disc = (None if phase == "mse"
+            else _adversarial_disc(dims, setup, phase, np.random.default_rng(91)))
+    if disc is not None:
+        disc["flow_emb"] = np.random.default_rng(92).normal(
+            0, 0.5, (3, dims.time_dim)).astype(np.float32)
+    flows = (2 * np.arange(ranks) + 1) % 3
+    losses, grads = rank_step(stacked, motion, disc, b, flows, side, sched, dims)
+    (name, got), = losses.items()
+    assert name == {"mse": "mse", "disc": "l_d", "student": "l_g"}[
+        "mse" if disc is None else side]
+    assert got.shape == (ranks,) and got.dtype == np.float32
+    for r, base in enumerate(bases):
+        own = {k: v[r * rows:(r + 1) * rows] if k in _ROW_KEYS else v
+               for k, v in b.items()}
+        loss, want = _reference_step(base, motion, disc, own, flows[r], side,
+                                     sched, dims)
+        np.testing.assert_array_equal(got[r], loss, strict=True)
+        assert grads.keys() == want.keys()
+        for key, ref in want.items():
+            np.testing.assert_array_equal(grads[key][r], ref, strict=True,
+                                          err_msg=key)
+
+
+def test_no_taped_block_exceeds_sample_batch_encoder_rows(sched, dims,
+                                                          monkeypatch):
+    # rank_blocks over rows x passes, the rows each rank puts through an
+    # encoder inside rank_step: 1 x 64 for MSE, 3 x 64 for the pair head
+    # (the student's stride or none, x_t and one or two candidates) and
+    # 2 x 64 for the single head, so blocks of 8, 2 and 4 ranks at the
+    # shipped 64 rows per rank.
+    ctx, motion = _tiny_ctx(sched, dims)
+    ctx.ranks[:] = [ctx.ranks[r % 2]._replace(rank=r) for r in range(8)]
+    calls = []  # (phase, ranks, encoder rows) per rank_step
+    inside = [False]
+    encode, step = nets._encode, dist.rank_step
+
+    def counting_encode(params, x, *args):
+        if inside[0]:  # the untaped traversals run outside rank_step
+            shape = ad.value_of(x).shape
+            calls[-1][2] += shape[-1] * (shape[0] if len(shape) == 4 else 1)
+        return encode(params, x, *args)
+
+    def spy(bases, motion, disc, b, flows, side, *args):
+        phase = None if disc is None else "pair" if "hp1_w" in disc else "single"
+        calls.append([phase, len(flows), 0])
+        inside[0] = True
+        try:
+            return step(bases, motion, disc, b, flows, side, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(nets, "_encode", counting_encode)
+    monkeypatch.setattr(dist, "rank_step", spy)
+    for stage in (StageConfig(128, 32, "mse_cfg", 1, cfg_scale=7.5),
+                  StageConfig(32, 8, "adversarial", 2)):
+        run_stage(stage, ctx, motion)
+    rows = 64
+    assert [tuple(c[:2]) for c in calls] == (
+        [(None, 8)] + [("pair", 2)] * 8 + [("single", 4)] * 4)
+    passes = {None: 1, "pair": 3, "single": 2}
+    for phase, ranks, encoded in calls:
+        assert encoded == ranks * rows * passes[phase] <= solvers.SAMPLE_BATCH
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+@pytest.mark.parametrize("side", ["disc", "student"])
+@pytest.mark.parametrize("phase", ["trajectory_conditional", "relaxed"])
+def test_a_flow_index_out_of_range_in_any_rank_is_refused(sched, dims, setup,
+                                                          phase, side, bad):
+    _, motion, _ = setup
+    _, stacked, b = _block(sched, dims, setup, 3, 4, 95)
+    disc = _adversarial_disc(dims, setup, phase, np.random.default_rng(96))
+    disc["flow_emb"] = np.zeros((3, dims.time_dim), np.float32)
+    for rank in range(3):
+        flows = np.array([0, 1, 2])
+        flows[rank] = bad
+        with pytest.raises(ValueError, match=f"unregistered flow index {bad}"):
+            rank_step(stacked, motion, disc, b, flows, side, sched, dims)
+    with pytest.raises(ValueError, match="2 flow indices for 3 stacked bases"):
+        rank_step(stacked, motion, disc, b, np.array([0, 1]), side, sched, dims)

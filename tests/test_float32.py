@@ -97,8 +97,8 @@ def test_a_distillation_iteration_tapes_and_differentiates_in_float32(
     monkeypatch.setattr(dist, "rank_step", spy)
     ctx, teacher = _context()
     run_stage(stage, ctx, teacher)
-    # Both ranks step on each side of each phase.
-    assert steps == [(head, side, {F32}) for head, side in sides for _ in range(2)]
+    # Both ranks step as one block on each side of each phase.
+    assert steps == [(head, side, {F32}) for head, side in sides]
     assert len(tapes) == len(steps)
     for tape in tapes:
         assert tape["values"] == tape["grads"] == {F32}

@@ -222,7 +222,7 @@ def _taped_cases(models, sched, dims):
         "denoise_loss, motion": (motion, lambda p: denoise_loss(
             base, p, *pre, sched, dims)[0]),
         "mse_loss": (motion, lambda p: mse_loss(
-            base, p, _stride_batch(models, MSE_STAGE, sched, dims), sched, dims)),
+            base, p, _stride_batch(models, MSE_STAGE, sched, dims), sched, dims)[0]),
     }
     for phase, disc in discs.items():
         def adv(side, disc=disc):
@@ -233,7 +233,7 @@ def _taped_cases(models, sched, dims):
                 base, p if side == "student" else motion,
                 p if side == "disc" else disc,
                 {**b, "fake": _student_stride(base, motion, b, sched, dims)},
-                1, side, sched, dims)
+                1, side, sched, dims)[0]
 
         cases[f"adversarial, {phase}, disc"] = (disc, adv("disc"))
         cases[f"adversarial, {phase}, student"] = (motion, adv("student"))
