@@ -8,7 +8,8 @@ flow-conditional discriminator for the adversarial stages. Each
 distillation iteration is a data-parallel step over the config's rank
 table: a rank (``Rank``) is one frozen base and one dataset, and
 ``rank_step`` takes the share of a block of ranks, stacked on a leading
-rank axis, in one taped pass and one backward.
+rank axis, in one taped pass and one backward. Which arrays carry that
+rank axis is the one layout rule that ``nets`` states.
 """
 
 from .autodiff import Var, backward, gradcheck

@@ -6,36 +6,36 @@ is fixed and deliberately tiny. Each layer is one fused affine node:
 per-channel frame mixing with the same row terms and activation. Besides
 those there are elementwise arithmetic, embedding-row lookup for indices
 checked by the caller, concatenation along any axis, reshaping, the
-axis-reversing ``transpose``, sigmoid, log and clamp, the full mean and
-the mean squared error.
+frame stack's ``transpose`` between row-major and channel-major, sigmoid,
+log and clamp, the full mean and the mean squared error.
 
-The layout: a stack of frames is a C-contiguous channel-major
-(C, frames, rows) array. A dense layer over it is one ``w.T @ x`` on its
-(K, frames * rows) matrix and the frame mix is one ``mix @ h`` batched
-over channels, so each product is written straight into a fresh
-contiguous buffer. A (C,) bias enters as (C, 1, 1) and each (rows, C) row
-term as a contiguous (C, 1, rows) copy, so every add and every gradient
-sum runs over contiguous trailing axes. Row-major (rows, K) matrices, the
-networks' time projections and heads, take the plain ``x @ w``.
-``transpose`` converts between a row-major (rows, frames, C) stack and the
-channel-major one. In float32 the products round as the row-major ones
-did, so untaped float32 values keep the row-major layout's bits (float64
-ones may differ in their last bits); a weight, bias or row-term gradient
-sums over rows and frames in another order than a row-major layer would,
-so it may differ in its last bits.
+Frame stacks follow the layout rule that ``nets`` states: a stack of
+frames is a C-contiguous channel-major (R, C, frames, rows) array whose
+leading rank axis is R = 1 for one model's call, and an operand carries a
+rank axis only when it differs per rank. A dense layer over a stack is one
+``w.T @ x`` per rank on its (K, frames * rows) matrix, batched over ranks,
+against a shared (K, C) weight or one per rank, (R, K, C); the frame mix
+is one ``mix @ h`` batched over ranks and channels, against a shared
+(C, F, G) mix or one per rank, (R, C, F, G). Each product is written
+straight into a fresh contiguous buffer. A (C,) or (R, C) bias enters as
+(C, 1, 1) or (R, C, 1, 1), and each row term, (R, B, C) or (N, C) with
+its N = R·B rows grouped by rank (rank r's are r·B to r·B + B - 1), as a
+contiguous (R, C, 1, B) copy, so every add and every gradient sum runs
+over contiguous trailing axes. Row-major rows, the input of the
+networks' time projections and heads, are (R, B, K) and take one
+``x @ w`` per rank, against a shared (K, C) weight or one per rank;
+``_take_rows`` reads a shared (V, C) table or one per rank, (R, V, C),
+likewise. ``transpose`` converts between a row-major (R, rows, frames, C)
+stack and the channel-major one.
 
-A leading rank axis stacks R independent models of one shape: ``dense``
-takes one weight per rank, (R, K, C), and a (R, C) bias, ``_take_rows`` a
-(R, V, C) table, ``temporal_mix`` a (R, C, F, G) mix, and a frame stack is
-then (R, C, frames, rows). Row-major
-operands keep all R·B rows on their leading axis, grouped by rank (rank
-r's rows are r·B to r·B + B - 1), and each rank's rows meet only its own
-weights and tables. A rank-stacked product runs the 2-D product of an
-unstacked call once per rank in one batched matmul, so each rank gets
-that call's bits. A shared (K, C) weight over R·B row-major rows is one
-product, in which each row is its own BLAS row: in float32 its values
-equal the per-rank products' (float64 BLAS takes another kernel for a
-single row, so there one-row ranks may differ in their last bits).
+Each rank's slice of a batched product is the 2-D product of its own
+operands, so each rank gets the bits of a call on its rows alone: one
+product over every rank's rows would not give them, since BLAS picks its
+kernel by the row count. In float32 the channel-major products round as
+the row-major ones did, so untaped float32 values keep the row-major
+layout's bits (float64 ones may differ in their last bits); a weight,
+bias or row-term gradient sums over rows and frames in another order
+than a row-major layer would, so it may differ in its last bits.
 
 Constants are plain numpy arrays; anything wrapped in :class:`Var` receives
 a gradient after :func:`backward` runs on a scalar loss. ``backward`` frees
@@ -293,50 +293,41 @@ def _div_const(a: Var, b):
 def _term(tv, z, bias: bool):
     """A bias or row term's value shaped to broadcast against the product
     ``z`` (see :func:`_affine`)."""
-    if z.ndim == 2:
-        # A per-rank (R, C) bias over rows grouped by rank: each rank's
-        # bias repeated over its rows.
-        return (np.repeat(tv, len(z) // len(tv), axis=0)
-                if bias and tv.ndim == 2 else tv)
+    if z.ndim < 4:
+        if bias:
+            return tv[:, None] if tv.ndim == 2 else tv
+        return tv.reshape(z.shape)
     if bias:
         return tv[..., None, None]
-    if z.ndim == 3:
-        return np.ascontiguousarray(tv.T)[:, None]
-    ranked = tv.reshape(len(z), -1, tv.shape[1]).transpose(0, 2, 1)
+    ranked = tv.reshape(len(z), -1, tv.shape[-1]).transpose(0, 2, 1)
     return np.ascontiguousarray(ranked)[:, :, None]
 
 
 def _term_grad(gz, shape, bias: bool):
     """The gradient of a bias or row term of ``shape`` from the
     pre-activation gradient ``gz``: :func:`_term`'s broadcast undone."""
-    if gz.ndim == 2:
+    if gz.ndim < 4:
         if not bias:
-            return gz
-        if len(shape) == 2:
-            return gz.reshape(shape[0], -1, shape[1]).sum(axis=1)
-        return gz.sum(axis=0)
+            return gz.reshape(shape)
+        # Over rows, and over ranks for a bias they share.
+        return gz.sum(axis=1 if len(shape) == 2 else tuple(range(gz.ndim - 1)))
     if bias:
         # Over frames and rows, and over ranks for a bias they share.
-        return gz.sum(axis=(1, 2) if gz.ndim == 3
-                      else (2, 3) if len(shape) == 2 else (0, 2, 3))
-    if gz.ndim == 3:
-        return np.ascontiguousarray(gz.sum(axis=1).T)
+        return gz.sum(axis=(2, 3) if len(shape) == 2 else (0, 2, 3))
     ranked = gz.sum(axis=2).transpose(0, 2, 1)
-    return np.ascontiguousarray(ranked).reshape(-1, shape[1])
+    return np.ascontiguousarray(ranked).reshape(shape)
 
 
 def _affine(z, bias, rows, act, operands, product_bwd):
     """``act(z + bias + rows…)`` as one node over the product ``z``, a
     buffer the caller has just allocated.
 
-    ``z`` is row-major (N, C), channel-major (C, F, B), or channel-major
-    with a leading rank axis, (R, C, F, B). ``bias`` is None, (C,) or one
-    per rank, (R, C). Each row term is (N, C): over a rank-stacked ``z``
-    its N = R·B rows are grouped by rank, rank r's at rows r·B to
-    r·B + B - 1. Over a channel-major ``z`` the bias enters as a
-    (C, 1, 1) or (R, C, 1, 1) view and each row term as a contiguous
-    (C, 1, B) or (R, C, 1, B) copy, so every add and every gradient sum
-    runs over contiguous trailing axes. The adds run in the written order,
+    ``z`` is row-major, (N, C) or (R, B, C), or a channel-major frame
+    stack (R, C, F, B). ``bias`` is None, (C,) or one per rank, (R, C).
+    Each row term is (N, C) or (R, B, C), its rows grouped by rank. Over a
+    frame stack the bias enters as a (C, 1, 1) or (R, C, 1, 1) view and
+    each row term as a contiguous (R, C, 1, B) copy (see the module
+    docstring). The adds run in the written order,
     into ``z``; a float32 ``z`` met by a float64 term allocates the
     promoted sum instead, as ``z + term`` does, and the rest write into
     that. ``act`` is None or ``"silu"``; the taped node keeps the
@@ -376,64 +367,52 @@ def _affine(z, bias, rows, act, operands, product_bwd):
 def dense(x, w, bias=None, *rows, act=None):
     """One dense layer as one node: ``act(x @ w + bias + rows…)``.
 
-    ``w`` is a (K, C) weight matrix, or one per rank, (R, K, C). A
-    row-major (N, K) ``x`` gives (N, C); under a rank-stacked ``w`` its
-    rows are grouped by rank and each rank's rows meet its own matrix. A
-    channel-major frame stack (K, F, B) gives (C, F, B), one
-    ``w.T @ x.reshape(K, F * B)``; a rank-stacked one, (R, K, F, B), gives
-    (R, C, F, B), one such product per rank, against a shared or a
-    rank-stacked ``w``. ``bias`` is (C,), (R, C) or None and each row term
-    is (N, C), broadcast over the frames of a frame stack (see
-    :func:`_affine`). The bias and row terms are added in that order, into
-    the product's own buffer.
+    ``w`` is a (K, C) weight matrix, or one per rank, (R, K, C). Row-major
+    rows (N, K), or (R, B, K) grouped by rank, give (N, C) or (R, B, C),
+    one ``x @ w`` per rank. A channel-major frame stack (R, K, F, B) gives
+    (R, C, F, B), one ``w.T @ x.reshape(K, F * B)`` per rank. A shared
+    ``w`` meets every rank's rows, a rank-stacked one each rank's rows its
+    own matrix. ``bias`` is (C,), (R, C) or None and each row term holds
+    one row per row of ``x``, broadcast over the frames of a frame stack
+    (see :func:`_affine`). The bias and row terms are added in that order,
+    into the product's own buffer.
     """
     xv, wv = value_of(x), value_of(w)
     if wv.ndim not in (2, 3):
         raise ValueError("dense weight must be 2-D, or 3-D with a leading rank axis")
-    if xv.ndim >= 3:
-        if wv.ndim == 3 and xv.ndim != 4:
-            raise ValueError("a rank-stacked weight needs a rank-stacked frame stack")
-        x2 = xv.reshape(*xv.shape[:-2], -1)
+    if xv.ndim == 4:
+        x2 = xv.reshape(*xv.shape[:2], -1)
         z = wv.swapaxes(-1, -2) @ x2
-        z = z.reshape(*z.shape[:-1], *xv.shape[-2:])
+        z = z.reshape(*z.shape[:2], *xv.shape[2:])
 
         def product_bwd(gz):
-            g2 = gz.reshape(*gz.shape[:-2], -1)
+            g2 = gz.reshape(*gz.shape[:2], -1)
             if isinstance(x, Var):
                 _accum(x, (wv @ g2).reshape(xv.shape))
             if isinstance(w, Var):
                 _accum(w, _unbroadcast(x2 @ g2.swapaxes(-1, -2), wv.shape))
-    elif wv.ndim == 3:
-        x3 = xv.reshape(len(wv), -1, xv.shape[-1])
-        z = (x3 @ wv).reshape(len(xv), -1)
-
-        def product_bwd(gz):
-            g3 = gz.reshape(len(wv), -1, gz.shape[-1])
-            if isinstance(x, Var):
-                _accum(x, (g3 @ wv.swapaxes(-1, -2)).reshape(xv.shape))
-            if isinstance(w, Var):
-                _accum(w, x3.swapaxes(-1, -2) @ g3)
     else:
         z = xv @ wv
 
         def product_bwd(gz):
             if isinstance(x, Var):
-                _accum(x, gz @ wv.T)
+                _accum(x, gz @ wv.swapaxes(-1, -2))
             if isinstance(w, Var):
-                _accum(w, np.dot(xv.T, gz))
+                _accum(w, _unbroadcast(xv.swapaxes(-1, -2) @ gz, wv.shape))
 
     return _affine(z, bias, rows, act, (x, w), product_bwd)
 
 
 def _take_rows(table, idx):
     """Embedding lookup: rows of a 1-D or 2-D table selected by an int
-    index array that its caller checked where it entered. A rank-stacked
-    (R, V, C) table takes N = R·B indices grouped by rank, and each rank's
-    look up its own (V, C) table."""
+    index array that its caller checked where it entered, in the index
+    array's shape. A rank-stacked (R, V, C) table takes N = R·B indices
+    grouped by rank and gives (R, B, C), each rank's rows looked up in its
+    own (V, C) table."""
     tv = value_of(table)
     at = idx
     if tv.ndim == 3:
-        at = (np.repeat(np.arange(tv.shape[0]), len(idx) // tv.shape[0]), idx)
+        at = (np.arange(len(tv))[:, None], np.reshape(idx, (len(tv), -1)))
     if not isinstance(table, Var):
         return tv[at]
     out = Var(tv[at], _parents=(table,))
@@ -451,12 +430,12 @@ def temporal_mix(mix, h, *rows, act=None):
     """Per-channel frame mixing as one node over a channel-major frame
     stack: ``act(mix @ h + rows…)``, out[c,f,b] = sum_g mix[c,f,g] * h[c,g,b].
 
-    ``mix`` is (C, F, G) and ``h`` (C, G, B), or rank-stacked (R, C, G, B)
-    with ``mix`` shared by every rank or one per rank, (R, C, F, G); the
-    product is one batched matmul over channels (and ranks), and so is each
-    gradient. A shared ``mix`` sums its gradient over ranks; a rank-stacked
-    one gives each rank the gradient of a call on its own rows. Each row
-    term is (N, C) and broadcasts over frames (see :func:`_affine`).
+    ``h`` is a frame stack (R, C, G, B) and ``mix`` is shared by every
+    rank, (C, F, G), or one per rank, (R, C, F, G); the product is one
+    batched matmul over ranks and channels, and so is each gradient. A
+    shared ``mix`` sums its gradient over ranks; a rank-stacked one gives
+    each rank the gradient of a call on its own rows. Each row term is
+    (N, C) or (R, B, C) and broadcasts over frames (see :func:`_affine`).
     """
     mv, hv = value_of(mix), value_of(h)
 
@@ -469,22 +448,16 @@ def temporal_mix(mix, h, *rows, act=None):
     return _affine(mv @ hv, None, rows, act, (mix, h), product_bwd)
 
 
-def _reversed(a):
-    """``a`` with its axes reversed, but a 4-D stack's leading rank axis."""
-    return a.swapaxes(1, 3) if a.ndim == 4 else a.T
-
-
 def transpose(x):
-    """``x`` with its axes reversed, as a C-contiguous copy: a row-major
-    (B, F, C) frame stack becomes channel-major (C, F, B), and back. A 4-D
-    stack keeps its leading rank axis in front: (R, B, F, C) becomes
+    """A frame stack's axes after its leading rank axis reversed, as a
+    C-contiguous copy: a row-major (R, B, F, C) stack becomes channel-major
     (R, C, F, B), and back."""
     xv = value_of(x)
-    yv = np.ascontiguousarray(_reversed(xv))
+    yv = np.ascontiguousarray(xv.swapaxes(1, 3))
     if not isinstance(x, Var):
         return yv
     out = Var(yv, _parents=(x,))
-    out._bwd = lambda g: _accum(x, np.ascontiguousarray(_reversed(g)))
+    out._bwd = lambda g: _accum(x, np.ascontiguousarray(g.swapaxes(1, 3)))
     return out
 
 

@@ -30,24 +30,27 @@ every MSE iteration and every discriminator iteration, and on a
 discriminator iteration also the student's single stride, ``fake``. Both
 are constants of the loss that reads them. ``rank_step`` then runs once
 per block of ranks (``solvers.rank_blocks``) on their rows and holds only
-taped work: it tapes the side being updated as one copy per rank, stacked
-on the rank axis beside the block's bases, and the one loss that side
-minimises (``mse_loss``, or ``adversarial_loss``'s ``l_d`` or ``l_g``)
-over each rank's ``micro_batch * grad_accum`` rows, and runs one
-``backward``. A block holds as many whole ranks as keep the rows its
-taped encoders take within ``SAMPLE_BATCH``: per rank, its rows once for
-the MSE stage, three times for the pair head (the student's stride or
-none, ``x_t`` and one or two candidates) and twice for the single head.
-The block's loss is the sum of its ranks' means, so rank r's copy gets
-exactly rank r's gradient. Every loss is a mean over rows and the
-micro-batches are the same size, so this is the mean of the micro-batch
-gradients up to summation order. The ranks' gradients are averaged in
-float64 in rank order and one optimizer step follows. A discriminator
-iteration scores the teacher's endpoint (the real sample) and the
-student's stride (the fake one) in one discriminator pass, each rank's two
-stacked on the row axis. A student iteration scores the student's taped
-stride alone, since the teacher's rows carry no gradient to the student,
-so it traverses nothing untaped: its batch is noised and nothing more.
+taped work, laid out by ``nets``'s layout rule: it tapes the side being
+updated as one copy per rank, stacked on the rank axis beside the block's
+bases, while a frozen discriminator enters once, shared by every rank,
+and it tapes the one loss that side minimises (``mse_loss``, or
+``adversarial_loss``'s ``l_d`` or ``l_g``) over each rank's
+``micro_batch * grad_accum`` rows, and runs one ``backward``. A block
+holds as many whole ranks as keep the rows its taped encoders take within
+``SAMPLE_BATCH``: per rank, its rows once for the MSE stage, three times
+for the pair head (the student's stride or none, ``x_t`` and one or two
+candidates) and twice for the single head. The block's loss is the sum of
+its ranks' means, so rank r's copy gets exactly rank r's gradient. Every
+loss is a mean over rows and the micro-batches are the same size, so this
+is the mean of the micro-batch gradients up to summation order. Each
+block's (R, ...) gradients are summed along the rank axis in float64,
+rank by rank in rank order, and one optimizer step takes their mean over
+all ranks. A discriminator iteration scores the teacher's endpoint (the
+real sample) and the student's stride (the fake one) in one
+discriminator pass, each rank's two stacked on the row axis. A student
+iteration scores the student's taped stride alone, since the teacher's
+rows carry no gradient to the student, so it traverses nothing untaped:
+its batch is noised and nothing more.
 Rows never interact and every layer of a block is one product per rank,
 so in float32 a stacked traversal or step gives each rank the bits,
 losses and gradients included, of one on its rows alone.
@@ -338,11 +341,10 @@ def rank_step(bases, motion, disc, b: dict, flows, side: str,
     reads the noised rows alone. Only the side being updated is taped, as
     R copies of its arrays stacked on a leading rank axis, so rank r's
     copy receives exactly rank r's gradient; base parameters never receive
-    an entry. The discriminator enters the student's loss as R stacked
-    copies too, so every layer is one product per rank, as for the bases.
-    One ``backward`` runs over the block's loss, the sum of its ranks'
-    losses, so in float32 each rank gets the losses and gradients of a
-    call on its rows alone.
+    an entry. The frozen discriminator enters the student's loss once,
+    shared by every rank (``nets``'s layout rule). One ``backward`` runs
+    over the block's loss, the sum of its ranks' losses, so in float32
+    each rank gets the losses and gradients of a call on its rows alone.
     """
     if disc is None and side != "student":
         raise ValueError(f"unknown side {side!r} for the MSE stage")
@@ -358,7 +360,7 @@ def rank_step(bases, motion, disc, b: dict, flows, side: str,
             bases, motion, pvars, b, flows, side, sched, dims)
     else:
         name, (loss, losses) = "l_g", adversarial_loss(
-            bases, pvars, _copies(disc, ranks), b, flows, side, sched, dims)
+            bases, pvars, disc, b, flows, side, sched, dims)
     ad.backward(loss)
     return {name: losses}, {k: v.grad for k, v in pvars.items()}
 
@@ -391,18 +393,6 @@ def _dump_diagnostics(ctx: DistillContext, stage: StageConfig, phase, iteration,
 def _stage_rng(seed: int, stage: StageConfig, phase_idx: int, *tail) -> np.random.Generator:
     return np.random.default_rng(
         [seed, stage.from_steps, stage.to_steps, phase_idx, *tail])
-
-
-def _mean(grads: list) -> dict:
-    """Elementwise mean of gradient dicts, summed in float64 in list
-    order (a rank's float32 gradients are widened exactly)."""
-    out = {}
-    for name in grads[0]:
-        acc = np.array(grads[0][name], dtype=np.float64, copy=True)
-        for g in grads[1:]:
-            acc += g[name]
-        out[name] = acc / len(grads)
-    return out
 
 
 def run_stage(stage: StageConfig, ctx: DistillContext,
@@ -447,7 +437,9 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
             # loss, and l_d's real sample), and the student's stride on a
             # discriminator iteration (l_d's fake sample). Then one taped
             # step per block of ranks on their rows, the mean over ranks in
-            # rank order and one optimizer update.
+            # rank order and one optimizer update. The float64 sum runs
+            # rank by rank: np.sum(axis=0) pair-sums an (R, 1) stack of 8 or
+            # more ranks, which moves its last bits.
             draws = [draw_rows(r.dataset, stage.micro_batch, rng, t_grid)
                      for r, rng in zip(ranks, rngs)
                      for _ in range(stage.grad_accum)]
@@ -460,7 +452,7 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
             if side == "disc":
                 b["fake"] = traverse(bases, motion, *args, 1, b["n"] * b["s"],
                                      ctx.sched, ctx.dims)
-            rank_grads: list = []
+            summed: dict = {}
             rank_losses: dict = {}
             for lo, hi in blocks:
                 own = {k: v[lo * rows:hi * rows] if k in _ROW_KEYS else v
@@ -468,8 +460,10 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
                 losses, grads = rank_step({k: v[lo:hi] for k, v in bases.items()},
                                           motion, disc, own, flows[lo:hi], side,
                                           ctx.sched, ctx.dims)
-                rank_grads += [{k: g[i] for k, g in grads.items()}
-                               for i in range(hi - lo)]
+                for k, g in grads.items():
+                    acc = summed.setdefault(k, np.zeros(g.shape[1:]))
+                    for g_r in g:
+                        acc += g_r
                 for k, v in losses.items():
                     rank_losses.setdefault(k, []).extend(map(float, v))
             mean_losses = {k: float(np.mean(v)) for k, v in rank_losses.items()}
@@ -479,7 +473,7 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
                 raise DistillDivergence(
                     f"non-finite loss at stage {stage.name} iteration {it}", dump)
             opt[side].step(disc if side == "disc" else motion,
-                           _mean(rank_grads))
+                           {k: v / len(ranks) for k, v in summed.items()})
             history.append({"stage": stage.name, "phase": phase or "mse",
                             "iteration": it, "side": side, **mean_losses})
     return motion, history

@@ -54,7 +54,10 @@ def _setup(dims: NetDims, seed: int = 7):
     stacked = _stride_batch(bases, motion, x0, rng.standard_normal(x0.shape),
                             rng.integers(0, dims.vocab, 2 * batch),
                             np.tile(t, 2), rng, dims)
-    return base, motion, pair, relaxed, noise, stride, bases, stacked
+    x0 = rng.normal(0.0, 0.7, x0.shape)
+    noises = dict(x0=x0, tokens=rng.integers(0, dims.vocab, 2 * batch),
+                  t=np.tile(t, 2), eps=rng.standard_normal(x0.shape))
+    return base, motion, pair, relaxed, noise, stride, bases, stacked, noises
 
 
 def _stride_batch(base, motion, x0, eps, tokens, t, rng, dims):
@@ -71,14 +74,15 @@ def gradcheck_battery(dims: NetDims, seed: int = 7) -> list:
     """Returns one record per checked loss, on the shipped schedule: name,
     worst error, pass flag.
 
-    The rows named ``…/2 ranks`` check the losses as ``distill.rank_step``
-    calls them on a block of ranks: two bases stacked, two rows each, the
-    taped side as one copy per rank and the discriminator at flow indices
-    (1, 2).
+    The rows named ``…/2 ranks`` check the losses on two bases stacked,
+    two rows each: pretraining as ``nets.pretrain_base`` tapes the stack,
+    and distillation as ``distill.rank_step`` calls its losses on a block
+    of ranks, the taped side as one copy per rank, a frozen discriminator
+    shared by both, and the discriminator at flow indices (1, 2).
     """
-    base, motion, pair, relaxed, noise, b, bases, stacked = _setup(dims, seed)
+    base, motion, pair, relaxed, noise, b, bases, stacked, noises = _setup(dims, seed)
 
-    def denoise(base_arrays, motion_arrays):
+    def denoise(base_arrays, motion_arrays, noise=noise):
         return denoise_loss(base_arrays, motion_arrays, noise["x0"], noise["tokens"],
                             noise["t"], noise["eps"], SCHEDULE, dims)[0]
 
@@ -102,6 +106,8 @@ def gradcheck_battery(dims: NetDims, seed: int = 7) -> list:
          lambda p: adversarial(p, pair, "student"), motion),
         ("generator_relaxed/motion", lambda p: adversarial(p, relaxed, "student"),
          motion),
+        ("pretrain_eps_mse/base/2 ranks", lambda p: denoise(p, None, noises),
+         bases),
         ("distill_mse/motion/2 ranks",
          lambda p: mse_loss(bases, p, stacked, SCHEDULE, dims)[0], motions),
         ("disc_conditional/disc/2 ranks", lambda p: ranked(motion, p, "disc"),
@@ -109,9 +115,9 @@ def gradcheck_battery(dims: NetDims, seed: int = 7) -> list:
         ("disc_relaxed/disc/2 ranks", lambda p: ranked(motion, p, "disc"),
          _copies(relaxed, 2)),
         ("generator_conditional/motion/2 ranks",
-         lambda p: ranked(p, _copies(pair, 2), "student"), motions),
+         lambda p: ranked(p, pair, "student"), motions),
         ("generator_relaxed/motion/2 ranks",
-         lambda p: ranked(p, _copies(relaxed, 2), "student"), motions),
+         lambda p: ranked(p, relaxed, "student"), motions),
     ]
 
     results = []

@@ -28,30 +28,35 @@ Architecture at desk scale:
   rows (rank major, then candidate, then row).
 
 Each layer is one tape node: ``autodiff.dense`` for the base's layers and
-the heads, ``autodiff.temporal_mix`` for the motion block's mixes. Inside
-the encoder every frame-stacked activation is a C-contiguous channel-major
-(hidden, F, B) array (see ``autodiff``): ``student_eps`` transposes its
-(B, F, D) input into that layout once and its (D, F, B) output back, and a
-discriminator transposes its (hidden, F, B) features back to (B, F, hidden)
-before flattening them, so the heads see (B, F * hidden) features in
-frame-major order. The time and condition embeddings (and the motion
-block's projections of them) are (B, hidden) row terms, which the fused
-layers add over frames as (hidden, 1, B). ``student_eps`` also takes R
-base models stacked on a leading rank axis, every base array (R, ...),
-with its rows grouped by rank: its input and output keep the rows on the
-leading axis, (R·B, F, D), and inside the encoder each activation gains
-the rank axis in front, (R, hidden, F, B). Each rank's rows meet its own
-base's weights and tables and the shared motion module, so in float32
-each rank gets the bits of a call on its rows and base alone (see
-``autodiff``). The motion module and the discriminator take the same
-rank axis, R copies stacked, one per rank, as a taped distillation step
-holds them: then every layer is one product per rank, and each rank's
-copy receives the gradient of a call on its rows alone. Untaped float32
-outputs have the bits of the row-major layout; taped gradients may differ
-from its in their last bits. The pretraining loss is ``ranked_mse``, the
-one squared-error definition that MSE distillation shares: over R ranks'
-rows it is the sum of the per-rank means (``rank_sum``), which the
-adversarial losses use too.
+the heads, ``autodiff.temporal_mix`` for the motion block's mixes.
+
+The layout rule, which ``autodiff``, ``solvers`` and ``distill`` follow:
+inside the encoder a frame stack is always a C-contiguous channel-major
+(R, hidden, F, B) array, R ranks of B rows each; one model's call, its
+arrays as a checkpoint holds them, is R = 1. An array carries a leading
+rank axis only when it differs per rank: the R bases of a stacked call
+(every base array (R, ...)), the R copies of the side that a
+distillation step tapes, one per rank, so that each rank's copy receives
+exactly its own gradient, and the rows themselves. A model that every
+rank shares enters once, with no rank axis: the motion module in a
+traversal or in pretraining, and the frozen discriminator on a student
+iteration. The public forwards take and return rows on one leading
+axis, grouped by rank, rank r's the r-th block of N / R: ``student_eps``
+takes (N, F, D) and transposes it into the encoder's layout once, as
+(R, D, F, N / R), and its output back. Inside, row-major arrays are
+(R, B, ...) as well: the time features and their projections, which the
+fused layers add over frames as (R, hidden, 1, B) row terms, and the
+(R, B, F * hidden) features, frame-major, that a discriminator's head
+scores. Every layer is one product per rank, against a shared or a
+per-rank weight, so in float32 each rank gets the bits of a call on its
+rows alone, losses and gradients included (see ``autodiff``). Untaped
+float32 outputs have the bits of the row-major layout; a taped gradient
+sums over rows and frames in another order than a row-major layer does,
+so it may differ from the row-major one in its last bits.
+
+The pretraining loss is ``ranked_mse``, the one squared-error definition
+that MSE distillation shares: over R ranks' rows it is the sum of the
+per-rank means (``rank_sum``), which the adversarial losses use too.
 
 Pretraining takes the same rank axis taped: ``pretrain_base`` trains one
 base per dataset, all of them stacked, with one taped ``denoise_loss``
@@ -238,6 +243,13 @@ def time_features(t, T: int, dim: int) -> np.ndarray:
     return _sinusoid_table(T, dim)[np.asarray(t) + 1]
 
 
+def _ranked_time_features(t, T: int, dims: NetDims, rows: int, ranks: int):
+    """(R, rows / R, time_dim) features of a scalar ``t`` or of one
+    timestep per row, the rows grouped by rank; the caller checks ``t``."""
+    feats = np.broadcast_to(time_features(t, T, dims.time_dim), (rows, dims.time_dim))
+    return feats.reshape(ranks, -1, dims.time_dim)
+
+
 def _check_tokens(tokens, dims: NetDims):
     """``tokens`` as an array, after one pass that rejects any token outside
     ``[0, vocab]``."""
@@ -263,9 +275,10 @@ def _encode(params, x, tfeat, tokens, motion):
     its row terms, the motion block, layer 2.
 
     `params`/`motion` values may be Var or ndarray; `x` is the
-    channel-major (frame_dim, F, B) input, Var or ndarray; `tfeat` may be
-    Var (discriminator flow conditioning). `tokens` were checked by the
-    public forward that called this. Returns (hidden, F, B) features.
+    channel-major (R, frame_dim, F, B) frame stack, Var or ndarray; `tfeat`
+    is the (R, B, time_dim) time features, Var for the discriminator's flow
+    conditioning. `tokens` were checked by the public forward that called
+    this. Returns (R, hidden, F, B) features.
     """
     h = ad.dense(x, params["w1"], params["b1"],
                  ad.dense(tfeat, params["time_w"]),
@@ -279,7 +292,7 @@ def _motion_branch(motion, h, tfeat, tokens):
     """The motion block's residual branch: a frame mix with the time and
     condition projections as row terms and silu, then the output mix.
 
-    Untaped, at most three (hidden, F, B) arrays are live at once, ``h``
+    Untaped, at most three (R, hidden, F, B) arrays are live at once, ``h``
     included, and the branch state is freed on return, before the residual
     add.
     """
@@ -295,52 +308,45 @@ def student_eps(base_arrays, motion_arrays, x, t, tokens, T: int, dims: NetDims,
     x: (N, F, D); t: scalar or (N,) ints in ``[-1, T)``; tokens: (N,) ints
     in ``[0, vocab]``. Both are checked in one pass each, unless
     ``checked``: the caller checked them where they entered. Returns
-    (N, F, D), C-contiguous. ``base_arrays`` is one base model, or R of
-    them stacked on a leading rank axis (every array (R, ...)): then the N
-    rows are grouped by rank, rank r's the r-th block of N / R, and each
-    block runs through its own base beside the shared motion module.
+    (N, F, D), C-contiguous. ``base_arrays`` is one base model (R = 1), or
+    R of them stacked on a leading rank axis (every array (R, ...)): then
+    the N rows are grouped by rank, rank r's the r-th block of N / R, and
+    each block runs through its own base beside the shared motion module.
     """
     if not checked:
         tokens = _check_inputs(tokens, dims, T, t)
-    shape = ad.value_of(x).shape
-    tfeat = time_features(t, T, dims.time_dim)
-    if tfeat.ndim == 1:
-        tfeat = np.broadcast_to(tfeat, (shape[0], dims.time_dim))
-    w1 = ad.value_of(base_arrays["w1"])
-    if w1.ndim == 3:
-        if shape[0] % w1.shape[0]:
-            raise ValueError(f"{shape[0]} rows do not split evenly over "
-                             f"{w1.shape[0]} stacked bases")
-        x = ad.reshape(x, (w1.shape[0], -1) + shape[1:])
-    h = _encode(base_arrays, ad.transpose(x), tfeat, tokens, motion_arrays)
+    shape, ranks = ad.value_of(x).shape, stack_size(base_arrays)
+    if shape[0] % ranks:
+        raise ValueError(f"{shape[0]} rows do not split evenly over "
+                         f"{ranks} stacked bases")
+    tfeat = _ranked_time_features(t, T, dims, shape[0], ranks)
+    x = ad.transpose(ad.reshape(x, (ranks, -1) + shape[1:]))
+    h = _encode(base_arrays, x, tfeat, tokens, motion_arrays)
     eps = ad.transpose(ad.dense(h, base_arrays["w3"], base_arrays["b3"]))
-    return eps if w1.ndim == 2 else ad.reshape(eps, shape)
+    return ad.reshape(eps, shape)
 
 
 def _disc_features(disc_arrays, x, t, tokens, flows, T: int, dims: NetDims):
-    """(N, frames * hidden) features of the N rows of ``x``, grouped by rank
-    over the R ranks of ``flows``: rank r's rows take flow ``flows[r]``. A
-    rank-stacked discriminator (every array (R, ...)) runs each rank's rows
-    through its own arrays. ``t``, ``tokens`` and ``flows`` were checked by
-    the public caller."""
-    rows = ad.value_of(x).shape[0]
-    tfeat = time_features(t, T, dims.time_dim)
-    if tfeat.ndim == 1:
-        tfeat = np.broadcast_to(tfeat, (rows, dims.time_dim))
+    """(R, B, frames * hidden) features of the N = R·B rows of ``x``,
+    grouped by rank over the R ranks of ``flows``: rank r's rows take flow
+    ``flows[r]``. A rank-stacked discriminator (every array (R, ...)) runs
+    each rank's rows through its own arrays, a shared one every rank's
+    through its arrays. ``t``, ``tokens`` and ``flows`` were checked by the
+    public caller."""
+    shape, ranks = ad.value_of(x).shape, len(flows)
     flow_rows = ad._take_rows(disc_arrays["flow_emb"],
-                              np.repeat(flows, rows // len(flows)))
-    tfeat = flow_rows + tfeat
-    if ad.value_of(disc_arrays["w1"]).ndim == 3:
-        x = ad.reshape(x, (len(flows), -1) + ad.value_of(x).shape[1:])
+                              np.repeat(flows, shape[0] // ranks).reshape(ranks, -1))
+    tfeat = flow_rows + _ranked_time_features(t, T, dims, shape[0], ranks)
+    x = ad.transpose(ad.reshape(x, (ranks, -1) + shape[1:]))
     motion = {k: disc_arrays[k] for k in MOTION_KEYS}
-    h = ad.transpose(_encode(disc_arrays, ad.transpose(x), tfeat, tokens, motion))
-    return ad.reshape(h, (rows, dims.frames * dims.hidden))
+    h = ad.transpose(_encode(disc_arrays, x, tfeat, tokens, motion))
+    return ad.reshape(h, (ranks, -1, dims.frames * dims.hidden))
 
 
 def _head(arrays, feats, w1, b1, w2, b2):
+    """One score per row of the (R, B, K) ``feats``, as (R·B,)."""
     z = ad.dense(feats, arrays[w1], arrays[b1], act="silu")
-    score = ad.dense(z, arrays[w2], arrays[b2])
-    return ad.reshape(score, (ad.value_of(score).shape[0],))
+    return ad.reshape(ad.dense(z, arrays[w2], arrays[b2]), (-1,))
 
 
 def _candidates(x_next, tokens) -> int:
@@ -498,9 +504,8 @@ def stack_size(arrays) -> int:
 def rank_sum(loss, ranks: int):
     """A mean over R ranks' equal shares of rows as their sum of per-rank
     means: R times ``loss``. Each rank then gets exactly the gradient of
-    its own mean, since R / (R·n) rounds as 1 / n does. One rank's loss is
-    returned as it is."""
-    return loss if ranks == 1 else ranks * loss
+    its own mean, since R / (R·n) rounds as 1 / n does."""
+    return ranks * loss
 
 
 def rank_means(values, ranks: int) -> np.ndarray:

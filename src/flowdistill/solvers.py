@@ -14,9 +14,10 @@ of at most ``SAMPLE_BATCH`` rows: :func:`traverse` solves in its blocks,
 tapes its steps in them.
 
 Predictors are callables ``f(x, t, tokens) -> eps_hat`` on row-major
-(B, frames, frame_dim) states; the model's channel-major activations stay
-inside ``nets``, whose untaped float32 outputs keep the row-major layout's
-bits. :func:`predictor` builds one from a model, and classifier-free
+(B, frames, frame_dim) states, their rows grouped by rank over a stack of
+bases; the frame stacks of ``nets``'s layout rule stay inside ``nets``,
+whose untaped float32 outputs keep the row-major layout's bits.
+:func:`predictor` builds one from a model, and classifier-free
 guidance is part of the predictor it returns, not of the traversal. The
 one-step arithmetic is written against the generic autodiff ops, so a
 predictor that returns a taped :class:`~flowdistill.autodiff.Var` yields a
@@ -50,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .nets import _check_tokens, student_eps
+from .nets import _check_tokens, stack_size, student_eps
 from .schedule import NoiseSchedule, _coef
 
 __all__ = [
@@ -164,23 +165,23 @@ def traverse(base: dict, motion: dict, x_t, t, tokens, n: int, s: int,
 
     ``base`` is one base, or R bases stacked on a leading rank axis with
     the rows grouped by rank (``nets.student_eps``). The rows are solved in
-    the blocks of :func:`rank_blocks`, and a rank whose rows alone exceed
-    ``SAMPLE_BATCH`` is split into blocks of ``SAMPLE_BATCH`` rows. Rows
-    never interact, so in float32 a block gives
-    each rank the bits of a call on its rows and base alone; a rank split
-    differently is equal up to the last bits that BLAS rounding of
-    different block sizes can move.
+    the blocks of :func:`rank_blocks`: a block of every rank takes ``base``
+    as it is, which is how one base is solved, and a rank whose rows alone
+    exceed ``SAMPLE_BATCH`` is split into blocks of ``SAMPLE_BATCH`` rows.
+    Rows never interact, so in float32 a block gives each rank the bits of
+    a call on its rows and base alone; a rank split differently is equal
+    up to the last bits that BLAS rounding of different block sizes can
+    move.
     """
-    w1 = base["w1"]
-    ranks = len(w1) if np.ndim(w1) == 3 else 1
+    ranks = stack_size(base)
     per_rank, rem = divmod(len(x_t), ranks)
     if rem:
         raise ValueError(f"{len(x_t)} rows do not split evenly over "
                          f"{ranks} stacked bases")
     out = np.empty_like(x_t)
     for lo, hi in rank_blocks(ranks, per_rank):
-        f = predictor(base if ranks == 1 else {k: v[lo:hi] for k, v in base.items()},
-                      motion, sched.T, dims, w)
+        block = base if hi - lo == ranks else {k: v[lo:hi] for k, v in base.items()}
+        f = predictor(block, motion, sched.T, dims, w)
         for a in range(lo * per_rank, hi * per_rank, SAMPLE_BATCH):
             rows = slice(a, min(a + SAMPLE_BATCH, hi * per_rank))
             out[rows] = euler_solve(f, x_t[rows], t[rows] if np.ndim(t) else t,

@@ -122,7 +122,7 @@ def test_gradcheck_embedding_rows():
 
 def test_gradcheck_temporal_mix():
     rng = np.random.default_rng(4)
-    h = rng.standard_normal((5, 6, 3))  # channels, frames, batch
+    h = rng.standard_normal((5, 6, 3))[None]  # one rank's channels, frames, batch
     params = {"mix": rng.standard_normal((5, 6, 6)) * 0.3}
 
     def loss(p):
@@ -133,14 +133,14 @@ def test_gradcheck_temporal_mix():
 
 
 def test_temporal_mix_zero_weights_identity():
-    h = np.random.default_rng(5).standard_normal((3, 4, 2))
+    h = np.random.default_rng(5).standard_normal((3, 4, 2))[None]
     out = h + ad.temporal_mix(np.zeros((3, 4, 4)), h)
     assert np.array_equal(out, h)
 
 
 def _einsum_mix(mix, h):
     # The einsum form of temporal_mix, kept as the reference.
-    return np.einsum("cfg,cgb->cfb", mix, h)
+    return np.einsum("cfg,rcgb->rcfb", mix, h)
 
 
 @pytest.mark.parametrize("mix_taped,h_taped", [
@@ -148,8 +148,8 @@ def _einsum_mix(mix, h):
 def test_temporal_mix_matches_einsum_reference(mix_taped, h_taped):
     rng = np.random.default_rng(9)
     mix = rng.standard_normal((5, 6, 6))
-    h = rng.standard_normal((5, 6, 16))
-    up = rng.standard_normal((5, 6, 16))  # upstream gradient
+    h = rng.standard_normal((5, 6, 16))[None]
+    up = rng.standard_normal((5, 6, 16))[None]  # upstream gradient
     m_in = ad.Var(mix) if mix_taped else mix
     h_in = ad.Var(h) if h_taped else h
     out = ad.temporal_mix(m_in, h_in)
@@ -159,10 +159,10 @@ def test_temporal_mix_matches_einsum_reference(mix_taped, h_taped):
         return
     ad.backward(_sum_all(out * up))
     if mix_taped:
-        np.testing.assert_allclose(m_in.grad, np.einsum("cfb,cgb->cfg", up, h),
+        np.testing.assert_allclose(m_in.grad, np.einsum("rcfb,rcgb->cfg", up, h),
                                    rtol=1e-12)
     if h_taped:
-        np.testing.assert_allclose(h_in.grad, np.einsum("cfg,cfb->cgb", mix, up),
+        np.testing.assert_allclose(h_in.grad, np.einsum("cfg,rcfb->rcgb", mix, up),
                                    rtol=1e-12)
 
 
@@ -212,16 +212,17 @@ def test_gradcheck_reshape_and_mean():
 
 
 def test_transpose_reverses_the_axes_into_a_contiguous_copy():
+    # One rank's (1, B, F, C) stack: the axes after the rank axis reversed.
     rng = np.random.default_rng(17)
-    x = rng.standard_normal((2, 3, 4))
+    x = rng.standard_normal((2, 3, 4))[None]
     y = ad.transpose(x)
     assert y.flags.c_contiguous
-    np.testing.assert_array_equal(y, x.T, strict=True)
-    up = rng.standard_normal((4, 3, 2))
+    np.testing.assert_array_equal(y, x[0].T[None], strict=True)
+    up = rng.standard_normal((4, 3, 2))[None]
     v = ad.Var(x)
     ad.backward(_sum_all(ad.transpose(v) * up))
     assert v.grad.flags.c_contiguous
-    np.testing.assert_array_equal(v.grad, up.T, strict=True)
+    np.testing.assert_array_equal(v.grad, up[0].T[None], strict=True)
 
 
 def test_broadcast_add_gradients():
@@ -323,7 +324,11 @@ def test_pointwise_backward_leaves_a_broadcast_gradient_alone():
 
 
 def _dense_inputs(rng, ndim, n_rows, bias, B=3, F=4, K=3, C=5):
+    # ``ndim`` counts one model's axes: its (K, F, B) frame stack enters
+    # with a leading rank axis, as (1, K, F, B).
     x = rng.standard_normal((K, F, B) if ndim == 3 else (B, K))
+    if ndim == 3:
+        x = x[None]
     params = {"x": x, "w": rng.standard_normal((K, C))}
     if bias:
         params["b"] = rng.standard_normal(C)
@@ -351,9 +356,9 @@ def test_gradcheck_dense(ndim, bias, n_rows, act):
 def test_gradcheck_temporal_mix_with_rows_and_silu():
     rng = np.random.default_rng(12)
     params = {"mix": rng.standard_normal((5, 6, 6)) * 0.3,
-              "h": rng.standard_normal((5, 6, 3)),
+              "h": rng.standard_normal((5, 6, 3))[None],
               "r0": rng.standard_normal((3, 5)), "r1": rng.standard_normal((3, 5))}
-    up = rng.standard_normal((5, 6, 3))
+    up = rng.standard_normal((5, 6, 3))[None]
 
     def loss(p):
         return _sum_all(ad.temporal_mix(p["mix"], p["h"], p["r0"], p["r1"],
@@ -376,7 +381,7 @@ def test_gradcheck_dense_with_a_rank_axis(case, act):
     # (R·B, C) row terms grouped by rank.
     rng = np.random.default_rng(30)
     stacked = case != "shared weight over stacked frames"
-    params = {"x": rng.standard_normal((R * B, K) if case == "stacked rows"
+    params = {"x": rng.standard_normal((R, B, K) if case == "stacked rows"
                                        else (R, K, F, B)),
               "w": rng.standard_normal((R, K, C) if stacked else (K, C)),
               "b": rng.standard_normal((R, C) if stacked else C),
@@ -403,15 +408,16 @@ def test_gradcheck_embedding_rows_with_a_rank_axis():
     rng = np.random.default_rng(32)
     idx = np.array([0, 2, 2, 1, 3, 3])  # two rows per rank, repeats included
     params = {"table": rng.standard_normal((R, 4, C))}
-    up = rng.standard_normal((len(idx), C))
+    up = rng.standard_normal((len(idx), C)).reshape(R, 2, C)
 
     def loss(p):
         return _sum_all(ad._take_rows(p["table"], idx) * up)
 
     _fd_check(loss, params)
     rows = ad._take_rows(params["table"], idx)
+    assert rows.shape == (R, 2, C)
     for i, k in enumerate(idx):  # rank i // 2 looks up its own table
-        np.testing.assert_array_equal(rows[i], params["table"][i // 2, k])
+        np.testing.assert_array_equal(rows[i // 2, i % 2], params["table"][i // 2, k])
 
 
 def test_transpose_keeps_a_leading_rank_axis():
@@ -433,16 +439,15 @@ def test_rank_stacked_layers_equal_per_rank_calls_bitwise():
     got = ad.dense(x, w, b, rows, act="silu")
     mixed = ad.temporal_mix(mix, h, rows, act="silu")
     for r in range(R):
+        # One model's call: its frame stack a stack of one, its weights
+        # without a rank axis.
         own = rows[r * 64:(r + 1) * 64]
         np.testing.assert_array_equal(
-            got[r], ad.dense(x[r], w[r], b[r], own, act="silu"), strict=True)
+            got[r:r + 1], ad.dense(x[r:r + 1], w[r], b[r], own, act="silu"),
+            strict=True)
         np.testing.assert_array_equal(
-            mixed[r], ad.temporal_mix(mix, h[r], own, act="silu"), strict=True)
-
-
-def test_a_rank_stacked_weight_needs_rank_stacked_frames():
-    with pytest.raises(ValueError, match="rank-stacked"):
-        ad.dense(np.ones((K, F, B)), np.ones((R, K, C)))
+            mixed[r:r + 1], ad.temporal_mix(mix, h[r:r + 1], own, act="silu"),
+            strict=True)
 
 
 def test_fused_ops_reject_an_unknown_activation():
@@ -451,12 +456,12 @@ def test_fused_ops_reject_an_unknown_activation():
 
 
 def _frame_term(t, shape):
-    """A term as it enters a channel-major (C, F, B) product, as a node of
-    its own: the (C,) bias as (C, 1, 1), a (B, C) row term transposed to
-    (C, 1, B)."""
+    """A term as it enters a channel-major (1, C, F, B) product, as a node
+    of its own: the (C,) bias as (1, C, 1, 1), a (B, C) row term
+    transposed to (1, C, 1, B)."""
     if ad.value_of(t).ndim == 1:
-        return ad.reshape(t, (shape[0], 1, 1))
-    return ad.reshape(ad.transpose(t), (shape[0], 1, shape[2]))
+        return ad.reshape(t, (1, shape[1], 1, 1))
+    return ad.transpose(ad.reshape(t, (1, shape[3], 1, shape[1])))
 
 
 def _silu(z):
@@ -478,7 +483,7 @@ def _chain(z, terms, act):
     own."""
     shape = ad.value_of(z).shape
     for t in terms:
-        z = z + (_frame_term(t, shape) if len(shape) == 3 else t)
+        z = z + (_frame_term(t, shape) if len(shape) == 4 else t)
     return z if act is None else _silu(z)
 
 
@@ -492,24 +497,25 @@ def _mix_chain(mix, h, *rows, act=None):
 
 # Each layer of the networks at default widths: its inputs in argument
 # order, its activation, the fused op and the unfused chain. Frame stacks
-# are channel-major (C, F, B).
+# are one model's, channel-major (1, C, F, B).
 def _layers(rng, B, F=8, D=2, H=16, G=32):
     def n(*shape):
         return rng.standard_normal(shape)
 
     return {
-        "encoder layer 1": ([n(D, F, B), n(D, H), n(H), n(B, H), n(B, H)],
+        "encoder layer 1": ([n(1, D, F, B), n(D, H), n(H), n(B, H), n(B, H)],
                             "silu", ad.dense, _dense_chain),
-        "encoder layer 2": ([n(H, F, B), n(H, H), n(H)], "silu",
+        "encoder layer 2": ([n(1, H, F, B), n(H, H), n(H)], "silu",
                             ad.dense, _dense_chain),
-        "output layer": ([n(H, F, B), n(H, D), n(D)], None, ad.dense, _dense_chain),
+        "output layer": ([n(1, H, F, B), n(H, D), n(D)], None, ad.dense,
+                         _dense_chain),
         "head layer 1": ([n(B, 2 * F * H), n(2 * F * H, G), n(G)], "silu",
                          ad.dense, _dense_chain),
         "head layer 2": ([n(B, G), n(G, 1), n(1)], None, ad.dense, _dense_chain),
         "time projection": ([n(B, H), n(H, H)], None, ad.dense, _dense_chain),
-        "motion mix": ([0.3 * n(H, F, F), n(H, F, B), n(B, H), n(B, H)], "silu",
+        "motion mix": ([0.3 * n(H, F, F), n(1, H, F, B), n(B, H), n(B, H)], "silu",
                        ad.temporal_mix, _mix_chain),
-        "motion output mix": ([0.3 * n(H, F, F), n(H, F, B)], None,
+        "motion output mix": ([0.3 * n(H, F, F), n(1, H, F, B)], None,
                               ad.temporal_mix, _mix_chain),
     }
 

@@ -30,7 +30,7 @@ ABSENT = [
 # read, which do not depend on the host's BLAS as float fingerprints do.
 COUNTS = {
     "pretrain-gen": {
-        "autodiff.backward.calls": 180, "autodiff.backward.nodes": 2820,
+        "autodiff.backward.calls": 180, "autodiff.backward.nodes": 2940,
         "checkpoint.checkpoint_save.bytes": 520533,
         "datagen.load_dataset.bytes": 0, "datagen.save_dataset.bytes": 484649,
         "evalmetrics.energy_distance.pairs": 0, "nets.student_eps.rows": 232960,

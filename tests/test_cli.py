@@ -47,8 +47,14 @@ def tiny_config(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("run"))
+def workdir(tiny_config, tmp_path_factory):
+    """A run directory of its own, filled at the tiny config by pretrain,
+    gen-data, distill and eval in turn, so every test that reads it passes
+    in any order."""
+    wd = str(tmp_path_factory.mktemp("run"))
+    for command in ("pretrain", "gen-data", "distill", "eval"):
+        assert cli([command, "--config", tiny_config, "--workdir", wd]) == 0, command
+    return wd
 
 
 def test_config_loading_and_hash(tiny_config):
@@ -326,11 +332,11 @@ def test_unknown_config_key_fails_and_writes_nothing(tmp_path, capsys,
     assert not wd.exists()
 
 
-def test_eval_without_checkpoints_fails_cleanly(tiny_config, workdir, capsys):
-    code = cli(["eval", "--config", tiny_config, "--workdir", workdir])
+def test_eval_without_checkpoints_fails_cleanly(tiny_config, tmp_path, capsys):
+    code = cli(["eval", "--config", tiny_config, "--workdir", str(tmp_path)])
     assert code == 1
     assert "error" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(workdir, "reports", "main.csv"))
+    assert not os.path.exists(os.path.join(tmp_path, "reports", "main.csv"))
 
 
 def test_failed_eval_on_a_fresh_workdir_creates_nothing(tiny_config, tmp_path):
@@ -339,14 +345,13 @@ def test_failed_eval_on_a_fresh_workdir_creates_nothing(tiny_config, tmp_path):
     assert not wd.exists()
 
 
-def test_pipeline_subcommands_end_to_end(tiny_config, workdir, capsys):
+def test_pipeline_subcommands_end_to_end(tiny_config, workdir):
+    # The workdir fixture ran pretrain, gen-data, distill and eval, each
+    # exiting 0; here are their outputs.
     cfg = load_config(tiny_config)
-    assert cli(["pretrain", "--config", tiny_config, "--workdir", workdir]) == 0
-    assert cli(["gen-data", "--config", tiny_config, "--workdir", workdir]) == 0
     for name in ("real", "gen_realistic", "gen_anime"):
         ds = load_dataset(os.path.join(workdir, "data", f"{name}.ds"))
         assert ds.meta["config_hash"] == config_hash(cfg)
-    assert cli(["distill", "--config", tiny_config, "--workdir", workdir]) == 0
     # Every stage records the config hash, which covers the rank table, as
     # its only metadata, and changes the motion it started from.
     before = checkpoint_load(os.path.join(workdir, "checkpoints",
@@ -357,7 +362,6 @@ def test_pipeline_subcommands_end_to_end(tiny_config, workdir, capsys):
         assert meta == {"config_hash": config_hash(cfg)}
         assert not np.array_equal(arrays["mix_out"], before["mix_out"]), stage
         before = arrays
-    assert cli(["eval", "--config", tiny_config, "--workdir", workdir]) == 0
     report = os.path.join(workdir, "reports", "main.csv")
     assert os.path.exists(report)
     lines = Path(report).read_text().splitlines()
@@ -535,8 +539,8 @@ def test_ablate_writes_paired_reports(tiny_config, workdir):
 
 
 def _scored_copy(workdir, dst) -> str:
-    """A copy of the shared run with both arms distilled and nothing
-    scored: no reference sets, no reports."""
+    """A copy of the shared run with nothing scored: no reference sets, no
+    reports."""
     shutil.copytree(workdir, dst)
     for name in ("references", "reports"):
         shutil.rmtree(os.path.join(dst, name))

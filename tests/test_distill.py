@@ -632,6 +632,60 @@ def test_run_stage_matches_per_rank_reference_float32(sched, dims, stage,
     _matches_per_rank_reference(sched, dims, stage, monkeypatch, np.float32)
 
 
+# Offsets that make the order of a float64 sum over 8 ranks show: added
+# one by one, each 64 rounds away against 2**60 (half its spacing is 128),
+# while numpy's pairwise sum of an (8, 1) stack, the heads' output biases,
+# first adds them in pairs and rounds up.
+_RANK_OFFSETS = np.array([2.0 ** 60] + [64.0] * 7, np.float32)
+
+
+@pytest.mark.parametrize("ranks", [3, 8])
+def test_each_update_sums_the_ranks_gradients_in_rank_order(sched, dims, ranks,
+                                                            monkeypatch):
+    # run_stage sums every block's (R, ...) gradients in float64, rank by
+    # rank in rank order, and divides by the number of ranks. The ranks'
+    # gradients are offset here (_RANK_OFFSETS) so that a reduction in any
+    # other order, np.sum(axis=0) included, changes what Adam receives.
+    ctx, motion = _tiny_ctx(sched, dims)
+    ctx.ranks[:] = [ctx.ranks[r % 2]._replace(rank=r) for r in range(ranks)]
+    stage = StageConfig(32, 8, "adversarial", 2, micro_batch=2, grad_accum=1)
+    blocks, updates = [], []
+    step, adam_step = dist.rank_step, Adam.step
+
+    def offset_step(bases, *args):
+        # Every iteration is one block of every rank (asserted below).
+        losses, grads = step(bases, *args)
+        offsets = _RANK_OFFSETS[:len(bases["w1"])]
+        blocks.append({k: g + offsets.reshape((-1,) + (1,) * (g.ndim - 1))
+                       for k, g in grads.items()})
+        return losses, blocks[-1]
+
+    def recording_step(self, params, grads):
+        updates.append((blocks[:], {k: np.array(v, copy=True)
+                                    for k, v in grads.items()}))
+        blocks.clear()
+        adam_step(self, params, grads)
+
+    monkeypatch.setattr(dist, "rank_step", offset_step)
+    monkeypatch.setattr(Adam, "step", recording_step)
+    run_stage(stage, ctx, motion)
+    heads = {"hp2_b": 0, "hs2_b": 0}
+    for per_block, got in updates:
+        assert [len(b[next(iter(b))]) for b in per_block] == [ranks]
+        for key, g in got.items():
+            stack = np.concatenate([b[key] for b in per_block])
+            acc = np.zeros(stack.shape[1:])
+            for g_r in stack:
+                acc += g_r
+            want = acc / ranks
+            assert g.dtype == np.float64 and g.tobytes() == want.tobytes(), key
+            if key in heads:
+                heads[key] += 1
+                pairwise = np.sum(stack, axis=0, dtype=np.float64) / ranks
+                assert np.array_equal(pairwise, want) == (ranks < 8), key
+    assert heads == {"hp2_b": 1, "hs2_b": 1}
+
+
 def _row_terms(r, b, step_grads) -> list:
     """Each row's term in the gradient of the mean loss over ``b``'s rows."""
     rows = len(b["t"])

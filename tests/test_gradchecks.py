@@ -12,9 +12,9 @@ def test_gradcheck_battery_passes_at_tiny_dims():
         "pretrain_eps_mse/base", "pretrain_eps_mse/motion", "distill_mse/motion",
         "disc_conditional/disc", "disc_relaxed/disc",
         "generator_conditional/motion", "generator_relaxed/motion",
-        "distill_mse/motion/2 ranks", "disc_conditional/disc/2 ranks",
-        "disc_relaxed/disc/2 ranks", "generator_conditional/motion/2 ranks",
-        "generator_relaxed/motion/2 ranks",
+        "pretrain_eps_mse/base/2 ranks", "distill_mse/motion/2 ranks",
+        "disc_conditional/disc/2 ranks", "disc_relaxed/disc/2 ranks",
+        "generator_conditional/motion/2 ranks", "generator_relaxed/motion/2 ranks",
     ]
     for r in results:
         assert r["n_params"] > 0
