@@ -40,10 +40,10 @@ from .datagen import (
     ClipDataset,
     STYLES,
     StyleSpec,
-    analytic_eps_star,
     flip_augment,
     generate_distill_dataset,
     load_dataset,
+    oracle_eps,
     pool_by_group,
     sample_ground_truth,
     save_dataset,

@@ -89,12 +89,12 @@ def default_config() -> dict:
             {"rank": 7, "style": "anime_c", "dataset": "gen_anime"},
         ],
         # Two seen styles (one realistic-analog, one anime-analog) and two
-        # unseen styles. The analytic single-Gaussian style is deliberately
-        # not scored here: guidance is a no-op on a single component, so its
+        # unseen styles. real_a, a single unit Gaussian, is deliberately not
+        # scored here: guidance is a no-op on a single component, so its
         # undistilled arm already sits at the reference and ratio-based
         # comparisons degenerate. Instead, tests use its closed-form noise
-        # prediction (``datagen.analytic_eps_star``) as the oracle for a
-        # pretrained base and for the solvers.
+        # prediction (``datagen.oracle_eps``, which covers every style) as
+        # the oracle for a pretrained base and for the solvers.
         "eval": {
             "styles": ["real_b", "anime_a", "unseen_near", "unseen_far"],
             "step_counts": [1, 2, 4, 8],

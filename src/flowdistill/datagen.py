@@ -1,21 +1,36 @@
 """Synthetic style universe and distillation datasets.
 
-Every style draws condition-indexed Gaussian clips from a shared base
-distribution: component means are selected by the condition token, frame
-deviations are correlated through an AR(1) kernel, and a per-style
-invertible diagonal affine transform is applied last. Styles are built
-symmetric about frame coordinate 0 so the flip augmentation preserves each
-distribution.
+Every style is one Gaussian family. Given its condition token ``c`` a clip
+of F frames and D = 2 coordinates is x0 ~ N(m_c, Sigma):
 
-One designated style (``real_a``) is a single isotropic unit Gaussian with
-independent frames, which makes the ideal noise prediction available in
-closed form for oracle tests:
+- m_c is the component mean (0, v_c) under the style's affine map
+  (``scale``, then ``offset``), the same on every frame, with the v_c
+  spanning [-spread, spread];
+- Sigma is block-diagonal over the coordinates, one F x F block
+  (SIGMA_BASE * scale_d)^2 K_rho per coordinate d, where K_rho is the AR(1)
+  frame kernel rho ** |i - j|.
 
-    eps_star(x, t) = sqrt(1-ab) * (x - sqrt(ab) * mu) / (ab * var + 1 - ab)
+Styles are built symmetric about frame coordinate 0 so the flip
+augmentation preserves each distribution.
 
-Unit variance puts that style's noisy marginals at N(0, I) for every
-timestep, so a traversal's fidelity can be measured without
-start-distribution bias.
+The schedule is variance-preserving, so with a = sqrt(ab_t) and
+b = sqrt(1 - ab_t) the noised marginal is N(a m_c, a^2 Sigma + b^2 I) and
+the ideal noise prediction has a closed form, ``oracle_eps``:
+
+    eps_star(x, t, c) = b (a^2 Sigma + b^2 I)^-1 (x - a m_c)
+
+The null token (``vocab``), which condition dropout trains on the uniform
+mixture over the vocab, takes the same formula with m_c replaced by the
+posterior mean of the component. The components share Sigma, so their
+posterior weights are the softmax over c of
+-1/2 r_c^T (a^2 Sigma + b^2 I)^-1 r_c, with r_c = x - a m_c. At
+t = T - 1 the oracle is the noised marginal's; training substitutes pure
+noise for the model input there (``schedule.substitute_terminal_noise``).
+
+``real_a`` is N(0, I): spread 0, unit deviation and independent frames.
+Its noised marginals are N(0, I) at every timestep, so a traversal's
+fidelity can be measured without start-distribution bias, and guidance is
+a no-op on it.
 
 A generated dataset is the guided teacher's samples from one traversal,
 ``solvers.sample_batch``: the sampler that also draws the evaluation's
@@ -47,10 +62,7 @@ __all__ = [
     "generate_distill_dataset",
     "flip_augment",
     "pool_by_group",
-    "analytic_eps_star",
-    "analytic_mean",
-    "ANALYTIC_STYLE",
-    "ANALYTIC_VAR",
+    "oracle_eps",
     "save_dataset",
     "load_dataset",
 ]
@@ -61,12 +73,12 @@ GROUPS = ("default", "realistic_analog", "anime_analog", "unseen")
 POOL_IDS = {"default": -1, "realistic_analog": -2, "anime_analog": -3, "unseen": -4}
 _POOL_GROUPS = {v: k for k, v in POOL_IDS.items()}
 
-SIGMA_BASE = 0.5      # per-coordinate deviation scale of mixture styles
-ANALYTIC_SIGMA = 1.0  # the single-component oracle style is N(0, I)
-# Component means span [-COND_SPREAD, COND_SPREAD] on coordinate 1. The
-# spread is kept comparable to SIGMA_BASE so that guidance sharpens the
-# conditional distribution. At the default scale 7.5 some styles' guided
-# trajectories still leave the data range (real_b reaches the x0 clamp).
+SIGMA_BASE = 0.5  # per-coordinate deviation before a style's scale
+# By default component means span [-COND_SPREAD, COND_SPREAD] on
+# coordinate 1. The spread is kept comparable to SIGMA_BASE so that guidance
+# sharpens the conditional distribution. At the default scale 7.5 some
+# styles' guided trajectories still leave the data range (real_b reaches
+# the x0 clamp).
 COND_SPREAD = 0.6
 
 
@@ -80,7 +92,7 @@ class StyleSpec:
     scale: tuple  # per-coordinate scale; both entries nonzero
     offset: tuple  # coordinate 0 offset stays 0 for flip symmetry
     rho: float  # AR(1) frame correlation
-    single_component: bool = False
+    spread: float = COND_SPREAD  # component means span [-spread, spread]
 
     def __post_init__(self):
         if self.group not in GROUPS:
@@ -91,13 +103,14 @@ class StyleSpec:
             raise ValueError("flip symmetry requires zero offset on coordinate 0")
 
 
-# Transform scales stay near one so every base model trains in a similar
-# numeric regime; what separates the groups is the correlation profile and
-# the offset/scale pattern, mirroring realistic-vs-anime styling.
+# The deviation that matters is SIGMA_BASE * scale: the mixture styles keep
+# it near 0.5, so every base model trains in a similar numeric regime, and
+# real_a's scale (2, 2) gives it unit deviation. What separates the groups is
+# the correlation profile and the offset/scale pattern, mirroring
+# realistic-vs-anime styling.
 STYLES = (
     StyleSpec(0, "default", "default", (1.0, 1.0), (0.0, 0.0), 0.8),
-    StyleSpec(1, "real_a", "realistic_analog", (1.0, 1.0), (0.0, 0.0), 0.0,
-              single_component=True),
+    StyleSpec(1, "real_a", "realistic_analog", (2.0, 2.0), (0.0, 0.0), 0.0, spread=0.0),
     StyleSpec(2, "real_b", "realistic_analog", (1.15, 0.9), (0.0, 0.25), 0.8),
     StyleSpec(3, "anime_a", "anime_analog", (0.8, 1.25), (0.0, -0.3), 0.6),
     StyleSpec(4, "anime_b", "anime_analog", (0.85, 1.2), (0.0, -0.2), 0.6),
@@ -118,42 +131,55 @@ DATASET_STYLES = {
     "gen_anime": ("anime_a", "anime_b", "anime_c"),
 }
 
-ANALYTIC_STYLE = _BY_NAME["real_a"]
-ANALYTIC_VAR = ANALYTIC_SIGMA * ANALYTIC_SIGMA
-
-
 def style_by_name(name: str) -> StyleSpec:
     if name not in _BY_NAME:
         raise KeyError(f"unknown style {name!r}")
     return _BY_NAME[name]
 
 
-def component_means(vocab: int) -> np.ndarray:
+def component_means(vocab: int, spread: float = COND_SPREAD) -> np.ndarray:
     """(vocab, 2) mixture component means on the shared base distribution."""
-    v = np.linspace(-COND_SPREAD, COND_SPREAD, vocab)
+    v = np.linspace(-spread, spread, vocab)
     return np.stack([np.zeros(vocab), v], axis=1)
 
 
-def ar1_cholesky(rho: float, frames: int) -> np.ndarray:
+def ar1_kernel(rho: float, frames: int) -> np.ndarray:
+    """K_rho: the AR(1) frame correlation rho ** |i - j|."""
     idx = np.arange(frames)
-    cov = rho ** np.abs(idx[:, None] - idx[None, :])
-    return np.linalg.cholesky(cov)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def analytic_mean(frames: int, frame_dim: int) -> np.ndarray:
-    """Per-frame mean of the analytic single-Gaussian style."""
-    mu = np.zeros((frames, frame_dim))
-    mu[:, 1] = ANALYTIC_STYLE.offset[1]
-    return mu
+def ar1_cholesky(rho: float, frames: int) -> np.ndarray:
+    return np.linalg.cholesky(ar1_kernel(rho, frames))
 
 
-def analytic_eps_star(x_t, t, sched: NoiseSchedule) -> np.ndarray:
-    """Closed-form ideal noise prediction for the analytic style."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    mu = analytic_mean(x_t.shape[-2], x_t.shape[-1])
-    ab = np.asarray(sched.alpha_bar(t), dtype=np.float64)
-    ab = ab.reshape(ab.shape + (1,) * (x_t.ndim - ab.ndim))
-    return np.sqrt(1.0 - ab) * (x_t - np.sqrt(ab) * mu) / (ab * ANALYTIC_VAR + 1.0 - ab)
+def oracle_eps(style: StyleSpec, x_t, t, tokens, sched: NoiseSchedule,
+               vocab: int = 8) -> np.ndarray:
+    """The ideal float64 noise prediction for ``style``'s clips ``x_t``
+    (N, F, D) at timestep ``t`` (a scalar, or one per row) and condition
+    ``tokens``, where ``vocab`` is the null token: the closed form in the
+    module docstring.
+
+    Sigma's blocks share the eigenbasis u of K_rho, so a^2 Sigma + b^2 I is
+    diagonal in it, with one entry per row, eigenvalue and coordinate."""
+    tokens = np.asarray(tokens)
+    if tokens.shape != np.shape(x_t)[:1] or tokens.min() < 0 or tokens.max() > vocab:
+        raise ValueError(f"need one token in [0, {vocab}] per clip")
+    ab = np.broadcast_to(sched.alpha_bar(t), tokens.shape)[:, None, None]
+    a = np.sqrt(ab)
+    lam, u = np.linalg.eigh(ar1_kernel(style.rho, np.shape(x_t)[1]))
+    var = ab * np.outer(lam, SIGMA_BASE ** 2 * np.square(style.scale)) + 1.0 - ab
+    means = component_means(vocab, style.spread) * style.scale + style.offset
+    ux = u.T @ x_t  # float64, in the eigenbasis
+    ones = u.sum(axis=0)[:, None]  # the all-ones frame vector in the eigenbasis
+    null = tokens == vocab
+    mean = means[np.where(null, 0, tokens)]
+    r = ux[null, None] - a[null, None] * ones * means[:, None]  # (nulls, vocab, F, D)
+    logits = -0.5 * np.sum(r * r / var[null, None], axis=(2, 3))
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    mean[null] = (w / w.sum(axis=1, keepdims=True)) @ means
+    y = (ux - a * ones * mean[:, None]) / var
+    return np.sqrt(1.0 - ab) * (u @ y)
 
 
 @dataclass
@@ -210,13 +236,9 @@ def sample_ground_truth(style: StyleSpec, n: int, seed, frames: int = 8,
     conds = np.random.default_rng(cond_entropy).integers(0, vocab, size=n)
     z = np.random.default_rng(noise_entropy).standard_normal(
         (n, frames, NetDims.frame_dim))
-    scale = np.asarray(style.scale)
-    offset = np.asarray(style.offset)
-    if style.single_component:
-        clips = offset + ANALYTIC_SIGMA * z
-    else:
-        dev = SIGMA_BASE * (ar1_cholesky(style.rho, frames) @ z)
-        clips = (component_means(vocab)[conds, None] + dev) * scale + offset
+    dev = SIGMA_BASE * (ar1_cholesky(style.rho, frames) @ z)
+    clips = ((component_means(vocab, style.spread)[conds, None] + dev)
+             * np.asarray(style.scale) + np.asarray(style.offset))
     return ClipDataset(clips, conds, "ground_truth", style.group, style.style_id)
 
 

@@ -107,12 +107,12 @@ def build_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
 # Endpoints chosen so that (a) the terminal signal fraction is 1%, small
 # enough that sampling starts from unit noise yet gentle enough that the
 # epsilon parameterisation's 1/sqrt(alpha_bar) error amplification through
-# a guided traversal stays bounded, and (b) on the analytic style, with its
-# exact noise prediction, the 32-step Euler traversal of ``teacher_steps``
-# reproduces the target mean within sampling error (z < 1.5 over 10,000
-# clips). It keeps 0.93 of the target variance on average (0.89-0.96 per
-# coordinate): deterministic DDIM strides shrink it, by less as they
-# shorten (0.99 at 128 steps, 0.94-1.01 per coordinate).
+# a guided traversal stays bounded, and (b) on ``real_a`` (N(0, I)), with its
+# exact noise prediction ``datagen.oracle_eps``, the 32-step Euler traversal
+# of ``teacher_steps`` reproduces the target mean within sampling error
+# (z < 1.5 over 10,000 clips). It keeps 0.93 of the target variance on
+# average (0.89-0.96 per coordinate): deterministic DDIM strides shrink it,
+# by less as they shorten (0.99 at 128 steps, 0.94-1.01 per coordinate).
 SCHEDULE = build_schedule(128, 0.0018, 0.068487)
 
 

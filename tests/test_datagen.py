@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -8,18 +9,19 @@ import flowdistill as fd
 import flowdistill.datagen as datagen
 import flowdistill.solvers as solvers
 from flowdistill.datagen import (
-    ANALYTIC_STYLE,
-    ANALYTIC_VAR,
     SIGMA_BASE,
     ClipDataset,
     POOL_IDS,
     ar1_cholesky,
     component_means,
     load_dataset,
+    oracle_eps,
     save_dataset,
     style_by_name,
 )
 from flowdistill.evalmetrics import reference_set
+
+REAL_A = style_by_name("real_a")  # N(0, I): spread 0, unit deviation, rho 0
 
 
 def test_style_registry_structure():
@@ -37,13 +39,13 @@ def test_styles_are_flip_symmetric_constructions():
 
 
 def test_ground_truth_moments_identity_transform():
-    # Monte Carlo oracle for the analytic style: mean 0, isotropic variance.
-    ds = fd.sample_ground_truth(ANALYTIC_STYLE, 10000, 5)
+    # Monte Carlo oracle for real_a: mean 0, isotropic unit variance.
+    ds = fd.sample_ground_truth(REAL_A, 10000, 5)
     flat = ds.clips.reshape(len(ds), -1).astype(np.float64)
-    se_mean = np.sqrt(ANALYTIC_VAR / len(ds))
+    se_mean = np.sqrt(1.0 / len(ds))
     assert np.abs(flat.mean(axis=0)).max() < 3 * se_mean * 1.5
-    se_var = ANALYTIC_VAR * np.sqrt(2 / (len(ds) - 1))
-    assert np.abs(flat.var(axis=0) - ANALYTIC_VAR).max() < 4 * se_var
+    se_var = np.sqrt(2 / (len(ds) - 1))
+    assert np.abs(flat.var(axis=0) - 1.0).max() < 4 * se_var
 
 
 def test_ground_truth_mixture_condition_means():
@@ -79,9 +81,9 @@ def test_transform_inversion_recovers_base_moments():
 
 
 def test_ground_truth_seed_determinism():
-    a = fd.sample_ground_truth(ANALYTIC_STYLE, 64, 11)
-    b = fd.sample_ground_truth(ANALYTIC_STYLE, 64, 11)
-    c = fd.sample_ground_truth(ANALYTIC_STYLE, 64, 12)
+    a = fd.sample_ground_truth(REAL_A, 64, 11)
+    b = fd.sample_ground_truth(REAL_A, 64, 11)
+    c = fd.sample_ground_truth(REAL_A, 64, 12)
     assert np.array_equal(a.clips, b.clips) and np.array_equal(a.conditions, b.conditions)
     assert not np.array_equal(a.clips, c.clips)
 
@@ -118,7 +120,7 @@ def _generate_draws(monkeypatch, n, seed, batch):
 
     monkeypatch.setattr(solvers, "euler_solve", solve)
     monkeypatch.setattr(solvers, "SAMPLE_BATCH", batch)
-    ds = fd.generate_distill_dataset(_teacher(), fd.SCHEDULE, ANALYTIC_STYLE, n, seed, 8, 7.5)
+    ds = fd.generate_distill_dataset(_teacher(), fd.SCHEDULE, REAL_A, n, seed, 8, 7.5)
     return ds, rows
 
 
@@ -173,11 +175,11 @@ def test_generated_clips_are_the_reference_sampler_on_their_own_inputs():
 def _partitioned_datasets(monkeypatch):
     """A generated dataset as one solve, then as solves of 1, 3 and 7 rows."""
     teacher = _teacher(25)
-    whole = fd.generate_distill_dataset(teacher, fd.SCHEDULE, ANALYTIC_STYLE, 10, 6, 4, 7.5)
+    whole = fd.generate_distill_dataset(teacher, fd.SCHEDULE, REAL_A, 10, 6, 4, 7.5)
     parts = []
     for batch in (1, 3, 7):
         monkeypatch.setattr(solvers, "SAMPLE_BATCH", batch)
-        parts.append(fd.generate_distill_dataset(teacher, fd.SCHEDULE, ANALYTIC_STYLE,
+        parts.append(fd.generate_distill_dataset(teacher, fd.SCHEDULE, REAL_A,
                                                  10, 6, 4, 7.5))
     for ds in parts:
         assert ds.conditions.tobytes() == whole.conditions.tobytes()
@@ -228,6 +230,123 @@ def test_ar1_cholesky_reproduces_kernel():
         cov = chol @ chol.T
         np.testing.assert_allclose(cov, rho ** np.abs(idx[:, None] - idx), atol=1e-12)
     assert np.array_equal(ar1_cholesky(0.0, 6), np.eye(6))
+
+
+@pytest.mark.parametrize("seed", [5, [0, 13, 1]])
+@pytest.mark.parametrize("n", [1, 300])
+def test_real_a_ground_truth_is_offset_plus_unit_noise(seed, n):
+    # real_a is data, not a sampling branch: the mixture formula with spread
+    # 0, rho 0 and SIGMA_BASE * scale = 1 gives offset + 1.0 * z, bit for
+    # bit, with z the dataset's noise stream.
+    _, noise_entropy = datagen._entropies(seed)
+    z = np.random.default_rng(noise_entropy).standard_normal((n, 8, 2))
+    want = (np.asarray(REAL_A.offset) + 1.0 * z).astype(np.float32)
+    assert fd.sample_ground_truth(REAL_A, n, seed).clips.tobytes() == want.tobytes()
+
+
+def test_oracle_on_real_a_is_the_unit_gaussian_closed_form(sched):
+    # N(0, I) noised by a variance-preserving schedule stays N(0, I), so
+    # eps* = sqrt(1 - ab) x / (ab + 1 - ab). One component: the null token
+    # predicts as the conditional ones do, and guidance is a no-op.
+    rng = np.random.default_rng(31)
+    n = 500
+    x = 1.5 * rng.standard_normal((n, 8, 2))
+    t = rng.integers(-1, sched.T, n)
+    ab = sched.alpha_bar(t)[:, None, None]
+    want = np.sqrt(1 - ab) * x / (ab + 1 - ab)
+    cond = oracle_eps(REAL_A, x, t, rng.integers(0, 8, n), sched)
+    null = oracle_eps(REAL_A, x, t, np.full(n, 8), sched)
+    np.testing.assert_allclose(cond, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(null, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(null, cond, rtol=0, atol=1e-15)
+
+
+def _brute_force_eps(style, x, t, tokens, sched, vocab):
+    """The oracle row by row on the flattened (F * D) clip: the full
+    covariance from ``np.kron``, one dense solve, and for the null token
+    the component posterior from each Gaussian's log density."""
+    frames = x.shape[1]
+    idx = np.arange(frames)
+    kernel = style.rho ** np.abs(idx[:, None] - idx[None, :])
+    cov = np.kron(kernel, np.diag((SIGMA_BASE * np.asarray(style.scale)) ** 2))
+    means = np.array([np.tile(np.array([0.0, v]) * style.scale + style.offset, frames)
+                      for v in np.linspace(-style.spread, style.spread, vocab)])
+    out = []
+    for xi, ti, ci in zip(x.reshape(len(x), -1), t, tokens):
+        ab = float(sched.alpha_bar(int(ti)))
+        marginal = ab * cov + (1 - ab) * np.eye(len(cov))
+        if ci < vocab:
+            mean = means[ci]
+        else:
+            logdet = np.linalg.slogdet(marginal)[1]
+            log_p = np.array([-0.5 * (r @ np.linalg.solve(marginal, r) + logdet)
+                              for r in xi - np.sqrt(ab) * means])
+            w = np.exp(log_p - log_p.max())
+            mean = (w / w.sum()) @ means
+        out.append(np.sqrt(1 - ab) * np.linalg.solve(marginal, xi - np.sqrt(ab) * mean))
+    return np.array(out).reshape(x.shape)
+
+
+@pytest.mark.parametrize("vocab", [8, 3])
+@pytest.mark.parametrize("style", fd.STYLES, ids=lambda s: s.name)
+def test_oracle_matches_the_brute_force_reference(sched, style, vocab):
+    n = 64
+    ds = fd.sample_ground_truth(style, n, [32, 1], vocab=vocab)
+    rng = np.random.default_rng([32, 2])
+    t = rng.integers(-1, sched.T, n)
+    ab = sched.alpha_bar(t)[:, None, None]
+    x = np.sqrt(ab) * ds.clips + np.sqrt(1 - ab) * rng.standard_normal(ds.clips.shape)
+    tokens = np.where(rng.random(n) < 0.5, vocab, ds.conditions)
+    got = oracle_eps(style, x, t, tokens, sched, vocab)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, _brute_force_eps(style, x, t, tokens, sched, vocab),
+                               rtol=0, atol=1e-12)
+    # A scalar timestep is every row's.
+    np.testing.assert_array_equal(oracle_eps(style, x, 40, tokens, sched, vocab),
+                                  oracle_eps(style, x, np.full(n, 40), tokens, sched, vocab))
+
+
+def test_oracle_refuses_tokens_outside_the_vocab(sched):
+    x = np.zeros((3, 8, 2))
+    for tokens in ([0, 1, 9], [-1, 0, 0], [0, 1]):
+        with pytest.raises(ValueError, match=r"one token in \[0, 8\] per clip"):
+            oracle_eps(REAL_A, x, 5, np.array(tokens), sched)
+
+
+def _oracle_errors(style, x_t, eps, t, tokens, sched):
+    """Per row: the oracle's mean squared error on the noise."""
+    return np.mean((oracle_eps(style, x_t, t, tokens, sched) - eps) ** 2, axis=(1, 2))
+
+
+def _paired_z(worse, better):
+    d = worse - better
+    return d.mean() / (d.std(ddof=1) / np.sqrt(len(d)))
+
+
+@pytest.mark.parametrize("style", fd.STYLES, ids=lambda s: s.name)
+def test_oracle_is_the_ground_truth_samplers_denoiser(sched, style):
+    # On fresh ground-truth rows at uniform t, the oracle denoises better
+    # than the same formula for a style with any parameter moved, by more
+    # than 3 paired standard errors (measured: 4.6-14). This ties the
+    # oracle to ``sample_ground_truth``. With more than one component the
+    # condition token helps too (measured: 14-19 standard errors).
+    n = 4096
+    ds = fd.sample_ground_truth(style, n, [41, 1])
+    rng = np.random.default_rng([41, 2])
+    t = rng.integers(0, sched.T, n)
+    eps = rng.standard_normal(ds.clips.shape)
+    x_t = fd.add_noise(ds.clips.astype(np.float64), eps, t, sched)
+    own = _oracle_errors(style, x_t, eps, t, ds.conditions, sched)
+    moved = [dataclasses.replace(style, rho=style.rho + 0.1),
+             dataclasses.replace(style, rho=style.rho - 0.1),
+             dataclasses.replace(style, scale=tuple(1.1 * s for s in style.scale)),
+             dataclasses.replace(style, offset=(0.0, style.offset[1] + 0.1))]
+    for other in moved:
+        errors = _oracle_errors(other, x_t, eps, t, ds.conditions, sched)
+        assert errors.mean() > own.mean() and _paired_z(errors, own) > 3, other
+    if style.spread > 0:
+        null = _oracle_errors(style, x_t, eps, t, np.full(n, 8), sched)
+        assert null.mean() > own.mean() and _paired_z(null, own) > 3
 
 
 def test_flip_augment_doubles_and_inverts():
@@ -357,10 +476,10 @@ def test_dataset_contents_refused_name_the_file(tmp_path, case, message):
 def test_generated_dataset_deterministic_and_tagged(tmp_path, sched, dims):
     rng = np.random.default_rng(22)
     bundle = fd.StudentBundle(fd.init_base(dims, rng), fd.init_motion(dims, rng, 0.05), dims)
-    a = fd.generate_distill_dataset(bundle, sched, ANALYTIC_STYLE, 24, 23, 8, 7.5)
-    b = fd.generate_distill_dataset(bundle, sched, ANALYTIC_STYLE, 24, 23, 8, 7.5)
+    a = fd.generate_distill_dataset(bundle, sched, REAL_A, 24, 23, 8, 7.5)
+    b = fd.generate_distill_dataset(bundle, sched, REAL_A, 24, 23, 8, 7.5)
     assert np.array_equal(a.clips, b.clips)
     assert a.provenance == "teacher_generated"
-    assert a.style_id == ANALYTIC_STYLE.style_id
+    assert a.style_id == REAL_A.style_id
     with pytest.raises(ValueError):
-        fd.generate_distill_dataset(None, sched, ANALYTIC_STYLE, 4, 0, 8, 7.5)
+        fd.generate_distill_dataset(None, sched, REAL_A, 4, 0, 8, 7.5)

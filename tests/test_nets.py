@@ -5,7 +5,7 @@ import pytest
 
 import flowdistill as fd
 from flowdistill import autodiff as ad
-from flowdistill.datagen import ANALYTIC_STYLE, ANALYTIC_VAR, analytic_eps_star, sample_ground_truth
+from flowdistill.datagen import oracle_eps, sample_ground_truth, style_by_name
 from flowdistill.nets import (
     BASE_KEYS,
     MOTION_KEYS,
@@ -271,27 +271,27 @@ def test_relaxed_discriminator_swaps_the_head_and_keeps_backbone(dims, bundle):
 
 
 def test_pretrain_base_learns_analytic_predictor(sched, dims):
-    ds = sample_ground_truth(ANALYTIC_STYLE, 8000, [99, 1], frames=dims.frames,
-                             vocab=dims.vocab)
+    ds = sample_ground_truth(style_by_name("real_a"), 8000, [99, 1],
+                             frames=dims.frames, vocab=dims.vocab)
     [(base, history)] = fd.pretrain_base([ds], sched, dims, 4000, [[99, 2]])
     assert np.mean(history[-50:]) < np.mean(history[:50])
     bundle = fd.StudentBundle(base, fd.init_motion(dims, np.random.default_rng(1729)), dims)
     rng = np.random.default_rng(11)
     for t in (32, 64, 96):
-        x0 = np.sqrt(ANALYTIC_VAR) * rng.standard_normal((512, dims.frames, dims.frame_dim))
+        x0 = rng.standard_normal((512, dims.frames, dims.frame_dim))  # real_a: N(0, I)
         eps = rng.standard_normal(x0.shape)
         x_t = fd.add_noise(x0, eps, t, sched)
-        pred = student_eps(bundle.base, bundle.motion, x_t, t,
-                           rng.integers(0, dims.vocab, 512), sched.T, dims)
-        star = analytic_eps_star(x_t, t, sched)
+        tokens = rng.integers(0, dims.vocab, 512)
+        pred = student_eps(bundle.base, bundle.motion, x_t, t, tokens, sched.T, dims)
+        star = oracle_eps(style_by_name("real_a"), x_t, t, tokens, sched, dims.vocab)
         rms = float(np.sqrt(np.mean((pred - star) ** 2)))
         assert rms < 5e-2, (t, rms)
         assert float(np.mean((pred - star) ** 2)) < 0.1
 
 
 def test_pretrain_zero_lr_keeps_parameters(sched, dims):
-    ds = sample_ground_truth(ANALYTIC_STYLE, 256, [98, 1], frames=dims.frames,
-                             vocab=dims.vocab)
+    ds = sample_ground_truth(style_by_name("real_a"), 256, [98, 1],
+                             frames=dims.frames, vocab=dims.vocab)
     [(base, _)] = fd.pretrain_base([ds], sched, dims, 3, [[98, 2]], lr=0.0)
     fresh = fd.init_base(dims, np.random.default_rng([98, 2]))
     for key in BASE_KEYS:
@@ -299,7 +299,6 @@ def test_pretrain_zero_lr_keeps_parameters(sched, dims):
 
 
 def test_pretrain_motion_trains_only_motion(sched, dims):
-    from flowdistill.datagen import style_by_name
     ds = sample_ground_truth(style_by_name("default"), 2048, [97, 1],
                              frames=dims.frames, vocab=dims.vocab)
     [(base, _)] = fd.pretrain_base([ds], sched, dims, 400, [[97, 2]])
@@ -314,8 +313,8 @@ def test_pretrain_motion_trains_only_motion(sched, dims):
 def test_draw_rows_on_the_full_grid_draws_integer_timesteps(sched, dims):
     # Pretraining draws over np.arange(T): the same draws as timesteps from
     # rng.integers(0, T), in the order index, dropout, timestep, noise.
-    ds = sample_ground_truth(ANALYTIC_STYLE, 64, [96, 1], frames=dims.frames,
-                             vocab=dims.vocab)
+    ds = sample_ground_truth(style_by_name("real_a"), 64, [96, 1],
+                             frames=dims.frames, vocab=dims.vocab)
     got = draw_rows(ds, 32, np.random.default_rng(5), np.arange(sched.T),
                     cond_dropout=0.5, null_token=dims.null_token)
     rng = np.random.default_rng(5)
@@ -414,8 +413,8 @@ def test_adam_refuses_a_changed_model():
 def test_draw_rows_with_dropout_needs_a_null_token(dims):
     # Without one, a dropped row's token was None and the tokens had dtype
     # object.
-    ds = sample_ground_truth(ANALYTIC_STYLE, 16, [96, 2], frames=dims.frames,
-                             vocab=dims.vocab)
+    ds = sample_ground_truth(style_by_name("real_a"), 16, [96, 2],
+                             frames=dims.frames, vocab=dims.vocab)
     with pytest.raises(ValueError, match="null_token"):
         draw_rows(ds, 8, np.random.default_rng(6), np.arange(128), cond_dropout=0.5)
     rows = draw_rows(ds, 8, np.random.default_rng(6), np.arange(128))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowdistill as fd
-from flowdistill.datagen import ANALYTIC_VAR, analytic_eps_star, analytic_mean
+from flowdistill.datagen import oracle_eps, style_by_name
 from flowdistill.solvers import predictor, traverse
 
 
@@ -13,7 +13,10 @@ TO_FLOAT32 = float(np.finfo(np.float32).eps / np.finfo(np.float64).eps)
 
 
 def analytic_f(sched):
-    return lambda x, t, tokens: analytic_eps_star(x, t, sched)
+    """The exact predictor of ``real_a``, N(0, I), on which every token
+    predicts alike."""
+    real_a = style_by_name("real_a")
+    return lambda x, t, tokens: oracle_eps(real_a, x, t, np.zeros(len(x), int), sched)
 
 
 def test_cfg_combine_identities():
@@ -131,7 +134,7 @@ def _analytic_one_step(sched, dtype):
     ab_t = float(sched.alpha_bar(t))
     ab_n = float(sched.alpha_bar(t_next))
     x64 = x.astype(np.float64)
-    eps = np.sqrt(1 - ab_t) * x64 / (ab_t * ANALYTIC_VAR + 1 - ab_t)
+    eps = np.sqrt(1 - ab_t) * x64 / (ab_t * 1.0 + 1 - ab_t)
     x0_hat = (x64 - np.sqrt(1 - ab_t) * eps) / np.sqrt(ab_t)
     expect = np.sqrt(ab_n) * x0_hat + np.sqrt(1 - ab_n) * eps
     f = analytic_f(sched)
@@ -173,17 +176,17 @@ def test_euler_terminal_statistics_match_target(sched):
     n = 10000
     rng = np.random.default_rng([7, 314159])
     x = rng.standard_normal((n, 8, 2))
-    mu = analytic_mean(8, 2).reshape(-1)
+    mu = np.zeros(16)
     var_err = []
     for steps, mean_kept, lo, hi in ((32, 0.93, 0.88, 0.96), (128, 0.99, 0.94, 1.02)):
         out = fd.euler_solve(analytic_f(sched), x, sched.T - 1, None, steps,
                              sched.T // steps, sched)
         flat = out.reshape(n, -1)
-        z_mean = np.abs(flat.mean(axis=0) - mu) / np.sqrt(ANALYTIC_VAR / n)
+        z_mean = np.abs(flat.mean(axis=0) - mu) / np.sqrt(1.0 / n)
         assert z_mean.max() < 1.5, steps
-        kept = flat.var(axis=0, ddof=1) / ANALYTIC_VAR
+        kept = flat.var(axis=0, ddof=1)  # of the target's unit variance
         assert round(kept.mean(), 2) == mean_kept and lo < kept.min() < kept.max() < hi
-        var_err.append(np.abs(flat.var(axis=0, ddof=1) - ANALYTIC_VAR).max())
+        var_err.append(np.abs(flat.var(axis=0, ddof=1) - 1.0).max())
     assert var_err[1] < var_err[0]
 
 
