@@ -418,7 +418,9 @@ def _take_rows(table, idx):
     out = Var(tv[at], _parents=(table,))
 
     def bwd(g):
-        dt = np.zeros_like(tv, dtype=g.dtype)
+        # np.zeros, not zeros_like: zeros_like of a table broadcast on its
+        # rank axis (a stride-0 view) lays that axis out innermost.
+        dt = np.zeros(tv.shape, dtype=g.dtype)
         np.add.at(dt, at, g)
         _accum(table, dt)
 

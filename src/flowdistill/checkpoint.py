@@ -57,8 +57,9 @@ def atomic_write(path, write) -> None:
 
 def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
     """Write named arrays; entry order is the dict order. A meta key with
-    whitespace, a meta value with a line break and an integer entry with a
-    value outside int32 are refused before anything is written."""
+    whitespace, a meta value with a line break, an empty entry name or one
+    with whitespace and an integer entry with a value outside int32 are
+    refused before anything is written."""
     lines = [f"ckpt-v1 {len(arrays)}"]
     for key, value in (meta or {}).items():
         if any(ch.isspace() for ch in str(key)):
@@ -70,6 +71,8 @@ def checkpoint_save(arrays: dict, path, meta: dict | None = None) -> None:
     blobs = []
     offset = 0
     for name, arr in arrays.items():
+        if not name:
+            raise ValueError("entry name must not be empty")
         if any(ch.isspace() for ch in name):
             raise ValueError(f"entry name {name!r} must not contain whitespace")
         arr = np.asarray(arr)
@@ -107,11 +110,13 @@ def checkpoint_load(path, expect: tuple = ()) -> tuple:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    sep = raw.find(_SEP)
+    # The separator is the first line that is exactly "---": no manifest
+    # line is, while a meta value may end in "---".
+    sep = raw.find(b"\n" + _SEP)
     if sep < 0:
         raise ValueError(f"{path}: missing manifest separator")
     manifest = raw[:sep].decode("utf-8").splitlines()
-    blob = raw[sep + len(_SEP):]
+    blob = raw[sep + 1 + len(_SEP):]
     if not manifest or not manifest[0].startswith("ckpt-v1 "):
         raise ValueError(f"{path}: unrecognised manifest header")
     try:

@@ -30,23 +30,27 @@ every MSE iteration and every discriminator iteration, and on a
 discriminator iteration also the student's single stride, ``fake``. Both
 are constants of the loss that reads them. ``rank_step`` then runs once
 per block of ranks (``solvers.rank_blocks``) on their rows and holds only
-taped work, laid out by ``nets``'s layout rule: it tapes the side being
-updated as one copy per rank, stacked on the rank axis beside the block's
-bases, while a frozen discriminator enters once, shared by every rank,
-and it tapes the one loss that side minimises (``mse_loss``, or
+taped work, laid out by ``nets``'s layout rule: the side being updated
+enters as one read-only view of its arrays on the rank axis, beside the
+block's bases, while a frozen discriminator enters once, shared by every
+rank, and it tapes the one loss that side minimises (``mse_loss``, or
 ``adversarial_loss``'s ``l_d`` or ``l_g``) over each rank's
 ``micro_batch * grad_accum`` rows, and runs one ``backward``. A block
 holds as many whole ranks as keep the rows its taped encoders take within
-``SAMPLE_BATCH``: per rank, its rows once for the MSE stage, three times
-for the pair head (the student's stride or none, ``x_t`` and one or two
-candidates) and twice for the single head. The block's loss is the sum of
-its ranks' means, so rank r's copy gets exactly rank r's gradient. Every
-loss is a mean over rows and the micro-batches are the same size, so this
-is the mean of the micro-batch gradients up to summation order. Each
-block's (R, ...) gradients are summed along the rank axis in float64,
-rank by rank in rank order, and one optimizer step takes their mean over
-all ranks. A discriminator iteration scores the teacher's endpoint (the
-real sample) and the student's stride (the fake one) in one
+``SAMPLE_BATCH``, counted per phase and side (``TAPED_PASSES``): per rank,
+its rows once for the MSE stage, three times on the pair head's
+discriminator side (``x_t`` and two candidates), twice on its student
+side (the student's stride and one candidate; its ``x_t`` pass through
+the frozen discriminator is untaped) and twice on either side of the
+single head. The block's loss is the sum of its ranks' means, so rank r's
+slice of the view gets exactly rank r's gradient. Every loss is a mean
+over rows and the micro-batches are the same size, so this is the mean of
+the micro-batch gradients up to summation order. Each block's (R, ...)
+gradients are laid out as one float64 row per rank, in the sorted-name
+layout ``Adam`` uses; the iteration's rows are summed once, in rank
+order, and divided once by the number of ranks, and one optimizer step
+takes that mean. A discriminator iteration scores the teacher's endpoint
+(the real sample) and the student's stride (the fake one) in one
 discriminator pass, each rank's two stacked on the row axis. A student
 iteration scores the student's taped stride alone, since the teacher's
 rows carry no gradient to the student, so it traverses nothing untaped:
@@ -58,6 +62,7 @@ losses and gradients included, of one on its rows alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -73,12 +78,14 @@ from .nets import (
     disc_pair_prob,
     disc_single_prob,
     draw_rows,
+    flat_layout,
     init_discriminator,
     rank_means,
     rank_sum,
     ranked_mse,
     relaxed_discriminator,
     stack_size,
+    unflatten,
 )
 from .schedule import NoiseSchedule, add_noise, substitute_terminal_noise
 from .solvers import euler_solve, predictor, rank_blocks, traverse
@@ -252,10 +259,10 @@ def mse_loss(base_arrays, motion, b: dict, sched: NoiseSchedule, dims):
     holds Vars (taped) or plain arrays.
 
     ``base_arrays`` is one base, or R bases stacked on a leading rank axis
-    with ``b``'s rows grouped by rank; ``motion`` may stack R copies too,
-    one per rank. The loss is R times the mean over the stack, so each
-    rank gets exactly its own mean's gradient, and ``losses`` holds the R
-    per-rank means (``nets.ranked_mse``).
+    with ``b``'s rows grouped by rank; ``motion`` may then carry the rank
+    axis too, one array per rank. The loss is R times the mean over the
+    stack, so each rank gets exactly its own mean's gradient, and
+    ``losses`` holds the R per-rank means (``nets.ranked_mse``).
     """
     pred = _student_stride(base_arrays, motion, b, sched, dims)
     return ranked_mse(pred, b["target"], stack_size(base_arrays))
@@ -286,8 +293,8 @@ def adversarial_loss(base_arrays, motion, disc_arrays, b: dict, flow_idx,
     one ``disc_arrays`` holds: the pair head of the trajectory-conditional
     phase when it holds ``hp1_w``, else the relaxed single head.
     ``motion`` and ``disc_arrays`` each hold Vars or plain arrays, either
-    one model or R copies stacked, one per rank; the side given as arrays
-    is a constant of the returned loss.
+    one model or one array per rank on a leading rank axis; the side given
+    as arrays is a constant of the returned loss.
     """
     if side not in ("disc", "student"):
         raise ValueError(f"unknown side {side!r}")
@@ -317,9 +324,18 @@ def adversarial_loss(base_arrays, motion, disc_arrays, b: dict, flow_idx,
                                    - rank_means(ad.value_of(log_fake), ranks))
 
 
-def _copies(arrays: dict, ranks: int) -> dict:
-    """``ranks`` copies of each array, stacked on a leading rank axis."""
-    return {k: np.stack([v] * ranks) for k, v in arrays.items()}
+# The rows per rank that a block puts through a taped encoder, as a
+# multiple of the rank's rows, by (phase, side): see the module docstring.
+TAPED_PASSES = {(None, "student"): 1,
+                ("trajectory_conditional", "disc"): 3,
+                ("trajectory_conditional", "student"): 2,
+                ("relaxed", "disc"): 2, ("relaxed", "student"): 2}
+
+
+def _rank_views(arrays: dict, ranks: int) -> dict:
+    """Each array as a read-only view on a leading rank axis of ``ranks``:
+    one model that a rank-stacked call reads as one per rank."""
+    return {k: np.broadcast_to(v, (ranks,) + np.shape(v)) for k, v in arrays.items()}
 
 
 def rank_step(bases, motion, disc, b: dict, flows, side: str,
@@ -339,12 +355,14 @@ def rank_step(bases, motion, disc, b: dict, flows, side: str,
     student's stride as a detached sample), the student's ``l_g``
     differentiates through the (frozen this iteration) discriminator and
     reads the noised rows alone. Only the side being updated is taped, as
-    R copies of its arrays stacked on a leading rank axis, so rank r's
-    copy receives exactly rank r's gradient; base parameters never receive
-    an entry. The frozen discriminator enters the student's loss once,
-    shared by every rank (``nets``'s layout rule). One ``backward`` runs
-    over the block's loss, the sum of its ranks' losses, so in float32
-    each rank gets the losses and gradients of a call on its rows alone.
+    one read-only view of its arrays on a leading rank axis of R
+    (``_rank_views``): no op writes into a node's value, and an (R, ...)
+    operand gets an (R, ...) gradient, so rank r's slice receives exactly
+    rank r's gradient; base parameters never receive an entry. The frozen
+    discriminator enters the student's loss once, shared by every rank
+    (``nets``'s layout rule). One ``backward`` runs over the block's loss,
+    the sum of its ranks' losses, so in float32 each rank gets the losses
+    and gradients of a call on its rows alone.
     """
     if disc is None and side != "student":
         raise ValueError(f"unknown side {side!r} for the MSE stage")
@@ -352,7 +370,7 @@ def rank_step(bases, motion, disc, b: dict, flows, side: str,
     if np.shape(flows) != (ranks,):
         raise ValueError(f"{np.size(flows)} flow indices for {ranks} stacked bases")
     pvars = {k: ad.Var(v)
-             for k, v in _copies(disc if side == "disc" else motion, ranks).items()}
+             for k, v in _rank_views(disc if side == "disc" else motion, ranks).items()}
     if disc is None:
         name, (loss, losses) = "mse", mse_loss(bases, pvars, b, sched, dims)
     elif side == "disc":
@@ -423,13 +441,13 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
                 disc, ctx.dims, _stage_rng(ctx.seed, stage, 1, DISC_STREAM))
         rngs = [_stage_rng(ctx.seed, stage, phase_idx, r.rank) for r in ranks]
         opt = {"student": Adam(stage.lr_student), "disc": Adam(stage.lr_disc)}
-        # The rows each rank puts through a taped encoder: the student's
-        # stride, x_t and one candidate for the pair head, or the stride
-        # and one candidate for the single head, on either side.
-        passes = {None: 1, "trajectory_conditional": 3, "relaxed": 2}[phase]
-        blocks = rank_blocks(len(ranks), rows * passes)
+        # Per side: Adam's layout of its arrays, its gradients as one
+        # float64 row per rank in that layout, and their mean; allocated
+        # once a phase and refilled by every iteration of that side.
+        flat: dict = {}
         for it in range(stage.iterations):
             side = "disc" if disc is not None and it % 2 == 0 else "student"
+            params = disc if side == "disc" else motion
             # Data-parallel step: each rank draws its rows from its own
             # stream, and all ranks' rows are noised at once. The untaped
             # traversals run once over them, each rank's rows on its own
@@ -437,9 +455,7 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
             # loss, and l_d's real sample), and the student's stride on a
             # discriminator iteration (l_d's fake sample). Then one taped
             # step per block of ranks on their rows, the mean over ranks in
-            # rank order and one optimizer update. The float64 sum runs
-            # rank by rank: np.sum(axis=0) pair-sums an (R, 1) stack of 8 or
-            # more ranks, which moves its last bits.
+            # rank order and one optimizer update.
             draws = [draw_rows(r.dataset, stage.micro_batch, rng, t_grid)
                      for r, rng in zip(ranks, rngs)
                      for _ in range(stage.grad_accum)]
@@ -452,28 +468,35 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
             if side == "disc":
                 b["fake"] = traverse(bases, motion, *args, 1, b["n"] * b["s"],
                                      ctx.sched, ctx.dims)
-            summed: dict = {}
+            if side not in flat:
+                layout = flat_layout(params)
+                size = sum(math.prod(shape) for _, shape in layout)
+                flat[side] = layout, np.empty((len(ranks), size)), np.empty(size)
+            layout, rank_grads, mean = flat[side]
             rank_losses: dict = {}
-            for lo, hi in blocks:
+            for lo, hi in rank_blocks(len(ranks), rows * TAPED_PASSES[phase, side]):
                 own = {k: v[lo * rows:hi * rows] if k in _ROW_KEYS else v
                        for k, v in b.items()}
                 losses, grads = rank_step({k: v[lo:hi] for k, v in bases.items()},
                                           motion, disc, own, flows[lo:hi], side,
                                           ctx.sched, ctx.dims)
-                for k, g in grads.items():
-                    acc = summed.setdefault(k, np.zeros(g.shape[1:]))
-                    for g_r in g:
-                        acc += g_r
+                np.concatenate([grads[k].reshape(hi - lo, -1) for k, _ in layout],
+                               axis=1, out=rank_grads[lo:hi])
                 for k, v in losses.items():
                     rank_losses.setdefault(k, []).extend(map(float, v))
+            # The float64 sum runs row by row in rank order: np.sum(axis=0)
+            # may pair-sum the rows, which moves their last bits.
+            mean.fill(0.0)
+            for row in rank_grads:
+                mean += row
+            mean /= len(ranks)
             mean_losses = {k: float(np.mean(v)) for k, v in rank_losses.items()}
             if not all(np.isfinite(v) for v in mean_losses.values()):
                 dump = _dump_diagnostics(ctx, stage, phase, it, motion, disc,
                                          mean_losses)
                 raise DistillDivergence(
                     f"non-finite loss at stage {stage.name} iteration {it}", dump)
-            opt[side].step(disc if side == "disc" else motion,
-                           {k: v / len(ranks) for k, v in summed.items()})
+            opt[side].step(params, unflatten(mean, layout))
             history.append({"stage": stage.name, "phase": phase or "mse",
                             "iteration": it, "side": side, **mean_losses})
     return motion, history

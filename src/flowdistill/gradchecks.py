@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .distill import _copies, _student_stride, adversarial_loss, mse_loss
+from .distill import _rank_views, _student_stride, adversarial_loss, mse_loss
 from .nets import (
     NetDims,
     StudentBundle,
@@ -77,7 +77,7 @@ def gradcheck_battery(dims: NetDims, seed: int = 7) -> list:
     The rows named ``…/2 ranks`` check the losses on two bases stacked,
     two rows each: pretraining as ``nets.pretrain_base`` tapes the stack,
     and distillation as ``distill.rank_step`` calls its losses on a block
-    of ranks, the taped side as one copy per rank, a frozen discriminator
+    of ranks, the taped side as one view per rank, a frozen discriminator
     shared by both, and the discriminator at flow indices (1, 2).
     """
     base, motion, pair, relaxed, noise, b, bases, stacked, noises = _setup(dims, seed)
@@ -94,7 +94,7 @@ def gradcheck_battery(dims: NetDims, seed: int = 7) -> list:
         return adversarial_loss(bases, motion_arrays, disc_arrays, stacked,
                                 np.array([1, 2]), side, SCHEDULE, dims)[0]
 
-    motions = _copies(motion, 2)
+    motions = _rank_views(motion, 2)
     checks = [
         ("pretrain_eps_mse/base", lambda p: denoise(p, None), base),
         ("pretrain_eps_mse/motion", lambda p: denoise(base, p), motion),
@@ -111,9 +111,9 @@ def gradcheck_battery(dims: NetDims, seed: int = 7) -> list:
         ("distill_mse/motion/2 ranks",
          lambda p: mse_loss(bases, p, stacked, SCHEDULE, dims)[0], motions),
         ("disc_conditional/disc/2 ranks", lambda p: ranked(motion, p, "disc"),
-         _copies(pair, 2)),
+         _rank_views(pair, 2)),
         ("disc_relaxed/disc/2 ranks", lambda p: ranked(motion, p, "disc"),
-         _copies(relaxed, 2)),
+         _rank_views(relaxed, 2)),
         ("generator_conditional/motion/2 ranks",
          lambda p: ranked(p, pair, "student"), motions),
         ("generator_relaxed/motion/2 ranks",

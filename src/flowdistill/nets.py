@@ -35,21 +35,24 @@ inside the encoder a frame stack is always a C-contiguous channel-major
 (R, hidden, F, B) array, R ranks of B rows each; one model's call, its
 arrays as a checkpoint holds them, is R = 1. An array carries a leading
 rank axis only when it differs per rank: the R bases of a stacked call
-(every base array (R, ...)), the R copies of the side that a
-distillation step tapes, one per rank, so that each rank's copy receives
-exactly its own gradient, and the rows themselves. A model that every
-rank shares enters once, with no rank axis: the motion module in a
-traversal or in pretraining, and the frozen discriminator on a student
-iteration. The public forwards take and return rows on one leading
-axis, grouped by rank, rank r's the r-th block of N / R: ``student_eps``
-takes (N, F, D) and transposes it into the encoder's layout once, as
-(R, D, F, N / R), and its output back. Inside, row-major arrays are
-(R, B, ...) as well: the time features and their projections, which the
-fused layers add over frames as (R, hidden, 1, B) row terms, and the
-(R, B, F * hidden) features, frame-major, that a discriminator's head
-scores. Every layer is one product per rank, against a shared or a
-per-rank weight, so in float32 each rank gets the bits of a call on its
-rows alone, losses and gradients included (see ``autodiff``). Untaped
+(every base array (R, ...)), the side that a distillation step tapes,
+whose gradient differs per rank, and the rows themselves. The taped side
+is one model all the same, so it enters as one read-only view of its
+arrays on a rank axis, not as R copies: each rank's slice of the view
+receives exactly its own gradient. A model that every rank shares and
+that takes no gradient per rank enters once, with no rank axis: the
+motion module in a traversal or in pretraining, and the frozen
+discriminator on a student iteration. The public forwards take and
+return rows on one leading axis, grouped by rank, rank r's the r-th
+block of N / R: ``student_eps`` takes (N, F, D) and transposes it into
+the encoder's layout once, as (R, D, F, N / R), and its output back.
+Inside, row-major arrays are (R, B, ...) as well: the time features and
+their projections, which the fused layers add over frames as
+(R, hidden, 1, B) row terms, and the (R, B, F * hidden) features,
+frame-major, that a discriminator's head scores. Every layer is one
+product per rank, against a shared or a per-rank weight, so in float32
+each rank gets the bits of a call on its rows alone, losses and
+gradients included (see ``autodiff``). Untaped
 float32 outputs have the bits of the row-major layout; a taped gradient
 sums over rows and frames in another order than a row-major layer does,
 so it may differ from the row-major one in its last bits.
@@ -451,7 +454,7 @@ class Adam:
         self.m = self.v = None
 
     def step(self, params: dict, grads: dict) -> None:
-        layout = tuple((name, np.shape(params[name])) for name in sorted(params))
+        layout = flat_layout(params)
         for name, shape in layout:
             if grads.get(name) is None:
                 raise ValueError(f"no gradient for parameter {name!r}")
@@ -478,11 +481,23 @@ class Adam:
         mhat = self.m / bc1
         vhat = self.v / bc2
         new = (p - self.lr * mhat / (np.sqrt(vhat) + self.EPS)).astype(np.float32)
-        start = 0
-        for name, shape in layout:
-            stop = start + math.prod(shape)
-            params[name] = new[start:stop].reshape(shape)
-            start = stop
+        params.update(unflatten(new, layout))
+
+
+def flat_layout(params: dict) -> tuple:
+    """``(name, shape)`` of each array of a model in sorted name order: the
+    order in which ``Adam`` lays the model out as one flat buffer."""
+    return tuple((name, np.shape(params[name])) for name in sorted(params))
+
+
+def unflatten(flat: np.ndarray, layout: tuple) -> dict:
+    """The arrays of ``layout`` as views of the flat buffer ``flat``."""
+    out, start = {}, 0
+    for name, shape in layout:
+        stop = start + math.prod(shape)
+        out[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return out
 
 
 # -- pretraining ---------------------------------------------------------

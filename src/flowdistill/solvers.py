@@ -11,7 +11,7 @@ teacher target and the student's detached stride over all ranks at once.
 :func:`rank_blocks` is the one rule that groups stacked ranks into blocks
 of at most ``SAMPLE_BATCH`` rows: :func:`traverse` solves in its blocks,
 ``runner`` pretrains the base models in them and ``distill.run_stage``
-tapes its steps in them.
+tapes its steps in them, sized by the rows that the taped side encodes.
 
 Predictors are callables ``f(x, t, tokens) -> eps_hat`` on row-major
 (B, frames, frame_dim) states, their rows grouped by rank over a stack of
@@ -152,7 +152,12 @@ def rank_blocks(ranks: int, per_rank: int) -> list:
     """The blocks of a rank-stacked call as ``(lo, hi)`` rank ranges:
     whole ranks of ``per_rank`` rows each go together up to
     ``SAMPLE_BATCH`` rows, and a rank whose rows alone exceed that is a
-    block by itself."""
+    block by itself.
+
+    ``per_rank`` counts the rows a rank puts through the encoder that the
+    bound is for: a traversal's rows, a pretraining step's batch, or the
+    rows that one side of a distillation step tapes, which
+    ``distill.run_stage`` counts per phase and side (``TAPED_PASSES``)."""
     span = max(1, SAMPLE_BATCH // max(per_rank, 1))  # ranks per block
     return [(lo, min(lo + span, ranks)) for lo in range(0, ranks, span)]
 

@@ -46,6 +46,31 @@ def test_a_meta_value_with_a_line_break_is_refused_and_nothing_written(
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("value", ["a---", "---", "a---b", "---\u00e9"])
+def test_a_meta_value_holding_the_separator_round_trips(tmp_path, value):
+    # The separator is a whole line: a meta value ending in "---" once cut
+    # the manifest short ("manifest declares 1 entries, found 0").
+    path = tmp_path / "model.ckpt"
+    checkpoint_save({"w": np.ones(3)}, path, meta={"note": value})
+    back, meta = checkpoint_load(path)
+    assert meta == {"note": value}
+    assert back["w"].tobytes() == np.ones(3, np.float32).tobytes()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("", "entry name must not be empty"),
+    ("a b", "entry name 'a b' must not contain whitespace"),
+])
+def test_an_entry_name_that_would_not_load_is_refused_and_nothing_written(
+        tmp_path, name, message):
+    # An empty name was saved as "entry  3 3 0", which loads as a malformed
+    # entry line.
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=message):
+        checkpoint_save({"w": np.ones(3), name: np.ones(3)}, path)
+    assert os.listdir(tmp_path) == []
+
+
 def test_manifest_entry_count_matches(tmp_path):
     params = _params(1)
     path = tmp_path / "model.ckpt"

@@ -68,6 +68,12 @@ def test_config_loading_and_hash(tiny_config):
     assert config_hash(cfg2) != h1
 
 
+def test_the_default_config_hash_is_pinned():
+    # Every artifact of a default run is keyed on this hash. A change that
+    # moves it on purpose updates the pin and says so in the change log.
+    assert config_hash(default_config()) == "bb289b5fc9f910a6"
+
+
 def test_config_validation_rejects_bad_styles():
     cfg = default_config()
     cfg["ranks"][0]["style"] = "unseen_far"

@@ -328,29 +328,44 @@ def test_adversarial_probabilities_clamped(sched, dims, setup):
     assert np.isfinite(np.log(PROB_CLAMP))
 
 
-def test_discriminator_step_peak_memory_per_row(sched, dims, setup):
-    # One trajectory-conditional discriminator step over the block that
-    # run_stage gives the pair head at the default micro_batch * grad_accum:
-    # 2 ranks of 64 rows, 3 x 64 rows each through the taped encoder.
-    # Freeing each interior gradient as backward uses it keeps the peak
-    # well under what the whole tape's gradients would add (about 95 KB/row
-    # when they are all kept). Measured: 30 KB/row and 3.9 MB per block.
-    base, motion, _ = setup
-    rng = np.random.default_rng(13)
-    disc = init_discriminator(dims, 2, rng,
-                              backbone_from=fd.StudentBundle(base, motion, dims))
+def test_no_taped_block_peaks_above_the_relaxed_discriminator_block(
+        sched, dims, setup):
+    # One rank_step for each (phase, side) over the block that run_stage
+    # gives it at the default micro_batch * grad_accum of 64 rows per rank.
+    # The relaxed head's discriminator side, 4 ranks of 2 x 64 taped
+    # encoder rows each, has the largest tape; no other block may peak
+    # above it, so sizing blocks per side does not raise the peak.
+    # Freeing each interior gradient as backward uses it keeps the pair
+    # head's discriminator block well under what the whole tape's gradients
+    # would add (about 95 KB/row when they are all kept). Measured peaks:
+    # 3.6 MB (MSE, 8 ranks), 3.8 MB (pair head, discriminator side, 2
+    # ranks; 30 KB/row), 3.9 MB (its student side, 4 ranks), 4.4 MB
+    # (relaxed discriminator side, 4 ranks), 3.5 MB (its student side).
+    _, motion, _ = setup
     st = StageConfig(32, 8, "adversarial", 1)
     rows = st.micro_batch * st.grad_accum
-    assert solvers.rank_blocks(8, 3 * rows)[0] == (0, 2)
-    _, stacked, b = _block(sched, dims, setup, 2, rows, 14)
-    tracemalloc.start()
-    try:
-        rank_step(stacked, motion, disc, b, np.array([0, 1]), "disc", sched, dims)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (2 * rows) < 85e3
-    assert peak < 6e6
+    sizes = {key: solvers.rank_blocks(8, rows * passes)[0][1]
+             for key, passes in dist.TAPED_PASSES.items()}
+    assert sizes == {(None, "student"): 8, ("trajectory_conditional", "disc"): 2,
+                     ("trajectory_conditional", "student"): 4,
+                     ("relaxed", "disc"): 4, ("relaxed", "student"): 4}
+    _, stacked, b = _block(sched, dims, setup, 8, rows, 14)
+    peaks = {}
+    for (phase, side), ranks in sizes.items():
+        disc = (None if phase is None
+                else _adversarial_disc(dims, setup, phase, np.random.default_rng(13)))
+        own = {k: v[:ranks * rows] if k in _ROW_KEYS else v for k, v in b.items()}
+        args = ({k: v[:ranks] for k, v in stacked.items()}, motion, disc, own,
+                np.arange(ranks) % 2, side, sched, dims)
+        tracemalloc.start()
+        try:
+            rank_step(*args)
+            peaks[phase, side] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    top = peaks["relaxed", "disc"]
+    assert max(peaks.values()) == top < 6e6
+    assert peaks["trajectory_conditional", "disc"] / (2 * rows) < 85e3
 
 
 def _tiny_ctx(sched, dims, seed=0, tmpdir=None):
@@ -1293,26 +1308,30 @@ def test_a_folded_block_gives_each_rank_its_own_step(sched, dims, setup, ranks,
 
 def test_no_taped_block_exceeds_sample_batch_encoder_rows(sched, dims,
                                                           monkeypatch):
-    # rank_blocks over rows x passes, the rows each rank puts through an
-    # encoder inside rank_step: 1 x 64 for MSE, 3 x 64 for the pair head
-    # (the student's stride or none, x_t and one or two candidates) and
-    # 2 x 64 for the single head, so blocks of 8, 2 and 4 ranks at the
-    # shipped 64 rows per rank.
+    # rank_blocks over rows x TAPED_PASSES, the rows each rank puts through a
+    # taped encoder inside rank_step: 1 x 64 for MSE, 3 x 64 on the pair
+    # head's discriminator side (x_t and two candidates), 2 x 64 on its
+    # student side (the stride and one candidate; x_t goes through the
+    # frozen discriminator untaped) and 2 x 64 on either side of the single
+    # head, so blocks of 8, 2, 4, 4 and 4 ranks at the shipped 64 rows per
+    # rank. Only the pair head's student side runs an untaped encoder in a
+    # block: its x_t pass, 1 x 64 rows per rank.
     ctx, motion = _tiny_ctx(sched, dims)
     ctx.ranks[:] = [ctx.ranks[r % 2]._replace(rank=r) for r in range(8)]
-    calls = []  # (phase, ranks, encoder rows) per rank_step
+    calls = []  # (phase, side, ranks, taped rows, untaped rows) per rank_step
     inside = [False]
     encode, step = nets._encode, dist.rank_step
 
     def counting_encode(params, x, *args):
+        h = encode(params, x, *args)
         if inside[0]:  # the untaped traversals run outside rank_step
             shape = ad.value_of(x).shape
-            calls[-1][2] += shape[-1] * (shape[0] if len(shape) == 4 else 1)
-        return encode(params, x, *args)
+            calls[-1][3 if isinstance(h, ad.Var) else 4] += shape[0] * shape[-1]
+        return h
 
     def spy(bases, motion, disc, b, flows, side, *args):
         phase = None if disc is None else "pair" if "hp1_w" in disc else "single"
-        calls.append([phase, len(flows), 0])
+        calls.append([phase, side, len(flows), 0, 0])
         inside[0] = True
         try:
             return step(bases, motion, disc, b, flows, side, *args)
@@ -1325,11 +1344,16 @@ def test_no_taped_block_exceeds_sample_batch_encoder_rows(sched, dims,
                   StageConfig(32, 8, "adversarial", 2)):
         run_stage(stage, ctx, motion)
     rows = 64
-    assert [tuple(c[:2]) for c in calls] == (
-        [(None, 8)] + [("pair", 2)] * 8 + [("single", 4)] * 4)
-    passes = {None: 1, "pair": 3, "single": 2}
-    for phase, ranks, encoded in calls:
-        assert encoded == ranks * rows * passes[phase] <= solvers.SAMPLE_BATCH
+    assert [tuple(c[:3]) for c in calls] == (
+        [(None, "student", 8)] + [("pair", "disc", 2)] * 4
+        + [("pair", "student", 4)] * 2 + [("single", "disc", 4)] * 2
+        + [("single", "student", 4)] * 2)
+    passes = {(None, "student"): 1, ("pair", "disc"): 3, ("pair", "student"): 2,
+              ("single", "disc"): 2, ("single", "student"): 2}
+    for phase, side, ranks, taped, untaped in calls:
+        assert taped == ranks * rows * passes[phase, side] <= solvers.SAMPLE_BATCH
+        assert untaped == (ranks * rows if (phase, side) == ("pair", "student")
+                           else 0)
 
 
 @pytest.mark.parametrize("bad", [3, -1])
