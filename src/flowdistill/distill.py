@@ -29,11 +29,13 @@ own base: the frozen teacher's ``target`` where the loss reads it, on
 every MSE iteration and every discriminator iteration, and on a
 discriminator iteration also the student's single stride, ``fake``. Both
 are constants of the loss that reads them. ``rank_step`` then runs once
-per block of ranks (``solvers.rank_blocks``) on their rows and holds only
-taped work, laid out by ``nets``'s layout rule: the side being updated
-enters as one read-only view of its arrays on the rank axis, beside the
-block's bases, while a frozen discriminator enters once, shared by every
-rank, and it tapes the one loss that side minimises (``mse_loss``, or
+per block of ranks (``solvers.rank_blocks``) on their rows and holds the
+taped work, laid out by ``nets``'s layout rule, and one untaped pass: on
+the pair head's student side, each block encodes its ranks' ``x_t``
+through the frozen discriminator. The side being updated enters as one
+read-only view of its arrays on the rank axis, beside the block's bases,
+while a frozen discriminator enters once, shared by every rank, and
+``rank_step`` tapes the one loss that side minimises (``mse_loss``, or
 ``adversarial_loss``'s ``l_d`` or ``l_g``) over each rank's
 ``micro_batch * grad_accum`` rows, and runs one ``backward``. A block
 holds as many whole ranks as keep the rows its taped encoders take within
@@ -84,6 +86,7 @@ from .nets import (
     rank_sum,
     ranked_mse,
     relaxed_discriminator,
+    stack_bases,
     stack_size,
     unflatten,
 )
@@ -431,7 +434,7 @@ def run_stage(stage: StageConfig, ctx: DistillContext,
                                   ctx.pretrained)
     t_grid = stage_timesteps(stage, ctx.sched.T)
     ranks = sorted(ctx.ranks, key=lambda r: r.rank)
-    bases = {k: np.stack([r.base[k] for r in ranks]) for k in ranks[0].base}
+    bases = stack_bases([r.base for r in ranks])
     flows = np.array([r.flow_idx for r in ranks])
     rows = stage.micro_batch * stage.grad_accum
     history: list = []

@@ -46,11 +46,17 @@ The harness scores every arm and step count on the same condition tokens
 and start noise, drawn once per evaluation by :func:`eval_inputs`: the
 tokens from one stream and the noise from another, each filled in clip
 order, so condition ``i`` is the same for every ``n_conditions > i``.
-:func:`score_arms` samples no reference: its caller hands it each style's
-reference set, sampled by :func:`reference_set` from those same inputs. A
-run caches each reference set as an artifact (``runner.Workspace.evaluate``),
-so it is sampled once per run and every later evaluation, ``eval`` or
-``ablate``, reads it back bit for bit.
+Every style shares them too, so one traversal samples many styles:
+:func:`reference_set` and :func:`arm_set` take a bundle whose base stacks
+R styles' bases on the rank axis (``nets.stack_bases``; one base is R = 1)
+and return R sets, grouped by style, each with the bits of sampling its
+style alone (``solvers.traverse``). :func:`score_arms` samples each arm
+and step count for every style in one :func:`arm_set`, and samples no
+reference: its caller hands it each style's reference set, sampled by
+:func:`reference_set` from those same inputs. A run caches each reference
+set as an artifact (``runner.Workspace.evaluate``), so it is sampled once
+per run and every later evaluation, ``eval`` or ``ablate``, reads it back
+bit for bit.
 """
 from __future__ import annotations
 
@@ -60,6 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .nets import stack_bases, stack_size
 from .solvers import sample_batch, start_noise
 
 __all__ = [
@@ -300,18 +307,36 @@ def eval_inputs(seed: int, n_conditions: int, dims) -> tuple:
             start_noise([seed, 7919], n_conditions, dims))
 
 
+def _sample_styles(bundle, sched, steps: int, tokens, x_start, w: float = 0.0):
+    """One :func:`~flowdistill.solvers.sample_batch` of every style that
+    ``bundle``'s base stacks on its rank axis (one unstacked base is one
+    style), each from the shared ``tokens`` and ``x_start``: the rows come
+    out grouped by style, style r's the r-th block of ``len(tokens)``."""
+    styles = stack_size(bundle.base)
+    return sample_batch(bundle, sched, steps, np.tile(tokens, styles),
+                        np.concatenate([x_start] * styles), w=w)
+
+
 def reference_set(bundle, sched, tokens, x_start, steps: int, w: float):
     """Teacher reference samples: the guided Euler traversal that also
     samples the generated datasets (``datagen.generate_distill_dataset``),
-    with the predicted clean sample clamped as in every traversal."""
-    return sample_batch(bundle, sched, steps, tokens, x_start, w=w)
+    with the predicted clean sample clamped as in every traversal.
+
+    ``bundle.base`` is one style's base, or R styles' bases stacked on a
+    leading rank axis (``nets.stack_bases``) beside their shared motion
+    module: every style is sampled from ``tokens`` and ``x_start`` in one
+    traversal, and the rows come out grouped by style, each style's the
+    bits of sampling it alone (``solvers.traverse``)."""
+    return _sample_styles(bundle, sched, steps, tokens, x_start, w=w)
 
 
 def arm_set(bundle, sched, steps: int, tokens, x_start):
     """Distilled-arm samples: unguided Euler traversal at few steps, with
     the predicted clean sample clamped as in the student's trained stride,
-    so one stride of an arm set is the stride the student was trained on."""
-    return sample_batch(bundle, sched, steps, tokens, x_start)
+    so one stride of an arm set is the stride the student was trained on.
+    ``bundle.base`` stacks R styles as for :func:`reference_set`, and the
+    rows come out grouped by style the same way."""
+    return _sample_styles(bundle, sched, steps, tokens, x_start)
 
 
 def score_arms(bundles_by_style: dict, arms: dict, sched, references: dict,
@@ -324,17 +349,28 @@ def score_arms(bundles_by_style: dict, arms: dict, sched, references: dict,
     count. ``references`` maps each scored style to its reference set,
     sampled by :func:`reference_set` from ``tokens`` and ``x_start`` (see
     :func:`eval_inputs`), which every arm and step count shares too. Every
-    bundle shares one ``NetDims``. Rows come out style-major, in
-    ``references`` order, then in ``step_counts`` order; ``seed`` is the
-    seed the inputs were drawn from, recorded in each row.
+    bundle shares one ``NetDims``. Each (arm, step count) samples every
+    scored style in one :func:`arm_set`, their bases stacked in
+    ``references`` order. The cells are then scored style-major, in
+    ``references`` order, then by arm, then in ``step_counts`` order, so
+    each style's reference is scored against all its cells in turn; rows
+    come out in that order, and ``seed`` is the seed the inputs were drawn
+    from, recorded in each row.
     """
     reports = {arm: EvalReport() for arm in arms}
-    for style, ref in references.items():
-        pre = bundles_by_style[style]
-        for arm, motion_by_steps in arms.items():
+    styles = list(references)
+    stack = bundles_by_style[styles[0]]._replace(
+        base=stack_bases([bundles_by_style[style].base for style in styles]))
+    sets = {}  # (arm, steps) -> each style's set, in ``references`` order
+    for arm, motion_by_steps in arms.items():
+        for steps in step_counts:
+            got = arm_set(stack._replace(motion=motion_by_steps[steps]), sched,
+                          steps, tokens, x_start)
+            sets[arm, steps] = got.reshape((len(styles), -1) + got.shape[1:])
+    for i, (style, ref) in enumerate(references.items()):
+        for arm in arms:
             for steps in step_counts:
-                got = arm_set(pre._replace(motion=motion_by_steps[steps]),
-                              sched, steps, tokens, x_start)
+                got = sets[arm, steps][i]
                 reports[arm].add(style, steps, energy_distance(got, ref),
                                  len(tokens), seed)
     return reports

@@ -516,6 +516,12 @@ def stack_size(arrays) -> int:
     return len(w1) if w1.ndim == 3 else 1
 
 
+def stack_bases(bases) -> dict:
+    """One model whose arrays stack those of ``bases``, in order, on a
+    leading rank axis."""
+    return {k: np.stack([base[k] for base in bases]) for k in bases[0]}
+
+
 def rank_sum(loss, ranks: int):
     """A mean over R ranks' equal shares of rows as their sum of per-rank
     means: R times ``loss``. Each rank then gets exactly the gradient of
@@ -630,7 +636,7 @@ def pretrain_base(datasets, sched: NoiseSchedule, dims: NetDims, steps: int,
         raise ValueError(f"{len(datasets)} datasets for {len(seeds)} seeds")
     rngs = list(map(np.random.default_rng, seeds))
     bases = [init_base(dims, rng) for rng in rngs]
-    stack = {k: np.stack([base[k] for base in bases]) for k in BASE_KEYS}
+    stack = stack_bases(bases)
     histories = _pretrain(
         stack, BASE_KEYS,
         lambda pvars, *b: denoise_loss(pvars, None, *b, sched, dims),

@@ -45,11 +45,15 @@ interrupted plan resumes from its last finished stage; training is
 deterministic per stage, so the result equals an uninterrupted run. An
 arm's motion is keyed by step count, the ``to_steps`` of the plan stage
 that produced it. ``evaluate`` scores any set of arms over styles and step
-counts in one loop (``evalmetrics.score_arms``) and stamps each report's
+counts (``evalmetrics.score_arms``, one traversal per arm and step count
+over every scored style's base, stacked) and stamps each report's
 provenance. Each style's reference set, the guided teacher's samples that
-every cell of the style is scored against, is a cached artifact too: it is
-sampled by the first evaluation that scores the style and read back, bit
-for bit, by every later one, ``eval`` and ``ablate`` alike. The generated
+every cell of the style is scored against, is a cached artifact too: an
+evaluation loads the cached ones first, samples every missing one in one
+traversal over their bases, stacked, and writes each; every later
+evaluation, ``eval`` and ``ablate`` alike, reads it back bit for bit.
+Each style of a stacked traversal gets the bits of sampling it alone, so
+which styles were cached does not change any reference. The generated
 datasets and the reference sets are samples of one guided teacher: one
 ``solvers.sample_batch`` traversal of the config's ``teacher_steps``
 strides at scale ``guidance``.
@@ -58,6 +62,8 @@ from __future__ import annotations
 
 import os
 from functools import partial
+
+import numpy as np
 
 from .checkpoint import checkpoint_load, checkpoint_save
 from .config import config_hash, plan_from_config
@@ -81,6 +87,7 @@ from .nets import (
     StudentBundle,
     pretrain_base,
     pretrain_motion,
+    stack_bases,
 )
 from .evalmetrics import eval_inputs, reference_set, score_arms
 from .schedule import SCHEDULE
@@ -317,20 +324,29 @@ class Workspace:
     def evaluate(self, bundles: dict, arms: dict, styles: list,
                  step_counts: list) -> dict:
         """Score each arm's motion by step count (see ``score_arms``)
-        against each style's cached reference set, sampled here when its
-        file is missing; returns {arm: EvalReport} with each report's
-        provenance."""
+        against each style's cached reference set; returns {arm: EvalReport}
+        with each report's provenance.
+
+        The cached references are loaded first, so a file from another
+        config is refused before anything is sampled. The missing ones are
+        sampled in one guided ``reference_set`` over their bases stacked
+        in ``styles`` order, beside the bundles' shared motion module, and
+        each is written through the cache: every style gets the bits of
+        sampling it alone, so which styles were cached does not change any
+        reference.
+        """
         ev = self.cfg["eval"]
         seed, steps, w = self.cfg["seed"], self.cfg["teacher_steps"], self.cfg["guidance"]
         tokens, x_start = eval_inputs(seed, ev["n_conditions"], self.dims)
-
-        def build(style):
-            return {"clips": reference_set(bundles[style], self.sched, tokens,
-                                           x_start, steps=steps, w=w)}
-
-        references = {style: self._arrays(self.reference_path(style), ("clips",),
-                                          partial(build, style))["clips"]
-                      for style in styles}
+        missing = [s for s in styles if not os.path.exists(self.reference_path(s))]
+        refs = {s: self._reference(s) for s in styles if s not in missing}
+        if missing:
+            stack = bundles[missing[0]]._replace(
+                base=stack_bases([bundles[s].base for s in missing]))
+            clips = reference_set(stack, self.sched, tokens, x_start, steps=steps, w=w)
+            for style, ref in zip(missing, np.split(clips, len(missing))):
+                refs[style] = self._reference(style, lambda ref=ref: {"clips": ref})
+        references = {s: refs[s]["clips"] for s in styles}
         reports = score_arms(bundles, arms, self.sched, references, step_counts,
                              tokens, x_start, seed)
         for arm, report in reports.items():
@@ -338,3 +354,6 @@ class Workspace:
                 arm=arm, seed=seed, n_conditions=ev["n_conditions"],
                 teacher_steps=steps, guidance=w, config_hash=self.hash)
         return reports
+
+    def _reference(self, style: str, build=None) -> dict:
+        return self._arrays(self.reference_path(style), ("clips",), build)

@@ -5,9 +5,10 @@ Every traversal treats timestep ``-1`` as the clean boundary
 (``alpha_bar = 1``), so a full traversal of a ``T``-step schedule takes
 ``n`` strides of ``s = T // n`` timesteps from ``t = T - 1`` down to
 ``t = -1``. Every untaped solve is one :func:`traverse`: the teacher's
-datasets, the evaluation's reference and arm sets and the ``sample``
-command through :func:`sample_batch`, and each distillation iteration's
-teacher target and the student's detached stride over all ranks at once.
+datasets, the evaluation's reference and arm sets (every style's at once)
+and the ``sample`` command through :func:`sample_batch`, and each
+distillation iteration's teacher target and the student's detached stride
+over all ranks at once.
 :func:`rank_blocks` is the one rule that groups stacked ranks into blocks
 of at most ``SAMPLE_BATCH`` rows: :func:`traverse` solves in its blocks,
 ``runner`` pretrains the base models in them and ``distill.run_stage``

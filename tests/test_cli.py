@@ -24,7 +24,7 @@ from flowdistill.config import (
     validate_config,
 )
 from flowdistill.datagen import STYLES, ClipDataset, load_dataset, save_dataset
-from flowdistill.nets import MOTION_KEYS, NetDims
+from flowdistill.nets import MOTION_KEYS, NetDims, StudentBundle, stack_size
 from flowdistill.runner import Workspace
 from flowdistill.schedule import build_schedule
 
@@ -128,14 +128,17 @@ def test_one_guidance_key_sets_every_guided_teacher(tmp_path, monkeypatch):
                            style.group, style.style_id)
 
     def reference(bundle, sched, tokens, x_start, steps, w):
-        scales.append(("reference", bundle, steps, w))
-        return np.zeros(x_start.shape)
+        # One entry per style that the call's bases stack.
+        for style in bundle.base["style"]:
+            scales.append(("reference", str(style), steps, w))
+        return np.zeros((len(bundle.base["style"]) * len(x_start),) + x_start.shape[1:])
 
     monkeypatch.setattr(runner, "generate_distill_dataset", generate)
     monkeypatch.setattr(runner, "reference_set", reference)
     monkeypatch.setattr(runner, "score_arms", lambda *a: {})
     ws.build_datasets({s.name: None for s in STYLES})
-    ws.evaluate({"real_b": "real_b", "anime_a": "anime_a"}, {}, ["real_b", "anime_a"], [4])
+    ws.evaluate({s: StudentBundle({"style": np.array(s)}, {}, None)
+                 for s in ("real_b", "anime_a")}, {}, ["real_b", "anime_a"], [4])
     assert scales == [
         ("data", "real_a", 16, 2.5), ("data", "real_b", 16, 2.5),
         ("data", "anime_a", 16, 2.5), ("data", "anime_b", 16, 2.5),
@@ -553,67 +556,82 @@ def _scored_copy(workdir, dst) -> str:
     return str(dst)
 
 
-def _counting_reference_set(monkeypatch) -> list:
+def _counting_reference_set(monkeypatch) -> tuple:
     """Record the base model of every reference set sampled from now on,
-    by its weights: each style's pretrained base has its own."""
-    calls = []
+    by its weights (each style's pretrained base has its own), and the
+    number of styles of each sampling call."""
+    calls, stacks = [], []
     sample = runner.reference_set
 
     def counting(bundle, *args, **kwargs):
-        calls.append(bundle.base["w1"].tobytes())
+        w1 = bundle.base["w1"].reshape((stack_size(bundle.base), -1))
+        calls.extend(w.tobytes() for w in w1)
+        stacks.append(len(w1))
         return sample(bundle, *args, **kwargs)
 
     monkeypatch.setattr(runner, "reference_set", counting)
-    return calls
+    return calls, stacks
 
 
 def test_eval_and_ablate_sample_each_reference_once(tiny_config, workdir, tmp_path,
                                                     monkeypatch):
     cached = _scored_copy(workdir, tmp_path / "cached")
     fresh = _scored_copy(workdir, tmp_path / "fresh")
-    calls = _counting_reference_set(monkeypatch)
+    calls, stacks = _counting_reference_set(monkeypatch)
     styles = load_config(tiny_config)["eval"]["styles"]
     assert cli(["eval", "--config", tiny_config, "--workdir", cached]) == 0
     assert len(calls) == len(styles)
+    assert stacks == [len(styles)]  # every missing reference in one call
     assert sorted(os.listdir(os.path.join(cached, "references"))) == sorted(
         f"{style}.ckpt" for style in styles)
     # ablate scores every style and samples only those eval did not.
     assert cli(["ablate", "--config", tiny_config, "--workdir", cached]) == 0
     assert len(calls) == len(STYLES) and len(set(calls)) == len(STYLES)
-    del calls[:]
+    assert stacks == [len(styles), len(STYLES) - len(styles)]
+    del calls[:], stacks[:]
     assert cli(["eval", "--config", tiny_config, "--workdir", fresh]) == 0
     shutil.rmtree(os.path.join(fresh, "references"))
     assert cli(["ablate", "--config", tiny_config, "--workdir", fresh]) == 0
     assert len(calls) == len(styles) + len(STYLES)
+    assert stacks == [len(styles), len(STYLES)]
     reports = _snapshot(os.path.join(cached, "reports"))
     assert len(reports) == 6
     assert reports == _snapshot(os.path.join(fresh, "reports"))
     # A second eval samples nothing and rewrites the same reports.
-    del calls[:]
+    del calls[:], stacks[:]
     assert cli(["eval", "--config", tiny_config, "--workdir", cached]) == 0
-    assert calls == []
+    assert calls == [] and stacks == []
     assert _snapshot(os.path.join(cached, "reports")) == reports
 
 
-@pytest.mark.parametrize("stamp", [b"meta config_hash 0123456789abcdef\n", b""],
-                         ids=["another_hash", "no_hash"])
+@pytest.mark.parametrize("stamp, missing", [
+    (b"meta config_hash 0123456789abcdef\n", None), (b"", None),
+    (b"meta config_hash 0123456789abcdef\n", "real_b")],
+    ids=["another_hash", "no_hash", "another_hash_after_a_missing_one"])
 def test_reference_from_another_config_is_refused(tiny_config, workdir, tmp_path,
-                                                  capsys, monkeypatch, stamp):
+                                                  capsys, monkeypatch, stamp, missing):
+    # With ``missing``, a style listed before the stale one in eval.styles
+    # has no reference yet: the stale one is refused before it is sampled.
     wd = str(tmp_path / "stale")
     shutil.copytree(workdir, wd)
+    if missing:
+        assert load_config(tiny_config)["eval"]["styles"][:2] == [missing, "anime_a"]
+        os.remove(os.path.join(wd, "references", f"{missing}.ckpt"))
     path = os.path.join(wd, "references", "anime_a.ckpt")
     raw = Path(path).read_bytes()
     restamped = re.sub(rb"meta config_hash \S+\n", stamp, raw)
     assert restamped != raw
     with open(path, "wb") as fh:
         fh.write(restamped)
-    calls = _counting_reference_set(monkeypatch)
+    calls, _ = _counting_reference_set(monkeypatch)
     capsys.readouterr()
     assert cli(["eval", "--config", tiny_config, "--workdir", wd]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err
     assert Path(path).read_bytes() == restamped
     assert calls == []
+    if missing:
+        assert not os.path.exists(os.path.join(wd, "references", f"{missing}.ckpt"))
 
 
 @pytest.mark.parametrize("command, report", [("eval", "main"),
@@ -625,7 +643,7 @@ def test_nan_samples_fail_the_report_instead_of_scoring_zero(
     shutil.rmtree(os.path.join(wd, "reports"))
 
     def diverged_arm_set(bundle, sched, steps, tokens, seeds):
-        return np.full((len(tokens), 8, 2), np.nan)
+        return np.full((stack_size(bundle.base) * len(tokens), 8, 2), np.nan)
 
     monkeypatch.setattr(evalmetrics, "arm_set", diverged_arm_set)
     capsys.readouterr()

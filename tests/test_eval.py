@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowdistill as fd
-from flowdistill import evalmetrics
+from flowdistill import evalmetrics, solvers
 from flowdistill.evalmetrics import (
     EvalReport,
+    arm_set,
     energy_distance,
     eval_inputs,
     eval_tokens,
     reference_set,
 )
+from flowdistill.nets import stack_bases
 
 
 def norm(u, v):
@@ -339,6 +341,39 @@ def test_score_arms_same_motion_same_report_rows_style_major(sched):
     assert [(r["style"], r["steps"]) for r in reports["a"].rows] == [
         ("anime_a", 4), ("anime_a", 2), ("real_b", 4), ("real_b", 2)]
     assert [r["metric"] for r in reports["c"].rows] != [r["metric"] for r in reports["a"].rows]
+
+
+@pytest.mark.parametrize("n, solves", [(150, [450, 150]), (600, [512, 88] * 4)],
+                         ids=["three_styles_a_block", "one_style_a_block_in_chunks"])
+def test_stacked_styles_keep_each_styles_bits(monkeypatch, sched, dims, n, solves):
+    # At 150 rows a block holds 3 styles and the 4th runs alone; at 600
+    # each style runs alone, in the chunks of 512 and 88 rows that a
+    # one-style call takes too.
+    rng = np.random.default_rng(12)
+    motion = fd.init_motion(dims, rng, 0.05)
+    bases = [fd.init_base(dims, rng) for _ in range(4)]
+    stack = fd.StudentBundle(stack_bases(bases), motion, dims)
+    tokens, x_start = eval_inputs(4, n, dims)
+    rows = []
+    solve = solvers.euler_solve
+
+    def counted(f, x_t, *args):
+        rows.append(len(x_t))
+        return solve(f, x_t, *args)
+
+    monkeypatch.setattr(solvers, "euler_solve", counted)
+    refs = reference_set(stack, sched, tokens, x_start, 8, 7.5)
+    sets = arm_set(stack, sched, 2, tokens, x_start)
+    assert rows == solves * 2
+    monkeypatch.undo()
+    assert refs.shape == sets.shape == (4 * n,) + x_start.shape[1:]
+    for r, base in enumerate(bases):
+        one = fd.StudentBundle(base, motion, dims)
+        own = slice(r * n, (r + 1) * n)
+        assert refs[own].tobytes() == fd.sample_batch(
+            one, sched, 8, tokens, x_start, w=7.5).tobytes()
+        assert sets[own].tobytes() == fd.sample_batch(
+            one, sched, 2, tokens, x_start).tobytes()
 
 
 def _score_arms_reference(bundles_by_style, arms, sched, styles, step_counts,
